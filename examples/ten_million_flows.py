@@ -4,10 +4,10 @@
 A campaign-scale workload-engine run, sharded for checkpoint/resume:
 the flow target is split into independent seeded shards (each one
 ExperimentConfig on the paper's two-rack RDCN at ``fidelity="tiered"``),
-executed through :class:`ExperimentExecutor` with a campaign journal,
-checkpoint sidecar, and result cache. Kill it at any point and rerun
-with ``--resume``: completed shards replay from the cache, only the
-remainder executes. Memory stays flat at any flow count — completions
+executed through :class:`ExperimentExecutor` with a campaign journal
+and result cache. Kill it at any point and rerun with ``--resume``:
+completed shards replay from the journal + cache, only the remainder
+executes. Memory stays flat at any flow count — completions
 stream into DDSketch quantile sketches whose merge is exactly
 associative, so the sharded campaign's merged percentiles are the same
 whatever order (or how many attempts) the shards took.
@@ -122,8 +122,8 @@ def run_campaign(args, fidelity: str, journal: bool = True):
         cache_dir = f"{log_path}.cache"
         if args.resume:
             resume = load_resume_plan(log_path)
-            print(f"  resume: {len(resume.checkpoint.runs)} terminal shards from "
-                  f"{resume.checkpoint_source}")
+            print(f"  resume: {len(resume.checkpoint.runs)} terminal shards in "
+                  f"{log_path}")
             log_path = f"{log_path}.resumed.jsonl"
         campaign = CampaignLog(log_path)
     executor = ExperimentExecutor(

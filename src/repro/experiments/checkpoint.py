@@ -1,31 +1,37 @@
-"""Crash-safe campaign checkpointing: terminal-state journal + sidecar.
+"""Crash-safe campaign resumption: the journal is the recovery record.
 
 A campaign that dies mid-flight (OOM kill, scheduler SIGTERM, Ctrl-C,
 power loss) must be resumable without re-executing completed work and
 — just as important — without *changing the answer*: the ROADMAP's
 sweep fabric calls for incremental re-runs whose merged
 :func:`~repro.obs.campaign.campaign_summary` is byte-identical to an
-uninterrupted run. Two artifacts make that possible:
+uninterrupted run.
 
-* The **campaign journal** (PR 6's :class:`~repro.obs.campaign.CampaignLog`
-  JSONL) already records every run's full lifecycle. It is the ground
-  truth — :meth:`CampaignCheckpoint.from_journal` can always rebuild
-  the terminal state from it, tolerating the truncated final line a
-  SIGKILL leaves behind.
-* The **checkpoint sidecar** (``<log>.ckpt.json``) is a small,
-  atomically-replaced digest of per-run terminal state (finished /
-  failed / quarantined, attempts, cache key), updated after every
-  terminal event. It spares resume a full journal replay for the
-  common bookkeeping and survives even when the journal's tail is torn.
+* The **campaign journal** (:class:`~repro.obs.campaign.CampaignLog`
+  JSONL, flushed per line) records every run's full lifecycle and is
+  the only thing resume reads: :func:`load_resume_plan` folds it with
+  :class:`~repro.obs.campaign.CampaignFold` — the same transition
+  function the live campaign runs — tolerating the truncated final
+  line a SIGKILL leaves behind. A :class:`CampaignCheckpoint` is that
+  fold's terminal runs.
+* The **checkpoint sidecar** (``<log>.ckpt.json``) is a *derived status
+  file*: the executor's live :class:`CampaignCheckpoint`, atomically
+  replaced after every run-ending record, for humans and schedulers
+  that want "what is done so far" without parsing the journal. Nothing
+  in this package reads it back. (Deleting the writer too is a
+  follow-up that needs a ``benchmark`` issue first: ``BENCHMARK.json``'s
+  ``campaign_replay`` passes ``checkpoint_to`` and its traced pass
+  wraps :meth:`CampaignCheckpoint.save`.)
 
 The executor's write ordering makes every kill window safe::
 
-    emit terminal record  ->  update + save sidecar  ->  cache.put
+    emit run-ending record (journal, flushed)  ->  save sidecar  ->  cache.put
 
-A crash between any two steps only ever loses *later* state: a run
-whose terminal record exists but whose sidecar entry (or cache entry)
-is missing simply re-executes on resume, and determinism guarantees it
-re-emits the identical lifecycle.
+A run whose ending record reached the journal replays on resume; one
+whose record did not (or whose cache entry is missing) simply
+re-executes, and determinism guarantees it re-emits the identical
+lifecycle. The sidecar lagging the journal by a record — the state a
+kill between the first two steps leaves — changes nothing.
 """
 
 from __future__ import annotations
@@ -38,12 +44,12 @@ from typing import Dict, List, Optional, Sequence
 
 from repro.obs.campaign import (
     CAMPAIGN_SCHEMA_VERSION,
-    META_EVENTS,
+    TERMINAL_STATES,
+    CampaignFold,
     read_campaign_with_tail,
 )
 
 __all__ = [
-    "TERMINAL_STATES",
     "RunCheckpoint",
     "CampaignCheckpoint",
     "ResumePlan",
@@ -51,16 +57,12 @@ __all__ = [
     "load_resume_plan",
 ]
 
-#: Per-run terminal states a checkpoint records. ``finished`` covers
-#: both executed successes and cache hits (``cache_hit`` disambiguates);
-#: ``failed`` marks infrastructure casualties that resume *resubmits*;
-#: ``quarantined`` marks poison runs that resume must *never* resubmit.
-TERMINAL_STATES = ("finished", "failed", "quarantined")
-
 
 @dataclass
 class RunCheckpoint:
-    """Terminal state of one run, as the checkpoint sidecar records it."""
+    """Terminal state of one run: what resume decides on and what the
+    sidecar reports. ``state`` is one of
+    :data:`~repro.obs.campaign.TERMINAL_STATES`."""
 
     label: str
     index: int
@@ -88,20 +90,7 @@ class RunCheckpoint:
             raise ValueError("attempts/retries must be >= 0")
 
     def to_dict(self) -> dict:
-        return {
-            "label": self.label,
-            "index": self.index,
-            "state": self.state,
-            "attempts": self.attempts,
-            "retries": self.retries,
-            "cache_key": self.cache_key,
-            "cache_hit": self.cache_hit,
-            "cache_miss": self.cache_miss,
-            "executed": self.executed,
-            "outcome": self.outcome,
-            "error_type": self.error_type,
-            "error_message": self.error_message,
-        }
+        return dict(vars(self))  # flat fields; asdict's deep copy is 10x slower
 
     @classmethod
     def from_dict(cls, data: dict) -> "RunCheckpoint":
@@ -110,13 +99,51 @@ class RunCheckpoint:
 
 @dataclass
 class CampaignCheckpoint:
-    """All terminal run states of one campaign, keyed by run label."""
+    """All terminal run states of one campaign, keyed by run label:
+    the terminal runs of a :class:`~repro.obs.campaign.CampaignFold`."""
 
     total: int = 0
     runs: Dict[str, RunCheckpoint] = field(default_factory=dict)
+    fold: CampaignFold = field(default_factory=CampaignFold, repr=False, compare=False)
 
     def record(self, run: RunCheckpoint) -> None:
         self.runs[run.label] = run
+
+    def apply(self, record: dict) -> None:
+        """Advance by one journal record. The executor feeds the
+        records it emits; :meth:`from_journal` feeds a journal read
+        back from disk — one code path, so they cannot disagree."""
+        run = self.fold.apply(record)
+        self.total = self.fold.total
+        if run is None or not run.terminal:
+            return  # in flight: resume re-executes it
+        queued = run.queued or {}
+        ending = run.ending or {}
+        self.record(
+            RunCheckpoint(
+                label=run.label,
+                index=run.index or 0,
+                state=run.state,
+                attempts=run.attempts,
+                retries=run.retries,
+                # The key and miss flag ride on the queued record so a
+                # checkpoint can be rebuilt from the journal alone.
+                cache_key=queued.get("key"),
+                cache_hit=run.state == "cached",
+                cache_miss=bool(queued.get("cache_miss", False)),
+                executed=run.attempts > 0,
+                outcome=ending.get("outcome"),
+                error_type=ending.get("error_type"),
+                error_message=ending.get("error_message"),
+            )
+        )
+
+    @classmethod
+    def from_journal(cls, records: Sequence[dict]) -> "CampaignCheckpoint":
+        checkpoint = cls()
+        for record in records:
+            checkpoint.apply(record)
+        return checkpoint
 
     def to_dict(self) -> dict:
         return {
@@ -139,82 +166,14 @@ class CampaignCheckpoint:
             checkpoint.record(RunCheckpoint.from_dict(payload))
         return checkpoint
 
-    # ------------------------------------------------------------------
-    # Sidecar persistence (atomic: tmp file + rename, like ResultCache)
-    # ------------------------------------------------------------------
     def save(self, path) -> str:
+        """Write the sidecar atomically (tmp file + rename)."""
         path = pathlib.Path(path)
         path.parent.mkdir(parents=True, exist_ok=True)
         tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
         tmp.write_text(json.dumps(self.to_dict(), sort_keys=True) + "\n")
         os.replace(tmp, path)
         return str(path)
-
-    @classmethod
-    def load(cls, path) -> Optional["CampaignCheckpoint"]:
-        """The sidecar's checkpoint, or None when missing/corrupt/stale
-        — resume then falls back to :meth:`from_journal`."""
-        try:
-            text = pathlib.Path(path).read_text()
-        except OSError:
-            return None
-        try:
-            return cls.from_dict(json.loads(text))
-        except (ValueError, KeyError, TypeError):
-            return None
-
-    # ------------------------------------------------------------------
-    # Journal fallback
-    # ------------------------------------------------------------------
-    @classmethod
-    def from_journal(cls, records: Sequence[dict]) -> "CampaignCheckpoint":
-        """Rebuild terminal state straight from campaign records.
-
-        Runs that never reached a terminal event (in flight at the
-        kill) are excluded — resume re-executes them. The journal is
-        authoritative: this works even when the sidecar never hit disk.
-        """
-        checkpoint = cls()
-        partial: Dict[str, dict] = {}
-        for record in records:
-            event = record.get("event")
-            if event == "campaign_start":
-                checkpoint.total += record.get("total", 0)
-                continue
-            label = record.get("run")
-            if not label or event in META_EVENTS:
-                continue
-            run = partial.setdefault(
-                label,
-                {"label": label, "index": 0, "state": None, "attempts": 0},
-            )
-            if event == "queued":
-                run["index"] = int(record.get("index", run["index"]))
-                if "key" in record:
-                    run["cache_key"] = record["key"]
-                if "cache_miss" in record:
-                    run["cache_miss"] = bool(record["cache_miss"])
-            elif event == "started":
-                run["attempts"] += 1
-                run["executed"] = True
-            elif event == "retry":
-                run["retries"] = run.get("retries", 0) + 1
-            elif event == "cache_hit":
-                run["state"] = "finished"
-                run["cache_hit"] = True
-            elif event == "finished":
-                run["state"] = "finished"
-                run["outcome"] = record.get("outcome")
-            elif event == "failed":
-                run["state"] = "failed"
-                run["error_type"] = record.get("error_type")
-                run["error_message"] = record.get("error_message")
-            elif event == "quarantined":
-                run["state"] = "quarantined"
-        for run in partial.values():
-            if run["state"] in TERMINAL_STATES:
-                checkpoint.record(RunCheckpoint.from_dict(run))
-        return checkpoint
 
 
 def checkpoint_path(log_path) -> str:
@@ -225,38 +184,24 @@ def checkpoint_path(log_path) -> str:
 @dataclass
 class ResumePlan:
     """Everything ``run_batch(resume_from=...)`` needs from a prior
-    campaign: the old journal's records (the replay source), the
-    terminal-state checkpoint (the decision source), and whether the
-    journal ended in a torn write."""
+    campaign, all of it folded from the journal: the terminal-state
+    checkpoint (the decision source, whose fold indexes each run's
+    records — the replay source) and whether the journal ended in a
+    torn write."""
 
-    source: str
     checkpoint: CampaignCheckpoint
-    records: List[dict]
     partial_tail: Optional[str] = None
-    checkpoint_source: str = "sidecar"
 
     def run_records(self, label: str) -> List[dict]:
         """One run's full lifecycle, in journal order (replay input)."""
-        return [r for r in self.records if r.get("run") == label]
+        return self.checkpoint.fold.runs[label].records
 
 
 def load_resume_plan(log_path) -> ResumePlan:
-    """Load a prior campaign for resumption.
+    """Load a prior campaign for resumption from its journal alone.
 
     Journal reading tolerates a truncated final line (the mid-write
-    crash artifact). The sidecar is preferred for terminal state; when
-    missing or corrupt the checkpoint is rebuilt from the journal.
+    crash artifact); the sidecar is never opened.
     """
     records, tail = read_campaign_with_tail(log_path)
-    checkpoint = CampaignCheckpoint.load(checkpoint_path(log_path))
-    source = "sidecar"
-    if checkpoint is None:
-        checkpoint = CampaignCheckpoint.from_journal(records)
-        source = "journal"
-    return ResumePlan(
-        source=str(log_path),
-        checkpoint=checkpoint,
-        records=records,
-        partial_tail=tail,
-        checkpoint_source=source,
-    )
+    return ResumePlan(CampaignCheckpoint.from_journal(records), partial_tail=tail)

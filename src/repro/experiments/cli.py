@@ -16,11 +16,12 @@ Usage::
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import pathlib
 import sys
 import tempfile
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.experiments import figures
 from repro.experiments.checkpoint import checkpoint_path, load_resume_plan
@@ -73,7 +74,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="repro.experiments.cli",
         description="Regenerate the TDTCP paper's figures on the simulator.",
     )
-    parser.add_argument("target", help="figure id (fig2..fig14-100g), 'chaos', 'sweep-ratio', 'sweep-day', 'sweep-buffer', 'sweep-load', 'replay-trace', or 'list'")
+    parser.add_argument("target", help="one of: " + ", ".join(TARGETS))
     parser.add_argument("--weeks", type=int, default=24, help="optical weeks to simulate")
     parser.add_argument("--warmup", type=int, default=8, help="warm-up weeks excluded from averages")
     parser.add_argument("--flows", type=int, default=8, help="parallel cross-rack flows")
@@ -152,7 +153,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--resume", metavar="JSONL", default=None,
         help="resume an interrupted campaign from its journal: completed runs are "
-             "replayed from the checkpoint sidecar + result cache, only the "
+             "replayed from the journal + result cache, only the "
              "remainder executes (new journal defaults to <log>.resumed.jsonl)",
     )
     parser.add_argument(
@@ -254,8 +255,7 @@ def executor_from_args(args) -> ExperimentExecutor:
     (opening truncates), defaults the new journal to
     ``<log>.resumed.jsonl`` so the original survives as evidence, and
     arms the executor's replay plan. Any journal-producing run also
-    gets a checkpoint sidecar (``<log>.ckpt.json``) so *it* can be
-    resumed in turn."""
+    writes the ``<log>.ckpt.json`` status sidecar."""
     resume = None
     log_path = args.campaign_log
     if args.resume:
@@ -263,8 +263,8 @@ def executor_from_args(args) -> ExperimentExecutor:
         if resume.partial_tail is not None:
             print(f"resume: tolerated truncated journal tail in {args.resume}",
                   file=sys.stderr)
-        print(f"resume: {len(resume.checkpoint.runs)} terminal runs from "
-              f"{resume.checkpoint_source}", file=sys.stderr)
+        print(f"resume: {len(resume.checkpoint.runs)} terminal runs in "
+              f"{args.resume}", file=sys.stderr)
         if log_path is None:
             log_path = str(pathlib.Path(args.resume).with_suffix("")) + ".resumed.jsonl"
     campaign = None
@@ -321,6 +321,20 @@ def buffer_override_from_args(args):
     return override
 
 
+def finish_campaign(executor: ExperimentExecutor) -> List[str]:
+    """Close the invocation's campaign log and return the trailer every
+    executor-backed target prints: batch stats, resume split, log path."""
+    lines = [f"executor: {executor.last_batch.render()}"]
+    if executor.resume is not None:
+        lines.append(f"resume: {executor.last_replayed} replayed, "
+                     f"{executor.last_fresh} executed fresh")
+    if executor.campaign is not None:
+        executor.campaign.close()
+        if executor.campaign.path:
+            lines.append(f"campaign log: {executor.campaign.path}")
+    return lines
+
+
 def run_figure(name: str, args) -> int:
     """Run one figure; failed variants degrade the figure (reported
     per-variant on stderr, exit 1) instead of aborting it."""
@@ -355,16 +369,7 @@ def run_figure(name: str, args) -> int:
         for variant, result in data.results.items():
             if result.profile_report:
                 sections.append(f"profile [{name}/{variant}]\n{result.profile_report}")
-    sections.append(f"executor: {executor.last_batch.render()}")
-    if executor.resume is not None:
-        sections.append(
-            f"resume: {executor.last_replayed} replayed, "
-            f"{executor.last_fresh} executed fresh"
-        )
-    if executor.campaign is not None:
-        executor.campaign.close()
-        if executor.campaign.path:
-            sections.append(f"campaign log: {executor.campaign.path}")
+    sections.extend(finish_campaign(executor))
     print("\n\n".join(sections))
     if data.failures:
         for variant, failure in sorted(data.failures.items()):
@@ -463,6 +468,7 @@ def run_chaos_executor(args) -> int:
     from repro.obs.campaign import (
         CAMPAIGN_SCHEMA_VERSION,
         campaign_summary,
+        fold_campaign,
         read_campaign,
         validate_records,
     )
@@ -501,8 +507,9 @@ def run_chaos_executor(args) -> int:
                 specs=(ExecutorFaultSpec(kind="journal_truncate"),))),
         ]
 
-    def run_leg(name: str, plan: ExecutorFaultPlan, tag: str) -> tuple:
-        """One chaos campaign; returns (journal records, executor)."""
+    def run_leg(name: str, plan: ExecutorFaultPlan, tag: str, resume=None) -> tuple:
+        """One campaign over ``<name>.cache`` under ``plan``; returns
+        (journal path, chaos harness, executor, results)."""
         log_path = out_dir / f"{name}.{tag}.jsonl"
         chaos = ExecutorChaos(plan)
         with CampaignLog(str(log_path)) as log:
@@ -514,11 +521,12 @@ def run_chaos_executor(args) -> int:
                 heartbeat_events=args.heartbeat_events,
                 checkpoint_to=checkpoint_path(str(log_path)),
                 chaos=chaos,
+                resume=resume,
             )
-            executor.run_batch(configs, labels=labels)
+            results = executor.run_batch(configs, labels=labels)
         for spec in plan.journal_truncate_specs():
             truncate_journal_tail(log_path)
-        return log_path, chaos, executor
+        return log_path, chaos, executor, results
 
     failures: List[str] = []
 
@@ -528,17 +536,16 @@ def run_chaos_executor(args) -> int:
         starts = [r for r in records if r["event"] == "campaign_start"]
         if not starts or starts[0].get("schema") != CAMPAIGN_SCHEMA_VERSION:
             failures.append(f"{name}: campaign_start missing or wrong schema")
+        runs = fold_campaign(records).runs
         for label in labels:
-            terminal = [r for r in records
-                        if r.get("run") == label
-                        and r["event"] in ("finished", "failed")]
-            if len(terminal) != 1:
+            endings = runs[label].endings if label in runs else 0
+            if endings != 1:
                 failures.append(
-                    f"{name}: {label} has {len(terminal)} terminal records "
+                    f"{name}: {label} has {endings} terminal records "
                     f"(want exactly 1)")
 
     for name, plan in legs:
-        log_path, chaos, executor = run_leg(name, plan, "a")
+        log_path, chaos, executor, _ = run_leg(name, plan, "a")
         # read_campaign tolerates the deliberately torn tail in the
         # journal_truncate leg; every terminal record precedes it.
         records = read_campaign(log_path)
@@ -552,30 +559,17 @@ def run_chaos_executor(args) -> int:
         if name == "cache_corrupt":
             # Corrupt entries must read back as misses: a warm re-run
             # re-executes instead of erroring out.
-            rerun_path = out_dir / f"{name}.warm.jsonl"
-            with CampaignLog(str(rerun_path)) as log:
-                warm = ExperimentExecutor(
-                    jobs=jobs, cache_dir=str(out_dir / f"{name}.cache"),
-                    campaign=log, heartbeat_events=args.heartbeat_events,
-                )
-                results = warm.run_batch(configs, labels=labels)
+            *_, results = run_leg(name, ExecutorFaultPlan(), "warm")
             if not all(r.ok for r in results):
                 failures.append(f"{name}: warm re-run over corrupt cache failed")
         if name == "journal_truncate":
             plan_loaded = load_resume_plan(str(log_path))
             if plan_loaded.partial_tail is None:
                 failures.append(f"{name}: torn tail not detected")
-            resumed_path = out_dir / f"{name}.resumed.jsonl"
-            with CampaignLog(str(resumed_path)) as log:
-                resumed = ExperimentExecutor(
-                    jobs=jobs, cache_dir=str(out_dir / f"{name}.cache"),
-                    campaign=log, heartbeat_events=args.heartbeat_events,
-                    checkpoint_to=checkpoint_path(str(resumed_path)),
-                    resume=plan_loaded,
-                )
-                resumed.run_batch(configs, labels=labels)
+            resumed_path, *_ = run_leg(
+                name, ExecutorFaultPlan(), "resumed", resume=plan_loaded)
             # Reference: the same campaign, no chaos, fresh cache.
-            ref_path, _, _ = run_leg(f"{name}.ref", ExecutorFaultPlan(), "b")
+            ref_path, *_ = run_leg(f"{name}.ref", ExecutorFaultPlan(), "b")
             ref = json.dumps(campaign_summary(read_campaign(ref_path)), sort_keys=True)
             got = json.dumps(campaign_summary(read_campaign(resumed_path)), sort_keys=True)
             if ref != got:
@@ -635,14 +629,7 @@ def run_sweep_load(args) -> int:
         for family in ("fct_us", "slowdown"):
             written.extend(fct_cdf_to_csv(result, args.cdf_out, sketch=family))
         print("CDF CSV written:\n  " + "\n  ".join(written))
-    print(f"executor: {executor.last_batch.render()}")
-    if executor.resume is not None:
-        print(f"resume: {executor.last_replayed} replayed, "
-              f"{executor.last_fresh} executed fresh")
-    if executor.campaign is not None:
-        executor.campaign.close()
-        if executor.campaign.path:
-            print(f"campaign log: {executor.campaign.path}")
+    print("\n".join(finish_campaign(executor)))
     return 0 if result.ok else 1
 
 
@@ -703,77 +690,78 @@ def run_replay_trace(args) -> int:
     return 0
 
 
+def run_sweep(args) -> int:
+    """The sweep-ratio / sweep-day / sweep-buffer targets."""
+    from repro.faults.plan import FaultPlan
+
+    executor = executor_from_args(args)
+    common = dict(
+        weeks=args.weeks, warmup_weeks=args.warmup, n_flows=args.flows,
+        seed=args.seed, executor=executor,
+        fault_plan=FaultPlan.load(args.fault_plan) if args.fault_plan else None,
+        watchdog_max_events=args.watchdog_events,
+        watchdog_max_wall_s=args.watchdog_wall,
+    )
+    if args.target == "sweep-buffer":
+        buffer_kwargs = {}
+        if args.buffer_total is not None:
+            buffer_kwargs["totals"] = (args.buffer_total,)
+        if args.buffer_policy is not None:
+            buffer_kwargs["policies"] = (args.buffer_policy,)
+        if args.buffer_alpha is not None:
+            buffer_kwargs["alpha"] = args.buffer_alpha
+        if args.audit is not None:
+            buffer_kwargs["audit"] = args.audit
+        result = buffer_economics_sweep(**common, **buffer_kwargs)
+    else:
+        sweep = duty_ratio_sweep if args.target == "sweep-ratio" else day_length_sweep
+        result = sweep(**common)
+    print(result.render())
+    if args.csv:
+        written = sweep_to_csv(result, args.csv)
+        print("CSV written:\n  " + "\n  ".join(written))
+    print("\n".join(finish_campaign(executor)))
+    # Failed points are rendered as FAILED cells above; a sweep with
+    # any crashed run must not exit clean.
+    return 0 if result.ok else 1
+
+
+def run_list(args) -> int:
+    for name, (_run, about) in TARGETS.items():
+        print(f"{name}: {about}")
+    return 0
+
+
+#: target -> (runner taking the parsed args, one-line description).
+#: ``list`` and the ``target`` help string are generated from this.
+TARGETS: Dict[str, Tuple[Callable, str]] = {
+    **{
+        name: (functools.partial(run_figure, name), "paper figure")
+        for name in FIGURES
+    },
+    "sweep-ratio": (run_sweep, "duty-ratio sweep"),
+    "sweep-day": (run_sweep, "day-length sweep"),
+    "sweep-buffer": (run_sweep, "buffer-economics sweep (--buffer-policy/--buffer-total/--buffer-alpha)"),
+    "sweep-load": (run_sweep_load, "workload-engine offered-load grid (--loads/--variants)"),
+    "replay-trace": (run_replay_trace, "workload trace replay (--trace CSV)"),
+    "chaos": (run_chaos, "fault-plan run (--fault-plan/--audit/--check-determinism)"),
+    "chaos-executor": (run_chaos_executor, "executor-layer fault gauntlet (--executor-fault-plan)"),
+    "list": (run_list, "print this table"),
+}
+
+
 def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
-    try:
-        return _dispatch(args)
-    except CampaignAborted as abort:
-        print(f"aborted ({abort.reason}): {abort.done}/{abort.total} runs complete; "
-              f"checkpoint flushed — rerun with --resume to continue",
-              file=sys.stderr)
-        return EXIT_ABORTED
-
-
-def _dispatch(args) -> int:
-    if args.target == "list":
-        print("figures:", ", ".join(sorted(FIGURES)))
-        print("sweeps: sweep-ratio, sweep-day, sweep-buffer, sweep-load")
-        print("workload: sweep-load (offered-load grid), replay-trace (--trace CSV)")
-        print("chaos: fault-plan run (--fault-plan/--audit/--check-determinism)")
-        print("chaos-executor: executor-layer fault gauntlet (--executor-fault-plan)")
-        return 0
-    if args.target == "sweep-load":
-        return run_sweep_load(args)
-    if args.target == "replay-trace":
-        return run_replay_trace(args)
-    if args.target == "chaos":
-        return run_chaos(args)
-    if args.target == "chaos-executor":
-        return run_chaos_executor(args)
-    if args.target in ("sweep-ratio", "sweep-day", "sweep-buffer"):
-        from repro.faults.plan import FaultPlan
-
-        executor = executor_from_args(args)
-        common = dict(
-            weeks=args.weeks, warmup_weeks=args.warmup, n_flows=args.flows,
-            seed=args.seed, executor=executor,
-            fault_plan=FaultPlan.load(args.fault_plan) if args.fault_plan else None,
-            watchdog_max_events=args.watchdog_events,
-            watchdog_max_wall_s=args.watchdog_wall,
-        )
-        if args.target == "sweep-buffer":
-            buffer_kwargs = {}
-            if args.buffer_total is not None:
-                buffer_kwargs["totals"] = (args.buffer_total,)
-            if args.buffer_policy is not None:
-                buffer_kwargs["policies"] = (args.buffer_policy,)
-            if args.buffer_alpha is not None:
-                buffer_kwargs["alpha"] = args.buffer_alpha
-            if args.audit is not None:
-                buffer_kwargs["audit"] = args.audit
-            result = buffer_economics_sweep(**common, **buffer_kwargs)
-        else:
-            sweep = duty_ratio_sweep if args.target == "sweep-ratio" else day_length_sweep
-            result = sweep(**common)
-        print(result.render())
-        if args.csv:
-            written = sweep_to_csv(result, args.csv)
-            print("CSV written:\n  " + "\n  ".join(written))
-        print(f"executor: {executor.last_batch.render()}")
-        if executor.resume is not None:
-            print(f"resume: {executor.last_replayed} replayed, "
-                  f"{executor.last_fresh} executed fresh")
-        if executor.campaign is not None:
-            executor.campaign.close()
-            if executor.campaign.path:
-                print(f"campaign log: {executor.campaign.path}")
-        # Failed points are rendered as FAILED cells above; a sweep with
-        # any crashed run must not exit clean.
-        return 0 if result.ok else 1
-    if args.target not in FIGURES:
+    if args.target not in TARGETS:
         print(f"unknown target {args.target!r}; try 'list'", file=sys.stderr)
         return 2
-    return run_figure(args.target, args)
+    try:
+        return TARGETS[args.target][0](args)
+    except CampaignAborted as abort:
+        print(f"aborted ({abort.reason}): {abort.done}/{abort.total} runs complete; "
+              f"journal flushed — rerun with --resume to continue",
+              file=sys.stderr)
+        return EXIT_ABORTED
 
 
 if __name__ == "__main__":

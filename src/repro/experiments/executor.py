@@ -36,15 +36,19 @@ Four layers:
   crashed every attempt) is additionally **quarantined**: marked in the
   campaign journal and checkpoint so a resumed campaign never
   resubmits it. Failed results are never cached.
-* **Crash safety** — every terminal run event updates an atomically
-  replaced checkpoint sidecar (``checkpoint_to``), results are cached
-  write-through the moment a run finishes, and SIGINT/SIGTERM route
-  through a graceful-shutdown path that drains heartbeats, flushes the
-  checkpoint, emits a ``campaign_abort`` record, and raises
+* **Crash safety** — the campaign journal (flushed per record) is the
+  recovery record; results are cached write-through the moment a run
+  finishes, and SIGINT/SIGTERM route through a graceful-shutdown path
+  that drains heartbeats, emits a ``campaign_abort`` record, and raises
   :class:`CampaignAborted`. ``run_batch(resume_from=...)`` replays
   completed runs from the prior journal + cache and executes only the
   remainder — the resumed journal digests byte-identically to an
-  uninterrupted run (see ``docs/robustness.md``).
+  uninterrupted run (see ``docs/robustness.md``). The executor never
+  tracks run state by hand: it feeds the records it emits to the same
+  lifecycle fold resume runs over the journal
+  (:class:`~repro.obs.campaign.CampaignFold`), and with
+  ``checkpoint_to`` saves that fold's terminal runs as a derived status
+  sidecar after every run-ending record, before the cache write.
 
 Progress and cache-hit/miss/retry counters are surfaced through a
 :class:`repro.obs.metrics.MetricsRegistry` (``executor_*`` families)
@@ -69,6 +73,7 @@ from concurrent.futures import (
 )
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass
+from functools import partial
 from time import perf_counter
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -112,7 +117,7 @@ CACHE_WRITE_ERROR_TP = Tracepoint(
 
 class CampaignAborted(RuntimeError):
     """A batch was interrupted (SIGINT/SIGTERM) and shut down cleanly:
-    pending work cancelled, heartbeats drained, checkpoint flushed, a
+    pending work cancelled, heartbeats drained, status sidecar saved, a
     ``campaign_abort`` record emitted. The CLI maps this to a distinct
     exit code so schedulers can tell an abort from a failure."""
 
@@ -303,6 +308,9 @@ class ExperimentExecutor:
         self.backoff = backoff if backoff is not None else BackoffPolicy()
         self.resume = resume
         self.checkpoint_to = str(checkpoint_to) if checkpoint_to else None
+        if self.checkpoint_to is not None and campaign is None:
+            # The sidecar is a projection of the journal records.
+            raise ValueError("checkpoint_to needs a campaign log")
         self.chaos = chaos
         self.pool_rebuilds = pool_rebuilds
         self._sleep = sleep
@@ -312,10 +320,10 @@ class ExperimentExecutor:
         self.last_replayed = 0
         self.last_fresh = 0
         self._progress_done = 0
-        self._ckpt: Optional[CampaignCheckpoint] = None
-        self._batch_labels: List[str] = []
+        # Cumulative across batches in one log (sweeps emit several
+        # campaign_start records), like the journal it is folded from.
+        self._ckpt = CampaignCheckpoint() if self.checkpoint_to else None
         self._batch_keys: List[Optional[str]] = []
-        self._batch_missed: set = set()
         self._m_hits = self.metrics.counter(
             "executor_cache_hits_total", "batch items served from the result cache"
         )
@@ -377,17 +385,7 @@ class ExperimentExecutor:
         self.last_replayed = 0
         self.last_fresh = 0
         results: List[Optional[ExperimentResult]] = [None] * len(configs)
-        keys = [self._cacheable_key(c) for c in configs]
-        self._batch_labels = list(labels)
-        self._batch_keys = keys
-        self._batch_missed = set()
-        if self.checkpoint_to is not None:
-            # The checkpoint is cumulative across batches in one log
-            # (sweeps emit several campaign_start records): totals
-            # accumulate exactly like campaign_summary's.
-            if self._ckpt is None:
-                self._ckpt = CampaignCheckpoint()
-            self._ckpt.total += len(configs)
+        keys = self._batch_keys = [self._cacheable_key(c) for c in configs]
         replay = self._plan_replays(configs, labels, keys, resume)
         done = 0
         with self._signal_guard():
@@ -410,7 +408,10 @@ class ExperimentExecutor:
                 pending: List[int] = []
                 for i, config in enumerate(configs):
                     if i in replay:
-                        done = self._replay_run(i, replay[i], resume, results, stats, done)
+                        done += 1
+                        results[i] = self._replay_run(
+                            labels[i], replay[i], resume, stats, done
+                        )
                         continue
                     queued = dict(
                         run=labels[i],
@@ -421,8 +422,8 @@ class ExperimentExecutor:
                     )
                     cached = self.cache.get(keys[i]) if keys[i] is not None else None
                     if keys[i] is not None:
-                        # The key and miss flag let a checkpoint be
-                        # rebuilt from the journal alone.
+                        # The key and miss flag are what resume needs to
+                        # decide a replay from the journal alone.
                         queued["key"] = keys[i]
                         queued["cache_miss"] = cached is None
                     self._emit("queued", **queued)
@@ -432,16 +433,12 @@ class ExperimentExecutor:
                         self._m_hits.inc(1)
                         done += 1
                         self._emit("cache_hit", run=labels[i], index=i)
-                        self._checkpoint_terminal(
-                            i, "finished", attempts=0, retries=0,
-                            cache_hit=True, outcome="ok",
-                        )
+                        self._save_checkpoint()
                         self._report(done, stats.total, labels[i], "cached")
                         continue
                     if keys[i] is not None:
                         stats.cache_misses += 1
                         self._m_misses.inc(1)
-                        self._batch_missed.add(i)
                     pending.append(i)
 
                 if pending:
@@ -458,8 +455,7 @@ class ExperimentExecutor:
                         done = self._run_pool(configs, labels, pending, results, done, stats)
             except (KeyboardInterrupt, _ShutdownRequested) as error:
                 reason = getattr(error, "reason", "SIGINT")
-                if self._ckpt is not None and self.checkpoint_to is not None:
-                    self._ckpt.save(self.checkpoint_to)
+                self._save_checkpoint()
                 stats.wall_s = perf_counter() - started_wall
                 self._emit(
                     "campaign_abort",
@@ -486,7 +482,13 @@ class ExperimentExecutor:
 
     def _emit(self, event: str, **fields) -> None:
         if self.campaign is not None:
-            self.campaign.emit(event, **fields)
+            record = self.campaign.emit(event, **fields)
+            if self._ckpt is not None:
+                self._ckpt.apply(record)
+
+    def _save_checkpoint(self) -> None:
+        if self._ckpt is not None:
+            self._ckpt.save(self.checkpoint_to)
 
     @contextmanager
     def _signal_guard(self):
@@ -564,20 +566,18 @@ class ExperimentExecutor:
 
     def _replay_run(
         self,
-        i: int,
+        label: str,
         entry_result: Tuple[RunCheckpoint, ExperimentResult],
         resume: ResumePlan,
-        results: List[Optional[ExperimentResult]],
         stats: BatchStats,
         done: int,
-    ) -> int:
+    ) -> ExperimentResult:
         """Re-emit one completed run's journal records verbatim (fresh
         seq/wall clock, ``replayed`` marker) and hand back its prior
         result. The per-run record sequence — and therefore the
         campaign summary — is indistinguishable from an uninterrupted
         run's."""
         entry, result = entry_result
-        label = self._batch_labels[i]
         for record in resume.run_records(label):
             fields = {
                 k: v
@@ -585,7 +585,7 @@ class ExperimentExecutor:
                 if k not in ("event", "seq", "wall_ms", "replayed")
             }
             self._emit(record["event"], replayed=True, **fields)
-        results[i] = result
+        self._save_checkpoint()
         if entry.cache_hit:
             stats.cache_hits += 1
             self._m_hits.inc(1)
@@ -605,48 +605,11 @@ class ExperimentExecutor:
         if entry.state == "quarantined":
             stats.quarantined += 1
             self._m_quarantined.inc(1)
-        if self._ckpt is not None and self.checkpoint_to is not None:
-            self._ckpt.record(entry)
-            self._ckpt.save(self.checkpoint_to)
-        done += 1
         self.last_replayed += 1
         self._report(done, stats.total, label, "cached" if result.ok else "failed")
-        return done
+        return result
 
     # -- terminal bookkeeping ------------------------------------------
-    def _checkpoint_terminal(
-        self,
-        i: int,
-        state: str,
-        attempts: int,
-        retries: int,
-        *,
-        cache_hit: bool = False,
-        executed: bool = False,
-        outcome: Optional[str] = None,
-        error_type: Optional[str] = None,
-        error_message: Optional[str] = None,
-    ) -> None:
-        if self._ckpt is None or self.checkpoint_to is None:
-            return
-        self._ckpt.record(
-            RunCheckpoint(
-                label=self._batch_labels[i],
-                index=i,
-                state=state,
-                attempts=attempts,
-                retries=retries,
-                cache_key=self._batch_keys[i],
-                cache_hit=cache_hit,
-                cache_miss=i in self._batch_missed,
-                executed=executed,
-                outcome=outcome,
-                error_type=error_type,
-                error_message=error_message,
-            )
-        )
-        self._ckpt.save(self.checkpoint_to)
-
     def _cache_put(self, i: int, result: ExperimentResult) -> None:
         """Write-through caching at run completion (not batch end), so
         a kill after a run's terminal record loses at most that one
@@ -683,15 +646,12 @@ class ExperimentExecutor:
         attempts: int,
     ) -> None:
         self.last_fresh += 1
-        retries = max(attempts - 1, 0)
         if result.ok:
             self._m_runs.inc(1, outcome="ok")
             self._emit("finished", run=label, outcome="ok", sketches=result.sketches)
-            self._checkpoint_terminal(
-                i, "finished", attempts, retries, executed=True, outcome="ok"
-            )
+            self._save_checkpoint()
             # Report before the cache write: the run is durably terminal
-            # once checkpointed, and a multi-MB cache entry can take long
+            # once journaled, and a multi-MB cache entry can take long
             # enough that an abort landing mid-write would undercount
             # ``done`` in the campaign_abort record.
             self._report(done, stats.total, label, "ok")
@@ -708,29 +668,24 @@ class ExperimentExecutor:
         # The simulation itself failed every attempt: poison. Resume
         # must never resubmit it. Infrastructure casualties (broken
         # pool, transport) stay plain "failed" and are resubmitted.
-        quarantine = not result.failure.infrastructure
-        if quarantine:
+        if not result.failure.infrastructure:
             stats.quarantined += 1
             self._m_quarantined.inc(1)
             self._emit("quarantined", run=label, attempts=attempts)
-        self._checkpoint_terminal(
-            i,
-            "quarantined" if quarantine else "failed",
-            attempts,
-            retries,
-            executed=True,
-            error_type=result.failure.error_type,
-            error_message=result.failure.error_message,
-        )
+        self._save_checkpoint()
         self._report(done, stats.total, label, "failed")
 
-    # -- backoff --------------------------------------------------------
-    def _backoff_delay(self, label: str, retry_n: int) -> float:
-        """The (seeded, full-jitter) delay before retry ``retry_n``;
-        accounted in the backoff metric. 0.0 when no policy applies."""
-        if self.backoff is None or retry_n < 1:
-            return 0.0
-        delay = self.backoff.delay_s(label, retry_n)
+    # -- retry ----------------------------------------------------------
+    def _book_retry(self, label: str, attempt: int, stats: BatchStats, done: int) -> float:
+        """All the bookkeeping of one retry — ``attempt`` is the try
+        about to happen — shared by the inline loop and the pool: count
+        it, journal it, report it, and return the (seeded, full-jitter)
+        backoff delay to wait out first."""
+        stats.retries += 1
+        self._m_retries.inc(1)
+        self._emit("retry", run=label, attempt=attempt)
+        self._report(done, stats.total, label, "retry")
+        delay = self.backoff.delay_s(label, attempt - 1)
         if delay > 0:
             self._m_backoff_s.inc(delay)
         return delay
@@ -749,17 +704,7 @@ class ExperimentExecutor:
         if campaign is not None:
             # Inline runs heartbeat straight into the log — same hook,
             # no process boundary.
-            def hook(sim_now: int, events: int, events_per_s: float, pending: int) -> None:
-                campaign.emit(
-                    "heartbeat",
-                    run=label,
-                    sim_now=sim_now,
-                    events=events,
-                    events_per_s=events_per_s,
-                    pending_events=pending,
-                )
-
-            set_worker_heartbeat(hook, self.heartbeat_events)
+            set_worker_heartbeat(partial(self._heartbeat, label), self.heartbeat_events)
         try:
             attempt = 1
             self._emit("started", run=label, attempt=attempt)
@@ -767,12 +712,8 @@ class ExperimentExecutor:
             for _attempt in range(self.retries):
                 if result.ok:
                     break
-                stats.retries += 1
-                self._m_retries.inc(1)
                 attempt += 1
-                self._emit("retry", run=label, attempt=attempt)
-                self._report(done, stats.total, label, "retry")
-                delay = self._backoff_delay(label, attempt - 1)
+                delay = self._book_retry(label, attempt, stats, done)
                 if delay > 0:
                     self._sleep(delay)
                 self._emit("started", run=label, attempt=attempt)
@@ -807,22 +748,27 @@ class ExperimentExecutor:
             self.heartbeat_events,
         )
 
+    def _heartbeat(
+        self, label: str, sim_now: int, events: int, events_per_s: float, pending: int
+    ) -> None:
+        self._emit(
+            "heartbeat",
+            run=label,
+            sim_now=sim_now,
+            events=events,
+            events_per_s=events_per_s,
+            pending_events=pending,
+        )
+
     def _drain_heartbeats(self, hb_queue) -> None:
         while True:
             try:
-                label, sim_now, events, events_per_s, pending = hb_queue.get_nowait()
+                beat = hb_queue.get_nowait()
             except queue_mod.Empty:
                 return
             except (EOFError, OSError):
                 return  # manager went away mid-shutdown
-            self._emit(
-                "heartbeat",
-                run=label,
-                sim_now=sim_now,
-                events=events,
-                events_per_s=events_per_s,
-                pending_events=pending,
-            )
+            self._heartbeat(*beat)
 
     def _run_pool(
         self,
@@ -856,12 +802,8 @@ class ExperimentExecutor:
             nonlocal done
             if not result.ok and attempts_left[i] > 0:
                 attempts_left[i] -= 1
-                stats.retries += 1
-                self._m_retries.inc(1)
                 attempts[i] += 1
-                self._emit("retry", run=labels[i], attempt=attempts[i])
-                self._report(done, stats.total, labels[i], "retry")
-                delay = self._backoff_delay(labels[i], attempts[i] - 1)
+                delay = self._book_retry(labels[i], attempts[i], stats, done)
                 deferred.append((self._clock() + delay, i))
                 return
             results[i] = result

@@ -413,199 +413,6 @@ def buffer_figure_family(
     return family
 
 
-@dataclass
-class SlowdownFigure:
-    """The FCT-slowdown figure family: per-(variant x load) percentile
-    curves from the workload engine's streaming sketches.
-
-    ``curves[variant][label]`` is one value per offered load (NaN where
-    that cell failed or recorded no completions), aligned with
-    ``loads``. The per-size-bin families ride along as
-    ``bin_curves[bin][variant][label]``.
-    """
-
-    name: str
-    loads: Tuple[float, ...]
-    variants: Tuple[str, ...]
-    curves: Dict[str, Dict[str, np.ndarray]] = field(default_factory=dict)
-    bin_curves: Dict[str, Dict[str, Dict[str, np.ndarray]]] = field(default_factory=dict)
-    achieved_loads: Dict[str, np.ndarray] = field(default_factory=dict)
-    sweep: Optional[object] = None  # the underlying LoadSweepResult
-    failures: Dict[str, RunFailure] = field(default_factory=dict)
-
-    @property
-    def ok(self) -> bool:
-        return not self.failures
-
-
-def fig_fct_slowdown(
-    loads: Sequence[float] = (0.2, 0.4, 0.6),
-    variants: Sequence[str] = ("cubic", "tdtcp"),
-    cdf: str = "web-search",
-    matrix: str = "permutation",
-    hotspot_fraction: float = 0.5,
-    weeks: int = 24, warmup_weeks: int = 8, seed: int = 1,
-    obs: Optional[ObsConfig] = None,
-    executor: Optional[ExperimentExecutor] = None,
-    percentile_labels: Sequence[str] = ("p50", "p99"),
-    fidelity: str = "packet",
-) -> SlowdownFigure:
-    """FCT-slowdown curves per (variant x offered load).
-
-    One workload-engine run per cell through the executor (parallel,
-    cached, checkpointable like every other batch); the slowdown
-    percentiles are read from each run's merged-ready sketches. This is
-    the figure the ROADMAP's production-workload item calls for — the
-    empirical-traffic counterpart of the paper's long-lived-flow plots.
-    """
-    from repro.apps.engine import SIZE_BINS
-    from repro.experiments.sweeps import load_sweep
-
-    sweep = load_sweep(
-        loads=loads, variants=variants, cdf=cdf, matrix=matrix,
-        hotspot_fraction=hotspot_fraction,
-        weeks=weeks, warmup_weeks=warmup_weeks, seed=seed,
-        executor=executor, obs=obs, fidelity=fidelity,
-    )
-    data = SlowdownFigure(
-        name="fig-fct-slowdown",
-        loads=tuple(loads),
-        variants=tuple(variants),
-        sweep=sweep,
-    )
-    by_cell = {(p.load, p.variant): p for p in sweep.points}
-    for point in sweep.failures:
-        data.failures[f"{point.load:.2f}/{point.variant}"] = point.failure
-
-    def curve(variant: str, sketch: str, label: str) -> np.ndarray:
-        values = []
-        for load in loads:
-            point = by_cell.get((load, variant))
-            value = point.percentile(sketch, label) if point is not None and point.ok else None
-            values.append(float("nan") if value is None else value)
-        return np.asarray(values, dtype=float)
-
-    for variant in variants:
-        data.curves[variant] = {
-            label: curve(variant, "slowdown", label) for label in percentile_labels
-        }
-        data.achieved_loads[variant] = np.asarray(
-            [
-                by_cell[(load, variant)].achieved_load
-                if (load, variant) in by_cell and by_cell[(load, variant)].ok
-                else float("nan")
-                for load in loads
-            ],
-            dtype=float,
-        )
-        for bin_label, _bound in SIZE_BINS:
-            per_bin = data.bin_curves.setdefault(bin_label, {})
-            per_bin[variant] = {
-                label: np.asarray(
-                    [
-                        _bin_percentile(by_cell.get((load, variant)), bin_label, label)
-                        for load in loads
-                    ],
-                    dtype=float,
-                )
-                for label in percentile_labels
-            }
-    return data
-
-
-def _bin_percentile(point, bin_label: str, label: str) -> float:
-    if point is None or not point.ok or point.summary is None:
-        return float("nan")
-    bins = point.summary.get("slowdown_by_bin") or {}
-    value = (bins.get(bin_label) or {}).get(label)
-    return float("nan") if value is None else value
-
-
-@dataclass
-class FctCdfFigure:
-    """Per-(load x variant) FCT CDF curves decoded from the workload
-    engine's serialized DDSketch families.
-
-    ``curves[(load, variant)]`` is ``(values, cumulative_probability)``
-    — one point per occupied sketch bucket, so the curve stays within
-    relative error ``alpha`` of the exact empirical CDF at constant
-    memory however many flows the cell completed.
-    """
-
-    name: str
-    loads: Tuple[float, ...]
-    variants: Tuple[str, ...]
-    sketch: str
-    curves: Dict[Tuple[float, str], Tuple[np.ndarray, np.ndarray]] = field(default_factory=dict)
-    sweep: Optional[object] = None  # the underlying LoadSweepResult
-    failures: Dict[str, RunFailure] = field(default_factory=dict)
-
-    @property
-    def ok(self) -> bool:
-        return not self.failures
-
-
-def fig_fct_cdf(
-    loads: Sequence[float] = (0.2, 0.4, 0.6),
-    variants: Sequence[str] = ("cubic", "tdtcp"),
-    cdf: str = "web-search",
-    matrix: str = "permutation",
-    hotspot_fraction: float = 0.5,
-    weeks: int = 24, warmup_weeks: int = 8, seed: int = 1,
-    obs: Optional[ObsConfig] = None,
-    executor: Optional[ExperimentExecutor] = None,
-    fidelity: str = "packet",
-    sketch: str = "fct_us",
-    sweep=None,
-) -> FctCdfFigure:
-    """FCT CDF curves per (variant x offered load).
-
-    Each curve is decoded straight from the run's merge-ready
-    :class:`~repro.obs.sketch.QuantileSketch` state (``sketch`` selects
-    the family — ``fct_us`` by default, ``slowdown`` also works), so a
-    10M-flow tiered campaign and an 8-flow smoke run cost the same to
-    plot. Pass ``sweep`` (an existing
-    :class:`~repro.experiments.sweeps.LoadSweepResult`) to decode
-    curves without re-running anything — the CLI's
-    ``sweep-load --cdf-out`` takes that path.
-    """
-    from repro.experiments.sweeps import load_sweep
-    from repro.obs.sketch import QuantileSketch
-
-    if sweep is None:
-        sweep = load_sweep(
-            loads=loads, variants=variants, cdf=cdf, matrix=matrix,
-            hotspot_fraction=hotspot_fraction,
-            weeks=weeks, warmup_weeks=warmup_weeks, seed=seed,
-            executor=executor, obs=obs, fidelity=fidelity,
-        )
-    else:
-        loads = sorted({p.load for p in sweep.points})
-        variants = sorted({p.variant for p in sweep.points})
-    data = FctCdfFigure(
-        name="fig-fct-cdf",
-        loads=tuple(loads),
-        variants=tuple(variants),
-        sketch=sketch,
-        sweep=sweep,
-    )
-    for point in sweep.points:
-        if not point.ok:
-            data.failures[f"{point.load:.2f}/{point.variant}"] = point.failure
-            continue
-        state = point.sketches.get(sketch)
-        if not state:
-            continue
-        points = QuantileSketch.from_dict(state).cdf_points()
-        if not points:
-            continue
-        data.curves[(point.load, point.variant)] = (
-            np.asarray([value for value, _p in points], dtype=float),
-            np.asarray([prob for _v, prob in points], dtype=float),
-        )
-    return data
-
-
 def fig14(
     rate_gbps: float, weeks: int = 40, warmup_weeks: int = 12, n_flows: int = 8, seed: int = 1,
     obs: Optional[ObsConfig] = None,

@@ -13,7 +13,7 @@ import numpy as np
 from repro.experiments.figures import FigureData
 from repro.metrics.cdf import quantile
 from repro.metrics.seqgraph import step_interpolate
-from repro.obs.campaign import campaign_summary
+from repro.obs.campaign import CampaignFold, RunState, fold_campaign
 from repro.obs.sketch import PERCENTILE_LABELS, QuantileSketch
 from repro.units import to_usec
 
@@ -193,28 +193,6 @@ def sweep_to_csv(result, directory) -> List[str]:
     return [str(path)]
 
 
-def render_slowdown_figure(data) -> str:
-    """Text view of a :class:`SlowdownFigure`: one block per percentile
-    label, loads down, variants across (NaN cells print as ``-``)."""
-    lines = [f"[{data.name}] FCT slowdown vs offered load ({', '.join(data.variants)})"]
-    labels = sorted({label for curves in data.curves.values() for label in curves})
-    for label in labels:
-        lines.append(f"  slowdown {label}:")
-        header = f"{'load':>8} " + " ".join(f"{v:>10}" for v in data.variants)
-        lines.append("  " + header)
-        for row, load in enumerate(data.loads):
-            cells = []
-            for variant in data.variants:
-                value = data.curves.get(variant, {}).get(label)
-                cell = value[row] if value is not None and row < len(value) else float("nan")
-                cells.append(f"{cell:10.2f}" if cell == cell else f"{'-':>10}")
-            lines.append(f"  {load:8.2f} " + " ".join(cells))
-    if data.failures:
-        for cell, failure in sorted(data.failures.items()):
-            lines.append(f"  [{cell}] {failure.render()}")
-    return "\n".join(lines)
-
-
 def load_sweep_to_csv(result, directory) -> List[str]:
     """Write a :class:`LoadSweepResult` as one long-format CSV: one row
     per (load, variant) with counts, loads, and the slowdown/FCT
@@ -338,53 +316,17 @@ def merge_campaign_sketches(
     return merged
 
 
-def _campaign_timeline(records: Sequence[dict]) -> List[dict]:
-    """Per-run wall-clock timeline rows (input order by queue index)."""
-    rows: Dict[str, dict] = {}
-    for record in records:
-        event = record.get("event")
-        label = record.get("run")
-        if not label:
-            continue
-        row = rows.setdefault(
-            label,
-            {"run": label, "index": None, "variant": "?", "seed": None,
-             "state": "queued", "attempts": 0, "retries": 0, "heartbeats": 0,
-             "queued_ms": None, "started_ms": None, "ended_ms": None,
-             "error": None},
-        )
-        if event == "queued":
-            row["index"] = record.get("index")
-            row["variant"] = record.get("variant", "?")
-            row["seed"] = record.get("seed")
-            row["queued_ms"] = record.get("wall_ms")
-        elif event == "started":
-            row["attempts"] += 1
-            row["state"] = "running"
-            if row["started_ms"] is None:
-                row["started_ms"] = record.get("wall_ms")
-        elif event == "retry":
-            row["retries"] += 1
-        elif event == "heartbeat":
-            row["heartbeats"] += 1
-        elif event == "cache_hit":
-            row["state"] = "cached"
-            row["ended_ms"] = record.get("wall_ms")
-        elif event == "finished":
-            row["state"] = "finished"
-            row["ended_ms"] = record.get("wall_ms")
-        elif event == "failed":
-            row["state"] = "failed"
-            row["ended_ms"] = record.get("wall_ms")
-            row["error"] = f"{record.get('error_type')}: {record.get('error_message')}"
-        elif event == "quarantined":
-            row["state"] = "quarantined"
-        if record.get("replayed"):
-            row["replayed"] = True
-    ordered = sorted(
-        rows.values(), key=lambda r: (r["index"] is None, r["index"], r["run"])
+def _campaign_timeline(fold: CampaignFold) -> List[RunState]:
+    """The fold's runs in input order (by queue index)."""
+    return sorted(
+        fold.runs.values(), key=lambda r: (r.index is None, r.index, r.label)
     )
-    return ordered
+
+
+def _run_error(run: RunState) -> Optional[str]:
+    if run.state not in ("failed", "quarantined") or run.ending is None:
+        return None
+    return f"{run.ending.get('error_type')}: {run.ending.get('error_message')}"
 
 
 def _fmt(value, scale: float = 1.0, digits: int = 4) -> str:
@@ -397,25 +339,23 @@ def render_campaign(records: Sequence[dict]) -> str:
     """Markdown dashboard of a campaign JSONL stream: headline counts,
     per-variant sketch percentiles, the run timeline, and the
     failure/retry table."""
-    summary = campaign_summary(records)
-    timeline = _campaign_timeline(records)
-    states: Dict[str, int] = {}
-    for row in timeline:
-        states[row["state"]] = states.get(row["state"], 0) + 1
+    fold = fold_campaign(records)
+    timeline = _campaign_timeline(fold)
     lines = ["# Campaign report", ""]
     lines.append(
-        f"**{summary['total']} runs** — "
-        + ", ".join(f"{count} {state}" for state, count in sorted(states.items()))
+        f"**{fold.total} runs** — "
+        + ", ".join(
+            f"{count} {state}" for state, count in sorted(fold.states.items()) if count
+        )
     )
-    if summary["stats"]:
-        stats = summary["stats"]
+    if fold.stats:
+        stats = fold.stats
         lines.append(
             f"executed {stats.get('executed', 0)}, cache hits "
             f"{stats.get('cache_hits', 0)}, cache misses {stats.get('cache_misses', 0)}, "
             f"retries {stats.get('retries', 0)}, failures {stats.get('failures', 0)}"
         )
-    heartbeat_total = summary["event_counts"].get("heartbeat", 0)
-    lines.append(f"heartbeats observed: {heartbeat_total}")
+    lines.append(f"heartbeats observed: {fold.event_counts.get('heartbeat', 0)}")
     # Resume/abort records are meta (excluded from the deterministic
     # summary) but headline news for a human reader.
     for record in records:
@@ -430,7 +370,7 @@ def render_campaign(records: Sequence[dict]) -> str:
                 f"{record.get('done', 0)}/{record.get('total', 0)} runs — "
                 f"resumable via --resume"
             )
-    replayed_rows = sum(1 for row in timeline if row.get("replayed"))
+    replayed_rows = sum(1 for row in timeline if row.replayed)
     if replayed_rows:
         lines.append(f"replayed run records: {replayed_rows}")
     lines.append("")
@@ -464,24 +404,24 @@ def render_campaign(records: Sequence[dict]) -> str:
         )
         lines.append("|" + "---|" * 10)
         for row in timeline:
-            started = row["started_ms"]
-            ended = row["ended_ms"]
+            queued = row.queued or {}
+            started = row.started_ms
+            ended = row.ended_ms
             duration = (
                 (ended - started) / 1000.0
                 if started is not None and ended is not None
                 else None
             )
             lines.append(
-                f"| {row['index'] if row['index'] is not None else '-'} "
-                f"| {row['run']} | {row['variant']} | {row['seed']} "
-                f"| {row['state']} | {row['attempts']} | {row['heartbeats']} "
+                f"| {row.index if row.index is not None else '-'} "
+                f"| {row.label} | {queued.get('variant', '?')} | {queued.get('seed')} "
+                f"| {row.state} | {row.attempts} | {row.heartbeats} "
                 f"| {_fmt(started, 1e-3)} | {_fmt(ended, 1e-3)} | {_fmt(duration)} |"
             )
         lines.append("")
 
     troubled = [
-        r for r in timeline
-        if r["retries"] or r["state"] in ("failed", "quarantined")
+        r for r in timeline if r.retries or r.state in ("failed", "quarantined")
     ]
     lines.append("## Failures & retries")
     lines.append("")
@@ -490,8 +430,8 @@ def render_campaign(records: Sequence[dict]) -> str:
         lines.append("|" + "---|" * 4)
         for row in troubled:
             lines.append(
-                f"| {row['run']} | {row['state']} | {row['retries']} "
-                f"| {row['error'] or '-'} |"
+                f"| {row.label} | {row.state} | {row.retries} "
+                f"| {_run_error(row) or '-'} |"
             )
     else:
         lines.append("none — every run completed on its first attempt.")
@@ -521,11 +461,11 @@ def render_campaign_html(records: Sequence[dict], title: str = "Campaign report"
     import html as html_mod
 
     esc = html_mod.escape
-    summary = campaign_summary(records)
-    timeline = _campaign_timeline(records)
+    fold = fold_campaign(records)
+    timeline = _campaign_timeline(fold)
     merged = merge_campaign_sketches(records)
     end_ms = max(
-        (row["ended_ms"] for row in timeline if row["ended_ms"] is not None),
+        (row.ended_ms for row in timeline if row.ended_ms is not None),
         default=0.0,
     ) or 1.0
 
@@ -533,8 +473,8 @@ def render_campaign_html(records: Sequence[dict], title: str = "Campaign report"
         "<!doctype html><html><head><meta charset='utf-8'>",
         f"<title>{esc(title)}</title><style>{_CAMPAIGN_CSS}</style></head><body>",
         f"<h1>{esc(title)}</h1>",
-        f"<p><b>{summary['total']} runs</b>, "
-        f"{summary['event_counts'].get('heartbeat', 0)} heartbeats observed.</p>",
+        f"<p><b>{fold.total} runs</b>, "
+        f"{fold.event_counts.get('heartbeat', 0)} heartbeats observed.</p>",
     ]
     for record in records:
         if record.get("event") == "campaign_resume":
@@ -549,8 +489,8 @@ def render_campaign_html(records: Sequence[dict], title: str = "Campaign report"
                 f"at {record.get('done', 0)}/{record.get('total', 0)} runs — "
                 f"resumable via --resume</p>"
             )
-    if summary["stats"]:
-        stats = summary["stats"]
+    if fold.stats:
+        stats = fold.stats
         parts.append(
             "<p>executed {executed}, cache hits {cache_hits}, cache misses "
             "{cache_misses}, retries {retries}, failures {failures}</p>".format(
@@ -588,8 +528,9 @@ def render_campaign_html(records: Sequence[dict], title: str = "Campaign report"
             "<th>heartbeats</th><th>duration (s)</th><th class='l'>timeline</th></tr>"
         )
         for row in timeline:
-            started = row["started_ms"] if row["started_ms"] is not None else row["queued_ms"]
-            ended = row["ended_ms"]
+            queued = row.queued or {}
+            started = row.started_ms if row.started_ms is not None else queued.get("wall_ms")
+            ended = row.ended_ms
             duration = (
                 (ended - started) / 1000.0
                 if started is not None and ended is not None
@@ -607,17 +548,17 @@ def render_campaign_html(records: Sequence[dict], title: str = "Campaign report"
             else:
                 bar = ""
             parts.append(
-                f"<tr><td>{row['index'] if row['index'] is not None else '-'}</td>"
-                f"<td class='l'>{esc(row['run'])}</td><td class='l'>{esc(row['variant'])}</td>"
-                f"<td>{row['seed']}</td>"
-                f"<td class='l state-{esc(row['state'])}'>{esc(row['state'])}</td>"
-                f"<td>{row['attempts']}</td><td>{row['heartbeats']}</td>"
+                f"<tr><td>{row.index if row.index is not None else '-'}</td>"
+                f"<td class='l'>{esc(row.label)}</td>"
+                f"<td class='l'>{esc(str(queued.get('variant', '?')))}</td>"
+                f"<td>{queued.get('seed')}</td>"
+                f"<td class='l state-{row.state}'>{row.state}</td>"
+                f"<td>{row.attempts}</td><td>{row.heartbeats}</td>"
                 f"<td>{_fmt(duration)}</td><td class='l'>{bar}</td></tr>"
             )
         parts.append("</table>")
     troubled = [
-        r for r in timeline
-        if r["retries"] or r["state"] in ("failed", "quarantined")
+        r for r in timeline if r.retries or r.state in ("failed", "quarantined")
     ]
     parts.append("<h2>Failures &amp; retries</h2>")
     if troubled:
@@ -627,9 +568,9 @@ def render_campaign_html(records: Sequence[dict], title: str = "Campaign report"
         )
         for row in troubled:
             parts.append(
-                f"<tr><td class='l'>{esc(row['run'])}</td>"
-                f"<td class='l state-{esc(row['state'])}'>{esc(row['state'])}</td>"
-                f"<td>{row['retries']}</td><td class='l'>{esc(row['error'] or '-')}</td></tr>"
+                f"<tr><td class='l'>{esc(row.label)}</td>"
+                f"<td class='l state-{row.state}'>{row.state}</td>"
+                f"<td>{row.retries}</td><td class='l'>{esc(_run_error(row) or '-')}</td></tr>"
             )
         parts.append("</table>")
     else:

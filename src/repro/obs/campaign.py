@@ -18,13 +18,19 @@ this module is the transport and the vocabulary:
   (schema v2). :func:`validate_record` / :func:`validate_records` check
   field presence, types, and seq monotonicity — CI validates every
   record of a smoke campaign.
+* The **run lifecycle** (:class:`CampaignFold`): the one transition
+  function from records to per-run state (:class:`RunState`, states
+  :data:`RUN_STATES`, terminal ones :data:`TERMINAL_STATES`). Summary,
+  checkpoint, dashboard timeline, live view and resume are all
+  projections of it — none of them reads event names to decide what
+  state a run is in. ``docs/observability.md`` has the state table.
 * :func:`campaign_summary` — a deterministic digest: wall-clock-derived
   fields (:data:`WALL_FIELDS`) are stripped and runs are keyed by
   label, so two identical seeded campaigns produce **byte-identical**
   summaries no matter how their events interleaved across workers.
-* :class:`LiveCampaignView` — a TTY renderer for ``--live``: per-run
-  state, EWMA-based ETA, cache-hit rate, and worker utilization,
-  repainted in place from the event stream.
+* :class:`LiveCampaignView` — a TTY renderer for ``--live``: EWMA-based
+  ETA, cache-hit rate, and worker utilization, repainted in place from
+  the event stream.
 
 Heartbeats originate in :meth:`repro.sim.simulator.Simulator.run` (the
 ``set_heartbeat`` hook) and are relayed by the executor — over a
@@ -38,6 +44,7 @@ from __future__ import annotations
 
 import json
 import time
+from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, IO, Iterable, List, Optional, Sequence
 
 __all__ = [
@@ -45,11 +52,15 @@ __all__ = [
     "EVENT_SCHEMA",
     "EVENT_TYPES",
     "META_EVENTS",
-    "TERMINAL_EVENTS",
+    "RUN_STATES",
+    "TERMINAL_STATES",
     "WALL_FIELDS",
+    "CampaignFold",
     "CampaignLog",
     "LiveCampaignView",
+    "RunState",
     "campaign_summary",
+    "fold_campaign",
     "read_campaign",
     "read_campaign_with_tail",
     "validate_record",
@@ -95,8 +106,21 @@ EVENT_SCHEMA: Dict[str, Dict[str, tuple]] = {
 
 EVENT_TYPES = tuple(EVENT_SCHEMA)
 
-#: Events that end a run's lifecycle.
-TERMINAL_EVENTS = ("cache_hit", "finished", "failed")
+#: Every state a run can be in. ``queued`` -> ``running`` (``started``)
+#: -> ``retrying`` (``retry``) -> ``running`` … until one run-ending
+#: record: ``cached`` (``cache_hit``), ``finished``, or ``failed`` —
+#: which a following ``quarantined`` record turns into ``quarantined``.
+RUN_STATES = (
+    "queued", "running", "retrying", "cached", "finished", "failed", "quarantined",
+)
+
+#: The states that end a run's lifecycle. ``failed`` marks an
+#: infrastructure casualty that resume *resubmits*; ``quarantined`` a
+#: poison run that resume must *never* resubmit.
+TERMINAL_STATES = ("cached", "finished", "failed", "quarantined")
+
+#: run-ending event -> the state it puts the run in.
+_ENDING_STATE = {"cache_hit": "cached", "finished": "finished", "failed": "failed"}
 
 #: Crash-safety bookkeeping events that describe *how this particular
 #: journal came to be* rather than what the campaign computed. They are
@@ -261,6 +285,168 @@ def _strip_wall(value: Any) -> Any:
     return value
 
 
+@dataclass
+class RunState:
+    """One run's lifecycle state, folded from its records.
+
+    ``queued`` / ``last_heartbeat`` / ``ending`` are the latest record
+    of that kind (``None`` until one is seen): the fold decides *state*,
+    projections pick the payload fields they report.
+    """
+
+    label: str
+    state: str = "queued"
+    attempts: int = 0
+    retries: int = 0
+    heartbeats: int = 0
+    #: Run-ending records seen (``cache_hit``/``finished``/``failed``);
+    #: a sound journal holds exactly one per settled run.
+    endings: int = 0
+    ending: Optional[dict] = None
+    replayed: bool = False
+    queued: Optional[dict] = None
+    last_heartbeat: Optional[dict] = None
+    started_ms: Optional[float] = None
+    ended_ms: Optional[float] = None
+    #: The run's full lifecycle in journal order (the replay input).
+    records: List[dict] = field(default_factory=list)
+
+    @property
+    def terminal(self) -> bool:
+        return self.state in TERMINAL_STATES
+
+    @property
+    def index(self) -> Optional[int]:
+        return self.queued.get("index") if self.queued is not None else None
+
+    def summary(self) -> dict:
+        """This run's entry in :func:`campaign_summary` (wall-free)."""
+        out: Dict[str, Any] = {
+            "state": self.state,
+            "attempts": self.attempts,
+            "retries": self.retries,
+            "heartbeats": self.heartbeats,
+            "cache_hit": self.state == "cached",
+            "last_heartbeat": None,
+        }
+        if self.last_heartbeat is not None:
+            out["last_heartbeat"] = {
+                name: self.last_heartbeat.get(name)
+                for name in ("sim_now", "events", "pending_events")
+            }
+        if self.queued is not None:
+            out["index"] = self.index
+            for name in ("variant", "seed"):
+                if name in self.queued:
+                    out[name] = self.queued[name]
+        ending = self.ending or {}
+        if ending.get("event") == "finished":
+            out["outcome"] = ending.get("outcome")
+            if "sketches" in ending:
+                out["sketches"] = ending["sketches"]
+        elif ending.get("event") == "failed":
+            out["error_type"] = ending.get("error_type")
+        return out
+
+
+class CampaignFold:
+    """The run lifecycle, defined once: feed records to :meth:`apply`
+    in journal order and read per-run state off :attr:`runs`.
+
+    Pure and synchronous — the same fold runs over a journal read back
+    from disk (:func:`fold_campaign`) and over the records an executor
+    is emitting right now, so what resume sees is by construction what
+    the live campaign saw.
+    """
+
+    def __init__(self) -> None:
+        #: One log may carry several batches; totals accumulate.
+        self.total = 0
+        self.runs: Dict[str, RunState] = {}
+        #: state -> number of runs currently in it.
+        self.states: Dict[str, int] = dict.fromkeys(RUN_STATES, 0)
+        self.event_counts: Dict[str, int] = {}
+        #: ``campaign_end`` stats, wall fields stripped, numeric
+        #: counters summed across batches.
+        self.stats: Optional[dict] = None
+
+    @property
+    def done(self) -> int:
+        """Runs that reached a terminal state."""
+        return sum(self.states[state] for state in TERMINAL_STATES)
+
+    def apply(self, record: dict) -> Optional[RunState]:
+        """Advance by one record; returns the run it belongs to (None
+        for campaign-level records)."""
+        event = record.get("event")
+        if event in META_EVENTS:
+            # How this journal came to be (resume/abort), not what the
+            # campaign computed — excluded so kill-then-resume digests
+            # match the uninterrupted run byte-for-byte.
+            return None
+        self.event_counts[event] = self.event_counts.get(event, 0) + 1
+        if event == "campaign_start":
+            self.total += record.get("total", 0)
+            return None
+        if event == "campaign_end":
+            self._merge_stats(_strip_wall(record.get("stats", {})))
+            return None
+        label = record.get("run")
+        if not label:
+            return None
+        run = self.runs.get(label)
+        if run is None:
+            run = self.runs[label] = RunState(label)
+            self.states[run.state] += 1
+        before = run.state
+        run.records.append(record)
+        if record.get("replayed"):
+            run.replayed = True
+        if event == "queued":
+            run.queued = record
+        elif event == "started":
+            run.attempts += 1
+            run.state = "running"
+            if run.started_ms is None:
+                run.started_ms = record.get("wall_ms")
+        elif event == "retry":
+            run.retries += 1
+            run.state = "retrying"
+        elif event == "heartbeat":
+            run.heartbeats += 1
+            run.last_heartbeat = record
+        elif event == "quarantined":
+            run.state = "quarantined"
+        elif event in _ENDING_STATE:
+            run.state = _ENDING_STATE[event]
+            run.ending = record
+            run.endings += 1
+            run.ended_ms = record.get("wall_ms")
+        if run.state != before:
+            self.states[before] -= 1
+            self.states[run.state] += 1
+        return run
+
+    def _merge_stats(self, batch_stats: dict) -> None:
+        if self.stats is None:
+            self.stats = batch_stats
+            return
+        for key, value in batch_stats.items():
+            if isinstance(value, (int, float)) and isinstance(
+                self.stats.get(key), (int, float)
+            ):
+                self.stats[key] += value
+            else:
+                self.stats[key] = value
+
+def fold_campaign(records: Iterable[dict]) -> CampaignFold:
+    """Fold a whole campaign stream."""
+    fold = CampaignFold()
+    for record in records:
+        fold.apply(record)
+    return fold
+
+
 def campaign_summary(records: Sequence[dict]) -> dict:
     """Deterministic digest of a campaign stream.
 
@@ -269,87 +455,15 @@ def campaign_summary(records: Sequence[dict]) -> dict:
     seeded campaigns — whatever their worker interleaving — summarize
     byte-identically under ``json.dumps(..., sort_keys=True)``.
     """
-    runs: Dict[str, dict] = {}
-    counts: Dict[str, int] = {}
-    stats: Optional[dict] = None
-    total = 0
-    for record in records:
-        event = record.get("event")
-        if event in META_EVENTS:
-            # How this journal came to be (resume/abort), not what the
-            # campaign computed — excluded so kill-then-resume digests
-            # match the uninterrupted run byte-for-byte.
-            continue
-        counts[event] = counts.get(event, 0) + 1
-        if event == "campaign_start":
-            # One log may carry several batches; totals accumulate.
-            total += record.get("total", 0)
-            continue
-        if event == "campaign_end":
-            batch_stats = _strip_wall(record.get("stats", {}))
-            if stats is None:
-                stats = batch_stats
-            else:  # several batches: numeric counters accumulate
-                for key, value in batch_stats.items():
-                    if isinstance(value, (int, float)) and isinstance(
-                        stats.get(key), (int, float)
-                    ):
-                        stats[key] += value
-                    else:
-                        stats[key] = value
-            continue
-        label = record.get("run")
-        if not label:
-            continue
-        run = runs.setdefault(
-            label,
-            {
-                "state": "queued",
-                "attempts": 0,
-                "retries": 0,
-                "heartbeats": 0,
-                "cache_hit": False,
-                "last_heartbeat": None,
-            },
-        )
-        if event == "queued":
-            run["index"] = record.get("index")
-            if "variant" in record:
-                run["variant"] = record["variant"]
-            if "seed" in record:
-                run["seed"] = record["seed"]
-        elif event == "started":
-            run["attempts"] += 1
-            run["state"] = "running"
-        elif event == "retry":
-            run["retries"] += 1
-            run["state"] = "retrying"
-        elif event == "heartbeat":
-            run["heartbeats"] += 1
-            run["last_heartbeat"] = {
-                "sim_now": record.get("sim_now"),
-                "events": record.get("events"),
-                "pending_events": record.get("pending_events"),
-            }
-        elif event == "cache_hit":
-            run["cache_hit"] = True
-            run["state"] = "cached"
-        elif event == "finished":
-            run["state"] = "finished"
-            run["outcome"] = record.get("outcome")
-            if "sketches" in record:
-                run["sketches"] = record["sketches"]
-        elif event == "failed":
-            run["state"] = "failed"
-            run["error_type"] = record.get("error_type")
-        elif event == "quarantined":
-            run["state"] = "quarantined"
+    fold = fold_campaign(records)
     return {
         "schema": CAMPAIGN_SCHEMA_VERSION,
-        "total": total,
-        "event_counts": {name: counts[name] for name in sorted(counts)},
-        "runs": {label: runs[label] for label in sorted(runs)},
-        "stats": stats,
+        "total": fold.total,
+        "event_counts": {
+            name: fold.event_counts[name] for name in sorted(fold.event_counts)
+        },
+        "runs": {label: fold.runs[label].summary() for label in sorted(fold.runs)},
+        "stats": fold.stats,
     }
 
 
@@ -379,12 +493,14 @@ class LiveCampaignView:
         self.jobs = max(jobs, 1)
         self._clock = clock
         self.max_run_lines = max_run_lines
+        self._fold = CampaignFold()
         self.total = 0
         self.done = 0
         self.cache_hits = 0
         self.failures = 0
         self.retries = 0
-        self._running: Dict[str, dict] = {}
+        #: in-flight run -> its latest heartbeat record (None before one)
+        self._running: Dict[str, Optional[dict]] = {}
         self._ewma_s: Optional[float] = None
         self._last_done_wall: Optional[float] = None
         self._last_paint = 0.0
@@ -392,28 +508,32 @@ class LiveCampaignView:
 
     # ------------------------------------------------------------------
     def on_record(self, record: dict) -> None:
-        """CampaignLog subscriber entry point."""
+        """CampaignLog subscriber entry point. Run state comes from the
+        shared fold; only wall-clock rendering state lives here."""
         event = record["event"]
+        done_before = self.done
+        run = self._fold.apply(record)
+        states = self._fold.states
+        self.total = self._fold.total
+        self.done = self._fold.done
+        self.cache_hits = states["cached"]
+        self.failures = states["failed"] + states["quarantined"]
+        if run is not None:
+            if run.state in ("running", "retrying"):
+                self._running[run.label] = run.last_heartbeat
+            else:
+                self._running.pop(run.label, None)
         if event == "campaign_start":
-            self.total = record.get("total", 0)
             self.jobs = max(record.get("jobs", self.jobs), 1)
             self._last_done_wall = self._clock()
-        elif event in ("started", "retry"):
-            self._running.setdefault(record["run"], {})
         elif event == "heartbeat":
-            state = self._running.setdefault(record["run"], {})
-            state["sim_now"] = record.get("sim_now")
-            state["events"] = record.get("events")
-            state["events_per_s"] = record.get("events_per_s")
-            if event == "heartbeat" and self._clock() - self._last_paint < self.REPAINT_S:
+            if self._clock() - self._last_paint < self.REPAINT_S:
                 return
-        if event in TERMINAL_EVENTS:
-            self.done += 1
-            self._running.pop(record["run"], None)
-            if event == "cache_hit":
-                self.cache_hits += 1
-            elif event == "failed":
-                self.failures += 1
+        elif event == "retry":
+            self.retries += 1
+        elif event == "campaign_abort":
+            self._running.clear()
+        if self.done > done_before:
             now = self._clock()
             if self._last_done_wall is not None:
                 interval = now - self._last_done_wall
@@ -422,12 +542,7 @@ class LiveCampaignView:
                 else:
                     self._ewma_s += self.GAIN * (interval - self._ewma_s)
             self._last_done_wall = now
-        elif event == "retry":
-            self.retries += 1
-        elif event == "campaign_abort":
-            self._running.clear()
-        # quarantined follows a terminal `failed` for the same run, so
-        # it never bumps `done`; abort paints final like a clean end.
+        # abort paints final like a clean end.
         self.paint(final=event in ("campaign_end", "campaign_abort"))
 
     # ------------------------------------------------------------------
@@ -449,12 +564,12 @@ class LiveCampaignView:
             f"retries {self.retries}  failures {self.failures}"
         ]
         for label in sorted(self._running)[: self.max_run_lines]:
-            state = self._running[label]
-            if state.get("sim_now") is not None:
-                rate = state.get("events_per_s") or 0.0
+            beat = self._running[label]
+            if beat is not None and beat.get("sim_now") is not None:
+                rate = beat.get("events_per_s") or 0.0
                 lines.append(
-                    f"  {label:<28} sim {state['sim_now'] / 1e6:9.2f} ms  "
-                    f"{state.get('events', 0):>10,} ev  {rate / 1e3:7.1f}k ev/s"
+                    f"  {label:<28} sim {beat['sim_now'] / 1e6:9.2f} ms  "
+                    f"{beat.get('events', 0):>10,} ev  {rate / 1e3:7.1f}k ev/s"
                 )
             else:
                 lines.append(f"  {label:<28} starting…")

@@ -1,11 +1,12 @@
 """Crash-safe campaign layer: checkpoint/resume, backoff, chaos.
 
 The contract under test (ISSUE: crash-safe campaigns): a campaign that
-dies mid-flight — SIGKILL included — resumes from its journal +
-checkpoint sidecar with **zero re-execution of completed runs** and a
-``campaign_summary`` byte-identical to an uninterrupted run; executor
-faults (dead workers, broken pools, full disks, torn journals) degrade
-the batch, never corrupt it.
+dies mid-flight — SIGKILL included — resumes from its journal alone
+with **zero re-execution of completed runs** and a ``campaign_summary``
+byte-identical to an uninterrupted run; executor faults (dead workers,
+broken pools, full disks, torn journals) degrade the batch, never
+corrupt it. The ``.ckpt.json`` sidecar is a derived status file: after
+every real batch here it must equal the fold of the journal next to it.
 """
 
 import json
@@ -23,7 +24,6 @@ from hypothesis import strategies as st
 import repro.experiments.executor as executor_mod
 from repro.experiments.backoff import BackoffPolicy
 from repro.experiments.checkpoint import (
-    TERMINAL_STATES,
     CampaignCheckpoint,
     RunCheckpoint,
     checkpoint_path,
@@ -43,11 +43,15 @@ from repro.faults.executor_chaos import (
     ExecutorFaultSpec,
     truncate_journal_tail,
 )
+from repro.experiments.report import _campaign_timeline
 from repro.obs.campaign import (
+    TERMINAL_STATES,
     CampaignLog,
     campaign_summary,
+    fold_campaign,
     read_campaign,
     read_campaign_with_tail,
+    validate_records,
 )
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -72,6 +76,15 @@ def no_backoff() -> BackoffPolicy:
 
 def summary_bytes(path) -> str:
     return json.dumps(campaign_summary(read_campaign(path)), sort_keys=True)
+
+
+def assert_sidecar_is_journal_fold(log_path) -> CampaignCheckpoint:
+    """Fold equivalence: the sidecar the live executor wrote equals the
+    checkpoint folded from the journal it sits next to."""
+    folded = CampaignCheckpoint.from_journal(read_campaign(log_path))
+    with open(checkpoint_path(str(log_path))) as handle:
+        assert json.load(handle) == folded.to_dict()
+    return folded
 
 
 def spy_executions(monkeypatch):
@@ -112,6 +125,50 @@ run_checkpoints = st.builds(
 )
 
 
+#: One run's lifecycle plan: (how it ends, retries before that, heartbeats
+#: per attempt). ``in_flight``/``retrying``/``queued`` never end — the
+#: state a kill leaves behind.
+run_plans = st.tuples(
+    st.sampled_from(
+        ["cached", "finished", "failed", "quarantined", "in_flight", "retrying", "queued"]
+    ),
+    st.integers(min_value=0, max_value=3),
+    st.integers(min_value=0, max_value=2),
+)
+
+
+def lifecycle_records(index: int, plan) -> list:
+    """The records the executor would journal for one run plan."""
+    ending, retries, beats = plan
+    label = f"run{index}"
+    records = [dict(event="queued", run=label, index=index, total=0,
+                    variant="cubic", seed=index, key="ab" * 32,
+                    cache_miss=ending != "cached")]
+    if ending == "cached":
+        return records + [dict(event="cache_hit", run=label, index=index)]
+    if ending == "queued":
+        return records
+    for attempt in range(1, retries + 2):
+        if attempt > 1:
+            records.append(dict(event="retry", run=label, attempt=attempt))
+        records.append(dict(event="started", run=label, attempt=attempt))
+        records.extend(
+            dict(event="heartbeat", run=label, sim_now=beat, events=beat,
+                 events_per_s=1.0, pending_events=0)
+            for beat in range(beats)
+        )
+    if ending == "finished":
+        records.append(dict(event="finished", run=label, outcome="ok"))
+    elif ending in ("failed", "quarantined"):
+        records.append(dict(event="failed", run=label, error_type="Boom",
+                            error_message="synthetic"))
+        if ending == "quarantined":
+            records.append(dict(event="quarantined", run=label, attempts=retries + 1))
+    elif ending == "retrying":
+        records.append(dict(event="retry", run=label, attempt=retries + 2))
+    return records
+
+
 class TestCheckpointRoundTrip:
     @settings(max_examples=200, deadline=None)
     @given(run=run_checkpoints)
@@ -130,22 +187,54 @@ class TestCheckpointRoundTrip:
         )
         assert decoded == checkpoint
 
-    def test_save_load_sidecar(self, tmp_path):
-        checkpoint = CampaignCheckpoint(total=2)
-        checkpoint.record(RunCheckpoint(label="a", index=0, state="finished"))
-        path = tmp_path / "log.jsonl.ckpt.json"
-        checkpoint.save(path)
-        assert CampaignCheckpoint.load(path) == checkpoint
-
-    def test_load_tolerates_garbage(self, tmp_path):
-        path = tmp_path / "bad.ckpt.json"
-        path.write_text("{not json")
-        assert CampaignCheckpoint.load(path) is None
-        assert CampaignCheckpoint.load(tmp_path / "missing.ckpt.json") is None
-
     def test_rejects_unknown_state(self):
         with pytest.raises(ValueError):
             RunCheckpoint(label="a", index=0, state="running")
+
+    def test_checkpoint_to_needs_a_campaign(self, tmp_path):
+        # The sidecar is a projection of the journal records.
+        with pytest.raises(ValueError, match="campaign"):
+            ExperimentExecutor(checkpoint_to=str(tmp_path / "x.ckpt.json"))
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data(), plans=st.lists(run_plans, max_size=6))
+    def test_projections_agree_on_generated_lifecycles(self, data, plans):
+        """The state machine is a pure function of records: summary,
+        checkpoint and timeline of any interleaving of per-run
+        lifecycles agree with each other and with the plan the stream
+        was generated from — no executor, no process pool."""
+        streams = [lifecycle_records(i, plan) for i, plan in enumerate(plans)]
+        records = [dict(event="campaign_start", schema=2, total=len(plans), jobs=2)]
+        while any(streams):
+            live = [stream for stream in streams if stream]
+            records.append(data.draw(st.sampled_from(live)).pop(0))
+        for seq, record in enumerate(records):
+            record.update(seq=seq, wall_ms=float(seq))
+        assert validate_records(records) == []
+
+        summary = campaign_summary(records)["runs"]
+        checkpoint = CampaignCheckpoint.from_journal(records)
+        timeline = {row.label: row for row in _campaign_timeline(fold_campaign(records))}
+        assert checkpoint.total == len(plans)
+        assert set(summary) == set(timeline) == {f"run{i}" for i in range(len(plans))}
+        for i, (ending, retries, _beats) in enumerate(plans):
+            label = f"run{i}"
+            attempts = 0 if ending in ("cached", "queued") else retries + 1
+            state = {"in_flight": "running", "retrying": "retrying"}.get(ending, ending)
+            row = timeline[label]
+            assert (summary[label]["state"], row.state) == (state, state)
+            assert (summary[label]["attempts"], row.attempts) == (attempts, attempts)
+            retried = retries + (ending == "retrying") if attempts else 0
+            assert (summary[label]["retries"], row.retries) == (retried, retried)
+            assert row.endings == (state in ("cached", "finished", "failed", "quarantined"))
+            if state in TERMINAL_STATES:
+                entry = checkpoint.runs[label]
+                assert (entry.state, entry.attempts, entry.retries, entry.index) == (
+                    state, attempts, retried, i)
+                assert entry.cache_hit == (state == "cached")
+                assert entry.executed == (attempts > 0)
+            else:
+                assert label not in checkpoint.runs
 
 
 # ----------------------------------------------------------------------
@@ -222,6 +311,7 @@ class TestTruncatedJournal:
                 campaign=log, checkpoint_to=checkpoint_path(str(path))
             )
             executor.run_batch([small_config()])
+        assert_sidecar_is_journal_fold(path)
         return path
 
     def test_tolerant_reader_reports_tail(self, tmp_path):
@@ -249,15 +339,9 @@ class TestTruncatedJournal:
         os.unlink(checkpoint_path(str(path)))
         truncate_journal_tail(path)  # tears the campaign_end record
         plan = load_resume_plan(str(path))
-        assert plan.checkpoint_source == "journal"
         assert plan.partial_tail is not None
-        assert plan.checkpoint.runs["cubic/seed1"].state == "finished"
-
-    def test_sidecar_preferred_over_journal(self, tmp_path):
-        path = self._journal(tmp_path)
-        plan = load_resume_plan(str(path))
-        assert plan.checkpoint_source == "sidecar"
         assert plan.checkpoint.total == 1
+        assert plan.checkpoint.runs["cubic/seed1"].state == "finished"
 
 
 # ----------------------------------------------------------------------
@@ -326,6 +410,7 @@ class TestQuarantine:
             )
             executor.run_batch([small_config()])
         assert executor.last_batch.quarantined == 1
+        assert_sidecar_is_journal_fold(path)
         records = read_campaign(path)
         assert [r["event"] for r in records if r.get("run")][-1] == "quarantined"
         plan = load_resume_plan(str(path))
@@ -345,17 +430,25 @@ class TestQuarantine:
         assert not results[0].ok
         assert results[0].failure.error_type == "Boom"
 
-    def test_infrastructure_failure_not_quarantined(self, monkeypatch):
+    def test_infrastructure_failure_not_quarantined(self, tmp_path, monkeypatch):
         def transport_crash(payload):
             raise OSError("worker transport down")
 
         monkeypatch.setattr(executor_mod, "execute_config_dict", transport_crash)
-        executor = ExperimentExecutor(retries=0, backoff=no_backoff())
-        results = executor.run_batch([small_config()])
+        path = tmp_path / "camp.jsonl"
+        with CampaignLog(str(path)) as log:
+            executor = ExperimentExecutor(
+                campaign=log, retries=0, backoff=no_backoff(),
+                checkpoint_to=checkpoint_path(str(path)),
+            )
+            results = executor.run_batch([small_config()])
         assert not results[0].ok
         assert results[0].failure.infrastructure
         assert executor.last_batch.quarantined == 0
         assert executor.last_batch.failures == 1
+        # failed, not quarantined: resume resubmits it
+        folded = assert_sidecar_is_journal_fold(path)
+        assert folded.runs["cubic/seed1"].state == "failed"
 
 
 # ----------------------------------------------------------------------
@@ -399,6 +492,7 @@ class TestGracefulShutdown:
                 assert r["seq"] < finished[r["run"]]
         # The completed run checkpointed; resume replays it and only
         # executes the interrupted one.
+        assert_sidecar_is_journal_fold(path)
         plan = load_resume_plan(str(path))
         assert list(plan.checkpoint.runs) == ["cubic/seed41"]
         monkeypatch.undo()
@@ -436,11 +530,51 @@ class TestResumeIdentity:
         with CampaignLog(str(res)) as log:
             resumed = ExperimentExecutor(
                 cache_dir=str(tmp_path / "cache"), campaign=log,
+                checkpoint_to=checkpoint_path(str(res)),
                 resume=load_resume_plan(str(part)),
             )
             resumed.run_batch(configs)
         assert resumed.last_replayed == 2
         assert executed() == [3]  # completed runs never re-execute
+        assert summary_bytes(res) == summary_bytes(ref)
+        assert_sidecar_is_journal_fold(part)
+        assert_sidecar_is_journal_fold(res)
+
+    @pytest.mark.parametrize("sidecar", ["lagging", "foreign"])
+    def test_kill_window_sidecar_cannot_change_the_resume(
+        self, tmp_path, monkeypatch, sidecar
+    ):
+        """A SIGKILL between ``CampaignLog.emit`` and the sidecar's
+        ``os.replace`` leaves N run-ending records in the journal next
+        to a sidecar holding N-1 (or one left over from another
+        campaign). Resume reads the journal only: all N replay, none
+        re-executes, and the digest matches the uninterrupted run."""
+        configs = [small_config(seed=s) for s in (1, 2, 3)]
+        ref = tmp_path / "ref.jsonl"
+        with CampaignLog(str(ref)) as log:
+            ExperimentExecutor(
+                cache_dir=str(tmp_path / "cache"), campaign=log,
+                checkpoint_to=checkpoint_path(str(ref)),
+            ).run_batch(configs)
+        stale = CampaignCheckpoint(total=1)
+        if sidecar == "lagging":
+            stale = CampaignCheckpoint.from_journal(read_campaign(ref))
+            del stale.runs["cubic/seed3"]
+        else:
+            stale.record(RunCheckpoint(label="mptcp/seed9", index=0, state="finished"))
+        stale.save(checkpoint_path(str(ref)))
+
+        plan = load_resume_plan(str(ref))
+        assert sorted(plan.checkpoint.runs) == [f"cubic/seed{s}" for s in (1, 2, 3)]
+        executed = spy_executions(monkeypatch)
+        res = tmp_path / "res.jsonl"
+        with CampaignLog(str(res)) as log:
+            resumed = ExperimentExecutor(
+                cache_dir=str(tmp_path / "cache"), campaign=log, resume=plan
+            )
+            resumed.run_batch(configs)
+        assert resumed.last_replayed == 3
+        assert executed() == []
         assert summary_bytes(res) == summary_bytes(ref)
 
     def test_replayed_records_flagged_but_summary_identical(self, tmp_path):
@@ -463,6 +597,20 @@ class TestResumeIdentity:
         assert any(r["event"] == "campaign_resume" for r in records)
         assert summary_bytes(res) == summary_bytes(part)
 
+        # A resumed journal is itself resumable, and a warm batch's
+        # cache hits checkpoint like any other run-ending record.
+        again = tmp_path / "one.resumed2.jsonl"
+        warm = tmp_path / "one.warm.jsonl"
+        for path, resume in ((again, load_resume_plan(str(res))), (warm, None)):
+            with CampaignLog(str(path)) as log:
+                ExperimentExecutor(
+                    cache_dir=str(tmp_path / "cache"), campaign=log,
+                    checkpoint_to=checkpoint_path(str(path)), resume=resume,
+                ).run_batch([config])
+        assert summary_bytes(again) == summary_bytes(part)
+        assert assert_sidecar_is_journal_fold(again).runs["cubic/seed9"].executed
+        assert assert_sidecar_is_journal_fold(warm).runs["cubic/seed9"].state == "cached"
+
 
 # ----------------------------------------------------------------------
 # Chaos harness (in-process pool faults)
@@ -478,11 +626,12 @@ class TestExecutorChaos:
         with CampaignLog(str(path)) as log:
             executor = ExperimentExecutor(
                 jobs=2, campaign=log, chaos=chaos, retries=2,
-                backoff=no_backoff(),
+                backoff=no_backoff(), checkpoint_to=checkpoint_path(str(path)),
             )
             results = executor.run_batch(configs)
         assert all(r.ok for r in results)
         assert executor.last_batch.broken_pools >= 1
+        assert_sidecar_is_journal_fold(path)
         assert chaos.log[0][0] == "worker_kill"
         records = read_campaign(path)
         for label in ("cubic/seed1", "cubic/seed2"):
