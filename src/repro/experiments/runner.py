@@ -509,15 +509,9 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
         )
     result.notification_latencies = list(testbed.notifier.delivery_latency_samples)
     result.sketches = {
-        "notify_latency_ns": sketch_from_samples(
-            float(v) for v in result.notification_latencies
-        ).to_dict(),
-        "retx_marks_per_day": sketch_from_samples(
-            float(v) for v in result.retx_marks_per_day
-        ).to_dict(),
-        "reordering_per_day": sketch_from_samples(
-            float(v) for v in result.reordering_per_day
-        ).to_dict(),
+        "notify_latency_ns": sketch_from_samples(result.notification_latencies).to_dict(),
+        "retx_marks_per_day": sketch_from_samples(result.retx_marks_per_day).to_dict(),
+        "reordering_per_day": sketch_from_samples(result.reordering_per_day).to_dict(),
     }
     if engine is not None:
         result.sketches.update(engine.stats.sketches())

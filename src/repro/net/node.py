@@ -101,7 +101,9 @@ class Host:
             if not self._notification_fresh(packet):
                 return
             if self.notification_processing_ns > 0:
-                self.sim.schedule(self.notification_processing_ns, self._dispatch_notification, packet)
+                self.sim.schedule_fanout(
+                    self.notification_processing_ns, self._dispatch_notification, packet
+                )
             else:
                 self._dispatch_notification(packet)
             return

@@ -197,8 +197,61 @@ class QuantileSketch:
         self.buckets[index] = self.buckets.get(index, 0) + count
 
     def extend(self, values: Iterable[float]) -> None:
-        for value in values:
-            self.add(value)
+        """``add(float(v))`` for every value, as one loop over local
+        state: the same updates in the same order, so the resulting
+        state is bit-identical to per-value adds. The bucket index is
+        recomputed only when a value differs from the one before it
+        (runs of equal samples are the common case: the hosts of a rack
+        share a notification latency). State is written back even when
+        a value is rejected, so everything before it stays ingested.
+        """
+        stats = self.stats
+        count = stats.count
+        total = stats.total
+        minimum = stats.minimum
+        maximum = stats.maximum
+        mean = stats.mean
+        m2 = stats.m2
+        zero_count = self.zero_count
+        buckets = self.buckets
+        min_value = self.min_value
+        log_gamma = self._log_gamma
+        log = math.log
+        ceil = math.ceil
+        previous = None
+        index = 0
+        try:
+            for value in values:
+                value = float(value)
+                if value < 0.0:
+                    raise ValueError(f"QuantileSketch takes non-negative values, got {value}")
+                count += 1
+                total += value
+                if minimum is None:
+                    minimum = maximum = value
+                else:
+                    if value < minimum:
+                        minimum = value
+                    if value > maximum:
+                        maximum = value
+                delta = value - mean
+                mean += delta / count
+                m2 += delta * (value - mean)
+                if value < min_value:
+                    zero_count += 1
+                    continue
+                if value != previous:
+                    index = ceil(log(value) / log_gamma)
+                    previous = value
+                buckets[index] = buckets.get(index, 0) + 1
+        finally:
+            stats.count = count
+            stats.total = total
+            stats.minimum = minimum
+            stats.maximum = maximum
+            stats.mean = mean
+            stats.m2 = m2
+            self.zero_count = zero_count
 
     def merge(self, other: "QuantileSketch") -> "QuantileSketch":
         """Fold ``other`` into this sketch (in place; returns self).

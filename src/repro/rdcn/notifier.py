@@ -26,7 +26,7 @@ the paper's reported ratios.
 from __future__ import annotations
 
 import math
-from typing import Dict, List
+from typing import Dict, List, Tuple
 
 from repro.net.node import Host
 from repro.net.packet import MAX_TDN_ID, TDNNotification
@@ -38,6 +38,25 @@ from repro.sim.rng import SeededRandom
 from repro.sim.simulator import Simulator
 
 
+def _shifted_exponential(p50_ns: int, tail_ns: int) -> Tuple[float, float]:
+    """``(shift, rate)`` of the generation-latency distribution
+    ``shift + Exp(rate)``: median exactly ``p50_ns``, 99th percentile at
+    ``tail_ns``. ``rate == 0.0`` marks the degenerate constant ``p50_ns``.
+    """
+    if tail_ns <= p50_ns:
+        return p50_ns, 0.0
+    # For Exp(mean): p99 - p50 of the shifted variable ~ mean*(ln 100 - ln 2).
+    mean = (tail_ns - p50_ns) / (math.log(100.0) - math.log(2.0))
+    # Median of Exp(mean) is mean*ln 2; shift so the median is exactly p50.
+    return p50_ns - mean * math.log(2.0), 1.0 / mean
+
+
+def _draw_delay_ns(rng: SeededRandom, shift: float, rate: float) -> int:
+    if rate == 0.0:
+        return shift
+    return max(int(shift + rng.expovariate(rate)), 0)
+
+
 def sample_generation_delay_ns(
     rng: SeededRandom, p50_ns: int, tail_ns: int
 ) -> int:
@@ -47,14 +66,7 @@ def sample_generation_delay_ns(
     99th percentile lands at ``tail_ns``. Medians and tails then match
     the configured values closely over many samples.
     """
-    if tail_ns <= p50_ns:
-        return p50_ns
-    # For Exp(mean): p99 - p50 of the shifted variable ~ mean*(ln 100 - ln 2).
-    mean = (tail_ns - p50_ns) / (math.log(100.0) - math.log(2.0))
-    # Median of Exp(mean) is mean*ln 2; shift so the median is exactly p50.
-    shift = p50_ns - mean * math.log(2.0)
-    sample = shift + rng.expovariate(1.0 / mean)
-    return max(int(sample), 0)
+    return _draw_delay_ns(rng, *_shifted_exponential(p50_ns, tail_ns))
 
 
 class TDNNotifier:
@@ -77,6 +89,15 @@ class TDNNotifier:
         # adding more notifier randomness (e.g. fault streams) later
         # never shifts the delay sequence.
         self._generation_rng = self.rng.fork("generation")
+        # The distribution is fixed by the config: work it out once, not
+        # on each of the two samples every TDN change draws.
+        self._generation_params = (
+            _shifted_exponential(config.generation_cached_p50_ns, config.generation_cached_tail_ns)
+            if config.packet_caching
+            else _shifted_exponential(
+                config.generation_uncached_p50_ns, config.generation_uncached_tail_ns
+            )
+        )
         # Rate lookup for the "slowdown" night policy; without one,
         # night announcements degrade to the "always"/"none" behaviour.
         self.tdn_rate_of = tdn_rate_of
@@ -131,17 +152,7 @@ class TDNNotifier:
         return self.config.push_per_flow_cost_ns * (flow_index + 1)
 
     def generation_delay_ns(self) -> int:
-        if self.config.packet_caching:
-            return sample_generation_delay_ns(
-                self._generation_rng,
-                self.config.generation_cached_p50_ns,
-                self.config.generation_cached_tail_ns,
-            )
-        return sample_generation_delay_ns(
-            self._generation_rng,
-            self.config.generation_uncached_p50_ns,
-            self.config.generation_uncached_tail_ns,
-        )
+        return _draw_delay_ns(self._generation_rng, *self._generation_params)
 
     # ------------------------------------------------------------------
     # Schedule hook
@@ -193,8 +204,9 @@ class TDNNotifier:
         self, tor: ToRSwitch, host: Host, notification: TDNNotification, extra_ns: int
     ) -> None:
         if self.config.dedicated_network:
-            # Dedicated control network: fixed, uncontended latency.
-            self.sim.schedule(
+            # Dedicated control network: fixed, uncontended latency, so
+            # the hosts of a rack share one fire time and one heap event.
+            self.sim.schedule_fanout(
                 self.config.control_delay_ns + extra_ns, host.deliver, notification
             )
         elif extra_ns > 0:

@@ -11,7 +11,7 @@ event element because ``(time, seq)`` is unique, so the hot loop pays no
 Python-level ``__lt__`` dispatch per sift step. ``Event`` keeps a
 comparison operator only for external callers that sort event lists.
 
-Two structural optimisations keep the heap small and the hot path
+Three structural optimisations keep the heap small and the hot path
 allocation-free:
 
 * **Channels** (:class:`Channel`) — a FIFO for an event source whose
@@ -33,11 +33,19 @@ allocation-free:
   ``Simulator.schedule``/``at``) are *pinned* (``gen == -1``) and never
   recycled, so the public ``event.cancel()`` contract is unchanged.
 
-Setting ``REPRO_SIM_LEGACY_HEAP=1`` in the environment disables both
-mechanisms for queues created afterwards: every push goes straight to
-the heap with a fresh pinned event, which is exactly the pre-channel
-behaviour (used by the differential determinism tests and as an escape
-hatch — see docs/performance.md).
+* **Fan-out batches** (:meth:`EventQueue.push_fanout`) — a source that
+  schedules one uncancellable callback per receiver for the same
+  instant, back to back (a ToR notifying every host of its rack), gets
+  one heap event for the whole run of them. The joining rule admits
+  only legs that would have fired back to back anyway, so firing order
+  is a plain heap's by construction; only the event *count* differs.
+
+Setting ``REPRO_SIM_LEGACY_HEAP=1`` in the environment disables
+channels and pooling for queues created afterwards: every push goes
+straight to the heap with a fresh pinned event, which is exactly the
+pre-channel behaviour (used by the differential determinism tests and
+as an escape hatch — see docs/performance.md). Fan-out batches have no
+switch: their order is a plain heap's by the rule itself.
 """
 
 from __future__ import annotations
@@ -232,6 +240,7 @@ class EventQueue:
 
     __slots__ = (
         "_heap", "_seq", "_live", "_pool", "_channels", "_legacy",
+        "_fanout_seq", "_fanout_time", "_fanout_legs",
         "heap_pushes", "max_heap_len", "pool_hits", "pool_misses",
     )
 
@@ -242,6 +251,12 @@ class EventQueue:
         self._pool: List[Event] = []
         self._channels: List[Channel] = []
         self._legacy = os.environ.get("REPRO_SIM_LEGACY_HEAP", "") not in ("", "0")
+        # The open fan-out batch: ``_fanout_seq`` is the value ``_seq``
+        # had right after the batch's event was pushed (-1: none open),
+        # so any later push of any kind makes the comparison fail.
+        self._fanout_seq = -1
+        self._fanout_time = -1
+        self._fanout_legs: list = []
         # Event-core counters (cheap: bumped only on actual heap pushes
         # and pool transitions, both of which the channels make rare or
         # already pay an allocation-scale cost).
@@ -325,6 +340,40 @@ class EventQueue:
             self.max_heap_len = length
         self._live += 1
         return event
+
+    def push_fanout(self, time: int, fn: Callable[[Any], Any], arg: Any) -> None:
+        """Schedule ``fn(arg)`` at absolute ``time`` as one leg of a
+        fan-out; legs cannot be cancelled, so nothing is returned.
+
+        The leg joins the previous fan-out event iff that event was the
+        most recent push of any kind (``_seq`` has not moved since —
+        :meth:`push`, :meth:`push_pooled` and :meth:`Channel.push` all
+        bump it) and has the same fire time; otherwise it opens a new
+        event. Under that rule the legs of one batch would have been
+        events with adjacent ``seq`` and one time, which always fire
+        back to back, so running them from one event is the same order.
+        A batch closes the moment it fires (:meth:`_run_fanout`).
+        """
+        if self._seq == self._fanout_seq and time == self._fanout_time:
+            self._fanout_legs.append((fn, arg))
+            return
+        legs = [(fn, arg)]
+        self.push(time, self._run_fanout, (legs,))
+        self._fanout_seq = self._seq
+        self._fanout_time = time
+        self._fanout_legs = legs
+
+    def _run_fanout(self, legs: list) -> None:
+        """Fire one fan-out event: every leg, in the order scheduled.
+
+        Closes the open batch first (whichever it is — closing early
+        only costs an event): a leg that schedules a fan-out for this
+        same instant must open a new event, which runs after this one,
+        never append to the list being consumed.
+        """
+        self._fanout_seq = -1
+        for fn, arg in legs:
+            fn(arg)
 
     def channel(self, name: str = "channel") -> Channel:
         """Create (and register) a FIFO channel feeding this queue."""
@@ -410,6 +459,7 @@ class EventQueue:
             ch._head = None
             ch._tail_time = -1
         self._live = 0
+        self._fanout_seq = -1
 
     # ------------------------------------------------------------------
     # Introspection

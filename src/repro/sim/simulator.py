@@ -82,6 +82,22 @@ class Simulator:
             raise ValueError(f"cannot schedule at {time} < now {self.now}")
         return self._queue.push(time, fn, args)
 
+    def schedule_fanout(self, delay: int, fn: Callable[[Any], Any], arg: Any) -> None:
+        """Run ``fn(arg)`` ``delay`` ns from now as one leg of a fan-out.
+
+        For a source that schedules the same kind of uncancellable
+        callback once per receiver, back to back: consecutive legs with
+        one fire time share one heap event
+        (:meth:`EventQueue.push_fanout` states the rule). Callbacks run
+        in exactly the order :meth:`schedule` would have run them; what
+        differs is what counts heap events: ``processed_events`` /
+        ``pending_events`` see the batch once, and :meth:`stop` /
+        ``max_events`` act between events, so never inside a batch.
+        """
+        if delay < 0:
+            raise ValueError(f"cannot schedule in the past (delay={delay})")
+        self._queue.push_fanout(self.now + delay, fn, arg)
+
     def channel(self, name: str = "channel") -> Channel:
         """Create a FIFO :class:`~repro.sim.events.Channel` on this
         simulator's queue — for sources whose scheduled times never

@@ -2,11 +2,15 @@
 
 from __future__ import annotations
 
+import hashlib
+import json
+from dataclasses import replace
 from typing import Optional, Tuple, Type
 
 from repro.net.link import Link
 from repro.net.node import Host
 from repro.rdcn.config import NotifierConfig, RDCNConfig
+from repro.rdcn.topology import build_two_rack_testbed
 from repro.sim.simulator import Simulator
 from repro.tcp.config import TCPConfig
 from repro.tcp.connection import TCPConnection
@@ -65,3 +69,49 @@ def small_rdcn(
 
 def run_for(sim: Simulator, duration_ns: int) -> None:
     sim.run(until=sim.now + duration_ns)
+
+
+def notification_fingerprint(notifier: NotifierConfig, plan=None) -> Tuple[dict, list]:
+    """Run a 2 x 4-host testbed for three weeks with one TDTCP bulk flow
+    per host pair (and ``plan``'s faults armed, if given) and summarize everything the notification path decides: which host
+    listener saw which notification when (in call order), the
+    notifier's latency samples, and per-host stale counts.
+
+    Returns ``(fingerprint, calls)``; the fingerprint is small enough
+    to pin as a golden, ``calls`` is the full
+    ``(time, host, tdn, notify_seq, generated_ns)`` sequence behind it.
+    """
+    from repro.core.tdtcp import TDTCPConnection
+    from repro.faults import FaultInjector
+
+    cfg = replace(small_rdcn(n_hosts=4), notifier=notifier)
+    testbed = build_two_rack_testbed(cfg)
+    sim = testbed.sim
+    if plan is not None:
+        FaultInjector(sim, plan, testbed.rng).arm_testbed(testbed)
+    calls = []
+    hosts = testbed.hosts[0] + testbed.hosts[1]
+    for host in hosts:
+        host.subscribe_tdn_changes(
+            lambda n, address=host.address: calls.append(
+                (sim.now, address, n.tdn_id, n.notify_seq, n.generated_ns)
+            )
+        )
+    for a, b in zip(testbed.hosts[0], testbed.hosts[1]):
+        bulk_pair(sim, a, b, connection_cls=TDTCPConnection, tdn_count=cfg.n_tdns)
+    testbed.start()
+    sim.run(until=cfg.week_ns * 3)
+
+    def sha(value) -> str:
+        return hashlib.sha256(json.dumps(value).encode()).hexdigest()[:16]
+
+    latencies = testbed.notifier.delivery_latency_samples
+    fingerprint = {
+        "calls": len(calls),
+        "calls_sha": sha(calls),
+        "latencies": len(latencies),
+        "latency_sum": sum(latencies),
+        "latencies_sha": sha(latencies),
+        "stale": [host.stale_notifications for host in hosts],
+    }
+    return fingerprint, calls

@@ -26,7 +26,9 @@ from repro.sim.rng import SeededRandom
 from repro.sim.simulator import Simulator
 from repro.units import msec, usec
 
-from tests.helpers import bulk_pair, small_rdcn, two_hosts
+from repro.rdcn.config import NotifierConfig
+
+from tests.helpers import bulk_pair, notification_fingerprint, small_rdcn, two_hosts
 
 
 def plan_of(*specs) -> FaultPlan:
@@ -224,6 +226,56 @@ class TestStaleNotificationHandling:
         a.deliver(self.notify(0, seq=3))
         counter = telemetry.metrics.get("tdn_notification_stale")
         assert counter.value(where="host", reason="stale_seq") == 1
+
+
+class TestNotificationFanoutUnderFaults:
+    """Goldens recorded at the commit before ``schedule_fanout``, when
+    every notification leg was its own event: faults that give hosts
+    different delivery times, and a host gate holding a batch's leg,
+    must leave every listener call and latency sample where it was."""
+
+    def test_delay_duplicate_drop_storm_matches_golden(self):
+        storm = plan_of(
+            {"kind": "notifier_delay", "params": {"rate": 0.5, "max_delay_ns": usec(30)}},
+            {"kind": "notifier_duplicate", "params": {"rate": 0.3, "dup_delay_ns": usec(5)}},
+            {"kind": "notifier_drop", "params": {"rate": 0.2}},
+        )
+        fingerprint, _calls = notification_fingerprint(NotifierConfig(), plan=storm)
+        assert fingerprint == {
+            "calls": 156,
+            "calls_sha": "fa592947ab04f3c9",
+            "latencies": 156,
+            "latencies_sha": "b6923f9551a0824b",
+            "latency_sum": 1320263,
+            "stale": [5, 6, 8, 5, 3, 8, 3, 5],
+        }
+
+    def test_app_pause_holds_an_in_flight_leg_and_releases_in_arrival_order(self):
+        # Undisturbed, r0h1's notification generated at 200000 leaves
+        # the ToR at 200244 and arrives at 201244: the pause begins
+        # while its batch is in flight and outlasts the next TDN change.
+        at_ns, until_ns = 200_800, 405_000
+        pause = plan_of(
+            {"kind": "app_pause", "target": "r0h1", "at_ns": at_ns, "until_ns": until_ns}
+        )
+        fingerprint, calls = notification_fingerprint(NotifierConfig(), plan=pause)
+        paused = [call for call in calls if call[1] == "r0h1"]
+        released = [call for call in paused if at_ns <= call[0] <= until_ns + usec(1)]
+        pull_read_ns = NotifierConfig().pull_read_cost_ns
+        assert [(t, seq, generated) for t, _h, _tdn, seq, generated in released] == [
+            (until_ns + pull_read_ns, 9, 200_000),
+            (until_ns + pull_read_ns, 21, 400_000),
+        ]
+        others = [call for call in calls if call[1] == "r0h2" and at_ns <= call[0] <= until_ns]
+        assert [call[0] for call in others] == [201_246, 402_288]
+        assert fingerprint == {
+            "calls": 192,
+            "calls_sha": "19970a4f630b296b",
+            "latencies": 192,
+            "latencies_sha": "8538923ad05af13b",
+            "latency_sum": 474294,
+            "stale": [0, 0, 0, 0, 0, 0, 0, 0],
+        }
 
 
 class TestInvariantAuditor:

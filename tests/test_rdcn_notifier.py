@@ -10,6 +10,8 @@ from repro.rdcn.topology import build_two_rack_testbed
 from repro.sim import SeededRandom, Simulator
 from repro.units import gbps, usec
 
+from tests.helpers import notification_fingerprint
+
 
 class TestGenerationDelaySampling:
     def test_quantiles_match_configuration(self):
@@ -43,6 +45,23 @@ class TestGenerationDelaySampling:
         p99_ratio = quantile(uncached, 0.99) / quantile(cached, 0.99)
         assert 6.0 < p50_ratio < 10.0     # paper: 8x
         assert 1.8 < p99_ratio < 3.8      # paper: 2.7x
+
+
+    @pytest.mark.parametrize("cfg", [NotifierConfig(), NotifierConfig.unoptimized()])
+    def test_notifier_draws_the_module_function_sequence(self, cfg):
+        # The notifier works its (shift, rate) pair out once; every
+        # sample must still be the integer the module function returns.
+        sim = Simulator()
+        driver = ScheduleDriver(sim, TDNSchedule.uniform((0, 1), usec(10), usec(2)))
+        notifier = TDNNotifier(sim, driver, cfg, SeededRandom(9))
+        reference_rng = SeededRandom(9).fork("notifier").fork("generation")
+        if cfg.packet_caching:
+            p50, tail = cfg.generation_cached_p50_ns, cfg.generation_cached_tail_ns
+        else:
+            p50, tail = cfg.generation_uncached_p50_ns, cfg.generation_uncached_tail_ns
+        assert [notifier.generation_delay_ns() for _ in range(500)] == [
+            sample_generation_delay_ns(reference_rng, p50, tail) for _ in range(500)
+        ]
 
 
 class TestPushPullModel:
@@ -144,3 +163,48 @@ class TestNotificationDelivery:
         # Without data traffic the shared path is only slightly slower;
         # it must never be faster on average than the dedicated one.
         assert sum(sha) / len(sha) >= sum(ded) / len(ded) * 0.5
+
+
+class TestNotificationFanout:
+    """The dedicated-network and host-processing legs go through
+    ``Simulator.schedule_fanout``: one heap event per rack and leg, and
+    nothing any host or listener can observe changes."""
+
+    @staticmethod
+    def _idle_events(n_hosts):
+        cfg = RDCNConfig(n_hosts_per_rack=n_hosts)
+        testbed = build_two_rack_testbed(cfg)
+        testbed.start()
+        testbed.sim.run(until=cfg.week_ns * 2)
+        # 7 day starts + 1 slowdown warning a week, 2 weeks, 2 racks.
+        assert len(testbed.notifier.delivery_latency_samples) == 8 * 2 * 2 * n_hosts
+        return testbed.sim.processed_events
+
+    def test_idle_events_per_tdn_change_independent_of_rack_size(self):
+        assert self._idle_events(2) == self._idle_events(16)
+
+    # Goldens recorded at the commit before the fan-out primitive, when
+    # every leg was its own ``sim.schedule`` event.
+    def test_default_config_matches_per_host_event_golden(self):
+        fingerprint, _calls = notification_fingerprint(NotifierConfig())
+        assert fingerprint == {
+            "calls": 192,
+            "calls_sha": "731e7e31de346c35",
+            "latencies": 192,
+            "latencies_sha": "0e6e1ae2a1502aa9",
+            "latency_sum": 267824,
+            "stale": [0, 0, 0, 0, 0, 0, 0, 0],
+        }
+
+    def test_unoptimized_config_matches_per_host_event_golden(self):
+        # Push model (a different processing delay per host), shared
+        # data network (through the downlinks), uncached generation.
+        fingerprint, _calls = notification_fingerprint(NotifierConfig.unoptimized())
+        assert fingerprint == {
+            "calls": 188,
+            "calls_sha": "6cdc468b1e2211d0",
+            "latencies": 188,
+            "latencies_sha": "16c46ae38e5a89f7",
+            "latency_sum": 2128559,
+            "stale": [0, 0, 0, 0, 0, 0, 0, 0],
+        }

@@ -1,6 +1,10 @@
 """Simulator core: event queue, clock, timers, RNG, traces."""
 
+import itertools
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.sim import ListTraceSink, NullTraceSink, SeededRandom, Simulator, Timer
 from repro.sim.events import EventQueue
@@ -178,6 +182,145 @@ class TestSimulator:
             sim.schedule(i, lambda: None)
         sim.run()
         assert sim.processed_events == 4
+
+
+def _fanout_op(depth):
+    """One scheduling op: (kind, delay, which-of-two, ops issued when it fires)."""
+    children = st.just(()) if depth == 0 else st.lists(_fanout_op(depth - 1), max_size=4).map(tuple)
+    return st.tuples(
+        st.sampled_from(["schedule", "fanout", "fanout", "channel", "timer"]),
+        st.sampled_from([0, 0, 1, 1, 2, 5]),  # few distinct delays: many same-time ties
+        st.integers(0, 1),
+        children,
+    )
+
+
+def _run_fanout_program(program, coalesce):
+    """Interpret ``program``; with ``coalesce`` False every
+    ``schedule_fanout`` is a plain ``schedule``. Returns the fired
+    ``(time, callback, arg)`` sequence and the processed-event count."""
+    sim = Simulator()
+    fired = []
+    labels = itertools.count()
+
+    def callback(name):
+        def fire(node):
+            label, children = node
+            fired.append((sim.now, name, label))
+            issue(children)
+        return fire
+
+    callbacks = [callback("a"), callback("b")]
+    channels = [sim.channel("a"), sim.channel("b")]
+    tails = [0, 0]
+    timers = [Timer(sim, callbacks[0]), Timer(sim, callbacks[1])]
+
+    def issue(ops):
+        for kind, delay, which, children in ops:
+            node = (next(labels), children)
+            if kind == "fanout" and coalesce:
+                sim.schedule_fanout(delay, callbacks[which], node)
+            elif kind in ("schedule", "fanout"):
+                sim.schedule(delay, callbacks[which], node)
+            elif kind == "channel":
+                tails[which] = max(tails[which], sim.now + delay)  # channels are monotone
+                channels[which].push(tails[which], callbacks[which], (node,))
+            else:
+                timers[which].start(delay, node)
+
+    issue(program)
+    sim.run()
+    assert sim.pending_events == 0
+    return fired, sim.processed_events
+
+
+class TestScheduleFanout:
+    """``schedule_fanout`` runs callbacks exactly when and in the order
+    ``schedule`` would; only the number of heap events differs."""
+
+    @given(st.lists(_fanout_op(3), min_size=1, max_size=8))
+    @settings(max_examples=300, deadline=None)
+    def test_same_sequence_as_plain_schedule(self, program):
+        as_written, fanout_events = _run_fanout_program(program, coalesce=True)
+        reference, plain_events = _run_fanout_program(program, coalesce=False)
+        assert as_written == reference
+        assert fanout_events <= plain_events
+
+    def test_consecutive_legs_share_one_event(self):
+        sim = Simulator()
+        seen = []
+        for leg in range(16):
+            sim.schedule_fanout(10, seen.append, leg)
+        assert sim.pending_events == 1
+        assert sim.run() == 1
+        assert seen == list(range(16))
+
+    @pytest.mark.parametrize("intervening", ["schedule", "channel", "timer", "fanout_other_time"])
+    def test_any_intervening_push_splits_the_batch(self, intervening):
+        sim = Simulator()
+        seen = []
+        channel = sim.channel()
+        timer = Timer(sim, seen.append)
+        sim.schedule_fanout(10, seen.append, "first")
+        if intervening == "schedule":
+            sim.schedule(10, seen.append, "between")
+        elif intervening == "channel":
+            channel.push(10, seen.append, ("between",))
+        elif intervening == "timer":
+            timer.start(10, "between")
+        else:
+            sim.schedule_fanout(11, seen.append, "between")
+        sim.schedule_fanout(10, seen.append, "second")
+        assert sim.pending_events == 3
+        sim.run()
+        if intervening == "fanout_other_time":
+            assert seen == ["first", "second", "between"]
+        else:
+            assert seen == ["first", "between", "second"]
+
+    def test_different_time_opens_a_new_event(self):
+        sim = Simulator()
+        seen = []
+        sim.schedule_fanout(10, seen.append, "a")
+        sim.schedule_fanout(20, seen.append, "b")
+        sim.schedule_fanout(20, seen.append, "c")
+        assert sim.pending_events == 2
+        sim.run(until=15)
+        assert seen == ["a"]
+        sim.run()
+        assert seen == ["a", "b", "c"]
+
+    def test_zero_delay_leg_from_a_firing_batch_runs_after_it(self):
+        # The firing batch is still the most recent push and has this
+        # very fire time: the new leg must not join the consumed list.
+        sim = Simulator()
+        seen = []
+
+        def leg(name):
+            seen.append(name)
+            if name in ("a", "b"):
+                sim.schedule_fanout(0, leg, name + "'")
+
+        for name in ("a", "b", "c"):
+            sim.schedule_fanout(5, leg, name)
+        assert sim.run() == 2
+        assert seen == ["a", "b", "c", "a'", "b'"]
+        assert sim.now == 5
+
+    def test_clear_closes_the_open_batch(self):
+        sim = Simulator()
+        seen = []
+        sim.schedule_fanout(10, seen.append, "dropped")
+        sim._queue.clear()
+        sim.schedule_fanout(10, seen.append, "kept")
+        sim.run()
+        assert seen == ["kept"]
+
+    def test_negative_delay_rejected(self):
+        sim = Simulator()
+        with pytest.raises(ValueError):
+            sim.schedule_fanout(-1, print, None)
+        assert sim.pending_events == 0
 
 
 class TestTimer:

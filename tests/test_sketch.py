@@ -185,6 +185,37 @@ class TestQuantileSketch:
         # 50k samples did not produce 50k buckets.
         assert len(sketch.buckets) < 2500
 
+    # extend() is a fused loop; per-value add() is its reference. Runs
+    # of equal values, zeros, sub-min_value and int samples are the
+    # cases the fused loop treats specially.
+    @given(
+        st.lists(
+            st.one_of(
+                values_st,
+                st.sampled_from([0.0, 1e-12, 1.0, 5303.0]),
+                st.integers(min_value=0, max_value=10**9),
+            ).flatmap(lambda v: st.lists(st.just(v), min_size=1, max_size=4)),
+            max_size=60,
+        ),
+        st.integers(min_value=0, max_value=60),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_extend_is_bit_identical_to_adds(self, runs, split):
+        samples = [value for run in runs for value in run]
+        by_add = QuantileSketch()
+        for value in samples:
+            by_add.add(float(value))
+        by_extend = QuantileSketch()
+        by_extend.extend(samples[:split])  # second call resumes from state
+        by_extend.extend(samples[split:])
+        assert by_extend.to_json() == by_add.to_json()
+
+    def test_extend_keeps_samples_before_a_rejected_one(self):
+        sketch = QuantileSketch()
+        with pytest.raises(ValueError):
+            sketch.extend([3.0, 0.0, 7.0, -1.0, 9.0])
+        assert sketch == sketch_from_samples([3.0, 0.0, 7.0])
+
     def test_from_dict_rejects_foreign_payload(self):
         with pytest.raises(ValueError):
             QuantileSketch.from_dict({"kind": "histogram"})
