@@ -377,10 +377,11 @@ class WorkloadEngine:
       its recorded offset from engine start, between its recorded hosts.
 
     Each flow is a fresh connection that writes its payload, closes, and
-    is unregistered shortly after delivery — the same churn discipline
-    as :class:`repro.apps.shortflows.ShortFlowGenerator`, which is what
-    keeps host demux tables (and therefore memory) flat at millions of
-    flows.
+    is released (:meth:`TCPConnection.release`) shortly after delivery —
+    the same churn discipline as
+    :class:`repro.apps.shortflows.ShortFlowGenerator`, which is what
+    keeps host demux tables, TDN listener lists (and therefore memory
+    and the cost of a TDN change) flat at millions of flows.
     """
 
     def __init__(
@@ -572,7 +573,7 @@ class WorkloadEngine:
                         fct_ns=time_ns - start_ns,
                         slowdown=slowdown,
                     )
-                # Free the demux slots so campaigns don't accumulate.
+                # Release the pair so campaigns don't accumulate.
                 self.sim.schedule(1_000_000, self._cleanup, c, s)
 
         client.on_established = on_established
@@ -587,11 +588,8 @@ class WorkloadEngine:
     def _cleanup(self, client: TCPConnection, server: TCPConnection) -> None:
         if self.fastpath is not None:
             self.fastpath.unregister_flow(client)
-        for conn in (client, server):
-            conn.host.unregister_connection(conn.flow_key)
-            conn.rto_timer.cancel()
-            conn.reorder_timer.cancel()
-            conn.tlp_timer.cancel()
+        client.release()
+        server.release()
 
 
 def permutation_pairs_example(n_racks: int) -> List[Tuple[str, str]]:

@@ -155,7 +155,7 @@ class ShortFlowGenerator:
                 r.completed_ns = time_ns
                 self.stats.completed_count += 1
                 self.stats.fct_sketch.add(r.fct_ns / 1000)
-                # Free the demux slots so long runs don't accumulate.
+                # Release the pair so long runs don't accumulate.
                 self.sim.schedule(1_000_000, self._cleanup, c, s)
 
         client.on_established = on_established
@@ -164,14 +164,8 @@ class ShortFlowGenerator:
         self._schedule_next()
 
     def _cleanup(self, client: TCPConnection, server: TCPConnection) -> None:
-        client.host.unregister_connection(client.flow_key)
-        server.host.unregister_connection(server.flow_key)
-        client.rto_timer.cancel()
-        client.reorder_timer.cancel()
-        client.tlp_timer.cancel()
-        server.rto_timer.cancel()
-        server.reorder_timer.cancel()
-        server.tlp_timer.cancel()
+        client.release()
+        server.release()
 
 
 def run_short_flow_study(

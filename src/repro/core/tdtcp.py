@@ -215,6 +215,13 @@ class TDTCPConnection(TCPConnection):
     def _on_pace_tick(self) -> None:
         self._maybe_send()
 
+    def _quiesce(self) -> None:
+        # A finished flow has no window to resume (§5.2) and no state
+        # set to switch (§3.2): off the host's listener list, no ticks.
+        super()._quiesce()
+        self._pace_timer.cancel()
+        self.host.unsubscribe_tdn_changes(self._on_tdn_notification)
+
     @property
     def current_tdn(self) -> int:
         return self.tdn_state.current_index

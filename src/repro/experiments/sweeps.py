@@ -263,12 +263,14 @@ def load_sweep(
 
     Every cell is one seeded engine run (Poisson empirical arrivals on
     the two-rack fabric); FCT/slowdown percentiles come from the run's
-    streaming sketches, so memory stays flat however many flows a cell
-    launches. Per-flow records stay off unless ``record_cap`` asks for
-    a reservoir. ``fidelity="tiered"`` runs every cell through the
-    fluid fast path (``repro.sim.fastpath``) — cells whose variant or
-    setting the fluid model cannot represent fall back to packet
-    fidelity per-run with a logged reason.
+    streaming sketches and the engine releases each connection pair
+    (``TCPConnection.release``: demux slot, timers, TDN listener) 1 ms
+    after delivery, so memory and host time per flow stay flat however
+    many flows a cell launches. Per-flow records stay off unless
+    ``record_cap`` asks for a reservoir. ``fidelity="tiered"`` runs
+    every cell through the fluid fast path (``repro.sim.fastpath``) —
+    cells whose variant or setting the fluid model cannot represent
+    fall back to packet fidelity per-run with a logged reason.
     """
     grid = [(load, variant) for load in loads for variant in variants]
     configs = [

@@ -72,6 +72,17 @@ class Host:
         """Subscribe to ICMP TDN-change notifications delivered to this host."""
         self._tdn_listeners.append(callback)
 
+    def unsubscribe_tdn_changes(self, callback: Callable[[TDNNotification], None]) -> None:
+        """Undo :meth:`subscribe_tdn_changes` (no-op for an unknown
+        callback). The list is replaced, not mutated: a dispatch in
+        progress finishes over the listeners it started with."""
+        listeners = self._tdn_listeners
+        try:
+            index = listeners.index(callback)
+        except ValueError:
+            return
+        self._tdn_listeners = listeners[:index] + listeners[index + 1:]
+
     # ------------------------------------------------------------------
     # Data path
     # ------------------------------------------------------------------

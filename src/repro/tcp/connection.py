@@ -347,6 +347,23 @@ class TCPConnection:
         self.fin_pending = True
         self._maybe_send()
 
+    def release(self) -> None:
+        """Tear the endpoint down, whatever its state: free the demux
+        slot and stop everything that could still wake it. Idempotent.
+        The application calls this once it has no further use for the
+        connection; nothing reaches it afterwards."""
+        self.host.unregister_connection(self.flow_key)
+        self._quiesce()
+
+    def _quiesce(self) -> None:
+        """Hook: the end of :meth:`release` and of the FIN-ACKed →
+        CLOSED transition. Cancels every timer; subclasses drop what
+        else would keep calling a finished connection."""
+        self.rto_timer.cancel()
+        self.reorder_timer.cancel()
+        self.tlp_timer.cancel()
+        self.delack_timer.cancel()
+
     # ------------------------------------------------------------------
     # Application interface
     # ------------------------------------------------------------------
@@ -636,6 +653,7 @@ class TCPConnection:
             self.rto_timer.start(backed_off if backed_off < max_rto else max_rto)
         if self.fin_sent and self.snd_una == self.snd_nxt:
             self.state = CLOSED
+            self._quiesce()
             return
         self._maybe_send()
         self._check_fin_progress()

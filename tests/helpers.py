@@ -4,11 +4,13 @@ from __future__ import annotations
 
 import hashlib
 import json
+from contextlib import contextmanager
 from dataclasses import replace
 from typing import Optional, Tuple, Type
 
 from repro.net.link import Link
 from repro.net.node import Host
+from repro.net.packet import TCPSegment
 from repro.rdcn.config import NotifierConfig, RDCNConfig
 from repro.rdcn.topology import build_two_rack_testbed
 from repro.sim.simulator import Simulator
@@ -115,3 +117,91 @@ def notification_fingerprint(notifier: NotifierConfig, plan=None) -> Tuple[dict,
         "stale": [host.stale_notifications for host in hosts],
     }
     return fingerprint, calls
+
+
+# The RPC mix of the ledger's ``rpc_churn``: small messages, so flows
+# finish (and are released) well inside a short horizon.
+RPC_CDF = ((0.0, 2_000), (0.5, 4_000), (0.9, 16_000), (1.0, 64_000))
+
+
+def tdtcp_engine(fabric: str, seed: int = 1, max_flows: Optional[int] = None, load: float = 0.4):
+    """A started testbed carrying a TDTCP :class:`WorkloadEngine` on the
+    RPC mix (no engine when ``max_flows == 0``): ``fabric`` is
+    ``"two-rack"`` or ``"opera"`` (8 racks, 7 TDNs, all-to-all).
+
+    Returns ``(testbed, engine, period_ns)``; the period is one week,
+    resp. one rotor cycle.
+    """
+    from repro.apps.engine import WorkloadEngine
+    from repro.core.tdtcp import TDTCPConnection
+    from repro.rdcn.opera import OperaConfig, build_opera_testbed
+    from repro.sim.rng import SeededRandom
+
+    if fabric == "opera":
+        cfg = OperaConfig(n_racks=8, n_hosts_per_rack=2, seed=seed)
+        testbed = build_opera_testbed(cfg)
+        period_ns, tdn_count, matrix = cfg.cycle_ns, cfg.n_slots, "all-to-all"
+    else:
+        cfg = RDCNConfig(seed=seed)
+        testbed = build_two_rack_testbed(cfg)
+        period_ns, tdn_count, matrix = cfg.week_ns, cfg.n_tdns, "permutation"
+    engine = None
+    if max_flows != 0:
+        engine = WorkloadEngine(
+            testbed, SeededRandom(seed), load=load, cdf=RPC_CDF, matrix=matrix,
+            connection_cls=TDTCPConnection, cc_name="cubic", tdn_count=tdn_count,
+            max_flows=max_flows,
+        )
+        engine.start()
+    testbed.start()
+    return testbed, engine, period_ns
+
+
+def engine_fingerprint(
+    fabric: str, seed: int, periods: int, max_flows: Optional[int] = None, load: float = 0.4
+) -> dict:
+    """Everything a :func:`tdtcp_engine` run reports about its flows
+    after ``periods`` weeks/cycles: the wall-stripped summary and the
+    serialized sketches, hashed, plus the counts a reader wants to see.
+    """
+    from repro.apps.engine import strip_wall_fields
+
+    testbed, engine, period_ns = tdtcp_engine(fabric, seed, max_flows, load)
+    horizon_ns = periods * period_ns
+    testbed.sim.run(until=horizon_ns)
+    stats = engine.finish()
+    summary = strip_wall_fields(stats.summary(horizon_ns, engine.n_racks, engine.load))
+    text = json.dumps({"summary": summary, "sketches": stats.sketches()}, sort_keys=True)
+    return {
+        "started": stats.started,
+        "completed": stats.completed,
+        "sha256": hashlib.sha256(text.encode()).hexdigest(),
+    }
+
+
+@contextmanager
+def unregistered_sends(drop: bool = False):
+    """The ``Host.send`` oracle for zombie transmissions: yields the
+    list of TCP segments sent from a flow key that is not (or no
+    longer) registered at the sending host. With ``drop=True`` they are
+    also discarded instead of transmitted — the reference the engine
+    goldens in ``test_release.py`` were recorded with at the parent.
+    """
+    seen = []
+    send = Host.send
+
+    def checked_send(host: Host, packet) -> None:
+        if (
+            isinstance(packet, TCPSegment)
+            and (packet.src, packet.sport, packet.dst, packet.dport) not in host._connections
+        ):
+            seen.append(packet)
+            if drop:
+                return
+        send(host, packet)
+
+    Host.send = checked_send
+    try:
+        yield seen
+    finally:
+        Host.send = send

@@ -1,0 +1,193 @@
+"""A finished flow costs nothing (ISSUE 15).
+
+``TCPConnection.release()`` and the FIN-ACKed → CLOSED transition end
+in one hook, ``_quiesce``: every timer cancelled and, for TDTCP, the
+connection off its host's TDN listener list with its pace timer
+stopped. A TDN change therefore costs O(live flows), and a released
+connection can no longer transmit.
+"""
+
+import pytest
+
+from tests.helpers import (
+    bulk_pair,
+    engine_fingerprint,
+    run_for,
+    tdtcp_engine,
+    two_hosts,
+    unregistered_sends,
+)
+from repro.core.tdtcp import TDTCPConnection
+from repro.net.node import Host
+from repro.net.packet import TDNNotification
+from repro.sim.simulator import Simulator
+from repro.tcp.connection import CLOSE_WAIT, CLOSED, TCPConnection
+from repro.tcp.sockets import create_connection_pair
+from repro.units import msec, usec
+
+
+def timers(conn):
+    found = [conn.rto_timer, conn.reorder_timer, conn.tlp_timer, conn.delack_timer]
+    if isinstance(conn, TDTCPConnection):
+        found.append(conn._pace_timer)
+    return found
+
+
+def notify(host: Host, tdn_id: int) -> None:
+    host.deliver(TDNNotification("tor0", host.address, tdn_id=tdn_id))
+
+
+class TestUnsubscribe:
+    def test_removal_during_dispatch_skips_nobody(self):
+        host = Host(Simulator(), "r0h0")
+        calls = []
+
+        def first(n):
+            calls.append("first")
+            host.unsubscribe_tdn_changes(first)
+            host.unsubscribe_tdn_changes(last)
+
+        def middle(n):
+            calls.append("middle")
+
+        def last(n):
+            calls.append("last")
+
+        for listener in (first, middle, last):
+            host.subscribe_tdn_changes(listener)
+        notify(host, 1)
+        # The dispatch in progress finishes over the list it started with.
+        assert calls == ["first", "middle", "last"]
+        notify(host, 0)
+        assert calls[3:] == ["middle"]
+
+    def test_unknown_callback_is_a_no_op(self):
+        host = Host(Simulator(), "r0h0")
+        seen = []
+        host.subscribe_tdn_changes(seen.append)
+        host.unsubscribe_tdn_changes(lambda n: None)
+        notify(host, 1)
+        assert len(seen) == 1
+
+    def test_bound_methods_compare_by_instance(self):
+        """``conn._on_tdn_notification`` is a fresh bound-method object
+        on every attribute read; removal must still find it, and only
+        the one of that connection."""
+        sim, a, b, _ab, _ba = two_hosts()
+        one, _ = create_connection_pair(sim, a, b, connection_cls=TDTCPConnection, connect=False)
+        two, _ = create_connection_pair(
+            sim, a, b, connection_cls=TDTCPConnection, server_port=5002, connect=False
+        )
+        one.release()
+        assert a._tdn_listeners == [two._on_tdn_notification]
+
+
+class TestRelease:
+    @pytest.mark.parametrize("connection_cls", [TCPConnection, TDTCPConnection])
+    def test_release_is_idempotent_and_leaves_nothing_armed(self, connection_cls):
+        sim, a, b, _ab, _ba = two_hosts()
+        client, server = bulk_pair(sim, a, b, connection_cls=connection_cls)
+        run_for(sim, usec(300))
+        assert client.rto_timer.armed
+        for _ in range(2):
+            client.release()
+            server.release()
+        assert not a._connections and not b._connections
+        assert not a._tdn_listeners and not b._tdn_listeners
+        assert not any(t.armed for t in timers(client) + timers(server))
+
+    def test_released_connection_holding_retx_pending_never_sends(self):
+        """At the parent the released client's listener and pace timer
+        stayed: the next TDN change retransmitted into the fabric from
+        a flow key nobody answers for."""
+        sim, a, b, _ab, _ba = two_hosts()
+        client, _server = bulk_pair(sim, a, b, connection_cls=TDTCPConnection)
+        run_for(sim, usec(300))
+        for seg in list(client.segments.values()):
+            client._mark_lost(seg)
+        pending = list(client._retx_pending)
+        assert pending
+        client.release()
+        sent = []
+        a.send = sent.append
+        notify(a, 1)
+        run_for(sim, msec(2))  # more than a week of the default schedule
+        assert sent == []
+        assert client._retx_pending == pending
+        assert client.current_tdn == 0 and client.notifications_seen == 0
+
+    def test_closed_by_fin_ack_is_quiet_before_release(self):
+        sim, a, b, _ab, _ba = two_hosts()
+        client, server = create_connection_pair(sim, a, b, connection_cls=TDTCPConnection)
+        client.write(30_000)
+        client.close()
+        notify(a, 1)  # a live connection does pace: the timer is in use
+        run_for(sim, msec(1))
+        assert client.state == CLOSED and server.state == CLOSE_WAIT
+        assert a._tdn_listeners == []
+        assert not any(t.armed for t in timers(client))
+        # The peer is still live: it keeps its subscription.
+        assert b._tdn_listeners == [server._on_tdn_notification]
+        events = sim.processed_events
+        notify(a, 0)
+        run_for(sim, msec(1))
+        assert sim.processed_events == events
+        assert client.notifications_seen == 1
+        client.release()  # what the application does next is still fine
+        server.release()
+        assert b._tdn_listeners == []
+
+
+class TestIdleFabricCost:
+    """The per-period event count of a fabric whose flows have all
+    completed and been released equals that of a fabric that never
+    carried one — at the parent it grew with every flow ever started
+    (two-rack, week 21: 62 / 552 / 4,590 events for 0 / 10 / 100)."""
+
+    @staticmethod
+    def idle_events(fabric: str, n_flows: int) -> int:
+        testbed, engine, period_ns = tdtcp_engine(fabric, max_flows=n_flows)
+        sim = testbed.sim
+        sim.run(until=20 * period_ns)
+        if engine is not None:
+            assert engine.stats.completed == n_flows
+        before = sim.processed_events
+        sim.run(until=21 * period_ns)
+        return sim.processed_events - before
+
+    @pytest.mark.parametrize("fabric", ["two-rack", "opera"])
+    def test_released_flows_leave_no_per_period_cost(self, fabric):
+        floor = self.idle_events(fabric, 0)
+        assert floor > 0
+        assert self.idle_events(fabric, 10) == floor
+        assert self.idle_events(fabric, 100) == floor
+
+
+# Recorded at the parent commit (37fb6a3) with ``unregistered_sends``
+# in its dropping form: transmissions from a flow key that is no longer
+# registered at the sending host are discarded at ``Host.send`` (5 such
+# packets in the second case, 6 in the fourth, none in the others — there
+# the plain parent gives the same hash). Reproduced here with no oracle.
+ENGINE_GOLDENS = [
+    (("two-rack", 1, 6, 600, 0.4), 600, 600,
+     "f5c94555b6ad8fc94bf6d1d09f1c32c0d13f64199639c4e7511e7c3a190e36e8"),
+    (("two-rack", 2, 2, None, 1.0), 1675, 899,
+     "24c8d79a232880fc82a67bf5d1da91cc3f9ffeb24c567bfd712904905d89be79"),
+    (("opera", 1, 2, 600, 0.4), 600, 588,
+     "bc3933d4d2d436f43da42ac36751eb7f4186f0370e8605a26ae3dc8bd5345e9f"),
+    (("opera", 4, 2, 800, 0.5), 800, 784,
+     "41c6673af8d171178a76cf062e13483430c87fc271cc3b3c7e90200a856a01ef"),
+]
+
+
+@pytest.mark.parametrize(
+    "case,started,completed,sha256", ENGINE_GOLDENS,
+    ids=[f"{case[0]}-seed{case[1]}" for case, *_ in ENGINE_GOLDENS],
+)
+def test_engine_results_are_the_parents_without_zombie_retransmissions(
+    case, started, completed, sha256
+):
+    with unregistered_sends() as zombies:
+        fingerprint = engine_fingerprint(*case)
+    assert zombies == []
+    assert fingerprint == {"started": started, "completed": completed, "sha256": sha256}

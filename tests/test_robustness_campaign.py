@@ -540,6 +540,41 @@ class TestResumeIdentity:
         assert_sidecar_is_journal_fold(part)
         assert_sidecar_is_journal_fold(res)
 
+    def test_kill_between_journal_and_cache_put_reexecutes_that_run(
+        self, tmp_path, monkeypatch
+    ):
+        """``_finish_item`` journals "finished" before ``_cache_put``; a
+        SIGKILL in between leaves a finished run with no cached result.
+        Resume replays what it can serve and re-executes that one run,
+        to the same result and the same summary."""
+        configs = [small_config(seed=s) for s in (1, 2, 3)]
+        ref = tmp_path / "ref.jsonl"
+        with CampaignLog(str(ref)) as log:
+            ref_results = ExperimentExecutor(
+                cache_dir=str(tmp_path / "cache_ref"), campaign=log
+            ).run_batch(configs)
+
+        part = tmp_path / "part.jsonl"
+        with CampaignLog(str(part)) as log:
+            ExperimentExecutor(
+                cache_dir=str(tmp_path / "cache"), campaign=log
+            ).run_batch(configs[:2])
+        ResultCache(tmp_path / "cache").path_for(configs[1].cache_key()).unlink()
+
+        plan = load_resume_plan(str(part))
+        assert plan.checkpoint.runs["cubic/seed2"].state == "finished"
+        executed = spy_executions(monkeypatch)
+        res = tmp_path / "res.jsonl"
+        with CampaignLog(str(res)) as log:
+            resumed = ExperimentExecutor(
+                cache_dir=str(tmp_path / "cache"), campaign=log, resume=plan
+            )
+            results = resumed.run_batch(configs)
+        assert resumed.last_replayed == 1
+        assert executed() == [2, 3]
+        assert [r.to_dict() for r in results] == [r.to_dict() for r in ref_results]
+        assert summary_bytes(res) == summary_bytes(ref)
+
     @pytest.mark.parametrize("sidecar", ["lagging", "foreign"])
     def test_kill_window_sidecar_cannot_change_the_resume(
         self, tmp_path, monkeypatch, sidecar
@@ -723,6 +758,8 @@ class TestSigkillResume:
                 cache=str(tmp_path / "cache"),
             )
         )
+        cache = ResultCache(tmp_path / "cache")
+        cached = [cache.path_for(c.cache_key()) for c in configs[:2]]
         child = subprocess.Popen(
             [sys.executable, str(script)],
             cwd=str(tmp_path),
@@ -737,7 +774,13 @@ class TestSigkillResume:
                     text = log_path.read_text()
                 except OSError:
                     text = ""
-                if text.count('"finished"') >= 2:
+                # ``_finish_item`` journals before ``_cache_put``: two
+                # "finished" records alone leave a window in which a
+                # kill replays one run, not two. Wait for both cache
+                # entries (``put`` is tmp + rename: existing = whole).
+                if text.count('"finished"') >= 2 and all(
+                    path.exists() for path in cached
+                ):
                     break
                 if child.poll() is not None:
                     pytest.fail("campaign child exited before the kill")
