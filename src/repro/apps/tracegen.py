@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import bisect
 import math
-import warnings
 from typing import Sequence, Tuple, Type
 
 from repro.apps.shortflows import ShortFlowGenerator
@@ -105,20 +104,6 @@ class EmpiricalFlowSizes:
                 bin_mean = (s1 - s0) / math.log(s1 / s0)
             total += weight * bin_mean
         return total
-
-    def mean_estimate(self, samples: int = 10_000) -> float:
-        """Deprecated alias of :meth:`mean`.
-
-        Historically a ``samples``-draw Monte-Carlo estimate; now the
-        closed form (``samples`` is ignored).
-        """
-        warnings.warn(
-            "EmpiricalFlowSizes.mean_estimate is deprecated; use the exact "
-            "EmpiricalFlowSizes.mean()",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return self.mean()
 
 
 class EmpiricalWorkload(ShortFlowGenerator):

@@ -92,10 +92,6 @@ class RunCheckpoint:
     def to_dict(self) -> dict:
         return dict(vars(self))  # flat fields; asdict's deep copy is 10x slower
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "RunCheckpoint":
-        return cls(**data)
-
 
 @dataclass
 class CampaignCheckpoint:
@@ -153,18 +149,6 @@ class CampaignCheckpoint:
                 label: self.runs[label].to_dict() for label in sorted(self.runs)
             },
         }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "CampaignCheckpoint":
-        if data.get("schema") != CAMPAIGN_SCHEMA_VERSION:
-            raise ValueError(
-                f"checkpoint schema {data.get('schema')!r} != "
-                f"{CAMPAIGN_SCHEMA_VERSION}"
-            )
-        checkpoint = cls(total=int(data.get("total", 0)))
-        for payload in data.get("runs", {}).values():
-            checkpoint.record(RunCheckpoint.from_dict(payload))
-        return checkpoint
 
     def save(self, path) -> str:
         """Write the sidecar atomically (tmp file + rename)."""

@@ -18,18 +18,20 @@ from __future__ import annotations
 import argparse
 import functools
 import hashlib
+import json
 import pathlib
 import sys
 import tempfile
 from typing import Callable, Dict, List, Optional, Tuple
 
-from repro.experiments import figures
 from repro.experiments.checkpoint import checkpoint_path, load_resume_plan
+from repro.experiments.config import ExperimentConfig, WorkloadConfig
 from repro.experiments.executor import (
     DEFAULT_HEARTBEAT_EVENTS,
     CampaignAborted,
     ExperimentExecutor,
 )
+from repro.experiments.figures import FIGURES
 from repro.obs.campaign import CampaignLog, LiveCampaignView
 from repro.obs.telemetry import ObsConfig
 from repro.experiments.report import (
@@ -43,6 +45,7 @@ from repro.experiments.report import (
     render_voq_graph,
     sweep_to_csv,
 )
+from repro.experiments.runner import run_experiment
 from repro.experiments.sweeps import (
     buffer_economics_sweep,
     day_length_sweep,
@@ -55,18 +58,6 @@ from repro.net.queues import BUFFER_POLICIES
 #: campaign checkpointed cleanly and ``--resume`` will pick it up —
 #: distinct from 1 (a run actually failed).
 EXIT_ABORTED = 75
-
-FIGURES: Dict[str, Callable] = {
-    "fig2": figures.fig2,
-    "fig7": figures.fig7,
-    "fig8": figures.fig8,
-    "fig9": figures.fig9,
-    "fig10": figures.fig10,
-    "fig11": figures.fig11,
-    "fig13": figures.fig13,
-    "fig14-10g": lambda **kw: figures.fig14(10.0, **kw),
-    "fig14-100g": lambda **kw: figures.fig14(100.0, **kw),
-}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -231,17 +222,34 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def obs_config_from_args(args) -> Optional[ObsConfig]:
-    """Build an :class:`ObsConfig` from the CLI flags (None when no
-    telemetry was requested)."""
-    if not (args.trace_out or args.metrics_out or args.profile):
-        return None
-    return ObsConfig(
-        trace_dir=args.trace_out,
-        metrics_dir=args.metrics_out,
-        profile=args.profile,
-        tracepoints=args.tracepoints,
+def run_fields(args) -> dict:
+    """The run-level flags as :class:`ExperimentConfig` fields — the one
+    place a flag becomes a field. Every target spreads this into the
+    configs it builds, so a flag listed here applies to every target.
+    Unset flags are left out: the target's own default stands."""
+    obs = None
+    if args.trace_out or args.metrics_out or args.profile:
+        obs = ObsConfig(
+            trace_dir=args.trace_out,
+            metrics_dir=args.metrics_out,
+            profile=args.profile,
+            tracepoints=args.tracepoints,
+        )
+    fields = dict(
+        weeks=args.weeks,
+        warmup_weeks=args.warmup,
+        n_flows=args.flows,
+        seed=args.seed,
+        fidelity=args.fidelity,
+        obs=obs,
+        fault_plan_path=args.fault_plan,
+        # The chaos target audits in fail mode unless overridden.
+        audit=args.audit or ("fail" if args.target == "chaos" else None),
+        watchdog_max_events=args.watchdog_events,
+        watchdog_max_wall_s=args.watchdog_wall,
+        bundle_dir=args.bundle_dir,
     )
+    return {name: value for name, value in fields.items() if value is not None}
 
 
 def executor_from_args(args) -> ExperimentExecutor:
@@ -298,29 +306,6 @@ def executor_from_args(args) -> ExperimentExecutor:
     )
 
 
-def buffer_override_from_args(args):
-    """An ``RDCNConfig -> RDCNConfig`` transform applying the buffer
-    flags, or None when none were given (figure runs then keep their
-    canned static carving — byte-identical to pre-flag behavior)."""
-    if args.buffer_policy is None and args.buffer_total is None and args.buffer_alpha is None:
-        return None
-    from dataclasses import replace
-
-    def override(rdcn):
-        kwargs = {}
-        if args.buffer_policy is not None:
-            kwargs["buffer_policy"] = args.buffer_policy
-        if args.buffer_total is not None:
-            kwargs["voq_capacity"] = args.buffer_total
-            if (args.buffer_policy or rdcn.buffer_policy) != "static":
-                kwargs["buffer_total_capacity"] = args.buffer_total
-        if args.buffer_alpha is not None:
-            kwargs["buffer_alpha"] = args.buffer_alpha
-        return replace(rdcn, **kwargs)
-
-    return override
-
-
 def finish_campaign(executor: ExperimentExecutor) -> List[str]:
     """Close the invocation's campaign log and return the trailer every
     executor-backed target prints: batch stats, resume split, log path."""
@@ -340,10 +325,11 @@ def run_figure(name: str, args) -> int:
     per-variant on stderr, exit 1) instead of aborting it."""
     executor = executor_from_args(args)
     data = FIGURES[name](
-        weeks=args.weeks, warmup_weeks=args.warmup, n_flows=args.flows, seed=args.seed,
-        obs=obs_config_from_args(args), executor=executor,
-        rdcn_override=buffer_override_from_args(args),
-        fidelity=args.fidelity,
+        executor=executor,
+        rdcn_override=lambda rdcn: rdcn.with_buffer(
+            args.buffer_total, args.buffer_policy, args.buffer_alpha
+        ),
+        **run_fields(args),
     )
     sections = [render_throughput_summary(data)]
     if data.seq_curves:
@@ -369,6 +355,13 @@ def run_figure(name: str, args) -> int:
         for variant, result in data.results.items():
             if result.profile_report:
                 sections.append(f"profile [{name}/{variant}]\n{result.profile_report}")
+    reports = [
+        line
+        for variant, result in data.results.items()
+        for line in result.render_reports(f"[{name}/{variant}] ")
+    ]
+    if reports:
+        sections.append("\n".join(reports))
     sections.extend(finish_campaign(executor))
     print("\n\n".join(sections))
     if data.failures:
@@ -378,48 +371,14 @@ def run_figure(name: str, args) -> int:
     return 0
 
 
-def _chaos_config(args, obs: Optional[ObsConfig] = None):
-    from repro.experiments.config import ExperimentConfig
-
-    return ExperimentConfig(
-        variant=args.variant,
-        n_flows=args.flows,
-        weeks=args.weeks,
-        warmup_weeks=args.warmup,
-        seed=args.seed,
-        obs=obs,
-        fault_plan_path=args.fault_plan,
-        audit=args.audit or "fail",
-        watchdog_max_events=args.watchdog_events,
-        watchdog_max_wall_s=args.watchdog_wall,
-        bundle_dir=args.bundle_dir,
-    )
-
-
 def run_chaos(args) -> int:
     """The chaos target: one bulk run under a fault plan with the
     invariant auditor on (fail mode unless overridden). Exits non-zero
     with the repro-bundle path printed when the run fails."""
-    from repro.experiments.runner import run_experiment
-
-    obs = obs_config_from_args(args)
-    result = run_experiment(_chaos_config(args, obs=obs))
-    if result.fault_report is not None:
-        effects = result.fault_report["effects"]
-        print(f"fault plan: {result.fault_report['plan']} "
-              f"({result.fault_report['specs']} specs, "
-              f"{result.fault_report['total_effects']} effects)")
-        for kind, count in sorted(effects.items()):
-            print(f"  {kind}: {count}")
-        for note in result.fault_report["unmatched"]:
-            print(f"  warning: {note}")
-    if result.audit_report is not None:
-        report = result.audit_report
-        print(f"auditor [{report['mode']}]: {report['checks_run']} audits, "
-              f"{report['violation_count']} violations")
-        for violation in report["violations"][:10]:
-            print(f"  [{violation['time_ns']} ns] {violation['check']} "
-                  f"@ {violation['subject']}: {violation['detail']}")
+    run = run_fields(args)
+    result = run_experiment(ExperimentConfig(variant=args.variant, **run))
+    for line in result.render_reports():
+        print(line)
     if result.failure is not None:
         print(result.failure.render(), file=sys.stderr)
         return 1
@@ -429,9 +388,10 @@ def run_chaos(args) -> int:
         digests = []
         with tempfile.TemporaryDirectory() as tmp:
             for replica in ("a", "b"):
-                replica_obs = ObsConfig(trace_dir=tmp, label=f"chaos_{replica}",
-                                        chrome_trace=False, csv=False)
-                replica_result = run_experiment(_chaos_config(args, obs=replica_obs))
+                run["obs"] = ObsConfig(trace_dir=tmp, label=f"chaos_{replica}",
+                                       chrome_trace=False, csv=False)
+                replica_result = run_experiment(
+                    ExperimentConfig(variant=args.variant, **run))
                 if replica_result.failure is not None:
                     print(replica_result.failure.render(), file=sys.stderr)
                     return 1
@@ -454,10 +414,6 @@ def run_chaos_executor(args) -> int:
 
     A full pass exits 0; any lost/duplicated terminal record, schema
     violation, or wrong resume summary exits 1."""
-    import json
-    import tempfile as tempfile_mod
-
-    from repro.experiments.config import ExperimentConfig
     from repro.faults.executor_chaos import (
         ExecutorChaos,
         ExecutorFaultPlan,
@@ -474,13 +430,11 @@ def run_chaos_executor(args) -> int:
     )
 
     jobs = max(args.jobs, 2)  # pool faults need an actual pool
-    out_dir = pathlib.Path(args.chaos_dir or tempfile_mod.mkdtemp(prefix="chaos-executor-"))
+    out_dir = pathlib.Path(args.chaos_dir or tempfile.mkdtemp(prefix="chaos-executor-"))
     out_dir.mkdir(parents=True, exist_ok=True)
+    run = run_fields(args)
     configs = [
-        ExperimentConfig(
-            variant=args.variant, weeks=args.weeks, warmup_weeks=args.warmup,
-            n_flows=args.flows, seed=args.seed + i,
-        )
+        ExperimentConfig(variant=args.variant, **{**run, "seed": args.seed + i})
         for i in range(3)
     ]
     labels = [f"{c.variant}/seed{c.seed}" for c in configs]
@@ -588,8 +542,6 @@ def run_sweep_load(args) -> int:
     """The sweep-load target: offered load x variant grid through the
     workload engine, one executor batch (parallel / cached /
     checkpointable like every other campaign)."""
-    from repro.faults.plan import FaultPlan
-
     try:
         loads = tuple(float(v) for v in args.loads.split(",") if v.strip())
     except ValueError:
@@ -610,15 +562,8 @@ def run_sweep_load(args) -> int:
         hotspot_fraction=args.hotspot_fraction,
         record_cap=args.record_cap,
         max_flows=args.max_flows,
-        weeks=args.weeks,
-        warmup_weeks=args.warmup,
-        seed=args.seed,
         executor=executor,
-        fault_plan=FaultPlan.load(args.fault_plan) if args.fault_plan else None,
-        watchdog_max_events=args.watchdog_events,
-        watchdog_max_wall_s=args.watchdog_wall,
-        obs=obs_config_from_args(args),
-        fidelity=args.fidelity,
+        **run_fields(args),
     )
     print(result.render())
     if args.csv:
@@ -629,16 +574,13 @@ def run_sweep_load(args) -> int:
         for family in ("fct_us", "slowdown"):
             written.extend(fct_cdf_to_csv(result, args.cdf_out, sketch=family))
         print("CDF CSV written:\n  " + "\n  ".join(written))
-    print("\n".join(finish_campaign(executor)))
+    print("\n".join(result.reports + finish_campaign(executor)))
     return 0 if result.ok else 1
 
 
 def run_replay_trace(args) -> int:
     """The replay-trace target: one engine run replaying a CSV trace
     (``start_ns,src,dst,size_bytes``) under ``--variant``."""
-    from repro.experiments.config import ExperimentConfig, WorkloadConfig
-    from repro.experiments.runner import run_experiment
-
     if not args.trace:
         print("replay-trace needs --trace CSV", file=sys.stderr)
         return 2
@@ -653,20 +595,15 @@ def run_replay_trace(args) -> int:
     except (OSError, ValueError) as error:
         print(f"replay-trace: {error}", file=sys.stderr)
         return 2
-    config = ExperimentConfig(
+    result = run_experiment(ExperimentConfig(
         variant=args.variant,
-        weeks=args.weeks,
-        warmup_weeks=args.warmup,
-        seed=args.seed,
-        obs=obs_config_from_args(args),
         workload=workload,
         collect_voq=False,
         collect_sequence=False,
-        watchdog_max_events=args.watchdog_events,
-        watchdog_max_wall_s=args.watchdog_wall,
-        bundle_dir=args.bundle_dir,
-    )
-    result = run_experiment(config)
+        **run_fields(args),
+    ))
+    for line in result.render_reports():
+        print(line)
     if result.failure is not None:
         print(result.failure.render(), file=sys.stderr)
         return 1
@@ -692,16 +629,8 @@ def run_replay_trace(args) -> int:
 
 def run_sweep(args) -> int:
     """The sweep-ratio / sweep-day / sweep-buffer targets."""
-    from repro.faults.plan import FaultPlan
-
     executor = executor_from_args(args)
-    common = dict(
-        weeks=args.weeks, warmup_weeks=args.warmup, n_flows=args.flows,
-        seed=args.seed, executor=executor,
-        fault_plan=FaultPlan.load(args.fault_plan) if args.fault_plan else None,
-        watchdog_max_events=args.watchdog_events,
-        watchdog_max_wall_s=args.watchdog_wall,
-    )
+    common = dict(executor=executor, **run_fields(args))
     if args.target == "sweep-buffer":
         buffer_kwargs = {}
         if args.buffer_total is not None:
@@ -710,8 +639,6 @@ def run_sweep(args) -> int:
             buffer_kwargs["policies"] = (args.buffer_policy,)
         if args.buffer_alpha is not None:
             buffer_kwargs["alpha"] = args.buffer_alpha
-        if args.audit is not None:
-            buffer_kwargs["audit"] = args.audit
         result = buffer_economics_sweep(**common, **buffer_kwargs)
     else:
         sweep = duty_ratio_sweep if args.target == "sweep-ratio" else day_length_sweep
@@ -720,7 +647,7 @@ def run_sweep(args) -> int:
     if args.csv:
         written = sweep_to_csv(result, args.csv)
         print("CSV written:\n  " + "\n  ".join(written))
-    print("\n".join(finish_campaign(executor)))
+    print("\n".join(result.reports + finish_campaign(executor)))
     # Failed points are rendered as FAILED cells above; a sweep with
     # any crashed run must not exit clean.
     return 0 if result.ok else 1

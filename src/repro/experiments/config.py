@@ -28,7 +28,7 @@ FIDELITY_MODES = ("packet", "tiered")
 from repro.faults.audit import AUDIT_MODES
 from repro.faults.plan import FaultPlan
 from repro.obs.telemetry import ObsConfig
-from repro.rdcn.config import NotifierConfig, RDCNConfig
+from repro.rdcn.config import RDCNConfig
 from repro.tcp.config import TCPConfig
 
 #: Named empirical CDFs the workload engine knows out of the box.
@@ -201,10 +201,6 @@ class ExperimentConfig:
     @property
     def duration_ns(self) -> int:
         return self.weeks * self.rdcn.week_ns
-
-    def with_unoptimized_notifier(self) -> "ExperimentConfig":
-        rdcn = replace(self.rdcn, notifier=NotifierConfig.unoptimized())
-        return replace(self, rdcn=rdcn)
 
     # ------------------------------------------------------------------
     # Canonical serialization (executor cache keys, spawn-safe workers)

@@ -1,9 +1,12 @@
 """Per-figure experiment definitions (§2.2 and §5).
 
-Each ``figN`` function runs the variants that appear in the paper's
-figure on the matching RDCN configuration and returns a
-:class:`FigureData` with the processed series (folded/tiled sequence
-curves, VOQ occupancy curves, CDFs) plus the analytic reference lines.
+Every paper figure is the same experiment — a variant line-up on one
+RDCN setting — so the figures are rows of :data:`FIGURES` and
+:func:`run_figure` is the one driver: it runs the row's variants and
+returns a :class:`FigureData` with the processed series (folded/tiled
+sequence curves, VOQ occupancy curves) plus the analytic reference
+lines. Run options are :class:`ExperimentConfig` fields, passed by
+keyword (see :func:`run_figure`).
 
 Scale note: the paper averages thousands of optical weeks of hardware
 time; these definitions default to tens of simulated weeks (``weeks``
@@ -13,6 +16,7 @@ and ``n_flows`` scale up freely).
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import partial
 from typing import Callable, Dict, Optional, Sequence, Tuple
 
 import numpy as np
@@ -20,8 +24,7 @@ import numpy as np
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.executor import ExperimentExecutor
 from repro.experiments.runner import ExperimentResult, RunFailure
-from repro.obs.telemetry import ObsConfig
-from repro.metrics.cdf import empirical_cdf
+from repro.experiments.sweeps import POLICY_TAGS
 from repro.metrics.seqgraph import (
     constant_rate_curve,
     fold_series_by_week,
@@ -54,9 +57,6 @@ class FigureData:
     optimal: Optional[Tuple[np.ndarray, np.ndarray]] = None
     packet_only: Optional[Tuple[np.ndarray, np.ndarray]] = None
     throughputs_gbps: Dict[str, float] = field(default_factory=dict)
-    # variant -> CDF pairs (values, probabilities) for Figure 10.
-    reordering_cdfs: Dict[str, Tuple[np.ndarray, np.ndarray]] = field(default_factory=dict)
-    retx_cdfs: Dict[str, Tuple[np.ndarray, np.ndarray]] = field(default_factory=dict)
     results: Dict[str, ExperimentResult] = field(default_factory=dict)
     # Partial-figure degradation: variants whose runs crashed end up
     # here (with their structured failures) instead of aborting the
@@ -66,10 +66,6 @@ class FigureData:
     @property
     def ok(self) -> bool:
         return not self.failures
-
-
-def _schedule_of(rdcn: RDCNConfig) -> TDNSchedule:
-    return TDNSchedule.uniform(rdcn.schedule_pattern, rdcn.day_ns, rdcn.night_ns)
 
 
 def _process_run(
@@ -95,83 +91,12 @@ def _process_run(
 
 
 def _reference_curves(data: FigureData, rdcn: RDCNConfig, weeks_plotted: int) -> None:
-    schedule = _schedule_of(rdcn)
+    schedule = TDNSchedule.uniform(rdcn.schedule_pattern, rdcn.day_ns, rdcn.night_ns)
     rates = [rdcn.tdn_rate_bps(t) for t in range(rdcn.n_tdns)]
     data.optimal = optimal_curve(schedule, rates, n_weeks=weeks_plotted)
     data.packet_only = constant_rate_curve(
         rdcn.packet_rate_bps, weeks_plotted * schedule.week_ns
     )
-
-
-def run_figure(
-    name: str,
-    rdcn: RDCNConfig,
-    variants: Sequence[str],
-    weeks: int = 40,
-    warmup_weeks: int = 12,
-    n_flows: int = 8,
-    weeks_plotted: int = 3,
-    seed: int = 1,
-    obs: Optional[ObsConfig] = None,
-    executor: Optional[ExperimentExecutor] = None,
-    jobs: int = 1,
-    cache_dir: Optional[str] = None,
-    use_cache: bool = True,
-    retries: int = 1,
-    rdcn_override: Optional[Callable[[RDCNConfig], RDCNConfig]] = None,
-    fidelity: str = "packet",
-) -> FigureData:
-    """Generic driver: run every variant on one RDCN configuration.
-
-    The variant runs are independent, so they execute as one
-    :class:`ExperimentExecutor` batch — pass ``executor`` (or
-    ``jobs``/``cache_dir``) to fan them out across processes and reuse
-    cached results; assembly is in variant order regardless of which
-    worker finishes first, so a parallel figure is value-identical to a
-    sequential one. A crashed variant no longer aborts the figure: it
-    lands in ``FigureData.failures`` while the others render.
-
-    When ``obs`` is set, each variant's run records telemetry under the
-    label ``{figure}_{variant}`` (artifact paths end up on the per-
-    variant :class:`ExperimentResult`).
-
-    ``rdcn_override`` (an ``RDCNConfig -> RDCNConfig`` transform) is
-    applied to the figure's canned setting before running — the CLI's
-    ``--buffer-policy``/``--buffer-total``/``--buffer-alpha`` flags ride
-    in this way without each figure knowing about them.
-
-    ``fidelity="tiered"`` runs every variant through the fluid fast
-    path (``repro.sim.fastpath``); variants or settings the fluid model
-    cannot represent fall back to packet fidelity per-run with a logged
-    reason (the decision lands on each result's ``fidelity_report``)."""
-    if rdcn_override is not None:
-        rdcn = rdcn_override(rdcn)
-    data = FigureData(name=name, rdcn=rdcn, weeks_plotted=weeks_plotted)
-    configs = [
-        ExperimentConfig(
-            variant=variant,
-            rdcn=rdcn,
-            n_flows=n_flows,
-            weeks=weeks,
-            warmup_weeks=warmup_weeks,
-            seed=seed,
-            fidelity=fidelity,
-            obs=obs.for_run(f"{name}_{variant}") if obs is not None else None,
-        )
-        for variant in variants
-    ]
-    if executor is None:
-        executor = ExperimentExecutor(
-            jobs=jobs, cache_dir=cache_dir, use_cache=use_cache, retries=retries
-        )
-    results = executor.run_batch(configs, labels=[f"{name}/{v}" for v in variants])
-    for variant, result in zip(variants, results):
-        if result.failure is not None:
-            data.failures[variant] = result.failure
-            continue
-        _process_run(data, variant, result, weeks_plotted)
-    _reference_curves(data, rdcn, weeks_plotted)
-    return data
 
 
 # ----------------------------------------------------------------------
@@ -213,143 +138,108 @@ def latency_only_rdcn(rate_gbps: float = 100.0) -> RDCNConfig:
 
 
 # ----------------------------------------------------------------------
-# Figures
+# The one driver
 # ----------------------------------------------------------------------
-def fig2(
-    weeks: int = 40, warmup_weeks: int = 12, n_flows: int = 8, seed: int = 1,
-    obs: Optional[ObsConfig] = None,
+def run_figure(
+    name: str,
+    rdcn: RDCNConfig,
+    variants: Sequence[str],
+    weeks_plotted: int = 3,
     executor: Optional[ExperimentExecutor] = None,
     rdcn_override: Optional[Callable[[RDCNConfig], RDCNConfig]] = None,
-    fidelity: str = "packet",
+    **run,
 ) -> FigureData:
-    """Figure 2: motivation sequence graph (CUBIC, MPTCP vs optimal and
-    packet-only) over three optical weeks."""
-    return run_figure(
-        "fig2", bw_latency_rdcn(), MOTIVATION_VARIANTS, weeks, warmup_weeks, n_flows,
-        seed=seed, obs=obs, executor=executor, rdcn_override=rdcn_override,
-        fidelity=fidelity,
-    )
+    """Run every variant on one RDCN configuration.
 
+    ``run`` is any :class:`ExperimentConfig` field (``weeks``, ``seed``,
+    ``fidelity``, ``audit``, ``fault_plan``, ...) over the figure-scale
+    defaults of 40 weeks, 12 of them warm-up, and 8 flows; a name that
+    is not a field raises ``TypeError``. There is no second list of run
+    options: what a figure run can be told is what the config can hold.
 
-def fig7(
-    weeks: int = 40, warmup_weeks: int = 12, n_flows: int = 8, seed: int = 1,
-    obs: Optional[ObsConfig] = None,
-    executor: Optional[ExperimentExecutor] = None,
-    rdcn_override: Optional[Callable[[RDCNConfig], RDCNConfig]] = None,
-    fidelity: str = "packet",
-) -> FigureData:
-    """Figure 7: all variants under bandwidth AND latency differences.
+    The variant runs are independent, so they execute as one
+    :class:`ExperimentExecutor` batch — pass ``executor`` to fan them
+    out across processes and reuse cached results; assembly is in
+    variant order regardless of which worker finishes first, so a
+    parallel figure is value-identical to a sequential one. A crashed
+    variant does not abort the figure: it lands in
+    ``FigureData.failures`` while the others render.
 
-    (a) is ``seq_curves``; (b) is ``voq_curves``.
-    """
-    return run_figure(
-        "fig7", bw_latency_rdcn(), FULL_VARIANTS, weeks, warmup_weeks, n_flows,
-        seed=seed, obs=obs, executor=executor, rdcn_override=rdcn_override,
-        fidelity=fidelity,
-    )
+    When ``obs`` is set, each variant's run records telemetry under the
+    label ``{figure}_{variant}`` (artifact paths end up on the per-
+    variant :class:`ExperimentResult`).
 
-
-def fig8(
-    weeks: int = 40, warmup_weeks: int = 12, n_flows: int = 8, seed: int = 1,
-    obs: Optional[ObsConfig] = None,
-    executor: Optional[ExperimentExecutor] = None,
-    rdcn_override: Optional[Callable[[RDCNConfig], RDCNConfig]] = None,
-    fidelity: str = "packet",
-) -> FigureData:
-    """Figure 8: bandwidth difference only."""
-    return run_figure(
-        "fig8", bw_only_rdcn(), FULL_VARIANTS, weeks, warmup_weeks, n_flows,
-        seed=seed, obs=obs, executor=executor, rdcn_override=rdcn_override,
-        fidelity=fidelity,
-    )
-
-
-def fig9(
-    weeks: int = 40, warmup_weeks: int = 12, n_flows: int = 8, seed: int = 1,
-    obs: Optional[ObsConfig] = None,
-    executor: Optional[ExperimentExecutor] = None,
-    rdcn_override: Optional[Callable[[RDCNConfig], RDCNConfig]] = None,
-    fidelity: str = "packet",
-) -> FigureData:
-    """Figure 9: latency difference only at 100 Gbps."""
-    return run_figure(
-        "fig9", latency_only_rdcn(100.0), FULL_VARIANTS, weeks, warmup_weeks, n_flows,
-        seed=seed, obs=obs, executor=executor, rdcn_override=rdcn_override,
-        fidelity=fidelity,
-    )
-
-
-def fig10(
-    weeks: int = 60, warmup_weeks: int = 12, n_flows: int = 8, seed: int = 1,
-    obs: Optional[ObsConfig] = None,
-    executor: Optional[ExperimentExecutor] = None,
-    rdcn_override: Optional[Callable[[RDCNConfig], RDCNConfig]] = None,
-    fidelity: str = "packet",
-) -> FigureData:
-    """Figure 10: CDFs of reordering events and retransmitted packets
-    per optical day for CUBIC, MPTCP, and TDTCP."""
-    data = run_figure(
-        "fig10", bw_latency_rdcn(), REORDERING_VARIANTS, weeks, warmup_weeks, n_flows,
-        seed=seed, obs=obs, executor=executor, rdcn_override=rdcn_override,
-        fidelity=fidelity,
-    )
-    for variant, result in data.results.items():
-        data.reordering_cdfs[variant] = empirical_cdf(result.reordering_per_day)
-        data.retx_cdfs[variant] = empirical_cdf(result.retx_marks_per_day)
+    ``rdcn_override`` (an ``RDCNConfig -> RDCNConfig`` transform) is
+    applied to the figure's canned setting before running — the CLI's
+    ``--buffer-policy``/``--buffer-total``/``--buffer-alpha`` flags ride
+    in this way without each figure knowing about them."""
+    if rdcn_override is not None:
+        rdcn = rdcn_override(rdcn)
+    run = {"weeks": 40, "warmup_weeks": 12, "n_flows": 8, **run}
+    obs = run.pop("obs", None)
+    configs = [
+        ExperimentConfig(
+            variant=variant,
+            rdcn=rdcn,
+            obs=obs.for_run(f"{name}_{variant}") if obs is not None else None,
+            **run,
+        )
+        for variant in variants
+    ]
+    if executor is None:
+        executor = ExperimentExecutor()
+    results = executor.run_batch(configs, labels=[f"{name}/{v}" for v in variants])
+    data = FigureData(name=name, rdcn=rdcn, weeks_plotted=weeks_plotted)
+    for variant, result in zip(variants, results):
+        if result.failure is not None:
+            data.failures[variant] = result.failure
+            continue
+        _process_run(data, variant, result, weeks_plotted)
+    _reference_curves(data, rdcn, weeks_plotted)
     return data
 
 
-def fig11(
-    weeks: int = 40, warmup_weeks: int = 12, n_flows: int = 8, seed: int = 1,
-    obs: Optional[ObsConfig] = None,
-    executor: Optional[ExperimentExecutor] = None,
-    rdcn_override: Optional[Callable[[RDCNConfig], RDCNConfig]] = None,
-    fidelity: str = "packet",
-) -> FigureData:
-    """Figure 11: TDTCP with and without the §5.4 notification
-    optimizations."""
-    return run_figure(
-        "fig11",
-        bw_latency_rdcn(),
-        ("tdtcp", "tdtcp-unopt"),
-        weeks,
-        warmup_weeks,
-        n_flows,
-        seed=seed,
-        obs=obs,
-        executor=executor,
-        rdcn_override=rdcn_override,
-        fidelity=fidelity,
-    )
+# ----------------------------------------------------------------------
+# Figures: name -> the driver bound to (RDCN setting, variants)
+# ----------------------------------------------------------------------
+def fig14(rate_gbps: float, **run) -> FigureData:
+    """Figure 14 (Appendix A.4): VOQ occupancy, latency-only RDCN at a
+    fixed rate (the paper shows 10 and 100 Gbps panels)."""
+    name = f"fig14-{int(rate_gbps)}g"
+    return run_figure(name, latency_only_rdcn(rate_gbps), FULL_VARIANTS, **run)
 
 
-def fig13(
-    weeks: int = 40, warmup_weeks: int = 12, n_flows: int = 8, seed: int = 1,
-    obs: Optional[ObsConfig] = None,
-    executor: Optional[ExperimentExecutor] = None,
-    rdcn_override: Optional[Callable[[RDCNConfig], RDCNConfig]] = None,
-    fidelity: str = "packet",
-) -> FigureData:
-    """Figure 13 (Appendix A.3): VOQ occupancy of CUBIC and MPTCP in the
-    Figure-2 configuration."""
-    return run_figure(
-        "fig13", bw_latency_rdcn(), MOTIVATION_VARIANTS, weeks, warmup_weeks, n_flows,
-        seed=seed, obs=obs, executor=executor, rdcn_override=rdcn_override,
-        fidelity=fidelity,
-    )
+FIGURES: Dict[str, Callable[..., FigureData]] = {
+    # Motivation sequence graph (CUBIC, MPTCP vs optimal and
+    # packet-only) over three optical weeks.
+    "fig2": partial(run_figure, "fig2", bw_latency_rdcn(), MOTIVATION_VARIANTS),
+    # All variants under bandwidth AND latency differences:
+    # (a) is ``seq_curves``; (b) is ``voq_curves``.
+    "fig7": partial(run_figure, "fig7", bw_latency_rdcn(), FULL_VARIANTS),
+    # Bandwidth difference only.
+    "fig8": partial(run_figure, "fig8", bw_only_rdcn(), FULL_VARIANTS),
+    # Latency difference only at 100 Gbps.
+    "fig9": partial(run_figure, "fig9", latency_only_rdcn(100.0), FULL_VARIANTS),
+    # Reordering events and retransmitted packets per optical day
+    # (``reordering_per_day`` / ``retx_marks_per_day`` on each result);
+    # per-day distributions want more days than a throughput average.
+    "fig10": partial(run_figure, "fig10", bw_latency_rdcn(), REORDERING_VARIANTS, weeks=60),
+    # TDTCP with and without the §5.4 notification optimizations.
+    "fig11": partial(run_figure, "fig11", bw_latency_rdcn(), ("tdtcp", "tdtcp-unopt")),
+    # Appendix A.3: VOQ occupancy of CUBIC and MPTCP in the Figure-2
+    # configuration.
+    "fig13": partial(run_figure, "fig13", bw_latency_rdcn(), MOTIVATION_VARIANTS),
+    "fig14-10g": partial(fig14, 10.0),
+    "fig14-100g": partial(fig14, 100.0),
+}
 
-
-def buffer_rdcn(total: int, policy: str, alpha: float = 1.0) -> RDCNConfig:
-    """The Figure-2 RDCN with ``total`` packets of ToR buffer under one
-    sharing policy (static carves it into the VOQ; pooled policies back
-    it with a shared pool of the same size)."""
-    return replace(
-        bw_latency_rdcn(),
-        voq_capacity=total,
-        buffer_policy=policy,
-        buffer_alpha=alpha,
-        buffer_total_capacity=None if policy == "static" else total,
-    )
+fig2 = FIGURES["fig2"]
+fig7 = FIGURES["fig7"]
+fig8 = FIGURES["fig8"]
+fig9 = FIGURES["fig9"]
+fig10 = FIGURES["fig10"]
+fig11 = FIGURES["fig11"]
+fig13 = FIGURES["fig13"]
 
 
 def fig_buffer(
@@ -357,11 +247,7 @@ def fig_buffer(
     policy: str,
     alpha: float = 1.0,
     variants: Sequence[str] = BUFFER_VARIANTS,
-    weeks: int = 40, warmup_weeks: int = 12, n_flows: int = 8, seed: int = 1,
-    obs: Optional[ObsConfig] = None,
-    executor: Optional[ExperimentExecutor] = None,
-    rdcn_override: Optional[Callable[[RDCNConfig], RDCNConfig]] = None,
-    fidelity: str = "packet",
+    **run,
 ) -> FigureData:
     """One buffer-economics panel: sequence/VOQ curves of the buffer
     variants with ``total`` packets of ToR memory under ``policy``.
@@ -371,20 +257,11 @@ def fig_buffer(
     ``experiments.sweeps.buffer_economics_sweep`` for the aggregate
     throughput surface.
     """
-    from repro.experiments.sweeps import POLICY_TAGS
-
     return run_figure(
         f"fig-buffer-{total}x{POLICY_TAGS[policy]}",
-        buffer_rdcn(total, policy, alpha),
+        bw_latency_rdcn().with_buffer(total, policy, alpha),
         variants,
-        weeks,
-        warmup_weeks,
-        n_flows,
-        seed=seed,
-        obs=obs,
-        executor=executor,
-        rdcn_override=rdcn_override,
-        fidelity=fidelity,
+        **run,
     )
 
 
@@ -393,45 +270,13 @@ def buffer_figure_family(
     policies: Sequence[str] = ("static", "complete-sharing", "dynamic-threshold"),
     alpha: float = 1.0,
     variants: Sequence[str] = BUFFER_VARIANTS,
-    weeks: int = 40, warmup_weeks: int = 12, n_flows: int = 8, seed: int = 1,
-    obs: Optional[ObsConfig] = None,
-    executor: Optional[ExperimentExecutor] = None,
-    rdcn_override: Optional[Callable[[RDCNConfig], RDCNConfig]] = None,
-    fidelity: str = "packet",
+    **run,
 ) -> Dict[str, FigureData]:
     """The buffer-economics figure family: a panel per (total buffer x
     sharing policy) point, keyed by the panel name."""
-    family: Dict[str, FigureData] = {}
-    for total in totals:
-        for policy in policies:
-            data = fig_buffer(
-                total, policy, alpha, variants, weeks, warmup_weeks, n_flows,
-                seed=seed, obs=obs, executor=executor, rdcn_override=rdcn_override,
-                fidelity=fidelity,
-            )
-            family[data.name] = data
-    return family
-
-
-def fig14(
-    rate_gbps: float, weeks: int = 40, warmup_weeks: int = 12, n_flows: int = 8, seed: int = 1,
-    obs: Optional[ObsConfig] = None,
-    executor: Optional[ExperimentExecutor] = None,
-    rdcn_override: Optional[Callable[[RDCNConfig], RDCNConfig]] = None,
-    fidelity: str = "packet",
-) -> FigureData:
-    """Figure 14 (Appendix A.4): VOQ occupancy, latency-only RDCN at a
-    fixed rate (the paper shows 10 and 100 Gbps panels)."""
-    return run_figure(
-        f"fig14-{int(rate_gbps)}g",
-        latency_only_rdcn(rate_gbps),
-        FULL_VARIANTS,
-        weeks,
-        warmup_weeks,
-        n_flows,
-        seed=seed,
-        obs=obs,
-        executor=executor,
-        rdcn_override=rdcn_override,
-        fidelity=fidelity,
-    )
+    panels = [
+        fig_buffer(total, policy, alpha, variants, **run)
+        for total in totals
+        for policy in policies
+    ]
+    return {data.name: data for data in panels}

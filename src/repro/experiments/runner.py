@@ -159,6 +159,25 @@ class ExperimentResult:
             self.aggregate_delivered - warm_bytes, self.duration_ns - warmup_ns
         )
 
+    def render_reports(self, prefix: str = "") -> List[str]:
+        """What the fault injector and the auditor did to this run, as
+        the lines every CLI trailer prints; empty when the run carried
+        neither report. ``prefix`` tags the headline of each block."""
+        lines: List[str] = []
+        report = self.fault_report
+        if report is not None:
+            lines.append(f"{prefix}fault plan: {report['plan']} ({report['specs']} specs, "
+                         f"{report['total_effects']} effects)")
+            lines += [f"  {kind}: {count}" for kind, count in sorted(report["effects"].items())]
+            lines += [f"  warning: {note}" for note in report["unmatched"]]
+        report = self.audit_report
+        if report is not None:
+            lines.append(f"{prefix}auditor [{report['mode']}]: {report['checks_run']} audits, "
+                         f"{report['violation_count']} violations")
+            lines += [f"  [{v['time_ns']} ns] {v['check']} @ {v['subject']}: {v['detail']}"
+                      for v in report["violations"][:10]]
+        return lines
+
     # ------------------------------------------------------------------
     # Canonical serialization (executor result cache, worker transport)
     # ------------------------------------------------------------------

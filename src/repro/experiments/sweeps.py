@@ -10,11 +10,16 @@ Two studies the paper explicitly defers:
   periods between TDN changes are 1-100x path RTT." —
   :func:`day_length_sweep` varies the day duration across that band.
 
-Every (setting, variant) point is an independent seeded run, so both
-sweeps execute as one :class:`ExperimentExecutor` batch — pass
+Every (setting, variant) point is an independent seeded run, so each
+sweep executes as one :class:`ExperimentExecutor` batch — pass
 ``executor`` to parallelize/cache them. A crashed run is recorded as a
 failed :class:`SweepPoint` (structured failure attached, **no**
 throughput number), never as a silent ~0 Gbps measurement.
+
+Beyond its own grid axes every sweep takes ``**run``: any
+:class:`ExperimentConfig` field, applied to every point over the
+sweep-scale defaults (24 weeks, 8 of them warm-up). A name that is not
+a field raises ``TypeError``.
 """
 
 from __future__ import annotations
@@ -24,8 +29,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.experiments.config import ExperimentConfig, WorkloadConfig
 from repro.experiments.executor import ExperimentExecutor
-from repro.experiments.runner import RunFailure
-from repro.faults.plan import FaultPlan
+from repro.experiments.runner import ExperimentResult, RunFailure
 from repro.net.queues import BUFFER_POLICIES
 from repro.rdcn.config import RDCNConfig
 from repro.units import usec
@@ -39,15 +43,33 @@ POLICY_TAGS = {
 
 
 @dataclass
+class _GridResult:
+    """What every sweep returns: its points in grid order, and the
+    fault-plan / auditor lines of the runs that carried a report."""
+
+    name: str
+    points: list = field(default_factory=list)
+    reports: List[str] = field(default_factory=list)
+
+    @property
+    def failures(self) -> list:
+        return [p for p in self.points if not p.ok]
+
+    @property
+    def ok(self) -> bool:
+        return not self.failures
+
+
+@dataclass
 class SweepPoint:
     """One (setting, variant) measurement. ``failure`` set means the
     run crashed: there is no throughput to report (NaN placeholder)."""
 
     label: str
     variant: str
-    throughput_gbps: float
-    retransmissions: int
-    rtos: int
+    throughput_gbps: float = float("nan")
+    retransmissions: int = 0
+    rtos: int = 0
     failure: Optional[RunFailure] = None
 
     @property
@@ -56,17 +78,8 @@ class SweepPoint:
 
 
 @dataclass
-class SweepResult:
-    name: str
-    points: List[SweepPoint] = field(default_factory=list)
-
-    @property
-    def failures(self) -> List[SweepPoint]:
-        return [p for p in self.points if not p.ok]
-
-    @property
-    def ok(self) -> bool:
-        return not self.failures
+class SweepResult(_GridResult):
+    """A setting x variant grid of bulk runs."""
 
     def by_label(self) -> Dict[str, Dict[str, float]]:
         """setting -> variant -> throughput; failed points are left out
@@ -97,64 +110,67 @@ class SweepResult:
         return "\n".join(lines)
 
 
+def _run_cells(
+    name: str,
+    cells: Sequence[Tuple[str, str]],
+    configs: List[ExperimentConfig],
+    executor: Optional[ExperimentExecutor],
+) -> Tuple[List[ExperimentResult], List[str]]:
+    """Run one config per (label, variant) cell as one executor batch:
+    the runs in cell order, and the report lines they carried."""
+    if executor is None:
+        executor = ExperimentExecutor()
+    runs = executor.run_batch(
+        configs, labels=[f"{name}/{label}/{variant}" for label, variant in cells]
+    )
+    reports = [
+        line
+        for (label, variant), run in zip(cells, runs)
+        for line in run.render_reports(f"[{label}/{variant}] ")
+    ]
+    return runs, reports
+
+
 def _run_sweep(
     name: str,
     grid: List[Tuple[str, str, RDCNConfig]],
-    weeks: int,
-    warmup_weeks: int,
-    n_flows: int,
-    seed: int,
     executor: Optional[ExperimentExecutor],
-    fault_plan: Optional[FaultPlan],
-    watchdog_max_events: Optional[int],
-    watchdog_max_wall_s: Optional[float],
-    audit: Optional[str] = None,
+    run: dict,
 ) -> SweepResult:
     """Run every (label, variant, rdcn) point as one executor batch and
-    assemble the result in grid order."""
+    assemble the result in grid order. ``run`` holds the
+    :class:`ExperimentConfig` fields every point gets."""
+    run = {"weeks": 24, "warmup_weeks": 8, "n_flows": 8, **run}
+    obs = run.pop("obs", None)
+    cells = [(label, variant) for label, variant, _rdcn in grid]
     configs = [
         ExperimentConfig(
             variant=variant,
             rdcn=rdcn,
-            n_flows=n_flows,
-            weeks=weeks,
-            warmup_weeks=warmup_weeks,
-            seed=seed,
-            fault_plan=fault_plan,
-            watchdog_max_events=watchdog_max_events,
-            watchdog_max_wall_s=watchdog_max_wall_s,
-            audit=audit,
+            # Labels name artifact files; "2:1" must not put a colon there.
+            obs=obs.for_run(f"{name}_{label}_{variant}".replace(":", "to"))
+            if obs is not None else None,
+            **run,
         )
-        for _label, variant, rdcn in grid
+        for label, variant, rdcn in grid
     ]
-    if executor is None:
-        executor = ExperimentExecutor()
-    runs = executor.run_batch(
-        configs, labels=[f"{name}/{label}/{variant}" for label, variant, _ in grid]
-    )
-    result = SweepResult(name=name)
-    for (label, variant, _rdcn), run in zip(grid, runs):
-        if not run.ok:
+    runs, reports = _run_cells(name, cells, configs, executor)
+    result = SweepResult(name=name, reports=reports)
+    for (label, variant), outcome in zip(cells, runs):
+        if not outcome.ok:
             # A crashed run must surface as a failure, never as a
             # zero-throughput measurement.
             result.points.append(
-                SweepPoint(
-                    label=label,
-                    variant=variant,
-                    throughput_gbps=float("nan"),
-                    retransmissions=0,
-                    rtos=0,
-                    failure=run.failure,
-                )
+                SweepPoint(label=label, variant=variant, failure=outcome.failure)
             )
             continue
         result.points.append(
             SweepPoint(
                 label=label,
                 variant=variant,
-                throughput_gbps=run.steady_state_throughput_gbps(),
-                retransmissions=run.retransmissions,
-                rtos=run.rtos,
+                throughput_gbps=outcome.steady_state_throughput_gbps(),
+                retransmissions=outcome.retransmissions,
+                rtos=outcome.rtos,
             )
         )
     return result
@@ -193,19 +209,8 @@ class LoadPoint:
 
 
 @dataclass
-class LoadSweepResult:
+class LoadSweepResult(_GridResult):
     """A load x variant grid of workload-engine runs."""
-
-    name: str
-    points: List[LoadPoint] = field(default_factory=list)
-
-    @property
-    def failures(self) -> List[LoadPoint]:
-        return [p for p in self.points if not p.ok]
-
-    @property
-    def ok(self) -> bool:
-        return not self.failures
 
     def render(self) -> str:
         variants = sorted({p.variant for p in self.points})
@@ -249,15 +254,8 @@ def load_sweep(
     hotspot_fraction: float = 0.5,
     record_cap: int = 0,
     max_flows: Optional[int] = None,
-    weeks: int = 24,
-    warmup_weeks: int = 8,
-    seed: int = 1,
     executor: Optional[ExperimentExecutor] = None,
-    fault_plan: Optional[FaultPlan] = None,
-    watchdog_max_events: Optional[int] = None,
-    watchdog_max_wall_s: Optional[float] = None,
-    obs=None,
-    fidelity: str = "packet",
+    **run,
 ) -> LoadSweepResult:
     """Offered load x variant grid through the workload engine.
 
@@ -267,24 +265,17 @@ def load_sweep(
     (``TCPConnection.release``: demux slot, timers, TDN listener) 1 ms
     after delivery, so memory and host time per flow stay flat however
     many flows a cell launches. Per-flow records stay off unless
-    ``record_cap`` asks for a reservoir. ``fidelity="tiered"`` runs
-    every cell through the fluid fast path (``repro.sim.fastpath``) —
-    cells whose variant or setting the fluid model cannot represent
-    fall back to packet fidelity per-run with a logged reason.
+    ``record_cap`` asks for a reservoir. Telemetry (``obs``) is recorded
+    per cell under the label ``load_{load}_{variant}``.
     """
+    run = {"weeks": 24, "warmup_weeks": 8, **run}
+    obs = run.pop("obs", None)
     grid = [(load, variant) for load in loads for variant in variants]
     configs = [
         ExperimentConfig(
             variant=variant,
-            weeks=weeks,
-            warmup_weeks=warmup_weeks,
-            seed=seed,
-            fault_plan=fault_plan,
-            watchdog_max_events=watchdog_max_events,
-            watchdog_max_wall_s=watchdog_max_wall_s,
             collect_voq=False,
             collect_sequence=False,
-            fidelity=fidelity,
             obs=obs.for_run(f"load_{load:.2f}_{variant}") if obs is not None else None,
             workload=WorkloadConfig(
                 kind="empirical",
@@ -296,23 +287,22 @@ def load_sweep(
                 record_cap=record_cap,
                 max_flows=max_flows,
             ),
+            **run,
         )
         for load, variant in grid
     ]
-    if executor is None:
-        executor = ExperimentExecutor()
-    runs = executor.run_batch(
-        configs,
-        labels=[f"load-sweep/{load:.2f}/{variant}" for load, variant in grid],
+    runs, reports = _run_cells(
+        "load-sweep", [(f"{load:.2f}", variant) for load, variant in grid],
+        configs, executor,
     )
-    result = LoadSweepResult(name="load-sweep")
-    for (load, variant), run in zip(grid, runs):
-        if not run.ok:
+    result = LoadSweepResult(name="load-sweep", reports=reports)
+    for (load, variant), outcome in zip(grid, runs):
+        if not outcome.ok:
             result.points.append(
-                LoadPoint(load=load, variant=variant, failure=run.failure)
+                LoadPoint(load=load, variant=variant, failure=outcome.failure)
             )
             continue
-        summary = run.workload_summary or {}
+        summary = outcome.workload_summary or {}
         result.points.append(
             LoadPoint(
                 load=load,
@@ -320,11 +310,11 @@ def load_sweep(
                 achieved_load=summary.get("achieved_load", float("nan")),
                 started=summary.get("started", 0),
                 completed=summary.get("completed", 0),
-                truncated=run.truncated_flows,
+                truncated=outcome.truncated_flows,
                 completion_rate=summary.get("completion_rate", 0.0),
                 sketches={
                     name: state
-                    for name, state in run.sketches.items()
+                    for name, state in outcome.sketches.items()
                     if name.startswith(("fct_", "slowdown"))
                 },
                 summary=summary,
@@ -336,14 +326,8 @@ def load_sweep(
 def duty_ratio_sweep(
     packet_days: Sequence[int] = (2, 6, 13),
     variants: Sequence[str] = ("cubic", "tdtcp"),
-    weeks: int = 24,
-    warmup_weeks: int = 8,
-    n_flows: int = 8,
-    seed: int = 1,
     executor: Optional[ExperimentExecutor] = None,
-    fault_plan: Optional[FaultPlan] = None,
-    watchdog_max_events: Optional[int] = None,
-    watchdog_max_wall_s: Optional[float] = None,
+    **run,
 ) -> SweepResult:
     """Vary the packet:optical ratio (the paper's future work).
 
@@ -357,23 +341,14 @@ def duty_ratio_sweep(
         rdcn = replace(base, schedule_pattern=pattern)
         for variant in variants:
             grid.append((f"{n_packet}:1", variant, rdcn))
-    return _run_sweep(
-        "duty-ratio-sweep", grid, weeks, warmup_weeks, n_flows, seed,
-        executor, fault_plan, watchdog_max_events, watchdog_max_wall_s,
-    )
+    return _run_sweep("duty-ratio-sweep", grid, executor, run)
 
 
 def day_length_sweep(
     day_us_values: Sequence[int] = (60, 180, 1000),
     variants: Sequence[str] = ("cubic", "tdtcp"),
-    weeks: int = 24,
-    warmup_weeks: int = 8,
-    n_flows: int = 8,
-    seed: int = 1,
     executor: Optional[ExperimentExecutor] = None,
-    fault_plan: Optional[FaultPlan] = None,
-    watchdog_max_events: Optional[int] = None,
-    watchdog_max_wall_s: Optional[float] = None,
+    **run,
 ) -> SweepResult:
     """Vary the day duration across the §3.5 operating band.
 
@@ -386,10 +361,7 @@ def day_length_sweep(
         rdcn = replace(base, day_ns=usec(day_us))
         for variant in variants:
             grid.append((f"{day_us}us", variant, rdcn))
-    return _run_sweep(
-        "day-length-sweep", grid, weeks, warmup_weeks, n_flows, seed,
-        executor, fault_plan, watchdog_max_events, watchdog_max_wall_s,
-    )
+    return _run_sweep("day-length-sweep", grid, executor, run)
 
 
 def buffer_economics_sweep(
@@ -397,29 +369,23 @@ def buffer_economics_sweep(
     policies: Sequence[str] = BUFFER_POLICIES,
     variants: Sequence[str] = ("cubic", "dctcp", "tdtcp"),
     alpha: float = 1.0,
-    weeks: int = 24,
-    warmup_weeks: int = 8,
-    n_flows: int = 8,
-    seed: int = 1,
     executor: Optional[ExperimentExecutor] = None,
-    fault_plan: Optional[FaultPlan] = None,
-    watchdog_max_events: Optional[int] = None,
-    watchdog_max_wall_s: Optional[float] = None,
-    audit: Optional[str] = "fail",
+    **run,
 ) -> SweepResult:
     """Buffer economics: total ToR buffer x sharing policy x variant.
 
     Each setting gives every ToR the same total memory (``totals``
-    packets per ToR) and varies only how the VOQs may claim it:
-    ``static`` carves it per VOQ (today's behavior), ``complete-sharing``
-    lets any VOQ consume the whole pool, ``dynamic-threshold`` admits
-    while a VOQ stays below ``alpha x free_pool`` (Choudhury-Hahne).
-    Labels are ``{total}x{tag}`` (e.g. ``96xdyn``).
+    packets per ToR) and varies only how the VOQs may claim it
+    (:meth:`RDCNConfig.with_buffer`): ``static`` carves it per VOQ,
+    ``complete-sharing`` lets any VOQ consume the whole pool,
+    ``dynamic-threshold`` admits while a VOQ stays below
+    ``alpha x free_pool`` (Choudhury-Hahne). Labels are ``{total}x{tag}``
+    (e.g. ``96xdyn``).
 
-    Pool conservation is audited on every point (``audit="fail"`` by
-    default): a pooled run whose used-cell counter drifts from the sum
-    of member queue lengths surfaces as a FAILED point, never as a
-    throughput number.
+    Unlike the other sweeps this one audits every point in fail mode
+    unless told otherwise: a pooled run whose used-cell counter drifts
+    from the sum of member queue lengths surfaces as a FAILED point,
+    never as a throughput number.
     """
     for policy in policies:
         if policy not in BUFFER_POLICIES:
@@ -430,21 +396,8 @@ def buffer_economics_sweep(
     grid: List[Tuple[str, str, RDCNConfig]] = []
     for total in totals:
         for policy in policies:
-            # Same per-ToR memory under every policy: static carves the
-            # total into the (single cross-rack) VOQ; pooled policies
-            # back it with a shared pool of the same size.
-            rdcn = replace(
-                base,
-                voq_capacity=total,
-                buffer_policy=policy,
-                buffer_alpha=alpha,
-                buffer_total_capacity=None if policy == "static" else total,
-            )
+            rdcn = base.with_buffer(total, policy, alpha)
             label = f"{total}x{POLICY_TAGS[policy]}"
             for variant in variants:
                 grid.append((label, variant, rdcn))
-    return _run_sweep(
-        "buffer-economics-sweep", grid, weeks, warmup_weeks, n_flows, seed,
-        executor, fault_plan, watchdog_max_events, watchdog_max_wall_s,
-        audit=audit,
-    )
+    return _run_sweep("buffer-economics-sweep", grid, executor, {"audit": "fail", **run})

@@ -8,7 +8,7 @@ notifier for tdtcp-unopt) and how to wire one cross-rack flow.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Dict, Optional, Tuple, Type
 
 from repro.core.tdtcp import TDTCPConnection
 from repro.mptcp.connection import create_mptcp_pair
@@ -21,34 +21,55 @@ from repro.tcp.sockets import create_connection_pair
 
 @dataclass
 class VariantSpec:
-    """One evaluated TCP variant."""
+    """One evaluated TCP variant.
+
+    ``connection_cls`` / ``cc_name`` / :meth:`conn_kwargs` are the one
+    description of how the variant opens a connection: ``make_flow``
+    (bulk flows) and ``engine_flow_opener`` (the workload engine) both
+    read them. ``connection_cls=None`` marks a variant that does not
+    open one plain connection per flow (MPTCP's subflow bundles).
+    """
 
     name: str
     description: str
     needs_ecn: bool = False
     unoptimized_notifier: bool = False
+    connection_cls: Optional[Type[TCPConnection]] = TCPConnection
+    cc_name: str = "cubic"
 
     def prepare(self, testbed: TwoRackTestbed, exp_config) -> dict:
         """Per-run context (e.g. the retcpdyn controller)."""
         return {}
 
+    def conn_kwargs(self, testbed: TwoRackTestbed, exp_config) -> dict:
+        """Constructor arguments beyond the common ones."""
+        return {}
+
     def make_flow(self, testbed: TwoRackTestbed, src, dst, index: int, exp_config, context: dict):
         """Returns (sender_endpoint, receiver_endpoint)."""
-        raise NotImplementedError
+        client, server = create_connection_pair(
+            testbed.sim,
+            src,
+            dst,
+            cc_name=self.cc_name,
+            config=exp_config.tcp,
+            connection_cls=self.connection_cls,
+            **self.conn_kwargs(testbed, exp_config),
+        )
+        controller: Optional[DynamicBufferController] = context.get("controller")
+        if controller is not None:
+            controller.register(client)
+            controller.register(server)
+        return client, server
 
 
 class SinglePathVariant(VariantSpec):
-    """cubic / dctcp: stock single-path TCP."""
+    """cubic / dctcp / reno: stock single-path TCP under ``cc_name``."""
 
     def __init__(self, name: str, cc_name: str, description: str, needs_ecn: bool = False):
-        super().__init__(name=name, description=description, needs_ecn=needs_ecn)
-        self.cc_name = cc_name
-
-    def make_flow(self, testbed, src, dst, index, exp_config, context):
-        client, server = create_connection_pair(
-            testbed.sim, src, dst, cc_name=self.cc_name, config=exp_config.tcp
+        super().__init__(
+            name=name, description=description, needs_ecn=needs_ecn, cc_name=cc_name
         )
-        return client, server
 
 
 class MPTCPVariant(VariantSpec):
@@ -58,18 +79,18 @@ class MPTCPVariant(VariantSpec):
         super().__init__(
             name="mptcp",
             description="MPTCP, 2 subflows pinned per network, tdm_schd scheduler",
+            connection_cls=None,
         )
 
     def make_flow(self, testbed, src, dst, index, exp_config, context):
-        client, server = create_mptcp_pair(
+        return create_mptcp_pair(
             testbed.sim,
             src,
             dst,
-            cc_name="cubic",
+            cc_name=self.cc_name,
             config=exp_config.tcp,
             n_subflows=min(2, testbed.config.n_tdns),
         )
-        return client, server
 
 
 class ReTCPVariant(VariantSpec):
@@ -82,7 +103,7 @@ class ReTCPVariant(VariantSpec):
             if dynamic_buffers
             else "reTCP reacting to in-band circuit marks only"
         )
-        super().__init__(name=name, description=description)
+        super().__init__(name=name, description=description, connection_cls=ReTCPConnection)
 
     def prepare(self, testbed, exp_config) -> dict:
         if not self.dynamic_buffers:
@@ -98,21 +119,8 @@ class ReTCPVariant(VariantSpec):
         )
         return {"controller": controller}
 
-    def make_flow(self, testbed, src, dst, index, exp_config, context):
-        client, server = create_connection_pair(
-            testbed.sim,
-            src,
-            dst,
-            cc_name="cubic",
-            config=exp_config.tcp,
-            connection_cls=ReTCPConnection,
-            alpha=exp_config.retcp_alpha,
-        )
-        controller: Optional[DynamicBufferController] = context.get("controller")
-        if controller is not None:
-            controller.register(client)
-            controller.register(server)
-        return client, server
+    def conn_kwargs(self, testbed, exp_config) -> dict:
+        return {"alpha": exp_config.retcp_alpha}
 
 
 class TDTCPVariant(VariantSpec):
@@ -126,19 +134,11 @@ class TDTCPVariant(VariantSpec):
             name=name,
             description=description,
             unoptimized_notifier=unoptimized_notifier,
+            connection_cls=TDTCPConnection,
         )
 
-    def make_flow(self, testbed, src, dst, index, exp_config, context):
-        client, server = create_connection_pair(
-            testbed.sim,
-            src,
-            dst,
-            cc_name="cubic",
-            config=exp_config.tcp,
-            connection_cls=TDTCPConnection,
-            tdn_count=testbed.config.n_tdns,
-        )
-        return client, server
+    def conn_kwargs(self, testbed, exp_config) -> dict:
+        return {"tdn_count": testbed.config.n_tdns}
 
 
 VARIANTS: Dict[str, VariantSpec] = {
@@ -163,10 +163,13 @@ def get_variant(name: str) -> VariantSpec:
         raise KeyError(f"unknown variant {name!r}; known: {sorted(VARIANTS)}") from None
 
 
-#: Variants the workload engine can drive: everything that opens one
-#: plain connection per flow. MPTCP's subflow bundles don't fit the
-#: engine's open/write/close churn discipline.
-ENGINE_VARIANTS = ("cubic", "dctcp", "reno", "retcp", "retcpdyn", "tdtcp", "tdtcp-unopt")
+def engine_variants() -> Tuple[str, ...]:
+    """Variants the workload engine can drive: every registered spec
+    that opens one plain connection per flow. MPTCP's subflow bundles
+    don't fit the engine's open/write/close churn discipline."""
+    return tuple(
+        name for name, spec in VARIANTS.items() if spec.connection_cls is not None
+    )
 
 
 def engine_flow_opener(name: str, testbed: TwoRackTestbed, exp_config):
@@ -177,14 +180,10 @@ def engine_flow_opener(name: str, testbed: TwoRackTestbed, exp_config):
     but short flows are not registered for the advance cwnd ramp — they
     rarely outlive a single day, so the ramp has nothing to act on.
     """
-    if name not in ENGINE_VARIANTS:
+    spec = get_variant(name)
+    if spec.connection_cls is None:
         raise ValueError(
             f"variant {name!r} is not supported by the workload engine; "
-            f"supported: {ENGINE_VARIANTS}"
+            f"supported: {engine_variants()}"
         )
-    spec = get_variant(name)
-    if isinstance(spec, SinglePathVariant):
-        return TCPConnection, spec.cc_name, {}
-    if isinstance(spec, ReTCPVariant):
-        return ReTCPConnection, "cubic", {"alpha": exp_config.retcp_alpha}
-    return TDTCPConnection, "cubic", {"tdn_count": testbed.config.n_tdns}
+    return spec.connection_cls, spec.cc_name, spec.conn_kwargs(testbed, exp_config)

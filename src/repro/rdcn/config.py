@@ -8,7 +8,7 @@ schedule, 16-packet VOQs, and jumbo frames.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 from typing import Optional, Tuple
 
 from repro.net.queues import BUFFER_POLICIES
@@ -161,6 +161,26 @@ class RDCNConfig:
             raise ValueError("buffer_alpha must be positive")
         if self.buffer_total_capacity is not None and self.buffer_total_capacity <= 0:
             raise ValueError("buffer_total_capacity must be positive")
+
+    def with_buffer(
+        self,
+        total: Optional[int] = None,
+        policy: Optional[str] = None,
+        alpha: Optional[float] = None,
+    ) -> "RDCNConfig":
+        """This setting with ``total`` packets of ToR buffer under one
+        sharing ``policy``; ``None`` keeps the current value. Every
+        policy gets the same per-ToR memory: static carves ``total``
+        into the VOQ, pooled policies also back it with a shared pool
+        of the same size."""
+        policy = policy or self.buffer_policy
+        changes = {"buffer_policy": policy}
+        if total is not None:
+            changes["voq_capacity"] = total
+            changes["buffer_total_capacity"] = None if policy == "static" else total
+        if alpha is not None:
+            changes["buffer_alpha"] = alpha
+        return replace(self, **changes)
 
     def tor_buffer_total(self, n_voqs: int) -> int:
         """The shared pool size one ToR gets for ``n_voqs`` VOQs."""

@@ -9,7 +9,6 @@ from repro.sim.events import Channel, Event, EventQueue
 from repro.sim.simulator import Simulator
 from repro.sim.timers import Timer
 from repro.sim.rng import SeededRandom
-from repro.sim.trace import TraceSink, NullTraceSink, ListTraceSink
 
 __all__ = [
     "Channel",
@@ -18,7 +17,4 @@ __all__ = [
     "Simulator",
     "Timer",
     "SeededRandom",
-    "TraceSink",
-    "NullTraceSink",
-    "ListTraceSink",
 ]

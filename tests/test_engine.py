@@ -28,6 +28,7 @@ from repro.experiments.config import (
 from repro.experiments.executor import ExperimentExecutor
 from repro.experiments.runner import ExperimentResult, run_experiment
 from repro.experiments.sweeps import load_sweep
+from repro.experiments.variants import VARIANTS, SinglePathVariant, engine_variants
 from repro.obs.campaign import CampaignLog, campaign_summary
 from repro.rdcn.opera import OperaConfig
 from repro.sim.rng import SeededRandom
@@ -434,3 +435,18 @@ class TestLoadSweep:
         assert point.failure is not None
         assert point.summary is None
         assert "FAILED" in result.render()
+
+    def test_a_registered_single_path_variant_is_an_engine_variant(self, monkeypatch):
+        # The engine's variants are derived from the registry: whatever
+        # opens one plain connection per flow (docs/usage.md's recipe).
+        monkeypatch.setitem(
+            VARIANTS, "aiad", SinglePathVariant("aiad", "reno", "custom single-path"))
+        assert engine_variants() == (
+            "cubic", "dctcp", "reno", "retcp", "retcpdyn", "tdtcp", "tdtcp-unopt", "aiad")
+        result = load_sweep(
+            loads=(0.2,), variants=("aiad",),
+            cdf="custom", custom_cdf=FIXED_10KB,
+            weeks=4, warmup_weeks=0, seed=5, max_flows=3,
+        )
+        assert result.ok
+        assert result.points[0].started == 3

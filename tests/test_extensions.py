@@ -7,7 +7,10 @@ from hypothesis import strategies as st
 
 from repro.apps.background import BackgroundTraffic
 from repro.core.tdtcp import TDTCPConnection
+from repro.experiments import cli, figures, runner
 from repro.experiments.cli import main as cli_main
+from repro.experiments.executor import ExperimentExecutor
+from repro.experiments.runner import ExperimentResult
 from repro.experiments.sweeps import day_length_sweep, duty_ratio_sweep
 from repro.rdcn.rotor import (
     matching_index_for_pair,
@@ -243,6 +246,15 @@ class TestSweeps:
         assert len(result.points) == 1
         assert result.points[0].throughput_gbps > 0
 
+    def test_run_options_reach_sweep_points_and_their_reports_come_back(self):
+        result = day_length_sweep(
+            day_us_values=(180,), variants=("tdtcp",),
+            weeks=4, warmup_weeks=1, n_flows=2, audit="warn",
+        )
+        assert result.ok
+        assert len(result.reports) == 1
+        assert result.reports[0].startswith("[180us/tdtcp] auditor [warn]: ")
+
 
 class TestCLI:
     def test_list(self, capsys):
@@ -262,3 +274,104 @@ class TestCLI:
         out = capsys.readouterr().out
         assert "steady-state throughput" in out
         assert list(tmp_path.glob("fig2_*.csv"))
+
+    def test_figure_trailer_reports_the_fault_plan_and_the_auditor(self, capsys, tmp_path):
+        code = cli_main([
+            "fig2", "--weeks", "6", "--warmup", "2", "--flows", "2",
+            "--audit", "fail", "--bundle-dir", str(tmp_path),
+            "--fault-plan", "examples/fault_plans/lossy_fabric.json",
+        ])
+        assert code == 0
+        out = capsys.readouterr().out
+        for variant in ("cubic", "mptcp"):
+            assert f"[fig2/{variant}] fault plan: lossy-fabric (4 specs, " in out
+            assert f"[fig2/{variant}] auditor [fail]: " in out
+
+
+# ----------------------------------------------------------------------
+# A run option has one road to a run: flag x target matrix
+# ----------------------------------------------------------------------
+#: Every target that builds runs (``list`` builds none).
+RUN_TARGETS = [name for name in cli.TARGETS if name != "list"]
+
+#: One non-default value per run-level flag, and where it must land on
+#: every config the target builds.
+RUN_FLAGS = {
+    "--weeks": (["7"], lambda c: c.weeks == 7),
+    "--warmup": (["3"], lambda c: c.warmup_weeks == 3),
+    "--flows": (["5"], lambda c: c.n_flows == 5),
+    # The executor gauntlet runs three consecutive seeds.
+    "--seed": (["11"], lambda c: c.seed in (11, 12, 13)),
+    "--fidelity": (["tiered"], lambda c: c.fidelity == "tiered"),
+    "--trace-out": (["OBS"], lambda c: c.obs is not None and c.obs.trace_dir == "OBS"),
+    "--metrics-out": (["OBS"], lambda c: c.obs is not None and c.obs.metrics_dir == "OBS"),
+    "--profile": ([], lambda c: c.obs is not None and c.obs.profile),
+    "--fault-plan": (
+        ["examples/fault_plans/lossy_fabric.json"],
+        lambda c: c.fault_plan is not None and c.fault_plan.name == "lossy-fabric",
+    ),
+    "--audit": (["warn"], lambda c: c.audit == "warn"),
+    "--watchdog-events": (["12345"], lambda c: c.watchdog_max_events == 12345),
+    "--watchdog-wall": (["6.5"], lambda c: c.watchdog_max_wall_s == 6.5),
+    "--bundle-dir": (["BUNDLES"], lambda c: c.bundle_dir == "BUNDLES"),
+}
+
+@pytest.fixture(scope="module")
+def configs_reaching_a_run(tmp_path_factory):
+    """``target -> configs`` a CLI invocation carrying every run flag
+    hands to the executor / runner, without simulating anything."""
+    recorded = {}
+    tmp = tmp_path_factory.mktemp("run_flags")
+    trace = tmp / "flows.csv"
+    trace.write_text("start_ns,src,dst,size_bytes\n0,r0h0,r1h0,3000\n")
+
+    def record(target):
+        if target in recorded:
+            return recorded[target]
+        configs = recorded[target] = []
+
+        def empty_result(config):
+            configs.append(config)
+            return ExperimentResult(config=config, duration_ns=config.duration_ns)
+
+        argv = [target, "--trace", str(trace), "--chaos-dir", str(tmp / "chaos")]
+        for flag, (value, _check) in RUN_FLAGS.items():
+            argv += [flag, *value]
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(
+                ExperimentExecutor, "run_batch",
+                lambda self, batch, labels=None: [empty_result(c) for c in batch],
+            )
+            patch.setattr(runner, "run_experiment", empty_result)
+            patch.setattr(cli, "run_experiment", empty_result, raising=False)
+            cli.main(argv)
+        return configs
+
+    return record
+
+
+class TestRunFlagsReachEveryTarget:
+    @pytest.mark.parametrize("flag", RUN_FLAGS)
+    @pytest.mark.parametrize("target", RUN_TARGETS)
+    def test_flag_lands_on_every_config(self, configs_reaching_a_run, target, flag):
+        configs = configs_reaching_a_run(target)
+        assert configs, f"{target} built no run"
+        _value, check = RUN_FLAGS[flag]
+        dropped = [c.variant for c in configs if not check(c)]
+        assert not dropped, f"{target} dropped {flag} on {dropped}"
+
+    def test_telemetry_labels_name_the_run(self, configs_reaching_a_run):
+        assert [c.obs.label for c in configs_reaching_a_run("fig2")] == [
+            "fig2_cubic", "fig2_mptcp"]
+        assert [c.obs.label for c in configs_reaching_a_run("sweep-load")] == [
+            f"load_{load}_{variant}"
+            for load in ("0.20", "0.40", "0.60") for variant in ("cubic", "tdtcp")]
+
+    def test_cli_figures_are_the_figures_table(self):
+        assert cli.FIGURES is figures.FIGURES
+
+    def test_a_misspelt_run_option_is_an_error(self):
+        with pytest.raises(TypeError):
+            figures.fig2(wekks=3)
+        with pytest.raises(TypeError):
+            duty_ratio_sweep(wekks=3)

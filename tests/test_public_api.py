@@ -13,7 +13,6 @@ MODULES = [
     "repro.sim.simulator",
     "repro.sim.timers",
     "repro.sim.rng",
-    "repro.sim.trace",
     "repro.net",
     "repro.net.addressing",
     "repro.net.packet",

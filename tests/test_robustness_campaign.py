@@ -108,23 +108,6 @@ def spy_executions(monkeypatch):
 # ----------------------------------------------------------------------
 # Checkpoint serialization (property-based)
 # ----------------------------------------------------------------------
-run_checkpoints = st.builds(
-    RunCheckpoint,
-    label=st.text(min_size=1, max_size=30),
-    index=st.integers(min_value=0, max_value=10_000),
-    state=st.sampled_from(TERMINAL_STATES),
-    attempts=st.integers(min_value=0, max_value=9),
-    retries=st.integers(min_value=0, max_value=9),
-    cache_key=st.none() | st.text(alphabet="0123456789abcdef", min_size=8, max_size=64),
-    cache_hit=st.booleans(),
-    cache_miss=st.booleans(),
-    executed=st.booleans(),
-    outcome=st.none() | st.just("ok"),
-    error_type=st.none() | st.sampled_from(["Boom", "OSError", "WatchdogExceeded"]),
-    error_message=st.none() | st.text(max_size=80),
-)
-
-
 #: One run's lifecycle plan: (how it ends, retries before that, heartbeats
 #: per attempt). ``in_flight``/``retrying``/``queued`` never end — the
 #: state a kill leaves behind.
@@ -170,23 +153,6 @@ def lifecycle_records(index: int, plan) -> list:
 
 
 class TestCheckpointRoundTrip:
-    @settings(max_examples=200, deadline=None)
-    @given(run=run_checkpoints)
-    def test_run_checkpoint_json_round_trip(self, run):
-        decoded = RunCheckpoint.from_dict(json.loads(json.dumps(run.to_dict())))
-        assert decoded == run
-
-    @settings(max_examples=50, deadline=None)
-    @given(runs=st.lists(run_checkpoints, max_size=8), total=st.integers(0, 1000))
-    def test_campaign_checkpoint_json_round_trip(self, runs, total):
-        checkpoint = CampaignCheckpoint(total=total)
-        for run in runs:
-            checkpoint.record(run)
-        decoded = CampaignCheckpoint.from_dict(
-            json.loads(json.dumps(checkpoint.to_dict()))
-        )
-        assert decoded == checkpoint
-
     def test_rejects_unknown_state(self):
         with pytest.raises(ValueError):
             RunCheckpoint(label="a", index=0, state="running")

@@ -405,6 +405,20 @@ class TestConfigPlumbing:
         assert cfg.tor_buffer_total(n_voqs=3) == 3 * cfg.voq_capacity
         assert pooled_rdcn(total=80).tor_buffer_total(n_voqs=3) == 80
 
+    def test_with_buffer_gives_every_policy_the_same_memory(self):
+        base = RDCNConfig()
+        static = base.with_buffer(64, "static", 0.5)
+        assert (static.voq_capacity, static.buffer_total_capacity) == (64, None)
+        assert (static.buffer_policy, static.buffer_alpha) == ("static", 0.5)
+        pooled = base.with_buffer(64, "dynamic-threshold")
+        assert (pooled.voq_capacity, pooled.buffer_total_capacity) == (64, 64)
+        assert pooled.buffer_alpha == base.buffer_alpha
+        # None keeps the current value: a partial override (the CLI's
+        # --buffer-total alone) resizes under the policy already set.
+        assert pooled.with_buffer(total=32).buffer_total_capacity == 32
+        assert pooled.with_buffer(alpha=2.0).voq_capacity == 64
+        assert base.with_buffer() == base
+
     def test_opera_rotor_ceiling(self):
         OperaConfig(n_racks=64)  # rotor TDN = slot index, ceiling 65
         with pytest.raises(ValueError, match="protocol ceiling"):

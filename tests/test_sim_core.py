@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.sim import ListTraceSink, NullTraceSink, SeededRandom, Simulator, Timer
+from repro.sim import SeededRandom, Simulator, Timer
 from repro.sim.events import EventQueue
 
 
@@ -506,20 +506,3 @@ class TestSeededRandom:
         for _ in range(50):
             assert 0 <= rng.jitter_ns(100) <= 100
         assert rng.jitter_ns(0) == 0
-
-
-class TestTraceSinks:
-    def test_list_sink_records_per_key(self):
-        sink = ListTraceSink()
-        sink.record(1, "a", 10)
-        sink.record(2, "a", 20)
-        sink.record(1, "b", 5)
-        assert sink.series("a") == [(1, 10), (2, 20)]
-        assert sink.series("b") == [(1, 5)]
-        assert sink.series("missing") == []
-        assert sink.keys() == ["a", "b"]
-
-    def test_null_sink_discards(self):
-        sink = NullTraceSink()
-        sink.record(1, "a", 10)  # must not raise
-        assert sink.enabled is False

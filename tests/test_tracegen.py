@@ -84,11 +84,6 @@ class TestClosedFormMean:
         b.sample()
         assert a.mean() == b.mean()
 
-    def test_mean_estimate_is_deprecated_alias(self):
-        sampler = EmpiricalFlowSizes(DATA_MINING_CDF, SeededRandom(7))
-        with pytest.deprecated_call():
-            assert sampler.mean_estimate(samples=500) == sampler.mean()
-
 
 class TestEmpiricalWorkload:
     def test_flows_sample_varied_sizes(self):
