@@ -17,7 +17,6 @@ from repro.apps.shortflows import ShortFlowGenerator, ShortFlowStats
 from repro.apps.tracegen import (
     DATA_MINING_CDF,
     EmpiricalFlowSizes,
-    EmpiricalWorkload,
     WEB_SEARCH_CDF,
 )
 
@@ -33,7 +32,6 @@ __all__ = [
     "ShortFlowGenerator",
     "ShortFlowStats",
     "EmpiricalFlowSizes",
-    "EmpiricalWorkload",
     "WEB_SEARCH_CDF",
     "DATA_MINING_CDF",
     "WorkloadEngine",

@@ -29,7 +29,6 @@ from typing import Dict, List, Optional, Sequence, Tuple, Type
 
 from repro.apps.shortflows import ShortFlowRecord
 from repro.apps.tracegen import EmpiricalFlowSizes
-from repro.net.addressing import host_address
 from repro.obs.sketch import QuantileSketch
 from repro.obs.telemetry import Telemetry
 from repro.sim.rng import SeededRandom
@@ -590,11 +589,3 @@ class WorkloadEngine:
             self.fastpath.unregister_flow(client)
         client.release()
         server.release()
-
-
-def permutation_pairs_example(n_racks: int) -> List[Tuple[str, str]]:
-    """Address-level view of the permutation matrix (docs/tests)."""
-    return [
-        (host_address(i, 0), host_address((i + 1) % n_racks, 0))
-        for i in range(n_racks)
-    ]

@@ -4,8 +4,8 @@ Data center studies (DCTCP, and most RDCN papers since) describe
 traffic with two canonical flow-size distributions measured in
 production — *web search* (Alizadeh et al. 2010) and *data mining*
 (Greenberg et al. 2009). This module provides both as inverse-CDF
-samplers plus a Poisson-arrival generator that drives the short-flow
-machinery at a target offered load, for experiments beyond the paper's
+samplers; :class:`repro.apps.engine.WorkloadEngine` draws flow sizes
+from them at a target offered load, for experiments beyond the paper's
 long-lived-only workload.
 """
 
@@ -13,15 +13,9 @@ from __future__ import annotations
 
 import bisect
 import math
-from typing import Sequence, Tuple, Type
+from typing import Sequence, Tuple
 
-from repro.apps.shortflows import ShortFlowGenerator
-from repro.net.node import Host
 from repro.sim.rng import SeededRandom
-from repro.sim.simulator import Simulator
-from repro.tcp.config import TCPConfig
-from repro.tcp.connection import TCPConnection
-from repro.units import SEC
 
 # (cumulative probability, flow size in bytes) — the widely used
 # piecewise approximations of the published CDFs.
@@ -104,42 +98,3 @@ class EmpiricalFlowSizes:
                 bin_mean = (s1 - s0) / math.log(s1 / s0)
             total += weight * bin_mean
         return total
-
-
-class EmpiricalWorkload(ShortFlowGenerator):
-    """Poisson arrivals with empirically distributed flow sizes at a
-    target offered load (fraction of ``capacity_bps``)."""
-
-    def __init__(
-        self,
-        sim: Simulator,
-        src: Host,
-        dst: Host,
-        rng: SeededRandom,
-        cdf: Sequence[Tuple[float, int]],
-        load: float,
-        capacity_bps: float,
-        connection_cls: Type[TCPConnection] = TCPConnection,
-        tcp_config: TCPConfig = None,
-        **conn_kwargs,
-    ):
-        if not (0.0 < load <= 1.0):
-            raise ValueError("load must be in (0, 1]")
-        self.sizes = EmpiricalFlowSizes(cdf, rng.fork("sizes"))
-        mean_size = self.sizes.mean()
-        arrival_rate = load * capacity_bps / 8.0 / mean_size  # flows/s
-        # Round to nearest: truncation shortened every gap, biasing the
-        # achieved load above the requested one.
-        mean_interarrival_ns = max(int(round(SEC / arrival_rate)), 1)
-        super().__init__(
-            sim, src, dst, rng,
-            connection_cls=connection_cls,
-            tcp_config=tcp_config,
-            flow_size_bytes=0,  # per-flow, sampled in _launch
-            mean_interarrival_ns=mean_interarrival_ns,
-            **conn_kwargs,
-        )
-
-    def _launch(self) -> None:
-        self.flow_size_bytes = self.sizes.sample()
-        super()._launch()

@@ -43,9 +43,6 @@ class Workload:
     def total_delivered_bytes(self) -> int:
         return sum(flow.delivered_bytes for flow in self.flows)
 
-    def sequence_samples(self) -> List[List[Tuple[int, int]]]:
-        return [flow.app_receiver.samples for flow in self.flows]
-
 
 def build_workload(
     testbed: TwoRackTestbed,

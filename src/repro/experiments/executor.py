@@ -205,7 +205,11 @@ class ResultCache:
             return None
         try:
             doc = json.loads(text)
-            if doc.get("schema") != CONFIG_SCHEMA_VERSION or doc.get("key") != key:
+            if (
+                not isinstance(doc, dict)
+                or doc.get("schema") != CONFIG_SCHEMA_VERSION
+                or doc.get("key") != key
+            ):
                 return None
             return ExperimentResult.from_dict(doc["result"])
         except (ValueError, KeyError, TypeError):

@@ -10,7 +10,7 @@ Figure 10 CDFs.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Tuple
+from typing import Dict, List, Tuple
 
 from repro.net.queues import DropTailQueue
 from repro.rdcn.schedule import TDNSchedule
@@ -51,9 +51,8 @@ class EventCounterCollector:
     crucial for the paper's "80% of transitions see no reordering".
     """
 
-    def __init__(self, schedule: TDNSchedule, optical_tdn: int = 1):
+    def __init__(self, schedule: TDNSchedule):
         self.schedule = schedule
-        self.optical_tdn = optical_tdn
         self._buckets: Dict[int, int] = {}
 
     def record(self, time_ns: int, count: int = 1) -> None:
@@ -63,11 +62,6 @@ class EventCounterCollector:
     def record_events(self, events: List[Tuple[int, int]]) -> None:
         for time_ns, count in events:
             self.record(time_ns, count)
-
-    def __call__(self, time_ns: int, name: str, fields: Dict[str, Any]) -> None:
-        """Tracepoint-subscriber entry point: each event counts once, so
-        the collector can be attached to e.g. ``tcp:retransmit``."""
-        self.record(time_ns, 1)
 
     def per_day_counts(self, total_weeks: int, warmup_weeks: int = 0) -> List[int]:
         """Counts per optical day across the experiment, zero-filled."""

@@ -28,7 +28,7 @@ admission policies:
 from __future__ import annotations
 
 from collections import deque
-from typing import Callable, List, Optional, Tuple
+from typing import Callable, List, Optional
 
 from repro.net.packet import Packet
 
@@ -330,10 +330,6 @@ class SharedBufferPool:
         self.total = total
         for queue in self.queues:
             queue.resize(total)
-
-    def occupancies(self) -> List[Tuple[str, int]]:
-        """(queue name, length) snapshot, registration order."""
-        return [(queue.name, len(queue)) for queue in self.queues]
 
     def stable_limit(self, n_hot: int = 1) -> float:
         """Closed-form maximum stable occupancy one of ``n_hot`` equally

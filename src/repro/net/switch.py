@@ -68,10 +68,6 @@ class ToRSwitch:
     def add_uplink(self, remote_rack: int, uplink: Uplink) -> None:
         self._uplinks[remote_rack] = uplink
 
-    @property
-    def host_addresses(self) -> tuple:
-        return tuple(sorted(self._downlinks))
-
     def forward(self, packet: Packet) -> None:
         """Forward a packet from a local host or from the fabric."""
         dst = packet.dst

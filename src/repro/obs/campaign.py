@@ -166,15 +166,17 @@ def validate_records(records: Sequence[dict]) -> List[str]:
     for position, record in enumerate(records):
         for error in validate_record(record):
             errors.append(f"record {position}: {error}")
-        seq = record.get("seq")
+        seq = record.get("seq") if isinstance(record, dict) else None
         if isinstance(seq, int):
             if seq <= last_seq:
                 errors.append(
                     f"record {position}: seq {seq} not strictly greater than {last_seq}"
                 )
             last_seq = max(last_seq, seq)
-    if records and records[0].get("event") != "campaign_start":
-        errors.append("record 0: campaign must open with campaign_start")
+    if records:
+        head = records[0]
+        if not isinstance(head, dict) or head.get("event") != "campaign_start":
+            errors.append("record 0: campaign must open with campaign_start")
     return errors
 
 

@@ -7,9 +7,8 @@ fired event to its callback's qualified name. The run loop pays two
 ``perf_counter()`` calls and one dict update per event while profiling
 and a single hoisted ``None`` check when not.
 
-The report replaces the hand-timed ``benchmarks/results/simulator_perf``
-numbers: total events/sec plus a per-callback breakdown future perf PRs
-can diff against.
+The report gives total events/sec plus a per-callback breakdown perf
+PRs can diff against.
 """
 
 from __future__ import annotations
@@ -79,18 +78,6 @@ class SimulatorProfiler:
         ]
         rows.sort(key=lambda row: (-row["total_s"], row["callback"]))
         return rows
-
-    def as_dict(self) -> dict:
-        """JSON-ready summary."""
-        summary = {
-            "events": self.events,
-            "wall_s": self.run_wall_s,
-            "events_per_second": self.events_per_second,
-            "callbacks": self.callback_stats(),
-        }
-        if self.event_core is not None:
-            summary["event_core"] = self.event_core
-        return summary
 
     def report(self, top: Optional[int] = None) -> str:
         """Human-readable table: totals line plus per-callback rows."""

@@ -107,10 +107,6 @@ class StreamStats:
         """Population variance (0.0 for fewer than two samples)."""
         return self.m2 / self.count if self.count > 1 else 0.0
 
-    @property
-    def stddev(self) -> float:
-        return math.sqrt(self.variance)
-
     def to_dict(self) -> dict:
         return {
             "count": self.count,

@@ -109,19 +109,6 @@ class TDNSchedule:
                 )
         raise AssertionError("phase outside week")  # pragma: no cover
 
-    def segments_between(
-        self, start_ns: int, end_ns: int
-    ) -> List[Tuple[int, int, Optional[int]]]:
-        """Constant-rate segments covering ``[start_ns, end_ns)``, each
-        clipped to the interval: ``(abs_start, abs_end, tdn_id|None)``."""
-        out: List[Tuple[int, int, Optional[int]]] = []
-        t = start_ns
-        while t < end_ns:
-            seg_start, seg_end, tdn = self.segment_at(t)
-            out.append((max(seg_start, start_ns), min(seg_end, end_ns), tdn))
-            t = seg_end
-        return out
-
     def day_starts_in_week(self, tdn_id: Optional[int] = None) -> List[int]:
         """Phase offsets (within one week) at which days start; filter by
         TDN id when given."""

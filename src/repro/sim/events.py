@@ -39,18 +39,10 @@ allocation-free:
   one heap event for the whole run of them. The joining rule admits
   only legs that would have fired back to back anyway, so firing order
   is a plain heap's by construction; only the event *count* differs.
-
-Setting ``REPRO_SIM_LEGACY_HEAP=1`` in the environment disables
-channels and pooling for queues created afterwards: every push goes
-straight to the heap with a fresh pinned event, which is exactly the
-pre-channel behaviour (used by the differential determinism tests and
-as an escape hatch — see docs/performance.md). Fan-out batches have no
-switch: their order is a plain heap's by the rule itself.
 """
 
 from __future__ import annotations
 
-import os
 from collections import deque
 from heapq import heappop as _heappop, heappush as _heappush
 from typing import Any, Callable, List, Optional
@@ -159,8 +151,6 @@ class Channel:
         time without capturing ``event.gen`` (see :class:`Event`).
         """
         queue = self._queue
-        if queue._legacy:
-            return queue.push(time, fn, args)
         if time < self._tail_time:
             raise ValueError(
                 f"channel {self.name!r}: non-monotonic push "
@@ -239,7 +229,7 @@ class EventQueue:
     per-source channels, and an event free-list pool."""
 
     __slots__ = (
-        "_heap", "_seq", "_live", "_pool", "_channels", "_legacy",
+        "_heap", "_seq", "_live", "_pool", "_channels",
         "_fanout_seq", "_fanout_time", "_fanout_legs",
         "heap_pushes", "max_heap_len", "pool_hits", "pool_misses",
     )
@@ -250,7 +240,6 @@ class EventQueue:
         self._live = 0
         self._pool: List[Event] = []
         self._channels: List[Channel] = []
-        self._legacy = os.environ.get("REPRO_SIM_LEGACY_HEAP", "") not in ("", "0")
         # The open fan-out batch: ``_fanout_seq`` is the value ``_seq``
         # had right after the batch's event was pushed (-1: none open),
         # so any later push of any kind makes the comparison fail.
@@ -308,8 +297,6 @@ class EventQueue:
         fires, so an unguarded ``cancel()`` could kill an unrelated
         future event.
         """
-        if self._legacy:
-            return self.push(time, fn, args)
         seq = self._seq
         self._seq = seq + 1
         pool = self._pool
@@ -477,5 +464,4 @@ class EventQueue:
             "pool_hit_rate": round(hits / total, 4) if total else None,
             "pool_size": len(self._pool),
             "channels": len(self._channels),
-            "legacy_heap": self._legacy,
         }

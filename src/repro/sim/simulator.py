@@ -132,10 +132,6 @@ class Simulator:
         self._hb_last_events = self._event_count
         self._hb_last_wall = perf_counter()
 
-    def clear_heartbeat(self) -> None:
-        self._hb_fn = None
-        self._hb_next = 1 << 62
-
     def flush_heartbeat(self) -> None:
         """Fire the heartbeat hook immediately (used at end of run so
         every executed run emits at least one heartbeat)."""
@@ -335,14 +331,3 @@ class Simulator:
     @property
     def processed_events(self) -> int:
         return self._event_count
-
-    def event_core_stats(self) -> dict:
-        """Event-core counters: heap pushes, peak heap size, pool hit
-        rate (see :meth:`repro.sim.events.EventQueue.stats`), plus the
-        lifetime processed-event count."""
-        stats = self._queue.stats()
-        stats["processed_events"] = self._event_count
-        stats["pending_events"] = len(self._queue)
-        stats["fluid_spans"] = self.fluid_spans
-        stats["fluid_time_ns"] = self.fluid_time_ns
-        return stats

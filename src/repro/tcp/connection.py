@@ -564,11 +564,13 @@ class TCPConnection:
             self._rto_backoff = 0
 
         # One pass over the newly acknowledged segments does the work of
-        # three: the RTT sample election (_take_rtt_samples), the RACK
-        # delivery bookkeeping (_update_rack), and the per-path ACK
-        # credit tally. The standalone methods stay as the reference
-        # semantics; the RTT estimator and RACK state are disjoint, so
-        # interleaving their updates cannot change either outcome.
+        # three: the RTT sample election, the RACK delivery bookkeeping
+        # and the per-path ACK credit tally (the RTT estimator and RACK
+        # state are disjoint, so interleaving cannot change either).
+        # RTT election: never a retransmitted segment (Karn), never a
+        # cross-TDN sample the hook refuses (§4.4), and never a segment
+        # a cumulative ACK covers after it was SACKed — it was delivered
+        # long before, so ``now - sent_ns`` would overestimate the RTT.
         npaths = len(paths)
         stats = self.stats
         update_on_delivered = self.rack.update_on_delivered
@@ -646,8 +648,7 @@ class TCPConnection:
             self.reorder_timer.cancel()
             self.tlp_timer.cancel()
         elif newly_acked:
-            # _restart_rto inlined (it stays as the reference for the
-            # timer/transmit paths): this runs on nearly every ACK.
+            # _restart_rto inlined: this runs on nearly every ACK.
             backed_off = self._rto_ns() << min(self._rto_backoff, 8)
             max_rto = self.config.max_rto_ns
             self.rto_timer.start(backed_off if backed_off < max_rto else max_rto)
@@ -737,42 +738,6 @@ class TCPConnection:
                     newly.append(seg)
         return newly
 
-    def _take_rtt_samples(
-        self,
-        newly_acked: List[SegmentState],
-        newly_sacked: List[SegmentState],
-        pkt: TCPSegment,
-    ) -> None:
-        """Karn's rule plus the TDTCP type-3 filter (via the hook).
-
-        A segment is sampled when it is *first* acknowledged: at SACK
-        time for out-of-order deliveries, at cumulative-ACK time
-        otherwise. Previously-SACKed segments covered by a later
-        cumulative ACK are excluded — their delivery happened earlier
-        and ``now - sent_ns`` would grossly overestimate the RTT (the
-        same exclusion the Linux stack applies).
-        """
-        sample_seg: Optional[SegmentState] = None
-        for seg in newly_acked:
-            if seg.retx_count > 0:
-                continue  # Karn: never sample retransmitted segments
-            if seg.sacked:
-                continue  # first acknowledged long ago, via SACK
-            if not self._rtt_sample_allowed(seg, pkt):
-                continue  # §4.4: discard cross-TDN (type-3) samples
-            if sample_seg is None or seg.end_seq > sample_seg.end_seq:
-                sample_seg = seg
-        for seg in newly_sacked:
-            if seg.retx_count > 0:
-                continue
-            if not self._rtt_sample_allowed(seg, pkt):
-                continue
-            if sample_seg is None or seg.end_seq > sample_seg.end_seq:
-                sample_seg = seg
-        if sample_seg is not None:
-            sample = self.sim.now - sample_seg.sent_ns
-            self.path_of(sample_seg).rtt.update(sample)
-
     def _emit_cwnd(self, path: PathState, reason: str) -> None:
         """Emit ``tcp:cwnd_update`` for one path (callers guard on
         ``self._tp_cwnd.enabled``)."""
@@ -795,14 +760,6 @@ class TCPConnection:
         Base TCP always allows it; TDTCP refuses to let ACKs returning
         on a different TDN mutate an inactive TDN's model (§3.1)."""
         return True
-
-    def _update_rack(self, newly_acked: List[SegmentState], newly_sacked: List[SegmentState]) -> None:
-        for seg in newly_acked:
-            if seg.retx_count == 0:
-                self.rack.update_on_delivered(seg.sent_ns, seg.end_seq)
-        for seg in newly_sacked:
-            if seg.retx_count == 0:
-                self.rack.update_on_delivered(seg.sent_ns, seg.end_seq)
 
     # ------------------------------------------------------------------
     # Loss detection

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import pathlib
 from contextlib import contextmanager
 from dataclasses import replace
 from typing import Optional, Tuple, Type
@@ -13,6 +14,7 @@ from repro.net.node import Host
 from repro.net.packet import TCPSegment
 from repro.rdcn.config import NotifierConfig, RDCNConfig
 from repro.rdcn.topology import build_two_rack_testbed
+from repro.sim.events import Channel, EventQueue
 from repro.sim.simulator import Simulator
 from repro.tcp.config import TCPConfig
 from repro.tcp.connection import TCPConnection
@@ -205,3 +207,140 @@ def unregistered_sends(drop: bool = False):
         yield seen
     finally:
         Host.send = send
+
+
+# ----------------------------------------------------------------------
+# The determinism contract: three seeded trace workloads (one body,
+# three set-ups) and the plain-heap oracle the event core is compared to
+# ----------------------------------------------------------------------
+# Pinned at this scale by tests/test_trace_goldens.py.
+FULL_SCALE = {
+    "seed": 1,
+    "bulk_weeks": 10,
+    "bulk_flows": 8,
+    "incast_weeks": 16,
+    "incast_workers": 8,
+    "short_weeks": 20,
+}
+
+
+def bulk_workload(cfg, sim: Optional[Simulator] = None):
+    """``cfg.n_flows`` bulk flows of ``cfg.variant`` on a two-rack
+    testbed, as the runner builds them but with nothing collected and
+    nothing started. Returns ``(testbed, workload)``."""
+    from repro.apps.workload import build_workload
+    from repro.experiments.variants import get_variant
+
+    variant = get_variant(cfg.variant)
+    testbed = build_two_rack_testbed(
+        replace(cfg.rdcn, seed=cfg.seed), sim=sim, ecn=variant.needs_ecn
+    )
+    context = variant.prepare(testbed, cfg)
+    workload = build_workload(
+        testbed,
+        lambda tb, src, dst, i: variant.make_flow(tb, src, dst, i, cfg, context),
+        n_flows=cfg.n_flows,
+        trace_sequence=False,
+    )
+    return testbed, workload
+
+
+def run_bulk(sim: Simulator, scale: dict) -> None:
+    """Fig-7 style bulk transfer: N long-lived TDTCP flows across the
+    reconfigurable fabric (the paper's headline workload)."""
+    from repro.experiments.config import ExperimentConfig
+
+    cfg = ExperimentConfig(
+        variant="tdtcp",
+        n_flows=scale["bulk_flows"],
+        weeks=scale["bulk_weeks"],
+        warmup_weeks=2,
+        seed=scale["seed"],
+    )
+    testbed, _workload = bulk_workload(cfg, sim)
+    testbed.start()
+    sim.run(until=cfg.duration_ns)
+
+
+def run_incast_workload(sim: Simulator, scale: dict) -> None:
+    """Barrier-style N-to-1 incast on the shared VOQ."""
+    from repro.apps.incast import run_incast
+    from repro.core.tdtcp import TDTCPConnection
+
+    testbed = build_two_rack_testbed(
+        RDCNConfig(n_hosts_per_rack=max(scale["incast_workers"], 4), seed=scale["seed"]),
+        sim=sim,
+    )
+    run_incast(
+        testbed,
+        n_workers=scale["incast_workers"],
+        duration_ns=testbed.config.week_ns * scale["incast_weeks"],
+        connection_cls=TDTCPConnection,
+        tdn_count=2,
+    )
+
+
+def run_shortflow_workload(sim: Simulator, scale: dict) -> None:
+    """Poisson churn of 15 KB RPCs: connection setup/teardown pressure."""
+    from repro.apps.shortflows import run_short_flow_study
+    from repro.core.tdtcp import TDTCPConnection
+
+    testbed = build_two_rack_testbed(RDCNConfig(seed=scale["seed"]), sim=sim)
+    run_short_flow_study(
+        testbed,
+        TDTCPConnection,
+        duration_ns=testbed.config.week_ns * scale["short_weeks"],
+        flow_size_bytes=15_000,
+        mean_interarrival_ns=usec(400),
+        tdn_count=2,
+    )
+
+
+def traced_run(setup, scale: dict, trace_dir: pathlib.Path) -> dict:
+    """Run one of the set-ups above on a fresh simulator with a
+    JSONL-only telemetry recorder and hash the trace bytes.
+
+    Returns ``events``, ``trace_lines``, ``trace_sha256`` and the
+    queue's deterministic ``stats()`` counters.
+    """
+    from repro.obs.telemetry import ObsConfig, Telemetry
+
+    sim = Simulator()
+    telemetry = Telemetry(
+        ObsConfig(trace_dir=str(trace_dir), label=setup.__name__,
+                  jsonl=True, chrome_trace=False, csv=False)
+    ).attach(sim)
+    setup(sim, scale)
+    (jsonl_path,) = [p for p in telemetry.finish() if p.endswith(".jsonl")]
+    data = pathlib.Path(jsonl_path).read_bytes()
+    return {
+        "events": sim.processed_events,
+        "trace_lines": data.count(b"\n"),
+        "trace_sha256": hashlib.sha256(data).hexdigest(),
+        "queue": sim._queue.stats(),
+    }
+
+
+class _PlainHeapChannel(Channel):
+    """What a channel is on a plain heap: another name for ``queue.push``
+    (its deque stays empty)."""
+
+    def push(self, time, fn, args=()):
+        return self._queue.push(time, fn, args)
+
+
+class PlainHeapQueue(EventQueue):
+    """The oracle for the channel/pool event core: every push goes
+    straight to the heap as a fresh pinned event — no channel deque, no
+    free list. ``seq`` comes from the same counter at the same moments,
+    so a simulation run on it must produce the product's exact bytes.
+
+    Install with ``monkeypatch.setattr("repro.sim.simulator.EventQueue",
+    PlainHeapQueue)``; simulators built afterwards run on it.
+    """
+
+    def push_pooled(self, time, fn, args=()):
+        return self.push(time, fn, args)
+
+    def channel(self, name: str = "channel"):
+        return _PlainHeapChannel(self, name)

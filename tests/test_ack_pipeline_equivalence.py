@@ -1,17 +1,17 @@
-"""ACK-pipeline equivalence: fused loop vs reference methods.
+"""ACK-pipeline equivalence: fused loop vs reference functions.
 
-The tentpole fused three per-ACK passes (`_take_rtt_samples`,
-`_update_rack`, and the per-path credit tally) into one loop inside
-``_handle_ack``. The reference methods were deliberately kept; this
-test pins the fusion by replaying every ACK of a fig-7-style TDTCP
-bulk run through both implementations and comparing the resulting RTT
-estimator and RACK states field by field.
+``TCPConnection._handle_ack`` does three per-ACK passes in one loop:
+the RTT sample election, the RACK delivery bookkeeping and the per-path
+credit tally. The unfused passes live here as the oracle
+(``_take_rtt_samples``, ``_update_rack``); this test pins the fusion by
+replaying every ACK of a fig-7-style TDTCP bulk run through both and
+comparing the resulting RTT estimator and RACK states field by field.
 
 Mechanics: each sender's ``_handle_ack`` is wrapped per instance. The
 wrapper snapshots deep copies of the per-path RTT estimators and the
 RACK state, captures the ``newly_acked`` / ``newly_sacked`` lists the
 real handler computes, lets the fused pipeline run, then swaps the
-pristine copies in and drives the reference methods over the same
+pristine copies in and drives the reference functions over the same
 segment lists. Both endpoints of the comparison saw identical inputs,
 so any divergence is a real behavioural difference in the fusion.
 """
@@ -19,11 +19,53 @@ so any divergence is a real behavioural difference in the fusion.
 from __future__ import annotations
 
 import copy
-from dataclasses import replace
 
-from repro.apps.workload import build_workload
-from repro.experiments import ExperimentConfig, get_variant
-from repro.rdcn.topology import build_two_rack_testbed
+from repro.experiments import ExperimentConfig
+from tests.helpers import bulk_workload
+
+
+def _take_rtt_samples(conn, newly_acked, newly_sacked, pkt):
+    """Reference RTT election: Karn's rule plus the TDTCP type-3 filter
+    (via the connection's hook).
+
+    A segment is sampled when it is *first* acknowledged: at SACK time
+    for out-of-order deliveries, at cumulative-ACK time otherwise.
+    Previously-SACKed segments covered by a later cumulative ACK are
+    excluded — their delivery happened earlier and ``now - sent_ns``
+    would grossly overestimate the RTT (the same exclusion the Linux
+    stack applies).
+    """
+    sample_seg = None
+    for seg in newly_acked:
+        if seg.retx_count > 0:
+            continue  # Karn: never sample retransmitted segments
+        if seg.sacked:
+            continue  # first acknowledged long ago, via SACK
+        if not conn._rtt_sample_allowed(seg, pkt):
+            continue  # §4.4: discard cross-TDN (type-3) samples
+        if sample_seg is None or seg.end_seq > sample_seg.end_seq:
+            sample_seg = seg
+    for seg in newly_sacked:
+        if seg.retx_count > 0:
+            continue
+        if not conn._rtt_sample_allowed(seg, pkt):
+            continue
+        if sample_seg is None or seg.end_seq > sample_seg.end_seq:
+            sample_seg = seg
+    if sample_seg is not None:
+        sample = conn.sim.now - sample_seg.sent_ns
+        conn.path_of(sample_seg).rtt.update(sample)
+
+
+def _update_rack(conn, newly_acked, newly_sacked):
+    """Reference RACK bookkeeping: every first-transmission delivery
+    advances the most-recently-delivered mark."""
+    for seg in newly_acked:
+        if seg.retx_count == 0:
+            conn.rack.update_on_delivered(seg.sent_ns, seg.end_seq)
+    for seg in newly_sacked:
+        if seg.retx_count == 0:
+            conn.rack.update_on_delivered(seg.sent_ns, seg.end_seq)
 
 
 def _rtt_state(estimator):
@@ -79,7 +121,7 @@ def _attach_shadow(conn):
         fused_rack = (conn.rack.xmit_ns, conn.rack.end_seq)
         # Swap the pre-ACK copies in and drive the reference pipeline
         # over the very same segment lists (segment flags read by the
-        # reference methods are not mutated after _apply_sack, so the
+        # reference functions are not mutated after _apply_sack, so the
         # replay sees what the fused loop saw).
         real_rtts = [path.rtt for path in conn.paths]
         real_rack = conn.rack
@@ -87,8 +129,8 @@ def _attach_shadow(conn):
             path.rtt = pristine
         conn.rack = pre_rack
         try:
-            conn._take_rtt_samples(acked, sacked, pkt)
-            conn._update_rack(acked, sacked)
+            _take_rtt_samples(conn, acked, sacked, pkt)
+            _update_rack(conn, acked, sacked)
             reference_rtts = [_rtt_state(path.rtt) for path in conn.paths]
             reference_rack = (conn.rack.xmit_ns, conn.rack.end_seq)
         finally:
@@ -116,17 +158,7 @@ class TestAckPipelineEquivalence:
         cfg = ExperimentConfig(
             variant="tdtcp", n_flows=2, weeks=8, warmup_weeks=2, seed=11
         )
-        variant = get_variant(cfg.variant)
-        testbed = build_two_rack_testbed(
-            replace(cfg.rdcn, seed=cfg.seed), ecn=variant.needs_ecn
-        )
-        context = variant.prepare(testbed, cfg)
-        workload = build_workload(
-            testbed,
-            lambda tb, src, dst, i: variant.make_flow(tb, src, dst, i, cfg, context),
-            n_flows=cfg.n_flows,
-            trace_sequence=False,
-        )
+        testbed, workload = bulk_workload(cfg)
         shadows = [_attach_shadow(flow.sender) for flow in workload.flows]
         testbed.start()
         testbed.sim.run(until=cfg.duration_ns)

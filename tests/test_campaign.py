@@ -109,6 +109,12 @@ class TestValidation:
         errors = validate_records([good, dict(good, seq=5)])
         assert any("strictly greater" in e for e in errors)
         assert any("campaign_start" in e for e in errors)
+        # A line that parses as JSON but is not an object is reported
+        # like any other bad record, wherever it sits in the stream.
+        for records in ([[1, 2], good], [good, None]):
+            errors = validate_records(records)
+            assert any("not an object" in e for e in errors)
+            assert any("campaign_start" in e for e in errors)
 
 
 class TestExecutorCampaign:

@@ -30,7 +30,9 @@ from repro.experiments.runner import ExperimentResult, run_experiment
 from repro.experiments.sweeps import load_sweep
 from repro.experiments.variants import VARIANTS, SinglePathVariant, engine_variants
 from repro.obs.campaign import CampaignLog, campaign_summary
+from repro.rdcn.config import RDCNConfig
 from repro.rdcn.opera import OperaConfig
+from repro.rdcn.topology import build_two_rack_testbed
 from repro.sim.rng import SeededRandom
 
 # A degenerate single-size CDF keeps engine tests fast (10 KB flows
@@ -208,6 +210,34 @@ class TestCompletionStats:
             CompletionStats(capacity_bps=1e9, record_cap=4)
         with pytest.raises(ValueError):
             CompletionStats(capacity_bps=1e9, record_cap=-1)
+
+
+class TestArrivalArithmetic:
+    """What the constructor works out; nothing here runs a simulation."""
+
+    def engine(self, **kwargs):
+        testbed = build_two_rack_testbed(RDCNConfig(n_hosts_per_rack=1))
+        return WorkloadEngine(testbed, SeededRandom(3), **kwargs)
+
+    def test_invalid_load(self):
+        for load in (1.5, 0.0, -0.1):
+            with pytest.raises(ValueError):
+                self.engine(load=load)
+
+    def test_full_load_accepted(self):
+        # load == 1.0 (line rate) is a legitimate operating point: the
+        # upper bound is inclusive.
+        assert self.engine(load=1.0).mean_interarrival_ns >= 1
+
+    def test_interarrival_rounds_to_nearest(self):
+        # Truncation would bias every gap short, inflating achieved
+        # load. A fixed 1000-byte CDF at load 1.0 on two racks of
+        # 1.5 Gb/s (3 Gb/s fabric-wide): 375_000 flows/s, so the exact
+        # gap is 2666.67 ns -> 2667, not 2666.
+        engine = self.engine(
+            cdf=((0.0, 1_000), (1.0, 1_000)), load=1.0, capacity_bps=1.5e9
+        )
+        assert engine.mean_interarrival_ns == 2667
 
 
 class TestEngineRuns:

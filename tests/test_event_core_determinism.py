@@ -1,43 +1,47 @@
-"""Differential determinism: channels+pooling vs the legacy flat heap.
+"""Differential determinism: channels+pooling vs a plain heap.
 
 The channel/pool event core claims *exact* behavioural equivalence with
-the pre-channel design: ``seq`` is assigned from the same global counter
-at schedule time, and promotion-on-pop preserves global (time, seq)
-firing order, so every simulation byte must be identical. This suite
-pins that claim the same way ``test_ack_pipeline_equivalence.py`` pins
-the ACK-pipeline fusion — by running the real workloads both ways and
-demanding byte-identical JSONL telemetry traces:
+a flat heap of one-shot events: ``seq`` is assigned from the same global
+counter at schedule time, and promotion-on-pop preserves global
+(time, seq) firing order, so every simulation byte must be identical.
+This suite pins that claim the same way
+``test_ack_pipeline_equivalence.py`` pins the ACK-pipeline fusion — by
+running the real workloads both ways and demanding byte-identical JSONL
+telemetry traces:
 
-* the three seeded perf-harness workloads (bulk / incast / shortflows)
-  at a reduced scale, and
+* the three seeded trace workloads of ``test_trace_goldens.py``
+  (bulk / incast / shortflows) at a reduced scale, and
 * one canned fault plan from ``examples/fault_plans/`` (faults cancel
   timers, drop packets mid-flight, and squeeze queues — the paths where
   lazy channel discard and pool recycling could plausibly diverge).
 
-The legacy side runs with ``REPRO_SIM_LEGACY_HEAP=1``, the escape hatch
-that routes every push straight to the heap as a fresh pinned event
-(the pre-channel behaviour). The env var is read per ``EventQueue``
-construction, so flipping it between runs needs no reimports.
+The oracle side runs on ``tests.helpers.PlainHeapQueue``, which routes
+every push straight to the heap as a fresh pinned event; it is
+installed in place of ``repro.sim.simulator.EventQueue``, so every
+simulator built afterwards uses it.
 """
 
 from __future__ import annotations
 
 import hashlib
 import pathlib
-import sys
 
 import pytest
 
+from repro.experiments.config import ExperimentConfig
+from repro.experiments.runner import run_experiment
+from repro.obs.telemetry import ObsConfig
+from tests.helpers import (
+    PlainHeapQueue,
+    run_bulk,
+    run_incast_workload,
+    run_shortflow_workload,
+    traced_run,
+)
+
 REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
-sys.path.insert(0, str(REPO_ROOT / "benchmarks"))
 
-import perf_harness  # noqa: E402
-
-from repro.experiments.config import ExperimentConfig  # noqa: E402
-from repro.experiments.runner import run_experiment  # noqa: E402
-from repro.obs.telemetry import ObsConfig  # noqa: E402
-
-# Reduced-scale copy of the harness workloads: same mechanisms, smaller
+# Reduced-scale copy of the golden workloads: same mechanisms, smaller
 # horizons, so the differential pass stays test-suite-fast.
 SMALL_SCALE = {
     "seed": 3,
@@ -51,45 +55,40 @@ SMALL_SCALE = {
 FAULT_PLAN = REPO_ROOT / "examples" / "fault_plans" / "lossy_fabric.json"
 
 
-def _set_mode(monkeypatch, legacy: bool) -> None:
-    if legacy:
-        monkeypatch.setenv("REPRO_SIM_LEGACY_HEAP", "1")
-    else:
-        monkeypatch.delenv("REPRO_SIM_LEGACY_HEAP", raising=False)
+def _both_queues(monkeypatch, tmp_path, run):
+    """``run(trace_dir)`` on the product queue, then on the oracle."""
+    channel = run(tmp_path / "channel")
+    monkeypatch.setattr("repro.sim.simulator.EventQueue", PlainHeapQueue)
+    return channel, run(tmp_path / "plain")
 
 
 class TestHarnessWorkloadEquivalence:
     @pytest.mark.parametrize(
-        "runner_name", ["run_bulk", "run_incast_workload", "run_shortflow_workload"]
+        "setup",
+        [run_bulk, run_incast_workload, run_shortflow_workload],
+        ids=lambda setup: setup.__name__,
     )
-    def test_trace_bytes_identical(self, runner_name, tmp_path, monkeypatch):
-        runner = getattr(perf_harness, runner_name)
-        rows = {}
-        for mode in ("channel", "legacy"):
-            _set_mode(monkeypatch, legacy=(mode == "legacy"))
-            trace_dir = tmp_path / mode
-            trace_dir.mkdir()
-            rows[mode] = runner(SMALL_SCALE, trace_dir)
-        channel, legacy = rows["channel"], rows["legacy"]
+    def test_trace_bytes_identical(self, setup, tmp_path, monkeypatch):
+        channel, plain = _both_queues(
+            monkeypatch, tmp_path, lambda trace_dir: traced_run(setup, SMALL_SCALE, trace_dir)
+        )
         # The workload must be non-trivial, or equivalence is vacuous.
         assert channel["events"] > 1_000
         assert channel["trace_lines"] > 100
-        assert channel["events"] == legacy["events"]
-        assert channel["trace_lines"] == legacy["trace_lines"]
-        assert channel["trace_sha256"] == legacy["trace_sha256"], (
-            f"{runner_name}: channel/pool trace diverged from legacy heap"
+        assert channel["events"] == plain["events"]
+        assert channel["trace_lines"] == plain["trace_lines"]
+        assert channel["trace_sha256"] == plain["trace_sha256"], (
+            f"{setup.__name__}: channel/pool trace diverged from the plain heap"
         )
-        # Sanity: the two modes really were different implementations.
-        assert channel["alloc"]["legacy_heap"] is False
-        assert legacy["alloc"]["legacy_heap"] is True
-        assert channel["alloc"]["pool_hits"] > 0
-        assert legacy["alloc"]["pool_hits"] == 0
+        # Sanity: the two sides really were different implementations.
+        assert channel["queue"]["pool_hits"] > 0
+        assert plain["queue"]["pool_hits"] == 0
         # And the channels never grow the heap; on the packet-dominated
         # bulk workload they must strictly shrink it (short-flow churn
         # at this tiny scale is timer-dominated, so equality is fine).
-        assert channel["alloc"]["max_heap_len"] <= legacy["alloc"]["max_heap_len"]
-        if runner_name == "run_bulk":
-            assert channel["alloc"]["max_heap_len"] < legacy["alloc"]["max_heap_len"]
+        assert channel["queue"]["max_heap_len"] <= plain["queue"]["max_heap_len"]
+        if setup is run_bulk:
+            assert channel["queue"]["max_heap_len"] < plain["queue"]["max_heap_len"]
 
 
 class TestFaultPlanEquivalence:
@@ -116,18 +115,13 @@ class TestFaultPlanEquivalence:
         return hashlib.sha256(data).hexdigest(), data.count(b"\n"), result
 
     def test_trace_bytes_identical_under_faults(self, tmp_path, monkeypatch):
-        digests = {}
-        for mode in ("channel", "legacy"):
-            _set_mode(monkeypatch, legacy=(mode == "legacy"))
-            trace_dir = tmp_path / mode
-            trace_dir.mkdir()
-            digests[mode] = self._run(trace_dir)
-        chan_sha, chan_lines, chan_result = digests["channel"]
-        legacy_sha, legacy_lines, _legacy_result = digests["legacy"]
+        channel, plain = _both_queues(monkeypatch, tmp_path, self._run)
+        chan_sha, chan_lines, chan_result = channel
+        plain_sha, plain_lines, _plain_result = plain
         assert chan_lines > 100  # the run must be non-trivial
-        assert chan_lines == legacy_lines
-        assert chan_sha == legacy_sha, (
-            "channel/pool trace diverged from legacy heap under fault injection"
+        assert chan_lines == plain_lines
+        assert chan_sha == plain_sha, (
+            "channel/pool trace diverged from the plain heap under fault injection"
         )
         # The fault plan must actually have fired for this to mean much.
         assert chan_result.fault_report is not None

@@ -19,6 +19,7 @@ from repro.rdcn.fabric import NetworkPath, RackUplink
 from repro.sim import Simulator
 from repro.sim.events import Channel, EventQueue
 from repro.units import gbps, usec
+from tests.helpers import PlainHeapQueue
 
 
 def _noop():
@@ -297,16 +298,16 @@ class TestEventPool:
         assert queue.stats()["pool_size"] == 0
 
 
-class TestLegacyEscapeHatch:
-    def test_legacy_env_disables_channels_and_pool(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SIM_LEGACY_HEAP", "1")
-        queue = EventQueue()
-        assert queue.stats()["legacy_heap"] is True
+class TestPlainHeapOracle:
+    def test_every_push_is_a_pinned_heap_entry(self):
+        # The differential suite (test_event_core_determinism.py) is only
+        # worth something if its oracle shares no channel or pool logic
+        # with the product it is compared against.
+        queue = PlainHeapQueue()
         channel = queue.channel("c")
         for t in (10, 20, 30):
             channel.push(t, _noop)
         queue.push_pooled(40, _noop)
-        # Everything goes straight to the heap as pinned events.
         assert len(queue._heap) == 4
         assert len(channel._deque) == 0
         assert all(entry[2].gen == -1 for entry in queue._heap)

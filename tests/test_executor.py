@@ -142,8 +142,10 @@ class TestCache:
         cache = ResultCache(str(tmp_path))
         key = config.cache_key()
         cache.path_for(key).parent.mkdir(parents=True)
-        cache.path_for(key).write_text("{not json")
-        assert cache.get(key) is None
+        # Broken JSON, and JSON that parses but is not an entry object.
+        for text in ("{not json", "null", "[]", "12", '"x"'):
+            cache.path_for(key).write_text(text)
+            assert cache.get(key) is None, text
 
     def test_failed_results_are_not_cached(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)  # repro bundles land under cwd

@@ -2,8 +2,11 @@
 
 import importlib
 import inspect
+import pathlib
 
 import pytest
+
+import repro
 
 MODULES = [
     "repro",
@@ -109,9 +112,19 @@ def test_all_exports_resolve(name):
 
 
 def test_version():
-    import repro
-
     assert repro.__version__
+
+
+def test_no_environment_knobs():
+    # Behaviour is selected by config objects and arguments only: an
+    # environment variable is an option no test matrix enumerates.
+    package = pathlib.Path(repro.__file__).parent
+    offenders = [
+        str(path.relative_to(package))
+        for path in sorted(package.rglob("*.py"))
+        if "os.environ" in (text := path.read_text()) or "getenv" in text
+    ]
+    assert offenders == []
 
 
 def test_public_classes_have_docstrings():

@@ -1,4 +1,4 @@
-"""Empirical flow-size distributions and the mixed workload."""
+"""Empirical flow-size distributions."""
 
 import pytest
 from hypothesis import given, settings
@@ -7,14 +7,10 @@ from hypothesis import strategies as st
 from repro.apps.tracegen import (
     DATA_MINING_CDF,
     EmpiricalFlowSizes,
-    EmpiricalWorkload,
     WEB_SEARCH_CDF,
 )
 from repro.metrics.cdf import quantile
 from repro.sim.rng import SeededRandom
-from repro.units import gbps, msec, usec
-
-from tests.helpers import two_hosts
 
 
 class TestEmpiricalFlowSizes:
@@ -83,66 +79,3 @@ class TestClosedFormMean:
         b = EmpiricalFlowSizes(WEB_SEARCH_CDF, SeededRandom(999))
         b.sample()
         assert a.mean() == b.mean()
-
-
-class TestEmpiricalWorkload:
-    def test_flows_sample_varied_sizes(self):
-        """Heavy-tailed sizes mean sparse arrivals (~60 flows/s at 10G,
-        30% load): a few hundred ms of simulated time is needed."""
-        sim, a, b, _ab, _ba = two_hosts()
-        workload = EmpiricalWorkload(
-            sim, a, b, SeededRandom(3),
-            cdf=DATA_MINING_CDF, load=0.5, capacity_bps=gbps(10),
-        )
-        workload.start()
-        sim.run(until=msec(400))
-        workload.stop()
-        sizes = {r.size_bytes for r in workload.stats.records}
-        assert len(workload.stats.records) > 5
-        assert len(sizes) > 3  # genuinely varied
-
-    def test_small_flows_complete(self):
-        sim, a, b, _ab, _ba = two_hosts()
-        workload = EmpiricalWorkload(
-            sim, a, b, SeededRandom(3),
-            cdf=DATA_MINING_CDF, load=0.5, capacity_bps=gbps(10),
-        )
-        workload.start()
-        sim.run(until=msec(400))
-        workload.stop()
-        sim.run(until=msec(450))
-        small = [r for r in workload.stats.records if r.size_bytes < 50_000]
-        assert small
-        done = [r for r in small if r.completed]
-        assert len(done) / len(small) > 0.8
-
-    def test_invalid_load(self):
-        sim, a, b, _ab, _ba = two_hosts()
-        for load in (1.5, 0.0, -0.1):
-            with pytest.raises(ValueError):
-                EmpiricalWorkload(
-                    sim, a, b, SeededRandom(3),
-                    cdf=DATA_MINING_CDF, load=load, capacity_bps=gbps(10),
-                )
-
-    def test_full_load_accepted(self):
-        # load == 1.0 (line rate) used to be rejected by an exclusive
-        # upper bound; it is a legitimate operating point.
-        sim, a, b, _ab, _ba = two_hosts()
-        workload = EmpiricalWorkload(
-            sim, a, b, SeededRandom(3),
-            cdf=DATA_MINING_CDF, load=1.0, capacity_bps=gbps(10),
-        )
-        assert workload.mean_interarrival_ns >= 1
-
-    def test_interarrival_rounds_to_nearest(self):
-        # Truncation biased every gap short, inflating achieved load;
-        # the gap is now round(SEC / rate). A fixed 1000-byte CDF at
-        # capacity 3 Gbps, load 1.0: rate = 375_000 flows/s, so the
-        # exact gap is 2666.67 ns -> 2667, not 2666.
-        sim, a, b, _ab, _ba = two_hosts()
-        workload = EmpiricalWorkload(
-            sim, a, b, SeededRandom(3),
-            cdf=((0.0, 1_000), (1.0, 1_000)), load=1.0, capacity_bps=3e9,
-        )
-        assert workload.mean_interarrival_ns == 2667

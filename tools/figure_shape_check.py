@@ -22,8 +22,8 @@ the *shape* of the paper's results rather than their exact bytes:
   the shift rather than demanding sign-stability the model cannot
   honestly provide.
 
-This is the statistical counterpart of the byte-identity gate in
-``benchmarks/perf_harness.py``: packet traces must not change at all;
+This is the statistical counterpart of the byte-identity goldens in
+``tests/test_trace_goldens.py``: packet traces must not change at all;
 tiered figures must stay within these tolerances. Exit 0 on pass, 1 on
 any shape violation, with every check printed either way.
 
