@@ -5,7 +5,6 @@ from repro.experiments.backoff import BackoffPolicy
 from repro.experiments.checkpoint import (
     CampaignCheckpoint,
     ResumePlan,
-    RunCheckpoint,
     checkpoint_path,
     load_resume_plan,
 )
@@ -39,7 +38,6 @@ __all__ = [
     "CampaignAborted",
     "CampaignCheckpoint",
     "ResumePlan",
-    "RunCheckpoint",
     "checkpoint_path",
     "load_resume_plan",
 ]

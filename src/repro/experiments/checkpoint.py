@@ -2,10 +2,9 @@
 
 A campaign that dies mid-flight (OOM kill, scheduler SIGTERM, Ctrl-C,
 power loss) must be resumable without re-executing completed work and
-— just as important — without *changing the answer*: the ROADMAP's
-sweep fabric calls for incremental re-runs whose merged
+without *changing the answer*: the resumed journal's
 :func:`~repro.obs.campaign.campaign_summary` is byte-identical to an
-uninterrupted run.
+uninterrupted run's.
 
 * The **campaign journal** (:class:`~repro.obs.campaign.CampaignLog`
   JSONL, flushed per line) records every run's full lifecycle and is
@@ -13,15 +12,15 @@ uninterrupted run.
   :class:`~repro.obs.campaign.CampaignFold` — the same transition
   function the live campaign runs — tolerating the truncated final
   line a SIGKILL leaves behind. A :class:`CampaignCheckpoint` is that
-  fold's terminal runs.
+  fold's terminal :class:`~repro.obs.campaign.RunState` objects: resume
+  decides on ``state``, ``queued["key"]``, ``ending``; replays ``records``.
 * The **checkpoint sidecar** (``<log>.ckpt.json``) is a *derived status
-  file*: the executor's live :class:`CampaignCheckpoint`, atomically
-  replaced after every run-ending record, for humans and schedulers
-  that want "what is done so far" without parsing the journal. Nothing
-  in this package reads it back. (Deleting the writer too is a
-  follow-up that needs a ``benchmark`` issue first: ``BENCHMARK.json``'s
-  ``campaign_replay`` passes ``checkpoint_to`` and its traced pass
-  wraps :meth:`CampaignCheckpoint.save`.)
+  file*: one :func:`sidecar_row` per terminal run, atomically replaced
+  after every run-ending record, for humans and schedulers that want
+  "what is done so far" without parsing the journal. Nothing in this
+  package reads it back. (Deleting the writer needs a ``benchmark``
+  issue first: ``campaign_replay`` passes ``checkpoint_to`` and its
+  traced pass wraps :meth:`CampaignCheckpoint.save`.)
 
 The executor's write ordering makes every kill window safe::
 
@@ -39,116 +38,77 @@ from __future__ import annotations
 import json
 import os
 import pathlib
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from dataclasses import dataclass
+from typing import Dict, Iterable, List, Optional
 
 from repro.obs.campaign import (
     CAMPAIGN_SCHEMA_VERSION,
-    TERMINAL_STATES,
     CampaignFold,
+    RunState,
     read_campaign_with_tail,
 )
 
-__all__ = [
-    "RunCheckpoint",
-    "CampaignCheckpoint",
-    "ResumePlan",
-    "checkpoint_path",
-    "load_resume_plan",
-]
+__all__ = ["CampaignCheckpoint", "ResumePlan", "checkpoint_path", "load_resume_plan"]
 
 
-@dataclass
-class RunCheckpoint:
-    """Terminal state of one run: what resume decides on and what the
-    sidecar reports. ``state`` is one of
-    :data:`~repro.obs.campaign.TERMINAL_STATES`."""
-
-    label: str
-    index: int
-    state: str
-    attempts: int = 1
-    retries: int = 0
-    cache_key: Optional[str] = None
-    cache_hit: bool = False
-    cache_miss: bool = False
-    executed: bool = False
-    outcome: Optional[str] = None
-    error_type: Optional[str] = None
-    error_message: Optional[str] = None
-
-    def __post_init__(self) -> None:
-        if not self.label:
-            raise ValueError("label must be non-empty")
-        if self.state not in TERMINAL_STATES:
-            raise ValueError(
-                f"state must be one of {TERMINAL_STATES}, got {self.state!r}"
-            )
-        if self.index < 0:
-            raise ValueError(f"index must be >= 0, got {self.index}")
-        if self.attempts < 0 or self.retries < 0:
-            raise ValueError("attempts/retries must be >= 0")
-
-    def to_dict(self) -> dict:
-        return dict(vars(self))  # flat fields; asdict's deep copy is 10x slower
+def sidecar_row(run: RunState) -> dict:
+    """One terminal run's row in the status sidecar."""
+    queued = run.queued or {}
+    ending = run.ending or {}
+    return {
+        "label": run.label,
+        "index": run.index or 0,
+        "state": run.state,
+        "attempts": run.attempts,
+        "retries": run.retries,
+        "cache_key": queued.get("key"),
+        "cache_hit": run.state == "cached",
+        "cache_miss": bool(queued.get("cache_miss", False)),
+        "executed": run.attempts > 0,
+        "outcome": ending.get("outcome"),
+        "error_type": ending.get("error_type"),
+        "error_message": ending.get("error_message"),
+    }
 
 
-@dataclass
 class CampaignCheckpoint:
-    """All terminal run states of one campaign, keyed by run label:
-    the terminal runs of a :class:`~repro.obs.campaign.CampaignFold`."""
+    """The terminal runs of one campaign journal, keyed by run label,
+    and the sidecar that lists them."""
 
-    total: int = 0
-    runs: Dict[str, RunCheckpoint] = field(default_factory=dict)
-    fold: CampaignFold = field(default_factory=CampaignFold, repr=False, compare=False)
+    def __init__(self) -> None:
+        self.runs: Dict[str, RunState] = {}
+        self._fold = CampaignFold()
+        self._rows: Dict[str, dict] = {}
 
-    def record(self, run: RunCheckpoint) -> None:
-        self.runs[run.label] = run
+    @property
+    def total(self) -> int:
+        return self._fold.total
 
     def apply(self, record: dict) -> None:
         """Advance by one journal record. The executor feeds the
         records it emits; :meth:`from_journal` feeds a journal read
         back from disk — one code path, so they cannot disagree."""
-        run = self.fold.apply(record)
-        self.total = self.fold.total
-        if run is None or not run.terminal:
-            return  # in flight: resume re-executes it
-        queued = run.queued or {}
-        ending = run.ending or {}
-        self.record(
-            RunCheckpoint(
-                label=run.label,
-                index=run.index or 0,
-                state=run.state,
-                attempts=run.attempts,
-                retries=run.retries,
-                # The key and miss flag ride on the queued record so a
-                # checkpoint can be rebuilt from the journal alone.
-                cache_key=queued.get("key"),
-                cache_hit=run.state == "cached",
-                cache_miss=bool(queued.get("cache_miss", False)),
-                executed=run.attempts > 0,
-                outcome=ending.get("outcome"),
-                error_type=ending.get("error_type"),
-                error_message=ending.get("error_message"),
-            )
-        )
+        run = self._fold.apply(record)
+        if run is None:
+            return
+        if run.terminal:
+            # A terminal run's row changes at most once more (failed ->
+            # quarantined): build it here, not on each save.
+            self.runs[run.label] = run
+            self._rows[run.label] = sidecar_row(run)
+        else:  # in flight: resume re-executes it
+            self.runs.pop(run.label, None)
+            self._rows.pop(run.label, None)
 
     @classmethod
-    def from_journal(cls, records: Sequence[dict]) -> "CampaignCheckpoint":
+    def from_journal(cls, records: Iterable[dict]) -> "CampaignCheckpoint":
         checkpoint = cls()
         for record in records:
             checkpoint.apply(record)
         return checkpoint
 
     def to_dict(self) -> dict:
-        return {
-            "schema": CAMPAIGN_SCHEMA_VERSION,
-            "total": self.total,
-            "runs": {
-                label: self.runs[label].to_dict() for label in sorted(self.runs)
-            },
-        }
+        return {"schema": CAMPAIGN_SCHEMA_VERSION, "total": self.total, "runs": self._rows}
 
     def save(self, path) -> str:
         """Write the sidecar atomically (tmp file + rename)."""
@@ -168,17 +128,16 @@ def checkpoint_path(log_path) -> str:
 @dataclass
 class ResumePlan:
     """Everything ``run_batch(resume_from=...)`` needs from a prior
-    campaign, all of it folded from the journal: the terminal-state
-    checkpoint (the decision source, whose fold indexes each run's
-    records — the replay source) and whether the journal ended in a
-    torn write."""
+    campaign, all of it folded from the journal: the terminal runs (the
+    decision source; each carries its own records — the replay source)
+    and whether the journal ended in a torn write."""
 
     checkpoint: CampaignCheckpoint
     partial_tail: Optional[str] = None
 
     def run_records(self, label: str) -> List[dict]:
         """One run's full lifecycle, in journal order (replay input)."""
-        return self.checkpoint.fold.runs[label].records
+        return self.checkpoint.runs[label].records
 
 
 def load_resume_plan(log_path) -> ResumePlan:

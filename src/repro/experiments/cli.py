@@ -487,8 +487,9 @@ def run_chaos_executor(args) -> int:
     def check_records(name: str, records: List[dict]) -> None:
         for error in validate_records(records):
             failures.append(f"{name}: schema violation: {error}")
-        starts = [r for r in records if r["event"] == "campaign_start"]
-        if not starts or starts[0].get("schema") != CAMPAIGN_SCHEMA_VERSION:
+        # validate_records has already required the stream to open
+        # with campaign_start.
+        if not records or records[0].get("schema") != CAMPAIGN_SCHEMA_VERSION:
             failures.append(f"{name}: campaign_start missing or wrong schema")
         runs = fold_campaign(records).runs
         for label in labels:
@@ -506,10 +507,8 @@ def run_chaos_executor(args) -> int:
         check_records(name, records)
         if not chaos.log and plan.specs and name != "journal_truncate":
             failures.append(f"{name}: plan armed but no fault fired")
-        if name == "cache_write_error":
-            wrote = executor.metrics.get("executor_cache_write_errors_total")
-            if not wrote or wrote.total() < 1:
-                failures.append(f"{name}: no cache write error was counted")
+        if name == "cache_write_error" and executor.cache.write_errors < 1:
+            failures.append(f"{name}: no cache write error was counted")
         if name == "cache_corrupt":
             # Corrupt entries must read back as misses: a warm re-run
             # re-executes instead of erroring out.

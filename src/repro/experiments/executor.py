@@ -43,16 +43,17 @@ Four layers:
   :class:`CampaignAborted`. ``run_batch(resume_from=...)`` replays
   completed runs from the prior journal + cache and executes only the
   remainder — the resumed journal digests byte-identically to an
-  uninterrupted run (see ``docs/robustness.md``). The executor never
-  tracks run state by hand: it feeds the records it emits to the same
-  lifecycle fold resume runs over the journal
-  (:class:`~repro.obs.campaign.CampaignFold`), and with
-  ``checkpoint_to`` saves that fold's terminal runs as a derived status
-  sidecar after every run-ending record, before the cache write.
+  uninterrupted run (see ``docs/robustness.md``).
 
-Progress and cache-hit/miss/retry counters are surfaced through a
-:class:`repro.obs.metrics.MetricsRegistry` (``executor_*`` families)
-plus a per-batch :class:`BatchStats`.
+The executor keeps no books of its own. Every record a batch emits —
+journaled or not — passes through one fresh
+:class:`~repro.obs.campaign.CampaignFold`, the lifecycle fold resume
+runs over the journal, and what the executor reports is a projection of
+it: progress ``done``, the ``campaign_abort`` count, the resume split
+and the per-batch :class:`BatchStats`, filled once when the batch ends.
+With ``checkpoint_to`` the log's terminal runs are also saved as a
+derived status sidecar after every run-ending record, before the cache
+write. Failed cache writes have one count, ``ResultCache.write_errors``.
 """
 
 from __future__ import annotations
@@ -65,6 +66,7 @@ import queue as queue_mod
 import signal
 import threading
 import time
+from collections import Counter
 from concurrent.futures import (
     FIRST_COMPLETED,
     BrokenExecutor,
@@ -78,25 +80,15 @@ from time import perf_counter
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.experiments.backoff import BackoffPolicy
-from repro.experiments.checkpoint import (
-    CampaignCheckpoint,
-    ResumePlan,
-    RunCheckpoint,
-)
+from repro.experiments.checkpoint import CampaignCheckpoint, ResumePlan
 from repro.experiments.config import CONFIG_SCHEMA_VERSION, ExperimentConfig
-from repro.experiments.runner import (
-    ExperimentResult,
-    RunFailure,
-    run_experiment,
-    set_worker_heartbeat,
-)
-from repro.obs.campaign import CAMPAIGN_SCHEMA_VERSION, CampaignLog
-from repro.obs.metrics import MetricsRegistry
+from repro.experiments.runner import ExperimentResult, run_experiment, set_worker_heartbeat
+from repro.obs.campaign import CAMPAIGN_SCHEMA_VERSION, CampaignFold, CampaignLog
 from repro.obs.tracepoints import Tracepoint
 
 #: (done, total, label, outcome) — outcome is "cached", "ok", "failed",
-#: or "retry" (retry reports do not advance ``done``). ``done`` is
-#: strictly monotonic non-decreasing across one batch.
+#: or "retry" (retry reports do not advance ``done``). ``done`` is the
+#: batch fold's terminal-run count: monotonic across one batch.
 ProgressFn = Callable[[int, int, str, str], None]
 
 #: Default heartbeat cadence when a campaign log is attached: every
@@ -172,16 +164,22 @@ def _synthetic_failure(config: ExperimentConfig, error: Exception) -> Experiment
     (transport, a broken worker) — ``run_experiment`` already converts
     in-run crashes into ``result.failure``. Marked ``infrastructure``
     so resume resubmits instead of quarantining."""
-    result = ExperimentResult(config=config, duration_ns=config.duration_ns)
-    result.failure = RunFailure(
-        error_type=type(error).__name__,
-        error_message=str(error),
-        seed=config.seed,
-        fault_plan_path=config.fault_plan_path,
-        bundle_path=None,
-        infrastructure=True,
+    return ExperimentResult.failed(
+        config, type(error).__name__, str(error), infrastructure=True
     )
-    return result
+
+
+def _default_labels(configs: Sequence[ExperimentConfig]) -> List[str]:
+    """``variant/seedN`` per run, with ``#2``, ``#3``, … on repeats: a
+    batch may vary something other than variant and seed, and two runs
+    must never share a journal label."""
+    seen: Dict[str, int] = {}
+    labels = []
+    for config in configs:
+        label = f"{config.variant}/seed{config.seed}"
+        seen[label] = seen.get(label, 0) + 1
+        labels.append(label if seen[label] == 1 else f"{label}#{seen[label]}")
+    return labels
 
 
 class ResultCache:
@@ -232,8 +230,7 @@ class ResultCache:
             tmp.write_text(json.dumps(doc, sort_keys=True))
             os.replace(tmp, path)
         except OSError as error:
-            self.write_errors += 1
-            self.last_write_error = f"{type(error).__name__}: {error}"
+            self.write_failed(error)
             try:  # a half-written tmp file must not leak
                 tmp.unlink()
             except OSError:
@@ -241,10 +238,18 @@ class ResultCache:
             return None
         return str(path)
 
+    def write_failed(self, error: OSError) -> None:
+        """Count one failed write (``put``'s own, or one injected ahead
+        of it): the one count of cache write errors there is."""
+        self.write_errors += 1
+        self.last_write_error = f"{type(error).__name__}: {error}"
+
 
 @dataclass
 class BatchStats:
-    """Counters for one ``run_batch`` call."""
+    """Counters for one ``run_batch`` call: a projection of the records
+    the batch emitted (:meth:`from_fold`), plus the two measurements no
+    journal event carries."""
 
     total: int = 0
     executed: int = 0
@@ -255,6 +260,21 @@ class BatchStats:
     quarantined: int = 0
     broken_pools: int = 0
     wall_s: float = 0.0
+
+    @classmethod
+    def from_fold(cls, fold: CampaignFold, broken_pools: int = 0, wall_s: float = 0.0):
+        runs = fold.runs.values()
+        return cls(
+            total=fold.total,
+            executed=sum(run.attempts > 0 for run in runs),
+            cache_hits=fold.states["cached"],
+            cache_misses=sum(bool((run.queued or {}).get("cache_miss")) for run in runs),
+            retries=sum(run.retries for run in runs),
+            failures=fold.failures,
+            quarantined=fold.states["quarantined"],
+            broken_pools=broken_pools,
+            wall_s=wall_s,
+        )
 
     def render(self) -> str:
         extras = ""
@@ -283,7 +303,6 @@ class ExperimentExecutor:
         cache_dir: Optional[str] = None,
         use_cache: bool = True,
         retries: int = 1,
-        metrics: Optional[MetricsRegistry] = None,
         progress: Optional[ProgressFn] = None,
         campaign: Optional[CampaignLog] = None,
         heartbeat_events: int = DEFAULT_HEARTBEAT_EVENTS,
@@ -319,43 +338,15 @@ class ExperimentExecutor:
         self.pool_rebuilds = pool_rebuilds
         self._sleep = sleep
         self._clock = clock
-        self.metrics = metrics if metrics is not None else MetricsRegistry()
         self.last_batch = BatchStats()
         self.last_replayed = 0
         self.last_fresh = 0
-        self._progress_done = 0
+        # The current batch's books: every record it emits, folded.
+        self._fold = CampaignFold()
         # Cumulative across batches in one log (sweeps emit several
         # campaign_start records), like the journal it is folded from.
         self._ckpt = CampaignCheckpoint() if self.checkpoint_to else None
         self._batch_keys: List[Optional[str]] = []
-        self._m_hits = self.metrics.counter(
-            "executor_cache_hits_total", "batch items served from the result cache"
-        )
-        self._m_misses = self.metrics.counter(
-            "executor_cache_misses_total", "cache lookups that fell through to execution"
-        )
-        self._m_retries = self.metrics.counter(
-            "executor_retries_total", "failed runs re-executed under the retry policy"
-        )
-        self._m_runs = self.metrics.counter(
-            "executor_runs_total", "completed batch items", ("outcome",)
-        )
-        self._m_cache_write_errors = self.metrics.counter(
-            "executor_cache_write_errors_total",
-            "result-cache writes that failed (run continued uncached)",
-        )
-        self._m_backoff_s = self.metrics.counter(
-            "executor_backoff_seconds_total",
-            "seconds of retry backoff delay scheduled",
-        )
-        self._m_quarantined = self.metrics.counter(
-            "executor_quarantined_total",
-            "poison runs quarantined after failing every attempt",
-        )
-        self._m_pool_rebuilds = self.metrics.counter(
-            "executor_pool_rebuilds_total",
-            "worker pools rebuilt after breaking mid-batch",
-        )
 
     # ------------------------------------------------------------------
     # Batch execution
@@ -379,50 +370,45 @@ class ExperimentExecutor:
         """
         configs = list(configs)
         if labels is None:
-            labels = [f"{c.variant}/seed{c.seed}" for c in configs]
+            labels = _default_labels(configs)
         if len(labels) != len(configs):
             raise ValueError("labels must match configs one-to-one")
+        repeated = [label for label, n in Counter(labels).items() if n > 1]
+        if repeated:
+            # The journal keys a run by its label: two runs under one
+            # would fold into a single lifecycle with two endings.
+            raise ValueError(f"labels repeat within the batch: {repeated[:3]}")
         resume = resume_from if resume_from is not None else self.resume
         started_wall = perf_counter()
-        stats = self.last_batch = BatchStats(total=len(configs))
-        self._progress_done = 0
-        self.last_replayed = 0
-        self.last_fresh = 0
-        results: List[Optional[ExperimentResult]] = [None] * len(configs)
+        total = len(configs)
+        self.last_batch = BatchStats(total=total)
+        self.last_replayed = self.last_fresh = 0
+        fold = self._fold = CampaignFold()
+        results: List[Optional[ExperimentResult]] = [None] * total
         keys = self._batch_keys = [self._cacheable_key(c) for c in configs]
         replay = self._plan_replays(configs, labels, keys, resume)
-        done = 0
         with self._signal_guard():
             try:
                 self._emit(
-                    "campaign_start",
-                    schema=CAMPAIGN_SCHEMA_VERSION,
-                    total=len(configs),
-                    jobs=self.jobs,
+                    "campaign_start", schema=CAMPAIGN_SCHEMA_VERSION, total=total, jobs=self.jobs
                 )
                 if resume is not None:
                     self._emit(
                         "campaign_resume",
                         schema=CAMPAIGN_SCHEMA_VERSION,
-                        total=len(configs),
+                        total=total,
                         replayed=len(replay),
-                        remaining=len(configs) - len(replay),
+                        remaining=total - len(replay),
                         jobs=self.jobs,
                     )
                 pending: List[int] = []
                 for i, config in enumerate(configs):
                     if i in replay:
-                        done += 1
-                        results[i] = self._replay_run(
-                            labels[i], replay[i], resume, stats, done
-                        )
+                        results[i] = self._replay_run(labels[i], replay[i], resume)
                         continue
                     queued = dict(
-                        run=labels[i],
-                        index=i,
-                        total=len(configs),
-                        variant=config.variant,
-                        seed=config.seed,
+                        run=labels[i], index=i, total=total,
+                        variant=config.variant, seed=config.seed,
                     )
                     cached = self.cache.get(keys[i]) if keys[i] is not None else None
                     if keys[i] is not None:
@@ -433,45 +419,26 @@ class ExperimentExecutor:
                     self._emit("queued", **queued)
                     if cached is not None:
                         results[i] = cached
-                        stats.cache_hits += 1
-                        self._m_hits.inc(1)
-                        done += 1
                         self._emit("cache_hit", run=labels[i], index=i)
                         self._save_checkpoint()
-                        self._report(done, stats.total, labels[i], "cached")
+                        self._report(labels[i], "cached")
                         continue
-                    if keys[i] is not None:
-                        stats.cache_misses += 1
-                        self._m_misses.inc(1)
                     pending.append(i)
 
-                if pending:
-                    stats.executed += len(pending)
-                    if self.jobs == 1 or len(pending) == 1:
-                        for i in pending:
-                            result, attempts = self._run_inline(
-                                configs[i], labels[i], stats, done
-                            )
-                            results[i] = result
-                            done += 1
-                            self._finish_item(i, result, labels[i], done, stats, attempts)
-                    else:
-                        done = self._run_pool(configs, labels, pending, results, done, stats)
+                if self.jobs == 1 or len(pending) == 1:
+                    for i in pending:
+                        results[i] = self._run_inline(configs[i], labels[i])
+                        self._finish_item(i, results[i], labels[i])
+                elif pending:
+                    self._run_pool(configs, labels, pending, results)
             except (KeyboardInterrupt, _ShutdownRequested) as error:
                 reason = getattr(error, "reason", "SIGINT")
                 self._save_checkpoint()
-                stats.wall_s = perf_counter() - started_wall
-                self._emit(
-                    "campaign_abort",
-                    reason=reason,
-                    done=self._progress_done,
-                    total=len(configs),
-                )
-                raise CampaignAborted(
-                    reason, done=self._progress_done, total=len(configs)
-                ) from error
-        stats.wall_s = perf_counter() - started_wall
-        self._emit("campaign_end", stats=asdict(stats))
+                self._close_books(started_wall)
+                self._emit("campaign_abort", reason=reason, done=fold.done, total=total)
+                raise CampaignAborted(reason, done=fold.done, total=total) from error
+        self._close_books(started_wall)
+        self._emit("campaign_end", stats=asdict(self.last_batch))
         return results  # type: ignore[return-value]
 
     # ------------------------------------------------------------------
@@ -485,10 +452,29 @@ class ExperimentExecutor:
         return config.cache_key()
 
     def _emit(self, event: str, **fields) -> None:
+        """Every record of a batch passes through here: into the journal
+        when one is attached, and always into the batch's fold."""
         if self.campaign is not None:
             record = self.campaign.emit(event, **fields)
-            if self._ckpt is not None:
-                self._ckpt.apply(record)
+        else:
+            record = dict(fields, event=event)
+        self._fold.apply(record)
+        if self._ckpt is not None:
+            self._ckpt.apply(record)
+
+    def _close_books(self, started_wall: float) -> None:
+        """Fill the batch's public numbers, once, from its fold; only
+        broken pools and wall time — no journal event carries either —
+        are measured."""
+        fold = self._fold
+        self.last_batch = BatchStats.from_fold(
+            fold,
+            broken_pools=self.last_batch.broken_pools,
+            wall_s=perf_counter() - started_wall,
+        )
+        fresh = [run for run in fold.runs.values() if not run.replayed]
+        self.last_replayed = len(fold.runs) - len(fresh)
+        self.last_fresh = sum(run.terminal and run.state != "cached" for run in fresh)
 
     def _save_checkpoint(self) -> None:
         if self._ckpt is not None:
@@ -520,14 +506,9 @@ class ExperimentExecutor:
                 except (ValueError, OSError):  # pragma: no cover
                     pass
 
-    def _report(self, done: int, total: int, label: str, outcome: str) -> None:
-        # Clamp to the high-water mark: retry reports and out-of-order
-        # completion can hand in stale counts, but consumers see a
-        # monotonically non-decreasing ``done``.
-        if done > self._progress_done:
-            self._progress_done = done
+    def _report(self, label: str, outcome: str) -> None:
         if self.progress is not None:
-            self.progress(self._progress_done, total, label, outcome)
+            self.progress(self._fold.done, self._fold.total, label, outcome)
 
     # -- resume ---------------------------------------------------------
     def _plan_replays(
@@ -536,52 +517,43 @@ class ExperimentExecutor:
         labels: Sequence[str],
         keys: List[Optional[str]],
         resume: Optional[ResumePlan],
-    ) -> Dict[int, Tuple[RunCheckpoint, ExperimentResult]]:
+    ) -> Dict[int, ExperimentResult]:
         """Which batch indices can be replayed from the prior campaign,
         with the result each replay hands back. Everything else — runs
         the prior campaign never finished, infrastructure failures, and
         finished runs whose cached result is gone or whose config
         changed (key mismatch) — executes fresh."""
-        replay: Dict[int, Tuple[RunCheckpoint, ExperimentResult]] = {}
+        replay: Dict[int, ExperimentResult] = {}
         if resume is None:
             return replay
         for i, config in enumerate(configs):
-            entry = resume.checkpoint.runs.get(labels[i])
-            if entry is None or entry.state == "failed":
+            run = resume.checkpoint.runs.get(labels[i])
+            if run is None or run.state == "failed":
                 continue  # unknown / in-flight / infrastructure: resubmit
-            if entry.state == "quarantined":
-                result = ExperimentResult(config=config, duration_ns=config.duration_ns)
-                result.failure = RunFailure(
-                    error_type=entry.error_type or "RunFailure",
-                    error_message=entry.error_message or "",
-                    seed=config.seed,
-                    fault_plan_path=config.fault_plan_path,
-                    bundle_path=None,
+            if run.state == "quarantined":
+                ending = run.ending or {}
+                replay[i] = ExperimentResult.failed(
+                    config,
+                    ending.get("error_type") or "RunFailure",
+                    ending.get("error_message") or "",
                 )
-                replay[i] = (entry, result)
                 continue
-            if keys[i] is None or entry.cache_key != keys[i]:
+            if keys[i] is None or (run.queued or {}).get("key") != keys[i]:
                 continue
-            cached = self.cache.get(keys[i]) if self.cache is not None else None
-            if cached is None:
-                continue
-            replay[i] = (entry, cached)
+            cached = self.cache.get(keys[i])
+            if cached is not None:
+                replay[i] = cached
         return replay
 
     def _replay_run(
-        self,
-        label: str,
-        entry_result: Tuple[RunCheckpoint, ExperimentResult],
-        resume: ResumePlan,
-        stats: BatchStats,
-        done: int,
+        self, label: str, result: ExperimentResult, resume: ResumePlan
     ) -> ExperimentResult:
         """Re-emit one completed run's journal records verbatim (fresh
         seq/wall clock, ``replayed`` marker) and hand back its prior
-        result. The per-run record sequence — and therefore the
-        campaign summary — is indistinguishable from an uninterrupted
+        result. Replayed records pass through the same fold as fresh
+        ones, so the per-run record sequence, the campaign summary and
+        the batch stats are indistinguishable from an uninterrupted
         run's."""
-        entry, result = entry_result
         for record in resume.run_records(label):
             fields = {
                 k: v
@@ -590,79 +562,46 @@ class ExperimentExecutor:
             }
             self._emit(record["event"], replayed=True, **fields)
         self._save_checkpoint()
-        if entry.cache_hit:
-            stats.cache_hits += 1
-            self._m_hits.inc(1)
-        if entry.cache_miss:
-            stats.cache_misses += 1
-            self._m_misses.inc(1)
-        if entry.executed:
-            stats.executed += 1
-        if entry.retries:
-            stats.retries += entry.retries
-            self._m_retries.inc(entry.retries)
-        if entry.state in ("failed", "quarantined"):
-            stats.failures += 1
-            self._m_runs.inc(1, outcome="failed")
-        else:
-            self._m_runs.inc(1, outcome="ok")
-        if entry.state == "quarantined":
-            stats.quarantined += 1
-            self._m_quarantined.inc(1)
-        self.last_replayed += 1
-        self._report(done, stats.total, label, "cached" if result.ok else "failed")
+        self._report(label, "cached" if result.ok else "failed")
         return result
 
     # -- terminal bookkeeping ------------------------------------------
     def _cache_put(self, i: int, result: ExperimentResult) -> None:
         """Write-through caching at run completion (not batch end), so
         a kill after a run's terminal record loses at most that one
-        uncached result. Write errors degrade to uncached: counted,
-        traced, never fatal."""
+        uncached result. Write errors degrade to uncached: counted
+        (``cache.write_errors``), traced, never fatal."""
         key = self._batch_keys[i]
         if self.cache is None or key is None or not result.ok:
             return
-        error: Optional[str] = None
         path: Optional[str] = None
         try:
             if self.chaos is not None:
                 self.chaos.on_cache_put(key)  # may raise OSError/ENOSPC
+        except OSError as error:
+            self.cache.write_failed(error)
+        else:
             path = self.cache.put(key, result)
-            if path is None:
-                error = self.cache.last_write_error or "OSError"
-        except OSError as exc:
-            error = f"{type(exc).__name__}: {exc}"
-        if error is not None:
-            self._m_cache_write_errors.inc(1)
+        if path is None:
             if CACHE_WRITE_ERROR_TP.enabled:
-                CACHE_WRITE_ERROR_TP.emit(0, key=key, error=error)
+                CACHE_WRITE_ERROR_TP.emit(
+                    0, key=key, error=self.cache.last_write_error or "OSError"
+                )
             return
         if self.chaos is not None:
             self.chaos.after_cache_put(key, path)
 
-    def _finish_item(
-        self,
-        i: int,
-        result: ExperimentResult,
-        label: str,
-        done: int,
-        stats: BatchStats,
-        attempts: int,
-    ) -> None:
-        self.last_fresh += 1
+    def _finish_item(self, i: int, result: ExperimentResult, label: str) -> None:
         if result.ok:
-            self._m_runs.inc(1, outcome="ok")
             self._emit("finished", run=label, outcome="ok", sketches=result.sketches)
             self._save_checkpoint()
             # Report before the cache write: the run is durably terminal
             # once journaled, and a multi-MB cache entry can take long
             # enough that an abort landing mid-write would undercount
             # ``done`` in the campaign_abort record.
-            self._report(done, stats.total, label, "ok")
+            self._report(label, "ok")
             self._cache_put(i, result)
             return
-        stats.failures += 1
-        self._m_runs.inc(1, outcome="failed")
         self._emit(
             "failed",
             run=label,
@@ -673,26 +612,21 @@ class ExperimentExecutor:
         # must never resubmit it. Infrastructure casualties (broken
         # pool, transport) stay plain "failed" and are resubmitted.
         if not result.failure.infrastructure:
-            stats.quarantined += 1
-            self._m_quarantined.inc(1)
-            self._emit("quarantined", run=label, attempts=attempts)
+            self._emit(
+                "quarantined", run=label, attempts=self._fold.runs[label].attempts
+            )
         self._save_checkpoint()
-        self._report(done, stats.total, label, "failed")
+        self._report(label, "failed")
 
     # -- retry ----------------------------------------------------------
-    def _book_retry(self, label: str, attempt: int, stats: BatchStats, done: int) -> float:
-        """All the bookkeeping of one retry — ``attempt`` is the try
-        about to happen — shared by the inline loop and the pool: count
-        it, journal it, report it, and return the (seeded, full-jitter)
-        backoff delay to wait out first."""
-        stats.retries += 1
-        self._m_retries.inc(1)
+    def _book_retry(self, label: str, attempt: int) -> float:
+        """One retry — ``attempt`` is the try about to happen — shared
+        by the inline loop and the pool: journal it, report it, and
+        return the (seeded, full-jitter) backoff delay to wait out
+        first."""
         self._emit("retry", run=label, attempt=attempt)
-        self._report(done, stats.total, label, "retry")
-        delay = self.backoff.delay_s(label, attempt - 1)
-        if delay > 0:
-            self._m_backoff_s.inc(delay)
-        return delay
+        self._report(label, "retry")
+        return self.backoff.delay_s(label, attempt - 1)
 
     # -- execution paths ------------------------------------------------
     def _run_once(self, config: ExperimentConfig) -> ExperimentResult:
@@ -701,28 +635,24 @@ class ExperimentExecutor:
         except Exception as error:
             return _synthetic_failure(config, error)
 
-    def _run_inline(
-        self, config: ExperimentConfig, label: str, stats: BatchStats, done: int
-    ) -> Tuple[ExperimentResult, int]:
+    def _run_inline(self, config: ExperimentConfig, label: str) -> ExperimentResult:
         campaign = self.campaign
         if campaign is not None:
             # Inline runs heartbeat straight into the log — same hook,
             # no process boundary.
             set_worker_heartbeat(partial(self._heartbeat, label), self.heartbeat_events)
         try:
-            attempt = 1
-            self._emit("started", run=label, attempt=attempt)
+            self._emit("started", run=label, attempt=1)
             result = self._run_once(config)
-            for _attempt in range(self.retries):
+            for attempt in range(2, self.retries + 2):
                 if result.ok:
                     break
-                attempt += 1
-                delay = self._book_retry(label, attempt, stats, done)
+                delay = self._book_retry(label, attempt)
                 if delay > 0:
                     self._sleep(delay)
                 self._emit("started", run=label, attempt=attempt)
                 result = self._run_once(config)
-            return result, attempt
+            return result
         finally:
             if campaign is not None:
                 set_worker_heartbeat(None)
@@ -780,9 +710,7 @@ class ExperimentExecutor:
         labels: Sequence[str],
         pending: List[int],
         results: List[Optional[ExperimentResult]],
-        done: int,
-        stats: BatchStats,
-    ) -> int:
+    ) -> None:
         ctx = multiprocessing.get_context("spawn")
         attempts_left = {i: self.retries for i in pending}
         attempts = {i: 1 for i in pending}
@@ -803,16 +731,14 @@ class ExperimentExecutor:
         rebuilds_left = self.pool_rebuilds
 
         def settle(i: int, result: ExperimentResult) -> None:
-            nonlocal done
             if not result.ok and attempts_left[i] > 0:
                 attempts_left[i] -= 1
                 attempts[i] += 1
-                delay = self._book_retry(labels[i], attempts[i], stats, done)
+                delay = self._book_retry(labels[i], attempts[i])
                 deferred.append((self._clock() + delay, i))
                 return
             results[i] = result
-            done += 1
-            self._finish_item(i, result, labels[i], done, stats, attempts[i])
+            self._finish_item(i, result, labels[i])
 
         def submit_one(i: int) -> None:
             if self.chaos is not None:
@@ -826,7 +752,7 @@ class ExperimentExecutor:
             # fresh pool, with backoff); when the rebuild budget is
             # spent the casualties surface as infrastructure failures.
             nonlocal pool, rebuilds_left
-            stats.broken_pools += 1
+            self.last_batch.broken_pools += 1
             if hb_queue is not None:
                 self._drain_heartbeats(hb_queue)
             try:
@@ -836,7 +762,6 @@ class ExperimentExecutor:
             if rebuilds_left > 0:
                 rebuilds_left -= 1
                 pool = ProcessPoolExecutor(max_workers=max_workers, mp_context=ctx)
-                self._m_pool_rebuilds.inc(1)
             else:
                 for i in casualties:
                     attempts_left[i] = 0
@@ -914,4 +839,3 @@ class ExperimentExecutor:
         finally:
             if manager is not None:
                 manager.shutdown()
-        return done

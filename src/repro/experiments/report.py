@@ -6,6 +6,7 @@ regenerates every figure as text; EXPERIMENTS.md records them.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -297,16 +298,15 @@ def merge_campaign_sketches(
     """sketch name -> variant -> exact merge of every finished run's
     sketch (bucket counts are integers, so per-variant percentiles are
     independent of run completion order)."""
-    variant_of: Dict[str, str] = {}
+    return _merge_sketches(fold_campaign(records))
+
+
+def _merge_sketches(fold: CampaignFold) -> Dict[str, Dict[str, QuantileSketch]]:
     merged: Dict[str, Dict[str, QuantileSketch]] = {}
-    for record in records:
-        if record.get("event") == "queued":
-            variant_of[record["run"]] = str(record.get("variant", "?"))
-    for record in records:
-        if record.get("event") != "finished":
-            continue
-        variant = variant_of.get(record.get("run"), "?")
-        for name, state in (record.get("sketches") or {}).items():
+    for run in fold.runs.values():
+        variant = str((run.queued or {}).get("variant", "?"))
+        # Only a run that finished carries sketches on its ending record.
+        for name, state in ((run.ending or {}).get("sketches") or {}).items():
             per_variant = merged.setdefault(name, {})
             sketch = QuantileSketch.from_dict(state)
             if variant in per_variant:
@@ -323,24 +323,78 @@ def _campaign_timeline(fold: CampaignFold) -> List[RunState]:
     )
 
 
-def _run_error(run: RunState) -> Optional[str]:
-    if run.state not in ("failed", "quarantined") or run.ending is None:
-        return None
-    return f"{run.ending.get('error_type')}: {run.ending.get('error_message')}"
-
-
 def _fmt(value, scale: float = 1.0, digits: int = 4) -> str:
     if value is None:
         return "-"
     return f"{value * scale:.{digits}g}"
 
 
+#: Meta record -> (css class, headline word, the rest of the sentence).
+#: Resume/abort records are excluded from the deterministic summary but
+#: headline news for a human reader.
+_BANNERS = {
+    "campaign_resume": ("resume", "resumed", ": {replayed} runs replayed from "
+                        "the prior journal, {remaining} executed fresh"),
+    "campaign_abort": ("abort", "aborted", " ({reason}) at {done}/{total} runs "
+                       "— resumable via --resume"),
+}
+
+
+class _Dashboard:
+    """What both dashboards show, computed once from the campaign fold
+    as plain cell values; the two renderers differ only in markup."""
+
+    def __init__(self, records: Sequence[dict]) -> None:
+        fold = self.fold = fold_campaign(records)
+        self.heartbeats = fold.event_counts.get("heartbeat", 0)
+        #: (css class, headline word, rest of the sentence)
+        self.banners = []
+        for record in fold.meta:
+            css, head, rest = _BANNERS[record["event"]]
+            self.banners.append(
+                (css, head, rest.format_map(defaultdict(lambda: "?", record)))
+            )
+        self.stats = fold.stats and (
+            "executed {executed}, cache hits {cache_hits}, cache misses "
+            "{cache_misses}, retries {retries}, failures {failures}"
+        ).format_map(defaultdict(int, fold.stats))
+        merged = _merge_sketches(fold)
+        #: (sketch, variant, count, one formatted cell per percentile)
+        self.percentiles = [
+            (name, variant, sketch.count,
+             [_fmt(sketch.quantile(q)) for _label, q in PERCENTILE_LABELS])
+            for name in sorted(merged)
+            for variant, sketch in sorted(merged[name].items())
+        ]
+        #: (run, #, variant, seed, duration in seconds or None)
+        self.timeline = []
+        #: (label, state, retries, error)
+        self.troubled = []
+        for run in _campaign_timeline(fold):
+            queued = run.queued or {}
+            duration = None
+            if run.started_ms is not None and run.ended_ms is not None:
+                duration = (run.ended_ms - run.started_ms) / 1000.0
+            self.timeline.append((
+                run, "-" if run.index is None else run.index,
+                str(queued.get("variant", "?")), queued.get("seed"), duration,
+            ))
+            failed = run.state in ("failed", "quarantined")
+            if run.retries or failed:
+                error = "-"
+                if failed and run.ending is not None:
+                    error = "{error_type}: {error_message}".format_map(
+                        defaultdict(lambda: None, run.ending)
+                    )
+                self.troubled.append((run.label, run.state, run.retries, error))
+
+
 def render_campaign(records: Sequence[dict]) -> str:
     """Markdown dashboard of a campaign JSONL stream: headline counts,
     per-variant sketch percentiles, the run timeline, and the
     failure/retry table."""
-    fold = fold_campaign(records)
-    timeline = _campaign_timeline(fold)
+    board = _Dashboard(records)
+    fold = board.fold
     lines = ["# Campaign report", ""]
     lines.append(
         f"**{fold.total} runs** — "
@@ -348,35 +402,16 @@ def render_campaign(records: Sequence[dict]) -> str:
             f"{count} {state}" for state, count in sorted(fold.states.items()) if count
         )
     )
-    if fold.stats:
-        stats = fold.stats
-        lines.append(
-            f"executed {stats.get('executed', 0)}, cache hits "
-            f"{stats.get('cache_hits', 0)}, cache misses {stats.get('cache_misses', 0)}, "
-            f"retries {stats.get('retries', 0)}, failures {stats.get('failures', 0)}"
-        )
-    lines.append(f"heartbeats observed: {fold.event_counts.get('heartbeat', 0)}")
-    # Resume/abort records are meta (excluded from the deterministic
-    # summary) but headline news for a human reader.
-    for record in records:
-        if record.get("event") == "campaign_resume":
-            lines.append(
-                f"**resumed**: {record.get('replayed', 0)} runs replayed from the "
-                f"prior journal, {record.get('remaining', 0)} executed fresh"
-            )
-        elif record.get("event") == "campaign_abort":
-            lines.append(
-                f"**aborted** ({record.get('reason', '?')}) at "
-                f"{record.get('done', 0)}/{record.get('total', 0)} runs — "
-                f"resumable via --resume"
-            )
-    replayed_rows = sum(1 for row in timeline if row.replayed)
+    if board.stats:
+        lines.append(board.stats)
+    lines.append(f"heartbeats observed: {board.heartbeats}")
+    lines.extend(f"**{head}**{rest}" for _css, head, rest in board.banners)
+    replayed_rows = sum(1 for row in board.timeline if row[0].replayed)
     if replayed_rows:
         lines.append(f"replayed run records: {replayed_rows}")
     lines.append("")
 
-    merged = merge_campaign_sketches(records)
-    if merged:
+    if board.percentiles:
         lines.append("## Percentiles (sketches merged per variant)")
         lines.append("")
         header = "| sketch | variant | count | " + " | ".join(
@@ -384,18 +419,11 @@ def render_campaign(records: Sequence[dict]) -> str:
         ) + " |"
         lines.append(header)
         lines.append("|" + "---|" * (3 + len(PERCENTILE_LABELS)))
-        for name in sorted(merged):
-            for variant in sorted(merged[name]):
-                sketch = merged[name][variant]
-                cells = " | ".join(
-                    _fmt(sketch.quantile(q)) for _label, q in PERCENTILE_LABELS
-                )
-                lines.append(
-                    f"| {name} | {variant} | {sketch.count} | {cells} |"
-                )
+        for name, variant, count, cells in board.percentiles:
+            lines.append(f"| {name} | {variant} | {count} | {' | '.join(cells)} |")
         lines.append("")
 
-    if timeline:
+    if board.timeline:
         lines.append("## Run timeline")
         lines.append("")
         lines.append(
@@ -403,36 +431,22 @@ def render_campaign(records: Sequence[dict]) -> str:
             "| started (s) | ended (s) | duration (s) |"
         )
         lines.append("|" + "---|" * 10)
-        for row in timeline:
-            queued = row.queued or {}
-            started = row.started_ms
-            ended = row.ended_ms
-            duration = (
-                (ended - started) / 1000.0
-                if started is not None and ended is not None
-                else None
-            )
+        for run, index, variant, seed, duration in board.timeline:
             lines.append(
-                f"| {row.index if row.index is not None else '-'} "
-                f"| {row.label} | {queued.get('variant', '?')} | {queued.get('seed')} "
-                f"| {row.state} | {row.attempts} | {row.heartbeats} "
-                f"| {_fmt(started, 1e-3)} | {_fmt(ended, 1e-3)} | {_fmt(duration)} |"
+                f"| {index} | {run.label} | {variant} | {seed} "
+                f"| {run.state} | {run.attempts} | {run.heartbeats} "
+                f"| {_fmt(run.started_ms, 1e-3)} | {_fmt(run.ended_ms, 1e-3)} "
+                f"| {_fmt(duration)} |"
             )
         lines.append("")
 
-    troubled = [
-        r for r in timeline if r.retries or r.state in ("failed", "quarantined")
-    ]
     lines.append("## Failures & retries")
     lines.append("")
-    if troubled:
+    if board.troubled:
         lines.append("| run | state | retries | error |")
         lines.append("|" + "---|" * 4)
-        for row in troubled:
-            lines.append(
-                f"| {row.label} | {row.state} | {row.retries} "
-                f"| {_run_error(row) or '-'} |"
-            )
+        for label, state, retries, error in board.troubled:
+            lines.append(f"| {label} | {state} | {retries} | {error} |")
     else:
         lines.append("none — every run completed on its first attempt.")
     lines.append("")
@@ -461,11 +475,9 @@ def render_campaign_html(records: Sequence[dict], title: str = "Campaign report"
     import html as html_mod
 
     esc = html_mod.escape
-    fold = fold_campaign(records)
-    timeline = _campaign_timeline(fold)
-    merged = merge_campaign_sketches(records)
+    board = _Dashboard(records)
     end_ms = max(
-        (row.ended_ms for row in timeline if row.ended_ms is not None),
+        (row[0].ended_ms for row in board.timeline if row[0].ended_ms is not None),
         default=0.0,
     ) or 1.0
 
@@ -473,104 +485,70 @@ def render_campaign_html(records: Sequence[dict], title: str = "Campaign report"
         "<!doctype html><html><head><meta charset='utf-8'>",
         f"<title>{esc(title)}</title><style>{_CAMPAIGN_CSS}</style></head><body>",
         f"<h1>{esc(title)}</h1>",
-        f"<p><b>{fold.total} runs</b>, "
-        f"{fold.event_counts.get('heartbeat', 0)} heartbeats observed.</p>",
+        f"<p><b>{board.fold.total} runs</b>, "
+        f"{board.heartbeats} heartbeats observed.</p>",
     ]
-    for record in records:
-        if record.get("event") == "campaign_resume":
-            parts.append(
-                f"<p class='banner-resume'>resumed: {record.get('replayed', 0)} runs "
-                f"replayed from the prior journal, {record.get('remaining', 0)} "
-                f"executed fresh</p>"
-            )
-        elif record.get("event") == "campaign_abort":
-            parts.append(
-                f"<p class='banner-abort'>aborted ({esc(str(record.get('reason', '?')))}) "
-                f"at {record.get('done', 0)}/{record.get('total', 0)} runs — "
-                f"resumable via --resume</p>"
-            )
-    if fold.stats:
-        stats = fold.stats
-        parts.append(
-            "<p>executed {executed}, cache hits {cache_hits}, cache misses "
-            "{cache_misses}, retries {retries}, failures {failures}</p>".format(
-                executed=stats.get("executed", 0),
-                cache_hits=stats.get("cache_hits", 0),
-                cache_misses=stats.get("cache_misses", 0),
-                retries=stats.get("retries", 0),
-                failures=stats.get("failures", 0),
-            )
-        )
-    if merged:
+    parts.extend(
+        f"<p class='banner-{css}'>{esc(head + rest)}</p>"
+        for css, head, rest in board.banners
+    )
+    if board.stats:
+        parts.append(f"<p>{board.stats}</p>")
+    if board.percentiles:
         parts.append("<h2>Percentiles (sketches merged per variant)</h2><table>")
         parts.append(
             "<tr><th class='l'>sketch</th><th class='l'>variant</th><th>count</th>"
             + "".join(f"<th>{label}</th>" for label, _q in PERCENTILE_LABELS)
             + "</tr>"
         )
-        for name in sorted(merged):
-            for variant in sorted(merged[name]):
-                sketch = merged[name][variant]
-                cells = "".join(
-                    f"<td>{_fmt(sketch.quantile(q))}</td>"
-                    for _label, q in PERCENTILE_LABELS
-                )
-                parts.append(
-                    f"<tr><td class='l'>{esc(name)}</td><td class='l'>{esc(variant)}</td>"
-                    f"<td>{sketch.count}</td>{cells}</tr>"
-                )
+        for name, variant, count, cells in board.percentiles:
+            parts.append(
+                f"<tr><td class='l'>{esc(name)}</td><td class='l'>{esc(variant)}</td>"
+                f"<td>{count}</td>{''.join(f'<td>{cell}</td>' for cell in cells)}</tr>"
+            )
         parts.append("</table>")
-    if timeline:
+    if board.timeline:
         parts.append("<h2>Run timeline</h2><table>")
         parts.append(
             "<tr><th>#</th><th class='l'>run</th><th class='l'>variant</th>"
             "<th>seed</th><th class='l'>state</th><th>attempts</th>"
             "<th>heartbeats</th><th>duration (s)</th><th class='l'>timeline</th></tr>"
         )
-        for row in timeline:
-            queued = row.queued or {}
-            started = row.started_ms if row.started_ms is not None else queued.get("wall_ms")
-            ended = row.ended_ms
-            duration = (
-                (ended - started) / 1000.0
-                if started is not None and ended is not None
-                else None
-            )
-            if started is not None and ended is not None:
+        for run, index, variant, seed, duration in board.timeline:
+            bar = ""
+            if run.ended_ms is not None:
+                # A run that never started (a cache hit) is an untitled
+                # tick at the instant it was served.
+                started = run.ended_ms if run.started_ms is None else run.started_ms
                 left = 100.0 * started / end_ms
-                width = max(100.0 * (ended - started) / end_ms, 0.5)
+                width = max(100.0 * (run.ended_ms - started) / end_ms, 0.5)
+                title = f"title='{_fmt(duration)}s' " if duration is not None else ""
                 bar = (
-                    f"<div style='width:240px'><span class='bar' "
-                    f"title='{_fmt(duration)}s' "
+                    f"<div style='width:240px'><span class='bar' {title}"
                     f"style='margin-left:{left * 2.4:.0f}px;width:{width * 2.4:.0f}px'>"
                     f"</span></div>"
                 )
-            else:
-                bar = ""
             parts.append(
-                f"<tr><td>{row.index if row.index is not None else '-'}</td>"
-                f"<td class='l'>{esc(row.label)}</td>"
-                f"<td class='l'>{esc(str(queued.get('variant', '?')))}</td>"
-                f"<td>{queued.get('seed')}</td>"
-                f"<td class='l state-{row.state}'>{row.state}</td>"
-                f"<td>{row.attempts}</td><td>{row.heartbeats}</td>"
+                f"<tr><td>{index}</td>"
+                f"<td class='l'>{esc(run.label)}</td>"
+                f"<td class='l'>{esc(variant)}</td>"
+                f"<td>{seed}</td>"
+                f"<td class='l state-{run.state}'>{run.state}</td>"
+                f"<td>{run.attempts}</td><td>{run.heartbeats}</td>"
                 f"<td>{_fmt(duration)}</td><td class='l'>{bar}</td></tr>"
             )
         parts.append("</table>")
-    troubled = [
-        r for r in timeline if r.retries or r.state in ("failed", "quarantined")
-    ]
     parts.append("<h2>Failures &amp; retries</h2>")
-    if troubled:
+    if board.troubled:
         parts.append(
             "<table><tr><th class='l'>run</th><th class='l'>state</th>"
             "<th>retries</th><th class='l'>error</th></tr>"
         )
-        for row in troubled:
+        for label, state, retries, error in board.troubled:
             parts.append(
-                f"<tr><td class='l'>{esc(row.label)}</td>"
-                f"<td class='l state-{row.state}'>{row.state}</td>"
-                f"<td>{row.retries}</td><td class='l'>{esc(_run_error(row) or '-')}</td></tr>"
+                f"<tr><td class='l'>{esc(label)}</td>"
+                f"<td class='l state-{state}'>{state}</td>"
+                f"<td>{retries}</td><td class='l'>{esc(error)}</td></tr>"
             )
         parts.append("</table>")
     else:

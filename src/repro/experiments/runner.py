@@ -138,6 +138,27 @@ class ExperimentResult:
     # counters. None on plain packet runs.
     fidelity_report: Optional[dict] = None
 
+    @classmethod
+    def failed(
+        cls,
+        config: ExperimentConfig,
+        error_type: str,
+        error_message: str,
+        bundle_path: Optional[str] = None,
+        infrastructure: bool = False,
+    ) -> "ExperimentResult":
+        """The one constructor of a failed run's result."""
+        result = cls(config=config, duration_ns=config.duration_ns)
+        result.failure = RunFailure(
+            error_type=error_type,
+            error_message=error_message,
+            seed=config.seed,
+            fault_plan_path=config.fault_plan_path,
+            bundle_path=bundle_path,
+            infrastructure=infrastructure,
+        )
+        return result
+
     @property
     def ok(self) -> bool:
         return self.failure is None
@@ -334,15 +355,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
             except (OSError, ValueError) as error:
                 # A bad trace is this run's failure, not a crash that
                 # takes down the whole batch.
-                result = ExperimentResult(config=config, duration_ns=config.duration_ns)
-                result.failure = RunFailure(
-                    error_type=type(error).__name__,
-                    error_message=str(error),
-                    seed=config.seed,
-                    fault_plan_path=config.fault_plan_path,
-                    bundle_path=None,
-                )
-                return result
+                return ExperimentResult.failed(config, type(error).__name__, str(error))
         engine = WorkloadEngine(
             testbed,
             testbed.rng,
@@ -419,7 +432,27 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
         for uplink in testbed.uplinks.values():
             auditor.watch_uplink(uplink)
 
-    result = ExperimentResult(config=config, duration_ns=config.duration_ns)
+    def finish(result: ExperimentResult) -> ExperimentResult:
+        """The run's one epilogue, crashed or not: what the injector,
+        the auditor, the fidelity tier and telemetry have to report. A
+        failed run keeps the full telemetry story — artifacts and
+        profile — so a crash is debuggable from the same outputs."""
+        if injector is not None:
+            result.fault_report = injector.report()
+        if auditor is not None:
+            result.audit_report = auditor.report()
+        if config.fidelity == "tiered":
+            result.fidelity_report = (
+                fastpath.finish_report(False, forced_reasons)
+                if fastpath is not None
+                else forced_packet_report(forced_reasons)
+            )
+        if telemetry is not None:
+            result.artifacts = telemetry.finish()
+            result.profile_report = telemetry.profile_report()
+            if telemetry.profiler is not None:
+                result.events_per_second = telemetry.profiler.events_per_second
+        return result
 
     try:
         testbed.start()
@@ -451,43 +484,11 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
             )
         except OSError:
             pass  # an unwritable bundle dir must not mask the failure
-        result.failure = RunFailure(
-            error_type=type(error).__name__,
-            error_message=str(error),
-            seed=config.seed,
-            fault_plan_path=config.fault_plan_path,
-            bundle_path=bundle_path,
-        )
-        if injector is not None:
-            result.fault_report = injector.report()
-        if auditor is not None:
-            result.audit_report = auditor.report()
-        if config.fidelity == "tiered":
-            result.fidelity_report = (
-                fastpath.finish_report(False, forced_reasons)
-                if fastpath is not None
-                else forced_packet_report(forced_reasons)
-            )
-        if telemetry is not None:
-            # Failed runs keep the full telemetry story: artifacts AND
-            # the profile the success path records, so a crash is
-            # debuggable from the same outputs.
-            result.artifacts = telemetry.finish()
-            result.profile_report = telemetry.profile_report()
-            if telemetry.profiler is not None:
-                result.events_per_second = telemetry.profiler.events_per_second
-        return result
+        return finish(ExperimentResult.failed(
+            config, type(error).__name__, str(error), bundle_path=bundle_path
+        ))
 
-    if injector is not None:
-        result.fault_report = injector.report()
-    if auditor is not None:
-        result.audit_report = auditor.report()
-    if config.fidelity == "tiered":
-        result.fidelity_report = (
-            fastpath.finish_report(False, forced_reasons)
-            if fastpath is not None
-            else forced_packet_report(forced_reasons)
-        )
+    result = ExperimentResult(config=config, duration_ns=config.duration_ns)
     if engine is not None:
         stats = engine.finish()
         result.workload_summary = stats.summary(
@@ -534,9 +535,4 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     }
     if engine is not None:
         result.sketches.update(engine.stats.sketches())
-    if telemetry is not None:
-        result.artifacts = telemetry.finish()
-        result.profile_report = telemetry.profile_report()
-        if telemetry.profiler is not None:
-            result.events_per_second = telemetry.profiler.events_per_second
-    return result
+    return finish(result)

@@ -168,7 +168,12 @@ class InvariantAuditor:
                     f"live event pending at {head_time} < now {now}",
                 ))
         for conn in self.connections:
-            found.extend(self._audit_connection(conn))
+            # The connection owns its scoreboard recount (the one
+            # ``check_invariants`` raises from); this is its non-raising
+            # runtime reading.
+            found.extend(
+                self._violation(*finding) for finding in conn.invariant_findings()
+            )
         for uplink in self.uplinks:
             found.extend(self._audit_uplink(uplink))
         for queue in self.queues:
@@ -196,56 +201,6 @@ class InvariantAuditor:
             "subject": subject,
             "detail": detail,
         }
-
-    def _audit_connection(self, conn: Any) -> List[dict]:
-        """Scoreboard-vs-counter accounting plus cwnd/ssthresh floors —
-        the non-raising runtime version of ``check_invariants``."""
-        found: List[dict] = []
-        name = getattr(conn, "name", "conn")
-        paths = conn.paths
-        n_paths = len(paths)
-        actual = {
-            "packets_out": [0] * n_paths,
-            "sacked_out": [0] * n_paths,
-            "lost_out": [0] * n_paths,
-            "retrans_out": [0] * n_paths,
-        }
-        for seg in conn.segments.values():
-            index = seg.tdn_id if seg.tdn_id < n_paths else 0
-            actual["packets_out"][index] += 1
-            if seg.sacked:
-                actual["sacked_out"][index] += 1
-            if seg.lost:
-                actual["lost_out"][index] += 1
-            if seg.retrans_outstanding:
-                actual["retrans_out"][index] += 1
-        for index, path in enumerate(paths):
-            for field in ("packets_out", "sacked_out", "lost_out", "retrans_out"):
-                counter = getattr(path, field)
-                if counter != actual[field][index]:
-                    found.append(self._violation(
-                        "pipe_accounting", f"{name}/path{index}",
-                        f"{field}={counter} but {actual[field][index]} segments carry the flag",
-                    ))
-                if counter < 0:
-                    found.append(self._violation(
-                        "counter_floor", f"{name}/path{index}", f"{field}={counter} < 0",
-                    ))
-            cc = path.cc
-            if cc.cwnd <= 0:
-                found.append(self._violation(
-                    "cwnd_floor", f"{name}/path{index}", f"cwnd={cc.cwnd} <= 0",
-                ))
-            if cc.ssthresh <= 0:
-                found.append(self._violation(
-                    "ssthresh_floor", f"{name}/path{index}", f"ssthresh={cc.ssthresh} <= 0",
-                ))
-        if conn.snd_una > conn.snd_nxt:
-            found.append(self._violation(
-                "sequence_order", name,
-                f"snd_una {conn.snd_una} > snd_nxt {conn.snd_nxt}",
-            ))
-        return found
 
     def _audit_uplink(self, uplink: Any) -> List[dict]:
         """VOQ conservation: every packet the VOQ accepted was either

@@ -5,8 +5,8 @@ evaluation relied on (``ss -ti`` dumps, ``tcp_probe``-style probes):
 
 * :mod:`repro.obs.tracepoints` — named probe points that cost one
   attribute check when disabled;
-* :mod:`repro.obs.metrics` — counters, gauges, log-scale histograms,
-  and quantile-sketch families with label support;
+* :mod:`repro.obs.metrics` — counters, gauges, and quantile-sketch
+  families with label support;
 * :mod:`repro.obs.sketch` — mergeable constant-memory quantile sketches
   (DDSketch-style) and streaming moment stats;
 * :mod:`repro.obs.campaign` — the run-lifecycle event bus (JSONL
@@ -36,16 +36,7 @@ from repro.obs.exporters import (
     render_jsonl,
     write_csv_series,
 )
-from repro.obs.metrics import (
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-    Sketch,
-    ZERO_BUCKET,
-    bucket_upper_bound,
-    log2_bucket,
-)
+from repro.obs.metrics import Counter, Gauge, MetricsRegistry, Sketch
 from repro.obs.profiling import SimulatorProfiler
 from repro.obs.sketch import (
     DEFAULT_ALPHA,
@@ -69,7 +60,6 @@ __all__ = [
     "DEFAULT_ALPHA",
     "DISABLED",
     "Gauge",
-    "Histogram",
     "LiveCampaignView",
     "MemoryExporter",
     "MetricsRegistry",
@@ -84,10 +74,7 @@ __all__ = [
     "Telemetry",
     "Tracepoint",
     "TracepointRegistry",
-    "ZERO_BUCKET",
-    "bucket_upper_bound",
     "campaign_summary",
-    "log2_bucket",
     "read_campaign",
     "render_chrome_trace",
     "render_jsonl",

@@ -371,20 +371,28 @@ class CampaignFold:
         #: ``campaign_end`` stats, wall fields stripped, numeric
         #: counters summed across batches.
         self.stats: Optional[dict] = None
+        #: The :data:`META_EVENTS` records, in journal order: how this
+        #: journal came to be, not what the campaign computed — kept out
+        #: of everything above, so a kill-then-resume journal digests
+        #: byte-identically to the uninterrupted run's.
+        self.meta: List[dict] = []
 
     @property
     def done(self) -> int:
         """Runs that reached a terminal state."""
         return sum(self.states[state] for state in TERMINAL_STATES)
 
+    @property
+    def failures(self) -> int:
+        """Runs that ended without a result, resubmittable or poison."""
+        return self.states["failed"] + self.states["quarantined"]
+
     def apply(self, record: dict) -> Optional[RunState]:
         """Advance by one record; returns the run it belongs to (None
         for campaign-level records)."""
         event = record.get("event")
         if event in META_EVENTS:
-            # How this journal came to be (resume/abort), not what the
-            # campaign computed — excluded so kill-then-resume digests
-            # match the uninterrupted run byte-for-byte.
+            self.meta.append(record)
             return None
         self.event_counts[event] = self.event_counts.get(event, 0) + 1
         if event == "campaign_start":
@@ -441,6 +449,7 @@ class CampaignFold:
             else:
                 self.stats[key] = value
 
+
 def fold_campaign(records: Iterable[dict]) -> CampaignFold:
     """Fold a whole campaign stream."""
     fold = CampaignFold()
@@ -495,12 +504,8 @@ class LiveCampaignView:
         self.jobs = max(jobs, 1)
         self._clock = clock
         self.max_run_lines = max_run_lines
-        self._fold = CampaignFold()
-        self.total = 0
-        self.done = 0
-        self.cache_hits = 0
-        self.failures = 0
-        self.retries = 0
+        #: Every count painted is read off this fold.
+        self.fold = CampaignFold()
         #: in-flight run -> its latest heartbeat record (None before one)
         self._running: Dict[str, Optional[dict]] = {}
         self._ewma_s: Optional[float] = None
@@ -513,13 +518,8 @@ class LiveCampaignView:
         """CampaignLog subscriber entry point. Run state comes from the
         shared fold; only wall-clock rendering state lives here."""
         event = record["event"]
-        done_before = self.done
-        run = self._fold.apply(record)
-        states = self._fold.states
-        self.total = self._fold.total
-        self.done = self._fold.done
-        self.cache_hits = states["cached"]
-        self.failures = states["failed"] + states["quarantined"]
+        done_before = self.fold.done
+        run = self.fold.apply(record)
         if run is not None:
             if run.state in ("running", "retrying"):
                 self._running[run.label] = run.last_heartbeat
@@ -531,11 +531,9 @@ class LiveCampaignView:
         elif event == "heartbeat":
             if self._clock() - self._last_paint < self.REPAINT_S:
                 return
-        elif event == "retry":
-            self.retries += 1
         elif event == "campaign_abort":
             self._running.clear()
-        if self.done > done_before:
+        if self.fold.done > done_before:
             now = self._clock()
             if self._last_done_wall is not None:
                 interval = now - self._last_done_wall
@@ -550,20 +548,22 @@ class LiveCampaignView:
     # ------------------------------------------------------------------
     def eta_s(self) -> Optional[float]:
         """EWMA completion-interval ETA for the remaining runs."""
-        if self._ewma_s is None or self.total == 0:
+        if self._ewma_s is None or self.fold.total == 0:
             return None
-        return (self.total - self.done) * self._ewma_s
+        return (self.fold.total - self.fold.done) * self._ewma_s
 
     def _lines(self) -> List[str]:
+        fold = self.fold
+        done = fold.done
         utilization = min(len(self._running) / self.jobs, 1.0)
-        hit_rate = self.cache_hits / self.done if self.done else 0.0
+        hit_rate = fold.states["cached"] / done if done else 0.0
         eta = self.eta_s()
         eta_text = f"{eta:6.1f}s" if eta is not None else "   ?  "
         lines = [
-            f"campaign [{self.done}/{self.total}] "
+            f"campaign [{done}/{fold.total}] "
             f"eta {eta_text}  cache {hit_rate * 100:3.0f}%  "
             f"workers {len(self._running)}/{self.jobs} ({utilization * 100:3.0f}%)  "
-            f"retries {self.retries}  failures {self.failures}"
+            f"retries {fold.event_counts.get('retry', 0)}  failures {fold.failures}"
         ]
         for label in sorted(self._running)[: self.max_run_lines]:
             beat = self._running[label]

@@ -1,16 +1,16 @@
-"""Metrics registry: counters, gauges, and log-scale histograms.
+"""Metrics registry: counters, gauges, and quantile sketches.
 
 Prometheus-flavoured naming and label semantics, scaled down to what a
 deterministic simulator needs: every metric supports a fixed tuple of
 label names, and each observed label combination materializes a child
-series. Histograms bucket on powers of two (log-scale), which suits the
-nanosecond latencies and packet counts this reproduction measures —
-seven orders of magnitude fit in ~40 buckets.
+series. Distributions have one type, :class:`Sketch` — the
+:class:`~repro.obs.sketch.QuantileSketch` every result, sweep and
+dashboard already uses (relative accuracy at every scale, from
+nanosecond latencies to packet counts, and exactly mergeable).
 """
 
 from __future__ import annotations
 
-import math
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.obs.sketch import DEFAULT_ALPHA, QuantileSketch
@@ -37,7 +37,7 @@ class Metric:
         return tuple(labels[n] for n in self.labelnames)
 
     def series(self) -> Dict[LabelValues, Any]:
-        """label-values -> current value (scalar or histogram state)."""
+        """label-values -> current value (scalar or sketch)."""
         return dict(self._series)
 
     def snapshot(self) -> dict:
@@ -92,117 +92,13 @@ class Gauge(Metric):
         return self._series.get(self._key(labels))
 
 
-#: Values <= 0 (or denormal-small) land here; rendered with upper
-#: bound 0.0. Sub-1 positive values get real negative indices down to
-#: ``ZERO_BUCKET + 1`` (2**-63 ~ 1e-19 — far below any simulated
-#: quantity), so second-scale FCTs expressed in seconds stay
-#: distinguishable instead of collapsing into one bucket.
-ZERO_BUCKET = -64
-
-
-def log2_bucket(value: float) -> int:
-    """Bucket index for a log-scale histogram: the smallest ``k`` with
-    ``value <= 2**k``. Sub-1 values get negative indices (0.5 -> -1,
-    0.3 -> -1, 0.25 -> -2, ...); zero and negative values land in the
-    dedicated :data:`ZERO_BUCKET`."""
-    if value <= 0:
-        return ZERO_BUCKET
-    return max(math.ceil(math.log2(value)), ZERO_BUCKET + 1)
-
-
-def bucket_upper_bound(index: int) -> float:
-    """The inclusive upper bound a bucket index renders as (0.0 for the
-    zero bucket)."""
-    return 0.0 if index <= ZERO_BUCKET else float(2.0 ** index)
-
-
-class _HistogramState:
-    __slots__ = ("buckets", "count", "total", "minimum", "maximum")
-
-    def __init__(self) -> None:
-        self.buckets: Dict[int, int] = {}
-        self.count = 0
-        self.total = 0.0
-        self.minimum: Optional[float] = None
-        self.maximum: Optional[float] = None
-
-
-class Histogram(Metric):
-    """Log-scale (power-of-two bucket) histogram.
-
-    ``observe(v)`` lands in the bucket whose upper bound is the smallest
-    power of two >= v. Snapshots list cumulative counts so quantile
-    estimates read straight off the output.
-    """
-
-    kind = "histogram"
-
-    def observe(self, value: float, **labels: Any) -> None:
-        key = self._key(labels)
-        state = self._series.get(key)
-        if state is None:
-            state = self._series[key] = _HistogramState()
-        index = log2_bucket(value)
-        state.buckets[index] = state.buckets.get(index, 0) + 1
-        state.count += 1
-        state.total += value
-        state.minimum = value if state.minimum is None else min(state.minimum, value)
-        state.maximum = value if state.maximum is None else max(state.maximum, value)
-
-    def count(self, **labels: Any) -> int:
-        state = self._series.get(self._key(labels))
-        return state.count if state is not None else 0
-
-    def buckets(self, **labels: Any) -> List[Tuple[float, int]]:
-        """(upper_bound, cumulative_count) pairs, bucket-ordered."""
-        state = self._series.get(self._key(labels))
-        if state is None:
-            return []
-        pairs: List[Tuple[float, int]] = []
-        running = 0
-        for index in sorted(state.buckets):
-            running += state.buckets[index]
-            pairs.append((bucket_upper_bound(index), running))
-        return pairs
-
-    def quantile(self, q: float, **labels: Any) -> Optional[float]:
-        """Upper bound of the bucket containing the q-quantile
-        (``q=0.0`` returns the exact observed minimum)."""
-        if not (0.0 <= q <= 1.0):
-            raise ValueError("quantile must be in [0, 1]")
-        state = self._series.get(self._key(labels))
-        if state is None or state.count == 0:
-            return None
-        if q == 0.0:
-            return state.minimum
-        pairs = self.buckets(**labels)
-        target = q * pairs[-1][1]
-        for upper, cumulative in pairs:
-            if cumulative >= target:
-                return upper
-        return pairs[-1][0]
-
-    def _series_value(self, state: _HistogramState) -> Any:
-        return {
-            "count": state.count,
-            "sum": state.total,
-            "min": state.minimum,
-            "max": state.maximum,
-            "buckets": [
-                {"le": bucket_upper_bound(index), "count": state.buckets[index]}
-                for index in sorted(state.buckets)
-            ],
-        }
-
-
 class Sketch(Metric):
     """A labelled family of :class:`~repro.obs.sketch.QuantileSketch`\\ s.
 
-    Unlike :class:`Histogram`'s fixed power-of-two buckets, a sketch
-    series guarantees *relative* accuracy (``alpha``) at every scale and
-    merges exactly across workers — the snapshot reports p50/p90/p99/
-    p999 alongside the full serialized state, so per-worker snapshots
-    can be recombined without losing resolution.
+    A sketch series guarantees *relative* accuracy (``alpha``) at every
+    scale and merges exactly across workers — the snapshot reports
+    p50/p90/p99/p999 alongside the full serialized state, so per-worker
+    snapshots can be recombined without losing resolution.
     """
 
     kind = "sketch"
@@ -266,13 +162,17 @@ class MetricsRegistry:
     def __init__(self) -> None:
         self._metrics: Dict[str, Metric] = {}
 
-    def _register(self, cls, name: str, help: str, labelnames: Tuple[str, ...]):
+    def _register(self, cls, name: str, help: str, labelnames: Tuple[str, ...], **shape):
         existing = self._metrics.get(name)
         if existing is not None:
-            if not isinstance(existing, cls) or existing.labelnames != tuple(labelnames):
+            if (
+                not isinstance(existing, cls)
+                or existing.labelnames != tuple(labelnames)
+                or any(getattr(existing, key) != value for key, value in shape.items())
+            ):
                 raise ValueError(f"metric {name!r} already registered with a different shape")
             return existing
-        metric = cls(name, help=help, labelnames=labelnames)
+        metric = cls(name, help=help, labelnames=labelnames, **shape)
         self._metrics[name] = metric
         return metric
 
@@ -284,10 +184,6 @@ class MetricsRegistry:
         """Get-or-create a gauge family."""
         return self._register(Gauge, name, help, labelnames)
 
-    def histogram(self, name: str, help: str = "", labelnames: Tuple[str, ...] = ()) -> Histogram:
-        """Get-or-create a histogram family."""
-        return self._register(Histogram, name, help, labelnames)
-
     def sketch(
         self,
         name: str,
@@ -297,18 +193,7 @@ class MetricsRegistry:
     ) -> Sketch:
         """Get-or-create a quantile-sketch family (relative accuracy
         ``alpha``; snapshot reports p50/p90/p99/p999)."""
-        existing = self._metrics.get(name)
-        if existing is not None:
-            if (
-                not isinstance(existing, Sketch)
-                or existing.labelnames != tuple(labelnames)
-                or existing.alpha != alpha
-            ):
-                raise ValueError(f"metric {name!r} already registered with a different shape")
-            return existing
-        metric = Sketch(name, help=help, labelnames=labelnames, alpha=alpha)
-        self._metrics[name] = metric
-        return metric
+        return self._register(Sketch, name, help, labelnames, alpha=alpha)
 
     def get(self, name: str) -> Optional[Metric]:
         return self._metrics.get(name)

@@ -131,7 +131,7 @@ class Telemetry:
 
     def enable_metrics_bridge(self) -> None:
         """Derive the standard metric families from the tracepoint
-        stream (counters/gauges/histograms with per-connection and
+        stream (counters/gauges/sketches with per-connection and
         per-TDN labels)."""
         bridge = _MetricsBridge(self.metrics)
         self.tracepoints.subscribe("*", bridge)
@@ -264,7 +264,7 @@ class _MetricsBridge:
         )
         self._drops = registry.counter("queue_drops_total", "VOQ drop-tail drops", ("queue",))
         self._occupancy = registry.gauge("queue_occupancy", "VOQ length (packets)", ("queue",))
-        self._occupancy_dist = registry.histogram(
+        self._occupancy_dist = registry.sketch(
             "queue_occupancy_dist", "VOQ length distribution", ("queue",)
         )
         self._pool_rejects = registry.counter(
@@ -273,7 +273,7 @@ class _MetricsBridge:
         self._pool_occupancy = registry.gauge(
             "pool_occupancy", "shared-buffer pool cells in use", ("pool",)
         )
-        self._notify_latency = registry.histogram(
+        self._notify_latency = registry.sketch(
             "notifier_delivery_latency_ns", "TDN notification end-to-end latency", ()
         )
         self._notify_stale = registry.counter(
@@ -284,7 +284,7 @@ class _MetricsBridge:
             "workload_flows_total", "workload-engine flows by lifecycle stage",
             ("stage",),
         )
-        self._workload_fct = registry.histogram(
+        self._workload_fct = registry.sketch(
             "workload_fct_ns", "workload-engine flow completion time", ()
         )
         self._workload_offered = registry.gauge(

@@ -117,12 +117,13 @@ class Simulator:
     def set_heartbeat(self, fn: Callable[[int, int, float, int], None], every_events: int) -> None:
         """Install a liveness hook: ``fn(sim_now, lifetime_events,
         events_per_s, pending_events)`` fires every ``every_events``
-        processed events (checked between timestamps, so the cadence is
-        approximate; same-timestamp batches never split).
+        processed events (a due beat waits for the end of the current
+        instant, so the cadence is approximate; events sharing a
+        timestamp never split).
 
         The hook is None by default and its check is hoisted once per
         run, so an un-heartbeated run pays a single pointer comparison
-        per timestamp — see docs/performance.md for the measured cost.
+        per event — see docs/performance.md for the measured cost.
         """
         if every_events < 1:
             raise ValueError("every_events must be >= 1")
@@ -164,10 +165,8 @@ class Simulator:
 
         The loop works on the event queue's heap directly: lazy discard
         of cancelled entries, the ``until`` horizon check, and the pop
-        are fused into one pass, and events sharing a timestamp are
-        popped in a batch that skips the horizon re-check (the deadline
-        was already cleared for that instant). Two channel/pool duties
-        are fused in as well (``Channel._promote`` and
+        are fused into one pass. Two channel/pool duties are fused in
+        as well (``Channel._promote`` and
         ``EventQueue.recycle`` stay as the reference implementations):
 
         * every popped or discarded channel head immediately promotes
@@ -257,57 +256,12 @@ class Simulator:
                     event.fn = None
                     event.args = None
                     pool.append(event)
-                # Batch: drain events scheduled for this same instant
-                # without re-checking the horizon.
-                while self._running and heap and heap[0][0] == time:
-                    if processed >= limit:
-                        break
-                    event = heap[0][2]
-                    if event.cancelled:
-                        heappop(heap)
-                        channel = event._channel
-                        if channel is not None:
-                            event._channel = None
-                            channel._promote()
-                        continue
-                    channel = event._channel
-                    if channel is None:
-                        heappop(heap)
-                    else:
-                        event._channel = None
-                        dq = channel._deque
-                        if dq:
-                            nxt_entry = dq[0]
-                            nxt = nxt_entry[2]
-                            if not nxt.cancelled:
-                                dq.popleft()
-                                channel._head = nxt
-                                heapreplace(heap, nxt_entry)
-                                queue.heap_pushes += 1
-                            else:
-                                heappop(heap)
-                                channel._promote()
-                        else:
-                            channel._head = None
-                            heappop(heap)
-                    queue._live -= 1
-                    event._queue = None
-                    if profiler is None:
-                        event.fn(*event.args)
-                    else:
-                        started = perf_counter()
-                        event.fn(*event.args)
-                        profiler.record(event.fn, perf_counter() - started)
-                    processed += 1
-                    if event.gen >= 0 and not event.cancelled:
-                        event.gen += 1
-                        event.fn = None
-                        event.args = None
-                        pool.append(event)
-                # Heartbeat: checked once per drained timestamp (cheap
-                # pointer test when no hook is installed, the default).
+                # Heartbeat: a cheap pointer test when no hook is
+                # installed (the default); a due beat fires only between
+                # timestamps, never inside one instant's events.
                 if hb_fn is not None and base_events + processed >= self._hb_next:
-                    self._fire_heartbeat(base_events + processed)
+                    if not (heap and heap[0][0] == time):
+                        self._fire_heartbeat(base_events + processed)
         finally:
             self._running = False
             self._event_count += processed

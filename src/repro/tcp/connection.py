@@ -21,7 +21,7 @@ naturally:
 from __future__ import annotations
 
 import bisect
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
 from repro.net.addressing import FlowKey
 from repro.net.node import Host
@@ -1226,18 +1226,18 @@ class TCPConnection:
     # ------------------------------------------------------------------
     # Introspection
     # ------------------------------------------------------------------
-    def check_invariants(self) -> None:
-        """Assert pipe-accounting consistency (tests call this after
-        chaos runs; a violation means a counter leak like the ones
-        documented in DESIGN.md §6b)."""
-        actual = {
-            "packets_out": [0] * len(self.paths),
-            "sacked_out": [0] * len(self.paths),
-            "lost_out": [0] * len(self.paths),
-            "retrans_out": [0] * len(self.paths),
-        }
+    def invariant_findings(self) -> Iterator[Tuple[str, str, str]]:
+        """Recount the scoreboard and yield ``(check, subject, detail)``
+        for every accounting invariant the fast-path counters break (a
+        violation means a counter leak like the ones documented in
+        DESIGN.md §6b). The one recount: :meth:`check_invariants` raises
+        on the first finding, the runtime auditor
+        (:class:`repro.faults.audit.InvariantAuditor`) records each."""
+        fields = ("packets_out", "sacked_out", "lost_out", "retrans_out")
+        n_paths = len(self.paths)
+        actual = {field: [0] * n_paths for field in fields}
         for seg in self.segments.values():
-            index = seg.tdn_id if seg.tdn_id < len(self.paths) else 0
+            index = seg.tdn_id if seg.tdn_id < n_paths else 0
             actual["packets_out"][index] += 1
             if seg.sacked:
                 actual["sacked_out"][index] += 1
@@ -1246,18 +1246,31 @@ class TCPConnection:
             if seg.retrans_outstanding:
                 actual["retrans_out"][index] += 1
         for index, path in enumerate(self.paths):
-            for field in ("packets_out", "sacked_out", "lost_out", "retrans_out"):
-                counter = getattr(path, field)
-                assert counter == actual[field][index], (
-                    f"{self.name} path {index}: {field}={counter} but "
-                    f"{actual[field][index]} segments carry the flag"
-                )
-            assert path.packets_out >= 0
-            assert path.in_flight >= 0 or path.retrans_out > 0
-        assert self.snd_una <= self.snd_nxt
-        for seq in self._retx_pending:
-            seg = self.segments.get(seq)
-            assert seg is None or seg.lost or seg.sacked or True  # queue may be stale; consumed lazily
+            subject = f"{self.name}/path{index}"
+            for field in fields:
+                counter, flagged = getattr(path, field), actual[field][index]
+                if counter != flagged:
+                    detail = f"{field}={counter} but {flagged} segments carry the flag"
+                    yield "pipe_accounting", subject, detail
+                if counter < 0:
+                    yield "counter_floor", subject, f"{field}={counter} < 0"
+            if path.in_flight < 0 and path.retrans_out <= 0:
+                detail = f"in_flight={path.in_flight} < 0 with nothing retransmitted"
+                yield "counter_floor", subject, detail
+            cc = path.cc
+            if cc.cwnd <= 0:
+                yield "cwnd_floor", subject, f"cwnd={cc.cwnd} <= 0"
+            if cc.ssthresh <= 0:
+                yield "ssthresh_floor", subject, f"ssthresh={cc.ssthresh} <= 0"
+        if self.snd_una > self.snd_nxt:
+            detail = f"snd_una {self.snd_una} > snd_nxt {self.snd_nxt}"
+            yield "sequence_order", self.name, detail
+
+    def check_invariants(self) -> None:
+        """Assert the accounting invariants (tests call this after
+        chaos runs): raises on the first finding."""
+        for check, subject, detail in self.invariant_findings():
+            raise AssertionError(f"{check} @ {subject}: {detail}")
 
     def snapshot(self) -> dict:
         """Loggable view for debugging and tests."""

@@ -271,8 +271,8 @@ class TestLiveView:
         assert "campaign [1/2]" in out
         assert "workers 1/2" in out
         assert "5,000 ev" in out  # the in-flight run's heartbeat line
-        assert view.done == 2
-        assert view.failures == 1
+        assert view.fold.done == 2
+        assert view.fold.failures == 1
         assert view.eta_s() is not None
         assert "\x1b[" in out  # in-place repaint
 
@@ -282,8 +282,8 @@ class TestLiveView:
                         "seq": 0, "wall_ms": 0.0})
         view.on_record({"event": "cache_hit", "run": "a", "index": 0,
                         "seq": 1, "wall_ms": 0.0})
-        assert view.cache_hits == 1
-        assert view.done == 1
+        assert view.fold.states["cached"] == 1
+        assert view.fold.done == 1
 
 
 class TestDashboard:

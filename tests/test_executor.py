@@ -5,11 +5,13 @@ mid-run collector attach, report resampling)."""
 
 import json
 import math
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
 
 from repro.experiments import executor as executor_mod
+from repro.experiments.checkpoint import load_resume_plan
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.executor import (
     BatchStats,
@@ -23,6 +25,7 @@ from repro.experiments.sweeps import day_length_sweep
 from repro.faults.plan import FaultPlan, FaultSpec
 from repro.metrics.collectors import QueueOccupancyCollector
 from repro.net.queues import DropTailQueue
+from repro.obs.campaign import CampaignLog, campaign_summary, fold_campaign, read_campaign
 from repro.obs.telemetry import ObsConfig
 from repro.rdcn.config import RDCNConfig
 from repro.sim.simulator import Simulator
@@ -134,7 +137,7 @@ class TestCache:
         [cached] = second.run_batch([config])
         assert second.last_batch.cache_hits == 1
         assert second.last_batch.executed == 0
-        assert second.metrics.get("executor_cache_hits_total").total() == 1
+        assert second.last_batch.cache_misses == 0
         assert cached.to_dict() == result.to_dict()
 
     def test_corrupt_entry_reads_as_miss(self, tmp_path):
@@ -177,6 +180,80 @@ class TestCache:
         assert not list(tmp_path.rglob("*.json"))
 
 
+class TestBooksAreTheJournalFold:
+    def test_stats_do_not_depend_on_where_the_records_go(self, tmp_path, monkeypatch):
+        """One warm cache hit plus one run that fails once: the batch's
+        books are the fold of the records it emits, so they read the
+        same with no log, an in-memory log and a file log."""
+        warm, flaky = small_config(seed=1), small_config(seed=2)
+        calls = []
+
+        def fails_first(payload):
+            config = ExperimentConfig.from_dict(payload)
+            calls.append(config.seed)
+            if config.seed == 2 and calls.count(2) == 1:
+                return failed_result_dict(config)
+            return ok_result_dict(config)
+
+        monkeypatch.setattr(executor_mod, "execute_config_dict", fails_first)
+        books = {}
+        for name in ("none", "memory", "file"):
+            cache = str(tmp_path / name / "cache")
+            ExperimentExecutor(cache_dir=cache).run_batch([warm])
+            del calls[:]
+            log = {"none": None, "memory": CampaignLog(None),
+                   "file": CampaignLog(tmp_path / name / "log.jsonl")}[name]
+            executor = ExperimentExecutor(cache_dir=cache, retries=1, campaign=log)
+            results = executor.run_batch([warm, flaky])
+            assert all(r.ok for r in results) and calls == [2, 2]
+            books[name] = dict(asdict(executor.last_batch), wall_s=None)
+            if log is not None:
+                log.close()
+                assert books[name] == dict(
+                    asdict(BatchStats.from_fold(fold_campaign(log.records))), wall_s=None
+                )
+        assert books["none"] == books["memory"] == books["file"]
+        assert books["none"] == dict(
+            total=2, executed=1, cache_hits=1, cache_misses=1, retries=1,
+            failures=0, quarantined=0, broken_pools=0, wall_s=None,
+        )
+
+    def test_two_runs_of_one_batch_never_share_a_journal_label(
+        self, tmp_path, monkeypatch
+    ):
+        """Default labels are ``variant/seedN``; a batch that varies
+        anything else used to journal both runs under one label, so the
+        summary held one run with two endings."""
+        monkeypatch.setattr(
+            executor_mod, "execute_config_dict",
+            lambda payload: ok_result_dict(ExperimentConfig.from_dict(payload)),
+        )
+        configs = [
+            small_config(rdcn=replace(RDCNConfig(), day_ns=day_ns))
+            for day_ns in (60_000, 180_000)
+        ]
+        path = tmp_path / "log.jsonl"
+        with CampaignLog(path) as log:
+            ExperimentExecutor(cache_dir=str(tmp_path / "cache"), campaign=log).run_batch(configs)
+        records = read_campaign(path)
+        summary = campaign_summary(records)
+        assert sorted(summary["runs"]) == ["cubic/seed1", "cubic/seed1#2"]
+        assert summary["total"] == 2
+        assert [run.endings for run in fold_campaign(records).runs.values()] == [1, 1]
+
+        monkeypatch.setattr(executor_mod, "execute_config_dict", None)  # must not run
+        resumed = ExperimentExecutor(
+            cache_dir=str(tmp_path / "cache"), resume=load_resume_plan(path)
+        )
+        results = resumed.run_batch(configs)
+        assert [r.config for r in results] == configs
+        assert (resumed.last_replayed, resumed.last_fresh) == (2, 0)
+        assert resumed.last_batch.executed == 2 and resumed.last_batch.total == 2
+
+        with pytest.raises(ValueError, match="repeat"):
+            ExperimentExecutor().run_batch(configs, labels=["a", "a"])
+
+
 class TestRetryPolicy:
     def test_retry_then_succeed(self, monkeypatch):
         calls = []
@@ -195,8 +272,8 @@ class TestRetryPolicy:
         assert len(calls) == 2
         assert ex.last_batch.retries == 1
         assert ex.last_batch.failures == 0
-        assert ex.metrics.get("executor_retries_total").total() == 1
-        assert ex.metrics.get("executor_runs_total").value(outcome="ok") == 1
+        assert ex.last_batch.executed == 1  # one run, two attempts
+        assert ex.last_batch.quarantined == 0
 
     def test_retry_exhausted_surfaces_failure(self, monkeypatch):
         calls = []
@@ -213,7 +290,7 @@ class TestRetryPolicy:
         assert len(calls) == 3  # initial + 2 retries
         assert ex.last_batch.retries == 2
         assert ex.last_batch.failures == 1
-        assert ex.metrics.get("executor_runs_total").value(outcome="failed") == 1
+        assert ex.last_batch.quarantined == 1  # the sim itself failed: poison
 
     def test_transport_crash_becomes_structured_failure(self, monkeypatch):
         def explodes(payload):

@@ -312,6 +312,9 @@ class TestInvariantAuditor:
         client.paths[0].cc.cwnd = 0
         with pytest.raises(InvariantViolation, match="cwnd_floor"):
             auditor.audit()
+        # One recount: the asserting reading finds what the auditor finds.
+        with pytest.raises(AssertionError, match="cwnd_floor"):
+            client.check_invariants()
 
     def test_sequence_order_checked(self):
         sim, client, auditor = self.watched_pair()

@@ -10,15 +10,12 @@ from repro.experiments.runner import run_experiment
 from repro.obs import (
     DISABLED,
     NULL_TRACEPOINT,
-    ZERO_BUCKET,
     MemoryExporter,
     MetricsRegistry,
     ObsConfig,
     SimulatorProfiler,
     Telemetry,
     TracepointRegistry,
-    bucket_upper_bound,
-    log2_bucket,
     render_chrome_trace,
     render_jsonl,
 )
@@ -108,56 +105,10 @@ class TestMetrics:
         with pytest.raises(ValueError):
             registry.gauge("x", labelnames=("a",))
 
-    def test_log2_bucketing(self):
-        assert log2_bucket(0) == ZERO_BUCKET
-        assert log2_bucket(-5) == ZERO_BUCKET
-        assert log2_bucket(1) == 0
-        assert log2_bucket(2) == 1
-        assert log2_bucket(3) == 2
-        assert log2_bucket(4) == 2
-        assert log2_bucket(5) == 3
-        assert log2_bucket(1024) == 10
-        assert log2_bucket(1025) == 11
-
-    def test_log2_bucketing_sub_one(self):
-        # Sub-1 values get real negative indices instead of collapsing
-        # into one bucket (second-scale FCTs expressed in seconds).
-        assert log2_bucket(0.5) == -1
-        assert log2_bucket(0.3) == -1
-        assert log2_bucket(0.25) == -2
-        assert log2_bucket(0.2) == -2
-        assert log2_bucket(1e-25) == ZERO_BUCKET + 1  # clamped, not zero
-        assert bucket_upper_bound(-1) == 0.5
-        assert bucket_upper_bound(ZERO_BUCKET) == 0.0
-
-    def test_histogram_quantile_zero_is_minimum(self):
-        registry = MetricsRegistry()
-        hist = registry.histogram("lat")
-        assert hist.quantile(0.0) is None  # no observations yet
-        for value in (3, 9, 100):
-            hist.observe(value)
-        assert hist.quantile(0.0) == 3  # exact minimum, not a bucket bound
-        assert hist.quantile(1.0) == 128.0
-
-    def test_histogram_buckets_cumulative(self):
-        registry = MetricsRegistry()
-        hist = registry.histogram("lat")
-        for value in (1, 2, 3, 4, 100):
-            hist.observe(value)
-        assert hist.count() == 5
-        pairs = dict(hist.buckets())
-        # upper bound -> cumulative count
-        assert pairs[1.0] == 1          # value 1
-        assert pairs[2.0] == 2          # + value 2
-        assert pairs[4.0] == 4          # + values 3, 4
-        assert pairs[128.0] == 5        # + value 100
-        assert hist.quantile(0.5) == 4.0  # median 3 lands in the le=4 bucket
-        assert hist.quantile(1.0) == 128.0
-
     def test_snapshot_is_json_ready(self):
         registry = MetricsRegistry()
         registry.counter("c", labelnames=("k",)).inc(k="v")
-        registry.histogram("h").observe(7)
+        registry.sketch("h").observe(7)
         text = json.dumps(registry.snapshot(), sort_keys=True)
         assert "\"c\"" in text and "\"h\"" in text
 
@@ -292,6 +243,9 @@ class TestEndToEnd:
         assert result.events_per_second and result.events_per_second > 0
         metrics = json.loads((tmp_path / "c" / "run_metrics.json").read_text())
         assert metrics["tdtcp_switches_total"]["kind"] == "counter"
+        occupancy = metrics["queue_occupancy_dist"]
+        assert occupancy["kind"] == "sketch"
+        assert "p99" in occupancy["series"][0]["value"]["percentiles"]
 
     def test_disabled_obs_leaves_simulator_clean(self):
         config = ExperimentConfig(

@@ -3,6 +3,7 @@
 import importlib
 import inspect
 import pathlib
+import re
 
 import pytest
 
@@ -141,3 +142,22 @@ def test_public_classes_have_docstrings():
         ]
         for method in public:
             assert inspect.getdoc(method), f"{cls.__name__}.{method.__name__} undocumented"
+
+
+def test_event_names_are_read_in_one_module():
+    # The run lifecycle has one definition, CampaignFold.apply in
+    # obs/campaign.py; everything else reads the fold. Passing
+    # record["event"] through (replay re-emits it) is fine — comparing
+    # it against a literal is a second definition of the lifecycle.
+    compare = re.compile(
+        r"""(\[["']event["']\]|\.get\(["']event["']\))\s*(==|!=|(not\s+)?in\b)"""
+    )
+    package = pathlib.Path(repro.__file__).parent
+    offenders = [
+        f"{path.relative_to(package)}:{number}"
+        for path in sorted(package.rglob("*.py"))
+        if path.relative_to(package) != pathlib.Path("obs/campaign.py")
+        for number, line in enumerate(path.read_text().splitlines(), start=1)
+        if compare.search(line)
+    ]
+    assert offenders == []

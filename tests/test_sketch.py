@@ -244,7 +244,7 @@ class TestSketchMetricFamily:
         with pytest.raises(ValueError):
             registry.sketch("x", alpha=0.01)
         with pytest.raises(ValueError):
-            registry.histogram("x")
+            registry.counter("x")
 
     def test_merge_series_across_workers(self):
         worker_a = MetricsRegistry().sketch("lat", labelnames=("variant",))
