@@ -94,9 +94,7 @@ def test_ext_latency_sensitive_cca_inside_tdtcp(benchmark, results_dir, scale):
             )
             out[name] = run_experiment(cfg).steady_state_throughput_gbps()
         original = VARIANTS["tdtcp"]
-        spec = _DCTCPInsideTDTCP()
-        spec.needs_ecn = True  # DCTCP needs marking queues
-        VARIANTS["tdtcp"] = spec
+        VARIANTS["tdtcp"] = _DCTCPInsideTDTCP()
         try:
             cfg = ExperimentConfig(
                 variant="tdtcp", rdcn=rdcn,

@@ -147,6 +147,9 @@ class ExperimentConfig:
     # between the last host pair (0 disables).
     background_load: float = 0.0
     collect_voq: bool = True
+    # Inert: nothing reads it (the runner always collects the series —
+    # steady_state_throughput_gbps needs it). It stays as a schema-v4
+    # field: callers pass it and it is in cache keys and pinned digests.
     collect_sequence: bool = True
     seed: int = 1
     # Simulation fidelity: "packet" (exact, default) or "tiered" (fluid

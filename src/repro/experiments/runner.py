@@ -306,6 +306,9 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
             forced_reasons.append("background_load")
         if config.variant not in FLUID_VARIANTS:
             forced_reasons.append(f"variant:{config.variant}")
+        if config.tcp.ecn_enabled:
+            # ECT senders: the fluid model cannot CE-mark.
+            forced_reasons.append("ecn")
         if forced_reasons:
             logger.info(
                 "tiered fidelity unsupported for this run; forcing packet (%s)",
@@ -320,7 +323,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
         sim = Simulator()
         telemetry = Telemetry(config.obs).attach(sim)
 
-    testbed = build_two_rack_testbed(rdcn, sim=sim, ecn=variant.needs_ecn)
+    testbed = build_two_rack_testbed(rdcn, sim=sim)
 
     # Campaign liveness: wire the process-wide heartbeat hook (if any)
     # onto this run's simulator. Heartbeats never alter simulation

@@ -1,8 +1,8 @@
 """The TCP variants under evaluation (§5.2).
 
-Each :class:`VariantSpec` knows how to prepare the testbed (ECN queues
-for DCTCP, the dynamic-buffer controller for retcpdyn, the unoptimized
-notifier for tdtcp-unopt) and how to wire one cross-rack flow.
+Each :class:`VariantSpec` knows how to prepare the testbed (the
+dynamic-buffer controller for retcpdyn, the unoptimized notifier for
+tdtcp-unopt) and how to wire one cross-rack flow.
 """
 
 from __future__ import annotations
@@ -32,7 +32,6 @@ class VariantSpec:
 
     name: str
     description: str
-    needs_ecn: bool = False
     unoptimized_notifier: bool = False
     connection_cls: Optional[Type[TCPConnection]] = TCPConnection
     cc_name: str = "cubic"
@@ -66,10 +65,8 @@ class VariantSpec:
 class SinglePathVariant(VariantSpec):
     """cubic / dctcp / reno: stock single-path TCP under ``cc_name``."""
 
-    def __init__(self, name: str, cc_name: str, description: str, needs_ecn: bool = False):
-        super().__init__(
-            name=name, description=description, needs_ecn=needs_ecn, cc_name=cc_name
-        )
+    def __init__(self, name: str, cc_name: str, description: str):
+        super().__init__(name=name, description=description, cc_name=cc_name)
 
 
 class MPTCPVariant(VariantSpec):
@@ -145,7 +142,7 @@ VARIANTS: Dict[str, VariantSpec] = {
     spec.name: spec
     for spec in (
         SinglePathVariant("cubic", "cubic", "single-path TCP CUBIC"),
-        SinglePathVariant("dctcp", "dctcp", "DCTCP (ECN-based)", needs_ecn=True),
+        SinglePathVariant("dctcp", "dctcp", "DCTCP (ECN-based)"),
         SinglePathVariant("reno", "reno", "single-path TCP NewReno"),
         MPTCPVariant(),
         ReTCPVariant("retcp", dynamic_buffers=False),

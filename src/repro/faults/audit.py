@@ -118,9 +118,8 @@ class InvariantAuditor:
     def watch_queue(self, queue: Any) -> None:
         if queue not in self.queues:
             self.queues.append(queue)
-        pool = getattr(queue, "pool", None)
-        if pool is not None:
-            self.watch_pool(pool)
+        if queue.pool is not None:
+            self.watch_pool(queue.pool)
 
     def watch_pool(self, pool: Any) -> None:
         if pool not in self.pools:

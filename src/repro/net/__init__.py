@@ -3,7 +3,7 @@
 from repro.net.addressing import FlowKey, flow_key_of, reverse_flow_key
 from repro.net.packet import Packet, TCPSegment, TDNNotification
 from repro.net.link import Link
-from repro.net.queues import DropTailQueue, ECNMarkingQueue
+from repro.net.queues import DropTailQueue
 from repro.net.node import Host, PacketHandler
 from repro.net.switch import EPSSwitch, ToRSwitch
 from repro.net.capture import PacketCapture, dissect
@@ -21,7 +21,6 @@ __all__ = [
     "TDNNotification",
     "Link",
     "DropTailQueue",
-    "ECNMarkingQueue",
     "Host",
     "PacketHandler",
     "EPSSwitch",

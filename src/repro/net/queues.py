@@ -1,10 +1,11 @@
-"""Queues: drop-tail with runtime-resizable capacity, ECN marking, and
-shared-memory buffer pools.
+"""Queues: one drop-tail class with runtime-resizable capacity, optional
+ECN marking and optional shared-memory backing.
 
 The ToR virtual output queue (VOQ) in the paper is a 16-packet drop-tail
 queue; ``retcpdyn`` resizes it to 50 packets ahead of the circuit day.
-DCTCP needs CE marking above a threshold K. Both behaviours live here so
-the fabric code stays small.
+A switch port CE-marks ECN-capable packets above a threshold K whoever
+sent them (DCTCP is the sender that asks for ECT). Both behaviours live
+here so the fabric code stays small.
 
 Real switch ASICs do not carve a fixed buffer per queue: the VOQs of one
 ToR draw from one shared memory, with an admission policy deciding when
@@ -14,9 +15,7 @@ under Diverse Router Configurations", PAPERS.md).
 admission policies:
 
 * ``static`` — per-queue carving: each queue gets a fixed reservation
-  (the pre-pool behaviour; fabrics keep building plain
-  :class:`DropTailQueue` objects for this policy so traces stay
-  byte-identical).
+  (fabrics build their queues with ``pool=None`` and construct no pool).
 * ``complete-sharing`` — any queue may use any free cell; a packet is
   only dropped when the whole pool is full.
 * ``dynamic-threshold`` — Choudhury–Hahne dynamic thresholds: a queue
@@ -43,21 +42,22 @@ class DropTailQueue:
     Resizing smaller does not evict already-queued packets (matching how
     switch buffer carving behaves); it only affects future enqueues.
 
-    Observation points: ``on_length_change`` is a single replaceable
-    observer (legacy hook); :meth:`subscribe_length` and
+    ``mark_threshold`` (K): an ECN-capable packet is CE-marked when it
+    arrives to an instantaneous occupancy at or above K (DCTCP-style;
+    equivalently post-enqueue occupancy > K). ``None`` never marks.
+
+    ``pool``: the queue draws from a :class:`SharedBufferPool`. The
+    per-queue ``capacity`` stays enforced as a hard cap on top of pool
+    admission — fabrics set it to the pool total (so the pool is the
+    binding constraint) and fault injection squeezes it down exactly
+    like a carved queue's. A pool-admission refusal drops the packet at
+    the tail (counted in both ``drops`` and the pool's ``rejections``).
+
+    Observation points: :meth:`subscribe_length` and
     :meth:`subscribe_drop` attach any number of listeners — the
     ``queue:occupancy`` / ``queue:drop`` tracepoints hang off these (see
     :meth:`repro.obs.telemetry.Telemetry.instrument_queue`).
     """
-
-    # Class-level gate: subclasses that implement :meth:`_mark` set this
-    # True so the base push() skips a no-op method call per enqueue.
-    _marks = False
-
-    # Class-level gate: pool-backed subclasses set this True so inlined
-    # dequeue sites (the fabric drain) know to release the pool cell
-    # without paying a getattr on the plain-queue fast path.
-    _pooled = False
 
     # Slots: a two-rack testbed carries one VOQ per (ToR, remote rack)
     # pair plus per-host access queues, and sweep/executor runs build
@@ -65,26 +65,37 @@ class DropTailQueue:
     # also makes every attribute read in the inlined fabric drain a
     # slot load.
     __slots__ = (
-        "capacity", "name", "_fifo", "drops", "enqueued", "max_occupancy",
-        "on_length_change", "_length_listeners", "_drop_listeners",
-        "_pre_squeeze_capacity", "_squeeze_capacity",
+        "capacity", "name", "mark_threshold", "pool", "_fifo", "drops",
+        "enqueued", "marks", "max_occupancy", "_length_listeners",
+        "_drop_listeners", "_pre_squeeze_capacity", "_squeeze_capacity",
     )
 
-    def __init__(self, capacity: int, name: str = "queue"):
+    def __init__(
+        self,
+        capacity: int,
+        name: str = "queue",
+        mark_threshold: Optional[int] = None,
+        pool: Optional["SharedBufferPool"] = None,
+    ):
         if capacity <= 0:
             raise ValueError("queue capacity must be positive")
+        if mark_threshold is not None and mark_threshold <= 0:
+            raise ValueError("mark threshold must be positive")
         self.capacity = capacity
         self.name = name
+        self.mark_threshold = mark_threshold
+        self.pool = pool
         self._fifo: deque[Packet] = deque()
         self.drops = 0
         self.enqueued = 0
+        self.marks = 0
         self.max_occupancy = 0
-        # Optional observer called as fn(length) after every length change.
-        self.on_length_change: Optional[Callable[[int], None]] = None
         self._length_listeners: List[Callable[[int], None]] = []
         self._drop_listeners: List[Callable[[Packet], None]] = []
         self._pre_squeeze_capacity: Optional[int] = None
         self._squeeze_capacity: Optional[int] = None
+        if pool is not None:
+            pool.queues.append(self)
 
     def __len__(self) -> int:
         return len(self._fifo)
@@ -96,18 +107,6 @@ class DropTailQueue:
     def subscribe_drop(self, fn: Callable[[Packet], None]) -> None:
         """Add a listener called as ``fn(packet)`` on every tail drop."""
         self._drop_listeners.append(fn)
-
-    def _notify_length(self) -> None:
-        # Zero-listener fast path: most simulations attach no occupancy
-        # observers, so the per-enqueue/per-pop cost must stay at one
-        # branch, not a len() plus an empty-loop setup.
-        if self.on_length_change is None and not self._length_listeners:
-            return
-        length = len(self._fifo)
-        if self.on_length_change is not None:
-            self.on_length_change(length)
-        for fn in self._length_listeners:
-            fn(length)
 
     def resize(self, capacity: int) -> None:
         """Change capacity at runtime (used by the reTCP-dyn controller).
@@ -151,31 +150,39 @@ class DropTailQueue:
             self._squeeze_capacity = None
 
     def push(self, packet: Packet, now: int) -> bool:
-        """Enqueue; returns False (and flags the packet) on overflow."""
-        if len(self._fifo) >= self.capacity:
+        """Enqueue; False (packet flagged, tail drop and any pool
+        rejection counted) when either the per-queue cap or pool
+        admission says no."""
+        fifo = self._fifo
+        length = len(fifo)
+        pool = self.pool
+        admitted = pool is None or pool.admits(length)
+        if length >= self.capacity or not admitted:
             packet.dropped = True
             self.drops += 1
+            if not admitted:
+                # The pool refused (full, or dynamic threshold hit) —
+                # counted as a pool rejection even when the per-queue
+                # cap binds at the same point (fabrics default the cap
+                # to the pool total, so they often coincide).
+                pool.reject(self)
             for fn in self._drop_listeners:
                 fn(packet)
             return False
         packet.enqueued_ns = now
-        if self._marks:
-            self._mark(packet)
-        fifo = self._fifo
+        k = self.mark_threshold
+        if k is not None and length >= k and packet.ecn_capable:
+            packet.ce = True
+            self.marks += 1
         fifo.append(packet)
         self.enqueued += 1
-        length = len(fifo)
+        if pool is not None:
+            pool.acquire(self)
+        length += 1
         if length > self.max_occupancy:
             self.max_occupancy = length
-        # _notify_length inlined (kept as the reference dispatch): the
-        # occupancy already computed above is reused for the observers.
-        on_change = self.on_length_change
-        listeners = self._length_listeners
-        if on_change is not None or listeners:
-            if on_change is not None:
-                on_change(length)
-            for fn in listeners:
-                fn(length)
+        for fn in self._length_listeners:
+            fn(length)
         return True
 
     def pop(self) -> Optional[Packet]:
@@ -183,55 +190,27 @@ class DropTailQueue:
         if not fifo:
             return None
         packet = fifo.popleft()
-        on_change = self.on_length_change
-        listeners = self._length_listeners
-        if on_change is not None or listeners:
-            length = len(fifo)
-            if on_change is not None:
-                on_change(length)
-            for fn in listeners:
-                fn(length)
+        for fn in self._length_listeners:
+            fn(len(fifo))
+        if self.pool is not None:
+            self.pool.release(self)
         return packet
 
     def peek(self) -> Optional[Packet]:
         return self._fifo[0] if self._fifo else None
-
-    def _mark(self, packet: Packet) -> None:
-        """Hook for subclasses (ECN). Called before enqueue."""
-
-
-class ECNMarkingQueue(DropTailQueue):
-    """Drop-tail queue that CE-marks ECN-capable packets when the
-    instantaneous occupancy is at or above threshold K (DCTCP-style)."""
-
-    _marks = True
-
-    __slots__ = ("mark_threshold", "marks")
-
-    def __init__(self, capacity: int, mark_threshold: int, name: str = "ecn-queue"):
-        super().__init__(capacity, name)
-        if mark_threshold <= 0:
-            raise ValueError("mark threshold must be positive")
-        self.mark_threshold = mark_threshold
-        self.marks = 0
-
-    def _mark(self, packet: Packet) -> None:
-        if packet.ecn_capable and len(self._fifo) >= self.mark_threshold:
-            packet.ce = True
-            self.marks += 1
 
 
 class SharedBufferPool:
     """One ToR's shared packet memory, drawn from by pool-backed VOQs.
 
     The pool counts cells (packets), mirroring how the fabric's VOQ
-    capacities are expressed. Queues register at construction
-    (:class:`PooledDropTailQueue` does this itself); every accepted
-    enqueue acquires one cell, every dequeue releases it. Admission is
-    decided by :meth:`admits` per the configured policy; a refusal is a
-    *pool rejection* (counted separately from per-queue drop-tail
-    overflows, and surfaced through its own listener so the
-    ``pool:reject`` tracepoint can hang off it).
+    capacities are expressed. A queue built with ``pool=`` joins
+    ``queues`` at construction; every accepted enqueue acquires one
+    cell, every dequeue releases it. Admission is decided by
+    :meth:`admits` per the configured policy; a refusal is a *pool
+    rejection* (counted separately from per-queue drop-tail overflows,
+    and surfaced through its own listener so the ``pool:reject``
+    tracepoint can hang off it).
 
     Like :meth:`DropTailQueue.resize`, shrinking the pool never evicts:
     ``used`` may temporarily exceed ``total`` after a shrink, during
@@ -265,17 +244,13 @@ class SharedBufferPool:
         self.used = 0
         self.peak_used = 0
         self.rejections = 0
-        self.queues: List["PooledDropTailQueue"] = []
+        self.queues: List[DropTailQueue] = []
         self._occupancy_listeners: List[Callable[[int], None]] = []
         self._reject_listeners: List[Callable[[str, int], None]] = []
 
     @property
     def free(self) -> int:
         return self.total - self.used
-
-    def register(self, queue: "PooledDropTailQueue") -> None:
-        if queue not in self.queues:
-            self.queues.append(queue)
 
     def subscribe_occupancy(self, fn: Callable[[int], None]) -> None:
         """Add a listener called as ``fn(used)`` after every change."""
@@ -299,7 +274,7 @@ class SharedBufferPool:
         # per-VOQ queues and construct no pool at all.)
         return queue_length < self.alpha * free
 
-    def acquire(self, queue: "PooledDropTailQueue") -> None:
+    def acquire(self, queue: DropTailQueue) -> None:
         used = self.used + 1
         self.used = used
         if used > self.peak_used:
@@ -307,13 +282,13 @@ class SharedBufferPool:
         for fn in self._occupancy_listeners:
             fn(used)
 
-    def release(self, queue: "PooledDropTailQueue") -> None:
+    def release(self, queue: DropTailQueue) -> None:
         self.used -= 1
         used = self.used
         for fn in self._occupancy_listeners:
             fn(used)
 
-    def reject(self, queue: "PooledDropTailQueue") -> None:
+    def reject(self, queue: DropTailQueue) -> None:
         self.rejections += 1
         if self._reject_listeners:
             length = len(queue)
@@ -346,94 +321,6 @@ def fluid_queue_capacity(queue: DropTailQueue, n_hot: int = 1) -> float:
     """Effective steady-state packet capacity of ``queue`` for the fluid
     fast path: the per-queue cap, further bounded by the shared pool's
     closed-form stable limit when the queue is pool-backed."""
-    if queue._pooled:
+    if queue.pool is not None:
         return min(queue.capacity, queue.pool.stable_limit(n_hot))
     return float(queue.capacity)
-
-
-class PooledDropTailQueue(DropTailQueue):
-    """A VOQ drawing from a :class:`SharedBufferPool`.
-
-    The per-queue ``capacity`` stays enforced as a hard cap on top of
-    pool admission — fabrics set it to the pool total (so the pool is
-    the binding constraint) and fault injection squeezes it down
-    exactly like a plain queue's. A pool-admission refusal drops the
-    packet at the tail (counted in both ``drops`` and the pool's
-    ``rejections``).
-    """
-
-    _pooled = True
-
-    __slots__ = ("pool",)
-
-    def __init__(self, pool: SharedBufferPool, capacity: Optional[int] = None,
-                 name: str = "pooled-queue"):
-        super().__init__(pool.total if capacity is None else capacity, name)
-        self.pool = pool
-        pool.register(self)
-
-    def push(self, packet: Packet, now: int) -> bool:
-        """Enqueue; False (packet flagged, pool rejection or tail drop
-        counted) when either the per-queue cap or pool admission says
-        no."""
-        pool = self.pool
-        length = len(self._fifo)
-        admitted = pool.admits(length)
-        if length >= self.capacity or not admitted:
-            packet.dropped = True
-            self.drops += 1
-            if not admitted:
-                # The pool refused (full, or dynamic threshold hit) —
-                # counted as a pool rejection even when the per-queue
-                # cap binds at the same point (fabrics default the cap
-                # to the pool total, so they often coincide).
-                pool.reject(self)
-            for fn in self._drop_listeners:
-                fn(packet)
-            return False
-        packet.enqueued_ns = now
-        if self._marks:
-            self._mark(packet)
-        fifo = self._fifo
-        fifo.append(packet)
-        self.enqueued += 1
-        pool.acquire(self)
-        length += 1
-        if length > self.max_occupancy:
-            self.max_occupancy = length
-        on_change = self.on_length_change
-        listeners = self._length_listeners
-        if on_change is not None or listeners:
-            if on_change is not None:
-                on_change(length)
-            for fn in listeners:
-                fn(length)
-        return True
-
-    def pop(self) -> Optional[Packet]:
-        packet = super().pop()
-        if packet is not None:
-            self.pool.release(self)
-        return packet
-
-
-class PooledECNMarkingQueue(PooledDropTailQueue):
-    """Pool-backed VOQ that CE-marks like :class:`ECNMarkingQueue`:
-    post-enqueue occupancy > K (equivalently pre-enqueue >= K)."""
-
-    _marks = True
-
-    __slots__ = ("mark_threshold", "marks")
-
-    def __init__(self, pool: SharedBufferPool, mark_threshold: int,
-                 capacity: Optional[int] = None, name: str = "pooled-ecn-queue"):
-        super().__init__(pool, capacity, name)
-        if mark_threshold <= 0:
-            raise ValueError("mark threshold must be positive")
-        self.mark_threshold = mark_threshold
-        self.marks = 0
-
-    def _mark(self, packet: Packet) -> None:
-        if packet.ecn_capable and len(self._fifo) >= self.mark_threshold:
-            packet.ce = True
-            self.marks += 1

@@ -88,10 +88,6 @@ class ToRSwitch:
         self.forwarded_fabric += 1
         uplink.enqueue(packet)
 
-    def deliver_local(self, packet: Packet) -> None:
-        """Entry point for packets arriving from the fabric."""
-        self.forward(packet)
-
     def broadcast_to_hosts(self, make_packet) -> None:
         """Send ``make_packet(host_addr)`` down every host access link.
 

@@ -118,11 +118,14 @@ class RDCNConfig:
 
     # ToR virtual output queues: 144 KB, the paper's 16 jumbo frames.
     voq_capacity: int = 96
-    ecn_threshold: int = 30  # CE-mark threshold K for DCTCP runs
+    # CE-mark threshold K: every VOQ marks ECN-capable packets arriving
+    # to >= K queued (the paper's 5 jumbo frames); non-ECT traffic
+    # never sees it.
+    ecn_threshold: int = 30
 
     # Shared-memory ToR buffering (repro.net.queues.SharedBufferPool).
-    # "static" keeps the paper's per-VOQ carving (plain queues, no pool
-    # object — byte-identical traces to pre-pool builds); the other
+    # "static" keeps the paper's per-VOQ carving (no pool object —
+    # byte-identical traces to pre-pool builds); the other
     # policies back every VOQ of a ToR with one shared pool of
     # `buffer_total_capacity` cells (default: voq_capacity × the ToR's
     # VOQ count, i.e. the same total memory re-partitioned).

@@ -14,10 +14,13 @@ carrying network is marked as a circuit (§6, reTCP's switch support).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, Optional
+from typing import Callable, Dict, Hashable, List, Optional, Tuple
 
+from repro.net.addressing import host_address
+from repro.net.link import Link
+from repro.net.node import Host
 from repro.net.packet import Packet, TCPSegment
-from repro.net.queues import DropTailQueue
+from repro.net.queues import DropTailQueue, SharedBufferPool
 from repro.sim.events import Channel
 from repro.sim.simulator import Simulator
 from repro.units import serialization_delay_ns
@@ -121,17 +124,11 @@ class RackUplink:
         if not fifo:
             return
         packet = fifo.popleft()
-        if queue._pooled:
+        if queue.pool is not None:
             # Pool-backed VOQ: the dequeue frees one shared-memory cell.
             queue.pool.release(queue)
-        on_change = queue.on_length_change
-        listeners = queue._length_listeners
-        if on_change is not None or listeners:
-            length = len(fifo)
-            if on_change is not None:
-                on_change(length)
-            for fn in listeners:
-                fn(length)
+        for fn in queue._length_listeners:
+            fn(len(fifo))
         path = self._active_path
         tdn_id = path.tdn_id
         packet.network_id = tdn_id
@@ -175,3 +172,55 @@ class RackUplink:
         # Skip the _serve frame when the VOQ is empty or a night is on.
         if self.active_tdn is not None and self.queue._fifo:
             self._serve()
+
+
+# Construction shared by the two-rack and rotor fabrics: ``config`` is an
+# RDCNConfig or an OperaConfig (both carry the fields read here).
+def build_voqs(
+    config,
+    names: Dict[Hashable, str],
+    pool_total: int,
+    pool_name: str,
+    mark_threshold: Optional[int] = None,
+) -> Tuple[Dict[Hashable, DropTailQueue], Optional[SharedBufferPool]]:
+    """One ToR's VOQs, ``{key: queue}`` for ``names = {key: queue name}``.
+
+    Static policy: per-queue carving of ``config.voq_capacity``, no
+    pool. Shared policies: every queue draws from one pool of
+    ``pool_total`` cells — the regime where a hot destination can
+    borrow buffer from idle ones — and its hard cap is the pool total
+    (the pool is the binding constraint; fault squeezes still clamp the
+    cap below it).
+    """
+    pool = None
+    capacity = config.voq_capacity
+    if config.buffer_policy != "static":
+        pool = SharedBufferPool(
+            pool_total, config.buffer_policy, config.buffer_alpha, pool_name
+        )
+        capacity = pool_total
+    voqs = {
+        key: DropTailQueue(capacity, name, mark_threshold, pool)
+        for key, name in names.items()
+    }
+    return voqs, pool
+
+
+def attach_hosts(sim: Simulator, tor, rack: int, config) -> List[Host]:
+    """One rack's hosts, each wired to ``tor`` (anything with
+    ``forward`` and ``add_downlink``) by a full-duplex access link."""
+    rate, delay = config.host_link_rate_bps, config.host_link_delay_ns
+    hosts: List[Host] = []
+    for index in range(config.n_hosts_per_rack):
+        host = Host(sim, host_address(rack, index))
+        up = Link(sim, rate, delay, tor.forward, name=f"{host.address}-up")
+        # Late-bound so tests (and fault injectors) can wrap
+        # host.deliver after construction.
+        down = Link(
+            sim, rate, delay, lambda pkt, h=host: h.deliver(pkt),
+            name=f"{host.address}-down",
+        )
+        host.attach_egress(up)
+        tor.add_downlink(host.address, down)
+        hosts.append(host)
+    return hosts

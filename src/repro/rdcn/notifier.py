@@ -79,7 +79,6 @@ class TDNNotifier:
         config: NotifierConfig,
         rng: SeededRandom,
         tdn_rate_of=None,
-        night_policy: str = "slowdown",
     ):
         self.sim = sim
         self.driver = driver
@@ -101,7 +100,6 @@ class TDNNotifier:
         # Rate lookup for the "slowdown" night policy; without one,
         # night announcements degrade to the "always"/"none" behaviour.
         self.tdn_rate_of = tdn_rate_of
-        self.night_policy = night_policy
         self._racks: List[ToRSwitch] = []
         self._hosts_by_rack: Dict[int, List[Host]] = {}
         self.notifications_sent = 0
@@ -117,7 +115,7 @@ class TDNNotifier:
         self.delivery_latency_samples: List[int] = []
         self._tp_deliver = Telemetry.of(sim).tracepoint("notifier:deliver")
         driver.on_day_start(self._day_started)
-        if night_policy != "none":
+        if config.night_policy != "none":
             driver.on_night_start(self._night_started)
 
     def add_rack(self, tor: ToRSwitch, hosts: List[Host]) -> None:
@@ -167,7 +165,7 @@ class TDNNotifier:
         next_tdn = days[(day_index + 1) % len(days)].tdn_id
         if next_tdn == current_tdn:
             return
-        if self.night_policy == "slowdown" and self.tdn_rate_of is not None:
+        if self.config.night_policy == "slowdown" and self.tdn_rate_of is not None:
             if self.tdn_rate_of(next_tdn) >= self.tdn_rate_of(current_tdn):
                 return  # speed-ups are announced at day start
         self._announce(next_tdn)

@@ -29,16 +29,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
-from repro.net.addressing import host_address, rack_of
+from repro.net.addressing import rack_of
 from repro.net.link import Link
 from repro.net.node import Host
 from repro.net.packet import MAX_TDN_ID, Packet, TDNNotification
-from repro.net.queues import (
-    BUFFER_POLICIES,
-    DropTailQueue,
-    PooledDropTailQueue,
-    SharedBufferPool,
-)
+from repro.net.queues import BUFFER_POLICIES
+from repro.rdcn.fabric import attach_hosts, build_voqs
 from repro.rdcn.rotor import round_robin_matchings
 from repro.sim.simulator import Simulator
 from repro.units import gbps, serialization_delay_ns, usec
@@ -135,29 +131,17 @@ class OperaToR:
         self.config = config
         self.name = f"opera-tor{rack}"
         self._downlinks: Dict[str, Link] = {}
-        # Static policy: per-destination carving, exactly the pre-pool
-        # behaviour. Shared policies: all of this ToR's VOQs draw from
-        # one shared-memory pool — the regime where a hot destination
-        # can borrow buffer from idle ones.
-        self.pool: Optional[SharedBufferPool] = None
-        if config.buffer_policy != "static":
-            self.pool = SharedBufferPool(
-                config.tor_buffer_total,
-                policy=config.buffer_policy,
-                alpha=config.buffer_alpha,
-                name=f"{self.name}-pool",
-            )
-            self.voqs: Dict[int, DropTailQueue] = {
-                dst: PooledDropTailQueue(self.pool, name=f"{self.name}-voq{dst}")
+        # Unmarked (no K): OperaConfig carries no ECN threshold.
+        self.voqs, self.pool = build_voqs(
+            config,
+            {
+                dst: f"{self.name}-voq{dst}"
                 for dst in range(config.n_racks)
                 if dst != rack
-            }
-        else:
-            self.voqs = {
-                dst: DropTailQueue(config.voq_capacity, name=f"{self.name}-voq{dst}")
-                for dst in range(config.n_racks)
-                if dst != rack
-            }
+            },
+            config.tor_buffer_total,
+            f"{self.name}-pool",
+        )
         self.partner: Optional[int] = None
         self.peers: Dict[int, "OperaToR"] = {}
         self._busy = False
@@ -348,21 +332,7 @@ def build_opera_testbed(config: OperaConfig, sim: Optional[Simulator] = None) ->
     for rack in range(config.n_racks):
         tor = OperaToR(sim, rack, config)
         testbed.tors[rack] = tor
-        rack_hosts: List[Host] = []
-        for index in range(config.n_hosts_per_rack):
-            host = Host(sim, host_address(rack, index))
-            up = Link(
-                sim, config.host_link_rate_bps, config.host_link_delay_ns,
-                tor.forward, name=f"{host.address}-up",
-            )
-            down = Link(
-                sim, config.host_link_rate_bps, config.host_link_delay_ns,
-                lambda pkt, h=host: h.deliver(pkt), name=f"{host.address}-down",
-            )
-            host.attach_egress(up)
-            tor.add_downlink(host.address, down)
-            rack_hosts.append(host)
-        testbed.hosts[rack] = rack_hosts
+        testbed.hosts[rack] = attach_hosts(sim, tor, rack, config)
     for tor in testbed.tors.values():
         tor.peers = testbed.tors
     return testbed

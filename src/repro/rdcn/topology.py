@@ -12,20 +12,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
-from repro.net.addressing import host_address
-from repro.net.link import Link
 from repro.net.node import Host
-from repro.net.queues import (
-    DropTailQueue,
-    ECNMarkingQueue,
-    PooledDropTailQueue,
-    PooledECNMarkingQueue,
-    SharedBufferPool,
-)
+from repro.net.queues import SharedBufferPool
 from repro.net.switch import ToRSwitch
 from repro.obs.telemetry import Telemetry
 from repro.rdcn.config import RDCNConfig
-from repro.rdcn.fabric import NetworkPath, RackUplink
+from repro.rdcn.fabric import NetworkPath, RackUplink, attach_hosts, build_voqs
 from repro.rdcn.notifier import TDNNotifier
 from repro.rdcn.schedule import ScheduleDriver, TDNSchedule
 from repro.sim.rng import SeededRandom
@@ -60,22 +52,17 @@ class TwoRackTestbed:
 def build_two_rack_testbed(
     config: RDCNConfig,
     sim: Optional[Simulator] = None,
-    ecn: bool = False,
 ) -> TwoRackTestbed:
-    """Construct the testbed. ``ecn=True`` installs CE-marking VOQs
-    (needed by DCTCP runs)."""
+    """Construct the testbed. Every VOQ CE-marks ECN-capable packets at
+    ``config.ecn_threshold``, as a switch port does; whether a sender's
+    packets are ECN-capable is the sender's business."""
     sim = sim or Simulator()
     rng = SeededRandom(config.seed)
 
     schedule = TDNSchedule.uniform(config.schedule_pattern, config.day_ns, config.night_ns)
     driver = ScheduleDriver(sim, schedule)
     notifier = TDNNotifier(
-        sim,
-        driver,
-        config.notifier,
-        rng,
-        tdn_rate_of=config.tdn_rate_bps,
-        night_policy=config.notifier.night_policy,
+        sim, driver, config.notifier, rng, tdn_rate_of=config.tdn_rate_bps
     )
 
     testbed = TwoRackTestbed(
@@ -100,71 +87,27 @@ def build_two_rack_testbed(
 
     tors = {rack: ToRSwitch(sim, rack) for rack in (0, 1)}
     for rack in (0, 1):
-        rack_hosts: List[Host] = []
-        for index in range(config.n_hosts_per_rack):
-            host = Host(sim, host_address(rack, index))
-            # Uplink (host -> ToR) and downlink (ToR -> host) access links.
-            up = Link(
-                sim,
-                config.host_link_rate_bps,
-                config.host_link_delay_ns,
-                tors[rack].forward,
-                name=f"{host.address}-up",
-            )
-            down = Link(
-                sim,
-                config.host_link_rate_bps,
-                config.host_link_delay_ns,
-                # Late-bound so tests (and fault injectors) can wrap
-                # host.deliver after construction.
-                lambda pkt, h=host: h.deliver(pkt),
-                name=f"{host.address}-down",
-            )
-            host.attach_egress(up)
-            tors[rack].add_downlink(host.address, down)
-            rack_hosts.append(host)
-        testbed.hosts[rack] = rack_hosts
+        testbed.hosts[rack] = attach_hosts(sim, tors[rack], rack, config)
 
     telemetry = Telemetry.of(sim)
-
-    def make_voq(rack: int, name: str) -> DropTailQueue:
-        """One VOQ, carved (static) or pool-backed (shared policies).
-
-        Each ToR of the two-rack testbed has exactly one cross-rack
-        VOQ, so its pool holds ``tor_buffer_total(1)`` cells; the
-        per-queue hard cap is the pool total (the pool is the binding
-        constraint; fault squeezes still clamp the cap below it).
-        """
-        if config.buffer_policy == "static":
-            if ecn:
-                voq: DropTailQueue = ECNMarkingQueue(
-                    config.voq_capacity, config.ecn_threshold, name
-                )
-            else:
-                voq = DropTailQueue(config.voq_capacity, name)
-        else:
-            pool = SharedBufferPool(
-                config.tor_buffer_total(n_voqs=1),
-                policy=config.buffer_policy,
-                alpha=config.buffer_alpha,
-                name=f"pool-r{rack}",
-            )
-            testbed.pools[rack] = pool
-            telemetry.instrument_pool(pool, sim)
-            if ecn:
-                voq = PooledECNMarkingQueue(pool, config.ecn_threshold, name=name)
-            else:
-                voq = PooledDropTailQueue(pool, name=name)
-        telemetry.instrument_queue(voq, sim)
-        return voq
-
     for src_rack, dst_rack in ((0, 1), (1, 0)):
+        # Each ToR of the two-rack testbed has exactly one cross-rack
+        # VOQ, so its pool (shared policies) holds tor_buffer_total(1).
+        voqs, pool = build_voqs(
+            config,
+            {dst_rack: f"voq-r{src_rack}-to-r{dst_rack}"},
+            config.tor_buffer_total(n_voqs=1),
+            f"pool-r{src_rack}",
+            mark_threshold=config.ecn_threshold,
+        )
+        if pool is not None:
+            testbed.pools[src_rack] = pool
+            telemetry.instrument_pool(pool, sim)
+        telemetry.instrument_queue(voqs[dst_rack], sim)
         uplink = RackUplink(
             sim,
             paths,
-            make_voq(src_rack, f"voq-r{src_rack}-to-r{dst_rack}"),
-            # forward directly (deliver_local is a plain delegate and
-            # would cost one frame per cross-rack packet).
+            voqs[dst_rack],
             tors[dst_rack].forward,
             name=f"uplink-r{src_rack}",
         )

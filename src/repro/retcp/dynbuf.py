@@ -51,7 +51,7 @@ class DynamicBufferController:
         pools: dict = {}
         for uplink in self.uplinks:
             queue = uplink.queue
-            if queue._pooled:
+            if queue.pool is not None:
                 entry = pools.setdefault(id(queue.pool), [queue.pool, 0])
                 entry[1] += 1
         self._pools = [tuple(entry) for entry in pools.values()]
@@ -73,7 +73,7 @@ class DynamicBufferController:
         for pool, n_queues in self._pools:
             pool.resize_total(pool.total + delta * n_queues)
         for uplink in self.uplinks:
-            if not uplink.queue._pooled:
+            if uplink.queue.pool is None:
                 uplink.queue.resize(self.circuit_capacity)
         self.resizes += 1
         for connection in self.connections:
@@ -90,7 +90,7 @@ class DynamicBufferController:
         for pool, n_queues in self._pools:
             pool.resize_total(pool.total - delta * n_queues)
         for uplink in self.uplinks:
-            if not uplink.queue._pooled:
+            if uplink.queue.pool is None:
                 uplink.queue.resize(self.normal_capacity)
         for connection in self.connections:
             connection.ramp_down()

@@ -30,12 +30,14 @@ Lifecycle of a group (one ``(src_rack, dst_rack)`` direction):
    historical timestamps (figure series and FCT hooks fire with
    correct times), holds cleared, sends resumed staggered over ~1 RTT.
 
-Fidelity triggers that end (or prevent) a span:
+Fidelity triggers that end a span:
 
-* ECN mark-threshold crossing on an ECN-marking VOQ (the fluid model
-  cannot produce per-packet CE marks);
 * explicit interrupts (fault windows, audits) via :meth:`interrupt`;
 * the run horizon.
+
+The fluid model cannot produce per-packet CE marks, so a run whose
+senders can be ECN-capable never gets here: the runner forces it to
+packet fidelity up front (see ``run_experiment``).
 
 App flow open/close get *per-flow* packet-fidelity transitions instead
 of collapsing the whole group's span. A flow opening against a live
@@ -57,7 +59,7 @@ CUBIC implementation reads no clock there) and counts as a *virtual
 loss*. No retransmission happens and ``ConnStats.retransmissions`` is
 untouched: loss-episode *accounting* (Figure 10 style) needs packet
 fidelity, which the runner forces for fault plans, background traffic,
-ECN variants, and fail-mode audits (see ``run_experiment``).
+ECN senders, and fail-mode audits (see ``run_experiment``).
 
 Determinism: everything here is seed-free arithmetic over simulator
 state, so a tiered run is byte-identical across repeats of the same
@@ -409,8 +411,6 @@ class FluidFastPath:
         if group.state != FLUID:
             return  # exit already cleared holds; retry machinery owns us
         self._advance_group(group, self.sim.now)
-        if group.state != FLUID:
-            return  # the advance crossed an ECN threshold and exited
         for flow in [f for f in group.flows.values() if not f.admitted]:
             self._refresh(flow)
             sender = flow.sender
@@ -482,9 +482,7 @@ class FluidFastPath:
         mss_bits = mss * 8
         schedule = self.schedule
         base = self._base_ns
-        queue = group.uplink.queue
-        cap_pkts = fluid_queue_capacity(queue)
-        mark_threshold = getattr(queue, "mark_threshold", None)
+        cap_pkts = fluid_queue_capacity(group.uplink.queue)
         hook = (
             self.occupancy_hook if group.pair == self.occupancy_pair else None
         )
@@ -535,12 +533,6 @@ class FluidFastPath:
                         virtual_cut = True
                         group.last_cut_ns = t
                 group.q_pkts = q_new
-                if mark_threshold is not None and q_new >= mark_threshold:
-                    # ECN crossing: the fluid model cannot CE-mark.
-                    # Finish (not _exit_span — no re-advance) right here.
-                    group.last_ns = t + int(dt)
-                    self._finish_exit(group, "ecn")
-                    return
                 total_demand = arriving if arriving > 0 else 1.0
                 round_end = t + int(dt)
                 completed: List[FluidFlow] = []
@@ -615,21 +607,12 @@ class FluidFastPath:
         sender._maybe_send()
 
     def _exit_span(self, group: _Group, reason: str, resume: bool = True) -> None:
-        """Advance to now, then re-materialize and return the group to
-        packet mode."""
+        """Advance to now, re-materialize every sender, return the group
+        to packet mode, and (unless the run is over) arm a re-entry
+        attempt. Sends resume staggered over ~1 RTT so the exit burst
+        does not synthesize a synchronized drop the packet run would
+        not have had."""
         self._advance_group(group, self.sim.now)
-        if group.state != FLUID:
-            # _advance_group already exited on an ECN crossing.
-            return
-        self._finish_exit(group, reason, resume)
-
-    def _finish_exit(self, group: _Group, reason: str, resume: bool = True) -> None:
-        """Re-materialize every sender, return the group to packet mode,
-        and (unless the run is over) arm a re-entry attempt. Sends
-        resume staggered over ~1 RTT so the exit burst does not
-        synthesize a synchronized drop the packet run would not have
-        had. Assumes the group is already advanced to where it should
-        exit."""
         now = self.sim.now
         group.state = PACKET
         if group.span_event is not None:

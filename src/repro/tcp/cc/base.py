@@ -23,6 +23,10 @@ class CongestionControl:
     """Base class: Reno-style slow start, no-op congestion avoidance."""
 
     name = "base"
+    #: True for a CCA whose signal is the CE mark: segments sent on a
+    #: path it controls are ECN-capable, and it does its own per-window
+    #: mark arithmetic (the connection's RFC 3168 halving stands aside).
+    wants_ecn = False
 
     def __init__(self, clock: CCClock, initial_cwnd: float = 10.0):
         self.clock = clock

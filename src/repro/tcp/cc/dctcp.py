@@ -17,6 +17,7 @@ from repro.tcp.cc.base import CCClock, CongestionControl, register_cc
 class DCTCPCC(CongestionControl):
     """DCTCP window arithmetic; the connection feeds per-ACK ECE bits."""
 
+    wants_ecn = True
     G = 1 / 16  # alpha EWMA gain
 
     def __init__(self, clock: CCClock, initial_cwnd: float = 10.0):

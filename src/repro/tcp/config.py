@@ -27,7 +27,10 @@ class TCPConfig:
     sack_enabled: bool = True
     rack_enabled: bool = True
     tlp_enabled: bool = True
-    ecn_enabled: bool = False           # set for DCTCP
+    # RFC 3168 ECN for a CCA that does not ask for it: segments are
+    # ECT and a CE echo halves the window once per RTT. A CCA that
+    # wants ECN (dctcp) sends ECT whatever this says.
+    ecn_enabled: bool = False
     # RACK reorder window as a fraction of min RTT (RFC 8985 uses 1/4).
     rack_reo_wnd_frac: float = 0.25
     # Delay before a delivered-but-unACKed probe; kept simple: TLP fires

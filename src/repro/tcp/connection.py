@@ -931,7 +931,7 @@ class TCPConnection:
         """Classic ECN (RFC 3168) reaction, once per window. DCTCP does
         its own per-window math inside the CC and is excluded here."""
         path = self.current_path
-        if path.cc.name == "dctcp":
+        if path.cc.wants_ecn:
             return
         if path.ca_state.in_recovery:
             return
@@ -1131,7 +1131,7 @@ class TCPConnection:
             fin=seg.is_fin,
             created_ns=now,
         )
-        pkt.ecn_capable = self.config.ecn_enabled
+        pkt.ecn_capable = self.config.ecn_enabled or self.paths[self.current_path_index].cc.wants_ecn
         pkt.rwnd = self._advertised_window()
         pkt.sent_ns = now
         pkt.retransmission = seg.retx_count > 0

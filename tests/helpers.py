@@ -182,6 +182,18 @@ def engine_fingerprint(
 
 
 @contextmanager
+def host_send_hook(hook):
+    """Every ``Host.send`` goes through ``hook(send, host, packet)`` for
+    the duration; ``send`` is the real method."""
+    send = Host.send
+    Host.send = lambda host, packet: hook(send, host, packet)
+    try:
+        yield
+    finally:
+        Host.send = send
+
+
+@contextmanager
 def unregistered_sends(drop: bool = False):
     """The ``Host.send`` oracle for zombie transmissions: yields the
     list of TCP segments sent from a flow key that is not (or no
@@ -190,9 +202,8 @@ def unregistered_sends(drop: bool = False):
     goldens in ``test_release.py`` were recorded with at the parent.
     """
     seen = []
-    send = Host.send
 
-    def checked_send(host: Host, packet) -> None:
+    def checked_send(send, host: Host, packet) -> None:
         if (
             isinstance(packet, TCPSegment)
             and (packet.src, packet.sport, packet.dst, packet.dport) not in host._connections
@@ -202,11 +213,8 @@ def unregistered_sends(drop: bool = False):
                 return
         send(host, packet)
 
-    Host.send = checked_send
-    try:
+    with host_send_hook(checked_send):
         yield seen
-    finally:
-        Host.send = send
 
 
 # ----------------------------------------------------------------------
@@ -232,9 +240,7 @@ def bulk_workload(cfg, sim: Optional[Simulator] = None):
     from repro.experiments.variants import get_variant
 
     variant = get_variant(cfg.variant)
-    testbed = build_two_rack_testbed(
-        replace(cfg.rdcn, seed=cfg.seed), sim=sim, ecn=variant.needs_ecn
-    )
+    testbed = build_two_rack_testbed(replace(cfg.rdcn, seed=cfg.seed), sim=sim)
     context = variant.prepare(testbed, cfg)
     workload = build_workload(
         testbed,

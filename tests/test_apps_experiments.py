@@ -8,6 +8,7 @@ from repro.experiments import ExperimentConfig, VARIANTS, get_variant, run_exper
 from repro.experiments.variants import VariantSpec
 from repro.rdcn.config import RDCNConfig
 from repro.rdcn.topology import build_two_rack_testbed
+from repro.tcp.cc import make_congestion_control
 from repro.tcp.sockets import create_connection_pair
 from repro.units import gbps, msec, usec
 
@@ -93,8 +94,13 @@ class TestVariantRegistry:
             get_variant("quic")
 
     def test_dctcp_needs_ecn(self):
-        assert get_variant("dctcp").needs_ecn
-        assert not get_variant("cubic").needs_ecn
+        """Said by the spec's CCA, not by the spec."""
+
+        def cca_wants_ecn(variant: str) -> bool:
+            return make_congestion_control(get_variant(variant).cc_name, clock=None).wants_ecn
+
+        assert cca_wants_ecn("dctcp")
+        assert not cca_wants_ecn("cubic")
 
     def test_unoptimized_flag(self):
         assert get_variant("tdtcp-unopt").unoptimized_notifier

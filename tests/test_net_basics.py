@@ -19,7 +19,7 @@ from repro.net.packet import (
     TCPSegment,
     TDNNotification,
 )
-from repro.net.queues import DropTailQueue, ECNMarkingQueue
+from repro.net.queues import DropTailQueue
 from repro.net.switch import EPSSwitch, ToRSwitch
 from repro.sim import Simulator
 from repro.units import gbps, usec
@@ -160,7 +160,7 @@ class TestDropTailQueue:
     def test_length_change_observer(self):
         q = DropTailQueue(4)
         lengths = []
-        q.on_length_change = lengths.append
+        q.subscribe_length(lengths.append)
         q.push(Packet("a", "b", 1), 0)
         q.push(Packet("a", "b", 1), 0)
         q.pop()
@@ -180,7 +180,7 @@ class TestDropTailQueue:
 
 class TestECNMarkingQueue:
     def test_marks_above_threshold_for_capable_packets(self):
-        q = ECNMarkingQueue(10, mark_threshold=2)
+        q = DropTailQueue(10, mark_threshold=2)
         packets = []
         for _ in range(4):
             p = Packet("a", "b", 1)
@@ -191,7 +191,7 @@ class TestECNMarkingQueue:
         assert q.marks == 2
 
     def test_ignores_non_capable(self):
-        q = ECNMarkingQueue(10, mark_threshold=1)
+        q = DropTailQueue(10, mark_threshold=1)
         for _ in range(3):
             q.push(Packet("a", "b", 1), 0)
         assert q.marks == 0

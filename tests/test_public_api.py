@@ -161,3 +161,47 @@ def test_event_names_are_read_in_one_module():
         if compare.search(line)
     ]
     assert offenders == []
+
+
+def test_ecn_is_said_once_and_a_tor_has_one_queue_class():
+    # The CCA asks for ECT (CongestionControl.wants_ecn), every two-rack
+    # VOQ carries K, and a queue is one class with optional K / pool.
+    # The names that said it a second time must not come back, under
+    # any spelling a caller, a doc or an example could still use (whole
+    # words: the test ids TestECNMarkingQueue / test_dctcp_needs_ecn
+    # outlive the names they were written for).
+    gone = re.compile(
+        r"\b(needs_ecn|ECNMarkingQueue|Pooled(DropTail|ECNMarking)Queue|on_length_change"
+        r"|_notify_length|deliver_local)\b|\._pooled\b|\._marks\b"
+    )
+    root = pathlib.Path(__file__).resolve().parent.parent
+    this_file = pathlib.Path(__file__).resolve()
+    ledger = root / "benchmarks" / "ledger"
+    files = [root / "README.md", root / "DESIGN.md"]
+    for top in ("src", "tests", "benchmarks", "examples", "tools", "docs"):
+        files += [
+            path for path in sorted((root / top).rglob("*"))
+            if path.is_file() and path.suffix in (".py", ".md", ".json", ".txt", ".yml")
+            and ledger not in path.parents and path != this_file
+        ]
+    offenders = [
+        f"{path.relative_to(root)}:{number}"
+        for path in files
+        for number, line in enumerate(path.read_text().splitlines(), start=1)
+        if gone.search(line)
+    ]
+    assert offenders == []
+
+    from repro.net import queues
+    from repro.rdcn.notifier import TDNNotifier
+    from repro.rdcn.topology import build_two_rack_testbed
+
+    assert "ecn" not in inspect.signature(build_two_rack_testbed).parameters
+    assert "night_policy" not in inspect.signature(TDNNotifier.__init__).parameters
+    package = pathlib.Path(repro.__file__).parent
+    fastpath = (package / "sim" / "fastpath.py").read_text()
+    assert '"dctcp"' not in (package / "tcp" / "connection.py").read_text()
+    assert '"dctcp"' not in fastpath and "mark_threshold" not in fastpath
+    source = inspect.getsource(queues)
+    assert re.findall(r"^class (\w+)", source, re.M) == ["DropTailQueue", "SharedBufferPool"]
+    assert len(re.findall(r"^\s+def push\(", source, re.M)) == 1

@@ -97,6 +97,13 @@ class TestPushPullModel:
 
 
 class TestNotificationDelivery:
+    @pytest.mark.parametrize("policy, night_callbacks", [("none", 0), ("slowdown", 1)])
+    def test_hand_built_notifier_reads_its_configs_night_policy(self, policy, night_callbacks):
+        sim = Simulator()
+        driver = ScheduleDriver(sim, TDNSchedule.uniform((0, 1), usec(10), usec(2)))
+        TDNNotifier(sim, driver, NotifierConfig(night_policy=policy), SeededRandom(1))
+        assert len(driver._night_start_fns) == night_callbacks
+
     def _run_testbed(self, notifier_cfg, weeks=2):
         cfg = RDCNConfig(
             n_hosts_per_rack=2,

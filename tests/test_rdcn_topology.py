@@ -3,7 +3,6 @@
 import pytest
 
 from repro.net.packet import Packet
-from repro.net.queues import ECNMarkingQueue
 from repro.rdcn.config import NotifierConfig, RDCNConfig
 from repro.rdcn.topology import build_two_rack_testbed
 from repro.sim import Simulator
@@ -28,13 +27,17 @@ class TestConstruction:
         assert tb.uplinks[0] is not tb.uplinks[1]
 
     def test_ecn_queues_when_requested(self):
-        cfg = RDCNConfig(n_hosts_per_rack=2)
-        tb = build_two_rack_testbed(cfg, ecn=True)
-        assert isinstance(tb.uplinks[0].queue, ECNMarkingQueue)
+        """Nobody has to request them: every VOQ marks at the config's
+        K, carved or pool-backed."""
+        for policy in ("static", "dynamic-threshold"):
+            cfg = RDCNConfig(n_hosts_per_rack=2, ecn_threshold=7, buffer_policy=policy)
+            tb = build_two_rack_testbed(cfg)
+            assert [up.queue.mark_threshold for up in tb.uplinks.values()] == [7, 7]
 
     def test_plain_queues_by_default(self):
         tb = build()
-        assert not isinstance(tb.uplinks[0].queue, ECNMarkingQueue)
+        assert tb.pools == {}
+        assert all(up.queue.pool is None for up in tb.uplinks.values())
 
     def test_config_validation(self):
         with pytest.raises(ValueError):

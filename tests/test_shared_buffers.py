@@ -2,6 +2,10 @@
 the squeeze/resize clamp composition, ECN boundary semantics, fault
 interaction, and the pool-conservation audit."""
 
+import hashlib
+import json
+import random
+
 import pytest
 
 from repro.experiments import ExperimentConfig, run_experiment
@@ -11,9 +15,6 @@ from repro.net.packet import Packet
 from repro.net.queues import (
     BUFFER_POLICIES,
     DropTailQueue,
-    ECNMarkingQueue,
-    PooledDropTailQueue,
-    PooledECNMarkingQueue,
     SharedBufferPool,
 )
 from repro.obs.telemetry import ObsConfig, Telemetry
@@ -36,6 +37,14 @@ def pkt(ecn: bool = False) -> Packet:
     return packet
 
 
+def pooled(pool, capacity=None, name="pooled-queue", k=None) -> DropTailQueue:
+    """A pool-backed queue, hard-capped at the pool total by default (as
+    the fabrics build them)."""
+    return DropTailQueue(
+        pool.total if capacity is None else capacity, name, mark_threshold=k, pool=pool
+    )
+
+
 def fill(queue, n, now=0, ecn=False):
     return sum(1 for _ in range(n) if queue.push(pkt(ecn), now))
 
@@ -55,7 +64,7 @@ class TestPoolPolicies:
 
     def test_complete_sharing_single_queue_uses_whole_pool(self):
         pool = SharedBufferPool(10, policy="complete-sharing")
-        queue = PooledDropTailQueue(pool, name="q0")
+        queue = pooled(pool, name="q0")
         assert fill(queue, 12) == 10
         assert pool.used == 10
         assert pool.free == 0
@@ -64,8 +73,8 @@ class TestPoolPolicies:
 
     def test_complete_sharing_across_queues(self):
         pool = SharedBufferPool(8, policy="complete-sharing")
-        a = PooledDropTailQueue(pool, name="a")
-        b = PooledDropTailQueue(pool, name="b")
+        a = pooled(pool, name="a")
+        b = pooled(pool, name="b")
         assert fill(a, 6) == 6
         # b can only claim what a left free.
         assert fill(b, 6) == 2
@@ -75,7 +84,7 @@ class TestPoolPolicies:
     def test_dynamic_threshold_halts_at_alpha_free(self):
         # alpha=1: admit while len < free = total - len, i.e. len < total/2.
         pool = SharedBufferPool(16, policy="dynamic-threshold", alpha=1.0)
-        queue = PooledDropTailQueue(pool, name="q0")
+        queue = pooled(pool, name="q0")
         assert fill(queue, 16) == 8
         assert pool.rejections == 8
         # Draining frees cells, so admission resumes.
@@ -86,12 +95,12 @@ class TestPoolPolicies:
     def test_dynamic_threshold_alpha_scales_borrowing(self):
         # alpha=4, total=20: len < 4*(20-len)  =>  len stops at 16.
         pool = SharedBufferPool(20, policy="dynamic-threshold", alpha=4.0)
-        queue = PooledDropTailQueue(pool, name="q0")
+        queue = pooled(pool, name="q0")
         assert fill(queue, 20) == 16
 
     def test_per_queue_cap_still_enforced(self):
         pool = SharedBufferPool(10, policy="complete-sharing")
-        queue = PooledDropTailQueue(pool, capacity=3, name="q0")
+        queue = pooled(pool, capacity=3, name="q0")
         assert fill(queue, 5) == 3
         # Cap-induced drops are NOT pool rejections.
         assert queue.drops == 2
@@ -99,7 +108,7 @@ class TestPoolPolicies:
 
     def test_pop_releases_cells(self):
         pool = SharedBufferPool(4, policy="complete-sharing")
-        queue = PooledDropTailQueue(pool, name="q0")
+        queue = pooled(pool, name="q0")
         fill(queue, 4)
         while queue.pop() is not None:
             pass
@@ -108,7 +117,7 @@ class TestPoolPolicies:
 
     def test_resize_total_shrink_never_evicts(self):
         pool = SharedBufferPool(8, policy="complete-sharing")
-        queue = PooledDropTailQueue(pool, name="q0")
+        queue = pooled(pool, name="q0")
         fill(queue, 8)
         pool.resize_total(4)
         assert len(queue) == 8          # no eviction
@@ -120,7 +129,7 @@ class TestPoolPolicies:
 
     def test_occupancy_and_reject_listeners(self):
         pool = SharedBufferPool(2, policy="complete-sharing")
-        queue = PooledDropTailQueue(pool, name="q0")
+        queue = pooled(pool, name="q0")
         used_seen, rejects = [], []
         pool.subscribe_occupancy(used_seen.append)
         pool.subscribe_reject(lambda name, length: rejects.append((name, length)))
@@ -135,10 +144,8 @@ class TestPoolPolicies:
 # ----------------------------------------------------------------------
 class TestECNBoundary:
     @pytest.mark.parametrize("make", [
-        lambda: ECNMarkingQueue(32, 4),
-        lambda: PooledECNMarkingQueue(
-            SharedBufferPool(32, policy="complete-sharing"), 4
-        ),
+        lambda: DropTailQueue(32, mark_threshold=4),
+        lambda: pooled(SharedBufferPool(32, policy="complete-sharing"), k=4),
     ])
     def test_first_mark_is_packet_k_plus_one(self, make):
         queue = make()
@@ -151,12 +158,41 @@ class TestECNBoundary:
         assert queue.marks == 2
 
     def test_non_ecn_capable_never_marked(self):
-        queue = ECNMarkingQueue(32, 1)
+        queue = DropTailQueue(32, mark_threshold=1)
         packets = [pkt(ecn=False) for _ in range(4)]
         for p in packets:
             queue.push(p, 0)
         assert not any(p.ce for p in packets)
         assert queue.marks == 0
+
+    def test_pooled_marking_queue_matches_the_parents_subclass(self):
+        """Two K=4 queues on one dynamic-threshold pool under a seeded
+        2,000-op push/pop script: every refusal, mark, cell release and
+        listener call, in order. The hash was recorded at f60acdd with
+        the pooled marking subclass of the four-class matrix."""
+        rng = random.Random(1)
+        pool = SharedBufferPool(24, policy="dynamic-threshold", alpha=1.0)
+        log = []
+        pool.subscribe_occupancy(lambda used: log.append(("used", used)))
+        pool.subscribe_reject(lambda name, length: log.append(("reject", name, length)))
+        queues = [pooled(pool, name=f"q{i}", k=4) for i in range(2)]
+        for q in queues:
+            q.subscribe_length(lambda n, name=q.name: log.append(("len", name, n)))
+            q.subscribe_drop(lambda p, name=q.name: log.append(("drop", name)))
+        for _ in range(2000):
+            q = queues[rng.randrange(2)]
+            if rng.random() < 0.6:
+                p = Packet("a", "b", 1)
+                p.ecn_capable = rng.random() < 0.7
+                log.append(("push", q.name, q.push(p, 0), p.ce, p.dropped))
+            else:
+                log.append(("pop", q.name, q.pop() is not None))
+            log.append((len(q), q.drops, q.marks, q.enqueued, q.max_occupancy,
+                        pool.used, pool.peak_used, pool.rejections))
+        assert (sum(q.marks for q in queues), pool.rejections) == (492, 433)
+        assert hashlib.sha256(json.dumps(log).encode()).hexdigest() == (
+            "859e36345be52e6294529a890753fc5d14370a575c7d07adb9a9bb4f8563ec1b"
+        )
 
 
 # ----------------------------------------------------------------------
@@ -225,12 +261,7 @@ class TestPooledFabric:
         testbed = build_two_rack_testbed(small_rdcn())
         assert testbed.pools == {}
         for uplink in testbed.uplinks.values():
-            assert type(uplink.queue) is DropTailQueue
-        ecn_bed = build_two_rack_testbed(small_rdcn(), ecn=True)
-        assert ecn_bed.pools == {}
-        assert all(
-            type(up.queue) is ECNMarkingQueue for up in ecn_bed.uplinks.values()
-        )
+            assert uplink.queue.pool is None
 
     def test_pooled_policies_build_pools(self):
         for policy in ("complete-sharing", "dynamic-threshold"):
@@ -238,7 +269,6 @@ class TestPooledFabric:
             assert sorted(testbed.pools) == [0, 1]
             for rack, uplink in testbed.uplinks.items():
                 queue = uplink.queue
-                assert type(queue) is PooledDropTailQueue
                 assert queue.pool is testbed.pools[rack]
                 assert queue.pool.total == 48
                 assert queue.pool.policy == policy
@@ -248,7 +278,7 @@ class TestPooledFabric:
         # the cell back to the pool.
         sim = Simulator()
         pool = SharedBufferPool(32, policy="complete-sharing")
-        queue = PooledDropTailQueue(pool, name="voq-pooled")
+        queue = pooled(pool, name="voq-pooled")
         paths = {0: NetworkPath(0, gbps(10), usec(5))}
         uplink = RackUplink(sim, paths, queue, lambda p: None)
         uplink.set_active(0)
@@ -269,7 +299,7 @@ class TestPooledFabric:
             1: NetworkPath(1, gbps(100), usec(10), is_circuit=True),
         }
         pool = SharedBufferPool(96, policy="dynamic-threshold")
-        uplink = RackUplink(sim, paths, PooledDropTailQueue(pool), lambda p: None)
+        uplink = RackUplink(sim, paths, pooled(pool), lambda p: None)
         DynamicBufferController(
             sim, driver, [uplink],
             normal_capacity=96, circuit_capacity=300,
@@ -294,7 +324,7 @@ class TestPooledFaults:
     def test_queue_squeeze_clamps_pooled_queue(self):
         sim = Simulator()
         pool = SharedBufferPool(64, policy="complete-sharing")
-        queue = PooledDropTailQueue(pool, name="voq-pooled")
+        queue = pooled(pool, name="voq-pooled")
         plan = FaultPlan(specs=[FaultSpec(
             kind="queue_squeeze", target="voq-*", at_ns=1000, until_ns=2000,
             params={"capacity": 4},
@@ -353,7 +383,7 @@ class TestPoolObservability:
     def test_watch_queue_registers_pool_and_detects_drift(self):
         sim = Simulator()
         pool = SharedBufferPool(8, policy="complete-sharing")
-        queue = PooledDropTailQueue(pool, name="q0")
+        queue = pooled(pool, name="q0")
         auditor = InvariantAuditor(sim)
         auditor.watch_queue(queue)
         assert auditor.pools == [pool]
@@ -374,7 +404,7 @@ class TestPoolObservability:
                                         chrome_trace=False, csv=False)).attach(sim)
         pool = SharedBufferPool(2, policy="complete-sharing", name="pool-r0")
         telemetry.instrument_pool(pool, sim)
-        queue = PooledDropTailQueue(pool, name="q0")
+        queue = pooled(pool, name="q0")
         fill(queue, 3)
         queue.pop()
         telemetry.finish()

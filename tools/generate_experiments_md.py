@@ -36,7 +36,12 @@ SECTIONS = [
         "Figure 8 — bandwidth difference only",
         "CUBIC and DCTCP adapt to pure bandwidth variation and only slightly "
         "under-perform TDTCP; retcpdyn approaches optimal; MPTCP still "
-        "struggles.",
+        "struggles. Here CUBIC clearly exceeds the packet-only rate, while "
+        "DCTCP — ECN-driven, K = 30 segments — holds the VOQ near K, enters "
+        "the optical day with no standing queue and keeps the packet rate: "
+        "asserted as >= 0.95x packet-only, below CUBIC, and the shortest "
+        "mean VOQ of the single-path variants (a DCTCP that never saw a CE "
+        "mark used to read 12.15 Gbps here; K and g are not retuned).",
         ["fig08.txt"],
     ),
     (
