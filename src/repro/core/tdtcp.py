@@ -69,11 +69,6 @@ class TDTCPConnection(TCPConnection):
             name=name,
         )
         self.td_capable_tdns = tdn_count  # advertised in the SYN options
-        self.tdn_state = PerTDNState(self._new_path, tdn_count)
-        # Share the list object so base-class path queries see the same
-        # state sets; the current index is mirrored on every switch.
-        self.paths = self.tdn_state.paths
-        self.current_path_index = self.tdn_state.current_index
         self.notifications_seen = 0
         # §3.2 degraded-signal tolerance: stale/duplicate/garbage
         # notifications are counted and ignored, never applied or raised.
@@ -95,16 +90,17 @@ class TDTCPConnection(TCPConnection):
     # Path construction
     # ------------------------------------------------------------------
     def _make_paths(self) -> List[PathState]:
-        # The real path array is installed right after super().__init__
-        # (PerTDNState needs attributes that are not set yet when the
-        # base constructor runs); this placeholder is replaced.
-        return [PathState(self._clock(), self.cc_name, self.config, tdn_id=0)]
+        # One state set per TDN. The base class holds the same list
+        # object, so its path queries see every set; the current index
+        # is mirrored on every switch.
+        self.tdn_state = PerTDNState(self._new_path, self.tdn_count)
+        return self.tdn_state.paths
 
     def _new_path(self, tdn_id: int) -> PathState:
         cc_name = self.cc_name
         if self.cc_names is not None and tdn_id < len(self.cc_names):
             cc_name = self.cc_names[tdn_id]
-        return PathState(self._clock(), cc_name, self.config, tdn_id=tdn_id)
+        return PathState(self.sim, cc_name, self.config, tdn_id=tdn_id)
 
     # ------------------------------------------------------------------
     # Negotiation / downgrade (§4.2, A.2)

@@ -259,6 +259,11 @@ class FaultInjector:
                 targets = [(name, self._host_gate(hosts[name], name)) for name in matched]
                 if targets:
                     self._schedule_windows(spec, self._pause, self._resume, targets)
+                    # The gate is the host's ingress: the notifier must
+                    # send real packets through it, which an armed hook
+                    # (answering [0] with no notifier rule) makes it do.
+                    if notifier is not None and notifier.fault_hook is None:
+                        notifier.fault_hook = self._notifier_hook
             elif kind == "rcv_buffer_pressure":
                 matched = self._match(spec, hosts)
                 targets = [(name, hosts[name]) for name in matched]

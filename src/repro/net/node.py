@@ -3,6 +3,15 @@
 A :class:`Host` owns an egress link toward its ToR, demuxes incoming
 TCP segments to registered connections, and fans TDN-change
 notifications out to subscribed listeners (TDTCP/reTCP stacks).
+
+A notification reaches a host in one of two ways, and both run the same
+ingress, :meth:`Host.notification_arrived` (arrival count, freshness
+filter, stale accounting — written once): as a ``TDNNotification``
+through :meth:`Host.deliver` (links, fault injectors, the Opera fabric,
+hand-built tests), or from the control network's rack walk
+(:class:`repro.rdcn.notifier.TDNNotifier`), which asks with the two
+header fields and builds a packet only for a host that has a listener
+besides the notifier itself.
 """
 
 from __future__ import annotations
@@ -95,9 +104,9 @@ class Host:
 
     def deliver(self, packet: Packet) -> None:
         """Entry point for packets arriving from the ToR."""
-        self.rx_packets += 1
         # TCP segments dominate; test for them first.
         if isinstance(packet, TCPSegment):
+            self.rx_packets += 1
             # Plain tuple instead of flow_key_of(): a NamedTuple hashes
             # and compares like the tuple of its fields, so the demux
             # lookup skips the FlowKey construction on the per-packet path.
@@ -109,7 +118,7 @@ class Host:
             # Unmatched segments are dropped silently (no RST modelling).
             return
         if isinstance(packet, TDNNotification):
-            if not self._notification_fresh(packet):
+            if not self.notification_arrived(packet.notify_seq, packet.tdn_id):
                 return
             if self.notification_processing_ns > 0:
                 self.sim.schedule_fanout(
@@ -119,30 +128,34 @@ class Host:
                 self._dispatch_notification(packet)
             return
         # Opaque packets (background traffic) are sinks.
+        self.rx_packets += 1
 
-    def _notification_fresh(self, notification: TDNNotification) -> bool:
-        """Filter stale/duplicate/unknown TDN notifications: count them
-        and refuse dispatch; the stack resyncs on the next valid one."""
-        seq = notification.notify_seq
-        if seq is not None:
+    def notification_arrived(self, notify_seq: Optional[int], tdn_id: int) -> bool:
+        """A TDN-change notification reached this host: count the
+        arrival and filter it. False for a stale/duplicate/unknown one,
+        which is counted and never dispatched (the stack resyncs on the
+        next valid one). Takes the two header fields, not a packet, so
+        the control network's rack walk can ask before it builds one."""
+        self.rx_packets += 1
+        if notify_seq is not None:
             last = self._last_notify_seq
-            if last is not None and seq <= last:
-                self._count_stale(notification, "stale_seq")
+            if last is not None and notify_seq <= last:
+                self._count_stale(tdn_id, "stale_seq")
                 return False
-            self._last_notify_seq = seq
-        if self.max_tdn_id is not None and not (0 <= notification.tdn_id <= self.max_tdn_id):
-            self._count_stale(notification, "unknown_tdn")
+            self._last_notify_seq = notify_seq
+        if self.max_tdn_id is not None and not (0 <= tdn_id <= self.max_tdn_id):
+            self._count_stale(tdn_id, "unknown_tdn")
             return False
         return True
 
-    def _count_stale(self, notification: TDNNotification, reason: str) -> None:
+    def _count_stale(self, tdn_id: int, reason: str) -> None:
         self.stale_notifications += 1
         if self._tp_stale.enabled:
             self._tp_stale.emit(
                 self.sim.now,
                 where="host",
                 name=self.address,
-                tdn=notification.tdn_id,
+                tdn=tdn_id,
                 reason=reason,
             )
 

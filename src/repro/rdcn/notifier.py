@@ -21,6 +21,23 @@ Generation latency is sampled from a shifted-exponential distribution
 whose median/tail parameters come from :class:`NotifierConfig`, so the
 microbenchmark in ``benchmarks/test_notifier_micro.py`` can regenerate
 the paper's reported ratios.
+
+**The rack is the unit of an announcement.** On the dedicated control
+network with no fault hook armed, ``_emit`` schedules one arrival leg
+for the whole rack, not one packet per host. At arrival every host's
+ingress (:meth:`Host.notification_arrived`: ``rx_packets``, the
+freshness filter, stale accounting) is asked in rack order without a
+packet; at each fresh host's processing instant the notifier looks at
+who listens *then*: a host with nobody but the notifier's own latency
+recorder costs one sample, any other gets its ``TDNNotification`` built
+and dispatched to its listeners. Both legs are pushed when the per-host
+path would have pushed its first leg of the batch, so event order, event
+counts and every value are the per-host path's (docs/performance.md,
+"The fixed event floor"). What needs a real packet still gets one, read
+off what the code observes and not off an option: an armed
+``fault_hook`` (an injector perturbs individual ICMPs; ``app_pause``
+arms it too, because its gate wraps ``host.deliver``) and the shared
+data network (a real packet on a real link) take the per-host path.
 """
 
 from __future__ import annotations
@@ -114,6 +131,9 @@ class TDNNotifier:
         # recorded for the §5.4 microbenchmarks.
         self.delivery_latency_samples: List[int] = []
         self._tp_deliver = Telemetry.of(sim).tracepoint("notifier:deliver")
+        # One bound-method object, so the rack walk can tell by identity
+        # that a host's only listener is this recorder.
+        self._recorder = self._record_latency
         driver.on_day_start(self._day_started)
         if config.night_policy != "none":
             driver.on_night_start(self._night_started)
@@ -130,7 +150,7 @@ class TDNNotifier:
         # (the "unlucky flows" of §5.4). Under pull the cost is one read.
         for index, host in enumerate(hosts):
             host.notification_processing_ns = self.host_processing_delay_ns(index)
-            host.subscribe_tdn_changes(self._record_latency)
+            host.subscribe_tdn_changes(self._recorder)
 
     def _record_latency(self, notification: TDNNotification) -> None:
         """Record send-to-processed latency (§5.4's end-to-end metric)."""
@@ -178,6 +198,19 @@ class TDNNotifier:
     def _emit(self, tor: ToRSwitch, tdn_id: int, generated_ns: int) -> None:
         hosts = self._hosts_by_rack.get(tor.rack, [])
         hook = self.fault_hook
+        if hook is None and self.config.dedicated_network and hosts:
+            # Nothing perturbs individual ICMPs and the control network
+            # is not a link: announce to the rack, one leg where the
+            # per-host path below opens one event and joins it n-1 times.
+            first_seq = self._notify_seq
+            self._notify_seq += len(hosts)
+            self.notifications_sent += len(hosts)
+            self.sim.schedule_fanout(
+                self.config.control_delay_ns,
+                self._arrive_at_rack,
+                (tor.name, hosts, tdn_id, generated_ns, first_seq),
+            )
+            return
         for host in hosts:
             notification = TDNNotification(tor.name, host.address, tdn_id, generated_ns)
             notification.notify_seq = self._notify_seq
@@ -197,6 +230,53 @@ class TDNNotifier:
                     duplicate = TDNNotification(tor.name, host.address, tdn_id, generated_ns)
                     duplicate.notify_seq = notification.notify_seq
                 self._dispatch(tor, host, duplicate, extra_ns)
+
+    def _arrive_at_rack(self, announcement: tuple) -> None:
+        """Leg 1 of a rack announcement: every host's ingress, in rack
+        order, without a packet. Fresh hosts are handed to leg 2 at
+        their processing instant — a ``schedule_fanout`` call where
+        :meth:`Host.deliver` makes one (the first host of a run of equal
+        processing delays) and a list append where its call would have
+        joined the open batch, so every push happens when it did."""
+        tor_name, hosts, tdn_id, generated_ns, seq = announcement
+        run, run_delay_ns = None, 0  # 0: no run open
+        for host in hosts:
+            if host.notification_arrived(seq, tdn_id):
+                delay_ns = host.notification_processing_ns
+                if delay_ns <= 0:
+                    # Dispatched on arrival; whatever a listener pushes
+                    # closes the open batch, so the run ends here too.
+                    run_delay_ns = 0
+                    self._process((tor_name, tdn_id, generated_ns, ((host, seq),)))
+                elif delay_ns == run_delay_ns:
+                    run.append((host, seq))
+                else:
+                    run = [(host, seq)]
+                    run_delay_ns = delay_ns
+                    self.sim.schedule_fanout(
+                        delay_ns, self._process, (tor_name, tdn_id, generated_ns, run)
+                    )
+            seq += 1
+
+    def _process(self, batch: tuple) -> None:
+        """Leg 2: the instant these hosts' listeners see the change.
+        Who listens is read now, not at arrival (a connection may have
+        subscribed or released in between). A host with nobody but this
+        notifier's recorder costs its latency sample; any other gets its
+        packet, dispatched as :meth:`Host.deliver` would have."""
+        tor_name, tdn_id, generated_ns, run = batch
+        recorder = self._recorder
+        tracepoint = self._tp_deliver
+        samples = self.delivery_latency_samples
+        latency_ns = self.sim.now - generated_ns
+        for host, seq in run:
+            listeners = host._tdn_listeners
+            if len(listeners) == 1 and listeners[0] is recorder and not tracepoint.enabled:
+                samples.append(latency_ns)
+            else:
+                notification = TDNNotification(tor_name, host.address, tdn_id, generated_ns)
+                notification.notify_seq = seq
+                host._dispatch_notification(notification)
 
     def _dispatch(
         self, tor: ToRSwitch, host: Host, notification: TDNNotification, extra_ns: int

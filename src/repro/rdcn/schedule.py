@@ -52,11 +52,14 @@ class TDNSchedule:
         if not days:
             raise ValueError("schedule needs at least one day")
         self.days: Tuple[Day, ...] = tuple(days)
-        self._offsets: List[int] = []
+        # The week's layout, built once: (phase offset of the day's
+        # start, day), in order. Every per-week walk iterates this.
+        layout: List[Tuple[int, Day]] = []
         offset = 0
         for day in self.days:
-            self._offsets.append(offset)
+            layout.append((offset, day))
             offset += day.duration_ns + day.night_ns
+        self.layout: Tuple[Tuple[int, Day], ...] = tuple(layout)
         self.week_ns = offset
 
     @classmethod
@@ -78,7 +81,7 @@ class TDNSchedule:
         if time_ns < 0:
             raise ValueError("time must be non-negative")
         phase = time_ns % self.week_ns
-        for offset, day in zip(self._offsets, self.days):
+        for offset, day in self.layout:
             if phase < offset:
                 break
             if phase < offset + day.duration_ns:
@@ -97,7 +100,7 @@ class TDNSchedule:
             raise ValueError("time must be non-negative")
         week_base = (time_ns // self.week_ns) * self.week_ns
         phase = time_ns - week_base
-        for offset, day in zip(self._offsets, self.days):
+        for offset, day in self.layout:
             day_end = offset + day.duration_ns
             if phase < day_end:
                 return (week_base + offset, week_base + day_end, day.tdn_id)
@@ -114,7 +117,7 @@ class TDNSchedule:
         TDN id when given."""
         return [
             offset
-            for offset, day in zip(self._offsets, self.days)
+            for offset, day in self.layout
             if tdn_id is None or day.tdn_id == tdn_id
         ]
 
@@ -122,7 +125,7 @@ class TDNSchedule:
         """(phase, new_state) transitions over one week; new_state is a
         TDN id at day start and None at night start."""
         transitions: List[Tuple[int, Optional[int]]] = []
-        for offset, day in zip(self._offsets, self.days):
+        for offset, day in self.layout:
             transitions.append((offset, day.tdn_id))
             if day.night_ns > 0:
                 transitions.append((offset + day.duration_ns, None))
@@ -132,7 +135,7 @@ class TDNSchedule:
         """(phase_start, phase_end, rate) pieces over one week, with rate
         0 during nights. Used by the analytic optimal curve."""
         pieces: List[Tuple[int, int, float]] = []
-        for offset, day in zip(self._offsets, self.days):
+        for offset, day in self.layout:
             end = offset + day.duration_ns
             pieces.append((offset, end, rates_bps[day.tdn_id]))
             if day.night_ns > 0:
@@ -224,9 +227,7 @@ class ScheduleDriver:
     def _lay_out_week(self, week_number: int) -> None:
         week_start = self._base_ns + week_number * self.schedule.week_ns
         days_per_week = len(self.schedule.days)
-        for local_index, (offset, day) in enumerate(
-            zip(self.schedule.day_starts_in_week(), self.schedule.days)
-        ):
+        for local_index, (offset, day) in enumerate(self.schedule.layout):
             global_index = week_number * days_per_week + local_index
             start = week_start + offset
             jitter = self.boundary_jitter

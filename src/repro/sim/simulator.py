@@ -61,6 +61,11 @@ class Simulator:
         self._hb_last_events: int = 0
         self._hb_last_wall: float = 0.0
 
+    def now_ns(self) -> int:
+        """The clock as a method: what a congestion controller is given
+        (:class:`repro.tcp.cc.base.CCClock`)."""
+        return self.now
+
     # ------------------------------------------------------------------
     # Scheduling
     # ------------------------------------------------------------------

@@ -282,17 +282,7 @@ class TCPConnection:
     # Construction hooks (overridden by TDTCP)
     # ------------------------------------------------------------------
     def _make_paths(self) -> List[PathState]:
-        return [PathState(self._clock(), self.cc_name, self.config, tdn_id=0)]
-
-    def _clock(self):
-        sim = self.sim
-
-        class _Clock:
-            @staticmethod
-            def now_ns() -> int:
-                return sim.now
-
-        return _Clock()
+        return [PathState(self.sim, self.cc_name, self.config, tdn_id=0)]
 
     # ------------------------------------------------------------------
     # Path helpers

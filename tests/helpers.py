@@ -75,11 +75,21 @@ def run_for(sim: Simulator, duration_ns: int) -> None:
     sim.run(until=sim.now + duration_ns)
 
 
-def notification_fingerprint(notifier: NotifierConfig, plan=None) -> Tuple[dict, list]:
+def notification_fingerprint(
+    notifier: NotifierConfig, plan=None, listen_on=None
+) -> Tuple[dict, list]:
     """Run a 2 x 4-host testbed for three weeks with one TDTCP bulk flow
-    per host pair (and ``plan``'s faults armed, if given) and summarize everything the notification path decides: which host
-    listener saw which notification when (in call order), the
-    notifier's latency samples, and per-host stale counts.
+    per host pair (and ``plan``'s faults armed, if given) and summarize
+    everything the notification path decides: which host listener saw
+    which notification when (in call order), the notifier's latency
+    samples, and per-host stale counts.
+
+    ``listen_on`` names the hosts (addresses) that get the recording
+    listener; only a host pair with a listening end carries a flow, so
+    every other host is one nobody but the notifier listens on. Default:
+    every host. The goldens pinned before the parameter existed compare
+    whole dicts, so the per-host ``rx_packets`` and last accepted
+    ``notify_seq`` rows are added only when it is given.
 
     Returns ``(fingerprint, calls)``; the fingerprint is small enough
     to pin as a golden, ``calls`` is the full
@@ -95,14 +105,17 @@ def notification_fingerprint(notifier: NotifierConfig, plan=None) -> Tuple[dict,
         FaultInjector(sim, plan, testbed.rng).arm_testbed(testbed)
     calls = []
     hosts = testbed.hosts[0] + testbed.hosts[1]
+    listening = {host.address for host in hosts} if listen_on is None else set(listen_on)
     for host in hosts:
-        host.subscribe_tdn_changes(
-            lambda n, address=host.address: calls.append(
-                (sim.now, address, n.tdn_id, n.notify_seq, n.generated_ns)
+        if host.address in listening:
+            host.subscribe_tdn_changes(
+                lambda n, address=host.address: calls.append(
+                    (sim.now, address, n.tdn_id, n.notify_seq, n.generated_ns)
+                )
             )
-        )
     for a, b in zip(testbed.hosts[0], testbed.hosts[1]):
-        bulk_pair(sim, a, b, connection_cls=TDTCPConnection, tdn_count=cfg.n_tdns)
+        if a.address in listening or b.address in listening:
+            bulk_pair(sim, a, b, connection_cls=TDTCPConnection, tdn_count=cfg.n_tdns)
     testbed.start()
     sim.run(until=cfg.week_ns * 3)
 
@@ -118,6 +131,9 @@ def notification_fingerprint(notifier: NotifierConfig, plan=None) -> Tuple[dict,
         "latencies_sha": sha(latencies),
         "stale": [host.stale_notifications for host in hosts],
     }
+    if listen_on is not None:
+        fingerprint["rx_packets"] = [host.rx_packets for host in hosts]
+        fingerprint["last_seq"] = [host._last_notify_seq for host in hosts]
     return fingerprint, calls
 
 

@@ -7,9 +7,13 @@ pieces the integrator builds on (schedule segmentation, fluid cwnd
 growth).
 """
 
+import hashlib
+import json
+
 import pytest
 
-from repro.experiments.config import ExperimentConfig
+from repro.apps.engine import strip_wall_fields
+from repro.experiments.config import ExperimentConfig, WorkloadConfig
 from repro.experiments.runner import run_experiment
 from repro.faults.plan import FaultPlan, FaultSpec
 from repro.rdcn.schedule import TDNSchedule
@@ -143,6 +147,29 @@ class TestDeterminism:
         assert a.aggregate_delivered == b.aggregate_delivered
         assert a.retransmissions == b.retransmissions
         assert a.fidelity_report == b.fidelity_report
+
+    def test_tiered_cubic_engine_run_matches_golden(self):
+        """The shape of a ``tiered_elephants`` cubic leg — an engine run
+        on which no host ever has a transport listener, so every TDN
+        announcement is the notifier's alone. Recorded at the commit
+        before announcements went to the rack; the digest covers every
+        notification latency in order and the notify-latency sketches."""
+        config = ExperimentConfig(
+            variant="cubic", weeks=8, warmup_weeks=2, seed=1, collect_voq=False,
+            collect_sequence=False, fidelity="tiered",
+            workload=WorkloadConfig(kind="empirical", cdf="web-search", load=0.4),
+        )
+        result = run_experiment(config)
+        assert result.fidelity_report["fluid_spans"] == 2
+        assert len(result.notification_latencies) == 8 * 8 * 2 * 8
+        summary = result.to_dict()
+        for wall_key in ("events_per_second", "profile_report", "artifacts"):
+            del summary[wall_key]
+        summary["workload_summary"] = strip_wall_fields(summary["workload_summary"])
+        text = json.dumps(summary, sort_keys=True)
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            "90b131d2c802c5ccdb32a79703e378b77d771a30f563ba22f708f921c3e905db"
+        )
 
     def test_packet_mode_untouched_by_fidelity_field(self):
         """fidelity="packet" runs take the exact pre-fastpath code path:

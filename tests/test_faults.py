@@ -278,6 +278,122 @@ class TestNotificationFanoutUnderFaults:
         }
 
 
+class TestPlainHostNotificationGoldens:
+    """Hosts nobody but the notifier listens on, which the goldens above
+    never have (their helper subscribes on every host). Recorded at the
+    commit before the rack became the unit of an announcement, when
+    every host of every rack was sent its own packet: per listening
+    set, notifier config and fault plan, the recording listeners' calls,
+    the latency samples, and per host the stale count, ``rx_packets``
+    and the last accepted ``notify_seq``."""
+
+    LISTEN_ON = {"nobody": (), "r0h0+r0h2": ("r0h0", "r0h2")}
+    CONFIGS = {
+        "default": NotifierConfig(),
+        # Control network + push: one processing delay per host.
+        "push": NotifierConfig(pull_model=False),
+        "unoptimized": NotifierConfig.unoptimized(),
+    }
+    PLANS = {
+        "none": lambda: None,
+        "pause": lambda: plan_of(
+            {"kind": "app_pause", "target": "r0h1", "at_ns": 200_800, "until_ns": 405_000}
+        ),
+        "storm": lambda: plan_of(
+            {"kind": "notifier_delay", "params": {"rate": 0.5, "max_delay_ns": usec(30)}},
+            {"kind": "notifier_duplicate", "params": {"rate": 0.3, "dup_delay_ns": usec(5)}},
+            {"kind": "notifier_drop", "params": {"rate": 0.2}},
+        ),
+    }
+    # (calls, calls_sha, latencies, latency_sum, latencies_sha,
+    #  stale, rx_packets, last_seq)
+    GOLDENS = {
+        ("nobody", "default", "none"): (0, "4f53cda18c2baa0c", 192, 267824, "0e6e1ae2a1502aa9",
+            [0, 0, 0, 0, 0, 0, 0, 0],
+            [24, 24, 24, 24, 24, 24, 24, 24],
+            [184, 185, 186, 187, 188, 189, 190, 191]),
+        ("nobody", "default", "pause"): (0, "4f53cda18c2baa0c", 192, 474294, "8538923ad05af13b",
+            [0, 0, 0, 0, 0, 0, 0, 0],
+            [24, 24, 24, 24, 24, 24, 24, 24],
+            [184, 185, 186, 187, 188, 189, 190, 191]),
+        ("nobody", "default", "storm"): (0, "4f53cda18c2baa0c", 156, 1320263, "b6923f9551a0824b",
+            [5, 6, 8, 5, 3, 8, 3, 5],
+            [24, 25, 27, 24, 20, 31, 23, 25],
+            [184, 185, 186, 187, 180, 189, 190, 191]),
+        ("nobody", "push", "none"): (0, "4f53cda18c2baa0c", 192, 1227440, "a1bdc61739285115",
+            [0, 0, 0, 0, 0, 0, 0, 0],
+            [24, 24, 24, 24, 24, 24, 24, 24],
+            [184, 185, 186, 187, 188, 189, 190, 191]),
+        ("nobody", "push", "pause"): (0, "4f53cda18c2baa0c", 192, 1433910, "b0cac41557ada8f2",
+            [0, 0, 0, 0, 0, 0, 0, 0],
+            [24, 24, 24, 24, 24, 24, 24, 24],
+            [184, 185, 186, 187, 188, 189, 190, 191]),
+        ("nobody", "push", "storm"): (0, "4f53cda18c2baa0c", 156, 2105951, "34d84a9abc321007",
+            [5, 6, 8, 5, 3, 8, 3, 5],
+            [24, 25, 27, 24, 20, 31, 23, 25],
+            [184, 185, 186, 187, 180, 189, 190, 191]),
+        ("nobody", "unoptimized", "none"): (0, "4f53cda18c2baa0c", 192, 1570316, "522e0d37478bb118",
+            [0, 0, 0, 0, 0, 0, 0, 0],
+            [24, 24, 24, 24, 24, 24, 24, 24],
+            [184, 185, 186, 187, 188, 189, 190, 191]),
+        ("nobody", "unoptimized", "pause"): (0, "4f53cda18c2baa0c", 192, 1772571, "6e044e46b0fbd65b",
+            [0, 0, 0, 0, 0, 0, 0, 0],
+            [24, 24, 24, 24, 24, 24, 24, 24],
+            [184, 185, 186, 187, 188, 189, 190, 191]),
+        ("nobody", "unoptimized", "storm"): (0, "4f53cda18c2baa0c", 156, 2385399, "e7506847404af541",
+            [5, 7, 8, 5, 3, 7, 3, 5],
+            [24, 26, 27, 25, 20, 30, 23, 24],
+            [184, 185, 186, 187, 180, 189, 190, 191]),
+        ("r0h0+r0h2", "default", "none"): (48, "821232c71ca6f642", 192, 267824, "0e6e1ae2a1502aa9",
+            [0, 0, 0, 0, 0, 0, 0, 0],
+            [1079, 24, 1076, 24, 1101, 24, 1098, 24],
+            [184, 185, 186, 187, 188, 189, 190, 191]),
+        ("r0h0+r0h2", "default", "pause"): (48, "821232c71ca6f642", 192, 474294, "8538923ad05af13b",
+            [0, 0, 0, 0, 0, 0, 0, 0],
+            [1079, 24, 1076, 24, 1101, 24, 1098, 24],
+            [184, 185, 186, 187, 188, 189, 190, 191]),
+        ("r0h0+r0h2", "default", "storm"): (38, "6fa7fadf9d036775", 156, 1320263, "b6923f9551a0824b",
+            [5, 6, 8, 5, 3, 8, 3, 5],
+            [1087, 25, 1071, 24, 1105, 31, 1089, 25],
+            [184, 185, 186, 187, 180, 189, 190, 191]),
+        ("r0h0+r0h2", "push", "none"): (48, "12b0aae0f3dd5b06", 192, 1227440, "a1bdc61739285115",
+            [0, 0, 0, 0, 0, 0, 0, 0],
+            [1075, 24, 1078, 24, 1097, 24, 1100, 24],
+            [184, 185, 186, 187, 188, 189, 190, 191]),
+        ("r0h0+r0h2", "push", "pause"): (48, "12b0aae0f3dd5b06", 192, 1433910, "b0cac41557ada8f2",
+            [0, 0, 0, 0, 0, 0, 0, 0],
+            [1075, 24, 1078, 24, 1097, 24, 1100, 24],
+            [184, 185, 186, 187, 188, 189, 190, 191]),
+        ("r0h0+r0h2", "push", "storm"): (38, "626a229cf28dffa4", 156, 2105951, "34d84a9abc321007",
+            [5, 6, 8, 5, 3, 8, 3, 5],
+            [1082, 25, 1074, 24, 1100, 31, 1092, 25],
+            [184, 185, 186, 187, 180, 189, 190, 191]),
+        ("r0h0+r0h2", "unoptimized", "none"): (46, "f43f03073641f3fd", 188, 1721659, "4cb6fb7b5894486b",
+            [0, 0, 0, 0, 0, 0, 0, 0],
+            [1075, 24, 1073, 24, 1097, 24, 1095, 24],
+            [176, 185, 178, 187, 180, 189, 182, 191]),
+        ("r0h0+r0h2", "unoptimized", "pause"): (46, "f43f03073641f3fd", 188, 1923391, "8b12b0436518e2dd",
+            [0, 0, 0, 0, 0, 0, 0, 0],
+            [1075, 24, 1073, 24, 1097, 24, 1095, 24],
+            [176, 185, 178, 187, 180, 189, 182, 191]),
+        ("r0h0+r0h2", "unoptimized", "storm"): (36, "0f57fc793cf2c56a", 153, 2484460, "fd7b6e0d46714480",
+            [5, 7, 7, 5, 3, 7, 3, 5],
+            [1074, 26, 1076, 25, 1093, 30, 1096, 24],
+            [176, 185, 178, 187, 180, 189, 190, 191]),
+    }
+
+    @pytest.mark.parametrize(
+        "listen,config,plan", list(GOLDENS), ids=["/".join(key) for key in GOLDENS]
+    )
+    def test_matches_per_host_packet_golden(self, listen, config, plan):
+        fingerprint, _calls = notification_fingerprint(
+            self.CONFIGS[config], plan=self.PLANS[plan](), listen_on=self.LISTEN_ON[listen]
+        )
+        keys = ("calls", "calls_sha", "latencies", "latency_sum", "latencies_sha",
+                "stale", "rx_packets", "last_seq")
+        assert fingerprint == dict(zip(keys, self.GOLDENS[listen, config, plan]))
+
+
 class TestInvariantAuditor:
     def watched_pair(self, mode="warn"):
         sim, a, b, _ab, _ba = two_hosts()

@@ -205,3 +205,36 @@ def test_ecn_is_said_once_and_a_tor_has_one_queue_class():
     source = inspect.getsource(queues)
     assert re.findall(r"^class (\w+)", source, re.M) == ["DropTailQueue", "SharedBufferPool"]
     assert len(re.findall(r"^\s+def push\(", source, re.M)) == 1
+
+
+def test_one_notifier_and_no_new_knob_for_the_rack_announcement():
+    # Whether a host gets a real ICMP is read off what the notifier
+    # already observes (fault hook, control network, who listens) —
+    # never a second notifier class or a config field.
+    from dataclasses import fields
+
+    from repro.rdcn import notifier
+    from repro.rdcn.config import NotifierConfig, RDCNConfig
+
+    source = inspect.getsource(notifier)
+    assert re.findall(r"^class (\w+)", source, re.M) == ["TDNNotifier"]
+    assert [f.name for f in fields(NotifierConfig)] == [
+        "packet_caching", "generation_cached_p50_ns", "generation_uncached_p50_ns",
+        "generation_cached_tail_ns", "generation_uncached_tail_ns", "pull_model",
+        "push_per_flow_cost_ns", "pull_read_cost_ns", "dedicated_network",
+        "control_delay_ns", "switch_per_packet_cost_ns", "night_policy",
+    ]
+    assert [f.name for f in fields(RDCNConfig)] == [
+        "n_hosts_per_rack", "mss", "packet_rate_bps", "optical_rate_bps",
+        "packet_one_way_ns", "optical_one_way_ns", "host_link_rate_bps",
+        "host_link_delay_ns", "voq_capacity", "ecn_threshold", "buffer_policy",
+        "buffer_alpha", "buffer_total_capacity", "schedule_pattern", "day_ns",
+        "night_ns", "retcpdyn_voq_capacity", "retcpdyn_lead_ns", "notifier", "seed",
+    ]
+    # The freshness filter is written once; the packet path and the
+    # rack walk both call it.
+    from repro.net import node
+
+    assert inspect.getsource(node).count("self._last_notify_seq = ") == 1
+    assert "notification_arrived(" in inspect.getsource(node.Host.deliver)
+    assert "notification_arrived(" in inspect.getsource(notifier.TDNNotifier._arrive_at_rack)

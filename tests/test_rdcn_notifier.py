@@ -215,3 +215,103 @@ class TestNotificationFanout:
             "latency_sum": 2128559,
             "stale": [0, 0, 0, 0, 0, 0, 0, 0],
         }
+
+
+class TestRackAnnouncement:
+    """On the control network the rack is the unit of an announcement: a
+    host is asked whether the notification is fresh without a packet,
+    and gets one only if somebody besides the notifier's own recorder
+    listens at its processing instant."""
+
+    def test_listeners_are_read_at_the_processing_instant(self):
+        # Push model: host i of a rack processes i + 1 per-flow costs
+        # after the rack's arrival instant, so host 0's listener runs
+        # inside the window in which hosts 2 and 3 have accepted the
+        # notification and not yet processed it.
+        notifier = NotifierConfig(pull_model=False)
+        cfg = RDCNConfig(n_hosts_per_rack=4, notifier=notifier)
+        testbed = build_two_rack_testbed(cfg)
+        sim = testbed.sim
+        h0, _h1, h2, h3 = testbed.hosts[0]
+        late, gone, first = [], [], []
+
+        def leaving(n):
+            gone.append((sim.now, n.notify_seq))
+
+        def in_the_window(n):
+            if not first:
+                first.append((sim.now, n.notify_seq, n.tdn_id, n.generated_ns))
+                h3.subscribe_tdn_changes(
+                    lambda n: late.append((sim.now, n.notify_seq, n.tdn_id, n.generated_ns))
+                )
+                h2.unsubscribe_tdn_changes(leaving)
+
+        h0.subscribe_tdn_changes(in_the_window)
+        h2.subscribe_tdn_changes(leaving)
+        testbed.start()
+        sim.run(until=cfg.week_ns)
+        cost = notifier.push_per_flow_cost_ns
+        (t0, seq0, tdn, generated) = first[0]
+        # Host 3 had nobody but the recorder at arrival; its listener
+        # still sees this very notification, three costs after host 0.
+        assert late[0] == (t0 + 3 * cost, seq0 + 3, tdn, generated)
+        # Host 2's listener left before its processing instant.
+        assert gone == []
+        assert len(late) == 8  # and every later announcement of the week
+
+    @staticmethod
+    def _counted_run(monkeypatch, with_flow):
+        """Four weeks of a 2 x 16-host fabric; returns the testbed, the
+        destinations of every ``TDNNotification`` the notifier built and
+        how many ``Host.deliver`` calls carried one."""
+        import repro.rdcn.notifier as notifier_module
+        from repro.core.tdtcp import TDTCPConnection
+        from repro.net.node import Host
+        from repro.net.packet import TDNNotification
+        from tests.helpers import bulk_pair
+
+        built, delivered = [], []
+
+        def counting(src, dst, tdn_id, created_ns=0):
+            built.append(dst)
+            return TDNNotification(src, dst, tdn_id, created_ns)
+
+        deliver = Host.deliver
+
+        def counting_deliver(host, packet):
+            if isinstance(packet, TDNNotification):
+                delivered.append(host.address)
+            deliver(host, packet)
+
+        monkeypatch.setattr(notifier_module, "TDNNotification", counting)
+        monkeypatch.setattr(Host, "deliver", counting_deliver)
+        cfg = RDCNConfig(n_hosts_per_rack=16)
+        testbed = build_two_rack_testbed(cfg)
+        if with_flow:
+            bulk_pair(
+                testbed.sim, testbed.hosts[0][0], testbed.hosts[1][0],
+                connection_cls=TDTCPConnection, tdn_count=cfg.n_tdns,
+            )
+        testbed.start()
+        testbed.sim.run(until=cfg.week_ns * 4)
+        return testbed, built, delivered
+
+    def test_a_host_nobody_listens_on_costs_no_packet(self, monkeypatch):
+        testbed, built, delivered = self._counted_run(monkeypatch, with_flow=False)
+        assert built == [] and delivered == []
+        # 7 day starts + 1 slowdown warning a week, 4 weeks, 2 racks.
+        assert len(testbed.notifier.delivery_latency_samples) == 8 * 4 * 2 * 16
+        assert testbed.notifier.notifications_sent == 8 * 4 * 2 * 16
+        hosts = testbed.hosts[0] + testbed.hosts[1]
+        assert {host.rx_packets for host in hosts} == {32}
+        assert {host.stale_notifications for host in hosts} == {0}
+        # The count of the commit before, which built 1,024 packets.
+        assert testbed.sim.processed_events == 247
+
+    def test_packets_are_built_for_listening_hosts_only(self, monkeypatch):
+        testbed, built, delivered = self._counted_run(monkeypatch, with_flow=True)
+        assert sorted(set(built)) == ["r0h0", "r1h0"]
+        assert len(built) == 2 * 8 * 4
+        assert delivered == []
+        assert len(testbed.notifier.delivery_latency_samples) == 8 * 4 * 2 * 16
+        assert testbed.sim.processed_events == 49_919
