@@ -185,8 +185,9 @@ class FaultInjector:
     # Arming
     # ------------------------------------------------------------------
     def arm_testbed(self, testbed: Any) -> "FaultInjector":
-        """Discover a :class:`~repro.rdcn.topology.TwoRackTestbed`'s
-        components and arm every spec. Call before ``testbed.start()``."""
+        """Discover a two-rack or rotor testbed's components and arm every
+        spec (the rotor fabric has no ``RackUplink``: a ``rotor_stall``
+        there lands in ``unmatched``). Call before ``testbed.start()``."""
         links: Dict[str, Any] = {}
         hosts: Dict[str, Any] = {}
         for rack_hosts in testbed.hosts.values():
@@ -197,8 +198,8 @@ class FaultInjector:
         for tor in testbed.tors.values():
             for link in tor._downlinks.values():
                 links[link.name] = link
-        uplinks = {uplink.name: uplink for uplink in testbed.uplinks.values()}
-        queues = {uplink.queue.name: uplink.queue for uplink in testbed.uplinks.values()}
+        uplinks = {uplink.name: uplink for uplink in getattr(testbed, "uplinks", {}).values()}
+        queues = {q.name: q for tor in testbed.tors.values() for q in tor.voqs.values()}
         return self.arm(
             links=links,
             uplinks=uplinks,

@@ -7,11 +7,11 @@ notifications out to subscribed listeners (TDTCP/reTCP stacks).
 A notification reaches a host in one of two ways, and both run the same
 ingress, :meth:`Host.notification_arrived` (arrival count, freshness
 filter, stale accounting — written once): as a ``TDNNotification``
-through :meth:`Host.deliver` (links, fault injectors, the Opera fabric,
-hand-built tests), or from the control network's rack walk
-(:class:`repro.rdcn.notifier.TDNNotifier`), which asks with the two
-header fields and builds a packet only for a host that has a listener
-besides the notifier itself.
+through :meth:`Host.deliver` (links, fault injectors, hand-built
+tests), or from the control network's rack walk
+(:class:`repro.rdcn.notifier.TDNNotifier`, on either fabric), which asks
+with the two header fields and builds a packet only for a host that has
+a listener besides the notifier itself.
 """
 
 from __future__ import annotations

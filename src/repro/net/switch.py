@@ -17,6 +17,7 @@ from typing import Dict, Optional, Protocol
 from repro.net.addressing import _rack_of_cache, rack_of
 from repro.net.link import Link
 from repro.net.packet import Packet
+from repro.net.queues import DropTailQueue
 from repro.sim.simulator import Simulator
 
 
@@ -67,6 +68,11 @@ class ToRSwitch:
 
     def add_uplink(self, remote_rack: int, uplink: Uplink) -> None:
         self._uplinks[remote_rack] = uplink
+
+    @property
+    def voqs(self) -> Dict[int, DropTailQueue]:
+        """The VOQ toward each remote rack (``OperaToR.voqs``' shape)."""
+        return {rack: uplink.queue for rack, uplink in self._uplinks.items()}
 
     def forward(self, packet: Packet) -> None:
         """Forward a packet from a local host or from the fabric."""

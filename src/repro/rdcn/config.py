@@ -14,6 +14,9 @@ from typing import Optional, Tuple
 from repro.net.queues import BUFFER_POLICIES
 from repro.units import SEC, gbps, usec
 
+# CE-mark threshold K of every ToR VOQ on either fabric (5 jumbo frames).
+ECN_THRESHOLD = 30
+
 
 @dataclass
 class NotifierConfig:
@@ -119,9 +122,8 @@ class RDCNConfig:
     # ToR virtual output queues: 144 KB, the paper's 16 jumbo frames.
     voq_capacity: int = 96
     # CE-mark threshold K: every VOQ marks ECN-capable packets arriving
-    # to >= K queued (the paper's 5 jumbo frames); non-ECT traffic
-    # never sees it.
-    ecn_threshold: int = 30
+    # to >= K queued; non-ECT traffic never sees it.
+    ecn_threshold: int = ECN_THRESHOLD
 
     # Shared-memory ToR buffering (repro.net.queues.SharedBufferPool).
     # "static" keeps the paper's per-VOQ carving (no pool object —

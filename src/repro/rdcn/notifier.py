@@ -1,9 +1,9 @@
 """ToR-generated TDN-change notifications (§3.2, §5.4).
 
-At each day start the ToR sends every attached host an ICMP notification
-carrying the new TDN ID. End-to-end delivery latency is the sum of three
-components, each with an optimized and an unoptimized variant matching
-the §5.4 study:
+At each day start (rotor fabric: each slot) every ToR sends its hosts an
+ICMP carrying the new TDN ID. End-to-end delivery latency is the sum of
+three components, each with an optimized and an unoptimized variant
+matching the §5.4 study:
 
 1. **Generation** — building the ICMP packet at the ToR. With packet
    caching the ToR keeps a pre-built packet and only fills in the TDN
@@ -37,7 +37,8 @@ counts and every value are the per-host path's (docs/performance.md,
 off what the code observes and not off an option: an armed
 ``fault_hook`` (an injector perturbs individual ICMPs; ``app_pause``
 arms it too, because its gate wraps ``host.deliver``) and the shared
-data network (a real packet on a real link) take the per-host path.
+data network (a real packet on a real link) take the per-host path —
+on either fabric: nothing else in ``src/`` builds a ``TDNNotification``.
 """
 
 from __future__ import annotations
@@ -96,6 +97,7 @@ class TDNNotifier:
         config: NotifierConfig,
         rng: SeededRandom,
         tdn_rate_of=None,
+        tdn_id_of=None,
     ):
         self.sim = sim
         self.driver = driver
@@ -117,6 +119,9 @@ class TDNNotifier:
         # Rate lookup for the "slowdown" night policy; without one,
         # night announcements degrade to the "always"/"none" behaviour.
         self.tdn_rate_of = tdn_rate_of
+        # Per-rack id ``tdn_id_of(tor, tdn_id)``, asked as the ToR emits
+        # (a demand-aware fabric announces each rack's partner).
+        self.tdn_id_of = tdn_id_of
         self._racks: List[ToRSwitch] = []
         self._hosts_by_rack: Dict[int, List[Host]] = {}
         self.notifications_sent = 0
@@ -197,6 +202,10 @@ class TDNNotifier:
 
     def _emit(self, tor: ToRSwitch, tdn_id: int, generated_ns: int) -> None:
         hosts = self._hosts_by_rack.get(tor.rack, [])
+        if self.tdn_id_of is not None:
+            tdn_id = self.tdn_id_of(tor, tdn_id)
+            if tdn_id is None:
+                return  # the rack went dark before its ToR got to announce
         hook = self.fault_hook
         if hook is None and self.config.dedicated_network and hosts:
             # Nothing perturbs individual ICMPs and the control network
@@ -307,10 +316,8 @@ class TDNNotifier:
         # NIC and waits for the software switch to process the VOQ
         # backlog ahead of it, in addition to downlink queueing.
         contention_ns = host.egress.backlog_ns() if host.egress is not None else 0
-        for uplink in tor._uplinks.values():
-            queue = getattr(uplink, "queue", None)
-            if queue is not None:
-                contention_ns += len(queue) * self.config.switch_per_packet_cost_ns
+        for queue in tor.voqs.values():
+            contention_ns += len(queue) * self.config.switch_per_packet_cost_ns
         if contention_ns > 0:
             self.sim.schedule(contention_ns, link.send, notification)
         else:

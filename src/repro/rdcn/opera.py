@@ -19,9 +19,10 @@ to its matching partner — on which it sends, in priority order:
 
 Latency to a fixed destination therefore swings between "direct this
 slot" and "store-and-forward across slots" — the drastic variation that
-motivates treating each configuration as its own TDN. Hosts receive the
-current matching index as the TDN ID, so a TDTCP connection on this
-fabric keeps one state set per matching (``n_racks - 1`` TDNs).
+motivates treating each configuration as its own TDN. A slot is a day
+of the two-rack testbed's :class:`ScheduleDriver`, announced by its
+:class:`TDNNotifier` with the matching index as the TDN ID, so a TDTCP
+connection here keeps one state set per matching (``n_racks - 1`` TDNs).
 """
 
 from __future__ import annotations
@@ -32,10 +33,14 @@ from typing import Dict, List, Optional
 from repro.net.addressing import rack_of
 from repro.net.link import Link
 from repro.net.node import Host
-from repro.net.packet import MAX_TDN_ID, Packet, TDNNotification
+from repro.net.packet import MAX_TDN_ID, Packet
 from repro.net.queues import BUFFER_POLICIES
+from repro.rdcn.config import ECN_THRESHOLD, NotifierConfig
 from repro.rdcn.fabric import attach_hosts, build_voqs
+from repro.rdcn.notifier import TDNNotifier
 from repro.rdcn.rotor import round_robin_matchings
+from repro.rdcn.schedule import ScheduleDriver, TDNSchedule
+from repro.sim.rng import SeededRandom
 from repro.sim.simulator import Simulator
 from repro.units import gbps, serialization_delay_ns, usec
 
@@ -55,7 +60,6 @@ class OperaConfig:
     night_ns: int = usec(20)
     voq_capacity: int = 96          # per destination rack
     two_hop: bool = True
-    notification_delay_ns: int = usec(1)
     # "rotor": the fixed demand-oblivious round-robin cycle.
     # "demand-aware" (§6, Helios/ProjecToR class): each slot, a greedy
     # max-weight matching over current VOQ backlogs, with an aging bonus
@@ -85,10 +89,7 @@ class OperaConfig:
         # cap would quietly stop adapting instead of failing loudly.
         # Rotor uses the slot index (0..n_racks-2); demand-aware uses the
         # partner rack id (0..n_racks-1), so its ceiling is one lower.
-        if self.matching_policy == "demand-aware":
-            max_racks = MAX_TDN_ID + 1
-        else:
-            max_racks = MAX_TDN_ID + 2
+        max_racks = MAX_TDN_ID + (1 if self.matching_policy == "demand-aware" else 2)
         if self.n_racks > max_racks:
             raise ValueError(
                 f"n_racks={self.n_racks} exceeds the {self.matching_policy!r} "
@@ -131,7 +132,6 @@ class OperaToR:
         self.config = config
         self.name = f"opera-tor{rack}"
         self._downlinks: Dict[str, Link] = {}
-        # Unmarked (no K): OperaConfig carries no ECN threshold.
         self.voqs, self.pool = build_voqs(
             config,
             {
@@ -141,6 +141,7 @@ class OperaToR:
             },
             config.tor_buffer_total,
             f"{self.name}-pool",
+            mark_threshold=ECN_THRESHOLD,
         )
         self.partner: Optional[int] = None
         self.peers: Dict[int, "OperaToR"] = {}
@@ -161,8 +162,7 @@ class OperaToR:
     def set_partner(self, partner: Optional[int]) -> None:
         """Slot start (a rack index) or night start (None)."""
         self.partner = partner
-        if partner is not None:
-            self._serve()
+        self._serve()
 
     # ------------------------------------------------------------------
     # Data path
@@ -205,8 +205,7 @@ class OperaToR:
         # has not been relayed yet (one indirection hop max).
         candidates = [
             queue for dst, queue in self.voqs.items()
-            if dst != self.partner and len(queue) > 0
-            and queue.peek() is not None and not queue.peek().relayed
+            if dst != self.partner and len(queue) > 0 and not queue.peek().relayed
         ]
         if not candidates:
             return None
@@ -231,20 +230,22 @@ class OperaToR:
             self.config.one_way_delay_ns, peer.receive_from_fabric, packet
         )
         self._busy = False
-        if self.partner is not None:
-            self._serve()
+        self._serve()
 
 
 @dataclass
 class OperaTestbed:
-    """The assembled OCS-only fabric."""
+    """The assembled OCS-only fabric, under the two-rack testbed's names."""
 
     sim: Simulator
     config: OperaConfig
     matchings: List[List[tuple]]
+    schedule: TDNSchedule
+    driver: ScheduleDriver
+    notifier: TDNNotifier
+    rng: SeededRandom
     tors: Dict[int, OperaToR] = field(default_factory=dict)
     hosts: Dict[int, List[Host]] = field(default_factory=dict)
-    slot_index: int = 0
     # Demand-aware state: slots since each pair was last served.
     pair_age: Dict[tuple, int] = field(default_factory=dict)
     chosen_matchings: List[List[tuple]] = field(default_factory=list)
@@ -254,85 +255,68 @@ class OperaTestbed:
 
     def start(self) -> None:
         """Begin cycling the fabric from the current simulation time."""
-        if self.config.matching_policy == "demand-aware":
-            n = self.config.n_racks
-            self.pair_age = {
-                (a, b): 0 for a in range(n) for b in range(a + 1, n)
-            }
-        self._begin_slot(0)
-
-    # ------------------------------------------------------------------
-    def _pair_backlog(self, rack_a: int, rack_b: int) -> int:
-        return len(self.tors[rack_a].voqs[rack_b]) + len(self.tors[rack_b].voqs[rack_a])
+        self.driver.start()
 
     def _demand_aware_matching(self) -> List[tuple]:
         """Greedy max-weight matching: backlog plus an aging bonus (so
         all-to-all connectivity is still eventually provided)."""
         weights = {
-            pair: self._pair_backlog(*pair) + self.pair_age[pair]
-            for pair in self.pair_age
+            (a, b): len(self.tors[a].voqs[b]) + len(self.tors[b].voqs[a]) + age
+            for (a, b), age in self.pair_age.items()
         }
         matched: set = set()
         matching: List[tuple] = []
         for pair, _weight in sorted(weights.items(), key=lambda kv: -kv[1]):
-            rack_a, rack_b = pair
-            if rack_a in matched or rack_b in matched:
-                continue
-            matching.append(pair)
-            matched.add(rack_a)
-            matched.add(rack_b)
+            if matched.isdisjoint(pair):
+                matching.append(pair)
+                matched.update(pair)
         for pair in self.pair_age:
             self.pair_age[pair] = 0 if pair in matching else self.pair_age[pair] + 1
         return sorted(matching)
 
-    def _begin_slot(self, slot: int) -> None:
+    def _slot_started(self, slot: int, _day_index: int) -> None:
+        """Day hook: the day's TDN id is the rotor's slot; demand-aware
+        picks its own matching ('directly connected to rack p' recurs)."""
         if self.config.matching_policy == "demand-aware":
             matching = self._demand_aware_matching()
             self.chosen_matchings.append(matching)
         else:
-            self.slot_index = slot % len(self.matchings)
-            matching = self.matchings[self.slot_index]
+            matching = self.matchings[slot]
         for rack_a, rack_b in matching:
             self.tors[rack_a].set_partner(rack_b)
             self.tors[rack_b].set_partner(rack_a)
-        self._notify_hosts(matching, slot)
-        self.sim.schedule(self.config.slot_ns, self._begin_night, slot)
 
-    def _begin_night(self, slot: int) -> None:
+    def _night_started(self, _day_index: int) -> None:
         for tor in self.tors.values():
             tor.set_partner(None)
-        self.sim.schedule(self.config.night_ns, self._begin_slot, slot + 1)
-
-    def _notify_hosts(self, matching: List[tuple], slot: int) -> None:
-        """Rotor policy: the slot index is the TDN ID (a fixed cycle of
-        configurations). Demand-aware: there is no fixed cycle, so each
-        rack's hosts get their *partner's rack id* as the TDN ID —
-        'directly connected to rack p' is the recurring condition."""
-        partner_of: Dict[int, int] = {}
-        for rack_a, rack_b in matching:
-            partner_of[rack_a] = rack_b
-            partner_of[rack_b] = rack_a
-        for rack, rack_hosts in self.hosts.items():
-            if self.config.matching_policy == "demand-aware":
-                tdn_id = partner_of.get(rack)
-                if tdn_id is None:
-                    continue  # unmatched this slot (odd leftover)
-            else:
-                tdn_id = slot % len(self.matchings)
-            for host in rack_hosts:
-                note = TDNNotification(f"opera-tor{rack}", host.address, tdn_id, self.sim.now)
-                self.sim.schedule(self.config.notification_delay_ns, host.deliver, note)
 
 
 def build_opera_testbed(config: OperaConfig, sim: Optional[Simulator] = None) -> OperaTestbed:
     """Construct the OCS-only rotor fabric."""
     sim = sim or Simulator()
-    matchings = round_robin_matchings(config.n_racks)
-    testbed = OperaTestbed(sim=sim, config=config, matchings=matchings)
-    for rack in range(config.n_racks):
+    rng = SeededRandom(config.seed)
+    n = config.n_racks
+    demand_aware = config.matching_policy == "demand-aware"
+    schedule = TDNSchedule.uniform(range(config.n_slots), config.slot_ns, config.night_ns)
+    driver = ScheduleDriver(sim, schedule)
+    # The two-rack ToRs' §5.4 cost model, announced at slot start only:
+    # all circuits have one rate and a dark rack has no partner to name.
+    notifier = TDNNotifier(
+        sim, driver, NotifierConfig(night_policy="none"), rng,
+        tdn_id_of=(lambda tor, _slot: tor.partner) if demand_aware else None,
+    )
+    testbed = OperaTestbed(
+        sim=sim, config=config, matchings=round_robin_matchings(n),
+        schedule=schedule, driver=driver, notifier=notifier, rng=rng,
+        pair_age={(a, b): 0 for a in range(n) for b in range(a + 1, n)},
+    )
+    driver.on_day_start(testbed._slot_started)
+    driver.on_night_start(testbed._night_started)
+    for rack in range(n):
         tor = OperaToR(sim, rack, config)
         testbed.tors[rack] = tor
         testbed.hosts[rack] = attach_hosts(sim, tor, rack, config)
+        notifier.add_rack(tor, testbed.hosts[rack])
     for tor in testbed.tors.values():
         tor.peers = testbed.tors
     return testbed

@@ -175,6 +175,18 @@ def tdtcp_engine(fabric: str, seed: int = 1, max_flows: Optional[int] = None, lo
     return testbed, engine, period_ns
 
 
+def opera_notifier_cost(monkeypatch, **fields) -> None:
+    """Rotor testbeds built from here on announce with
+    ``NotifierConfig(**fields)`` over what ``build_opera_testbed`` asks
+    for. The fabric has no option for its cost model (one value in use),
+    so a test that needs another swaps the name the builder reads."""
+    import repro.rdcn.opera as opera
+
+    monkeypatch.setattr(
+        opera, "NotifierConfig", lambda **asked: NotifierConfig(**{**asked, **fields})
+    )
+
+
 def engine_fingerprint(
     fabric: str, seed: int, periods: int, max_flows: Optional[int] = None, load: float = 0.4
 ) -> dict:

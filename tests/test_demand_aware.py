@@ -118,3 +118,54 @@ class TestTDTCPOnDemandAware:
         aware = run("demand-aware")
         oblivious = run("rotor")
         assert aware > oblivious * 0.9
+
+
+class TestAnnouncedPartner:
+    @pytest.mark.parametrize("generation_ns", [None, 0], ids=["default-cost", "zero-generation"])
+    def test_every_host_hears_its_racks_current_partner(self, monkeypatch, generation_ns):
+        """The TDN id a rack's hosts hear is the partner its ToR has as
+        it emits — not what the notifier could see at the day boundary,
+        where it runs before the fabric has chosen the slot's matching."""
+        if generation_ns is not None:
+            from tests.helpers import opera_notifier_cost
+
+            opera_notifier_cost(
+                monkeypatch, generation_cached_p50_ns=generation_ns,
+                generation_cached_tail_ns=generation_ns,
+            )
+        cfg = demand_aware_config(n_racks=6)
+        tb = build_opera_testbed(cfg)
+        heard = []
+        for rack, hosts in tb.hosts.items():
+            for host in hosts:
+                host.subscribe_tdn_changes(
+                    lambda n, rack=rack: heard.append((rack, n.tdn_id, tb.tors[rack].partner))
+                )
+
+        def refill():  # skewed demand, so the matchings are not a fixed cycle
+            for _ in range(5):
+                tb.tors[0].voqs[3].push(Packet("r0h0", "r3h0", 1500), tb.sim.now)
+            tb.sim.schedule(cfg.slot_ns, refill)
+
+        refill()
+        tb.start()
+        tb.sim.run(until=cfg.cycle_ns * 3 - 1)
+        slots = 3 * cfg.n_slots
+        assert len(tb.chosen_matchings) == slots
+        assert len(heard) == slots * cfg.n_racks * cfg.n_hosts_per_rack
+        assert all(tdn == partner and partner is not None for _rack, tdn, partner in heard)
+        assert len({tdn for rack, tdn, _p in heard if rack == 0}) > 2
+
+    def test_a_rack_that_went_dark_announces_nothing(self):
+        """Skew can end a slot before its ToRs have built their ICMPs;
+        there is then no partner to announce, and nothing is."""
+        cfg = demand_aware_config()
+        tb = build_opera_testbed(cfg)
+        tb.driver.boundary_jitter = (
+            lambda phase, index, _nominal: cfg.slot_ns if (phase, index) == ("day", 1) else 0
+        )
+        tb.start()
+        tb.sim.run(until=cfg.cycle_ns - 1)
+        hosts = cfg.n_racks * cfg.n_hosts_per_rack
+        assert len(tb.chosen_matchings) == cfg.n_slots
+        assert len(tb.notifier.delivery_latency_samples) == (cfg.n_slots - 1) * hosts

@@ -1,5 +1,6 @@
 """ECN is said once: the congestion controller asks for ECT, every
-two-rack VOQ marks ECT packets at K, and nothing else has to be set.
+VOQ (two-rack or rotor) marks ECT packets at K, and nothing else has to
+be set.
 
 The per-variant cases are generated from the ``VARIANTS`` registry, so
 a new ECN CCA is covered the day it is registered.
@@ -16,7 +17,8 @@ from repro.experiments import ExperimentConfig, VARIANTS, run_experiment
 from repro.experiments.config import WorkloadConfig
 from repro.experiments.variants import engine_variants
 from repro.net.packet import TCPSegment
-from repro.rdcn.config import RDCNConfig
+from repro.rdcn.config import ECN_THRESHOLD, RDCNConfig
+from repro.rdcn.opera import OperaConfig, build_opera_testbed
 from repro.rdcn.topology import build_two_rack_testbed
 from repro.tcp.config import TCPConfig
 
@@ -90,6 +92,28 @@ def test_every_variant_is_ecn_driven_iff_its_cca_asks(variant, monkeypatch):
         else:
             assert not any(seg.ecn_capable for seg in segments)
             assert voq.marks == 0
+
+
+@pytest.mark.parametrize("cc_name", ["dctcp", "cubic"])
+def test_rotor_voqs_mark_at_the_two_rack_k(cc_name):
+    """ECN does not stop at the fabric boundary: one bulk pair on the
+    rotor fabric is marked iff its CCA asks (at the parent the rotor
+    VOQs had no K and dctcp there was loss-driven)."""
+    assert RDCNConfig().ecn_threshold == ECN_THRESHOLD
+    cfg = OperaConfig(n_racks=4)
+    testbed = build_opera_testbed(cfg)
+    with data_segments_sent() as sent:
+        bulk_pair(testbed.sim, testbed.host(0, 0), testbed.host(1, 0), cc_name=cc_name)
+        testbed.start()
+        testbed.sim.run(until=cfg.cycle_ns * 12)
+    voqs = [voq for tor in testbed.tors.values() for voq in tor.voqs.values()]
+    assert sent and {voq.mark_threshold for voq in voqs} == {ECN_THRESHOLD}
+    if cc_name == "dctcp":
+        assert all(seg.ecn_capable for seg in sent)
+        assert sum(voq.marks for voq in voqs) > 0
+    else:
+        assert not any(seg.ecn_capable for seg in sent)
+        assert {voq.marks for voq in voqs} == {0}
 
 
 def test_tdtcp_segments_are_ect_per_tdn():

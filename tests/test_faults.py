@@ -161,6 +161,69 @@ class TestNetInjectors:
             injector.arm()
 
 
+class TestArmTestbedOnTheRotorFabric:
+    """``arm_testbed`` arms the fabric it is handed: at the parent it
+    read ``testbed.uplinks`` / ``.notifier`` / ``.driver`` and raised
+    ``AttributeError`` on an ``OperaTestbed``."""
+
+    @staticmethod
+    def chaos_run(seed=1):
+        from repro.core.tdtcp import TDTCPConnection
+        from repro.rdcn.opera import OperaConfig, build_opera_testbed
+
+        cfg = OperaConfig(n_racks=4, seed=seed)
+        testbed = build_opera_testbed(cfg)
+        plan = FaultPlan.load("examples/fault_plans/control_plane_chaos.json")
+        injector = FaultInjector(testbed.sim, plan, testbed.rng).arm_testbed(testbed)
+        client, server = bulk_pair(
+            testbed.sim, testbed.host(0, 0), testbed.host(1, 0),
+            connection_cls=TDTCPConnection, tdn_count=cfg.n_slots,
+        )
+        testbed.start()
+        testbed.sim.run(until=cfg.cycle_ns * 30)
+        stale = sum(h.stale_notifications for rack in testbed.hosts.values() for h in rack)
+        return injector.report(), stale, client.tdn_state.switches, server.stats.bytes_delivered
+
+    def test_control_plane_chaos_reaches_the_rotor_fabric(self):
+        report, stale, switches, delivered = self.chaos_run()
+        effects = report["effects"]
+        for kind in ("notifier_delay", "notifier_duplicate", "app_pause", "rcv_buffer_pressure"):
+            assert effects[kind] > 0, kind
+        # Every duplicate shares its original's notify_seq and arrives
+        # later: the hosts' freshness filter rejects exactly those.
+        assert stale == effects["notifier_duplicate"]
+        assert switches > 50 and delivered > 1_000_000
+        # There is no RackUplink to stall on this fabric, and it says so.
+        assert report["unmatched"] == ["rotor_stall: target 'uplink-*' matched nothing"]
+        assert self.chaos_run() == (report, stale, switches, delivered)
+
+    def test_links_queues_and_the_slot_clock_are_armed(self):
+        from repro.rdcn.opera import OperaConfig, build_opera_testbed
+
+        cfg = OperaConfig(n_racks=4)
+        testbed = build_opera_testbed(cfg)
+        plan = plan_of(
+            {"kind": "queue_squeeze", "target": "opera-tor0-voq*", "at_ns": usec(100),
+             "until_ns": usec(300), "params": {"capacity": 4}},
+            {"kind": "packet_loss", "target": "r0h0-up", "params": {"rate": 0.05}},
+            {"kind": "link_flap", "target": "r1h0-down", "at_ns": usec(500),
+             "params": {"down_ns": usec(100)}},
+            {"kind": "schedule_skew", "params": {"max_skew_ns": usec(5)}},
+        )
+        injector = FaultInjector(testbed.sim, plan, testbed.rng).arm_testbed(testbed)
+        _client, server = bulk_pair(testbed.sim, testbed.host(0, 0), testbed.host(1, 0))
+        testbed.start()
+        testbed.sim.run(until=usec(200))
+        voqs = testbed.tors[0].voqs
+        assert {voq.capacity for voq in voqs.values()} == {4}
+        testbed.sim.run(until=cfg.cycle_ns * 10)
+        assert {voq.capacity for voq in voqs.values()} == {cfg.voq_capacity}
+        assert injector.unmatched == []
+        for kind in ("queue_squeeze", "packet_loss", "link_flap", "schedule_skew"):
+            assert injector.effects[kind] > 0, kind
+        assert server.stats.bytes_delivered > 0
+
+
 class TestStaleNotificationHandling:
     """Satellite regression tests: stale/duplicate/unknown TDN signals
     are ignored-and-counted, never applied and never raised."""

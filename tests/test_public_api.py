@@ -238,3 +238,20 @@ def test_one_notifier_and_no_new_knob_for_the_rack_announcement():
     assert inspect.getsource(node).count("self._last_notify_seq = ") == 1
     assert "notification_arrived(" in inspect.getsource(node.Host.deliver)
     assert "notification_arrived(" in inspect.getsource(notifier.TDNNotifier._arrive_at_rack)
+    # The rotor fabric is a caller of that notifier and of the schedule
+    # driver, not a second copy: no option for the announcement delay,
+    # no packet built and no clock event scheduled outside the ToR's
+    # own serializer.
+    from repro.rdcn import opera
+
+    assert [f.name for f in fields(opera.OperaConfig)] == [
+        "n_racks", "n_hosts_per_rack", "mss", "link_rate_bps", "one_way_delay_ns",
+        "host_link_rate_bps", "host_link_delay_ns", "slot_ns", "night_ns",
+        "voq_capacity", "two_hop", "matching_policy", "buffer_policy",
+        "buffer_alpha", "buffer_total_capacity", "seed",
+    ]
+    source = inspect.getsource(opera)
+    assert "TDNNotification" not in source
+    serializer = (inspect.getsource(opera.OperaToR._serve)
+                  + inspect.getsource(opera.OperaToR._tx_done))
+    assert source.count("sim.schedule") == serializer.count("sim.schedule") == 2
