@@ -14,7 +14,7 @@ on ICMP notifications, and overrides four hooks:
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
 from repro.core.reordering import suspect_cross_tdn_reordering
 from repro.core.rtt import pessimistic_rto_ns
@@ -25,6 +25,7 @@ from repro.obs.telemetry import Telemetry
 from repro.sim.simulator import Simulator
 from repro.sim.timers import Timer
 from repro.tcp.config import TCPConfig
+from repro.tcp.connection import CLOSE_WAIT, ESTABLISHED
 from repro.tcp.connection import LossTrigger, PathState, SegmentState, TCPConnection
 from repro.tcp.options import negotiate_td_capable
 from repro.tcp.rack import default_reo_wnd_ns
@@ -202,11 +203,15 @@ class TDTCPConnection(TCPConnection):
             self._pace_timer.cancel()
             super()._maybe_send()
             return
-        if self._pace_timer.armed:
+        # One segment per interval; a tick only while paced work (unsent
+        # data, a due retransmit) is left. The FIN is not paced.
+        if self._pace_timer.armed or self.state not in (ESTABLISHED, CLOSE_WAIT):
             return
-        if self.state in ("established", "close-wait"):
-            self._try_send_one()
-        self._pace_timer.start(self._pace_interval_ns())
+        self._try_send_one()
+        if self._retx_pending or self.send_buffer.available_beyond(self.snd_nxt - self._stream_base):
+            self._pace_timer.start(self._pace_interval_ns())
+        else:
+            self._check_fin_progress()
 
     def _on_pace_tick(self) -> None:
         self._maybe_send()
@@ -215,8 +220,10 @@ class TDTCPConnection(TCPConnection):
         # A finished flow has no window to resume (§5.2) and no state
         # set to switch (§3.2): off the host's listener list, no ticks.
         super()._quiesce()
-        self._pace_timer.cancel()
         self.host.unsubscribe_tdn_changes(self._on_tdn_notification)
+
+    def _timers(self) -> Tuple[Timer, ...]:
+        return super()._timers() + (self._pace_timer,)
 
     @property
     def current_tdn(self) -> int:

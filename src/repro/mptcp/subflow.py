@@ -24,7 +24,7 @@ from repro.net.node import Host
 from repro.net.packet import TCPSegment
 from repro.sim.simulator import Simulator
 from repro.tcp.config import TCPConfig
-from repro.tcp.connection import SegmentState, TCPConnection
+from repro.tcp.connection import CLOSE_WAIT, ESTABLISHED, SegmentState, TCPConnection
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.mptcp.connection import MPTCPConnection
@@ -75,7 +75,7 @@ class MPTCPSubflow(TCPConnection):
         if self.allowed:
             if self._ack_suppressed:
                 self._ack_suppressed = False
-                if self.state in ("established", "close-wait"):
+                if self.state in (ESTABLISHED, CLOSE_WAIT):
                     self._send_ack()
             self._maybe_send()
 
@@ -85,7 +85,7 @@ class MPTCPSubflow(TCPConnection):
         super()._maybe_send()
 
     def _send_packet(self, pkt: TCPSegment) -> None:
-        established = self.state in ("established", "close-wait")
+        established = self.state in (ESTABLISHED, CLOSE_WAIT)
         is_pure_ack = pkt.payload_len == 0 and not pkt.syn and not pkt.fin
         if is_pure_ack and self._handshake_ack_pass:
             # The handshake-completing ACK is connection setup, not

@@ -349,10 +349,12 @@ class TCPConnection:
         """Hook: the end of :meth:`release` and of the FIN-ACKed →
         CLOSED transition. Cancels every timer; subclasses drop what
         else would keep calling a finished connection."""
-        self.rto_timer.cancel()
-        self.reorder_timer.cancel()
-        self.tlp_timer.cancel()
-        self.delack_timer.cancel()
+        for timer in self._timers():
+            timer.cancel()
+
+    def _timers(self) -> Tuple[Timer, ...]:
+        """Every timer that can wake this connection (subclasses add theirs)."""
+        return (self.rto_timer, self.reorder_timer, self.tlp_timer, self.delack_timer)
 
     # ------------------------------------------------------------------
     # Application interface
@@ -1255,6 +1257,11 @@ class TCPConnection:
         if self.snd_una > self.snd_nxt:
             detail = f"snd_una {self.snd_una} > snd_nxt {self.snd_nxt}"
             yield "sequence_order", self.name, detail
+        # CLOSED or released: nothing may wake the connection any more.
+        if self.state == CLOSED or self.host._connections.get(self.flow_key) is not self:
+            for timer in self._timers():
+                if timer.armed:
+                    yield "finished_timer", self.name, f"{timer.name} armed on a finished connection"
 
     def check_invariants(self) -> None:
         """Assert the accounting invariants (tests call this after

@@ -355,6 +355,37 @@ def traced_run(setup, scale: dict, trace_dir: pathlib.Path) -> dict:
     }
 
 
+@contextmanager
+def grid_pacing():
+    """The oracle for the pace-what-is-sent rule: for the duration,
+    ``TDTCPConnection._maybe_send`` is the free-running tick grid it
+    replaced — inside the post-switch window every connection ticks once
+    per pace interval, whether or not it has anything to send, and a
+    pending FIN waits for the first tick after the window. A run under
+    it must reproduce the goldens recorded before the rule."""
+    from repro.core.tdtcp import TDTCPConnection
+
+    def maybe_send(self) -> None:
+        if self._fluid_hold:
+            return
+        if not self.switch_pacing or self.sim.now >= self._pace_until_ns:
+            self._pace_timer.cancel()
+            TCPConnection._maybe_send(self)
+            return
+        if self._pace_timer.armed:
+            return
+        if self.state in ("established", "close-wait"):
+            self._try_send_one()
+        self._pace_timer.start(self._pace_interval_ns())
+
+    paced = TDTCPConnection._maybe_send
+    TDTCPConnection._maybe_send = maybe_send
+    try:
+        yield
+    finally:
+        TDTCPConnection._maybe_send = paced
+
+
 class _PlainHeapChannel(Channel):
     """What a channel is on a plain heap: another name for ``queue.push``
     (its deque stays empty)."""

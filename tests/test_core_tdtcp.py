@@ -1,23 +1,58 @@
 """TDTCPConnection behaviour: negotiation, switching, tagging,
 relaxed loss detection, RTT filtering, pacing, downgrade."""
 
+from collections import Counter
+from contextlib import nullcontext
+
 import pytest
 
 from repro.core.tdtcp import TDTCPConnection
 from repro.net.packet import TDNNotification
 from repro.sim import Simulator
 from repro.tcp.config import TCPConfig
-from repro.tcp.connection import ESTABLISHED, TCPConnection
+from repro.tcp.connection import CLOSED, ESTABLISHED, TCPConnection
 from repro.tcp.sockets import create_connection_pair
 from repro.units import msec, usec
 
-from tests.helpers import two_hosts
+from tests.helpers import grid_pacing, two_hosts
 
 
 def tdtcp_pair(sim, a, b, tdn_count=2, **kwargs):
     return create_connection_pair(
         sim, a, b, connection_cls=TDTCPConnection, tdn_count=tdn_count, **kwargs
     )
+
+
+def switch(*hosts, tdn_id):
+    for host in hosts:
+        host.deliver(TDNNotification("tor", host.address, tdn_id=tdn_id))
+
+
+def record_sends(sim, host):
+    """``(time, packet)`` of everything ``host`` sends from now on."""
+    sent = []
+    send = host.send
+
+    def recording(pkt):
+        sent.append((sim.now, pkt))
+        send(pkt)
+
+    host.send = recording
+    return sent
+
+
+def count_pace_ticks(monkeypatch) -> Counter:
+    """``_on_pace_tick`` calls per connection name, for connections
+    built from here on (the timer binds the method at construction)."""
+    ticks = Counter()
+    tick = TDTCPConnection._on_pace_tick
+
+    def counted(conn):
+        ticks[conn.name] += 1
+        tick(conn)
+
+    monkeypatch.setattr(TDTCPConnection, "_on_pace_tick", counted)
+    return ticks
 
 
 class TestNegotiation:
@@ -283,3 +318,112 @@ class TestSwitchPacing:
     def test_unpaced_bursts(self):
         times = self._switch_burst_sends(switch_pacing=False)
         assert len(times) >= 20  # the whole window goes out immediately
+
+    # A pace tick exists only while the connection has paced work:
+    # unsent data or a due retransmission.
+    def test_a_pure_receiver_never_ticks(self, monkeypatch):
+        ticks = count_pace_ticks(monkeypatch)
+        sim, a, b, _ab, _ba = two_hosts()
+        client, server = tdtcp_pair(sim, a, b)
+        client.start_bulk()
+        for i in range(1, 7):
+            sim.run(until=msec(i))
+            switch(a, b, tdn_id=i % 2)
+        sim.run(until=msec(7))
+        assert server.tdn_state.switches == 6
+        assert ticks[server.name] == 0 and ticks[client.name] > 0
+
+    def test_a_handshaking_endpoint_sends_at_establishment(self, monkeypatch):
+        ticks = count_pace_ticks(monkeypatch)
+        sim, a, b, _ab, _ba = two_hosts()
+        client, server = tdtcp_pair(sim, a, b, connect=False)
+        sent = record_sends(sim, a)
+        established = []
+        client.on_established = lambda: established.append((sim.now, ticks[client.name]))
+        switch(a, b, tdn_id=1)  # no SRTT yet: a 100 us window
+        client.write(15_000)
+        client.connect()
+        sim.run(until=usec(300))
+        ((at, ticks_before),) = established
+        assert at < client._pace_until_ns and ticks_before == 0
+        assert min(t for t, pkt in sent if pkt.payload_len) == at
+        assert ticks[server.name] == 0
+
+    @pytest.mark.parametrize("grid", [False, True], ids=["rule", "grid"])
+    def test_close_inside_a_window_sends_the_fin_at_once(self, grid):
+        sim, a, b, _ab, _ba = two_hosts()
+        client, _server = tdtcp_pair(sim, a, b)
+        client.write(30_000)
+        sim.run(until=msec(1))
+        assert client.snd_una == client.snd_nxt  # data done and ACKed
+        sent = record_sends(sim, a)
+        with grid_pacing() if grid else nullcontext():
+            switch(a, b, tdn_id=1)
+            sim.run(until=sim.now + usec(5))
+            closed_at = sim.now
+            client.close()
+            sim.run(until=msec(2))
+        ((fin_at, _fin),) = [(t, pkt) for t, pkt in sent if pkt.fin]
+        if grid:  # the first grid tick at or after the window's end
+            assert fin_at >= client._pace_until_ns > closed_at
+        else:
+            assert fin_at == closed_at
+        assert client.state == CLOSED
+
+    def test_a_cwnd_limited_bulk_sender_keeps_the_grid(self):
+        def sends(grid):
+            with grid_pacing() if grid else nullcontext():
+                sim, a, b, _ab, _ba = two_hosts(forward_queue=32)
+                client, _server = tdtcp_pair(sim, a, b)
+                sent = record_sends(sim, a)
+                client.start_bulk()
+                sim.run(until=msec(1))
+                # A switch every 15 us, well inside one RTT: each TDN
+                # comes back with its last window still in flight, so
+                # the paced sender runs into its cwnd mid-window.
+                for i in range(1, 41):
+                    switch(a, b, tdn_id=i % 2)
+                    sim.run(until=sim.now + usec(15))
+                sim.run(until=msec(2))
+            return [(t, pkt.seq, pkt.payload_len, pkt.ack) for t, pkt in sent]
+
+        assert sends(grid=False) == sends(grid=True)
+
+    def test_paced_sends_are_an_interval_apart(self):
+        sim, a, b, _ab, _ba = two_hosts()
+        client, _server = tdtcp_pair(sim, a, b)
+        client.write(15_000)
+        sim.run(until=msec(1))
+        paced = []
+        send = a.send
+
+        def recording(pkt):
+            if pkt.payload_len and sim.now < client._pace_until_ns:
+                paced.append((sim.now, client._pace_interval_ns()))
+            send(pkt)
+
+        a.send = recording
+        switch(a, b, tdn_id=1)
+        sim.run(until=sim.now + usec(10))
+        written_at = sim.now
+        client.write(30_000)  # work reaches an idle endpoint: it goes at once
+        sim.run(until=msec(2))
+        assert paced[0][0] == written_at and len(paced) > 3
+        for (earlier, interval), (later, _) in zip(paced, paced[1:]):
+            assert later - earlier >= interval
+
+    def test_no_timer_outlives_the_window_without_work(self):
+        sim, a, b, _ab, _ba = two_hosts()
+        bulk, bulk_rx = tdtcp_pair(sim, a, b)
+        done, done_rx = tdtcp_pair(sim, a, b, server_port=5002)
+        bulk.start_bulk()
+        done.write(15_000)
+        sim.run(until=msec(1))
+        switch(a, b, tdn_id=1)
+        conns = (bulk, bulk_rx, done, done_rx)
+        window_end = max(conn._pace_until_ns for conn in conns)
+        sim.run(until=window_end - 1)
+        assert bulk._pace_timer.armed  # the paced sender keeps its grid
+        for until in (window_end - 1, window_end + usec(50)):
+            sim.run(until=until)
+            assert [conn._pace_timer.armed for conn in conns[1:]] == [False] * 3

@@ -6,6 +6,7 @@ import pathlib
 
 import pytest
 
+from repro.core.tdtcp import TDTCPConnection
 from repro.experiments import ExperimentConfig, run_experiment
 from repro.experiments.cli import main as cli_main
 from repro.faults import (
@@ -24,6 +25,8 @@ from repro.net.queues import DropTailQueue
 from repro.obs.telemetry import ObsConfig, Telemetry
 from repro.sim.rng import SeededRandom
 from repro.sim.simulator import Simulator
+from repro.tcp.connection import CLOSED, TCPConnection
+from repro.tcp.sockets import create_connection_pair
 from repro.units import msec, usec
 
 from repro.rdcn.config import NotifierConfig
@@ -501,6 +504,28 @@ class TestInvariantAuditor:
         client.snd_una = client.snd_nxt + 10
         violations = auditor.audit()
         assert any(v["check"] == "sequence_order" for v in violations)
+
+    @pytest.mark.parametrize("connection_cls,timer,finish", [
+        (TCPConnection, "delack_timer", "fin"),
+        (TDTCPConnection, "_pace_timer", "release"),
+    ])
+    def test_a_timer_armed_on_a_finished_connection(self, connection_cls, timer, finish):
+        sim, a, b, _ab, _ba = two_hosts()
+        client, _server = create_connection_pair(sim, a, b, connection_cls=connection_cls)
+        client.write(15_000)
+        client.close()
+        sim.run(until=usec(60) if finish == "release" else msec(1))
+        if finish == "release":
+            client.release()
+        else:
+            assert client.state == CLOSED
+        auditor = InvariantAuditor(sim)
+        auditor.watch_endpoint(client)
+        assert auditor.audit() == []
+        getattr(client, timer).start(usec(10))  # nothing may wake it now
+        assert [v["check"] for v in auditor.audit()] == ["finished_timer"]
+        with pytest.raises(AssertionError, match="finished_timer"):
+            client.check_invariants()
 
     def test_bad_mode_rejected(self):
         with pytest.raises(ValueError):

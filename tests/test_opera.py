@@ -295,11 +295,14 @@ class TestNotifierContract:
         timing ``_notify_hosts`` had (no generation cost, no host read
         cost, 1 us of control network, slot starts only) the engine
         reports what it reported before the swap — the hashes
-        ``tests/test_release.py::ENGINE_GOLDENS`` held until then."""
-        from tests.helpers import engine_fingerprint, opera_notifier_cost
+        ``tests/test_release.py::ENGINE_GOLDENS`` held until then. Those
+        were recorded with the free-running pace grid, so it runs under
+        ``grid_pacing()``."""
+        from tests.helpers import engine_fingerprint, grid_pacing, opera_notifier_cost
 
         opera_notifier_cost(
             monkeypatch, generation_cached_p50_ns=0, generation_cached_tail_ns=0,
             pull_read_cost_ns=0, control_delay_ns=usec(1),
         )
-        assert engine_fingerprint(*case)["sha256"] == sha256
+        with grid_pacing():
+            assert engine_fingerprint(*case)["sha256"] == sha256

@@ -314,4 +314,6 @@ class TestRackAnnouncement:
         assert len(built) == 2 * 8 * 4
         assert delivered == []
         assert len(testbed.notifier.delivery_latency_samples) == 8 * 4 * 2 * 16
-        assert testbed.sim.processed_events == 49_919
+        # 49,919 before the receiver stopped ticking a pace grid it never
+        # sends on after every switch.
+        assert testbed.sim.processed_events == 49_848

@@ -14,6 +14,7 @@ import pytest
 
 from tests.helpers import (
     FULL_SCALE,
+    grid_pacing,
     run_bulk,
     run_incast_workload,
     run_shortflow_workload,
@@ -25,8 +26,21 @@ from tests.helpers import (
 # shortflows: released connections stopped logging TDN switches).
 # ``events`` counts heap events, so a PR that makes the event core do
 # the same work in fewer events moves it alone, with the hash unchanged.
+#
+# Re-pinned once more, on purpose, when a TDTCP pace tick started to
+# exist only while the connection has paced work: incast and shortflows
+# moved (first data at establishment, a FIN at once, retransmits on the
+# ACK that finds them instead of on an idle grid's next tick); bulk lost
+# its receivers' idle ticks (264,132 events before) and kept its hash.
+# Under ``grid_pacing()`` the previous goldens come back (below).
 GOLDENS = [
-    (run_bulk, "207a5d8547c011b7f493026ac6f67bb9870c0f21b18ffc63073eafa3d0a5a3a6", 105_613, 264_132),
+    (run_bulk, "207a5d8547c011b7f493026ac6f67bb9870c0f21b18ffc63073eafa3d0a5a3a6", 105_613, 262_604),
+    (run_incast_workload, "fee1430222534d689957520023098f33dc84697e779dafd27a795af30a2335d3", 58_120, 140_417),
+    (run_shortflow_workload, "7861c0f867f5350d459bcb2352217c80dfdfbf6bce8fefad4bb6860f7b291f92", 6_875, 11_230),
+]
+
+# Before the pace-what-is-sent rule, with the free-running tick grid.
+GRID_PACING_GOLDENS = [
     (run_incast_workload, "d25a2a9e46c5b38580557015d4c65af49b8be415debdbfe2845a98a0fc4ad836", 59_582, 159_112),
     (run_shortflow_workload, "e522fd57f49f750c12beb27318b490d101c00a6aa8cf82ce767d19af3fc35399", 6_877, 12_271),
 ]
@@ -43,3 +57,14 @@ def test_trace_matches_golden(setup, sha256, trace_lines, events, tmp_path):
     )
     assert row["trace_lines"] == trace_lines
     assert row["events"] == events
+
+
+@pytest.mark.parametrize(
+    "setup, sha256, trace_lines, events", GRID_PACING_GOLDENS,
+    ids=[g[0].__name__ for g in GRID_PACING_GOLDENS],
+)
+def test_grid_pacing_gives_the_previous_goldens(setup, sha256, trace_lines, events, tmp_path):
+    """The arming rule is the only thing that moved the traces above."""
+    with grid_pacing():
+        row = traced_run(setup, FULL_SCALE, tmp_path)
+    assert (row["trace_sha256"], row["trace_lines"], row["events"]) == (sha256, trace_lines, events)
