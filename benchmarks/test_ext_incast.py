@@ -8,7 +8,7 @@ accounting survives the convergence."""
 
 from repro.apps.incast import run_incast
 from repro.core.tdtcp import TDTCPConnection
-from repro.metrics.cdf import quantile
+from repro.obs.sketch import quantile
 from repro.rdcn.config import RDCNConfig
 from repro.rdcn.topology import build_two_rack_testbed
 from repro.tcp.connection import TCPConnection

@@ -8,7 +8,7 @@ paper's RDCN, FCT distributions under plain TCP vs TDTCP.
 
 from repro.apps.shortflows import run_short_flow_study
 from repro.core.tdtcp import TDTCPConnection
-from repro.metrics.cdf import quantile
+from repro.obs.sketch import quantile
 from repro.rdcn.config import RDCNConfig
 from repro.rdcn.topology import build_two_rack_testbed
 from repro.tcp.connection import TCPConnection

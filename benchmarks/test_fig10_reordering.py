@@ -6,9 +6,10 @@ Expected shape: TDTCP cuts off CUBIC's spurious-retransmission tail
 no reordering-induced retransmission at all.
 """
 
+import numpy as np
+
 from repro.experiments.figures import fig10
-from repro.experiments.report import render_cdf_summary
-from repro.metrics.cdf import fraction_at_or_below
+from repro.experiments.report import render_fig10
 
 from benchmarks.conftest import emit
 
@@ -19,20 +20,7 @@ def test_fig10_reordering_cdfs(benchmark, results_dir, scale):
     data = benchmark.pedantic(
         lambda: fig10(**fig_scale), rounds=1, iterations=1, warmup_rounds=0
     )
-    reorder = {v: r.reordering_per_day for v, r in data.results.items()}
-    retx = {v: r.retx_marks_per_day for v, r in data.results.items()}
-    text = "\n\n".join(
-        [
-            render_cdf_summary("fig10a reordering events/day", reorder),
-            render_cdf_summary("fig10b retransmission marks/day", retx),
-            "spurious retransmissions per GB delivered:\n"
-            + "\n".join(
-                f"  {v:<8} {r.spurious_retransmissions / max(r.aggregate_delivered / 1e9, 1e-9):8.1f}"
-                for v, r in sorted(data.results.items())
-            ),
-        ]
-    )
-    emit(results_dir, "fig10", text)
+    emit(results_dir, "fig10", render_fig10(data))
 
     # TDTCP's relaxed detection: fewer spurious retransmissions per
     # delivered byte than CUBIC.
@@ -43,4 +31,4 @@ def test_fig10_reordering_cdfs(benchmark, results_dir, scale):
     assert tdtcp_rate <= cubic_rate
 
     # Some optical days are completely clean for TDTCP (paper: 80%).
-    assert fraction_at_or_below(tdtcp.retx_marks_per_day, 0) > 0.0
+    assert np.mean(np.asarray(tdtcp.retx_marks_per_day) <= 0) > 0.0

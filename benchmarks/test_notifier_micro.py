@@ -9,7 +9,7 @@ Paper-reported component improvements:
 """
 
 from repro.experiments import ExperimentConfig, run_experiment
-from repro.metrics.cdf import quantile
+from repro.obs.sketch import quantile
 from repro.rdcn.config import NotifierConfig, RDCNConfig
 from repro.rdcn.notifier import sample_generation_delay_ns
 from repro.sim.rng import SeededRandom

@@ -11,8 +11,9 @@ Public API roadmap:
 * :mod:`repro.mptcp` — MPTCP with the tdm scheduler.
 * :mod:`repro.retcp` — reTCP and the dynamic-buffer controller.
 * :mod:`repro.apps` — bulk-transfer workloads.
-* :mod:`repro.metrics` — trace collectors and figure-series folding.
-* :mod:`repro.experiments` — per-figure experiment definitions.
+* :mod:`repro.obs` — telemetry, metrics and quantile sketches.
+* :mod:`repro.experiments` — runs, their week-folded series, and the
+  per-figure experiment definitions.
 """
 
 __version__ = "1.0.0"

@@ -38,7 +38,7 @@ from repro.experiments.report import (
     fct_cdf_to_csv,
     figure_to_csv,
     load_sweep_to_csv,
-    render_cdf_summary,
+    render_fig10,
     render_headline_claims,
     render_seq_graph,
     render_throughput_summary,
@@ -339,12 +339,7 @@ def run_figure(name: str, args) -> int:
     if name == "fig7":
         sections.append(render_headline_claims(data))
     if name == "fig10":
-        sections.append(
-            render_cdf_summary(
-                "fig10 retransmission marks/day",
-                {v: r.retx_marks_per_day for v, r in data.results.items()},
-            )
-        )
+        sections.append(render_fig10(data))
     if args.csv:
         written = figure_to_csv(data, args.csv)
         sections.append("CSV written:\n  " + "\n  ".join(written))

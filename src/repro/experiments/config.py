@@ -18,7 +18,10 @@ from typing import Optional
 #: v4: ExperimentConfig grew ``fidelity`` ("packet" | "tiered"): the
 #: tiered fluid fast path changes what a run computes, so the mode is
 #: part of the semantic cache key.
-CONFIG_SCHEMA_VERSION = 4
+#: v5: a result carries the folded week curves instead of the raw
+#: sequence/VOQ series, and ``collect_sequence`` decides whether it
+#: carries the sequence curve.
+CONFIG_SCHEMA_VERSION = 5
 
 #: Run fidelity modes: "packet" is the exact event-per-segment core;
 #: "tiered" opts into the slot-level fluid fast path (repro.sim.fastpath)
@@ -146,10 +149,13 @@ class ExperimentConfig:
     # of the packet network's rate injected as on/off background load
     # between the last host pair (0 disables).
     background_load: float = 0.0
+    # What a bulk run records for the figures, each folded into a mean
+    # week (ExperimentResult.voq_week_curve / seq_week_curve):
+    # collect_voq watches the rack-0 -> rack-1 VOQ (and sets voq_max);
+    # collect_sequence folds the aggregate receiver progress (the VOQ-only
+    # figures 13 and 14 turn it off). Throughput and per-flow bytes do
+    # not depend on either.
     collect_voq: bool = True
-    # Inert: nothing reads it (the runner always collects the series —
-    # steady_state_throughput_gbps needs it). It stays as a schema-v4
-    # field: callers pass it and it is in cache keys and pinned digests.
     collect_sequence: bool = True
     seed: int = 1
     # Simulation fidelity: "packet" (exact, default) or "tiered" (fluid

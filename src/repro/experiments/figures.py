@@ -3,10 +3,10 @@
 Every paper figure is the same experiment — a variant line-up on one
 RDCN setting — so the figures are rows of :data:`FIGURES` and
 :func:`run_figure` is the one driver: it runs the row's variants and
-returns a :class:`FigureData` with the processed series (folded/tiled
-sequence curves, VOQ occupancy curves) plus the analytic reference
-lines. Run options are :class:`ExperimentConfig` fields, passed by
-keyword (see :func:`run_figure`).
+returns a :class:`FigureData` with each run's folded week (sequence
+progress, VOQ occupancy) tiled over the plotted weeks, plus the
+analytic reference lines. Run options are :class:`ExperimentConfig`
+fields, passed by keyword (see :func:`run_figure`).
 
 Scale note: the paper averages thousands of optical weeks of hardware
 time; these definitions default to tens of simulated weeks (``weeks``
@@ -23,14 +23,8 @@ import numpy as np
 
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.executor import ExperimentExecutor
-from repro.experiments.runner import ExperimentResult, RunFailure
+from repro.experiments.runner import ExperimentResult, RunFailure, week_grid
 from repro.experiments.sweeps import POLICY_TAGS
-from repro.metrics.seqgraph import (
-    constant_rate_curve,
-    fold_series_by_week,
-    optimal_curve,
-    tile_weeks,
-)
 from repro.rdcn.config import RDCNConfig
 from repro.rdcn.schedule import TDNSchedule
 from repro.units import gbps, usec
@@ -68,26 +62,79 @@ class FigureData:
         return not self.failures
 
 
+def tile_weeks(
+    grid_ns: np.ndarray,
+    mean_curve: Sequence[float],
+    mean_week_progress: float,
+    week_ns: int,
+    n_weeks: int = 3,
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Tile an averaged one-week curve over ``n_weeks`` for plotting,
+    each week offset by the mean weekly progress."""
+    mean_curve = np.asarray(mean_curve, dtype=float)
+    times = [grid_ns + week * week_ns for week in range(n_weeks)]
+    values = [mean_curve + week * mean_week_progress for week in range(n_weeks)]
+    return np.concatenate(times), np.concatenate(values)
+
+
+def optimal_curve(
+    schedule: TDNSchedule,
+    rates_bps: Sequence[float],
+    n_weeks: int = 3,
+    grid_points_per_week: int = 400,
+    night_rate_bps: float = 0.0,
+) -> Tuple[np.ndarray, np.ndarray]:
+    """The paper's 'optimal' line: an idealized TCP that fully uses the
+    active TDN's bottleneck bandwidth, and nothing during nights."""
+    pieces = schedule.rate_profile(list(rates_bps))
+    grid = np.linspace(
+        0, n_weeks * schedule.week_ns, n_weeks * grid_points_per_week, endpoint=False
+    )
+    # Cumulative bytes at each phase boundary of one week.
+    week_bytes = 0.0
+    boundaries = []  # (phase_start, cumulative_bytes_at_start, rate)
+    for start, end, rate in pieces:
+        effective = rate if rate > 0 else night_rate_bps
+        boundaries.append((start, week_bytes, effective))
+        week_bytes += effective / 8.0 * (end - start) / 1e9
+    times = np.asarray(grid, dtype=np.int64)
+    out = np.empty(len(times), dtype=float)
+    starts = np.asarray([b[0] for b in boundaries], dtype=np.int64)
+    for i, t in enumerate(times):
+        week, phase = divmod(int(t), schedule.week_ns)
+        j = int(np.searchsorted(starts, phase, side="right") - 1)
+        start, cum, rate = boundaries[j]
+        out[i] = week * week_bytes + cum + rate / 8.0 * (phase - start) / 1e9
+    return times, out
+
+
+def constant_rate_curve(
+    rate_bps: float, duration_ns: int, grid_points: int = 1200
+) -> Tuple[np.ndarray, np.ndarray]:
+    """The 'packet only' line: a constant-slope reference that never
+    experiences reconfiguration blackouts."""
+    times = np.linspace(0, duration_ns, grid_points, endpoint=False)
+    return times.astype(np.int64), rate_bps / 8.0 * times / 1e9
+
+
 def _process_run(
     data: FigureData,
     variant: str,
     result: ExperimentResult,
     weeks_plotted: int,
 ) -> None:
-    cfg = result.config
-    week_ns = cfg.rdcn.week_ns
+    week_ns = result.config.rdcn.week_ns
+    grid = week_grid(week_ns)
     data.results[variant] = result
     data.throughputs_gbps[variant] = result.steady_state_throughput_gbps()
-    if result.seq_samples:
-        grid, curve, progress = fold_series_by_week(
-            result.seq_samples, week_ns, cfg.weeks, cfg.warmup_weeks
+    if result.seq_week_curve is not None:
+        data.seq_curves[variant] = tile_weeks(
+            grid, result.seq_week_curve, result.seq_week_progress, week_ns, weeks_plotted
         )
-        data.seq_curves[variant] = tile_weeks(grid, curve, progress, week_ns, weeks_plotted)
-    if result.voq_samples:
-        grid, curve, _ = fold_series_by_week(
-            result.voq_samples, week_ns, cfg.weeks, cfg.warmup_weeks, cumulative=False
+    if result.voq_week_curve is not None:
+        data.voq_curves[variant] = tile_weeks(
+            grid, result.voq_week_curve, 0.0, week_ns, weeks_plotted
         )
-        data.voq_curves[variant] = tile_weeks(grid, curve, 0.0, week_ns, weeks_plotted)
 
 
 def _reference_curves(data: FigureData, rdcn: RDCNConfig, weeks_plotted: int) -> None:
@@ -206,6 +253,7 @@ def fig14(rate_gbps: float, **run) -> FigureData:
     """Figure 14 (Appendix A.4): VOQ occupancy, latency-only RDCN at a
     fixed rate (the paper shows 10 and 100 Gbps panels)."""
     name = f"fig14-{int(rate_gbps)}g"
+    run = {"collect_sequence": False, **run}
     return run_figure(name, latency_only_rdcn(rate_gbps), FULL_VARIANTS, **run)
 
 
@@ -227,8 +275,10 @@ FIGURES: Dict[str, Callable[..., FigureData]] = {
     # TDTCP with and without the §5.4 notification optimizations.
     "fig11": partial(run_figure, "fig11", bw_latency_rdcn(), ("tdtcp", "tdtcp-unopt")),
     # Appendix A.3: VOQ occupancy of CUBIC and MPTCP in the Figure-2
-    # configuration.
-    "fig13": partial(run_figure, "fig13", bw_latency_rdcn(), MOTIVATION_VARIANTS),
+    # configuration. Figures 13 and 14 plot no sequence graph.
+    "fig13": partial(
+        run_figure, "fig13", bw_latency_rdcn(), MOTIVATION_VARIANTS, collect_sequence=False
+    ),
     "fig14-10g": partial(fig14, 10.0),
     "fig14-100g": partial(fig14, 100.0),
 }

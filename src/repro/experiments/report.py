@@ -12,10 +12,9 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.experiments.figures import FigureData
-from repro.metrics.cdf import quantile
-from repro.metrics.seqgraph import step_interpolate
+from repro.experiments.runner import step_interpolate
 from repro.obs.campaign import CampaignFold, RunState, fold_campaign
-from repro.obs.sketch import PERCENTILE_LABELS, QuantileSketch
+from repro.obs.sketch import PERCENTILE_LABELS, QuantileSketch, quantile
 from repro.units import to_usec
 
 
@@ -109,6 +108,22 @@ def render_cdf_summary(
         zero = sum(1 for s in samples if s == 0) / len(samples) if len(samples) else 0.0
         lines.append(f"{variant:<10} {cells}  {zero * 100:8.0f}%")
     return "\n".join(lines)
+
+
+def render_fig10(data: FigureData) -> str:
+    """Figure 10: reordering events (a) and retransmission marks (b)
+    per optical day, and spurious retransmissions per GB delivered."""
+    results = data.results
+    return "\n\n".join([
+        render_cdf_summary("fig10a reordering events/day",
+                           {v: r.reordering_per_day for v, r in results.items()}),
+        render_cdf_summary("fig10b retransmission marks/day",
+                           {v: r.retx_marks_per_day for v, r in results.items()}),
+        "spurious retransmissions per GB delivered:\n" + "\n".join(
+            f"  {v:<8} {r.spurious_retransmissions / max(r.aggregate_delivered / 1e9, 1e-9):8.1f}"
+            for v, r in sorted(results.items())
+        ),
+    ])
 
 
 def figure_to_csv(data: FigureData, directory) -> List[str]:

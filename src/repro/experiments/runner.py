@@ -5,8 +5,11 @@ from __future__ import annotations
 
 import logging
 
+from collections import Counter
 from dataclasses import dataclass, field, replace
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from repro.apps.engine import WorkloadEngine, load_trace
 from repro.apps.workload import build_workload
@@ -14,7 +17,7 @@ from repro.experiments.config import ExperimentConfig
 from repro.experiments.variants import engine_flow_opener, get_variant
 from repro.faults.audit import InvariantAuditor, run_with_watchdog, write_repro_bundle
 from repro.faults.injectors import FaultInjector
-from repro.metrics.collectors import EventCounterCollector, QueueOccupancyCollector
+from repro.net.queues import DropTailQueue
 from repro.obs.sketch import sketch_from_samples
 from repro.obs.telemetry import Telemetry
 from repro.rdcn.config import NotifierConfig
@@ -24,6 +27,92 @@ from repro.sim.simulator import Simulator
 from repro.units import throughput_gbps
 
 logger = logging.getLogger(__name__)
+
+
+# ----------------------------------------------------------------------
+# The paper's averaging over optical weeks (§5: sequence and VOQ graphs
+# average "results across thousands of optical weeks")
+# ----------------------------------------------------------------------
+def week_grid(week_ns: int) -> np.ndarray:
+    """The 400 points of one week a series is folded onto."""
+    return np.linspace(0, week_ns, 400, endpoint=False).astype(np.int64)
+
+
+def step_interpolate(
+    times: np.ndarray, values: np.ndarray, grid: np.ndarray, initial: float = 0.0
+) -> np.ndarray:
+    """Previous-value (step) interpolation of a step series onto a grid.
+
+    Queue lengths and rcv_nxt are right-continuous step functions; the
+    value at grid point g is the sample at the latest time <= g.
+    """
+    if len(times) == 0:
+        return np.full(len(grid), initial, dtype=float)
+    idx = np.searchsorted(times, grid, side="right") - 1
+    out = np.where(idx >= 0, values[np.clip(idx, 0, None)], initial)
+    return out.astype(float)
+
+
+def fold_series_by_week(
+    samples: Sequence[Tuple[int, float]],
+    week_ns: int,
+    total_weeks: int,
+    warmup_weeks: int = 2,
+    cumulative: bool = True,
+) -> Tuple[np.ndarray, float]:
+    """Average a step series over the post-warm-up weeks.
+
+    Returns ``(mean_curve, mean_week_progress)`` on :func:`week_grid`:
+
+    * for ``cumulative`` series (sequence numbers), each week's curve is
+      re-based to zero at the week start, so ``mean_curve[j]`` is the
+      average progress ``week_grid(week_ns)[j]`` into a week and
+      ``mean_week_progress`` is the average total progress per week;
+    * for level series (queue occupancy), values are averaged as-is and
+      ``mean_week_progress`` is 0.
+    """
+    if total_weeks <= warmup_weeks:
+        raise ValueError("need at least one week after warm-up")
+    times = np.asarray([t for t, _v in samples], dtype=np.int64)
+    values = np.asarray([v for _t, v in samples], dtype=float)
+    grid = week_grid(week_ns)
+    curves = []
+    progresses = []
+    for week in range(warmup_weeks, total_weeks):
+        start = week * week_ns
+        curve = step_interpolate(times, values, grid + start)
+        if cumulative:
+            base = step_interpolate(times, values, np.asarray([start]))[0]
+            end = step_interpolate(times, values, np.asarray([start + week_ns]))[0]
+            curve = curve - base
+            progresses.append(end - base)
+        curves.append(curve)
+    mean_progress = float(np.mean(progresses)) if progresses else 0.0
+    return np.mean(np.asarray(curves), axis=0), mean_progress
+
+
+def count_per_week(
+    times: Iterable[int], week_ns: int, total_weeks: int, warmup_weeks: int = 0
+) -> List[int]:
+    """Events per optical day after the warm-up, zero days included.
+
+    Cross-TDN reordering happens around the transition *into* the
+    optical day, so an event at ``t`` counts for the week containing
+    ``t``. The zeros matter: the paper's "80% of transitions see no
+    reordering" is the share of zero days.
+    """
+    per_week = Counter(time_ns // week_ns for time_ns in times)
+    return [per_week[week] for week in range(warmup_weeks, total_weeks)]
+
+
+def record_queue_length(sim: Simulator, queue: DropTailQueue) -> List[Tuple[int, int]]:
+    """Subscribe to ``queue``'s length changes and return the (time,
+    length) step series the subscription grows. It starts at
+    ``sim.now``: a recorder attached mid-run must not claim the queue
+    held its current length since time 0."""
+    samples = [(sim.now, len(queue))]
+    queue.subscribe_length(lambda length: samples.append((sim.now, length)))
+    return samples
 
 
 # Process-wide heartbeat hook installed by the executor (directly for
@@ -93,16 +182,21 @@ class RunFailure:
 
 @dataclass
 class ExperimentResult:
-    """Raw outputs of one run."""
+    """Outputs of one run."""
 
     config: ExperimentConfig
     duration_ns: int
     flow_delivered: List[int] = field(default_factory=list)
     aggregate_delivered: int = 0
-    # Aggregate receiver-progress step series: (time, total bytes).
-    seq_samples: List[Tuple[int, int]] = field(default_factory=list)
-    # VOQ occupancy step series of the rack-0 -> rack-1 uplink.
-    voq_samples: List[Tuple[int, int]] = field(default_factory=list)
+    # Aggregate delivered bytes at the last delivery inside the warm-up.
+    warmup_delivered: int = 0
+    # A bulk run's post-warm-up weeks folded onto week_grid(week_ns):
+    # the mean receiver progress into a week (bytes) and the mean
+    # progress per week (collect_sequence), and the mean VOQ depth of
+    # the rack-0 -> rack-1 uplink (collect_voq). None when not folded.
+    seq_week_curve: Optional[List[float]] = None
+    seq_week_progress: float = 0.0
+    voq_week_curve: Optional[List[float]] = None
     voq_max: int = 0
     # Per-optical-day counters (Figure 10).
     reordering_per_day: List[int] = field(default_factory=list)
@@ -170,14 +264,8 @@ class ExperimentResult:
     def steady_state_throughput_gbps(self) -> float:
         """Throughput excluding the warm-up weeks."""
         warmup_ns = self.config.warmup_weeks * self.config.rdcn.week_ns
-        warm_bytes = 0
-        for time_ns, total in self.seq_samples:
-            if time_ns <= warmup_ns:
-                warm_bytes = total
-            else:
-                break
         return throughput_gbps(
-            self.aggregate_delivered - warm_bytes, self.duration_ns - warmup_ns
+            self.aggregate_delivered - self.warmup_delivered, self.duration_ns - warmup_ns
         )
 
     def render_reports(self, prefix: str = "") -> List[str]:
@@ -203,15 +291,17 @@ class ExperimentResult:
     # Canonical serialization (executor result cache, worker transport)
     # ------------------------------------------------------------------
     def to_dict(self) -> dict:
-        """JSON-ready summary carrying every series the figures and
-        sweeps consume. ``from_dict(to_dict(r))`` is value-identical."""
+        """JSON-ready summary carrying everything the figures and sweeps
+        consume. ``from_dict(to_dict(r))`` is value-identical."""
         return {
             "config": self.config.to_dict(),
             "duration_ns": self.duration_ns,
             "flow_delivered": list(self.flow_delivered),
             "aggregate_delivered": self.aggregate_delivered,
-            "seq_samples": [[t, v] for t, v in self.seq_samples],
-            "voq_samples": [[t, v] for t, v in self.voq_samples],
+            "warmup_delivered": self.warmup_delivered,
+            "seq_week_curve": self.seq_week_curve,
+            "seq_week_progress": self.seq_week_progress,
+            "voq_week_curve": self.voq_week_curve,
             "voq_max": self.voq_max,
             "reordering_per_day": list(self.reordering_per_day),
             "retx_marks_per_day": list(self.retx_marks_per_day),
@@ -237,19 +327,22 @@ class ExperimentResult:
     def from_dict(cls, data: dict) -> "ExperimentResult":
         kwargs = dict(data)
         kwargs["config"] = ExperimentConfig.from_dict(kwargs["config"])
-        kwargs["seq_samples"] = [(int(t), int(v)) for t, v in kwargs["seq_samples"]]
-        kwargs["voq_samples"] = [(int(t), int(v)) for t, v in kwargs["voq_samples"]]
         if kwargs.get("failure") is not None:
             kwargs["failure"] = RunFailure.from_dict(kwargs["failure"])
         return cls(**kwargs)
 
 
 class _AggregateSeqCollector:
-    """Merges per-flow rcv_nxt advances into one total-bytes series."""
+    """Merges per-flow rcv_nxt advances into one total-bytes series and
+    the total at the last delivery inside the warm-up."""
 
-    def __init__(self) -> None:
+    def __init__(self, warmup_ns: int) -> None:
         self.total = 0
+        self.warmup_delivered = 0
         self.samples: List[Tuple[int, int]] = []
+        # -1 once a delivery has landed past the warm-up: the snapshot
+        # is final even if a later callback carries an earlier time.
+        self._warmup_ns = warmup_ns
         self._per_flow_last: Dict[int, int] = {}
 
     def make_callback(self, flow_index: int):
@@ -262,6 +355,10 @@ class _AggregateSeqCollector:
             self._per_flow_last[flow_index] = rcv_nxt
             self.total += delta
             self.samples.append((time_ns, self.total))
+            if time_ns <= self._warmup_ns:
+                self.warmup_delivered = self.total
+            else:
+                self._warmup_ns = -1
 
         return on_delivered
 
@@ -341,7 +438,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
 
     context = variant.prepare(testbed, config)
 
-    seq_collector = _AggregateSeqCollector()
+    seq_collector = _AggregateSeqCollector(config.warmup_weeks * rdcn.week_ns)
     workload = None
     engine: Optional[WorkloadEngine] = None
     if config.workload is not None:
@@ -388,19 +485,17 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
             testbed, flow_factory, n_flows=config.n_flows, trace_sequence=False
         )
 
-    voq_collector: Optional[QueueOccupancyCollector] = None
+    voq_samples: Optional[List[Tuple[int, int]]] = None
     if config.collect_voq:
-        voq_collector = QueueOccupancyCollector(testbed.sim, testbed.uplinks[0].queue)
+        voq_samples = record_queue_length(testbed.sim, testbed.uplinks[0].queue)
 
     if config.fidelity == "tiered" and not forced_reasons:
         occupancy_hook = None
-        if voq_collector is not None:
-            # Fluid spans bypass the real VOQ; feed the collector the
+        if voq_samples is not None:
+            # Fluid spans bypass the real VOQ; feed the series the
             # model's per-round occupancy at historical timestamps.
-            samples = voq_collector.samples
-
             def occupancy_hook(time_ns: int, depth: int) -> None:
-                samples.append((time_ns, depth))
+                voq_samples.append((time_ns, depth))
         fastpath = FluidFastPath(
             testbed, config.duration_ns, occupancy_hook=occupancy_hook
         )
@@ -492,6 +587,8 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
         ))
 
     result = ExperimentResult(config=config, duration_ns=config.duration_ns)
+    if voq_samples is not None:
+        result.voq_max = max(length for _t, length in voq_samples)
     if engine is not None:
         stats = engine.finish()
         result.workload_summary = stats.summary(
@@ -500,35 +597,32 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
         result.truncated_flows = stats.truncated_flows
         result.aggregate_delivered = stats.bytes_completed
     else:
+        week = (rdcn.week_ns, config.weeks, config.warmup_weeks)
         result.flow_delivered = [flow.delivered_bytes for flow in workload.flows]
         result.aggregate_delivered = seq_collector.total
-        result.seq_samples = seq_collector.samples
-    if voq_collector is not None:
-        result.voq_samples = voq_collector.samples
-        result.voq_max = voq_collector.max_occupancy()
-
-    if workload is not None:
-        reorder_counter = EventCounterCollector(testbed.schedule)
-        retx_counter = EventCounterCollector(testbed.schedule)
+        result.warmup_delivered = seq_collector.warmup_delivered
+        if config.collect_sequence and seq_collector.samples:
+            curve, result.seq_week_progress = fold_series_by_week(seq_collector.samples, *week)
+            result.seq_week_curve = curve.tolist()
+        if voq_samples is not None:
+            curve, _ = fold_series_by_week(voq_samples, *week, cumulative=False)
+            result.voq_week_curve = curve.tolist()
+        senders = [
+            stats for flow in workload.flows for stats in _iter_sender_stats(flow.sender)
+        ]
+        for stats in senders:
+            result.retransmissions += stats.retransmissions
+            result.spurious_retransmissions += stats.spurious_retransmissions
+            result.rtos += stats.rtos
+            result.fast_recoveries += stats.fast_recoveries
         for flow in workload.flows:
-            for stats in _iter_sender_stats(flow.sender):
-                result.retransmissions += stats.retransmissions
-                result.spurious_retransmissions += stats.spurious_retransmissions
-                result.rtos += stats.rtos
-                result.fast_recoveries += stats.fast_recoveries
-                reorder_counter.record_events(
-                    [(t, 1) for t, _n in stats.reordering_events]
-                )
-                retx_counter.record_events(
-                    [(mark[0], 1) for mark in stats.retransmit_marks]
-                )
             if hasattr(flow.sender, "stats") and hasattr(flow.sender.stats, "reinjections"):
                 result.reinjections += flow.sender.stats.reinjections
-        result.reordering_per_day = reorder_counter.per_day_counts(
-            config.weeks, config.warmup_weeks
+        result.reordering_per_day = count_per_week(
+            (t for stats in senders for t, _n in stats.reordering_events), *week
         )
-        result.retx_marks_per_day = retx_counter.per_day_counts(
-            config.weeks, config.warmup_weeks
+        result.retx_marks_per_day = count_per_week(
+            (mark[0] for stats in senders for mark in stats.retransmit_marks), *week
         )
     result.notification_latencies = list(testbed.notifier.delivery_latency_samples)
     result.sketches = {

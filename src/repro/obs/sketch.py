@@ -28,18 +28,24 @@ Only non-negative values are accepted (every stream we sketch — FCTs,
 latencies, byte counts, per-day event counts — is non-negative);
 values below ``min_value`` (including exact zeros) land in a dedicated
 zero bucket and report as 0.0.
+
+:func:`quantile` is the exact answer for a sample small enough to keep
+whole (a figure's per-day counts, a test's few hundred latencies).
 """
 
 from __future__ import annotations
 
 import json
 import math
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+
+import numpy as np
 
 __all__ = [
     "QuantileSketch",
     "StreamStats",
     "sketch_from_samples",
+    "quantile",
     "DEFAULT_ALPHA",
     "PERCENTILE_LABELS",
 ]
@@ -399,3 +405,13 @@ def sketch_from_samples(
     sketch = QuantileSketch(alpha=alpha, min_value=min_value)
     sketch.extend(samples)
     return sketch
+
+
+def quantile(samples: Sequence[float], q: float) -> float:
+    """The exact q-quantile (0..1) of a small sample held in full, such
+    as Figure 10's few dozen per-day counts; 0.0 for empty input."""
+    if len(samples) == 0:
+        return 0.0
+    if not (0.0 <= q <= 1.0):
+        raise ValueError("quantile must be within [0, 1]")
+    return float(np.quantile(np.asarray(samples, dtype=float), q))

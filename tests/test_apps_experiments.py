@@ -135,8 +135,8 @@ class TestRunner:
         assert result.aggregate_delivered > 0
         assert result.throughput_gbps > 0.5
         assert len(result.flow_delivered) == 2
-        assert result.seq_samples
-        assert result.voq_samples
+        assert result.seq_week_curve
+        assert result.voq_week_curve
 
     def test_reproducible_runs(self):
         cfg1 = ExperimentConfig(variant="tdtcp", n_flows=2, weeks=5, warmup_weeks=1, seed=9)
@@ -144,7 +144,7 @@ class TestRunner:
         r1 = run_experiment(cfg1)
         r2 = run_experiment(cfg2)
         assert r1.aggregate_delivered == r2.aggregate_delivered
-        assert r1.seq_samples == r2.seq_samples
+        assert r1.seq_week_curve == r2.seq_week_curve
 
     def test_different_seeds_differ(self):
         # TDTCP reacts to notification timing, whose generation jitter
@@ -153,7 +153,7 @@ class TestRunner:
         # legitimately seed-independent.)
         r1 = run_experiment(ExperimentConfig(variant="tdtcp", n_flows=2, weeks=5, warmup_weeks=1, seed=1))
         r2 = run_experiment(ExperimentConfig(variant="tdtcp", n_flows=2, weeks=5, warmup_weeks=1, seed=2))
-        assert r1.seq_samples != r2.seq_samples
+        assert r1.seq_week_curve != r2.seq_week_curve
 
     def test_per_day_counters_have_expected_length(self):
         cfg = ExperimentConfig(variant="cubic", n_flows=2, weeks=6, warmup_weeks=2)

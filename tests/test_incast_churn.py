@@ -5,7 +5,7 @@ import pytest
 from repro.apps.bulk import BulkReceiver, BulkSender
 from repro.apps.incast import IncastCoordinator, run_incast
 from repro.core.tdtcp import TDTCPConnection
-from repro.metrics.cdf import quantile
+from repro.obs.sketch import quantile
 from repro.rdcn.topology import build_two_rack_testbed
 from repro.tcp.connection import TCPConnection
 from repro.tcp.sockets import create_connection_pair

@@ -1,24 +1,41 @@
-"""Metrics: step interpolation, week folding, analytic curves, CDFs."""
+"""Figure measurements: step interpolation, week folding, analytic
+curves, exact quantiles and CDFs, the per-day counter and the VOQ
+recorder."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.metrics.cdf import empirical_cdf, fraction_at_or_below, quantile
-from repro.metrics.collectors import EventCounterCollector, QueueOccupancyCollector
-from repro.metrics.seqgraph import (
-    constant_rate_curve,
+from repro.experiments.figures import constant_rate_curve, optimal_curve, tile_weeks
+from repro.experiments.runner import (
+    count_per_week,
     fold_series_by_week,
-    optimal_curve,
+    record_queue_length,
     step_interpolate,
-    tile_weeks,
+    week_grid,
 )
 from repro.net.packet import Packet
 from repro.net.queues import DropTailQueue
+from repro.obs.sketch import quantile
 from repro.rdcn.schedule import TDNSchedule
 from repro.sim import Simulator
 from repro.units import gbps, usec
+
+
+def empirical_cdf(samples):
+    """Sorted values and the fraction of samples <= each one."""
+    if len(samples) == 0:
+        return np.asarray([]), np.asarray([])
+    x = np.sort(np.asarray(samples, dtype=float))
+    return x, np.arange(1, len(x) + 1) / len(x)
+
+
+def fraction_at_or_below(samples, threshold):
+    """Fraction of samples <= threshold; 0.0 for empty input."""
+    if len(samples) == 0:
+        return 0.0
+    return float(np.mean(np.asarray(samples, dtype=float) <= threshold))
 
 
 class TestStepInterpolate:
@@ -38,11 +55,11 @@ class TestFoldByWeek:
     def test_constant_rate_folds_to_line(self):
         week = 1000
         samples = [(t, t * 2.0) for t in range(0, 10 * week, 50)]
-        grid, curve, progress = fold_series_by_week(samples, week, 10, warmup_weeks=2)
+        curve, progress = fold_series_by_week(samples, week, 10, warmup_weeks=2)
         assert progress == pytest.approx(2.0 * week, rel=0.05)
         # Within-week curve is linear from 0.
         assert curve[0] == pytest.approx(0.0, abs=110)
-        assert curve[-1] == pytest.approx(2.0 * grid[-1], rel=0.1)
+        assert curve[-1] == pytest.approx(2.0 * week_grid(week)[-1], rel=0.1)
 
     def test_level_series_averages(self):
         week = 1000
@@ -51,7 +68,7 @@ class TestFoldByWeek:
         for w in range(6):
             samples.append((w * week, 5))
             samples.append((w * week + 500, 10))
-        grid, curve, progress = fold_series_by_week(
+        curve, progress = fold_series_by_week(
             samples, week, 6, warmup_weeks=1, cumulative=False
         )
         assert progress == 0.0
@@ -69,7 +86,8 @@ class TestFoldByWeek:
         shape regardless of how many weeks are averaged."""
         week = 700
         samples = [(t, (t // 7) * rate) for t in range(0, weeks * week, 7)]
-        grid, curve, progress = fold_series_by_week(samples, week, weeks, warmup_weeks=1)
+        curve, progress = fold_series_by_week(samples, week, weeks, warmup_weeks=1)
+        assert len(curve) == len(week_grid(week)) == 400
         assert progress == pytest.approx(week / 7 * rate, rel=0.05)
 
 
@@ -156,34 +174,26 @@ class TestCDF:
 
 
 class TestCollectors:
+    WEEK_NS = TDNSchedule.uniform((0, 1), usec(100), usec(10)).week_ns
+
     def test_queue_collector_records_changes(self):
         sim = Simulator()
         q = DropTailQueue(4)
-        collector = QueueOccupancyCollector(sim, q)
+        samples = record_queue_length(sim, q)
         q.push(Packet("a", "b", 1), sim.now)
         sim.now = 100
         q.push(Packet("a", "b", 1), sim.now)
         sim.now = 200
         q.pop()
-        assert collector.samples == [(0, 0), (0, 1), (100, 2), (200, 1)]
-        assert collector.max_occupancy() == 2
+        assert samples == [(0, 0), (0, 1), (100, 2), (200, 1)]
 
     def test_event_counter_buckets_by_week(self):
-        s = TDNSchedule.uniform((0, 1), usec(100), usec(10))
-        counter = EventCounterCollector(s)
-        counter.record(usec(50))          # week 0
-        counter.record(usec(250), 2)      # week 1
-        counter.record(usec(260))         # week 1
-        assert counter.per_day_counts(total_weeks=3) == [1, 3, 0]
+        times = [usec(50), usec(250), usec(250), usec(260)]  # weeks 0, 1, 1, 1
+        assert count_per_week(times, self.WEEK_NS, total_weeks=3) == [1, 3, 0]
 
     def test_event_counter_warmup_skipped(self):
-        s = TDNSchedule.uniform((0, 1), usec(100), usec(10))
-        counter = EventCounterCollector(s)
-        counter.record(usec(50))
-        counter.record(usec(250))
-        assert counter.per_day_counts(total_weeks=3, warmup_weeks=1) == [1, 0]
+        times = [usec(50), usec(250), usec(999)]  # the last is past the horizon
+        assert count_per_week(times, self.WEEK_NS, total_weeks=3, warmup_weeks=1) == [1, 0]
 
     def test_zero_days_present(self):
-        s = TDNSchedule.uniform((0, 1), usec(100), usec(10))
-        counter = EventCounterCollector(s)
-        assert counter.per_day_counts(total_weeks=4) == [0, 0, 0, 0]
+        assert count_per_week([], self.WEEK_NS, total_weeks=4) == [0, 0, 0, 0]

@@ -77,11 +77,6 @@ MODULES = [
     "repro.obs.exporters",
     "repro.obs.profiling",
     "repro.obs.telemetry",
-    "repro.metrics",
-    "repro.metrics.collectors",
-    "repro.metrics.seqgraph",
-    "repro.metrics.cdf",
-    "repro.metrics.fairness",
     "repro.experiments",
     "repro.experiments.config",
     "repro.experiments.variants",
@@ -103,8 +98,7 @@ def test_module_imports_and_documented(name):
 @pytest.mark.parametrize(
     "name",
     ["repro", "repro.sim", "repro.net", "repro.rdcn", "repro.tcp",
-     "repro.core", "repro.mptcp", "repro.retcp", "repro.apps",
-     "repro.metrics", "repro.obs"],
+     "repro.core", "repro.mptcp", "repro.retcp", "repro.apps", "repro.obs"],
 )
 def test_all_exports_resolve(name):
     module = importlib.import_module(name)

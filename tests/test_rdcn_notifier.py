@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.metrics.cdf import quantile
+from repro.obs.sketch import quantile
 from repro.rdcn.config import NotifierConfig, RDCNConfig
 from repro.rdcn.notifier import TDNNotifier, sample_generation_delay_ns
 from repro.rdcn.schedule import ScheduleDriver, TDNSchedule

@@ -1,5 +1,8 @@
 """Figure definitions and text reports at smoke scale."""
 
+import hashlib
+import pathlib
+
 import pytest
 
 from repro.experiments.figures import (
@@ -103,3 +106,14 @@ class TestReports:
         for path in written:
             content = open(path).read()
             assert content.strip()
+
+    def test_csv_curves_are_the_golden(self, fig2_small, tmp_path):
+        """Every plotted number of a small fig 2 — the tiled sequence
+        and VOQ weeks, the reference lines, the throughputs — pinned
+        byte for byte."""
+        digest = hashlib.sha256()
+        for path in sorted(figure_to_csv(fig2_small, tmp_path)):
+            digest.update(pathlib.Path(path).read_bytes())
+        assert digest.hexdigest() == (
+            "fbe3a490a0922af30f09c3dff85fb4c2407e8435c8cf1e16166e2a0987c6ee1b"
+        )

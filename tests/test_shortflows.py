@@ -4,7 +4,7 @@ import pytest
 
 from repro.apps.shortflows import ShortFlowGenerator, run_short_flow_study
 from repro.core.tdtcp import TDTCPConnection
-from repro.metrics.cdf import quantile
+from repro.obs.sketch import quantile
 from repro.rdcn.topology import build_two_rack_testbed
 from repro.sim.rng import SeededRandom
 from repro.tcp.connection import TCPConnection

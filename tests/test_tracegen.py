@@ -9,7 +9,7 @@ from repro.apps.tracegen import (
     EmpiricalFlowSizes,
     WEB_SEARCH_CDF,
 )
-from repro.metrics.cdf import quantile
+from repro.obs.sketch import quantile
 from repro.sim.rng import SeededRandom
 
 
