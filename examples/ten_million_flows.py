@@ -37,9 +37,9 @@ Run:
     python examples/ten_million_flows.py --ci --journal camp.jsonl --resume
 
 The full 10M run is a *campaign* (hours of wall clock, like the
-10k-run sweeps it stands in for) — shard it across machines by running
-disjoint ``--shard-start/--shard-count`` windows against the same
-sketch-merge step, or just let ``--jobs`` use local cores.
+10k-run sweeps it stands in for) on one machine: ``--jobs`` spreads the
+shards over local cores, and ``--journal`` + ``--resume`` let it stop
+and pick up where it left off.
 """
 
 import argparse
@@ -238,8 +238,9 @@ def main() -> None:
     parser.add_argument("--jobs", type=int, default=1,
                         help="worker processes for the shard batch")
     parser.add_argument("--journal", metavar="JSONL", default=None,
-                        help="campaign journal path; enables the checkpoint sidecar "
-                             "and result cache next to it")
+                        help="campaign journal path; enables the result cache and "
+                             "the status sidecar (written when the batch ends) next "
+                             "to it")
     parser.add_argument("--resume", action="store_true",
                         help="resume from --journal: completed shards replay from "
                              "the cache, the rest execute")

@@ -15,22 +15,26 @@ uninterrupted run's.
   fold's terminal :class:`~repro.obs.campaign.RunState` objects: resume
   decides on ``state``, ``queued["key"]``, ``ending``; replays ``records``.
 * The **checkpoint sidecar** (``<log>.ckpt.json``) is a *derived status
-  file*: one :func:`sidecar_row` per terminal run, atomically replaced
-  after every run-ending record, for humans and schedulers that want
-  "what is done so far" without parsing the journal. Nothing in this
-  package reads it back. (Deleting the writer needs a ``benchmark``
-  issue first: ``campaign_replay`` passes ``checkpoint_to`` and its
-  traced pass wraps :meth:`CampaignCheckpoint.save`.)
+  file*: one :func:`sidecar_row` per terminal run the executor's log has
+  seen, atomically written once per batch, when the batch ends or
+  aborts, for humans and schedulers that want "what is done" without
+  parsing the journal. During a batch the journal is the live status.
+  Nothing in this package reads the sidecar back. (Deleting the writer
+  needs a ``benchmark`` issue first: ``campaign_replay`` passes
+  ``checkpoint_to`` and its traced pass wraps
+  :meth:`CampaignCheckpoint.save`.)
 
 The executor's write ordering makes every kill window safe::
 
-    emit run-ending record (journal, flushed)  ->  save sidecar  ->  cache.put
+    per run:    emit run-ending record (journal, flushed)  ->  cache.put
+    per batch:  close the books  ->  save sidecar  ->  campaign_end / campaign_abort
 
 A run whose ending record reached the journal replays on resume; one
 whose record did not (or whose cache entry is missing) simply
 re-executes, and determinism guarantees it re-emits the identical
-lifecycle. The sidecar lagging the journal by a record — the state a
-kill between the first two steps leaves — changes nothing.
+lifecycle. A batch killed before its books close leaves the journal and
+whatever sidecar an earlier batch of the same log wrote; a stale or
+foreign sidecar changes nothing.
 """
 
 from __future__ import annotations

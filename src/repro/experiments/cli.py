@@ -263,7 +263,8 @@ def executor_from_args(args) -> ExperimentExecutor:
     (opening truncates), defaults the new journal to
     ``<log>.resumed.jsonl`` so the original survives as evidence, and
     arms the executor's replay plan. Any journal-producing run also
-    writes the ``<log>.ckpt.json`` status sidecar."""
+    writes the ``<log>.ckpt.json`` status sidecar, once per batch when
+    it ends or aborts; the journal is the live status."""
     resume = None
     log_path = args.campaign_log
     if args.resume:

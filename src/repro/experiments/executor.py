@@ -52,8 +52,9 @@ runs over the journal, and what the executor reports is a projection of
 it: progress ``done``, the ``campaign_abort`` count, the resume split
 and the per-batch :class:`BatchStats`, filled once when the batch ends.
 With ``checkpoint_to`` the log's terminal runs are also saved as a
-derived status sidecar after every run-ending record, before the cache
-write. Failed cache writes have one count, ``ResultCache.write_errors``.
+derived status sidecar once per batch, when its books close (the batch
+ended or aborted); during a batch the journal is the live status. Failed
+cache writes have one count, ``ResultCache.write_errors``.
 """
 
 from __future__ import annotations
@@ -109,9 +110,10 @@ CACHE_WRITE_ERROR_TP = Tracepoint(
 
 class CampaignAborted(RuntimeError):
     """A batch was interrupted (SIGINT/SIGTERM) and shut down cleanly:
-    pending work cancelled, heartbeats drained, status sidecar saved, a
-    ``campaign_abort`` record emitted. The CLI maps this to a distinct
-    exit code so schedulers can tell an abort from a failure."""
+    pending work cancelled, heartbeats drained, books closed (the
+    batch's one status-sidecar save), a ``campaign_abort`` record
+    emitted. The CLI maps this to a distinct exit code so schedulers
+    can tell an abort from a failure."""
 
     def __init__(self, reason: str, done: int, total: int) -> None:
         super().__init__(
@@ -420,7 +422,6 @@ class ExperimentExecutor:
                     if cached is not None:
                         results[i] = cached
                         self._emit("cache_hit", run=labels[i], index=i)
-                        self._save_checkpoint()
                         self._report(labels[i], "cached")
                         continue
                     pending.append(i)
@@ -433,7 +434,6 @@ class ExperimentExecutor:
                     self._run_pool(configs, labels, pending, results)
             except (KeyboardInterrupt, _ShutdownRequested) as error:
                 reason = getattr(error, "reason", "SIGINT")
-                self._save_checkpoint()
                 self._close_books(started_wall)
                 self._emit("campaign_abort", reason=reason, done=fold.done, total=total)
                 raise CampaignAborted(reason, done=fold.done, total=total) from error
@@ -465,7 +465,10 @@ class ExperimentExecutor:
     def _close_books(self, started_wall: float) -> None:
         """Fill the batch's public numbers, once, from its fold; only
         broken pools and wall time — no journal event carries either —
-        are measured."""
+        are measured. With ``checkpoint_to``, save the status sidecar:
+        its one write per batch, whether the batch ended or aborted."""
+        if self._ckpt is not None:
+            self._ckpt.save(self.checkpoint_to)
         fold = self._fold
         self.last_batch = BatchStats.from_fold(
             fold,
@@ -475,10 +478,6 @@ class ExperimentExecutor:
         fresh = [run for run in fold.runs.values() if not run.replayed]
         self.last_replayed = len(fold.runs) - len(fresh)
         self.last_fresh = sum(run.terminal and run.state != "cached" for run in fresh)
-
-    def _save_checkpoint(self) -> None:
-        if self._ckpt is not None:
-            self._ckpt.save(self.checkpoint_to)
 
     @contextmanager
     def _signal_guard(self):
@@ -561,7 +560,6 @@ class ExperimentExecutor:
                 if k not in ("event", "seq", "wall_ms", "replayed")
             }
             self._emit(record["event"], replayed=True, **fields)
-        self._save_checkpoint()
         self._report(label, "cached" if result.ok else "failed")
         return result
 
@@ -594,7 +592,6 @@ class ExperimentExecutor:
     def _finish_item(self, i: int, result: ExperimentResult, label: str) -> None:
         if result.ok:
             self._emit("finished", run=label, outcome="ok", sketches=result.sketches)
-            self._save_checkpoint()
             # Report before the cache write: the run is durably terminal
             # once journaled, and a multi-MB cache entry can take long
             # enough that an abort landing mid-write would undercount
@@ -615,7 +612,6 @@ class ExperimentExecutor:
             self._emit(
                 "quarantined", run=label, attempts=self._fold.runs[label].attempts
             )
-        self._save_checkpoint()
         self._report(label, "failed")
 
     # -- retry ----------------------------------------------------------

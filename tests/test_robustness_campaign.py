@@ -88,6 +88,21 @@ def assert_sidecar_is_journal_fold(log_path) -> CampaignCheckpoint:
     return folded
 
 
+def count_sidecar_saves(monkeypatch) -> list:
+    """Monkeypatch :meth:`CampaignCheckpoint.save` to record the path of
+    every sidecar write; returns that list (the executor saves once per
+    batch, when its books close)."""
+    saves = []
+    original = CampaignCheckpoint.save
+
+    def counted(self, path):
+        saves.append(str(path))
+        return original(self, path)
+
+    monkeypatch.setattr(CampaignCheckpoint, "save", counted)
+    return saves
+
+
 def spy_executions(monkeypatch):
     """Monkeypatch the (inline-path) worker entry point to record which
     seeds actually execute; returns a thunk yielding the seed list.
@@ -378,6 +393,7 @@ class TestCacheWriteErrors:
 class TestQuarantine:
     def test_sim_failure_quarantined_and_not_resubmitted(self, tmp_path, monkeypatch):
         monkeypatch.setattr(executor_mod, "execute_config_dict", failing_payload)
+        saves = count_sidecar_saves(monkeypatch)
         path = tmp_path / "camp.jsonl"
         with CampaignLog(str(path)) as log:
             executor = ExperimentExecutor(
@@ -386,6 +402,7 @@ class TestQuarantine:
             )
             executor.run_batch([small_config()])
         assert executor.last_batch.quarantined == 1
+        assert saves == [checkpoint_path(str(path))]
         assert_sidecar_is_journal_fold(path)
         records = read_campaign(path)
         assert [r["event"] for r in records if r.get("run")][-1] == "quarantined"
@@ -411,6 +428,7 @@ class TestQuarantine:
             raise OSError("worker transport down")
 
         monkeypatch.setattr(executor_mod, "execute_config_dict", transport_crash)
+        saves = count_sidecar_saves(monkeypatch)
         path = tmp_path / "camp.jsonl"
         with CampaignLog(str(path)) as log:
             executor = ExperimentExecutor(
@@ -422,6 +440,7 @@ class TestQuarantine:
         assert results[0].failure.infrastructure
         assert executor.last_batch.quarantined == 0
         assert executor.last_batch.failures == 1
+        assert saves == [checkpoint_path(str(path))]
         # failed, not quarantined: resume resubmits it
         folded = assert_sidecar_is_journal_fold(path)
         assert folded.runs["cubic/seed1"].state == "failed"
@@ -443,6 +462,7 @@ class TestGracefulShutdown:
             ).to_dict()
 
         monkeypatch.setattr(executor_mod, "execute_config_dict", interrupt_second)
+        saves = count_sidecar_saves(monkeypatch)
         path = tmp_path / "camp.jsonl"
         with pytest.raises(CampaignAborted) as abort:
             with CampaignLog(str(path)) as log:
@@ -466,8 +486,10 @@ class TestGracefulShutdown:
             assert r["seq"] <= abort_seq
             if r["event"] == "heartbeat" and r["run"] in finished:
                 assert r["seq"] < finished[r["run"]]
-        # The completed run checkpointed; resume replays it and only
-        # executes the interrupted one.
+        # The abort closed the books: one sidecar save, holding the
+        # completed run; resume replays it and only executes the
+        # interrupted one.
+        assert saves == [checkpoint_path(str(path))]
         assert_sidecar_is_journal_fold(path)
         plan = load_resume_plan(str(path))
         assert list(plan.checkpoint.runs) == ["cubic/seed41"]
@@ -555,11 +577,11 @@ class TestResumeIdentity:
     def test_kill_window_sidecar_cannot_change_the_resume(
         self, tmp_path, monkeypatch, sidecar
     ):
-        """A SIGKILL between ``CampaignLog.emit`` and the sidecar's
-        ``os.replace`` leaves N run-ending records in the journal next
-        to a sidecar holding N-1 (or one left over from another
-        campaign). Resume reads the journal only: all N replay, none
-        re-executes, and the digest matches the uninterrupted run."""
+        """A stale sidecar — one holding N-1 of the journal's N
+        run-ending records, or one left over from another campaign —
+        cannot change a resume. Resume reads the journal only: all N
+        replay, none re-executes, and the digest matches the
+        uninterrupted run."""
         configs = [small_config(seed=s) for s in (1, 2, 3)]
         ref = tmp_path / "ref.jsonl"
         with CampaignLog(str(ref)) as log:
@@ -591,8 +613,9 @@ class TestResumeIdentity:
         assert executed() == []
         assert summary_bytes(res) == summary_bytes(ref)
 
-    def test_replayed_records_flagged_but_summary_identical(self, tmp_path):
+    def test_replayed_records_flagged_but_summary_identical(self, tmp_path, monkeypatch):
         config = small_config(seed=9)
+        saves = count_sidecar_saves(monkeypatch)
         part = tmp_path / "one.jsonl"
         with CampaignLog(str(part)) as log:
             ExperimentExecutor(
@@ -622,16 +645,46 @@ class TestResumeIdentity:
                     checkpoint_to=checkpoint_path(str(path)), resume=resume,
                 ).run_batch([config])
         assert summary_bytes(again) == summary_bytes(part)
+        assert saves == [checkpoint_path(str(path)) for path in (part, again, warm)]
         assert assert_sidecar_is_journal_fold(again).runs["cubic/seed9"].attempts == 1
         assert assert_sidecar_is_journal_fold(warm).runs["cubic/seed9"].state == "cached"
+
+    def test_sidecar_saved_once_per_cold_warm_and_resumed_batch(
+        self, tmp_path, monkeypatch
+    ):
+        """One sidecar save per batch, when its books close, whether its
+        three runs executed, were cache hits or were replayed; each
+        sidecar equals the fold of the journal next to it."""
+        configs = [small_config(seed=s) for s in (1, 2, 3)]
+        cold = tmp_path / "cold.jsonl"
+        saves = count_sidecar_saves(monkeypatch)
+        states = {}
+        for name, resume in (("cold", None), ("warm", None), ("resumed", cold)):
+            path = tmp_path / f"{name}.jsonl"
+            plan = load_resume_plan(str(resume)) if resume else None
+            with CampaignLog(str(path)) as log:
+                executor = ExperimentExecutor(
+                    cache_dir=str(tmp_path / "cache"), campaign=log,
+                    checkpoint_to=checkpoint_path(str(path)),
+                )
+                executor.run_batch(configs, resume_from=plan)
+            assert saves == [checkpoint_path(str(path))], name
+            saves.clear()
+            folded = assert_sidecar_is_journal_fold(path)
+            states[name] = sorted(run.state for run in folded.runs.values())
+        assert executor.last_replayed == 3
+        assert states == {
+            "cold": ["finished"] * 3, "warm": ["cached"] * 3, "resumed": ["finished"] * 3,
+        }
 
 
 # ----------------------------------------------------------------------
 # Chaos harness (in-process pool faults)
 # ----------------------------------------------------------------------
 class TestExecutorChaos:
-    def test_worker_kill_rebuilds_pool_and_completes(self, tmp_path):
+    def test_worker_kill_rebuilds_pool_and_completes(self, tmp_path, monkeypatch):
         configs = [small_config(seed=s) for s in (1, 2)]
+        saves = count_sidecar_saves(monkeypatch)
         plan = ExecutorFaultPlan(
             specs=(ExecutorFaultSpec(kind="worker_kill", target="cubic/seed1"),)
         )
@@ -645,6 +698,7 @@ class TestExecutorChaos:
             results = executor.run_batch(configs)
         assert all(r.ok for r in results)
         assert executor.last_batch.broken_pools >= 1
+        assert saves == [checkpoint_path(str(path))]  # one per batch, pooled too
         assert_sidecar_is_journal_fold(path)
         assert chaos.log[0][0] == "worker_kill"
         records = read_campaign(path)
