@@ -50,7 +50,7 @@ def test_fig08_bandwidth_only(benchmark, results_dir, scale):
     # queue of the single-path variants.
     assert thr["dctcp"] >= packet_gbps * 0.95
     assert thr["dctcp"] < thr["cubic"]
-    mean_voq = {name: curve.mean() for name, (_times, curve) in data.voq_curves.items()}
+    mean_voq = {name: sum(curve) / len(curve) for name, (_times, curve) in data.voq_curves.items()}
     assert mean_voq["dctcp"] == min(
         mean_voq[name] for name in ("cubic", "dctcp", "retcp", "retcpdyn")
     )

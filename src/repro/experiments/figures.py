@@ -15,11 +15,10 @@ and ``n_flows`` scale up freely).
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, field, replace
 from functools import partial
-from typing import Callable, Dict, Optional, Sequence, Tuple
-
-import numpy as np
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.executor import ExperimentExecutor
@@ -46,10 +45,10 @@ class FigureData:
     rdcn: RDCNConfig
     weeks_plotted: int
     # variant -> (times_ns, values); sequence curves in bytes.
-    seq_curves: Dict[str, Tuple[np.ndarray, np.ndarray]] = field(default_factory=dict)
-    voq_curves: Dict[str, Tuple[np.ndarray, np.ndarray]] = field(default_factory=dict)
-    optimal: Optional[Tuple[np.ndarray, np.ndarray]] = None
-    packet_only: Optional[Tuple[np.ndarray, np.ndarray]] = None
+    seq_curves: Dict[str, Tuple[List[int], List[float]]] = field(default_factory=dict)
+    voq_curves: Dict[str, Tuple[List[int], List[float]]] = field(default_factory=dict)
+    optimal: Optional[Tuple[List[int], List[float]]] = None
+    packet_only: Optional[Tuple[List[int], List[float]]] = None
     throughputs_gbps: Dict[str, float] = field(default_factory=dict)
     results: Dict[str, ExperimentResult] = field(default_factory=dict)
     # Partial-figure degradation: variants whose runs crashed end up
@@ -63,18 +62,18 @@ class FigureData:
 
 
 def tile_weeks(
-    grid_ns: np.ndarray,
+    grid_ns: Sequence[int],
     mean_curve: Sequence[float],
     mean_week_progress: float,
     week_ns: int,
     n_weeks: int = 3,
-) -> Tuple[np.ndarray, np.ndarray]:
+) -> Tuple[List[int], List[float]]:
     """Tile an averaged one-week curve over ``n_weeks`` for plotting,
     each week offset by the mean weekly progress."""
-    mean_curve = np.asarray(mean_curve, dtype=float)
-    times = [grid_ns + week * week_ns for week in range(n_weeks)]
-    values = [mean_curve + week * mean_week_progress for week in range(n_weeks)]
-    return np.concatenate(times), np.concatenate(values)
+    weeks = range(n_weeks)
+    times = [t + week * week_ns for week in weeks for t in grid_ns]
+    values = [v + week * mean_week_progress for week in weeks for v in mean_curve]
+    return times, values
 
 
 def optimal_curve(
@@ -83,13 +82,13 @@ def optimal_curve(
     n_weeks: int = 3,
     grid_points_per_week: int = 400,
     night_rate_bps: float = 0.0,
-) -> Tuple[np.ndarray, np.ndarray]:
+) -> Tuple[List[int], List[float]]:
     """The paper's 'optimal' line: an idealized TCP that fully uses the
     active TDN's bottleneck bandwidth, and nothing during nights."""
     pieces = schedule.rate_profile(list(rates_bps))
-    grid = np.linspace(
-        0, n_weeks * schedule.week_ns, n_weeks * grid_points_per_week, endpoint=False
-    )
+    n_points = n_weeks * grid_points_per_week
+    step = n_weeks * schedule.week_ns / n_points
+    times = [int(i * step) for i in range(n_points)]
     # Cumulative bytes at each phase boundary of one week.
     week_bytes = 0.0
     boundaries = []  # (phase_start, cumulative_bytes_at_start, rate)
@@ -97,24 +96,22 @@ def optimal_curve(
         effective = rate if rate > 0 else night_rate_bps
         boundaries.append((start, week_bytes, effective))
         week_bytes += effective / 8.0 * (end - start) / 1e9
-    times = np.asarray(grid, dtype=np.int64)
-    out = np.empty(len(times), dtype=float)
-    starts = np.asarray([b[0] for b in boundaries], dtype=np.int64)
-    for i, t in enumerate(times):
-        week, phase = divmod(int(t), schedule.week_ns)
-        j = int(np.searchsorted(starts, phase, side="right") - 1)
-        start, cum, rate = boundaries[j]
-        out[i] = week * week_bytes + cum + rate / 8.0 * (phase - start) / 1e9
+    starts = [b[0] for b in boundaries]
+    out = []
+    for t in times:
+        week, phase = divmod(t, schedule.week_ns)
+        start, cum, rate = boundaries[bisect_right(starts, phase) - 1]
+        out.append(week * week_bytes + cum + rate / 8.0 * (phase - start) / 1e9)
     return times, out
 
 
 def constant_rate_curve(
     rate_bps: float, duration_ns: int, grid_points: int = 1200
-) -> Tuple[np.ndarray, np.ndarray]:
+) -> Tuple[List[int], List[float]]:
     """The 'packet only' line: a constant-slope reference that never
     experiences reconfiguration blackouts."""
-    times = np.linspace(0, duration_ns, grid_points, endpoint=False)
-    return times.astype(np.int64), rate_bps / 8.0 * times / 1e9
+    grid = [i * (duration_ns / grid_points) for i in range(grid_points)]
+    return [int(t) for t in grid], [rate_bps / 8.0 * t / 1e9 for t in grid]
 
 
 def _process_run(

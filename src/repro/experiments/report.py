@@ -9,8 +9,6 @@ from __future__ import annotations
 from collections import defaultdict
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-import numpy as np
-
 from repro.experiments.figures import FigureData
 from repro.experiments.runner import step_interpolate
 from repro.obs.campaign import CampaignFold, RunState, fold_campaign
@@ -20,7 +18,7 @@ from repro.units import to_usec
 
 def render_series_table(
     data: FigureData,
-    curves: Dict[str, Tuple[np.ndarray, np.ndarray]],
+    curves: Dict[str, Tuple[Sequence[int], Sequence[float]]],
     value_label: str,
     scale: float = 1.0,
     points: int = 12,
@@ -33,7 +31,7 @@ def render_series_table(
     that grid — columns with different sample times or lengths line up
     on real timestamps instead of raw row indices.
     """
-    columns: List[Tuple[str, Tuple[np.ndarray, np.ndarray]]] = []
+    columns: List[Tuple[str, Tuple[Sequence[int], Sequence[float]]]] = []
     if include_references and data.optimal is not None:
         columns.append(("optimal", data.optimal))
     columns.extend(sorted(curves.items()))
@@ -41,16 +39,19 @@ def render_series_table(
         columns.append(("packet-only", data.packet_only))
     if not columns:
         return "(no series)"
-    grid_ns = np.asarray([], dtype=np.int64)
+    grid_ns: List[int] = []
     for _name, (times, _values) in columns:
         if len(times) > 0:
-            idx = np.linspace(0, len(times) - 1, points).astype(int)
-            grid_ns = np.asarray(times, dtype=np.int64)[idx]
+            # ``points`` evenly spaced indices, truncated; the last is exact.
+            last = len(times) - 1
+            if points > 1:
+                picks = [int(k * (last / (points - 1))) for k in range(points - 1)] + [last]
+            else:
+                picks = [0] * points
+            grid_ns = [int(times[i]) for i in picks]
             break
-    resampled: Dict[str, np.ndarray] = {}
+    resampled: Dict[str, List[float]] = {}
     for name, (times, values) in columns:
-        times = np.asarray(times)
-        values = np.asarray(values, dtype=float)
         initial = float(values[0]) if len(values) else float("nan")
         resampled[name] = step_interpolate(times, values, grid_ns, initial=initial)
     names = [name for name, _ in columns]
@@ -58,7 +59,7 @@ def render_series_table(
     lines = [f"[{data.name}] {value_label}", header]
     for row in range(len(grid_ns)):
         cells = [f"{resampled[name][row] * scale:12.2f}" for name in names]
-        lines.append(f"{to_usec(int(grid_ns[row])):10.1f} " + " ".join(cells))
+        lines.append(f"{to_usec(grid_ns[row]):10.1f} " + " ".join(cells))
     return "\n".join(lines)
 
 
@@ -136,7 +137,7 @@ def figure_to_csv(data: FigureData, directory) -> List[str]:
     directory.mkdir(parents=True, exist_ok=True)
     written: List[str] = []
 
-    def dump(name: str, curves: Dict[str, Tuple[np.ndarray, np.ndarray]], extra=None):
+    def dump(name: str, curves: Dict[str, Tuple[Sequence[int], Sequence[float]]], extra=None):
         if not curves and not extra:
             return
         path = directory / f"{data.name}_{name}.csv"

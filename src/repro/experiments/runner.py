@@ -5,11 +5,10 @@ from __future__ import annotations
 
 import logging
 
+from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass, field, replace
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
-
-import numpy as np
 
 from repro.apps.engine import WorkloadEngine, load_trace
 from repro.apps.workload import build_workload
@@ -33,24 +32,47 @@ logger = logging.getLogger(__name__)
 # The paper's averaging over optical weeks (§5: sequence and VOQ graphs
 # average "results across thousands of optical weeks")
 # ----------------------------------------------------------------------
-def week_grid(week_ns: int) -> np.ndarray:
+def week_grid(week_ns: int) -> List[int]:
     """The 400 points of one week a series is folded onto."""
-    return np.linspace(0, week_ns, 400, endpoint=False).astype(np.int64)
+    return [int(i * (week_ns / 400)) for i in range(400)]
 
 
 def step_interpolate(
-    times: np.ndarray, values: np.ndarray, grid: np.ndarray, initial: float = 0.0
-) -> np.ndarray:
+    times: Sequence[int], values: Sequence[float], grid: Iterable[int], initial: float = 0.0
+) -> List[float]:
     """Previous-value (step) interpolation of a step series onto a grid.
 
     Queue lengths and rcv_nxt are right-continuous step functions; the
     value at grid point g is the sample at the latest time <= g.
     """
-    if len(times) == 0:
-        return np.full(len(grid), initial, dtype=float)
-    idx = np.searchsorted(times, grid, side="right") - 1
-    out = np.where(idx >= 0, values[np.clip(idx, 0, None)], initial)
-    return out.astype(float)
+    out = []
+    for point in grid:
+        index = bisect_right(times, point) - 1
+        out.append(float(values[index]) if index >= 0 else float(initial))
+    return out
+
+
+def _pairwise_sum(values: Sequence[float]) -> float:
+    """Sum in the order NumPy's ``pairwise_sum`` adds a float64 array
+    (plain order below 8 values, 8 running accumulators up to 128,
+    halves above), so a mean taken with it is bit-identical to NumPy's.
+    Not ``sum()``: it compensates float rounding from Python 3.12 on."""
+    n = len(values)
+    if n > 128:
+        half = n // 2 - (n // 2) % 8
+        return _pairwise_sum(values[:half]) + _pairwise_sum(values[half:])
+    total, tail = 0.0, values
+    if n >= 8:
+        stop = n - n % 8
+        acc = list(values[:8])
+        for i in range(8, stop, 8):
+            for j in range(8):
+                acc[j] += values[i + j]
+        total = ((acc[0] + acc[1]) + (acc[2] + acc[3])) + ((acc[4] + acc[5]) + (acc[6] + acc[7]))
+        tail = values[stop:]
+    for value in tail:
+        total += value
+    return total
 
 
 def fold_series_by_week(
@@ -59,7 +81,7 @@ def fold_series_by_week(
     total_weeks: int,
     warmup_weeks: int = 2,
     cumulative: bool = True,
-) -> Tuple[np.ndarray, float]:
+) -> Tuple[List[float], float]:
     """Average a step series over the post-warm-up weeks.
 
     Returns ``(mean_curve, mean_week_progress)`` on :func:`week_grid`:
@@ -73,22 +95,22 @@ def fold_series_by_week(
     """
     if total_weeks <= warmup_weeks:
         raise ValueError("need at least one week after warm-up")
-    times = np.asarray([t for t, _v in samples], dtype=np.int64)
-    values = np.asarray([v for _t, v in samples], dtype=float)
+    times = [t for t, _v in samples]
+    values = [float(v) for _t, v in samples]
     grid = week_grid(week_ns)
-    curves = []
+    n_weeks = total_weeks - warmup_weeks
+    sums = [0.0] * len(grid)
     progresses = []
     for week in range(warmup_weeks, total_weeks):
         start = week * week_ns
-        curve = step_interpolate(times, values, grid + start)
+        curve = step_interpolate(times, values, [point + start for point in grid])
         if cumulative:
-            base = step_interpolate(times, values, np.asarray([start]))[0]
-            end = step_interpolate(times, values, np.asarray([start + week_ns]))[0]
-            curve = curve - base
+            base, end = step_interpolate(times, values, (start, start + week_ns))
+            curve = [value - base for value in curve]
             progresses.append(end - base)
-        curves.append(curve)
-    mean_progress = float(np.mean(progresses)) if progresses else 0.0
-    return np.mean(np.asarray(curves), axis=0), mean_progress
+        sums = [total + value for total, value in zip(sums, curve)]
+    mean_progress = _pairwise_sum(progresses) / n_weeks if cumulative else 0.0
+    return [total / n_weeks for total in sums], mean_progress
 
 
 def count_per_week(
@@ -602,11 +624,11 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
         result.aggregate_delivered = seq_collector.total
         result.warmup_delivered = seq_collector.warmup_delivered
         if config.collect_sequence and seq_collector.samples:
-            curve, result.seq_week_progress = fold_series_by_week(seq_collector.samples, *week)
-            result.seq_week_curve = curve.tolist()
+            result.seq_week_curve, result.seq_week_progress = fold_series_by_week(
+                seq_collector.samples, *week
+            )
         if voq_samples is not None:
-            curve, _ = fold_series_by_week(voq_samples, *week, cumulative=False)
-            result.voq_week_curve = curve.tolist()
+            result.voq_week_curve, _ = fold_series_by_week(voq_samples, *week, cumulative=False)
         senders = [
             stats for flow in workload.flows for stats in _iter_sender_stats(flow.sender)
         ]

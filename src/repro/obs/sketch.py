@@ -39,8 +39,6 @@ import json
 import math
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-import numpy as np
-
 __all__ = [
     "QuantileSketch",
     "StreamStats",
@@ -409,9 +407,20 @@ def sketch_from_samples(
 
 def quantile(samples: Sequence[float], q: float) -> float:
     """The exact q-quantile (0..1) of a small sample held in full, such
-    as Figure 10's few dozen per-day counts; 0.0 for empty input."""
-    if len(samples) == 0:
-        return 0.0
+    as Figure 10's few dozen per-day counts; 0.0 for empty input.
+
+    This is NumPy's default ("linear") quantile, rounded as NumPy rounds
+    it: ``a + (b - a) * t``, or ``b - (b - a) * (1 - t)`` once ``t >= 0.5``.
+    """
     if not (0.0 <= q <= 1.0):
         raise ValueError("quantile must be within [0, 1]")
-    return float(np.quantile(np.asarray(samples, dtype=float), q))
+    if len(samples) == 0:
+        return 0.0
+    ordered = sorted(float(x) for x in samples)
+    position = (len(ordered) - 1) * q
+    below = int(position)
+    if below >= len(ordered) - 1:
+        return ordered[-1]
+    a, b = ordered[below], ordered[below + 1]
+    t = position - below
+    return a + (b - a) * t if t < 0.5 else b - (b - a) * (1 - t)

@@ -2,9 +2,11 @@
 curves, exact quantiles and CDFs, the per-day counter and the VOQ
 recorder."""
 
+import random
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.experiments.figures import constant_rate_curve, optimal_curve, tile_weeks
@@ -36,6 +38,113 @@ def fraction_at_or_below(samples, threshold):
     if len(samples) == 0:
         return 0.0
     return float(np.mean(np.asarray(samples, dtype=float) <= threshold))
+
+
+# NumPy formulas for the figure arithmetic: the oracle the package's
+# pure-Python versions must equal bit for bit (``==``, not approx), or
+# the figure CSV goldens move.
+def np_week_grid(week_ns):
+    return np.linspace(0, week_ns, 400, endpoint=False).astype(np.int64)
+
+
+def np_step_interpolate(times, values, grid):
+    idx = np.searchsorted(times, grid, side="right") - 1
+    return np.where(idx >= 0, values[np.clip(idx, 0, None)], 0.0).astype(float)
+
+
+def np_fold_series_by_week(samples, week_ns, total_weeks, warmup_weeks, cumulative):
+    times = np.asarray([t for t, _v in samples], dtype=np.int64)
+    values = np.asarray([v for _t, v in samples], dtype=float)
+    grid = np_week_grid(week_ns)
+    curves, progresses = [], []
+    for week in range(warmup_weeks, total_weeks):
+        start = week * week_ns
+        curve = np_step_interpolate(times, values, grid + start)
+        if cumulative:
+            base = np_step_interpolate(times, values, np.asarray([start]))[0]
+            end = np_step_interpolate(times, values, np.asarray([start + week_ns]))[0]
+            curve = curve - base
+            progresses.append(end - base)
+        curves.append(curve)
+    mean_progress = float(np.mean(progresses)) if progresses else 0.0
+    return np.mean(np.asarray(curves), axis=0).tolist(), mean_progress
+
+
+def np_optimal_curve(schedule, rates_bps, n_weeks, grid_points_per_week):
+    pieces = schedule.rate_profile(list(rates_bps))
+    grid = np.linspace(
+        0, n_weeks * schedule.week_ns, n_weeks * grid_points_per_week, endpoint=False
+    )
+    week_bytes = 0.0
+    boundaries = []
+    for start, end, rate in pieces:
+        boundaries.append((start, week_bytes, rate))
+        week_bytes += rate / 8.0 * (end - start) / 1e9
+    times = np.asarray(grid, dtype=np.int64)
+    out = np.empty(len(times), dtype=float)
+    starts = np.asarray([b[0] for b in boundaries], dtype=np.int64)
+    for i, t in enumerate(times):
+        week, phase = divmod(int(t), schedule.week_ns)
+        j = int(np.searchsorted(starts, phase, side="right") - 1)
+        start, cum, rate = boundaries[j]
+        out[i] = week * week_bytes + cum + rate / 8.0 * (phase - start) / 1e9
+    return times.tolist(), out.tolist()
+
+
+def np_constant_rate_curve(rate_bps, duration_ns, grid_points):
+    times = np.linspace(0, duration_ns, grid_points, endpoint=False)
+    return times.astype(np.int64).tolist(), (rate_bps / 8.0 * times / 1e9).tolist()
+
+
+class TestNumpyOracle:
+    @given(st.integers(1, 10**13))
+    @settings(max_examples=50)
+    def test_week_grid(self, week_ns):
+        assert week_grid(week_ns) == np_week_grid(week_ns).tolist()
+
+    @given(
+        post_warmup=st.integers(1, 140),
+        warmup=st.integers(0, 3),
+        week_ns=st.integers(400, 10**8),
+        seed=st.integers(0, 2**32 - 1),
+        cumulative=st.booleans(),
+    )
+    # NumPy's pairwise summation changes order at 8 and above 128 values.
+    @example(post_warmup=7, warmup=1, week_ns=7_919, seed=1, cumulative=True)
+    @example(post_warmup=8, warmup=1, week_ns=7_919, seed=2, cumulative=True)
+    @example(post_warmup=128, warmup=2, week_ns=7_919, seed=3, cumulative=True)
+    @example(post_warmup=140, warmup=2, week_ns=7_919, seed=4, cumulative=True)
+    @settings(max_examples=10, deadline=None)
+    def test_fold_series_by_week(self, post_warmup, warmup, week_ns, seed, cumulative):
+        rng = random.Random(seed)
+        total = warmup + post_warmup
+        level = 0.0
+        samples = []
+        for t in sorted(rng.randrange(total * week_ns) for _ in range(3 * total)):
+            level = level + rng.random() * 1e6 if cumulative else rng.random() * 1e3
+            samples.append((t, level))
+        args = (samples, week_ns, total, warmup)
+        ours = fold_series_by_week(*args, cumulative=cumulative)
+        assert ours == np_fold_series_by_week(*args, cumulative)
+
+    @given(
+        pattern=st.lists(st.integers(0, 2), min_size=1, max_size=6),
+        day_ns=st.integers(1_000, 10**6),
+        night_ns=st.integers(0, 10**5),
+        rates=st.lists(st.floats(1e6, 1e12), min_size=3, max_size=3),
+        n_weeks=st.integers(1, 3),
+        points=st.integers(1, 400),
+    )
+    @settings(max_examples=20, deadline=None)
+    def test_analytic_curves(self, pattern, day_ns, night_ns, rates, n_weeks, points):
+        schedule = TDNSchedule.uniform(pattern, day_ns, night_ns)
+        assert optimal_curve(
+            schedule, rates, n_weeks=n_weeks, grid_points_per_week=points
+        ) == np_optimal_curve(schedule, rates, n_weeks, points)
+        duration_ns = n_weeks * schedule.week_ns
+        assert constant_rate_curve(rates[0], duration_ns, points) == np_constant_rate_curve(
+            rates[0], duration_ns, points
+        )
 
 
 class TestStepInterpolate:

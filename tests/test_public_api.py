@@ -2,8 +2,12 @@
 
 import importlib
 import inspect
+import os
 import pathlib
 import re
+import subprocess
+import sys
+import textwrap
 
 import pytest
 
@@ -120,6 +124,45 @@ def test_no_environment_knobs():
         if "os.environ" in (text := path.read_text()) or "getenv" in text
     ]
     assert offenders == []
+
+
+def test_the_package_runs_on_the_standard_library(tmp_path):
+    # NumPy is the test suite's oracle, never the product's dependency:
+    # a fresh interpreter that imports the CLI, draws a figure row,
+    # renders and exports it, and runs the workload engine must not
+    # have imported it.
+    script = textwrap.dedent(
+        """
+        import sys
+
+        import repro
+        import repro.experiments.cli
+        from repro.experiments.config import ExperimentConfig, WorkloadConfig
+        from repro.experiments.figures import fig2
+        from repro.experiments.report import figure_to_csv, render_fig10, render_seq_graph
+        from repro.experiments.runner import run_experiment
+
+        data = fig2(weeks=2, warmup_weeks=1, n_flows=1)
+        assert "optimal" in render_seq_graph(data) and render_fig10(data)
+        assert figure_to_csv(data, sys.argv[1])
+        workload = WorkloadConfig(
+            cdf="custom", custom_cdf=((0.0, 10_000), (1.0, 10_000)), max_flows=4
+        )
+        engine = run_experiment(ExperimentConfig(
+            variant="cubic", weeks=1, warmup_weeks=0, workload=workload,
+            collect_voq=False, collect_sequence=False,
+        ))
+        assert engine.workload_summary["completed"] == 4
+        print(sorted(name for name in sys.modules if name.split(".")[0] == "numpy"))
+        """
+    )
+    src = str(pathlib.Path(repro.__file__).resolve().parent.parent)
+    child = subprocess.run(
+        [sys.executable, "-c", script, str(tmp_path)],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True,
+    )
+    assert child.returncode == 0, child.stderr
+    assert child.stdout.strip() == "[]"
 
 
 def test_public_classes_have_docstrings():

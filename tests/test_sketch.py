@@ -18,6 +18,7 @@ from repro.obs.sketch import (
     PERCENTILE_LABELS,
     QuantileSketch,
     StreamStats,
+    quantile,
     sketch_from_samples,
 )
 
@@ -219,6 +220,30 @@ class TestQuantileSketch:
     def test_from_dict_rejects_foreign_payload(self):
         with pytest.raises(ValueError):
             QuantileSketch.from_dict({"kind": "histogram"})
+
+
+class TestExactQuantile:
+    @given(
+        st.one_of(
+            st.lists(st.integers(-10**9, 10**9), min_size=1, max_size=300),
+            st.lists(
+                st.floats(-1e12, 1e12, allow_nan=False, allow_infinity=False),
+                min_size=1, max_size=300,
+            ),
+        ),
+        st.floats(0.0, 1.0),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_equals_numpy(self, samples, q):
+        assert quantile(samples, q) == float(np.quantile(np.asarray(samples, dtype=float), q))
+
+    def test_range_is_checked_before_the_empty_answer(self):
+        assert quantile([], 0.5) == 0.0
+        for q in (-0.1, 1.5, float("nan")):
+            with pytest.raises(ValueError):
+                quantile([], q)
+            with pytest.raises(ValueError):
+                QuantileSketch().quantile(q)
 
 
 class TestSketchMetricFamily:
