@@ -29,6 +29,7 @@ from typing import Dict, List, Optional, Sequence, Tuple, Type
 
 from repro.apps.shortflows import ShortFlowRecord
 from repro.apps.tracegen import EmpiricalFlowSizes
+from repro.obs.outcome import WALL_SUMMARY_FIELDS  # the keys summary() adds from the wall clock
 from repro.obs.sketch import QuantileSketch
 from repro.obs.telemetry import Telemetry
 from repro.sim.rng import SeededRandom
@@ -51,17 +52,6 @@ SIZE_BINS: Tuple[Tuple[str, Optional[int]], ...] = (
 
 #: Documented CSV trace schema, in column order.
 TRACE_COLUMNS = ("start_ns", "src", "dst", "size_bytes")
-
-#: Wall-clock keys of :meth:`CompletionStats.summary` — host-dependent,
-#: so strip them before any determinism comparison (mirrors
-#: ``repro.obs.campaign.WALL_FIELDS``).
-WALL_SUMMARY_FIELDS = ("engine_wall_s", "engine_flows_per_sec")
-
-
-def strip_wall_fields(summary: dict) -> dict:
-    """A summary with the :data:`WALL_SUMMARY_FIELDS` removed — the
-    byte-stable digest two identical runs must agree on."""
-    return {k: v for k, v in summary.items() if k not in WALL_SUMMARY_FIELDS}
 
 _ADDRESS_RE = re.compile(r"^r(\d+)h(\d+)$")
 
@@ -330,8 +320,8 @@ class CompletionStats:
     def summary(self, duration_ns: int, n_src_racks: int, offered_load: float) -> dict:
         """JSON-ready digest. Deterministic except for the
         :data:`WALL_SUMMARY_FIELDS` (present only when ``finish()``
-        recorded a wall clock) — use :func:`strip_wall_fields` before
-        byte-comparing two summaries."""
+        recorded a wall clock) — compare two summaries through
+        :func:`repro.obs.outcome.strip_wall`."""
         out = {
             "started": self.started,
             "completed": self.completed,

@@ -17,6 +17,7 @@ from repro.experiments.variants import engine_flow_opener, get_variant
 from repro.faults.audit import InvariantAuditor, run_with_watchdog, write_repro_bundle
 from repro.faults.injectors import FaultInjector
 from repro.net.queues import DropTailQueue
+from repro.obs.outcome import outcome_digest, strip_wall
 from repro.obs.sketch import sketch_from_samples
 from repro.obs.telemetry import Telemetry
 from repro.rdcn.config import NotifierConfig
@@ -344,6 +345,20 @@ class ExperimentResult:
             "audit_report": self.audit_report,
             "fidelity_report": self.fidelity_report,
         }
+
+    def outcome(self) -> dict:
+        """:meth:`to_dict` without the host fields
+        (:data:`repro.obs.outcome.HOST_FIELDS`): what the run simulated.
+        Telemetry settings decide what a run writes, not what it
+        simulates, so the config reads with ``obs`` off."""
+        data = self.to_dict()
+        data["config"]["obs"] = None
+        return strip_wall(data)
+
+    def outcome_digest(self) -> str:
+        """The digest goldens pin: equal for two runs of one seeded
+        config, with or without telemetry, inline, pooled or cached."""
+        return outcome_digest(self.outcome())
 
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentResult":

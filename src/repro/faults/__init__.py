@@ -1,7 +1,8 @@
 """Deterministic fault injection, invariant auditing, and crash capture.
 
 See ``docs/robustness.md`` for the fault-plan JSON schema, the injector
-catalog, auditor modes, and the repro-bundle workflow.
+catalog, auditor modes, and the repro-bundle workflow. The executor-layer
+chaos harness is imported from :mod:`repro.faults.executor_chaos` itself.
 """
 
 from repro.faults.audit import (
@@ -12,30 +13,16 @@ from repro.faults.audit import (
     run_with_watchdog,
     write_repro_bundle,
 )
-from repro.faults.executor_chaos import (
-    EXECUTOR_FAULT_CATALOG,
-    ExecutorChaos,
-    ExecutorFaultPlan,
-    ExecutorFaultSpec,
-    load_executor_fault_plan,
-    truncate_journal_tail,
-)
 from repro.faults.injectors import FaultInjector
 from repro.faults.plan import FAULT_CATALOG, FaultPlan, FaultPlanError, FaultSpec
 
 __all__ = [
     "AUDIT_MODES",
-    "EXECUTOR_FAULT_CATALOG",
-    "ExecutorChaos",
-    "ExecutorFaultPlan",
-    "ExecutorFaultSpec",
     "FAULT_CATALOG",
     "FaultInjector",
     "FaultPlan",
     "FaultPlanError",
     "FaultSpec",
-    "load_executor_fault_plan",
-    "truncate_journal_tail",
     "InvariantAuditor",
     "InvariantViolation",
     "WatchdogExceeded",

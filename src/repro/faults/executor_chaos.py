@@ -46,6 +46,8 @@ from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
+from repro.experiments.executor import execute_config_dict, execute_config_dict_hb
+from repro.experiments.runner import set_worker_heartbeat
 from repro.faults.plan import FaultPlanError
 from repro.sim.rng import SeededRandom
 
@@ -319,12 +321,6 @@ def execute_config_dict_chaos(
 ) -> dict:
     """Worker entry point under chaos: applies ``directive`` then runs
     the config through the normal (heartbeating) path."""
-    # Imported lazily: repro.experiments.runner imports repro.faults.*,
-    # so a module-level import here would make ``import repro.faults``
-    # circular. Workers only pay this once per process.
-    from repro.experiments.executor import execute_config_dict, execute_config_dict_hb
-    from repro.experiments.runner import set_worker_heartbeat
-
     kind = directive.get("kind")
     if kind == "worker_kill":
         after = int(directive.get("after_events", 0))

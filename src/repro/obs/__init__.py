@@ -11,6 +11,8 @@ evaluation relied on (``ss -ti`` dumps, ``tcp_probe``-style probes):
   (DDSketch-style) and streaming moment stats;
 * :mod:`repro.obs.campaign` — the run-lifecycle event bus (JSONL
   campaign log, worker heartbeats, live TTY view);
+* :mod:`repro.obs.outcome` — what a run produced: the host-dependent
+  fields and the outcome digest every golden hashes;
 * :mod:`repro.obs.exporters` — JSONL, Chrome trace-event JSON
   (Perfetto-loadable, TDNs as tracks), and CSV time series;
 * :mod:`repro.obs.profiling` — per-callback wall-time attribution for

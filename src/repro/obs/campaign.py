@@ -47,6 +47,8 @@ import time
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, IO, Iterable, List, Optional, Sequence
 
+from repro.obs.outcome import WALL_FIELDS, strip_wall
+
 __all__ = [
     "CAMPAIGN_SCHEMA_VERSION",
     "EVENT_SCHEMA",
@@ -128,11 +130,6 @@ _ENDING_STATE = {"cache_hit": "cached", "finished": "finished", "failed": "faile
 #: and a kill-then-resume journal of the same seeded campaign digest
 #: byte-identically.
 META_EVENTS = ("campaign_resume", "campaign_abort")
-
-#: Wall-clock-derived fields, stripped (recursively) by
-#: :func:`campaign_summary` so summaries of identical seeded campaigns
-#: compare byte-identical.
-WALL_FIELDS = ("wall_ms", "wall_s", "events_per_s", "eta_s")
 
 
 def validate_record(record: Any) -> List[str]:
@@ -275,18 +272,6 @@ class CampaignLog:
         self.close()
 
 
-def _strip_wall(value: Any) -> Any:
-    if isinstance(value, dict):
-        return {
-            key: _strip_wall(item)
-            for key, item in value.items()
-            if key not in WALL_FIELDS
-        }
-    if isinstance(value, list):
-        return [_strip_wall(item) for item in value]
-    return value
-
-
 @dataclass
 class RunState:
     """One run's lifecycle state, folded from its records.
@@ -399,7 +384,7 @@ class CampaignFold:
             self.total += record.get("total", 0)
             return None
         if event == "campaign_end":
-            self._merge_stats(_strip_wall(record.get("stats", {})))
+            self._merge_stats(strip_wall(record.get("stats", {})))
             return None
         label = record.get("run")
         if not label:

@@ -569,6 +569,7 @@ class FluidFastPath:
                             )
                 for flow in completed:
                     self._materialize_sender(flow)
+                    flow.sender._maybe_send()
                     group.flows.pop(flow.key, None)
                 if hook is not None:
                     hook(round_end, int(round(q_new)))
@@ -593,7 +594,8 @@ class FluidFastPath:
         """Bring the sender's packet-level state up to date with what
         the span delivered: scoreboard stays empty, so advancing both
         ``snd_nxt`` and ``snd_una`` by the delivered bytes leaves every
-        per-path counter invariant-consistent."""
+        per-path counter invariant-consistent. Releases the fluid hold;
+        the caller decides when the sender next sends."""
         sender = flow.sender
         nbytes = flow.span_bytes
         if nbytes:
@@ -604,7 +606,6 @@ class FluidFastPath:
         flow.span_bytes = 0
         flow._acc = 0.0
         sender._fluid_hold = False
-        sender._maybe_send()
 
     def _exit_span(self, group: _Group, reason: str, resume: bool = True) -> None:
         """Advance to now, re-materialize every sender, return the group
@@ -626,22 +627,13 @@ class FluidFastPath:
         stagger = 0
         step = self.config.nominal_rtt_ns(0) // max(len(flows), 1)
         for flow in flows:
-            sender = flow.sender
-            nbytes = flow.span_bytes
-            if nbytes:
-                sender.snd_nxt += nbytes
-                sender.snd_una = sender.snd_nxt
-                sender.stats.bytes_acked += nbytes
-                sender.stats.segments_sent += -(-nbytes // self._mss)
-            flow.span_bytes = 0
-            flow._acc = 0.0
+            self._materialize_sender(flow)
             flow.admitted = False
-            sender._fluid_hold = False
             if resume:
                 if stagger == 0:
-                    sender._maybe_send()
+                    flow.sender._maybe_send()
                 else:
-                    self.sim.schedule(stagger, sender._maybe_send)
+                    self.sim.schedule(stagger, flow.sender._maybe_send)
                 stagger += step
         if self._tp_span.enabled:
             self._tp_span.emit(

@@ -9,8 +9,6 @@ from repro.tcp.cc.base import CongestionControl, CCClock, register_cc, make_cong
 from repro.tcp.cc.reno import RenoCC
 from repro.tcp.cc.cubic import CubicCC
 from repro.tcp.cc.dctcp import DCTCPCC
-from repro.tcp.cc.highspeed import HighSpeedCC
-from repro.tcp.cc.westwood import WestwoodCC
 
 __all__ = [
     "CongestionControl",
@@ -21,6 +19,4 @@ __all__ = [
     "RenoCC",
     "CubicCC",
     "DCTCPCC",
-    "HighSpeedCC",
-    "WestwoodCC",
 ]

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import hashlib
-import json
 import pathlib
 from contextlib import contextmanager
 from dataclasses import replace
@@ -12,6 +11,7 @@ from typing import Optional, Tuple, Type
 from repro.net.link import Link
 from repro.net.node import Host
 from repro.net.packet import TCPSegment
+from repro.obs.outcome import outcome_digest
 from repro.rdcn.config import NotifierConfig, RDCNConfig
 from repro.rdcn.topology import build_two_rack_testbed
 from repro.sim.events import Channel, EventQueue
@@ -120,7 +120,7 @@ def notification_fingerprint(
     sim.run(until=cfg.week_ns * 3)
 
     def sha(value) -> str:
-        return hashlib.sha256(json.dumps(value).encode()).hexdigest()[:16]
+        return outcome_digest(value)[:16]
 
     latencies = testbed.notifier.delivery_latency_samples
     fingerprint = {
@@ -191,21 +191,18 @@ def engine_fingerprint(
     fabric: str, seed: int, periods: int, max_flows: Optional[int] = None, load: float = 0.4
 ) -> dict:
     """Everything a :func:`tdtcp_engine` run reports about its flows
-    after ``periods`` weeks/cycles: the wall-stripped summary and the
-    serialized sketches, hashed, plus the counts a reader wants to see.
+    after ``periods`` weeks/cycles: the ``outcome_digest`` of the summary
+    and the serialized sketches, plus the counts a reader wants to see.
     """
-    from repro.apps.engine import strip_wall_fields
-
     testbed, engine, period_ns = tdtcp_engine(fabric, seed, max_flows, load)
     horizon_ns = periods * period_ns
     testbed.sim.run(until=horizon_ns)
     stats = engine.finish()
-    summary = strip_wall_fields(stats.summary(horizon_ns, engine.n_racks, engine.load))
-    text = json.dumps({"summary": summary, "sketches": stats.sketches()}, sort_keys=True)
+    summary = stats.summary(horizon_ns, engine.n_racks, engine.load)
     return {
         "started": stats.started,
         "completed": stats.completed,
-        "sha256": hashlib.sha256(text.encode()).hexdigest(),
+        "sha256": outcome_digest({"summary": summary, "sketches": stats.sketches()}),
     }
 
 

@@ -204,6 +204,22 @@ class TestCache:
         assert ex2.last_batch.executed == 1
         assert again.artifacts  # telemetry really ran
 
+    def test_outcome_digest_ignores_telemetry_and_the_cache(self, tmp_path):
+        """What a run simulated has one digest: fresh or served from the
+        cache, telemetry and profiling on or off. Another seed, another
+        digest."""
+        config = small_config()
+        [fresh] = ExperimentExecutor(cache_dir=str(tmp_path)).run_batch([config])
+        warm = ExperimentExecutor(cache_dir=str(tmp_path))
+        [cached] = warm.run_batch([config])
+        assert warm.last_batch.cache_hits == 1
+        observed = run_experiment(replace(config, obs=ObsConfig(
+            trace_dir=str(tmp_path / "trace"), profile=True)))
+        assert observed.artifacts and observed.profile_report
+        digest = fresh.outcome_digest()
+        assert cached.outcome_digest() == observed.outcome_digest() == digest
+        assert run_experiment(replace(config, seed=2)).outcome_digest() != digest
+
     def test_use_cache_false_disables_cache(self, tmp_path):
         config = small_config()
         ex = ExperimentExecutor(cache_dir=str(tmp_path), use_cache=False)

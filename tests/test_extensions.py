@@ -1,5 +1,5 @@
-"""Extensions beyond the headline reproduction: extra CCAs, per-TDN
-CCAs, background traffic, the N-rack rotor schedule, sweeps, CLI."""
+"""Extensions beyond the headline reproduction: per-TDN CCAs,
+background traffic, the N-rack rotor schedule, sweeps, CLI."""
 
 import pytest
 from hypothesis import given, settings
@@ -18,85 +18,10 @@ from repro.rdcn.rotor import (
     schedule_for_pair,
 )
 from repro.sim import SeededRandom, Simulator
-from repro.tcp.cc import HighSpeedCC, WestwoodCC, make_congestion_control
-from repro.tcp.cc.highspeed import hstcp_a, hstcp_b
 from repro.tcp.sockets import create_connection_pair
 from repro.units import gbps, msec, usec
 
 from tests.helpers import two_hosts
-
-
-class FakeClock:
-    def __init__(self):
-        self.t = 0
-
-    def now_ns(self):
-        return self.t
-
-    def advance(self, ns):
-        self.t += ns
-
-
-class TestHighSpeedCC:
-    def test_registered(self):
-        cc = make_congestion_control("highspeed", FakeClock())
-        assert isinstance(cc, HighSpeedCC)
-
-    def test_reno_regime_below_38(self):
-        assert hstcp_a(20) == 1.0
-        assert hstcp_b(20) == 0.5
-
-    def test_aggressive_above_38(self):
-        assert hstcp_a(1000) > 1.0
-        assert hstcp_b(1000) < 0.5
-
-    def test_monotone_response(self):
-        a_values = [hstcp_a(w) for w in (50, 200, 1000, 10_000)]
-        assert a_values == sorted(a_values)
-        b_values = [hstcp_b(w) for w in (50, 200, 1000, 10_000)]
-        assert b_values == sorted(b_values, reverse=True)
-
-    def test_large_window_reduction_is_gentle(self):
-        cc = HighSpeedCC(FakeClock(), initial_cwnd=1000)
-        cc.on_congestion_event()
-        assert cc.cwnd > 600  # b(1000) ~ 0.33, far gentler than 0.5
-
-    def test_growth_faster_than_reno_at_large_window(self):
-        cc = HighSpeedCC(FakeClock(), initial_cwnd=1000)
-        cc.ssthresh = 500  # congestion avoidance
-        cc.on_ack(1000, usec(100), 1000)
-        assert cc.cwnd > 1001.0  # reno would add exactly 1
-
-
-class TestWestwoodCC:
-    def test_registered(self):
-        cc = make_congestion_control("westwood", FakeClock())
-        assert isinstance(cc, WestwoodCC)
-
-    def test_bandwidth_estimate_converges(self):
-        clock = FakeClock()
-        cc = WestwoodCC(clock, initial_cwnd=10, mss=1500)
-        # 10 packets per 100 us = 1500*8*10 / 100us = 1.2 Gbps.
-        for _ in range(100):
-            clock.advance(usec(100))
-            cc.on_ack(10, usec(100), 10)
-        assert cc.bw_estimate_bps == pytest.approx(1.2e9, rel=0.3)
-
-    def test_loss_sets_window_to_bdp(self):
-        clock = FakeClock()
-        cc = WestwoodCC(clock, initial_cwnd=100, mss=1500)
-        for _ in range(100):
-            clock.advance(usec(100))
-            cc.on_ack(10, usec(100), 10)
-        cc.cwnd = 100
-        cc.on_congestion_event()
-        # BDP = 1.2 Gbps * 100 us / (8 * 1500) = 10 packets.
-        assert cc.ssthresh == pytest.approx(10, rel=0.5)
-
-    def test_loss_without_estimate_halves(self):
-        cc = WestwoodCC(FakeClock(), initial_cwnd=40)
-        cc.on_congestion_event()
-        assert cc.cwnd == 20
 
 
 class TestPerTDNCCAs:
@@ -135,7 +60,7 @@ class TestPerTDNCCAs:
             sim, a, b,
             connection_cls=TDTCPConnection,
             tdn_count=2,
-            cc_names=["cubic", "westwood"],
+            cc_names=["cubic", "reno"],
         )
         client.start_bulk()
         sim.run(until=msec(5))

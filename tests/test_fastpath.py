@@ -7,12 +7,8 @@ pieces the integrator builds on (schedule segmentation, fluid cwnd
 growth).
 """
 
-import hashlib
-import json
-
 import pytest
 
-from repro.apps.engine import strip_wall_fields
 from repro.experiments.config import ExperimentConfig, WorkloadConfig
 from repro.experiments.runner import run_experiment
 from repro.faults.plan import FaultPlan, FaultSpec
@@ -165,12 +161,7 @@ class TestDeterminism:
         result = run_experiment(config)
         assert result.fidelity_report["fluid_spans"] == 2
         assert len(result.notification_latencies) == 8 * 8 * 2 * 8
-        summary = result.to_dict()
-        for wall_key in ("events_per_second", "profile_report", "artifacts"):
-            del summary[wall_key]
-        summary["workload_summary"] = strip_wall_fields(summary["workload_summary"])
-        text = json.dumps(summary, sort_keys=True)
-        assert hashlib.sha256(text.encode()).hexdigest() == (
+        assert result.outcome_digest() == (
             "c6079ea53f49501260832fecc1f1ddce6dda823f9a7ec2fe8962492d88801a0c"
         )
 

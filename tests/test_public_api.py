@@ -54,8 +54,6 @@ MODULES = [
     "repro.tcp.cc.reno",
     "repro.tcp.cc.cubic",
     "repro.tcp.cc.dctcp",
-    "repro.tcp.cc.highspeed",
-    "repro.tcp.cc.westwood",
     "repro.core",
     "repro.core.tdtcp",
     "repro.core.tdn_state",
@@ -78,6 +76,7 @@ MODULES = [
     "repro.obs",
     "repro.obs.tracepoints",
     "repro.obs.metrics",
+    "repro.obs.outcome",
     "repro.obs.exporters",
     "repro.obs.profiling",
     "repro.obs.telemetry",

@@ -2,8 +2,6 @@
 the squeeze/resize clamp composition, ECN boundary semantics, fault
 interaction, and the pool-conservation audit."""
 
-import hashlib
-import json
 import random
 
 import pytest
@@ -17,6 +15,7 @@ from repro.net.queues import (
     DropTailQueue,
     SharedBufferPool,
 )
+from repro.obs.outcome import outcome_digest
 from repro.obs.telemetry import ObsConfig, Telemetry
 from repro.rdcn.config import RDCNConfig
 from repro.rdcn.fabric import NetworkPath, RackUplink
@@ -190,7 +189,7 @@ class TestECNBoundary:
             log.append((len(q), q.drops, q.marks, q.enqueued, q.max_occupancy,
                         pool.used, pool.peak_used, pool.rejections))
         assert (sum(q.marks for q in queues), pool.rejections) == (492, 433)
-        assert hashlib.sha256(json.dumps(log).encode()).hexdigest() == (
+        assert outcome_digest(log) == (
             "859e36345be52e6294529a890753fc5d14370a575c7d07adb9a9bb4f8563ec1b"
         )
 

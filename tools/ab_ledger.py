@@ -5,10 +5,13 @@
     python3 tools/ab_ledger.py --parent HEAD~1 --pairs 12 --seed 7
 
 Checks ``--parent`` out into a temporary directory (``git archive``:
-nothing is left in ``.git``, the directory is removed on exit),
-byte-compiles both trees, and runs the ledger's documented child command
+nothing is left in ``.git``, the directory is removed on exit) and runs
+the ledger's documented child command
 ``benchmarks/ledger/run.py --workload W --seed S --seconds 15 --trace 0``
-``--pairs`` times in each tree, alternating which side goes first. It
+``--pairs`` times in each tree, alternating which side goes first, under
+``PYTHONDONTWRITEBYTECODE=1``: like a fresh checkout, each child compiles
+``src/`` inside ``setup_s`` (a ``__pycache__`` left in the working tree
+would spare the change side that cost). It
 measures nothing itself: every number is read from the child's last-line
 JSON and its ``ledger-detail:`` line. Output is one markdown row per
 (workload, end-to-end metric) with the verdict of the rule a speed claim
@@ -39,17 +42,11 @@ import tempfile
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 
-def prepare(tree: pathlib.Path) -> None:
-    """Byte-compile what a child imports, so neither side pays for it in ``setup_s``."""
-    env = {k: v for k, v in os.environ.items() if k != "PYTHONDONTWRITEBYTECODE"}
-    subprocess.run([sys.executable, "-m", "compileall", "-q", "src", "benchmarks/ledger"],
-                   cwd=tree, env=env, check=True)
-
-
 def run_child(tree: pathlib.Path, workload: str, seed: int, smoke: bool) -> dict:
     command = [sys.executable, "benchmarks/ledger/run.py", "--workload", workload,
                "--seed", str(seed), "--seconds", "15", "--trace", "0"]
     proc = subprocess.run(command + (["--smoke"] if smoke else []), cwd=tree,
+                          env=dict(os.environ, PYTHONDONTWRITEBYTECODE="1"),
                           stdout=subprocess.PIPE, text=True)
     lines = proc.stdout.strip().splitlines()
     if len(lines) < 2 or not lines[-2].startswith("ledger-detail: "):
@@ -106,8 +103,6 @@ def main(argv=None) -> int:
                                  stdout=subprocess.PIPE, check=True)
         subprocess.run(["tar", "-x", "-C", tmp], input=archive.stdout, check=True)
         trees = {"parent": parent_tree, "change": ROOT}
-        for tree in trees.values():
-            prepare(tree)
         print("| workload | seed | metric | pairs | parent median [q1, q3] | "
               "change median [q1, q3] | Δ median | change better | parent IQR | verdict |")
         print("|---|---|---|---|---|---|---|---|---|---|")
