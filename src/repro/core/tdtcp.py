@@ -34,6 +34,8 @@ from repro.tcp.rack import default_reo_wnd_ns
 class TDTCPConnection(TCPConnection):
     """TCP with time-division multiplexed congestion state."""
 
+    listens_to_tdn_changes = True
+
     def __init__(
         self,
         sim: Simulator,

@@ -458,6 +458,9 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
         telemetry = Telemetry(config.obs).attach(sim)
 
     testbed = build_two_rack_testbed(rdcn, sim=sim)
+    if not variant.listens_to_tdn_changes():
+        # Nothing but the notifier's latency recorder will listen.
+        testbed.notifier.announce_without_events(config.duration_ns)
 
     # Campaign liveness: wire the process-wide heartbeat hook (if any)
     # onto this run's simulator. Heartbeats never alter simulation

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from typing import Dict, Optional, Tuple, Type
 
 from repro.core.tdtcp import TDTCPConnection
-from repro.mptcp.connection import create_mptcp_pair
+from repro.mptcp.connection import MPTCPConnection, create_mptcp_pair
 from repro.rdcn.topology import TwoRackTestbed
 from repro.retcp.dynbuf import DynamicBufferController
 from repro.retcp.retcp import ReTCPConnection
@@ -35,6 +35,11 @@ class VariantSpec:
     unoptimized_notifier: bool = False
     connection_cls: Optional[Type[TCPConnection]] = TCPConnection
     cc_name: str = "cubic"
+
+    def listens_to_tdn_changes(self) -> bool:
+        """Whether this variant's connections subscribe to TDN-change
+        notifications."""
+        return self.connection_cls.listens_to_tdn_changes
 
     def prepare(self, testbed: TwoRackTestbed, exp_config) -> dict:
         """Per-run context (e.g. the retcpdyn controller)."""
@@ -78,6 +83,9 @@ class MPTCPVariant(VariantSpec):
             description="MPTCP, 2 subflows pinned per network, tdm_schd scheduler",
             connection_cls=None,
         )
+
+    def listens_to_tdn_changes(self) -> bool:
+        return MPTCPConnection.listens_to_tdn_changes
 
     def make_flow(self, testbed, src, dst, index, exp_config, context):
         return create_mptcp_pair(

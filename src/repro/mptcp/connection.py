@@ -54,6 +54,9 @@ class MPTCPStats:
 class MPTCPConnection:
     """Coordinator over subflows (it is not itself a TCP endpoint)."""
 
+    # The tdm_schd scheduler follows TDN changes (repro.rdcn.notifier).
+    listens_to_tdn_changes = True
+
     def __init__(
         self,
         sim: Simulator,

@@ -11,12 +11,14 @@ through :meth:`Host.deliver` (links, fault injectors, hand-built
 tests), or from the control network's rack walk
 (:class:`repro.rdcn.notifier.TDNNotifier`, on either fabric), which asks
 with the two header fields and builds a packet only for a host that has
-a listener besides the notifier itself.
+a listener besides the notifier itself. A run in which nothing but the
+notifier listens asks the same way, without events, and then refuses
+new listeners (:meth:`Host.subscribe_tdn_changes`).
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Protocol
+from typing import Any, Callable, Dict, List, Optional, Protocol
 
 from repro.net.addressing import FlowKey
 from repro.net.link import Link
@@ -55,6 +57,9 @@ class Host:
         self.max_tdn_id: Optional[int] = None
         self.stale_notifications = 0
         self._last_notify_seq: Optional[int] = None
+        # The TDNNotifier announcing to this host (set by its add_rack);
+        # None for a hand-wired host.
+        self.notifier: Optional[Any] = None
         self._tp_stale = Telemetry.of(sim).tracepoint("notifier:stale")
 
     # ------------------------------------------------------------------
@@ -78,7 +83,15 @@ class Host:
         self._connections.pop(key, None)
 
     def subscribe_tdn_changes(self, callback: Callable[[TDNNotification], None]) -> None:
-        """Subscribe to ICMP TDN-change notifications delivered to this host."""
+        """Subscribe to ICMP TDN-change notifications delivered to this
+        host. Raises while the host's notifier announces without events
+        (the run declared nothing listens): the callback would never run."""
+        if self.notifier is not None and self.notifier.event_free:
+            raise RuntimeError(
+                f"host {self.address}: its notifier announces TDN changes without "
+                "events, so this listener would never be called (the run's "
+                "connection class declares listens_to_tdn_changes = False)"
+            )
         self._tdn_listeners.append(callback)
 
     def unsubscribe_tdn_changes(self, callback: Callable[[TDNNotification], None]) -> None:

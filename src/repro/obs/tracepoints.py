@@ -70,6 +70,15 @@ TRACEPOINT_CATALOG: Dict[str, Tuple[Tuple[str, ...], str]] = {
         ("where", "name", "tdn", "reason"),
         "stale/duplicate/unknown TDN notification counted and ignored (§3.2 tolerance)",
     ),
+    "fastpath:span": (
+        ("phase", "pair", "flows", "reason", "span_ns"),
+        "fluid span entered (phase=enter) or left (phase=exit, with its reason and "
+        "length) on one uplink direction (repro.sim.fastpath)",
+    ),
+    "fastpath:virtual_loss": (
+        ("pair", "tdn", "cwnd"),
+        "analytic VOQ-overflow loss applied to one fluid flow's window (repro.sim.fastpath)",
+    ),
     "workload:flow_start": (
         ("src", "dst", "size_bytes"),
         "workload-engine flow launched (repro.apps.engine)",

@@ -39,12 +39,32 @@ off what the code observes and not off an option: an armed
 arms it too, because its gate wraps ``host.deliver``) and the shared
 data network (a real packet on a real link) take the per-host path —
 on either fabric: nothing else in ``src/`` builds a ``TDNNotification``.
+
+**An announcement nobody listens to costs no events.** A run whose
+connection class declares it never listens to TDN changes
+(``listens_to_tdn_changes``: plain TCP and reTCP do not, TDTCP and MPTCP
+do) arms :meth:`TDNNotifier.announce_without_events` with its horizon.
+While no fault hook is armed, the control network is dedicated, the
+fabric has no per-rack TDN ids and ``notifier:deliver`` is off, each
+announcement is the rack path's arithmetic done at once: the same
+generation draws in rack order, the same ``notify_seq`` blocks in emit
+order, every host's ingress through :meth:`Host.notification_arrived`
+(only for an arrival at or before the horizon, as an arrival event
+past it would never have fired), and one pending ``(processing instant,
+arrival instant, generated, hosts)`` entry per run of a rack's hosts
+with one processing delay. ``delivery_latency_samples`` takes an entry
+in once the clock has reached its processing instant, in the order the
+rack path's events would have recorded it, so nothing processed after
+the horizon is recorded. A listener that subscribes meanwhile is refused
+(:meth:`Host.subscribe_tdn_changes` raises): it would never be called.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Dict, List, Tuple
+from heapq import heappop, heappush
+from operator import itemgetter
+from typing import Dict, List, Optional, Tuple
 
 from repro.net.node import Host
 from repro.net.packet import MAX_TDN_ID, TDNNotification
@@ -133,8 +153,14 @@ class TDNNotifier:
         # ([] drops, [0] delivers on time, extra entries duplicate).
         self.fault_hook = None
         # Latency samples (ns) from generation decision to host dispatch,
-        # recorded for the §5.4 microbenchmarks.
-        self.delivery_latency_samples: List[int] = []
+        # recorded for the §5.4 microbenchmarks (read them through
+        # delivery_latency_samples), and the event-free announcements'
+        # entries not yet due: a heap of (processing instant, arrival
+        # instant, generated_ns, hosts).
+        self._samples: List[int] = []
+        self._pending: List[Tuple[int, int, int, int]] = []
+        # The run's horizon once announce_without_events armed it.
+        self._event_free_until: Optional[int] = None
         self._tp_deliver = Telemetry.of(sim).tracepoint("notifier:deliver")
         # One bound-method object, so the rack walk can tell by identity
         # that a host's only listener is this recorder.
@@ -156,6 +182,52 @@ class TDNNotifier:
         for index, host in enumerate(hosts):
             host.notification_processing_ns = self.host_processing_delay_ns(index)
             host.subscribe_tdn_changes(self._recorder)
+            host.notifier = self
+
+    def announce_without_events(self, until_ns: int) -> None:
+        """Arm event-free announcements for a run to ``until_ns`` in
+        which nothing but this notifier's latency recorder listens (see
+        the module docstring). Raises if a host already has another
+        listener."""
+        for hosts in self._hosts_by_rack.values():
+            for host in hosts:
+                if host._tdn_listeners != [self._recorder]:
+                    raise RuntimeError(
+                        f"host {host.address} has a TDN-change listener besides "
+                        "the latency recorder"
+                    )
+        self._event_free_until = until_ns
+
+    @property
+    def event_free(self) -> bool:
+        """True while an announcement costs no events: armed by
+        :meth:`announce_without_events`, no fault hook, the dedicated
+        control network, no per-rack TDN ids and ``notifier:deliver``
+        off."""
+        return (
+            self._event_free_until is not None
+            and self.fault_hook is None
+            and self.config.dedicated_network
+            and self.tdn_id_of is None
+            and not self._tp_deliver.enabled
+        )
+
+    @property
+    def delivery_latency_samples(self) -> List[int]:
+        """Send-to-processed latencies (ns, §5.4's end-to-end metric) in
+        processing order, up to the current instant."""
+        if self._pending:
+            self._take_due()
+        return self._samples
+
+    def _take_due(self) -> None:
+        """Record the pending entries whose processing instant has come."""
+        pending = self._pending
+        samples = self._samples
+        now = self.sim.now
+        while pending and pending[0][0] <= now:
+            instant, _arrival, generated_ns, hosts = heappop(pending)
+            samples.extend([instant - generated_ns] * hosts)
 
     def _record_latency(self, notification: TDNNotification) -> None:
         """Record send-to-processed latency (§5.4's end-to-end metric)."""
@@ -196,9 +268,50 @@ class TDNNotifier:
         self._announce(next_tdn)
 
     def _announce(self, tdn_id: int) -> None:
+        if self.event_free:
+            self._announce_without_events(tdn_id)
+            return
         for tor in self._racks:
             delay = self.generation_delay_ns()
             self.sim.schedule(delay, self._emit, tor, tdn_id, self.sim.now)
+
+    def _announce_without_events(self, tdn_id: int) -> None:
+        """The rack path's legs as arithmetic: ``_emit`` at ``now +
+        delay`` (the emits fire in delay order, ties in rack order, and
+        take their ``notify_seq`` blocks so), ``_arrive_at_rack`` a
+        control delay later, ``_process`` at each processing delay after
+        that. A leg past the horizon is not taken, as its event would
+        not have fired."""
+        pending = self._pending
+        if pending:
+            self._take_due()  # keeps the heap to the announcements in flight
+        now = self.sim.now
+        until = self._event_free_until
+        control_ns = self.config.control_delay_ns
+        delays = [self.generation_delay_ns() for _tor in self._racks]
+        for delay, tor in sorted(zip(delays, self._racks), key=itemgetter(0)):
+            if now + delay > until:
+                break
+            hosts = self._hosts_by_rack.get(tor.rack, [])
+            seq = self._notify_seq
+            self._notify_seq += len(hosts)
+            self.notifications_sent += len(hosts)
+            arrival = now + delay + control_ns
+            if arrival > until:
+                continue
+            # A run of fresh hosts with one processing delay is one
+            # entry, as it is one _process event on the rack path.
+            runs: List[List[int]] = []  # [processing delay, hosts]
+            for host in hosts:
+                if host.notification_arrived(seq, tdn_id):
+                    delay_ns = host.notification_processing_ns
+                    if runs and runs[-1][0] == delay_ns:
+                        runs[-1][1] += 1
+                    else:
+                        runs.append([delay_ns, 1])
+                seq += 1
+            for delay_ns, count in runs:
+                heappush(pending, (arrival + delay_ns, arrival, now, count))
 
     def _emit(self, tor: ToRSwitch, tdn_id: int, generated_ns: int) -> None:
         hosts = self._hosts_by_rack.get(tor.rack, [])

@@ -16,6 +16,7 @@ times before day starts (used by the reTCP-dyn buffer controller).
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence, Tuple
 
@@ -61,6 +62,16 @@ class TDNSchedule:
             offset += day.duration_ns + day.night_ns
         self.layout: Tuple[Tuple[int, Day], ...] = tuple(layout)
         self.week_ns = offset
+        # The week's non-empty segments for segment_at's bisect: their
+        # phase starts, and (phase start, phase end, tdn or None) each.
+        segments: List[Tuple[int, int, Optional[int]]] = []
+        for start, day in layout:
+            day_end = start + day.duration_ns
+            segments.append((start, day_end, day.tdn_id))
+            if day.night_ns > 0:
+                segments.append((day_end, day_end + day.night_ns, None))
+        self._segment_starts = [start for start, _end, _tdn in segments]
+        self._segments = segments
 
     @classmethod
     def uniform(cls, pattern: Sequence[int], day_ns: int, night_ns: int) -> "TDNSchedule":
@@ -78,17 +89,7 @@ class TDNSchedule:
 
     def active_at(self, time_ns: int) -> Optional[int]:
         """TDN active at absolute time, or None during a night."""
-        if time_ns < 0:
-            raise ValueError("time must be non-negative")
-        phase = time_ns % self.week_ns
-        for offset, day in self.layout:
-            if phase < offset:
-                break
-            if phase < offset + day.duration_ns:
-                return day.tdn_id
-            if phase < offset + day.duration_ns + day.night_ns:
-                return None
-        return None
+        return self.segment_at(time_ns)[2]
 
     def segment_at(self, time_ns: int) -> Tuple[int, int, Optional[int]]:
         """The schedule segment containing absolute time ``time_ns``:
@@ -99,18 +100,10 @@ class TDNSchedule:
         if time_ns < 0:
             raise ValueError("time must be non-negative")
         week_base = (time_ns // self.week_ns) * self.week_ns
-        phase = time_ns - week_base
-        for offset, day in self.layout:
-            day_end = offset + day.duration_ns
-            if phase < day_end:
-                return (week_base + offset, week_base + day_end, day.tdn_id)
-            if phase < day_end + day.night_ns:
-                return (
-                    week_base + day_end,
-                    week_base + day_end + day.night_ns,
-                    None,
-                )
-        raise AssertionError("phase outside week")  # pragma: no cover
+        start, end, tdn_id = self._segments[
+            bisect_right(self._segment_starts, time_ns - week_base) - 1
+        ]
+        return (week_base + start, week_base + end, tdn_id)
 
     def day_starts_in_week(self, tdn_id: Optional[int] = None) -> List[int]:
         """Phase offsets (within one week) at which days start; filter by

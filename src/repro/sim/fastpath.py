@@ -129,7 +129,7 @@ class _Group:
     __slots__ = (
         "pair", "uplink", "flows", "state", "last_ns", "q_pkts",
         "last_cut_ns", "span_event", "retry_event", "admit_event",
-        "drain_polls", "span_start_ns",
+        "drain_polls", "span_start_ns", "tdn_params",
     )
 
     def __init__(self, pair: Tuple[int, int], uplink):
@@ -145,6 +145,8 @@ class _Group:
         self.admit_event = None
         self.drain_polls = 0
         self.span_start_ns = 0
+        # tdn -> (nominal RTT ns, ns per MSS) on this uplink.
+        self.tdn_params: Dict[int, Tuple[int, float]] = {}
 
 
 class FluidFastPath:
@@ -460,15 +462,15 @@ class FluidFastPath:
     # ------------------------------------------------------------------
     # Integration
     # ------------------------------------------------------------------
-    def _active_path(self, sender: TCPConnection, tdn: int):
-        paths = sender.paths
-        if (
-            len(paths) > 1
-            and tdn < len(paths)
-            and not getattr(sender, "downgraded", False)
-        ):
-            return paths[tdn]
-        return paths[sender.current_path_index]
+    def _tdn_params(self, group: _Group, tdn: int) -> Tuple[int, float]:
+        """``(nominal RTT ns, serialization ns per MSS)`` of ``group``'s
+        uplink while ``tdn`` is up, worked out once per group."""
+        params = group.tdn_params.get(tdn)
+        if params is None:
+            rate = group.uplink.rate_for_tdn(tdn)
+            params = (self.config.nominal_rtt_ns(tdn), self._mss * 8 * SEC / rate)
+            group.tdn_params[tdn] = params
+        return params
 
     def _advance_group(self, group: _Group, to_ns: int) -> None:
         """Integrate the fluid model from ``group.last_ns`` to ``to_ns``
@@ -480,14 +482,19 @@ class FluidFastPath:
             return
         mss = self._mss
         mss_bits = mss * 8
-        schedule = self.schedule
+        host_rate = self._host_rate
+        segment_at = self.schedule.segment_at
         base = self._base_ns
         cap_pkts = fluid_queue_capacity(group.uplink.queue)
         hook = (
             self.occupancy_hook if group.pair == self.occupancy_pair else None
         )
+        tp_vloss = self._tp_vloss
+        # Admission flags only change outside this loop; completions
+        # inside it are the one reason to rebuild the list.
+        flows = [f for f in group.flows.values() if f.admitted]
         while t < to_ns and group.flows:
-            seg_start, seg_end, tdn = schedule.segment_at(t - base)
+            _seg_start, seg_end, tdn = segment_at(t - base)
             seg_end += base
             end = min(seg_end, to_ns)
             if tdn is None:
@@ -495,33 +502,53 @@ class FluidFastPath:
                 # clock, the queue neither fills nor drains.
                 t = end
                 continue
-            rate = group.uplink.rate_for_tdn(tdn)
-            base_rtt = self.config.nominal_rtt_ns(tdn)
-            pkt_ns = mss_bits * SEC / rate  # serialization ns per MSS
+            base_rtt, pkt_ns = self._tdn_params(group, tdn)
             while t < end and group.flows:
                 q = group.q_pkts
                 rtt_eff = base_rtt + q * pkt_ns
-                dt = min(end - t, rtt_eff)
+                dt = end - t
+                if rtt_eff < dt:
+                    dt = rtt_eff
                 if dt <= 0:
                     break
                 frac = dt / rtt_eff
                 # Per-round demand: the window, capped by what the host
                 # access link can carry in one RTT and, for sized flows,
                 # by the remaining application bytes.
-                host_round = self._host_rate * rtt_eff / SEC / mss_bits
-                flows = [f for f in group.flows.values() if f.admitted]
+                host_round = host_rate * rtt_eff / SEC / mss_bits
                 demands = []
+                demand_pkts = []
                 for flow in flows:
-                    path = self._active_path(flow.sender, tdn)
-                    d = min(path.cc.cwnd, host_round)
+                    # The path carrying this TDN: its own state set on a
+                    # (non-downgraded) TDTCP sender, the current one else.
+                    sender = flow.sender
+                    paths = sender.paths
+                    if (
+                        len(paths) > 1
+                        and tdn < len(paths)
+                        and not getattr(sender, "downgraded", False)
+                    ):
+                        path = paths[tdn]
+                    else:
+                        path = paths[sender.current_path_index]
+                    # min() / max() spelled out, ties resolved as they do.
+                    d = path.cc.cwnd
+                    if host_round < d:
+                        d = host_round
                     if flow.remaining is not None:
                         # ``remaining`` is kept net of delivered bytes by
                         # _deliver, so it alone caps the residual demand.
-                        d = min(d, flow.remaining / mss + 1.0)
-                    demands.append((flow, path, max(d, 0.0)))
-                arriving = sum(d for _f, _p, d in demands) * frac
-                served_cap = dt / pkt_ns
-                served = min(served_cap, q + arriving)
+                        residual = flow.remaining / mss + 1.0
+                        if residual < d:
+                            d = residual
+                    if 0.0 > d:
+                        d = 0.0
+                    demands.append((flow, path, d))
+                    demand_pkts.append(d)
+                arriving = sum(demand_pkts) * frac
+                served = dt / pkt_ns
+                if q + arriving < served:
+                    served = q + arriving
                 q_new = q + arriving - served
                 virtual_cut = False
                 if q_new > cap_pkts:
@@ -553,24 +580,24 @@ class FluidFastPath:
                         self._deliver(flow, delta, round_end)
                     # ACK-clocked growth: scale rounds by the fraction
                     # of the window actually acknowledged during dt.
-                    cwnd = path.cc.cwnd
+                    cc = path.cc
+                    cwnd = cc.cwnd
                     acked_rounds = share / cwnd if cwnd > 0 else 0.0
                     if acked_rounds > 0:
-                        path.cc.fluid_advance(
-                            t, int(acked_rounds * rtt_eff), int(rtt_eff)
-                        )
+                        cc.fluid_advance(t, int(acked_rounds * rtt_eff), int(rtt_eff))
                     if virtual_cut:
-                        path.cc.on_congestion_event()
+                        cc.on_congestion_event()
                         self.virtual_losses += 1
-                        if self._tp_vloss.enabled:
-                            self._tp_vloss.emit(
-                                round_end, pair=group.pair, tdn=tdn,
-                                cwnd=path.cc.cwnd,
+                        if tp_vloss.enabled:
+                            tp_vloss.emit(
+                                round_end, pair=group.pair, tdn=tdn, cwnd=cc.cwnd,
                             )
-                for flow in completed:
-                    self._materialize_sender(flow)
-                    flow.sender._maybe_send()
-                    group.flows.pop(flow.key, None)
+                if completed:
+                    for flow in completed:
+                        self._materialize_sender(flow)
+                        flow.sender._maybe_send()
+                        group.flows.pop(flow.key, None)
+                    flows = [f for f in group.flows.values() if f.admitted]
                 if hook is not None:
                     hook(round_end, int(round(q_new)))
                 t = round_end

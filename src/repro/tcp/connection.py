@@ -198,6 +198,10 @@ class TCPConnection:
 
     # Which TDN count to advertise in TD_CAPABLE (None = not TDTCP).
     td_capable_tdns: Optional[int] = None
+    # Whether the class subscribes to TDN-change notifications; a run
+    # whose connections do not lets the notifier announce without
+    # events (repro.rdcn.notifier).
+    listens_to_tdn_changes = False
 
     def __init__(
         self,

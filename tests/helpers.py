@@ -119,22 +119,50 @@ def notification_fingerprint(
     testbed.start()
     sim.run(until=cfg.week_ns * 3)
 
-    def sha(value) -> str:
-        return outcome_digest(value)[:16]
+    fingerprint = {"calls": len(calls), "calls_sha": outcome_digest(calls)[:16]}
+    fingerprint.update(notifier_fingerprint(testbed))
+    if listen_on is None:
+        del fingerprint["rx_packets"], fingerprint["last_seq"]
+    return fingerprint, calls
 
+
+def notifier_fingerprint(testbed) -> dict:
+    """What a two-rack testbed's notifier left behind: its latency
+    samples (count, sum and hash, in recorded order) and, per host, the
+    stale count, the arrivals (``rx_packets``) and the last accepted
+    ``notify_seq``."""
+    hosts = testbed.hosts[0] + testbed.hosts[1]
     latencies = testbed.notifier.delivery_latency_samples
-    fingerprint = {
-        "calls": len(calls),
-        "calls_sha": sha(calls),
+    return {
         "latencies": len(latencies),
         "latency_sum": sum(latencies),
-        "latencies_sha": sha(latencies),
+        "latencies_sha": outcome_digest(latencies)[:16],
         "stale": [host.stale_notifications for host in hosts],
+        "rx_packets": [host.rx_packets for host in hosts],
+        "last_seq": [host._last_notify_seq for host in hosts],
     }
-    if listen_on is not None:
-        fingerprint["rx_packets"] = [host.rx_packets for host in hosts]
-        fingerprint["last_seq"] = [host._last_notify_seq for host in hosts]
-    return fingerprint, calls
+
+
+def run_keeping_testbed(config, monkeypatch, per_host: bool = False):
+    """``run_experiment(config)`` and the two-rack testbed it built.
+    ``per_host`` arms a pass-through fault hook (every notification
+    once, on time: ``[0]``), which puts the notifier on its per-host
+    path."""
+    import repro.experiments.runner as runner
+
+    beds = []
+
+    def build(*args, **kwargs):
+        testbed = build_two_rack_testbed(*args, **kwargs)
+        if per_host:
+            testbed.notifier.fault_hook = lambda host, notification: [0]
+        beds.append(testbed)
+        return testbed
+
+    monkeypatch.setattr(runner, "build_two_rack_testbed", build)
+    result = runner.run_experiment(config)
+    assert result.failure is None
+    return result, beds[0]
 
 
 # The RPC mix of the ledger's ``rpc_churn``: small messages, so flows

@@ -2,10 +2,13 @@
 profiling, and the end-to-end determinism contract."""
 
 import json
+import pathlib
+import re
 
 import pytest
 
-from repro.experiments.config import ExperimentConfig
+import repro
+from repro.experiments.config import ExperimentConfig, WorkloadConfig
 from repro.experiments.runner import run_experiment
 from repro.obs import (
     DISABLED,
@@ -14,6 +17,7 @@ from repro.obs import (
     MetricsRegistry,
     ObsConfig,
     SimulatorProfiler,
+    TRACEPOINT_CATALOG,
     Telemetry,
     TracepointRegistry,
     render_chrome_trace,
@@ -64,6 +68,15 @@ class TestTracepoints:
         tp = registry.get("custom:probe")
         assert tp.name == "custom:probe"
         assert registry.get("custom:probe") is tp
+
+    def test_every_tracepoint_in_src_is_catalogued(self):
+        """A glob subscribes to catalogued names only, so a probe missing
+        from the catalog is left out of every trace that asked for it."""
+        names = set()
+        for path in pathlib.Path(repro.__file__).parent.rglob("*.py"):
+            names.update(re.findall(r'tracepoint\(\s*"([^"]+)"', path.read_text()))
+        assert {"fastpath:span", "fastpath:virtual_loss", "notifier:deliver"} <= names
+        assert names - set(TRACEPOINT_CATALOG) == set()
 
     def test_null_tracepoint_rejects_subscribers(self):
         assert not NULL_TRACEPOINT.enabled
@@ -246,6 +259,31 @@ class TestEndToEnd:
         occupancy = metrics["queue_occupancy_dist"]
         assert occupancy["kind"] == "sketch"
         assert "p99" in occupancy["series"][0]["value"]["percentiles"]
+
+    def test_a_tiered_run_traces_its_fluid_spans(self, tmp_path):
+        obs = ObsConfig(
+            trace_dir=str(tmp_path), tracepoints="fastpath:*", label="run",
+            chrome_trace=False, csv=False,
+        )
+        config = ExperimentConfig(
+            variant="cubic", weeks=12, warmup_weeks=2, seed=1, fidelity="tiered",
+            collect_voq=False, collect_sequence=False, obs=obs,
+            workload=WorkloadConfig(kind="empirical", cdf="data-mining", load=0.6),
+        )
+        result = run_experiment(config)
+        assert result.failure is None
+        records = [
+            json.loads(line) for line in (tmp_path / "run.jsonl").read_text().splitlines()
+        ]
+        spans = [r for r in records if r["tp"] == "fastpath:span"]
+        phases = [r["phase"] for r in spans]
+        assert phases.count("enter") == result.fidelity_report["fluid_spans"] > 0
+        assert phases.count("exit") == sum(result.fidelity_report["exit_reasons"].values())
+        losses = [r for r in records if r["tp"] == "fastpath:virtual_loss"]
+        assert len(losses) == result.fidelity_report["virtual_losses"] > 0
+        for record in records:
+            catalogued = TRACEPOINT_CATALOG[record["tp"]][0]
+            assert set(record) - {"tp", "ts"} <= set(catalogued)
 
     def test_disabled_obs_leaves_simulator_clean(self):
         config = ExperimentConfig(

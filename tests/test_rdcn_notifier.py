@@ -2,6 +2,8 @@
 
 import pytest
 
+from repro.experiments import ExperimentConfig, VARIANTS
+from repro.experiments.config import WorkloadConfig
 from repro.obs.sketch import quantile
 from repro.rdcn.config import NotifierConfig, RDCNConfig
 from repro.rdcn.notifier import TDNNotifier, sample_generation_delay_ns
@@ -10,7 +12,7 @@ from repro.rdcn.topology import build_two_rack_testbed
 from repro.sim import SeededRandom, Simulator
 from repro.units import gbps, usec
 
-from tests.helpers import notification_fingerprint
+from tests.helpers import notification_fingerprint, notifier_fingerprint, run_keeping_testbed
 
 
 class TestGenerationDelaySampling:
@@ -317,3 +319,55 @@ class TestRackAnnouncement:
         # 49,919 before the receiver stopped ticking a pace grid it never
         # sends on after every switch.
         assert testbed.sim.processed_events == 49_848
+
+
+class TestEventFreeAnnouncement:
+    """A run whose connection class never listens to TDN changes
+    announces without events: the same outcome, samples and host
+    ingress as the per-host path, in fewer events."""
+
+    def test_listening_is_declared_by_the_connection_class(self):
+        listening = {name for name, spec in VARIANTS.items() if spec.listens_to_tdn_changes()}
+        assert listening == {"mptcp", "tdtcp", "tdtcp-unopt"}
+
+    @pytest.mark.parametrize("case", ["engine", "bulk"])
+    def test_equals_the_per_host_path(self, case, monkeypatch):
+        if case == "engine":
+            config = ExperimentConfig(
+                variant="cubic", weeks=3, warmup_weeks=1, seed=1,
+                workload=WorkloadConfig(kind="empirical", load=0.4, max_flows=200),
+            )
+        else:
+            # Push model: host i processes i + 1 per-flow costs after its
+            # rack's arrival, so the slowdown warning 20 us before the
+            # horizon has arrived everywhere and is processed by only
+            # some hosts when the run ends.
+            config = ExperimentConfig(
+                variant="cubic", n_flows=2, weeks=3, warmup_weeks=1, seed=1,
+                rdcn=RDCNConfig(n_hosts_per_rack=16, notifier=NotifierConfig(pull_model=False)),
+            )
+        result, testbed = run_keeping_testbed(config, monkeypatch)
+        reference, per_host = run_keeping_testbed(config, monkeypatch, per_host=True)
+        assert testbed.notifier.event_free and not per_host.notifier.event_free
+        assert result.outcome_digest() == reference.outcome_digest()
+        fingerprint = notifier_fingerprint(testbed)
+        assert fingerprint == notifier_fingerprint(per_host)
+        assert testbed.notifier.notifications_sent == per_host.notifier.notifications_sent
+        assert testbed.sim.processed_events < per_host.sim.processed_events
+        if case == "bulk":
+            # The horizon cut between arrivals and their processing.
+            assert sum(fingerprint["rx_packets"]) > fingerprint["latencies"]
+
+    def test_a_listener_is_refused_while_no_event_would_call_it(self):
+        testbed = build_two_rack_testbed(RDCNConfig(n_hosts_per_rack=2))
+        host = testbed.hosts[0][0]
+        testbed.notifier.announce_without_events(testbed.config.week_ns)
+        with pytest.raises(RuntimeError, match="listens_to_tdn_changes"):
+            host.subscribe_tdn_changes(lambda notification: None)
+        # An armed fault hook puts every announcement on the per-host
+        # path, where listeners are called.
+        testbed.notifier.fault_hook = lambda host, notification: [0]
+        host.subscribe_tdn_changes(lambda notification: None)
+        # A host that already has a listener cannot be armed.
+        with pytest.raises(RuntimeError, match="listener"):
+            testbed.notifier.announce_without_events(testbed.config.week_ns)

@@ -13,6 +13,7 @@ from tests.helpers import (
     bulk_pair,
     engine_fingerprint,
     run_for,
+    run_keeping_testbed,
     tdtcp_engine,
     two_hosts,
     unregistered_sends,
@@ -161,6 +162,31 @@ class TestIdleFabricCost:
         assert floor > 0
         assert self.idle_events(fabric, 10) == floor
         assert self.idle_events(fabric, 100) == floor
+
+    def test_an_idle_cubic_week_costs_the_schedule_boundaries_only(self, tmp_path, monkeypatch):
+        """Through ``run_experiment`` a cubic fabric's hosts have nobody
+        but the notifier's recorder listening, so a TDN change costs no
+        event: an idle week is its 7 day starts, 7 night starts and the
+        driver's week boundary. A TDTCP week stays at 62: its 8
+        announcements take the rack path (emit, arrival and processing
+        legs on each of 2 racks, joined where they share an instant)."""
+        from repro.apps.engine import write_trace
+        from repro.experiments import ExperimentConfig
+        from repro.experiments.config import WorkloadConfig
+
+        empty = tmp_path / "empty.csv"
+        write_trace(empty, [])
+
+        def run_events(weeks: int) -> int:
+            result, testbed = run_keeping_testbed(ExperimentConfig(
+                variant="cubic", weeks=weeks, warmup_weeks=0, seed=1,
+                workload=WorkloadConfig(kind="trace", trace_path=str(empty)),
+            ), monkeypatch)
+            assert len(result.notification_latencies) == 8 * weeks * 2 * 8
+            return testbed.sim.processed_events
+
+        assert run_events(2) - run_events(1) == 7 + 7 + 1
+        assert self.idle_events("two-rack", 0) == 62
 
 
 # Recorded at the parent commit (37fb6a3) with ``unregistered_sends``
