@@ -1,7 +1,6 @@
 """Experiment harness: variants, runner, parallel executor, and
 per-figure definitions."""
 
-from repro.experiments.backoff import BackoffPolicy
 from repro.experiments.checkpoint import (
     CampaignCheckpoint,
     ResumePlan,
@@ -34,7 +33,6 @@ __all__ = [
     "ExperimentExecutor",
     "ResultCache",
     "BatchStats",
-    "BackoffPolicy",
     "CampaignAborted",
     "CampaignCheckpoint",
     "ResumePlan",

@@ -90,10 +90,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="neither read nor write the result cache even when --cache-dir is set",
     )
     parser.add_argument(
-        "--retries", type=int, default=1,
-        help="re-execute a failed run up to this many extra times (default: 1)",
-    )
-    parser.add_argument(
         "--trace-out", metavar="DIR", default=None,
         help="record tracepoints; write JSONL, Chrome trace JSON, and CSVs here",
     )
@@ -146,11 +142,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="resume an interrupted campaign from its journal: completed runs are "
              "replayed from the journal + result cache, only the "
              "remainder executes (new journal defaults to <log>.resumed.jsonl)",
-    )
-    parser.add_argument(
-        "--executor-fault-plan", metavar="JSON", default=None,
-        help="executor-layer chaos plan (repro.faults.executor_chaos) injecting "
-             "worker kills, broken pools, and cache faults around the batch",
     )
     parser.add_argument(
         "--chaos-dir", metavar="DIR", default=None,
@@ -253,8 +244,8 @@ def run_fields(args) -> dict:
 
 
 def executor_from_args(args) -> ExperimentExecutor:
-    """One executor per CLI invocation: worker count, cache location,
-    retry budget, and campaign bus straight from the flags, progress on
+    """One executor per CLI invocation: worker count, cache location
+    and campaign bus straight from the flags, progress on
     stderr. ``--live`` upgrades the progress lines to an in-place TTY
     view when stderr is a terminal; otherwise it falls back to the
     plain lines.
@@ -283,11 +274,6 @@ def executor_from_args(args) -> ExperimentExecutor:
         if args.live and sys.stderr.isatty():
             live = LiveCampaignView(sys.stderr, jobs=args.jobs)
             campaign.subscribe(live.on_record)
-    chaos = None
-    if args.executor_fault_plan:
-        from repro.faults.executor_chaos import ExecutorChaos, load_executor_fault_plan
-
-        chaos = ExecutorChaos(load_executor_fault_plan(args.executor_fault_plan))
 
     def progress(done: int, total: int, label: str, outcome: str) -> None:
         print(f"  [{done}/{total}] {label}: {outcome}", file=sys.stderr)
@@ -297,13 +283,11 @@ def executor_from_args(args) -> ExperimentExecutor:
         jobs=args.jobs,
         cache_dir=args.cache_dir,
         use_cache=not args.no_cache,
-        retries=args.retries,
         progress=progress if (plain and live is None) else None,
         campaign=campaign,
         heartbeat_events=args.heartbeat_events,
         resume=resume,
         checkpoint_to=checkpoint_path(campaign.path) if (campaign and campaign.path) else None,
-        chaos=chaos,
     )
 
 
@@ -404,9 +388,8 @@ def run_chaos(args) -> int:
 def run_chaos_executor(args) -> int:
     """The executor-chaos gauntlet: one small campaign per fault kind
     (worker kills, broken pools, ENOSPC cache writes, corrupt cache
-    entries, slow workers, torn journals + resume), each validated for
-    schema-clean records and **exactly one** terminal record per run.
-    With ``--executor-fault-plan`` runs that single plan instead.
+    entries, torn journals + resume), each validated for schema-clean
+    records and **exactly one** terminal record per run.
 
     A full pass exits 0; any lost/duplicated terminal record, schema
     violation, or wrong resume summary exits 1."""
@@ -414,7 +397,6 @@ def run_chaos_executor(args) -> int:
         ExecutorChaos,
         ExecutorFaultPlan,
         ExecutorFaultSpec,
-        load_executor_fault_plan,
         truncate_journal_tail,
     )
     from repro.obs.campaign import (
@@ -435,27 +417,21 @@ def run_chaos_executor(args) -> int:
     ]
     labels = [f"{c.variant}/seed{c.seed}" for c in configs]
 
-    if args.executor_fault_plan:
-        legs = [("custom", load_executor_fault_plan(args.executor_fault_plan))]
-    else:
-        legs = [
-            ("worker_kill", ExecutorFaultPlan(
-                specs=(ExecutorFaultSpec(kind="worker_kill", target=labels[0]),))),
-            ("worker_kill_midrun", ExecutorFaultPlan(
-                specs=(ExecutorFaultSpec(kind="worker_kill", target=labels[1],
-                                         params={"after_events": 1}),))),
-            ("broken_pool", ExecutorFaultPlan(
-                specs=(ExecutorFaultSpec(kind="broken_pool", target=labels[0]),))),
-            ("cache_write_error", ExecutorFaultPlan(
-                specs=(ExecutorFaultSpec(kind="cache_write_error", count=0),))),
-            ("cache_corrupt", ExecutorFaultPlan(
-                specs=(ExecutorFaultSpec(kind="cache_corrupt", count=0),))),
-            ("slow_worker", ExecutorFaultPlan(
-                specs=(ExecutorFaultSpec(kind="slow_worker", target=labels[0],
-                                         params={"stall_s": 0.2}),))),
-            ("journal_truncate", ExecutorFaultPlan(
-                specs=(ExecutorFaultSpec(kind="journal_truncate"),))),
-        ]
+    legs = [
+        ("worker_kill", ExecutorFaultPlan(
+            specs=(ExecutorFaultSpec(kind="worker_kill", target=labels[0]),))),
+        ("worker_kill_midrun", ExecutorFaultPlan(
+            specs=(ExecutorFaultSpec(kind="worker_kill", target=labels[1],
+                                     params={"after_events": 1}),))),
+        ("broken_pool", ExecutorFaultPlan(
+            specs=(ExecutorFaultSpec(kind="broken_pool", target=labels[0]),))),
+        ("cache_write_error", ExecutorFaultPlan(
+            specs=(ExecutorFaultSpec(kind="cache_write_error", count=0),))),
+        ("cache_corrupt", ExecutorFaultPlan(
+            specs=(ExecutorFaultSpec(kind="cache_corrupt", count=0),))),
+        ("journal_truncate", ExecutorFaultPlan(
+            specs=(ExecutorFaultSpec(kind="journal_truncate"),))),
+    ]
 
     def run_leg(name: str, plan: ExecutorFaultPlan, tag: str, resume=None) -> tuple:
         """One campaign over ``<name>.cache`` under ``plan``; returns
@@ -466,7 +442,6 @@ def run_chaos_executor(args) -> int:
             executor = ExperimentExecutor(
                 jobs=jobs,
                 cache_dir=str(out_dir / f"{name}.cache"),
-                retries=args.retries,
                 campaign=log,
                 heartbeat_events=args.heartbeat_events,
                 checkpoint_to=checkpoint_path(str(log_path)),
@@ -474,7 +449,7 @@ def run_chaos_executor(args) -> int:
                 resume=resume,
             )
             results = executor.run_batch(configs, labels=labels)
-        for spec in plan.journal_truncate_specs():
+        if any(spec.kind == "journal_truncate" for spec in plan.specs):
             truncate_journal_tail(log_path)
         return log_path, chaos, executor, results
 
@@ -667,7 +642,7 @@ TARGETS: Dict[str, Tuple[Callable, str]] = {
     "sweep-load": (run_sweep_load, "workload-engine offered-load grid (--loads/--variants)"),
     "replay-trace": (run_replay_trace, "workload trace replay (--trace CSV)"),
     "chaos": (run_chaos, "fault-plan run (--fault-plan/--audit/--check-determinism)"),
-    "chaos-executor": (run_chaos_executor, "executor-layer fault gauntlet (--executor-fault-plan)"),
+    "chaos-executor": (run_chaos_executor, "executor-layer fault gauntlet (--chaos-dir)"),
     "list": (run_list, "print this table"),
 }
 

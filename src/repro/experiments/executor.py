@@ -14,7 +14,10 @@ Four layers:
   (:meth:`ExperimentResult.to_dict`), so the pool is spawn-safe: no
   live simulator objects ever cross a process boundary, and the
   ``jobs=1`` inline path round-trips through the very same encoding to
-  keep both paths bit-for-bit interchangeable.
+  keep both paths bit-for-bit interchangeable. A pooled worker collects
+  its run's heartbeats and returns them with the result; the executor
+  journals them just before the run's ``finished`` or ``failed``
+  record. Inline runs heartbeat straight into the log.
 * **Cache** — :class:`ResultCache` stores successful results on disk
   under ``sha256(canonical config JSON)``
   (:meth:`ExperimentConfig.cache_key`). Two configs share a key iff
@@ -25,21 +28,22 @@ Four layers:
   read-only volume) is counted and traced but never crashes the batch.
   Runs with active telemetry bypass the cache entirely — their
   artifacts must actually be written.
-* **Retry** — a bounded retry policy re-executes failed runs
-  (``result.failure`` set, e.g. a watchdog wall-clock abort on a loaded
-  machine) up to ``retries`` extra times, spaced by seeded
-  exponential backoff with full jitter (:class:`BackoffPolicy`).
-  Failures still standing after the last attempt come back as
-  structured :class:`~repro.experiments.runner.RunFailure` results —
-  callers decide whether a failed item degrades or aborts the batch.
-  A run whose failure is *not* infrastructural (the simulation itself
-  crashed every attempt) is additionally **quarantined**: marked in the
-  campaign journal and checkpoint so a resumed campaign never
-  resubmits it. Failed results are never cached.
+* **Failures** — each run is attempted once: the simulation is
+  deterministic, so running it again fails the same way. A failed run
+  comes back as a structured
+  :class:`~repro.experiments.runner.RunFailure` result — callers decide
+  whether a failed item degrades or aborts the batch. A failure of the
+  simulation itself is **quarantined** in the journal, so a resumed
+  campaign never resubmits it; an *infrastructure* failure (a dead
+  worker, a transport error, a wall-clock watchdog on a loaded host)
+  stays plain ``failed`` and resume re-executes it. The one
+  resubmission inside a batch is a broken pool's: its casualties run
+  again on a fresh pool (journaled as ``retry``), at most
+  :data:`POOL_REBUILDS` times. Failed results are never cached.
 * **Crash safety** — the campaign journal (flushed per record) is the
   recovery record; results are cached write-through the moment a run
   finishes, and SIGINT/SIGTERM route through a graceful-shutdown path
-  that drains heartbeats, emits a ``campaign_abort`` record, and raises
+  that emits a ``campaign_abort`` record and raises
   :class:`CampaignAborted`. ``run_batch(resume_from=...)`` replays
   completed runs from the prior journal + cache and executes only the
   remainder — the resumed journal digests byte-identically to an
@@ -63,24 +67,16 @@ import json
 import multiprocessing
 import os
 import pathlib
-import queue as queue_mod
 import signal
 import threading
-import time
 from collections import Counter
-from concurrent.futures import (
-    FIRST_COMPLETED,
-    BrokenExecutor,
-    ProcessPoolExecutor,
-    wait,
-)
+from concurrent.futures import BrokenExecutor, ProcessPoolExecutor, as_completed
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass
 from functools import partial
 from time import perf_counter
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro.experiments.backoff import BackoffPolicy
 from repro.experiments.checkpoint import CampaignCheckpoint, ResumePlan
 from repro.experiments.config import CONFIG_SCHEMA_VERSION, ExperimentConfig
 from repro.experiments.runner import ExperimentResult, run_experiment, set_worker_heartbeat
@@ -88,8 +84,9 @@ from repro.obs.campaign import CAMPAIGN_SCHEMA_VERSION, CampaignFold, CampaignLo
 from repro.obs.tracepoints import Tracepoint
 
 #: (done, total, label, outcome) — outcome is "cached", "ok", "failed",
-#: or "retry" (retry reports do not advance ``done``). ``done`` is the
-#: batch fold's terminal-run count: monotonic across one batch.
+#: or "retry" (a broken pool's casualty resubmitted; retry reports do
+#: not advance ``done``). ``done`` is the batch fold's terminal-run
+#: count: monotonic across one batch.
 ProgressFn = Callable[[int, int, str, str], None]
 
 #: Default heartbeat cadence when a campaign log is attached: every
@@ -97,6 +94,10 @@ ProgressFn = Callable[[int, int, str, str], None]
 #: heap size) — frequent enough to spot a wedged run within seconds,
 #: rare enough to be invisible in the profile.
 DEFAULT_HEARTBEAT_EVENTS = 100_000
+
+#: How many times one batch replaces a broken process pool; the runs a
+#: last break leaves unsettled fail as infrastructure casualties.
+POOL_REBUILDS = 2
 
 #: Process-level probe (not simulator-attached — the executor runs in
 #: wall time): fired once per result-cache write failure. Tests and
@@ -110,10 +111,9 @@ CACHE_WRITE_ERROR_TP = Tracepoint(
 
 class CampaignAborted(RuntimeError):
     """A batch was interrupted (SIGINT/SIGTERM) and shut down cleanly:
-    pending work cancelled, heartbeats drained, books closed (the
-    batch's one status-sidecar save), a ``campaign_abort`` record
-    emitted. The CLI maps this to a distinct exit code so schedulers
-    can tell an abort from a failure."""
+    pending work cancelled, books closed (the batch's one status-sidecar
+    save), a ``campaign_abort`` record emitted. The CLI maps this to a
+    distinct exit code so schedulers can tell an abort from a failure."""
 
     def __init__(self, reason: str, done: int, total: int) -> None:
         super().__init__(
@@ -141,22 +141,17 @@ def execute_config_dict(payload: dict) -> dict:
     return run_experiment(config).to_dict()
 
 
-def execute_config_dict_hb(payload: dict, label: str, hb_queue, every_events: int) -> dict:
-    """Heartbeating worker entry point: like :func:`execute_config_dict`
-    but first installs a process-wide heartbeat hook that relays
-    ``(label, sim_now, events, events_per_s, pending_events)`` tuples
-    over ``hb_queue`` (a ``multiprocessing.Manager().Queue()`` — plain
-    queues cannot cross a ``ProcessPoolExecutor.submit`` boundary)."""
-
-    def hook(sim_now: int, events: int, events_per_s: float, pending: int) -> None:
-        try:
-            hb_queue.put((label, sim_now, events, events_per_s, pending))
-        except Exception:
-            pass  # a dead relay must never kill the run itself
-
-    set_worker_heartbeat(hook, every_events)
+def execute_pooled(payload: dict, every_events: Optional[int]) -> Tuple[dict, List[tuple]]:
+    """Pool worker entry point: the result dict of
+    :func:`execute_config_dict` and the ``(sim_now, events,
+    events_per_s, pending_events)`` heartbeats its run fired every
+    ``every_events`` events, final flush included (none when
+    ``every_events`` is None)."""
+    beats: List[tuple] = []
+    if every_events is not None:
+        set_worker_heartbeat(lambda *beat: beats.append(beat), every_events)
     try:
-        return execute_config_dict(payload)
+        return execute_config_dict(payload), beats
     finally:
         set_worker_heartbeat(None)
 
@@ -304,42 +299,28 @@ class ExperimentExecutor:
         jobs: int = 1,
         cache_dir: Optional[str] = None,
         use_cache: bool = True,
-        retries: int = 1,
         progress: Optional[ProgressFn] = None,
         campaign: Optional[CampaignLog] = None,
         heartbeat_events: int = DEFAULT_HEARTBEAT_EVENTS,
-        backoff: Optional[BackoffPolicy] = None,
         resume: Optional[ResumePlan] = None,
         checkpoint_to: Optional[str] = None,
         chaos=None,
-        pool_rebuilds: int = 2,
-        sleep: Callable[[float], None] = time.sleep,
-        clock: Callable[[], float] = perf_counter,
     ) -> None:
         if jobs < 1:
             raise ValueError("jobs must be >= 1")
-        if retries < 0:
-            raise ValueError("retries must be >= 0")
         if heartbeat_events < 1:
             raise ValueError("heartbeat_events must be >= 1")
-        if pool_rebuilds < 0:
-            raise ValueError("pool_rebuilds must be >= 0")
         self.jobs = jobs
-        self.retries = retries
         self.cache = ResultCache(cache_dir) if (cache_dir and use_cache) else None
         self.progress = progress
         self.campaign = campaign
         self.heartbeat_events = heartbeat_events
-        self.backoff = backoff if backoff is not None else BackoffPolicy()
         self.resume = resume
         self.checkpoint_to = str(checkpoint_to) if checkpoint_to else None
         if self.checkpoint_to is not None and campaign is None:
             # The sidecar is a projection of the journal records.
             raise ValueError("checkpoint_to needs a campaign log")
         self.chaos = chaos
-        self.pool_rebuilds = pool_rebuilds
-        self._sleep = sleep
-        self._clock = clock
         self.last_batch = BatchStats()
         self.last_replayed = 0
         self.last_fresh = 0
@@ -605,79 +586,17 @@ class ExperimentExecutor:
             error_type=result.failure.error_type,
             error_message=result.failure.error_message,
         )
-        # The simulation itself failed every attempt: poison. Resume
-        # must never resubmit it. Infrastructure casualties (broken
-        # pool, transport) stay plain "failed" and are resubmitted.
+        # The simulation itself failed: poison, and deterministic, so
+        # resume must never resubmit it. Infrastructure casualties
+        # (broken pool, transport, wall-clock watchdog) stay plain
+        # "failed" and are resubmitted.
         if not result.failure.infrastructure:
             self._emit(
                 "quarantined", run=label, attempts=self._fold.runs[label].attempts
             )
         self._report(label, "failed")
 
-    # -- retry ----------------------------------------------------------
-    def _book_retry(self, label: str, attempt: int) -> float:
-        """One retry — ``attempt`` is the try about to happen — shared
-        by the inline loop and the pool: journal it, report it, and
-        return the (seeded, full-jitter) backoff delay to wait out
-        first."""
-        self._emit("retry", run=label, attempt=attempt)
-        self._report(label, "retry")
-        return self.backoff.delay_s(label, attempt - 1)
-
     # -- execution paths ------------------------------------------------
-    def _run_once(self, config: ExperimentConfig) -> ExperimentResult:
-        try:
-            return ExperimentResult.from_dict(execute_config_dict(config.to_dict()))
-        except Exception as error:
-            return _synthetic_failure(config, error)
-
-    def _run_inline(self, config: ExperimentConfig, label: str) -> ExperimentResult:
-        campaign = self.campaign
-        if campaign is not None:
-            # Inline runs heartbeat straight into the log — same hook,
-            # no process boundary.
-            set_worker_heartbeat(partial(self._heartbeat, label), self.heartbeat_events)
-        try:
-            self._emit("started", run=label, attempt=1)
-            result = self._run_once(config)
-            for attempt in range(2, self.retries + 2):
-                if result.ok:
-                    break
-                delay = self._book_retry(label, attempt)
-                if delay > 0:
-                    self._sleep(delay)
-                self._emit("started", run=label, attempt=attempt)
-                result = self._run_once(config)
-            return result
-        finally:
-            if campaign is not None:
-                set_worker_heartbeat(None)
-
-    def _submit(self, pool, config: ExperimentConfig, label: str, attempt: int, hb_queue):
-        directive = None
-        if self.chaos is not None:
-            directive = self.chaos.worker_directive(label, attempt)
-        if directive is not None:
-            from repro.faults.executor_chaos import execute_config_dict_chaos
-
-            return pool.submit(
-                execute_config_dict_chaos,
-                config.to_dict(),
-                label,
-                hb_queue,
-                self.heartbeat_events,
-                directive,
-            )
-        if hb_queue is None:
-            return pool.submit(execute_config_dict, config.to_dict())
-        return pool.submit(
-            execute_config_dict_hb,
-            config.to_dict(),
-            label,
-            hb_queue,
-            self.heartbeat_events,
-        )
-
     def _heartbeat(
         self, label: str, sim_now: int, events: int, events_per_s: float, pending: int
     ) -> None:
@@ -690,15 +609,33 @@ class ExperimentExecutor:
             pending_events=pending,
         )
 
-    def _drain_heartbeats(self, hb_queue) -> None:
-        while True:
-            try:
-                beat = hb_queue.get_nowait()
-            except queue_mod.Empty:
-                return
-            except (EOFError, OSError):
-                return  # manager went away mid-shutdown
-            self._heartbeat(*beat)
+    def _run_inline(self, config: ExperimentConfig, label: str) -> ExperimentResult:
+        campaign = self.campaign
+        if campaign is not None:
+            # Inline runs heartbeat straight into the log — same hook,
+            # no process boundary.
+            set_worker_heartbeat(partial(self._heartbeat, label), self.heartbeat_events)
+        try:
+            self._emit("started", run=label, attempt=1)
+            return ExperimentResult.from_dict(execute_config_dict(config.to_dict()))
+        except Exception as error:
+            return _synthetic_failure(config, error)
+        finally:
+            if campaign is not None:
+                set_worker_heartbeat(None)
+
+    def _submit(self, pool, config: ExperimentConfig, label: str, attempt: int):
+        every = self.heartbeat_events if self.campaign is not None else None
+        if self.chaos is not None:
+            self.chaos.on_submit(label, attempt)  # may raise BrokenProcessPool
+            kill_after = self.chaos.worker_kill(label, attempt)
+            if kill_after is not None:
+                from repro.faults.executor_chaos import execute_config_dict_chaos
+
+                return pool.submit(
+                    execute_config_dict_chaos, config.to_dict(), every, kill_after
+                )
+        return pool.submit(execute_pooled, config.to_dict(), every)
 
     def _run_pool(
         self,
@@ -707,131 +644,83 @@ class ExperimentExecutor:
         pending: List[int],
         results: List[Optional[ExperimentResult]],
     ) -> None:
+        """Run ``pending`` on a spawn pool. A dead child breaks the
+        whole pool: every run it left unsettled goes to a fresh pool
+        (a ``retry`` record for each one that had started), at most
+        :data:`POOL_REBUILDS` times; after the last break they fail as
+        infrastructure casualties."""
         ctx = multiprocessing.get_context("spawn")
-        attempts_left = {i: self.retries for i in pending}
-        attempts = {i: 1 for i in pending}
-        manager = None
-        hb_queue = None
-        if self.campaign is not None:
-            # Heartbeats cross the pool boundary through a managed
-            # queue (picklable by proxy); drained between waits so the
-            # live view updates while runs are still in flight.
-            manager = ctx.Manager()
-            hb_queue = manager.Queue()
-        max_workers = min(self.jobs, len(pending))
-        pool = ProcessPoolExecutor(max_workers=max_workers, mp_context=ctx)
-        futures: Dict = {}
-        # (ready_at, index): initial submissions (ready now) and retry
-        # resubmissions waiting out their backoff window.
-        deferred: List[Tuple[float, int]] = [(0.0, i) for i in pending]
-        rebuilds_left = self.pool_rebuilds
-
-        def settle(i: int, result: ExperimentResult) -> None:
-            if not result.ok and attempts_left[i] > 0:
-                attempts_left[i] -= 1
-                attempts[i] += 1
-                delay = self._book_retry(labels[i], attempts[i])
-                deferred.append((self._clock() + delay, i))
-                return
-            results[i] = result
-            self._finish_item(i, result, labels[i])
-
-        def submit_one(i: int) -> None:
-            if self.chaos is not None:
-                self.chaos.on_submit(labels[i], attempts[i])  # may raise
-            futures[self._submit(pool, configs[i], labels[i], attempts[i], hb_queue)] = i
-            self._emit("started", run=labels[i], attempt=attempts[i])
-
-        def handle_broken(error: BaseException, casualties: List[int]) -> None:
-            # A dead child poisons the whole pool: every in-flight run
-            # is a casualty. Each consumes an attempt (retried on a
-            # fresh pool, with backoff); when the rebuild budget is
-            # spent the casualties surface as infrastructure failures.
-            nonlocal pool, rebuilds_left
+        workers = min(self.jobs, len(pending))
+        attempts = dict.fromkeys(pending, 0)
+        todo = pending
+        for rebuild in range(POOL_REBUILDS + 1):
+            pool = ProcessPoolExecutor(max_workers=workers, mp_context=ctx)
+            try:
+                broken = self._drain_pool(pool, configs, labels, todo, attempts, results)
+                if broken is None:
+                    pool.shutdown(wait=True)
+                    return
+            except BaseException:
+                # Graceful shutdown (or an unexpected error): cancel
+                # what never started and put the workers down.
+                _put_down(pool)
+                raise
             self.last_batch.broken_pools += 1
-            if hb_queue is not None:
-                self._drain_heartbeats(hb_queue)
-            try:
-                pool.shutdown(wait=False, cancel_futures=True)
-            except Exception:
-                pass
-            if rebuilds_left > 0:
-                rebuilds_left -= 1
-                pool = ProcessPoolExecutor(max_workers=max_workers, mp_context=ctx)
-            else:
-                for i in casualties:
-                    attempts_left[i] = 0
-            for i in sorted(casualties):
-                settle(i, _synthetic_failure(configs[i], error))
+            _put_down(pool)
+            todo = [i for i in todo if results[i] is None]
+            if rebuild == POOL_REBUILDS:
+                break
+            for i in todo:
+                if attempts[i]:  # it started on the broken pool
+                    self._emit("retry", run=labels[i], attempt=attempts[i] + 1)
+                    self._report(labels[i], "retry")
+        for i in todo:
+            results[i] = _synthetic_failure(configs[i], broken)
+            self._finish_item(i, results[i], labels[i])
 
+    def _drain_pool(self, pool, configs, labels, todo, attempts, results):
+        """Submit ``todo`` to ``pool`` and settle each run as it
+        completes, its heartbeats journaled just ahead of its ending.
+        Returns None, or the error that broke the pool."""
+        futures = {}
         try:
-            while futures or deferred:
-                now = self._clock()
-                ready = sorted(item for item in deferred if item[0] <= now)
-                deferred = [item for item in deferred if item[0] > now]
-                for _ready_at, i in ready:
-                    try:
-                        submit_one(i)
-                    except BrokenExecutor as error:
-                        casualties = [i] + list(futures.values())
-                        futures.clear()
-                        handle_broken(error, casualties)
-                    except Exception as error:
-                        settle(i, _synthetic_failure(configs[i], error))
-                if not futures:
-                    if deferred:  # everything is waiting out a backoff
-                        next_at = min(item[0] for item in deferred)
-                        self._sleep(max(0.0, min(next_at - self._clock(), 0.2)))
-                    continue
-                timeout = 0.2 if (hb_queue is not None or deferred) else None
-                finished, _ = wait(
-                    set(futures), timeout=timeout, return_when=FIRST_COMPLETED
-                )
-                if hb_queue is not None:
-                    # A worker's heartbeats are all enqueued (the
-                    # manager put is synchronous) before its future
-                    # resolves, so draining here keeps each run's
-                    # heartbeats ahead of its finished event.
-                    self._drain_heartbeats(hb_queue)
-                broken: Optional[Tuple[BaseException, int]] = None
-                for fut in finished:
-                    i = futures.pop(fut)
-                    try:
-                        result = ExperimentResult.from_dict(fut.result())
-                    except BrokenExecutor as error:
-                        broken = (error, i)
-                        break
-                    except Exception as error:
-                        result = _synthetic_failure(configs[i], error)
-                    settle(i, result)
-                if broken is not None:
-                    error, first = broken
-                    casualties = [first] + list(futures.values())
-                    futures.clear()
-                    handle_broken(error, casualties)
-            pool.shutdown(wait=True)
-            if hb_queue is not None:
-                self._drain_heartbeats(hb_queue)
-        except BaseException:
-            # Graceful shutdown (or an unexpected error): stop feeding
-            # the pool, cancel what never started, put workers down,
-            # and drain the heartbeat queue so every relayed beat lands
-            # in the journal before the campaign_abort record.
-            for fut in futures:
-                fut.cancel()
-            procs = list((getattr(pool, "_processes", None) or {}).values())
-            try:
-                pool.shutdown(wait=False, cancel_futures=True)
-            except Exception:
-                pass
-            for proc in procs:
+            for i in todo:
                 try:
-                    proc.terminate()
-                except Exception:
-                    pass
-            if hb_queue is not None:
-                self._drain_heartbeats(hb_queue)
-            raise
-        finally:
-            if manager is not None:
-                manager.shutdown()
+                    future = self._submit(pool, configs[i], labels[i], attempts[i] + 1)
+                except BrokenExecutor:
+                    raise
+                except Exception as error:
+                    results[i] = _synthetic_failure(configs[i], error)
+                    self._finish_item(i, results[i], labels[i])
+                    continue
+                futures[future] = i
+                attempts[i] += 1
+                self._emit("started", run=labels[i], attempt=attempts[i])
+            for future in as_completed(futures):
+                i = futures[future]
+                try:
+                    payload, beats = future.result()
+                    result = ExperimentResult.from_dict(payload)
+                except BrokenExecutor:
+                    raise
+                except Exception as error:
+                    result, beats = _synthetic_failure(configs[i], error), []
+                for beat in beats:
+                    self._heartbeat(labels[i], *beat)
+                results[i] = result
+                self._finish_item(i, result, labels[i])
+        except BrokenExecutor as error:
+            return error
+        return None
+
+
+def _put_down(pool: ProcessPoolExecutor) -> None:
+    """Stop ``pool`` without waiting on it: cancel what never started
+    and terminate its workers."""
+    procs = list((getattr(pool, "_processes", None) or {}).values())
+    pool.shutdown(wait=False, cancel_futures=True)
+    for proc in procs:
+        try:
+            proc.terminate()
+        except Exception:
+            pass

@@ -305,7 +305,7 @@ def headline_claims(data: FigureData) -> Dict[str, float]:
 
 
 # ----------------------------------------------------------------------
-# Campaign dashboard (repro.obs.campaign JSONL -> markdown / HTML)
+# Campaign dashboard (repro.obs.campaign JSONL -> markdown)
 # ----------------------------------------------------------------------
 
 def merge_campaign_sketches(
@@ -345,72 +345,22 @@ def _fmt(value, scale: float = 1.0, digits: int = 4) -> str:
     return f"{value * scale:.{digits}g}"
 
 
-#: Meta record -> (css class, headline word, the rest of the sentence).
-#: Resume/abort records are excluded from the deterministic summary but
+#: Meta record -> (headline word, the rest of the sentence). Resume and
+#: abort records are excluded from the deterministic summary but
 #: headline news for a human reader.
 _BANNERS = {
-    "campaign_resume": ("resume", "resumed", ": {replayed} runs replayed from "
+    "campaign_resume": ("resumed", ": {replayed} runs replayed from "
                         "the prior journal, {remaining} executed fresh"),
-    "campaign_abort": ("abort", "aborted", " ({reason}) at {done}/{total} runs "
+    "campaign_abort": ("aborted", " ({reason}) at {done}/{total} runs "
                        "— resumable via --resume"),
 }
-
-
-class _Dashboard:
-    """What both dashboards show, computed once from the campaign fold
-    as plain cell values; the two renderers differ only in markup."""
-
-    def __init__(self, records: Sequence[dict]) -> None:
-        fold = self.fold = fold_campaign(records)
-        self.heartbeats = fold.event_counts.get("heartbeat", 0)
-        #: (css class, headline word, rest of the sentence)
-        self.banners = []
-        for record in fold.meta:
-            css, head, rest = _BANNERS[record["event"]]
-            self.banners.append(
-                (css, head, rest.format_map(defaultdict(lambda: "?", record)))
-            )
-        self.stats = fold.stats and (
-            "executed {executed}, cache hits {cache_hits}, cache misses "
-            "{cache_misses}, retries {retries}, failures {failures}"
-        ).format_map(defaultdict(int, fold.stats))
-        merged = _merge_sketches(fold)
-        #: (sketch, variant, count, one formatted cell per percentile)
-        self.percentiles = [
-            (name, variant, sketch.count,
-             [_fmt(sketch.quantile(q)) for _label, q in PERCENTILE_LABELS])
-            for name in sorted(merged)
-            for variant, sketch in sorted(merged[name].items())
-        ]
-        #: (run, #, variant, seed, duration in seconds or None)
-        self.timeline = []
-        #: (label, state, retries, error)
-        self.troubled = []
-        for run in _campaign_timeline(fold):
-            queued = run.queued or {}
-            duration = None
-            if run.started_ms is not None and run.ended_ms is not None:
-                duration = (run.ended_ms - run.started_ms) / 1000.0
-            self.timeline.append((
-                run, "-" if run.index is None else run.index,
-                str(queued.get("variant", "?")), queued.get("seed"), duration,
-            ))
-            failed = run.state in ("failed", "quarantined")
-            if run.retries or failed:
-                error = "-"
-                if failed and run.ending is not None:
-                    error = "{error_type}: {error_message}".format_map(
-                        defaultdict(lambda: None, run.ending)
-                    )
-                self.troubled.append((run.label, run.state, run.retries, error))
 
 
 def render_campaign(records: Sequence[dict]) -> str:
     """Markdown dashboard of a campaign JSONL stream: headline counts,
     per-variant sketch percentiles, the run timeline, and the
-    failure/retry table."""
-    board = _Dashboard(records)
-    fold = board.fold
+    failure/retry table — all read off the campaign fold."""
+    fold = fold_campaign(records)
     lines = ["# Campaign report", ""]
     lines.append(
         f"**{fold.total} runs** — "
@@ -418,16 +368,23 @@ def render_campaign(records: Sequence[dict]) -> str:
             f"{count} {state}" for state, count in sorted(fold.states.items()) if count
         )
     )
-    if board.stats:
-        lines.append(board.stats)
-    lines.append(f"heartbeats observed: {board.heartbeats}")
-    lines.extend(f"**{head}**{rest}" for _css, head, rest in board.banners)
-    replayed_rows = sum(1 for row in board.timeline if row[0].replayed)
+    if fold.stats:
+        lines.append((
+            "executed {executed}, cache hits {cache_hits}, cache misses "
+            "{cache_misses}, retries {retries}, failures {failures}"
+        ).format_map(defaultdict(int, fold.stats)))
+    lines.append(f"heartbeats observed: {fold.event_counts.get('heartbeat', 0)}")
+    for record in fold.meta:
+        head, rest = _BANNERS[record["event"]]
+        lines.append(f"**{head}**" + rest.format_map(defaultdict(lambda: "?", record)))
+    timeline = _campaign_timeline(fold)
+    replayed_rows = sum(1 for run in timeline if run.replayed)
     if replayed_rows:
         lines.append(f"replayed run records: {replayed_rows}")
     lines.append("")
 
-    if board.percentiles:
+    merged = _merge_sketches(fold)
+    if merged:
         lines.append("## Percentiles (sketches merged per variant)")
         lines.append("")
         header = "| sketch | variant | count | " + " | ".join(
@@ -435,11 +392,13 @@ def render_campaign(records: Sequence[dict]) -> str:
         ) + " |"
         lines.append(header)
         lines.append("|" + "---|" * (3 + len(PERCENTILE_LABELS)))
-        for name, variant, count, cells in board.percentiles:
-            lines.append(f"| {name} | {variant} | {count} | {' | '.join(cells)} |")
+        for name in sorted(merged):
+            for variant, sketch in sorted(merged[name].items()):
+                cells = " | ".join(_fmt(sketch.quantile(q)) for _label, q in PERCENTILE_LABELS)
+                lines.append(f"| {name} | {variant} | {sketch.count} | {cells} |")
         lines.append("")
 
-    if board.timeline:
+    if timeline:
         lines.append("## Run timeline")
         lines.append("")
         lines.append(
@@ -447,9 +406,14 @@ def render_campaign(records: Sequence[dict]) -> str:
             "| started (s) | ended (s) | duration (s) |"
         )
         lines.append("|" + "---|" * 10)
-        for run, index, variant, seed, duration in board.timeline:
+        for run in timeline:
+            queued = run.queued or {}
+            duration = None
+            if run.started_ms is not None and run.ended_ms is not None:
+                duration = (run.ended_ms - run.started_ms) / 1000.0
             lines.append(
-                f"| {index} | {run.label} | {variant} | {seed} "
+                f"| {'-' if run.index is None else run.index} | {run.label} "
+                f"| {queued.get('variant', '?')} | {queued.get('seed')} "
                 f"| {run.state} | {run.attempts} | {run.heartbeats} "
                 f"| {_fmt(run.started_ms, 1e-3)} | {_fmt(run.ended_ms, 1e-3)} "
                 f"| {_fmt(duration)} |"
@@ -458,119 +422,22 @@ def render_campaign(records: Sequence[dict]) -> str:
 
     lines.append("## Failures & retries")
     lines.append("")
-    if board.troubled:
+    troubled = [run for run in timeline
+                if run.retries or run.state in ("failed", "quarantined")]
+    if troubled:
         lines.append("| run | state | retries | error |")
         lines.append("|" + "---|" * 4)
-        for label, state, retries, error in board.troubled:
-            lines.append(f"| {label} | {state} | {retries} | {error} |")
+        for run in troubled:
+            error = "-"
+            if run.state in ("failed", "quarantined") and run.ending is not None:
+                error = "{error_type}: {error_message}".format_map(
+                    defaultdict(lambda: None, run.ending)
+                )
+            lines.append(f"| {run.label} | {run.state} | {run.retries} | {error} |")
     else:
         lines.append("none — every run completed on its first attempt.")
     lines.append("")
     return "\n".join(lines)
-
-
-_CAMPAIGN_CSS = """
-body { font-family: -apple-system, 'Segoe UI', sans-serif; margin: 2em; color: #1c2733; }
-table { border-collapse: collapse; margin: 1em 0; }
-th, td { border: 1px solid #cdd5de; padding: 4px 10px; text-align: right; }
-th { background: #eef2f6; }
-td:first-child, th:first-child, td.l, th.l { text-align: left; }
-.state-finished { color: #19722e; } .state-cached { color: #555; }
-.state-failed { color: #a31515; font-weight: bold; }
-.state-quarantined { color: #8a4b00; font-weight: bold; }
-.banner-abort { color: #a31515; font-weight: bold; }
-.banner-resume { color: #19722e; }
-.bar { background: #4a90d9; height: 10px; display: inline-block; }
-"""
-
-
-def render_campaign_html(records: Sequence[dict], title: str = "Campaign report") -> str:
-    """Self-contained static HTML dashboard of a campaign stream —
-    the same content as :func:`render_campaign` plus wall-clock
-    timeline bars. No external assets (CI uploads it as an artifact)."""
-    import html as html_mod
-
-    esc = html_mod.escape
-    board = _Dashboard(records)
-    end_ms = max(
-        (row[0].ended_ms for row in board.timeline if row[0].ended_ms is not None),
-        default=0.0,
-    ) or 1.0
-
-    parts = [
-        "<!doctype html><html><head><meta charset='utf-8'>",
-        f"<title>{esc(title)}</title><style>{_CAMPAIGN_CSS}</style></head><body>",
-        f"<h1>{esc(title)}</h1>",
-        f"<p><b>{board.fold.total} runs</b>, "
-        f"{board.heartbeats} heartbeats observed.</p>",
-    ]
-    parts.extend(
-        f"<p class='banner-{css}'>{esc(head + rest)}</p>"
-        for css, head, rest in board.banners
-    )
-    if board.stats:
-        parts.append(f"<p>{board.stats}</p>")
-    if board.percentiles:
-        parts.append("<h2>Percentiles (sketches merged per variant)</h2><table>")
-        parts.append(
-            "<tr><th class='l'>sketch</th><th class='l'>variant</th><th>count</th>"
-            + "".join(f"<th>{label}</th>" for label, _q in PERCENTILE_LABELS)
-            + "</tr>"
-        )
-        for name, variant, count, cells in board.percentiles:
-            parts.append(
-                f"<tr><td class='l'>{esc(name)}</td><td class='l'>{esc(variant)}</td>"
-                f"<td>{count}</td>{''.join(f'<td>{cell}</td>' for cell in cells)}</tr>"
-            )
-        parts.append("</table>")
-    if board.timeline:
-        parts.append("<h2>Run timeline</h2><table>")
-        parts.append(
-            "<tr><th>#</th><th class='l'>run</th><th class='l'>variant</th>"
-            "<th>seed</th><th class='l'>state</th><th>attempts</th>"
-            "<th>heartbeats</th><th>duration (s)</th><th class='l'>timeline</th></tr>"
-        )
-        for run, index, variant, seed, duration in board.timeline:
-            bar = ""
-            if run.ended_ms is not None:
-                # A run that never started (a cache hit) is an untitled
-                # tick at the instant it was served.
-                started = run.ended_ms if run.started_ms is None else run.started_ms
-                left = 100.0 * started / end_ms
-                width = max(100.0 * (run.ended_ms - started) / end_ms, 0.5)
-                title = f"title='{_fmt(duration)}s' " if duration is not None else ""
-                bar = (
-                    f"<div style='width:240px'><span class='bar' {title}"
-                    f"style='margin-left:{left * 2.4:.0f}px;width:{width * 2.4:.0f}px'>"
-                    f"</span></div>"
-                )
-            parts.append(
-                f"<tr><td>{index}</td>"
-                f"<td class='l'>{esc(run.label)}</td>"
-                f"<td class='l'>{esc(variant)}</td>"
-                f"<td>{seed}</td>"
-                f"<td class='l state-{run.state}'>{run.state}</td>"
-                f"<td>{run.attempts}</td><td>{run.heartbeats}</td>"
-                f"<td>{_fmt(duration)}</td><td class='l'>{bar}</td></tr>"
-            )
-        parts.append("</table>")
-    parts.append("<h2>Failures &amp; retries</h2>")
-    if board.troubled:
-        parts.append(
-            "<table><tr><th class='l'>run</th><th class='l'>state</th>"
-            "<th>retries</th><th class='l'>error</th></tr>"
-        )
-        for label, state, retries, error in board.troubled:
-            parts.append(
-                f"<tr><td class='l'>{esc(label)}</td>"
-                f"<td class='l state-{state}'>{state}</td>"
-                f"<td>{retries}</td><td class='l'>{esc(error)}</td></tr>"
-            )
-        parts.append("</table>")
-    else:
-        parts.append("<p>none — every run completed on its first attempt.</p>")
-    parts.append("</body></html>")
-    return "".join(parts)
 
 
 def render_headline_claims(data: FigureData) -> str:

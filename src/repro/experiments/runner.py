@@ -14,7 +14,12 @@ from repro.apps.engine import WorkloadEngine, load_trace
 from repro.apps.workload import build_workload
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.variants import engine_flow_opener, get_variant
-from repro.faults.audit import InvariantAuditor, run_with_watchdog, write_repro_bundle
+from repro.faults.audit import (
+    InvariantAuditor,
+    WatchdogExceeded,
+    run_with_watchdog,
+    write_repro_bundle,
+)
 from repro.faults.injectors import FaultInjector
 from repro.net.queues import DropTailQueue
 from repro.obs.outcome import outcome_digest, strip_wall
@@ -139,7 +144,7 @@ def record_queue_length(sim: Simulator, queue: DropTailQueue) -> List[Tuple[int,
 
 
 # Process-wide heartbeat hook installed by the executor (directly for
-# inline runs, via the worker initializer for pooled runs). It lives in
+# inline runs, by the worker entry point for pooled runs). It lives in
 # module state rather than ExperimentConfig because liveness reporting
 # must not perturb cache keys or run semantics.
 _WORKER_HEARTBEAT: Optional[Tuple[Callable[[int, int, float, int], None], int]] = None
@@ -173,8 +178,9 @@ class RunFailure:
     fault_plan_path: Optional[str]
     bundle_path: Optional[str]
     # True for failures *outside* the simulation (broken worker pool,
-    # transport error, abort): retrying elsewhere may succeed, so the
-    # executor resubmits them on resume instead of quarantining.
+    # transport error, a wall-clock watchdog abort): running again
+    # elsewhere may succeed, so resume resubmits them instead of
+    # quarantining.
     infrastructure: bool = False
 
     def render(self) -> str:
@@ -622,8 +628,12 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
             )
         except OSError:
             pass  # an unwritable bundle dir must not mask the failure
+        # A wall-clock abort measures the host's load, not the
+        # simulation: resume re-executes it instead of quarantining.
+        wall_abort = isinstance(error, WatchdogExceeded) and error.reason == "wall-clock budget"
         return finish(ExperimentResult.failed(
-            config, type(error).__name__, str(error), bundle_path=bundle_path
+            config, type(error).__name__, str(error), bundle_path=bundle_path,
+            infrastructure=wall_abort,
         ))
 
     result = ExperimentResult(config=config, duration_ns=config.duration_ns)

@@ -33,11 +33,12 @@ this module is the transport and the vocabulary:
   the event stream.
 
 Heartbeats originate in :meth:`repro.sim.simulator.Simulator.run` (the
-``set_heartbeat`` hook) and are relayed by the executor — over a
-multiprocessing queue for pooled workers, directly for inline runs.
-Every executed run emits at least one heartbeat (a final flush fires at
-run end), so a silent worker is always distinguishable from a short
-run.
+``set_heartbeat`` hook). An inline run's heartbeats stream straight
+into the log; a pooled worker collects its run's heartbeats and returns
+them with the result, and the executor journals them just before the
+run's ``finished`` or ``failed`` record. Every executed run emits at
+least one heartbeat (a final flush fires at run end), so a silent
+worker is always distinguishable from a short run.
 """
 
 from __future__ import annotations

@@ -1,5 +1,5 @@
 """Parallel experiment executor: serialization round trips, cache
-behavior, retry policy, parallel-vs-sequential equivalence, and the
+behavior, the attempt-once policy, parallel-vs-sequential equivalence, and the
 failure-surfacing regressions (silent sweeps, crash-path telemetry,
 mid-run collector attach, report resampling)."""
 
@@ -187,7 +187,7 @@ class TestCache:
         monkeypatch.chdir(tmp_path)  # repro bundles land under cwd
         config = small_config(watchdog_max_events=500)
         for _round in range(2):
-            ex = ExperimentExecutor(cache_dir=str(tmp_path / "cache"), retries=0)
+            ex = ExperimentExecutor(cache_dir=str(tmp_path / "cache"))
             [result] = ex.run_batch([config])
             assert not result.ok
             assert ex.last_batch.cache_hits == 0
@@ -231,20 +231,20 @@ class TestCache:
 
 class TestBooksAreTheJournalFold:
     def test_stats_do_not_depend_on_where_the_records_go(self, tmp_path, monkeypatch):
-        """One warm cache hit plus one run that fails once: the batch's
-        books are the fold of the records it emits, so they read the
-        same with no log, an in-memory log and a file log."""
-        warm, flaky = small_config(seed=1), small_config(seed=2)
+        """One warm cache hit plus one run whose simulation fails: the
+        batch's books are the fold of the records it emits, so they read
+        the same with no log, an in-memory log and a file log."""
+        warm, failing = small_config(seed=1), small_config(seed=2)
         calls = []
 
-        def fails_first(payload):
+        def fails_seed2(payload):
             config = ExperimentConfig.from_dict(payload)
             calls.append(config.seed)
-            if config.seed == 2 and calls.count(2) == 1:
+            if config.seed == 2:
                 return failed_result_dict(config)
             return ok_result_dict(config)
 
-        monkeypatch.setattr(executor_mod, "execute_config_dict", fails_first)
+        monkeypatch.setattr(executor_mod, "execute_config_dict", fails_seed2)
         books = {}
         for name in ("none", "memory", "file"):
             cache = str(tmp_path / name / "cache")
@@ -252,9 +252,9 @@ class TestBooksAreTheJournalFold:
             del calls[:]
             log = {"none": None, "memory": CampaignLog(None),
                    "file": CampaignLog(tmp_path / name / "log.jsonl")}[name]
-            executor = ExperimentExecutor(cache_dir=cache, retries=1, campaign=log)
-            results = executor.run_batch([warm, flaky])
-            assert all(r.ok for r in results) and calls == [2, 2]
+            executor = ExperimentExecutor(cache_dir=cache, campaign=log)
+            results = executor.run_batch([warm, failing])
+            assert [r.ok for r in results] == [True, False] and calls == [2]
             books[name] = dict(asdict(executor.last_batch), wall_s=None)
             if log is not None:
                 log.close()
@@ -263,8 +263,8 @@ class TestBooksAreTheJournalFold:
                 )
         assert books["none"] == books["memory"] == books["file"]
         assert books["none"] == dict(
-            total=2, executed=1, cache_hits=1, cache_misses=1, retries=1,
-            failures=0, quarantined=0, broken_pools=0, wall_s=None,
+            total=2, executed=1, cache_hits=1, cache_misses=1, retries=0,
+            failures=1, quarantined=1, broken_pools=0, wall_s=None,
         )
 
     def test_two_runs_of_one_batch_never_share_a_journal_label(
@@ -304,27 +304,10 @@ class TestBooksAreTheJournalFold:
 
 
 class TestRetryPolicy:
-    def test_retry_then_succeed(self, monkeypatch):
-        calls = []
-
-        def flaky(payload):
-            calls.append(1)
-            config = ExperimentConfig.from_dict(payload)
-            if len(calls) == 1:
-                return failed_result_dict(config)
-            return ok_result_dict(config)
-
-        monkeypatch.setattr(executor_mod, "execute_config_dict", flaky)
-        ex = ExperimentExecutor(retries=1)
-        [result] = ex.run_batch([small_config()])
-        assert result.ok
-        assert len(calls) == 2
-        assert ex.last_batch.retries == 1
-        assert ex.last_batch.failures == 0
-        assert ex.last_batch.executed == 1  # one run, two attempts
-        assert ex.last_batch.quarantined == 0
-
     def test_retry_exhausted_surfaces_failure(self, monkeypatch):
+        # The simulation is deterministic, so a failed run is not
+        # retried: its failure surfaces after the one attempt, and the
+        # run is quarantined as poison.
         calls = []
 
         def always_fails(payload):
@@ -332,21 +315,21 @@ class TestRetryPolicy:
             return failed_result_dict(ExperimentConfig.from_dict(payload))
 
         monkeypatch.setattr(executor_mod, "execute_config_dict", always_fails)
-        ex = ExperimentExecutor(retries=2)
+        ex = ExperimentExecutor()
         [result] = ex.run_batch([small_config()])
         assert not result.ok
         assert result.failure.error_type == "Boom"
-        assert len(calls) == 3  # initial + 2 retries
-        assert ex.last_batch.retries == 2
+        assert len(calls) == 1
+        assert ex.last_batch.retries == 0
         assert ex.last_batch.failures == 1
-        assert ex.last_batch.quarantined == 1  # the sim itself failed: poison
+        assert ex.last_batch.quarantined == 1
 
     def test_transport_crash_becomes_structured_failure(self, monkeypatch):
         def explodes(payload):
             raise OSError("worker transport broke")
 
         monkeypatch.setattr(executor_mod, "execute_config_dict", explodes)
-        ex = ExperimentExecutor(retries=0)
+        ex = ExperimentExecutor()
         [result] = ex.run_batch([small_config()])
         assert not result.ok
         assert result.failure.error_type == "OSError"
@@ -390,7 +373,7 @@ class TestFigureDegradation:
             return real(config)
 
         monkeypatch.setattr(executor_mod, "run_experiment", selective)
-        data = fig2(**SMALL, executor=ExperimentExecutor(retries=0))
+        data = fig2(**SMALL, executor=ExperimentExecutor())
         assert not data.ok
         assert set(data.failures) == {"mptcp"}
         assert data.failures["mptcp"].error_type == "Boom"
@@ -405,7 +388,7 @@ class TestSweepFailureSurfacing:
             day_us_values=(180,), variants=("cubic",),
             weeks=4, warmup_weeks=1, n_flows=2,
             watchdog_max_events=500,
-            executor=ExperimentExecutor(retries=0),
+            executor=ExperimentExecutor(),
         )
         assert not result.ok
         [point] = result.points

@@ -1,4 +1,4 @@
-"""Crash-safe campaign layer: checkpoint/resume, backoff, chaos.
+"""Crash-safe campaign layer: checkpoint/resume, quarantine, chaos.
 
 The contract under test (ISSUE: crash-safe campaigns): a campaign that
 dies mid-flight — SIGKILL included — resumes from its journal alone
@@ -23,7 +23,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import repro.experiments.executor as executor_mod
-from repro.experiments.backoff import BackoffPolicy
 from repro.experiments.checkpoint import (
     CampaignCheckpoint,
     checkpoint_path,
@@ -69,10 +68,6 @@ def failing_payload(payload: dict) -> dict:
     result = ExperimentResult(config=config, duration_ns=config.duration_ns)
     result.failure = RunFailure("Boom", "synthetic crash", config.seed, None, None)
     return result.to_dict()
-
-
-def no_backoff() -> BackoffPolicy:
-    return BackoffPolicy(base_s=0.0, cap_s=0.0)
 
 
 def summary_bytes(path) -> str:
@@ -230,69 +225,6 @@ class TestCheckpointRoundTrip:
 
 
 # ----------------------------------------------------------------------
-# Backoff policy
-# ----------------------------------------------------------------------
-class TestBackoffPolicy:
-    def test_same_seed_same_schedule(self):
-        a = BackoffPolicy(seed=7).schedule("fig2/cubic", 6)
-        b = BackoffPolicy(seed=7).schedule("fig2/cubic", 6)
-        assert a == b
-
-    def test_different_seed_or_label_differ(self):
-        base = BackoffPolicy(seed=7).schedule("fig2/cubic", 4)
-        assert BackoffPolicy(seed=8).schedule("fig2/cubic", 4) != base
-        assert BackoffPolicy(seed=7).schedule("fig2/mptcp", 4) != base
-
-    def test_full_jitter_bounds_and_cap(self):
-        policy = BackoffPolicy(base_s=0.1, cap_s=0.5, multiplier=2.0, seed=3)
-        for attempt in range(1, 12):
-            envelope = policy.envelope_s(attempt)
-            assert envelope <= 0.5
-            delay = policy.delay_s("run", attempt)
-            assert 0.0 <= delay <= envelope
-
-    def test_envelope_growth(self):
-        policy = BackoffPolicy(base_s=0.1, cap_s=10.0, multiplier=2.0)
-        assert policy.envelope_s(1) == pytest.approx(0.1)
-        assert policy.envelope_s(3) == pytest.approx(0.4)
-
-    def test_independent_of_other_runs(self):
-        # A draw for (label, attempt) never shifts because other runs
-        # also drew — forked substreams, not a shared cursor.
-        policy = BackoffPolicy(seed=5)
-        before = policy.delay_s("victim", 2)
-        policy.schedule("noisy-neighbor", 9)
-        assert policy.delay_s("victim", 2) == before
-
-    def test_zero_base_disables_sleeping(self):
-        assert no_backoff().schedule("x", 5) == [0.0] * 5
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            BackoffPolicy(base_s=-1)
-        with pytest.raises(ValueError):
-            BackoffPolicy(base_s=2.0, cap_s=1.0)
-        with pytest.raises(ValueError):
-            BackoffPolicy(multiplier=0.5)
-        with pytest.raises(ValueError):
-            BackoffPolicy().envelope_s(0)
-
-    def test_executor_sleeps_through_injected_clock(self, monkeypatch):
-        monkeypatch.setattr(executor_mod, "execute_config_dict", failing_payload)
-        slept = []
-        executor = ExperimentExecutor(
-            retries=2,
-            backoff=BackoffPolicy(base_s=0.05, cap_s=0.2, seed=1),
-            sleep=slept.append,
-        )
-        executor.run_batch([small_config()])
-        expected = BackoffPolicy(base_s=0.05, cap_s=0.2, seed=1).schedule(
-            "cubic/seed1", 2
-        )
-        assert slept == [d for d in expected if d > 0]
-
-
-# ----------------------------------------------------------------------
 # Journal tail tolerance
 # ----------------------------------------------------------------------
 class TestTruncatedJournal:
@@ -344,7 +276,7 @@ class TestCacheWriteErrors:
         blocker = tmp_path / "cache"
         blocker.write_text("a file where the cache dir should be")
         cache = ResultCache(blocker)
-        result = ExperimentExecutor()._run_once(small_config())
+        [result] = ExperimentExecutor().run_batch([small_config()])
         assert result.ok
         assert cache.put("ab" * 32, result) is None
         assert cache.write_errors == 1
@@ -397,8 +329,7 @@ class TestQuarantine:
         path = tmp_path / "camp.jsonl"
         with CampaignLog(str(path)) as log:
             executor = ExperimentExecutor(
-                campaign=log, retries=1, backoff=no_backoff(),
-                checkpoint_to=checkpoint_path(str(path)),
+                campaign=log, checkpoint_to=checkpoint_path(str(path)),
             )
             executor.run_batch([small_config()])
         assert executor.last_batch.quarantined == 1
@@ -416,7 +347,7 @@ class TestQuarantine:
             executor_mod, "execute_config_dict",
             lambda payload: calls.append(payload) or failing_payload(payload),
         )
-        resumed = ExperimentExecutor(resume=plan, backoff=no_backoff())
+        resumed = ExperimentExecutor(resume=plan)
         results = resumed.run_batch([small_config()])
         assert calls == []
         assert resumed.last_replayed == 1
@@ -432,8 +363,7 @@ class TestQuarantine:
         path = tmp_path / "camp.jsonl"
         with CampaignLog(str(path)) as log:
             executor = ExperimentExecutor(
-                campaign=log, retries=0, backoff=no_backoff(),
-                checkpoint_to=checkpoint_path(str(path)),
+                campaign=log, checkpoint_to=checkpoint_path(str(path)),
             )
             results = executor.run_batch([small_config()])
         assert not results[0].ok
@@ -444,6 +374,40 @@ class TestQuarantine:
         # failed, not quarantined: resume resubmits it
         folded = assert_sidecar_is_journal_fold(path)
         assert folded.runs["cubic/seed1"].state == "failed"
+
+    def test_wall_clock_abort_resubmitted_event_budget_abort_quarantined(
+        self, tmp_path, monkeypatch
+    ):
+        """How long a run takes depends on the host; how many events it
+        takes does not. A wall-clock watchdog abort is an infrastructure
+        failure that resume re-executes; an event-budget abort fails the
+        same way every time and stays quarantined."""
+        monkeypatch.chdir(tmp_path)  # repro bundles land under cwd
+        # 12 weeks is more than one 100k-event watchdog chunk, so the
+        # 1 ns wall budget is checked, and blown, mid-run.
+        configs = [
+            ExperimentConfig(variant="cubic", weeks=12, warmup_weeks=1, n_flows=2,
+                             seed=1, watchdog_max_wall_s=1e-9),
+            ExperimentConfig(variant="cubic", weeks=4, warmup_weeks=1, n_flows=2,
+                             seed=2, watchdog_max_events=500),
+        ]
+        path = tmp_path / "camp.jsonl"
+        with CampaignLog(str(path)) as log:
+            results = ExperimentExecutor(campaign=log).run_batch(configs)
+        assert [r.failure.error_type for r in results] == ["WatchdogExceeded"] * 2
+        assert "wall-clock budget" in results[0].failure.error_message
+        assert "event budget" in results[1].failure.error_message
+        assert [r.failure.infrastructure for r in results] == [True, False]
+        plan = load_resume_plan(str(path))
+        assert {label: run.state for label, run in plan.checkpoint.runs.items()} == {
+            "cubic/seed1": "failed", "cubic/seed2": "quarantined"}
+
+        executed = spy_executions(monkeypatch)
+        resumed = ExperimentExecutor(resume=plan)
+        results = resumed.run_batch(configs)
+        assert executed() == [1]  # only the wall-clock abort runs again
+        assert resumed.last_replayed == 1
+        assert results[1].failure.error_type == "WatchdogExceeded"
 
 
 # ----------------------------------------------------------------------
@@ -692,8 +656,8 @@ class TestExecutorChaos:
         path = tmp_path / "chaos.jsonl"
         with CampaignLog(str(path)) as log:
             executor = ExperimentExecutor(
-                jobs=2, campaign=log, chaos=chaos, retries=2,
-                backoff=no_backoff(), checkpoint_to=checkpoint_path(str(path)),
+                jobs=2, campaign=log, chaos=chaos,
+                checkpoint_to=checkpoint_path(str(path)),
             )
             results = executor.run_batch(configs)
         assert all(r.ok for r in results)
@@ -709,35 +673,17 @@ class TestExecutorChaos:
             ]
             assert len(terminal) == 1, (label, terminal)
 
-    def test_broken_pool_budget_exhausted_fails_cleanly(self, tmp_path):
+    def test_broken_pool_budget_exhausted_fails_cleanly(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(executor_mod, "POOL_REBUILDS", 1)
         plan = ExecutorFaultPlan(
             specs=(ExecutorFaultSpec(kind="broken_pool", attempt=0, count=0),)
         )
-        executor = ExperimentExecutor(
-            jobs=2, chaos=ExecutorChaos(plan), retries=1,
-            backoff=no_backoff(), pool_rebuilds=1,
-        )
+        executor = ExperimentExecutor(jobs=2, chaos=ExecutorChaos(plan))
         results = executor.run_batch([small_config(seed=s) for s in (1, 2)])
         assert all(not r.ok for r in results)
         assert all(r.failure.infrastructure for r in results)
         # infrastructure casualties are failed, never quarantined
         assert executor.last_batch.quarantined == 0
-
-    def test_plan_round_trips_through_json(self, tmp_path):
-        plan = ExecutorFaultPlan(
-            name="gauntlet", seed=3,
-            specs=(
-                ExecutorFaultSpec(kind="worker_kill", target="a/*",
-                                  params={"after_events": 500}),
-                ExecutorFaultSpec(kind="cache_write_error", count=0,
-                                  probability=0.5),
-            ),
-        )
-        path = tmp_path / "plan.json"
-        plan.save(path)
-        from repro.faults.executor_chaos import load_executor_fault_plan
-
-        assert load_executor_fault_plan(path) == plan
 
 
 # ----------------------------------------------------------------------
@@ -746,12 +692,28 @@ class TestExecutorChaos:
 # ----------------------------------------------------------------------
 CHILD_SCRIPT = """
 import sys
+import time
 sys.path.insert(0, {src!r})
+import repro.experiments.executor as executor_mod
 from repro.experiments.checkpoint import checkpoint_path
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.executor import ExperimentExecutor
-from repro.faults.executor_chaos import ExecutorChaos, ExecutorFaultPlan, ExecutorFaultSpec
 from repro.obs.campaign import CampaignLog
+
+# Spawned pool workers import this module too, so the patch is in force
+# where the runs execute: the third run stalls 120s in its worker, and
+# the campaign is guaranteed mid-flight (2 finished, 1 running) at the
+# SIGKILL.
+run_payload = executor_mod.execute_config_dict
+
+
+def stall_the_third(payload):
+    if payload["seed"] == 3:
+        time.sleep(120.0)
+    return run_payload(payload)
+
+
+executor_mod.execute_config_dict = stall_the_third
 
 
 def main():
@@ -759,17 +721,11 @@ def main():
         ExperimentConfig(variant="cubic", weeks=4, warmup_weeks=1, n_flows=2, seed=s)
         for s in (1, 2, 3)
     ]
-    # The third run stalls 120s in its worker: the campaign is
-    # guaranteed mid-flight (2 finished, 1 running) at the SIGKILL.
-    plan = ExecutorFaultPlan(
-        specs=(ExecutorFaultSpec(kind="slow_worker", target="cubic/seed3",
-                                 params={{"stall_s": 120.0}}),)
-    )
     with CampaignLog({log!r}) as log:
         executor = ExperimentExecutor(
             jobs=2, cache_dir={cache!r}, campaign=log,
             checkpoint_to=checkpoint_path({log!r}),
-            heartbeat_events=2000, chaos=ExecutorChaos(plan),
+            heartbeat_events=2000,
         )
         executor.run_batch(configs)
 

@@ -1,12 +1,12 @@
 #!/usr/bin/env python3
-"""Render a campaign JSONL event log into a static dashboard.
+"""Render a campaign JSONL event log into a markdown dashboard.
 
 The log comes from ``python -m repro.experiments.cli <target>
 --campaign-log out/campaign.jsonl``. This tool validates it against the
 event schema and renders the dashboard CI uploads as an artifact:
 
     python tools/campaign_report.py out/campaign.jsonl \\
-        --html out/campaign.html --markdown out/campaign.md \\
+        --markdown out/campaign.md \\
         --summary-json out/campaign_summary.json --validate
 
 ``--validate`` exits 1 when any record fails the schema (missing
@@ -26,7 +26,7 @@ import sys
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 
-from repro.experiments.report import render_campaign, render_campaign_html  # noqa: E402
+from repro.experiments.report import render_campaign  # noqa: E402
 from repro.obs.campaign import (  # noqa: E402
     campaign_summary,
     read_campaign_with_tail,
@@ -39,8 +39,6 @@ def main(argv=None) -> int:
         description="Validate and render a repro campaign JSONL log."
     )
     parser.add_argument("log", help="campaign JSONL file (from --campaign-log)")
-    parser.add_argument("--html", metavar="FILE", default=None,
-                        help="write the HTML dashboard here")
     parser.add_argument("--markdown", metavar="FILE", default=None,
                         help="write the markdown dashboard here")
     parser.add_argument("--summary-json", metavar="FILE", default=None,
@@ -79,8 +77,6 @@ def main(argv=None) -> int:
     markdown = render_campaign(records)
     if args.markdown:
         pathlib.Path(args.markdown).write_text(markdown)
-    if args.html:
-        pathlib.Path(args.html).write_text(render_campaign_html(records))
     if args.summary_json:
         summary = campaign_summary(records)
         pathlib.Path(args.summary_json).write_text(
