@@ -1,6 +1,6 @@
-"""Workload applications: bulk flows (flowgrind-like), short RPC
-flows, empirical flow-size mixes, incast rounds, background cross
-traffic, and the fabric-wide workload engine."""
+"""Workload applications: bulk flows (flowgrind-like), empirical
+flow-size mixes, incast rounds, background cross traffic, and the
+fabric-wide workload engine (which also replays short-RPC traces)."""
 
 from repro.apps.bulk import BulkReceiver, BulkSender
 from repro.apps.engine import (
@@ -13,7 +13,6 @@ from repro.apps.engine import (
 from repro.apps.workload import Flow, Workload
 from repro.apps.background import BackgroundTraffic
 from repro.apps.incast import IncastCoordinator, IncastStats, run_incast
-from repro.apps.shortflows import ShortFlowGenerator, ShortFlowStats
 from repro.apps.tracegen import (
     DATA_MINING_CDF,
     EmpiricalFlowSizes,
@@ -29,8 +28,6 @@ __all__ = [
     "IncastCoordinator",
     "IncastStats",
     "run_incast",
-    "ShortFlowGenerator",
-    "ShortFlowStats",
     "EmpiricalFlowSizes",
     "WEB_SEARCH_CDF",
     "DATA_MINING_CDF",

@@ -14,7 +14,7 @@ from repro.net.node import Host
 from repro.net.packet import Packet
 from repro.sim.rng import SeededRandom
 from repro.sim.simulator import Simulator
-from repro.units import SEC, serialization_delay_ns
+from repro.units import serialization_delay_ns
 
 
 class BackgroundTraffic:
@@ -90,8 +90,3 @@ class BackgroundTraffic:
         self.packets_sent += 1
         self.bytes_sent += self.packet_size
         self.sim.schedule(self._interval_ns, self._tick)
-
-    def average_rate_bps(self, duration_ns: int) -> float:
-        if duration_ns <= 0:
-            return 0.0
-        return self.bytes_sent * 8 * SEC / duration_ns

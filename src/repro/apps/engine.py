@@ -27,7 +27,6 @@ from dataclasses import dataclass
 from time import perf_counter
 from typing import Dict, List, Optional, Sequence, Tuple, Type
 
-from repro.apps.shortflows import ShortFlowRecord
 from repro.apps.tracegen import EmpiricalFlowSizes
 from repro.obs.outcome import WALL_SUMMARY_FIELDS  # the keys summary() adds from the wall clock
 from repro.obs.sketch import QuantileSketch
@@ -196,6 +195,27 @@ def load_trace(path, strict: bool = True) -> Tuple[List[TraceFlow], int]:
     return flows, skipped
 
 
+def poisson_trace(
+    rng: SeededRandom,
+    src: str,
+    dst: str,
+    size_bytes: int,
+    mean_interarrival_ns: int,
+    horizon_ns: int,
+) -> List[TraceFlow]:
+    """Poisson arrivals of ``size_bytes`` flows from ``src`` to ``dst``
+    up to ``horizon_ns``: §5.1's short-flow workload as a trace (gaps
+    floored at 1 us, drawn from the ``shortflows-<src>`` substream)."""
+    rng = rng.fork(f"shortflows-{src}")
+    flows: List[TraceFlow] = []
+    start_ns = 0
+    while True:
+        start_ns += max(int(rng.expovariate(1 / mean_interarrival_ns)), 1_000)
+        if start_ns > horizon_ns:
+            return flows
+        flows.append(TraceFlow(start_ns, src, dst, size_bytes))
+
+
 def write_trace(path, flows: Sequence[TraceFlow], header: bool = True) -> None:
     """Write flows in the documented CSV schema (``load_trace``'s exact
     inverse)."""
@@ -210,6 +230,14 @@ def write_trace(path, flows: Sequence[TraceFlow], header: bool = True) -> None:
 # ----------------------------------------------------------------------
 # Streaming completion accounting
 # ----------------------------------------------------------------------
+@dataclass
+class FlowRecord:
+    """One completed flow kept by the reservoir."""
+
+    start_ns: int
+    fct_ns: int
+
+
 class CompletionStats:
     """Constant-memory flow-completion accounting.
 
@@ -247,7 +275,7 @@ class CompletionStats:
         self.slowdown_by_bin: Dict[str, QuantileSketch] = {
             label: QuantileSketch() for label, _bound in SIZE_BINS
         }
-        self.records: List[ShortFlowRecord] = []
+        self.records: List[FlowRecord] = []
         self._reservoir_seen = 0
 
     def ideal_fct_ns(self, size_bytes: int) -> int:
@@ -268,17 +296,10 @@ class CompletionStats:
         self.slowdown_sketch.add(slowdown)
         self.slowdown_by_bin[size_bin(size_bytes)].add(slowdown)
         if self.record_cap > 0:
-            self._reservoir_insert(
-                ShortFlowRecord(
-                    index=self.started - 1,
-                    start_ns=start_ns,
-                    size_bytes=size_bytes,
-                    completed_ns=completed_ns,
-                )
-            )
+            self._reservoir_insert(FlowRecord(start_ns, fct_ns))
         return slowdown
 
-    def _reservoir_insert(self, record: ShortFlowRecord) -> None:
+    def _reservoir_insert(self, record: FlowRecord) -> None:
         self._reservoir_seen += 1
         if len(self.records) < self.record_cap:
             self.records.append(record)
@@ -297,14 +318,16 @@ class CompletionStats:
             return 0.0
         return self.completed / self.started
 
-    def achieved_load(self, duration_ns: int, n_src_racks: int) -> float:
-        """Delivered bytes as a fraction of the fabric capacity actually
-        offered over the run (per source ToR, like the requested load)."""
+    def load_of(self, n_bytes: int, duration_ns: int, n_src_racks: int) -> float:
+        """``n_bytes`` over the run as a fraction of the fabric capacity
+        (per source ToR, like the requested load)."""
         if duration_ns <= 0 or n_src_racks <= 0:
             return 0.0
-        return (self.bytes_completed * 8.0 * SEC) / (
-            duration_ns * self.capacity_bps * n_src_racks
-        )
+        return (n_bytes * 8.0 * SEC) / (duration_ns * self.capacity_bps * n_src_racks)
+
+    def achieved_load(self, duration_ns: int, n_src_racks: int) -> float:
+        """Delivered bytes as a fraction of the fabric capacity."""
+        return self.load_of(self.bytes_completed, duration_ns, n_src_racks)
 
     def sketches(self) -> Dict[str, dict]:
         """Serialized sketch states, ready for ``ExperimentResult`` and
@@ -365,12 +388,12 @@ class WorkloadEngine:
     * trace replay (``trace=[TraceFlow, ...]``): every flow starts at
       its recorded offset from engine start, between its recorded hosts.
 
-    Each flow is a fresh connection that writes its payload, closes, and
-    is released (:meth:`TCPConnection.release`) shortly after delivery —
-    the same churn discipline as
-    :class:`repro.apps.shortflows.ShortFlowGenerator`, which is what
-    keeps host demux tables, TDN listener lists (and therefore memory
-    and the cost of a TDN change) flat at millions of flows.
+    A flow is booked (``started``, ``bytes_offered``) when it launches,
+    and nothing launches once the engine is stopped. Each flow is a
+    fresh connection that writes its payload, closes, and is released
+    (:meth:`TCPConnection.release`) shortly after delivery, which keeps
+    host demux tables, TDN listener lists (and therefore memory and the
+    cost of a TDN change) flat at millions of flows.
     """
 
     def __init__(
@@ -460,22 +483,25 @@ class WorkloadEngine:
         self._start_ns = self.sim.now
         self._wall_start = perf_counter()
         if self.trace is not None:
-            for flow in self.trace:
-                if self.max_flows is not None and self.stats.started >= self.max_flows:
-                    break
-                src_rack, src_index = parse_host_address(flow.src)
-                dst_rack, dst_index = parse_host_address(flow.dst)
-                self._book_and_schedule(
-                    flow.start_ns,
-                    self.testbed.host(src_rack, src_index),
-                    self.testbed.host(dst_rack, dst_index),
-                    flow.size_bytes,
-                )
+            for flow in self.trace[: self.max_flows]:
+                src = self.testbed.host(*parse_host_address(flow.src))
+                dst = self.testbed.host(*parse_host_address(flow.dst))
+                if flow.start_ns <= 0:
+                    self._launch(src, dst, flow.size_bytes)
+                else:
+                    self.sim.schedule(flow.start_ns, self._launch, src, dst, flow.size_bytes)
         else:
             self._schedule_next_arrival()
 
     def stop(self) -> None:
         self._running = False
+
+    def offered_load(self, duration_ns: int) -> float:
+        """The requested load; for a trace replay, which has none, the
+        load its launched rows offered."""
+        if self.trace is None:
+            return self.load
+        return self.stats.load_of(self.stats.bytes_offered, duration_ns, self.n_racks)
 
     def finish(self) -> CompletionStats:
         """Close the books at the horizon: stop arrivals, count open
@@ -488,7 +514,7 @@ class WorkloadEngine:
             duration = max(self.sim.now - self._start_ns, 1)
             self._tp_report.emit(
                 self.sim.now,
-                offered_load=self.load,
+                offered_load=self.offered_load(duration),
                 achieved_load=self.stats.achieved_load(duration, self.n_racks),
                 started=self.stats.started,
                 completed=self.stats.completed,
@@ -519,18 +545,13 @@ class WorkloadEngine:
         dst = self.testbed.hosts[dst_rack]
         src_host = src[self._placement_rng.randint(0, len(src) - 1)]
         dst_host = dst[self._placement_rng.randint(0, len(dst) - 1)]
-        size = self.sizes.sample()
-        self._book_and_schedule(0, src_host, dst_host, size)
+        self._launch(src_host, dst_host, self.sizes.sample())
         self._schedule_next_arrival()
 
-    def _book_and_schedule(self, delay_ns: int, src, dst, size_bytes: int) -> None:
-        self.stats.on_start(size_bytes)
-        if delay_ns <= 0:
-            self._launch(src, dst, size_bytes)
-        else:
-            self.sim.schedule(delay_ns, self._launch, src, dst, size_bytes)
-
     def _launch(self, src, dst, size_bytes: int) -> None:
+        if not self._running:
+            return
+        self.stats.on_start(size_bytes)
         server_port = self._next_port
         self._next_port += 1
         client, server = create_connection_pair(

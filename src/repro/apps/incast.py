@@ -126,15 +126,6 @@ class IncastCoordinator:
             self.sim.schedule(self.think_time_ns, self._begin_round)
 
     # ------------------------------------------------------------------
-    def goodput_gbps(self) -> float:
-        done = self.stats.completed
-        if not done:
-            return 0.0
-        span = done[-1].completed_ns - done[0].start_ns
-        bytes_moved = len(done) * len(self.senders) * self.block_bytes
-        if span <= 0:
-            return 0.0
-        return bytes_moved * 8 / span
 
 
 def run_incast(

@@ -39,10 +39,6 @@ class Workload:
 
     flows: List[Flow] = field(default_factory=list)
 
-    @property
-    def total_delivered_bytes(self) -> int:
-        return sum(flow.delivered_bytes for flow in self.flows)
-
 
 def build_workload(
     testbed: TwoRackTestbed,

@@ -32,7 +32,7 @@ from repro.experiments.executor import (
     ExperimentExecutor,
 )
 from repro.experiments.figures import FIGURES
-from repro.obs.campaign import CampaignLog, LiveCampaignView
+from repro.obs.campaign import CampaignLog
 from repro.obs.telemetry import ObsConfig
 from repro.experiments.report import (
     fct_cdf_to_csv,
@@ -128,10 +128,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--campaign-log", metavar="JSONL", default=None,
         help="append run-lifecycle events (queued/started/heartbeat/finished/…) to this JSONL file",
-    )
-    parser.add_argument(
-        "--live", action="store_true",
-        help="repaint live campaign progress (per-run heartbeats, ETA, cache-hit rate) when stderr is a TTY",
     )
     parser.add_argument(
         "--heartbeat-events", type=int, default=DEFAULT_HEARTBEAT_EVENTS,
@@ -245,10 +241,8 @@ def run_fields(args) -> dict:
 
 def executor_from_args(args) -> ExperimentExecutor:
     """One executor per CLI invocation: worker count, cache location
-    and campaign bus straight from the flags, progress on
-    stderr. ``--live`` upgrades the progress lines to an in-place TTY
-    view when stderr is a terminal; otherwise it falls back to the
-    plain lines.
+    and campaign bus straight from the flags, one
+    ``[done/total] label: outcome`` progress line per run on stderr.
 
     ``--resume`` loads the prior journal *before* the new log opens
     (opening truncates), defaults the new journal to
@@ -267,13 +261,7 @@ def executor_from_args(args) -> ExperimentExecutor:
               f"{args.resume}", file=sys.stderr)
         if log_path is None:
             log_path = str(pathlib.Path(args.resume).with_suffix("")) + ".resumed.jsonl"
-    campaign = None
-    live = None
-    if log_path or args.live:
-        campaign = CampaignLog(log_path)
-        if args.live and sys.stderr.isatty():
-            live = LiveCampaignView(sys.stderr, jobs=args.jobs)
-            campaign.subscribe(live.on_record)
+    campaign = CampaignLog(log_path) if log_path else None
 
     def progress(done: int, total: int, label: str, outcome: str) -> None:
         print(f"  [{done}/{total}] {label}: {outcome}", file=sys.stderr)
@@ -283,11 +271,11 @@ def executor_from_args(args) -> ExperimentExecutor:
         jobs=args.jobs,
         cache_dir=args.cache_dir,
         use_cache=not args.no_cache,
-        progress=progress if (plain and live is None) else None,
+        progress=progress if plain else None,
         campaign=campaign,
         heartbeat_events=args.heartbeat_events,
         resume=resume,
-        checkpoint_to=checkpoint_path(campaign.path) if (campaign and campaign.path) else None,
+        checkpoint_to=checkpoint_path(log_path) if log_path else None,
     )
 
 

@@ -308,16 +308,10 @@ def headline_claims(data: FigureData) -> Dict[str, float]:
 # Campaign dashboard (repro.obs.campaign JSONL -> markdown)
 # ----------------------------------------------------------------------
 
-def merge_campaign_sketches(
-    records: Sequence[dict],
-) -> Dict[str, Dict[str, QuantileSketch]]:
+def _merge_sketches(fold: CampaignFold) -> Dict[str, Dict[str, QuantileSketch]]:
     """sketch name -> variant -> exact merge of every finished run's
     sketch (bucket counts are integers, so per-variant percentiles are
     independent of run completion order)."""
-    return _merge_sketches(fold_campaign(records))
-
-
-def _merge_sketches(fold: CampaignFold) -> Dict[str, Dict[str, QuantileSketch]]:
     merged: Dict[str, Dict[str, QuantileSketch]] = {}
     for run in fold.runs.values():
         variant = str((run.queued or {}).get("variant", "?"))

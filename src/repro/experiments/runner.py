@@ -642,7 +642,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     if engine is not None:
         stats = engine.finish()
         result.workload_summary = stats.summary(
-            config.duration_ns, engine.n_racks, engine.load
+            config.duration_ns, engine.n_racks, engine.offered_load(config.duration_ns)
         )
         result.truncated_flows = stats.truncated_flows
         result.aggregate_delivered = stats.bytes_completed

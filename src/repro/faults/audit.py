@@ -252,9 +252,6 @@ class InvariantAuditor:
     # ------------------------------------------------------------------
     # Reporting
     # ------------------------------------------------------------------
-    def assert_clean(self) -> None:
-        if self.violations:
-            raise InvariantViolation(self.violations)
 
     @property
     def clean(self) -> bool:

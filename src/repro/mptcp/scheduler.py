@@ -28,6 +28,3 @@ class TdmScheduler:
         if self.n_subflows == 1:
             return True
         return subflow_index == self.active_tdn
-
-    def active_subflow(self) -> int:
-        return min(self.active_tdn, self.n_subflows - 1)

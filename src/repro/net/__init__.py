@@ -1,11 +1,11 @@
 """Network substrate: packets, links, queues, hosts, and switches."""
 
-from repro.net.addressing import FlowKey, flow_key_of, reverse_flow_key
+from repro.net.addressing import FlowKey
 from repro.net.packet import Packet, TCPSegment, TDNNotification
 from repro.net.link import Link
 from repro.net.queues import DropTailQueue
 from repro.net.node import Host, PacketHandler
-from repro.net.switch import EPSSwitch, ToRSwitch
+from repro.net.switch import ToRSwitch
 from repro.net.capture import PacketCapture, dissect
 from repro.net.pcap import write_pcap
 
@@ -14,8 +14,6 @@ __all__ = [
     "dissect",
     "write_pcap",
     "FlowKey",
-    "flow_key_of",
-    "reverse_flow_key",
     "Packet",
     "TCPSegment",
     "TDNNotification",
@@ -23,6 +21,5 @@ __all__ = [
     "DropTailQueue",
     "Host",
     "PacketHandler",
-    "EPSSwitch",
     "ToRSwitch",
 ]

@@ -7,10 +7,7 @@ is the hashable demux key connections register under.
 
 from __future__ import annotations
 
-from typing import NamedTuple, TYPE_CHECKING
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard for typing only
-    from repro.net.packet import TCPSegment
+from typing import NamedTuple
 
 
 class FlowKey(NamedTuple):
@@ -54,13 +51,3 @@ def host_index_of(address: str) -> int:
     if "h" not in address:
         raise ValueError(f"not a host address: {address!r}")
     return int(address[address.index("h") + 1:])
-
-
-def flow_key_of(segment: "TCPSegment") -> FlowKey:
-    """The :class:`FlowKey` a *receiving* host demuxes this segment to."""
-    return FlowKey(segment.dst, segment.dport, segment.src, segment.sport)
-
-
-def reverse_flow_key(key: FlowKey) -> FlowKey:
-    """The peer's view of the same flow."""
-    return FlowKey(key.remote_addr, key.remote_port, key.local_addr, key.local_port)

@@ -79,12 +79,6 @@ class PacketCapture:
     def notifications(self) -> List[CaptureRecord]:
         return [r for r in self.records if isinstance(r.packet, TDNNotification)]
 
-    def data_segments(self) -> List[CaptureRecord]:
-        return [
-            r for r in self.segments()
-            if r.packet.payload_len > 0  # type: ignore[union-attr]
-        ]
-
     def summary(self) -> str:
         """One-paragraph traffic summary (counts by kind and TDN tag)."""
         segments = self.segments()

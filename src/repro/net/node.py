@@ -120,9 +120,10 @@ class Host:
         # TCP segments dominate; test for them first.
         if isinstance(packet, TCPSegment):
             self.rx_packets += 1
-            # Plain tuple instead of flow_key_of(): a NamedTuple hashes
-            # and compares like the tuple of its fields, so the demux
-            # lookup skips the FlowKey construction on the per-packet path.
+            # The receiver's view of the 4-tuple, as a plain tuple: a
+            # NamedTuple hashes and compares like the tuple of its fields,
+            # so the demux lookup skips the FlowKey construction on the
+            # per-packet path.
             handler = self._connections.get(
                 (packet.dst, packet.dport, packet.src, packet.sport)
             )

@@ -5,9 +5,6 @@ rack-local traffic straight down the destination host's access link, and
 cross-rack traffic into a time-multiplexed uplink (the RDCN fabric,
 provided by :mod:`repro.rdcn.fabric`). The ToR is also the entity that
 generates TDN-change notifications (wired up by the notifier).
-
-:class:`EPSSwitch` is a plain store-and-forward electrical packet switch
-used by unit tests and non-RDCN examples.
 """
 
 from __future__ import annotations
@@ -25,26 +22,6 @@ class Uplink(Protocol):
     """What a ToR needs from its fabric uplink."""
 
     def enqueue(self, packet: Packet) -> bool: ...
-
-
-class EPSSwitch:
-    """Store-and-forward packet switch with a static routing table."""
-
-    def __init__(self, sim: Simulator, name: str = "eps"):
-        self.sim = sim
-        self.name = name
-        self._routes: Dict[str, Link] = {}
-        self.forwarded = 0
-
-    def add_route(self, dst_addr: str, link: Link) -> None:
-        self._routes[dst_addr] = link
-
-    def forward(self, packet: Packet) -> None:
-        link = self._routes.get(packet.dst)
-        if link is None:
-            raise KeyError(f"{self.name}: no route to {packet.dst}")
-        self.forwarded += 1
-        link.send(packet)
 
 
 class ToRSwitch:
@@ -93,11 +70,3 @@ class ToRSwitch:
             raise KeyError(f"{self.name}: no uplink toward rack {dst_rack}")
         self.forwarded_fabric += 1
         uplink.enqueue(packet)
-
-    def broadcast_to_hosts(self, make_packet) -> None:
-        """Send ``make_packet(host_addr)`` down every host access link.
-
-        Used by the notifier to fan TDN-change ICMPs out to the rack.
-        """
-        for addr, link in self._downlinks.items():
-            link.send(make_packet(addr))

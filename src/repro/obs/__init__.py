@@ -10,7 +10,7 @@ evaluation relied on (``ss -ti`` dumps, ``tcp_probe``-style probes):
 * :mod:`repro.obs.sketch` — mergeable constant-memory quantile sketches
   (DDSketch-style) and streaming moment stats;
 * :mod:`repro.obs.campaign` — the run-lifecycle event bus (JSONL
-  campaign log, worker heartbeats, live TTY view);
+  campaign log, worker heartbeats);
 * :mod:`repro.obs.outcome` — what a run produced: the host-dependent
   fields and the outcome digest every golden hashes;
 * :mod:`repro.obs.exporters` — JSONL, Chrome trace-event JSON
@@ -26,7 +26,6 @@ mapping to the paper's kernel probes.
 from repro.obs.campaign import (
     CAMPAIGN_SCHEMA_VERSION,
     CampaignLog,
-    LiveCampaignView,
     campaign_summary,
     read_campaign,
     validate_record,
@@ -62,7 +61,6 @@ __all__ = [
     "DEFAULT_ALPHA",
     "DISABLED",
     "Gauge",
-    "LiveCampaignView",
     "MemoryExporter",
     "MetricsRegistry",
     "NULL_TRACEPOINT",

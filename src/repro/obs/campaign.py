@@ -7,10 +7,9 @@ this module is the transport and the vocabulary:
 
 * :class:`CampaignLog` — an append-only JSONL event bus. Every record
   is a key-sorted JSON object with a monotonic ``seq``, flushed per
-  line so ``tail -f`` (and the live renderer) see events as they
-  happen. Subscribers attached to the log receive each record in
-  process, so the same stream drives the file, the live TTY view, and
-  tests.
+  line so ``tail -f`` sees events as they happen. Subscribers attached
+  to the log receive each record in process, so the same stream drives
+  the file, the executor's stats, and tests.
 * The **event schema** (:data:`EVENT_SCHEMA`): ``campaign_start``,
   ``queued``, ``started``, ``heartbeat``, ``cache_hit``, ``retry``,
   ``finished``, ``failed``, ``quarantined``, ``campaign_end``, plus the
@@ -21,16 +20,13 @@ this module is the transport and the vocabulary:
 * The **run lifecycle** (:class:`CampaignFold`): the one transition
   function from records to per-run state (:class:`RunState`, states
   :data:`RUN_STATES`, terminal ones :data:`TERMINAL_STATES`). Summary,
-  checkpoint, dashboard timeline, live view and resume are all
+  checkpoint, dashboard timeline and resume are all
   projections of it — none of them reads event names to decide what
   state a run is in. ``docs/observability.md`` has the state table.
 * :func:`campaign_summary` — a deterministic digest: wall-clock-derived
   fields (:data:`WALL_FIELDS`) are stripped and runs are keyed by
   label, so two identical seeded campaigns produce **byte-identical**
   summaries no matter how their events interleaved across workers.
-* :class:`LiveCampaignView` — a TTY renderer for ``--live``: EWMA-based
-  ETA, cache-hit rate, and worker utilization, repainted in place from
-  the event stream.
 
 Heartbeats originate in :meth:`repro.sim.simulator.Simulator.run` (the
 ``set_heartbeat`` hook). An inline run's heartbeats stream straight
@@ -60,7 +56,6 @@ __all__ = [
     "WALL_FIELDS",
     "CampaignFold",
     "CampaignLog",
-    "LiveCampaignView",
     "RunState",
     "campaign_summary",
     "fold_campaign",
@@ -223,7 +218,7 @@ class CampaignLog:
     """Append-only, key-sorted JSONL event bus with a monotonic ``seq``.
 
     ``path=None`` keeps the bus purely in process (subscribers still
-    fire) — the live renderer without a log file. Records carry
+    fire). Records carry
     ``wall_ms`` (milliseconds since the log opened); every field that
     depends on wall time is listed in :data:`WALL_FIELDS` so
     deterministic digests can strip them.
@@ -462,116 +457,3 @@ def campaign_summary(records: Sequence[dict]) -> dict:
         "runs": {label: fold.runs[label].summary() for label in sorted(fold.runs)},
         "stats": fold.stats,
     }
-
-
-class LiveCampaignView:
-    """``--live``: repaint campaign progress in place on a TTY.
-
-    Shows done/total with an EWMA-based ETA, the cache-hit rate, worker
-    utilization (running / jobs), and one line per in-flight run with
-    its latest heartbeat (sim time, events, events/s). Subscribes to a
-    :class:`CampaignLog`; when the stream isn't a TTY the caller should
-    keep the plain per-event stderr lines instead (the CLI does).
-    """
-
-    #: EWMA gain for the per-completion interval (like TCP's SRTT 1/8).
-    GAIN = 0.25
-    #: Minimum seconds between heartbeat-driven repaints.
-    REPAINT_S = 0.1
-
-    def __init__(
-        self,
-        stream,
-        jobs: int = 1,
-        clock: Callable[[], float] = time.monotonic,
-        max_run_lines: int = 8,
-    ) -> None:
-        self.stream = stream
-        self.jobs = max(jobs, 1)
-        self._clock = clock
-        self.max_run_lines = max_run_lines
-        #: Every count painted is read off this fold.
-        self.fold = CampaignFold()
-        #: in-flight run -> its latest heartbeat record (None before one)
-        self._running: Dict[str, Optional[dict]] = {}
-        self._ewma_s: Optional[float] = None
-        self._last_done_wall: Optional[float] = None
-        self._last_paint = 0.0
-        self._painted_lines = 0
-
-    # ------------------------------------------------------------------
-    def on_record(self, record: dict) -> None:
-        """CampaignLog subscriber entry point. Run state comes from the
-        shared fold; only wall-clock rendering state lives here."""
-        event = record["event"]
-        done_before = self.fold.done
-        run = self.fold.apply(record)
-        if run is not None:
-            if run.state in ("running", "retrying"):
-                self._running[run.label] = run.last_heartbeat
-            else:
-                self._running.pop(run.label, None)
-        if event == "campaign_start":
-            self.jobs = max(record.get("jobs", self.jobs), 1)
-            self._last_done_wall = self._clock()
-        elif event == "heartbeat":
-            if self._clock() - self._last_paint < self.REPAINT_S:
-                return
-        elif event == "campaign_abort":
-            self._running.clear()
-        if self.fold.done > done_before:
-            now = self._clock()
-            if self._last_done_wall is not None:
-                interval = now - self._last_done_wall
-                if self._ewma_s is None:
-                    self._ewma_s = interval
-                else:
-                    self._ewma_s += self.GAIN * (interval - self._ewma_s)
-            self._last_done_wall = now
-        # abort paints final like a clean end.
-        self.paint(final=event in ("campaign_end", "campaign_abort"))
-
-    # ------------------------------------------------------------------
-    def eta_s(self) -> Optional[float]:
-        """EWMA completion-interval ETA for the remaining runs."""
-        if self._ewma_s is None or self.fold.total == 0:
-            return None
-        return (self.fold.total - self.fold.done) * self._ewma_s
-
-    def _lines(self) -> List[str]:
-        fold = self.fold
-        done = fold.done
-        utilization = min(len(self._running) / self.jobs, 1.0)
-        hit_rate = fold.states["cached"] / done if done else 0.0
-        eta = self.eta_s()
-        eta_text = f"{eta:6.1f}s" if eta is not None else "   ?  "
-        lines = [
-            f"campaign [{done}/{fold.total}] "
-            f"eta {eta_text}  cache {hit_rate * 100:3.0f}%  "
-            f"workers {len(self._running)}/{self.jobs} ({utilization * 100:3.0f}%)  "
-            f"retries {fold.event_counts.get('retry', 0)}  failures {fold.failures}"
-        ]
-        for label in sorted(self._running)[: self.max_run_lines]:
-            beat = self._running[label]
-            if beat is not None and beat.get("sim_now") is not None:
-                rate = beat.get("events_per_s") or 0.0
-                lines.append(
-                    f"  {label:<28} sim {beat['sim_now'] / 1e6:9.2f} ms  "
-                    f"{beat.get('events', 0):>10,} ev  {rate / 1e3:7.1f}k ev/s"
-                )
-            else:
-                lines.append(f"  {label:<28} starting…")
-        hidden = len(self._running) - self.max_run_lines
-        if hidden > 0:
-            lines.append(f"  … and {hidden} more")
-        return lines
-
-    def paint(self, final: bool = False) -> None:
-        self._last_paint = self._clock()
-        # Move up over the previous block and repaint in place.
-        if self._painted_lines:
-            self.stream.write(f"\x1b[{self._painted_lines}F\x1b[J")
-        lines = self._lines()
-        self.stream.write("\n".join(lines) + "\n")
-        self.stream.flush()
-        self._painted_lines = 0 if final else len(lines)

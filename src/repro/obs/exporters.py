@@ -41,9 +41,6 @@ class MemoryExporter:
     def __len__(self) -> int:
         return len(self.events)
 
-    def by_name(self, name: str) -> List[TraceEvent]:
-        return [event for event in self.events if event[1] == name]
-
     def families(self) -> List[str]:
         return sorted({name for _t, name, _f in self.events})
 

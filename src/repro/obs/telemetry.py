@@ -288,7 +288,9 @@ class _MetricsBridge:
             "workload_fct_ns", "workload-engine flow completion time", ()
         )
         self._workload_offered = registry.gauge(
-            "workload_offered_load", "requested offered load (fraction of fabric)", ()
+            "workload_offered_load",
+            "offered load (fraction of fabric): requested, or a trace's launched rows",
+            (),
         )
         self._workload_achieved = registry.gauge(
             "workload_achieved_load", "achieved load (delivered bytes / capacity)", ()

@@ -89,7 +89,8 @@ TRACEPOINT_CATALOG: Dict[str, Tuple[Tuple[str, ...], str]] = {
     ),
     "workload:load_report": (
         ("offered_load", "achieved_load", "started", "completed", "truncated"),
-        "end-of-run offered vs achieved load digest (one emission per engine run)",
+        "end-of-run offered vs achieved load digest (one emission per engine run; "
+        "a trace replay offers the load of the rows it launched)",
     ),
     "fault:inject": (
         ("kind", "target", "detail"),
@@ -138,14 +139,6 @@ class Tracepoint:
         """Attach a subscriber; enables the tracepoint."""
         self._subscribers.append(fn)
         self.enabled = True
-
-    def unsubscribe(self, fn: Subscriber) -> None:
-        """Detach a subscriber (no-op if absent); disables when empty."""
-        try:
-            self._subscribers.remove(fn)
-        except ValueError:
-            pass
-        self.enabled = bool(self._subscribers)
 
     def emit(self, time_ns: int, **fields: Any) -> None:
         """Dispatch one event to every subscriber, in subscription
@@ -213,7 +206,3 @@ class TracepointRegistry:
         for tp in touched:
             tp.subscribe(fn)
         return touched
-
-    def unsubscribe(self, pattern: str, fn: Subscriber) -> None:
-        for tp in self.match(pattern):
-            tp.unsubscribe(fn)

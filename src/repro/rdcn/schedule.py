@@ -82,11 +82,6 @@ class TDNSchedule:
     def n_tdns(self) -> int:
         return max(day.tdn_id for day in self.days) + 1
 
-    def tdn_fraction(self, tdn_id: int) -> float:
-        """Fraction of the week during which ``tdn_id`` is active."""
-        up = sum(day.duration_ns for day in self.days if day.tdn_id == tdn_id)
-        return up / self.week_ns
-
     def active_at(self, time_ns: int) -> Optional[int]:
         """TDN active at absolute time, or None during a night."""
         return self.segment_at(time_ns)[2]
@@ -104,25 +99,6 @@ class TDNSchedule:
             bisect_right(self._segment_starts, time_ns - week_base) - 1
         ]
         return (week_base + start, week_base + end, tdn_id)
-
-    def day_starts_in_week(self, tdn_id: Optional[int] = None) -> List[int]:
-        """Phase offsets (within one week) at which days start; filter by
-        TDN id when given."""
-        return [
-            offset
-            for offset, day in self.layout
-            if tdn_id is None or day.tdn_id == tdn_id
-        ]
-
-    def transitions_in_week(self) -> List[Tuple[int, Optional[int]]]:
-        """(phase, new_state) transitions over one week; new_state is a
-        TDN id at day start and None at night start."""
-        transitions: List[Tuple[int, Optional[int]]] = []
-        for offset, day in self.layout:
-            transitions.append((offset, day.tdn_id))
-            if day.night_ns > 0:
-                transitions.append((offset + day.duration_ns, None))
-        return transitions
 
     def rate_profile(self, rates_bps: Sequence[float]) -> List[Tuple[int, int, float]]:
         """(phase_start, phase_end, rate) pieces over one week, with rate

@@ -408,21 +408,6 @@ class EventQueue:
             return event
         return None
 
-    def peek_time(self) -> Optional[int]:
-        """Time of the earliest pending event without popping it."""
-        heap = self._heap
-        while heap:
-            entry = heap[0]
-            event = entry[2]
-            if not event.cancelled:
-                return entry[0]
-            _heappop(heap)
-            channel = event._channel
-            if channel is not None:
-                event._channel = None
-                channel._promote()
-        return None
-
     def clear(self) -> None:
         """Drop every pending event, including channel-deque entries.
 

@@ -9,9 +9,6 @@ from __future__ import annotations
 
 import random
 import zlib
-from typing import Sequence, TypeVar
-
-T = TypeVar("T")
 
 
 class SeededRandom:
@@ -47,9 +44,6 @@ class SeededRandom:
 
     def expovariate(self, rate: float) -> float:
         return self._rng.expovariate(rate)
-
-    def choice(self, seq: Sequence[T]) -> T:
-        return self._rng.choice(seq)
 
     def chance(self, probability: float) -> bool:
         """True with the given probability."""

@@ -40,12 +40,6 @@ class SendBuffer:
             return 2 ** 62
         return max(0, self.written - offset)
 
-    def within_capacity(self, snd_una: int, snd_nxt: int) -> bool:
-        """Whether sending one more segment respects the buffer cap."""
-        if self.capacity_bytes is None:
-            return True
-        return (snd_nxt - snd_una) < self.capacity_bytes
-
 
 class ReceiveBuffer:
     """Receiver-side reassembly.

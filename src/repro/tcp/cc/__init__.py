@@ -5,7 +5,7 @@ implements one of the available CCAs in each TDN". The registry here is
 what makes that pluggability real: any registered CCA can run per-TDN.
 """
 
-from repro.tcp.cc.base import CongestionControl, CCClock, register_cc, make_congestion_control, registered_cc_names
+from repro.tcp.cc.base import CongestionControl, CCClock, register_cc, make_congestion_control
 from repro.tcp.cc.reno import RenoCC
 from repro.tcp.cc.cubic import CubicCC
 from repro.tcp.cc.dctcp import DCTCPCC
@@ -15,7 +15,6 @@ __all__ = [
     "CCClock",
     "register_cc",
     "make_congestion_control",
-    "registered_cc_names",
     "RenoCC",
     "CubicCC",
     "DCTCPCC",

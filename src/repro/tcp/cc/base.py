@@ -115,7 +115,3 @@ def make_congestion_control(name: str, clock: CCClock, initial_cwnd: float = 10.
     except KeyError:
         raise KeyError(f"unknown congestion control {name!r}; known: {sorted(_REGISTRY)}") from None
     return factory(clock, initial_cwnd=initial_cwnd, **kwargs)
-
-
-def registered_cc_names() -> list:
-    return sorted(_REGISTRY)

@@ -1081,7 +1081,7 @@ class TCPConnection:
         return None
 
     def _send_new_segment(self) -> bool:
-        # SendBuffer.available_beyond / within_capacity inlined: this is
+        # SendBuffer.available_beyond and the capacity gate inlined: this is
         # the tail of every _try_send_one step, including the one that
         # returns False and ends the send loop.
         buf = self.send_buffer

@@ -8,8 +8,6 @@ examples.
 
 from __future__ import annotations
 
-from typing import Iterable, List
-
 from repro.tcp.connection import TCPConnection
 
 
@@ -88,11 +86,3 @@ def describe_connection(conn: TCPConnection) -> str:
             f" change_ptr:{conn.tdn_change_seq}"
         )
     return "\n".join(lines)
-
-
-def socket_summary(connections: Iterable[TCPConnection]) -> str:
-    """ss-style listing of many connections."""
-    parts: List[str] = []
-    for conn in connections:
-        parts.append(describe_connection(conn))
-    return "\n".join(parts) if parts else "(no connections)"

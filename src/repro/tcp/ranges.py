@@ -99,10 +99,6 @@ class RangeSet:
             self._cov -= threshold - starts[0]
             starts[0] = threshold
 
-    def contains_point(self, value: int) -> bool:
-        i = bisect_right(self._starts, value) - 1
-        return i >= 0 and value < self._ends[i]
-
     def covers(self, start: int, end: int) -> bool:
         """True when ``[start, end)`` is entirely covered by one range."""
         if start >= end:
@@ -110,37 +106,9 @@ class RangeSet:
         i = bisect_right(self._starts, start) - 1
         return i >= 0 and end <= self._ends[i]
 
-    def first_range_at_or_after(self, value: int) -> Range:
-        """First range whose end is above ``value``; raises if none."""
-        i = bisect_right(self._ends, value)
-        if i < len(self._ends):
-            return (self._starts[i], self._ends[i])
-        raise LookupError(f"no range at or after {value}")
-
     def coverage(self) -> int:
         """Total number of integers covered (maintained, not summed)."""
         return self._cov
 
     def ranges(self) -> List[Range]:
         return list(zip(self._starts, self._ends))
-
-    def gaps_between(self, start: int, end: int) -> List[Range]:
-        """Uncovered sub-ranges of ``[start, end)``."""
-        starts = self._starts
-        ends = self._ends
-        gaps: List[Range] = []
-        cursor = start
-        for i in range(bisect_right(ends, start), len(starts)):
-            r_start = starts[i]
-            if r_start >= end:
-                break
-            if r_start > cursor:
-                gaps.append((cursor, r_start if r_start < end else end))
-            r_end = ends[i]
-            if r_end > cursor:
-                cursor = r_end
-            if cursor >= end:
-                break
-        if cursor < end:
-            gaps.append((cursor, end))
-        return gaps

@@ -55,20 +55,3 @@ class RTTEstimator:
         assert self.rttvar_ns is not None
         rto = self.srtt_ns + max(4 * self.rttvar_ns, 1)
         return min(max(rto, self.min_rto_ns), self.max_rto_ns)
-
-    def reset(self) -> None:
-        """Forget the path model (used after a downgrade/path reset).
-
-        ``min_rtt_ns`` belongs to the old path and must go too: RACK's
-        reorder window is derived from it (see
-        :func:`repro.tcp.rack.default_reo_wnd_ns`), and keeping the old
-        path's minimum would size the new path's reordering tolerance
-        from a route that no longer exists. ``samples`` likewise counts
-        the old model's inputs.
-        """
-        self.srtt_ns = None
-        self.rttvar_ns = None
-        self.mdev_ns = 0
-        self.latest_rtt_ns = None
-        self.min_rtt_ns = None
-        self.samples = 0

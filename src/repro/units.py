@@ -8,19 +8,11 @@ conversions so no module invents its own scale.
 
 from __future__ import annotations
 
-NSEC = 1
 USEC = 1_000
 MSEC = 1_000_000
 SEC = 1_000_000_000
 
-KBPS = 1e3
-MBPS = 1e6
 GBPS = 1e9
-
-
-def nsec(value: float) -> int:
-    """Nanoseconds as integer simulation time."""
-    return int(round(value * NSEC))
 
 
 def usec(value: float) -> int:
@@ -43,11 +35,6 @@ def gbps(value: float) -> float:
     return value * GBPS
 
 
-def mbps(value: float) -> float:
-    """Megabits per second as bits per second."""
-    return value * MBPS
-
-
 def serialization_delay_ns(size_bytes: int, rate_bps: float) -> int:
     """Time to push ``size_bytes`` onto a wire running at ``rate_bps``.
 
@@ -65,11 +52,6 @@ def serialization_delay_ns(size_bytes: int, rate_bps: float) -> int:
 def to_usec(time_ns: int) -> float:
     """Integer simulation time to float microseconds (for reporting)."""
     return time_ns / USEC
-
-
-def to_sec(time_ns: int) -> float:
-    """Integer simulation time to float seconds (for reporting)."""
-    return time_ns / SEC
 
 
 def throughput_gbps(byte_count: int, duration_ns: int) -> float:

@@ -339,18 +339,47 @@ def run_incast_workload(sim: Simulator, scale: dict) -> None:
     )
 
 
+def replay_short_flows(
+    testbed,
+    connection_cls: Type[TCPConnection],
+    duration_ns: int,
+    mean_interarrival_ns: int = usec(400),
+    **conn_kwargs,
+):
+    """§5.1's short-flow study on a built (unstarted) testbed: replay a
+    Poisson trace of 15 KB RPCs from ``r0h0`` to ``r1h0`` through the
+    workload engine until ``duration_ns``. Returns the engine's
+    ``CompletionStats``; its ``records`` keep every completed flow."""
+    from repro.apps.engine import WorkloadEngine, poisson_trace
+
+    trace = poisson_trace(
+        testbed.rng, testbed.host(0, 0).address, testbed.host(1, 0).address,
+        15_000, mean_interarrival_ns, duration_ns,
+    )
+    engine = WorkloadEngine(
+        testbed, testbed.rng, trace=trace, connection_cls=connection_cls,
+        record_cap=len(trace), **conn_kwargs,
+    )
+    engine.start()
+    testbed.start()
+    testbed.sim.run(until=duration_ns)
+    return engine.finish()
+
+
+def fct_values_us(stats) -> list:
+    """Every completed flow's FCT (us) from a full reservoir."""
+    return [record.fct_ns / 1000 for record in stats.records]
+
+
 def run_shortflow_workload(sim: Simulator, scale: dict) -> None:
     """Poisson churn of 15 KB RPCs: connection setup/teardown pressure."""
-    from repro.apps.shortflows import run_short_flow_study
     from repro.core.tdtcp import TDTCPConnection
 
     testbed = build_two_rack_testbed(RDCNConfig(seed=scale["seed"]), sim=sim)
-    run_short_flow_study(
+    replay_short_flows(
         testbed,
         TDTCPConnection,
-        duration_ns=testbed.config.week_ns * scale["short_weeks"],
-        flow_size_bytes=15_000,
-        mean_interarrival_ns=usec(400),
+        testbed.config.week_ns * scale["short_weeks"],
         tdn_count=2,
     )
 

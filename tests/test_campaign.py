@@ -1,10 +1,8 @@
 """Campaign observability: the JSONL event bus, schema validation,
 executor lifecycle events, worker heartbeats (inline and pooled),
-deterministic summaries, the live TTY view, and the markdown
-dashboard."""
+deterministic summaries, and the markdown dashboard."""
 
 import importlib.util
-import io
 import json
 import multiprocessing.context
 import pathlib
@@ -14,13 +12,13 @@ import pytest
 from repro.experiments import executor as executor_mod
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.executor import ExperimentExecutor
-from repro.experiments.report import merge_campaign_sketches, render_campaign
+from repro.experiments.report import _merge_sketches, render_campaign
 from repro.experiments.runner import ExperimentResult, RunFailure
 from repro.obs.campaign import (
     CAMPAIGN_SCHEMA_VERSION,
     CampaignLog,
-    LiveCampaignView,
     campaign_summary,
+    fold_campaign,
     read_campaign,
     validate_record,
     validate_records,
@@ -228,49 +226,6 @@ class TestExecutorCampaign:
         assert encode(records) == encode(inline.records)
 
 
-class TestLiveView:
-    def make_view(self):
-        clock = iter(x * 0.5 for x in range(1000))
-        ticks = {"now": 0.0}
-
-        def fake_clock():
-            ticks["now"] = next(clock)
-            return ticks["now"]
-
-        stream = io.StringIO()
-        return LiveCampaignView(stream, jobs=2, clock=fake_clock), stream
-
-    def test_renders_state_eta_and_utilization(self):
-        view, stream = self.make_view()
-        log = CampaignLog(clock=lambda: 0.0)
-        log.subscribe(view.on_record)
-        log.emit("campaign_start", schema=1, total=2, jobs=2)
-        log.emit("queued", run="a", index=0, total=2)
-        log.emit("started", run="a", attempt=1)
-        log.emit("heartbeat", run="a", sim_now=10_000, events=5_000,
-                 events_per_s=1e6, pending_events=7)
-        log.emit("finished", run="a", outcome="ok")
-        log.emit("started", run="b", attempt=1)
-        log.emit("failed", run="b", error_type="Boom", error_message="x")
-        out = stream.getvalue()
-        assert "campaign [1/2]" in out
-        assert "workers 1/2" in out
-        assert "5,000 ev" in out  # the in-flight run's heartbeat line
-        assert view.fold.done == 2
-        assert view.fold.failures == 1
-        assert view.eta_s() is not None
-        assert "\x1b[" in out  # in-place repaint
-
-    def test_cache_hit_rate(self):
-        view, _stream = self.make_view()
-        view.on_record({"event": "campaign_start", "total": 2, "jobs": 1,
-                        "seq": 0, "wall_ms": 0.0})
-        view.on_record({"event": "cache_hit", "run": "a", "index": 0,
-                        "seq": 1, "wall_ms": 0.0})
-        assert view.fold.states["cached"] == 1
-        assert view.fold.done == 1
-
-
 class TestDashboard:
     @pytest.fixture(scope="class")
     def records(self, tmp_path_factory):
@@ -284,7 +239,7 @@ class TestDashboard:
         return read_campaign(path)
 
     def test_merge_campaign_sketches_groups_by_variant(self, records):
-        merged = merge_campaign_sketches(records)
+        merged = _merge_sketches(fold_campaign(records))
         assert set(merged) >= {"notify_latency_ns", "retx_marks_per_day"}
         by_variant = merged["notify_latency_ns"]
         assert set(by_variant) == {"cubic", "mptcp"}

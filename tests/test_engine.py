@@ -303,6 +303,10 @@ class TestEngineRuns:
         assert summary["completed"] == 20
         assert summary["trace_rows_skipped"] == 0
         assert summary["bytes_offered"] == sum(8_000 + i for i in range(20))
+        # A trace has no requested load (the config's 0.3 is unused):
+        # what it offered is its bytes over the achieved-load
+        # denominator, so with every row delivered the two are equal.
+        assert summary["offered_load"] == pytest.approx(summary["achieved_load"])
 
     def test_strict_trace_failure_is_a_run_failure_not_a_crash(self, tmp_path):
         path = tmp_path / "trace.csv"
@@ -339,6 +343,36 @@ class TestEngineRuns:
         )
         assert restored.workload_summary == result.workload_summary
         assert restored.truncated_flows == result.truncated_flows
+
+
+class TestTraceReplay:
+    def replay(self, trace):
+        testbed = build_two_rack_testbed(RDCNConfig(n_hosts_per_rack=1))
+        engine = WorkloadEngine(testbed, SeededRandom(3), trace=trace)
+        engine.start()
+        testbed.start()
+        return testbed.sim, engine
+
+    def test_stop_halts_launches(self):
+        # A row is booked when it launches: one still scheduled at the
+        # horizon is neither started nor truncated.
+        sim, engine = self.replay([
+            TraceFlow(10_000, "r0h0", "r1h0", 10_000),
+            TraceFlow(1_000_000_000, "r0h0", "r1h0", 10_000),
+        ])
+        sim.run(until=5_000_000)
+        stats = engine.finish()
+        assert (stats.started, stats.truncated_flows, stats.completion_rate()) == (1, 0, 1.0)
+
+        # Once stopped, no scheduled row launches.
+        sim, engine = self.replay([
+            TraceFlow(50_000 + i * 100_000, "r0h0", "r1h0", 10_000) for i in range(19)
+        ])
+        sim.run(until=1_000_000)
+        engine.stop()
+        assert engine.stats.started == 10
+        sim.run(until=10_000_000)
+        assert (engine.stats.started, engine.stats.completed) == (10, 10)
 
 
 class TestEngineOnOpera:

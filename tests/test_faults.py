@@ -476,7 +476,6 @@ class TestInvariantAuditor:
         auditor.audit()
         assert auditor.clean
         assert auditor.checks_run > 50
-        auditor.assert_clean()
 
     def test_warn_mode_records_corrupted_accounting(self):
         sim, client, auditor = self.watched_pair(mode="warn")
@@ -485,8 +484,6 @@ class TestInvariantAuditor:
         violations = auditor.audit()
         assert any(v["check"] == "pipe_accounting" for v in violations)
         assert not auditor.clean
-        with pytest.raises(InvariantViolation):
-            auditor.assert_clean()
 
     def test_fail_mode_raises(self):
         sim, client, auditor = self.watched_pair(mode="fail")

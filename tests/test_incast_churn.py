@@ -37,7 +37,10 @@ class TestIncast:
     def test_goodput_positive(self):
         tb = build_two_rack_testbed(small_rdcn(n_hosts=4))
         coordinator = run_incast(tb, n_workers=4, duration_ns=tb.config.week_ns * 15)
-        assert coordinator.goodput_gbps() > 0.5
+        done = coordinator.stats.completed
+        bytes_moved = len(done) * len(coordinator.senders) * coordinator.block_bytes
+        span_ns = done[-1].completed_ns - done[0].start_ns
+        assert bytes_moved * 8 / span_ns > 0.5  # Gbps
 
     def test_tdtcp_survives_incast(self):
         """Per-TDN state must not break under N-to-1 convergence."""

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core.tdtcp import TDTCPConnection
-from repro.tcp.introspect import _format_bytes, describe_connection, socket_summary
+from repro.tcp.introspect import _format_bytes, describe_connection
 from repro.tcp.sockets import create_connection_pair
 from repro.units import msec
 
@@ -78,12 +78,3 @@ class TestDescribe:
         if client.stats.retransmissions == 0:
             assert "last_retransmit:" not in text
 
-    def test_summary_lists_all(self):
-        sim, a, b, _ab, _ba = two_hosts()
-        client, server = bulk_pair(sim, a, b)
-        sim.run(until=msec(2))
-        text = socket_summary([client, server])
-        assert text.count("established") >= 2
-
-    def test_summary_empty(self):
-        assert socket_summary([]) == "(no connections)"

@@ -31,11 +31,6 @@ class TestTdmScheduler:
         sched.set_active_tdn(1)
         assert sched.allows(0)
 
-    def test_active_subflow_clamped(self):
-        sched = TdmScheduler(2)
-        sched.set_active_tdn(5)
-        assert sched.active_subflow() == 1
-
     def test_invalid(self):
         with pytest.raises(ValueError):
             TdmScheduler(0)

@@ -70,7 +70,6 @@ MODULES = [
     "repro.apps.bulk",
     "repro.apps.workload",
     "repro.apps.background",
-    "repro.apps.shortflows",
     "repro.apps.tracegen",
     "repro.apps.incast",
     "repro.obs",

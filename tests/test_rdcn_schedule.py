@@ -35,26 +35,6 @@ class TestTDNSchedule:
             assert s.active_at(t) == s.active_at(t + s.week_ns)
             assert s.active_at(t) == s.active_at(t + 5 * s.week_ns)
 
-    def test_tdn_fraction(self):
-        s = paper_schedule()
-        assert s.tdn_fraction(0) == pytest.approx(6 * 180 / 1400)
-        assert s.tdn_fraction(1) == pytest.approx(180 / 1400)
-
-    def test_day_starts(self):
-        s = paper_schedule()
-        starts = s.day_starts_in_week()
-        assert starts == [usec(200 * i) for i in range(7)]
-        assert s.day_starts_in_week(tdn_id=1) == [usec(1200)]
-
-    def test_transitions(self):
-        s = TDNSchedule.uniform((0, 1), usec(10), usec(2))
-        assert s.transitions_in_week() == [
-            (0, 0),
-            (usec(10), None),
-            (usec(12), 1),
-            (usec(22), None),
-        ]
-
     def test_rate_profile_covers_week(self):
         s = paper_schedule()
         pieces = s.rate_profile([10e9, 100e9])

@@ -1,8 +1,7 @@
-"""Short-flow workload and the §5.1 no-impact expectation."""
+"""Short-flow workload and the §5.1 no-impact expectation: Poisson
+traces of 15 KB RPCs replayed through the workload engine."""
 
-import pytest
-
-from repro.apps.shortflows import ShortFlowGenerator, run_short_flow_study
+from repro.apps.engine import poisson_trace
 from repro.core.tdtcp import TDTCPConnection
 from repro.obs.sketch import quantile
 from repro.rdcn.topology import build_two_rack_testbed
@@ -10,57 +9,41 @@ from repro.sim.rng import SeededRandom
 from repro.tcp.connection import TCPConnection
 from repro.units import msec, usec
 
-from tests.helpers import small_rdcn, two_hosts
+from tests.helpers import fct_values_us, replay_short_flows, small_rdcn
+
+
+def small_testbed():
+    return build_two_rack_testbed(small_rdcn(n_hosts=1))
 
 
 class TestGenerator:
+    def test_trace_is_seeded_and_bounded(self):
+        trace = poisson_trace(SeededRandom(3), "r0h0", "r1h0", 15_000, usec(300), msec(10))
+        assert trace == poisson_trace(SeededRandom(3), "r0h0", "r1h0", 15_000, usec(300), msec(10))
+        starts = [flow.start_ns for flow in trace]
+        assert all(b - a >= 1_000 for a, b in zip([0] + starts, starts))
+        assert starts[-1] <= msec(10)
+        assert {(f.src, f.dst, f.size_bytes) for f in trace} == {("r0h0", "r1h0", 15_000)}
+
     def test_flows_launch_and_complete(self):
-        sim, a, b, _ab, _ba = two_hosts()
-        gen = ShortFlowGenerator(
-            sim, a, b, SeededRandom(3),
-            flow_size_bytes=15_000, mean_interarrival_ns=usec(300),
-        )
-        gen.start()
-        sim.run(until=msec(10))
-        gen.stop()
-        assert len(gen.stats.records) > 10
-        assert gen.stats.completion_rate() > 0.9
+        stats = replay_short_flows(small_testbed(), TCPConnection, msec(10), usec(300))
+        assert stats.started > 10
+        assert stats.completion_rate() > 0.9
 
     def test_fct_positive_and_reasonable(self):
-        sim, a, b, _ab, _ba = two_hosts()
-        gen = ShortFlowGenerator(
-            sim, a, b, SeededRandom(3),
-            flow_size_bytes=15_000, mean_interarrival_ns=usec(500),
-        )
-        gen.start()
-        sim.run(until=msec(10))
-        fcts = gen.stats.fct_values_us()
+        stats = replay_short_flows(small_testbed(), TCPConnection, msec(10), usec(500))
+        fcts = fct_values_us(stats)
         assert fcts
-        # 15 KB over a 10 Gbps / 40 us-RTT path: tens to hundreds of us.
+        # 15 KB over the small RDCN: tens to hundreds of us.
         assert min(fcts) > 10
         assert quantile(fcts, 0.5) < 2_000
 
-    def test_stop_halts_launches(self):
-        sim, a, b, _ab, _ba = two_hosts()
-        gen = ShortFlowGenerator(sim, a, b, SeededRandom(3))
-        gen.start()
-        sim.run(until=msec(2))
-        gen.stop()
-        count = len(gen.stats.records)
-        sim.run(until=msec(6))
-        assert len(gen.stats.records) == count
-
     def test_connections_cleaned_up(self):
-        sim, a, b, _ab, _ba = two_hosts()
-        gen = ShortFlowGenerator(
-            sim, a, b, SeededRandom(3), mean_interarrival_ns=usec(200),
-        )
-        gen.start()
-        sim.run(until=msec(20))
-        gen.stop()
-        sim.run(until=msec(25))
+        testbed = small_testbed()
+        stats = replay_short_flows(testbed, TCPConnection, msec(20), usec(200))
+        testbed.sim.run(until=msec(25))
         # Far fewer registered connections than launched flows.
-        assert len(a._connections) < len(gen.stats.records) / 2
+        assert len(testbed.host(0, 0)._connections) < stats.started / 2
 
 
 class TestShortFlowsOnRDCN:
@@ -74,15 +57,11 @@ class TestShortFlowsOnRDCN:
             ("tdtcp", TDTCPConnection, {"tdn_count": 2}),
         ):
             testbed = build_two_rack_testbed(small_rdcn(n_hosts=2))
-            stats = run_short_flow_study(
-                testbed, cls,
-                duration_ns=testbed.config.week_ns * 20,
-                flow_size_bytes=15_000,
-                mean_interarrival_ns=usec(400),
-                **kwargs,
+            stats = replay_short_flows(
+                testbed, cls, testbed.config.week_ns * 20, usec(400), **kwargs
             )
             assert stats.completion_rate() > 0.9
-            results[name] = quantile(stats.fct_values_us(), 0.5)
+            results[name] = quantile(fct_values_us(stats), 0.5)
         # Within a modest band of each other (no harm, no magic).
         ratio = results["tdtcp"] / results["tcp"]
         assert 0.5 < ratio < 2.0, results

@@ -46,13 +46,6 @@ class TestEventQueue:
         popped = q.pop()
         assert popped is not None and popped.time == 20
 
-    def test_peek_time_skips_cancelled(self):
-        q = EventQueue()
-        e1 = q.push(10, lambda: None)
-        q.push(20, lambda: None)
-        e1.cancel()
-        assert q.peek_time() == 20
-
     def test_direct_cancel_keeps_live_count_exact(self):
         # Regression: Event.cancel() used to need a separate
         # note_cancelled() bookkeeping call on the queue; forgetting it

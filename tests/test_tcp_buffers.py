@@ -20,16 +20,6 @@ class TestSendBuffer:
         sb = SendBuffer(unlimited=True)
         assert sb.available_beyond(10 ** 12) > 0
 
-    def test_capacity_gate(self):
-        sb = SendBuffer(capacity_bytes=3000)
-        assert sb.within_capacity(snd_una=0, snd_nxt=1500)
-        assert not sb.within_capacity(snd_una=0, snd_nxt=3000)
-        assert sb.within_capacity(snd_una=1500, snd_nxt=3000)
-
-    def test_no_capacity_means_unbounded(self):
-        sb = SendBuffer()
-        assert sb.within_capacity(0, 10 ** 12)
-
     def test_negative_write_rejected(self):
         with pytest.raises(ValueError):
             SendBuffer().write(-1)

@@ -47,13 +47,6 @@ class TestRangeSetBasics:
         assert merged == (0, 30)
         assert rs.ranges() == [(0, 30)]
 
-    def test_contains_point(self):
-        rs = RangeSet([(10, 20)])
-        assert rs.contains_point(10)
-        assert rs.contains_point(19)
-        assert not rs.contains_point(20)
-        assert not rs.contains_point(9)
-
     def test_covers(self):
         rs = RangeSet([(0, 10), (20, 30)])
         assert rs.covers(2, 8)
@@ -69,20 +62,6 @@ class TestRangeSetBasics:
         assert rs.ranges() == [(20, 30)]
         rs.remove_below(100)
         assert rs.ranges() == []
-
-    def test_first_range_at_or_after(self):
-        rs = RangeSet([(0, 10), (20, 30)])
-        assert rs.first_range_at_or_after(0) == (0, 10)
-        assert rs.first_range_at_or_after(15) == (20, 30)
-        with pytest.raises(LookupError):
-            rs.first_range_at_or_after(30)
-
-    def test_gaps_between(self):
-        rs = RangeSet([(10, 20), (30, 40)])
-        assert rs.gaps_between(0, 50) == [(0, 10), (20, 30), (40, 50)]
-        assert rs.gaps_between(10, 40) == [(20, 30)]
-        assert rs.gaps_between(12, 18) == []
-        assert RangeSet().gaps_between(0, 5) == [(0, 5)]
 
     def test_equality(self):
         assert RangeSet([(0, 5)]) == RangeSet([(0, 3), (3, 5)])
@@ -115,7 +94,7 @@ class TestRangeSetProperties:
             expected.update(range(start, end))
         assert rs.coverage() == len(expected)
         for point in list(expected)[:50]:
-            assert rs.contains_point(point)
+            assert rs.covers(point, point + 1)
 
     @given(ranges_strategy, st.integers(0, 340))
     @settings(max_examples=200)
@@ -134,22 +113,6 @@ class TestRangeSetProperties:
         forward = RangeSet(ranges)
         backward = RangeSet(reversed(ranges))
         assert forward == backward
-
-    @given(ranges_strategy, st.integers(0, 340), st.integers(0, 340))
-    @settings(max_examples=200)
-    def test_gaps_partition_interval(self, ranges, a, b):
-        start, end = min(a, b), max(a, b)
-        rs = RangeSet(ranges)
-        gaps = rs.gaps_between(start, end)
-        # Gaps plus covered points partition [start, end).
-        covered = set()
-        for r_start, r_end in rs.ranges():
-            covered.update(range(max(r_start, start), min(r_end, end)))
-        gap_points = set()
-        for g_start, g_end in gaps:
-            gap_points.update(range(g_start, g_end))
-        assert covered | gap_points == set(range(start, end))
-        assert covered & gap_points == set()
 
 
 class _LinearRangeSet:
@@ -194,14 +157,6 @@ class _LinearRangeSet:
             out.append((max(start, threshold), end))
         self._ranges = out
 
-    def contains_point(self, value):
-        for start, end in self._ranges:
-            if start <= value < end:
-                return True
-            if start > value:
-                break
-        return False
-
     def covers(self, start, end):
         if start >= end:
             return True
@@ -212,34 +167,11 @@ class _LinearRangeSet:
                 break
         return False
 
-    def first_range_at_or_after(self, value):
-        for start, end in self._ranges:
-            if end > value:
-                return (start, end)
-        raise LookupError(f"no range at or after {value}")
-
     def coverage(self):
         return sum(end - start for start, end in self._ranges)
 
     def ranges(self):
         return list(self._ranges)
-
-    def gaps_between(self, start, end):
-        gaps = []
-        cursor = start
-        for r_start, r_end in self._ranges:
-            if r_end <= cursor:
-                continue
-            if r_start >= end:
-                break
-            if r_start > cursor:
-                gaps.append((cursor, min(r_start, end)))
-            cursor = max(cursor, r_end)
-            if cursor >= end:
-                break
-        if cursor < end:
-            gaps.append((cursor, end))
-        return gaps
 
 
 class TestRangeSetDifferential:
@@ -268,24 +200,10 @@ class TestRangeSetDifferential:
                 t = rng.randrange(span)
                 fast.remove_below(t)
                 slow.remove_below(t)
-            elif roll < 0.80:
+            else:
                 a = rng.randrange(span)
                 b = a + rng.randrange(0, 80)
                 assert fast.covers(a, b) == slow.covers(a, b)
-                assert fast.contains_point(a) == slow.contains_point(a)
-            elif roll < 0.92:
-                a = rng.randrange(span)
-                b = a + rng.randrange(0, 200)
-                assert fast.gaps_between(a, b) == slow.gaps_between(a, b)
-            else:
-                v = rng.randrange(span)
-                try:
-                    expected = slow.first_range_at_or_after(v)
-                except LookupError:
-                    with pytest.raises(LookupError):
-                        fast.first_range_at_or_after(v)
-                else:
-                    assert fast.first_range_at_or_after(v) == expected
             # Full-state agreement after every mutation is what makes a
             # divergence bisectable to the op that introduced it.
             assert fast.ranges() == slow.ranges(), f"divergence at op {op_index}"

@@ -50,31 +50,6 @@ class TestRTTEstimator:
         assert est.samples == 0
         assert est.srtt_ns is None
 
-    def test_reset(self):
-        est = estimator()
-        est.update(usec(100))
-        est.reset()
-        assert est.srtt_ns is None
-        assert est.rto_ns() == msec(2)
-
-    def test_reset_clears_path_minimum_and_samples(self):
-        # Regression: reset() used to leave min_rtt_ns and samples
-        # behind, so RACK's reorder window kept sizing itself from the
-        # old path's minimum RTT after a path reset.
-        est = estimator()
-        est.update(usec(100))
-        est.update(usec(300))
-        assert est.min_rtt_ns == usec(100)
-        assert est.samples == 2
-        est.reset()
-        assert est.min_rtt_ns is None
-        assert est.samples == 0
-        assert default_reo_wnd_ns(est.min_rtt_ns) == default_reo_wnd_ns(None)
-        # The new path's minimum is learned from scratch, not clamped
-        # to the old path's.
-        est.update(usec(500))
-        assert est.min_rtt_ns == usec(500)
-
     def test_invalid_bounds(self):
         with pytest.raises(ValueError):
             RTTEstimator(0, 10, 5)
