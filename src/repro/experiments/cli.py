@@ -18,7 +18,6 @@ from __future__ import annotations
 import argparse
 import functools
 import hashlib
-import json
 import pathlib
 import sys
 import tempfile
@@ -26,11 +25,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.experiments.checkpoint import checkpoint_path, load_resume_plan
 from repro.experiments.config import ExperimentConfig, WorkloadConfig
-from repro.experiments.executor import (
-    DEFAULT_HEARTBEAT_EVENTS,
-    CampaignAborted,
-    ExperimentExecutor,
-)
+from repro.experiments.executor import CampaignAborted, ExperimentExecutor
 from repro.experiments.figures import FIGURES
 from repro.obs.campaign import CampaignLog
 from repro.obs.telemetry import ObsConfig
@@ -130,19 +125,10 @@ def build_parser() -> argparse.ArgumentParser:
         help="append run-lifecycle events (queued/started/heartbeat/finished/…) to this JSONL file",
     )
     parser.add_argument(
-        "--heartbeat-events", type=int, default=DEFAULT_HEARTBEAT_EVENTS,
-        help=f"worker heartbeat cadence in simulator events (default: {DEFAULT_HEARTBEAT_EVENTS})",
-    )
-    parser.add_argument(
         "--resume", metavar="JSONL", default=None,
         help="resume an interrupted campaign from its journal: completed runs are "
              "replayed from the journal + result cache, only the "
              "remainder executes (new journal defaults to <log>.resumed.jsonl)",
-    )
-    parser.add_argument(
-        "--chaos-dir", metavar="DIR", default=None,
-        help="chaos-executor target: where gauntlet journals/caches are written "
-             "(default: a fresh temporary directory)",
     )
     parser.add_argument(
         "--variant", default="tdtcp",
@@ -273,7 +259,6 @@ def executor_from_args(args) -> ExperimentExecutor:
         use_cache=not args.no_cache,
         progress=progress if plain else None,
         campaign=campaign,
-        heartbeat_events=args.heartbeat_events,
         resume=resume,
         checkpoint_to=checkpoint_path(log_path) if log_path else None,
     )
@@ -371,129 +356,6 @@ def run_chaos(args) -> int:
             return 1
         print(f"determinism check passed: trace sha256 {digests[0][:16]}…")
     return 0
-
-
-def run_chaos_executor(args) -> int:
-    """The executor-chaos gauntlet: one small campaign per fault kind
-    (worker kills, broken pools, ENOSPC cache writes, corrupt cache
-    entries, torn journals + resume), each validated for schema-clean
-    records and **exactly one** terminal record per run.
-
-    A full pass exits 0; any lost/duplicated terminal record, schema
-    violation, or wrong resume summary exits 1."""
-    from repro.faults.executor_chaos import (
-        ExecutorChaos,
-        ExecutorFaultPlan,
-        ExecutorFaultSpec,
-        truncate_journal_tail,
-    )
-    from repro.obs.campaign import (
-        CAMPAIGN_SCHEMA_VERSION,
-        campaign_summary,
-        fold_campaign,
-        read_campaign,
-        validate_records,
-    )
-
-    jobs = max(args.jobs, 2)  # pool faults need an actual pool
-    out_dir = pathlib.Path(args.chaos_dir or tempfile.mkdtemp(prefix="chaos-executor-"))
-    out_dir.mkdir(parents=True, exist_ok=True)
-    run = run_fields(args)
-    configs = [
-        ExperimentConfig(variant=args.variant, **{**run, "seed": args.seed + i})
-        for i in range(3)
-    ]
-    labels = [f"{c.variant}/seed{c.seed}" for c in configs]
-
-    legs = [
-        ("worker_kill", ExecutorFaultPlan(
-            specs=(ExecutorFaultSpec(kind="worker_kill", target=labels[0]),))),
-        ("worker_kill_midrun", ExecutorFaultPlan(
-            specs=(ExecutorFaultSpec(kind="worker_kill", target=labels[1],
-                                     params={"after_events": 1}),))),
-        ("broken_pool", ExecutorFaultPlan(
-            specs=(ExecutorFaultSpec(kind="broken_pool", target=labels[0]),))),
-        ("cache_write_error", ExecutorFaultPlan(
-            specs=(ExecutorFaultSpec(kind="cache_write_error", count=0),))),
-        ("cache_corrupt", ExecutorFaultPlan(
-            specs=(ExecutorFaultSpec(kind="cache_corrupt", count=0),))),
-        ("journal_truncate", ExecutorFaultPlan(
-            specs=(ExecutorFaultSpec(kind="journal_truncate"),))),
-    ]
-
-    def run_leg(name: str, plan: ExecutorFaultPlan, tag: str, resume=None) -> tuple:
-        """One campaign over ``<name>.cache`` under ``plan``; returns
-        (journal path, chaos harness, executor, results)."""
-        log_path = out_dir / f"{name}.{tag}.jsonl"
-        chaos = ExecutorChaos(plan)
-        with CampaignLog(str(log_path)) as log:
-            executor = ExperimentExecutor(
-                jobs=jobs,
-                cache_dir=str(out_dir / f"{name}.cache"),
-                campaign=log,
-                heartbeat_events=args.heartbeat_events,
-                checkpoint_to=checkpoint_path(str(log_path)),
-                chaos=chaos,
-                resume=resume,
-            )
-            results = executor.run_batch(configs, labels=labels)
-        if any(spec.kind == "journal_truncate" for spec in plan.specs):
-            truncate_journal_tail(log_path)
-        return log_path, chaos, executor, results
-
-    failures: List[str] = []
-
-    def check_records(name: str, records: List[dict]) -> None:
-        for error in validate_records(records):
-            failures.append(f"{name}: schema violation: {error}")
-        # validate_records has already required the stream to open
-        # with campaign_start.
-        if not records or records[0].get("schema") != CAMPAIGN_SCHEMA_VERSION:
-            failures.append(f"{name}: campaign_start missing or wrong schema")
-        runs = fold_campaign(records).runs
-        for label in labels:
-            endings = runs[label].endings if label in runs else 0
-            if endings != 1:
-                failures.append(
-                    f"{name}: {label} has {endings} terminal records "
-                    f"(want exactly 1)")
-
-    for name, plan in legs:
-        log_path, chaos, executor, _ = run_leg(name, plan, "a")
-        # read_campaign tolerates the deliberately torn tail in the
-        # journal_truncate leg; every terminal record precedes it.
-        records = read_campaign(log_path)
-        check_records(name, records)
-        if not chaos.log and plan.specs and name != "journal_truncate":
-            failures.append(f"{name}: plan armed but no fault fired")
-        if name == "cache_write_error" and executor.cache.write_errors < 1:
-            failures.append(f"{name}: no cache write error was counted")
-        if name == "cache_corrupt":
-            # Corrupt entries must read back as misses: a warm re-run
-            # re-executes instead of erroring out.
-            *_, results = run_leg(name, ExecutorFaultPlan(), "warm")
-            if not all(r.ok for r in results):
-                failures.append(f"{name}: warm re-run over corrupt cache failed")
-        if name == "journal_truncate":
-            plan_loaded = load_resume_plan(str(log_path))
-            if plan_loaded.partial_tail is None:
-                failures.append(f"{name}: torn tail not detected")
-            resumed_path, *_ = run_leg(
-                name, ExecutorFaultPlan(), "resumed", resume=plan_loaded)
-            # Reference: the same campaign, no chaos, fresh cache.
-            ref_path, *_ = run_leg(f"{name}.ref", ExecutorFaultPlan(), "b")
-            ref = json.dumps(campaign_summary(read_campaign(ref_path)), sort_keys=True)
-            got = json.dumps(campaign_summary(read_campaign(resumed_path)), sort_keys=True)
-            if ref != got:
-                failures.append(f"{name}: resumed summary != uninterrupted summary")
-        fired = ", ".join(f"{kind}@{target}" for kind, target, _ in chaos.log) or "none"
-        print(f"  [{name}] survived — injected: {fired}")
-
-    print(f"chaos-executor: {len(legs)} legs, {len(failures)} violations "
-          f"(journals in {out_dir})")
-    for failure in failures:
-        print(f"  VIOLATION: {failure}", file=sys.stderr)
-    return 1 if failures else 0
 
 
 def run_sweep_load(args) -> int:
@@ -630,7 +492,6 @@ TARGETS: Dict[str, Tuple[Callable, str]] = {
     "sweep-load": (run_sweep_load, "workload-engine offered-load grid (--loads/--variants)"),
     "replay-trace": (run_replay_trace, "workload trace replay (--trace CSV)"),
     "chaos": (run_chaos, "fault-plan run (--fault-plan/--audit/--check-determinism)"),
-    "chaos-executor": (run_chaos_executor, "executor-layer fault gauntlet (--chaos-dir)"),
     "list": (run_list, "print this table"),
 }
 

@@ -213,8 +213,8 @@ class ResultCache:
     def put(self, key: str, result: ExperimentResult) -> Optional[str]:
         """Store one result; returns the entry path, or None when the
         write failed (ENOSPC, permissions, …). A full disk must degrade
-        a batch to "uncached", never crash it — the caller counts and
-        traces the error and moves on."""
+        a batch to "uncached", never crash it: the error is counted in
+        ``write_errors`` and the caller traces it and moves on."""
         path = self.path_for(key)
         tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
         try:
@@ -227,19 +227,14 @@ class ResultCache:
             tmp.write_text(json.dumps(doc, sort_keys=True))
             os.replace(tmp, path)
         except OSError as error:
-            self.write_failed(error)
+            self.write_errors += 1
+            self.last_write_error = f"{type(error).__name__}: {error}"
             try:  # a half-written tmp file must not leak
                 tmp.unlink()
             except OSError:
                 pass
             return None
         return str(path)
-
-    def write_failed(self, error: OSError) -> None:
-        """Count one failed write (``put``'s own, or one injected ahead
-        of it): the one count of cache write errors there is."""
-        self.write_errors += 1
-        self.last_write_error = f"{type(error).__name__}: {error}"
 
 
 @dataclass
@@ -304,7 +299,6 @@ class ExperimentExecutor:
         heartbeat_events: int = DEFAULT_HEARTBEAT_EVENTS,
         resume: Optional[ResumePlan] = None,
         checkpoint_to: Optional[str] = None,
-        chaos=None,
     ) -> None:
         if jobs < 1:
             raise ValueError("jobs must be >= 1")
@@ -320,7 +314,6 @@ class ExperimentExecutor:
         if self.checkpoint_to is not None and campaign is None:
             # The sidecar is a projection of the journal records.
             raise ValueError("checkpoint_to needs a campaign log")
-        self.chaos = chaos
         self.last_batch = BatchStats()
         self.last_replayed = 0
         self.last_fresh = 0
@@ -553,22 +546,8 @@ class ExperimentExecutor:
         key = self._batch_keys[i]
         if self.cache is None or key is None or not result.ok:
             return
-        path: Optional[str] = None
-        try:
-            if self.chaos is not None:
-                self.chaos.on_cache_put(key)  # may raise OSError/ENOSPC
-        except OSError as error:
-            self.cache.write_failed(error)
-        else:
-            path = self.cache.put(key, result)
-        if path is None:
-            if CACHE_WRITE_ERROR_TP.enabled:
-                CACHE_WRITE_ERROR_TP.emit(
-                    0, key=key, error=self.cache.last_write_error or "OSError"
-                )
-            return
-        if self.chaos is not None:
-            self.chaos.after_cache_put(key, path)
+        if self.cache.put(key, result) is None and CACHE_WRITE_ERROR_TP.enabled:
+            CACHE_WRITE_ERROR_TP.emit(0, key=key, error=self.cache.last_write_error)
 
     def _finish_item(self, i: int, result: ExperimentResult, label: str) -> None:
         if result.ok:
@@ -624,17 +603,8 @@ class ExperimentExecutor:
             if campaign is not None:
                 set_worker_heartbeat(None)
 
-    def _submit(self, pool, config: ExperimentConfig, label: str, attempt: int):
+    def _submit(self, pool, config: ExperimentConfig):
         every = self.heartbeat_events if self.campaign is not None else None
-        if self.chaos is not None:
-            self.chaos.on_submit(label, attempt)  # may raise BrokenProcessPool
-            kill_after = self.chaos.worker_kill(label, attempt)
-            if kill_after is not None:
-                from repro.faults.executor_chaos import execute_config_dict_chaos
-
-                return pool.submit(
-                    execute_config_dict_chaos, config.to_dict(), every, kill_after
-                )
         return pool.submit(execute_pooled, config.to_dict(), every)
 
     def _run_pool(
@@ -686,7 +656,7 @@ class ExperimentExecutor:
         try:
             for i in todo:
                 try:
-                    future = self._submit(pool, configs[i], labels[i], attempts[i] + 1)
+                    future = self._submit(pool, configs[i])
                 except BrokenExecutor:
                     raise
                 except Exception as error:

@@ -1,8 +1,7 @@
 """Deterministic fault injection, invariant auditing, and crash capture.
 
 See ``docs/robustness.md`` for the fault-plan JSON schema, the injector
-catalog, auditor modes, and the repro-bundle workflow. The executor-layer
-chaos harness is imported from :mod:`repro.faults.executor_chaos` itself.
+catalog, auditor modes, and the repro-bundle workflow.
 """
 
 from repro.faults.audit import (

@@ -26,7 +26,7 @@ from __future__ import annotations
 import json
 import pathlib
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, Dict, Optional, Sequence
 
 #: kind -> (layer, recognized params, one-line description).
 FAULT_CATALOG: Dict[str, Any] = {
@@ -208,9 +208,6 @@ class FaultPlan:
 
     def __iter__(self):
         return iter(self.specs)
-
-    def kinds(self) -> List[str]:
-        return [spec.kind for spec in self.specs]
 
     def to_dict(self) -> dict:
         return {

@@ -128,6 +128,12 @@ _ENDING_STATE = {"cache_hit": "cached", "finished": "finished", "failed": "faile
 META_EVENTS = ("campaign_resume", "campaign_abort")
 
 
+def _typed(value: Any, types: tuple) -> bool:
+    """``isinstance``, except that JSON ``true``/``false`` never pass
+    as a number: no schema field is a boolean."""
+    return isinstance(value, types) and not isinstance(value, bool)
+
+
 def validate_record(record: Any) -> List[str]:
     """Schema errors of one parsed record ([] when valid)."""
     errors: List[str] = []
@@ -136,14 +142,14 @@ def validate_record(record: Any) -> List[str]:
     event = record.get("event")
     if event not in EVENT_SCHEMA:
         return [f"unknown event type {event!r}"]
-    if not isinstance(record.get("seq"), int) or record["seq"] < 0:
+    if not _typed(record.get("seq"), (int,)) or record["seq"] < 0:
         errors.append(f"{event}: seq must be a non-negative int")
-    if not isinstance(record.get("wall_ms"), _NUM):
+    if not _typed(record.get("wall_ms"), _NUM):
         errors.append(f"{event}: wall_ms must be a number")
     for name, types in EVENT_SCHEMA[event].items():
         if name not in record:
             errors.append(f"{event}: missing field {name!r}")
-        elif not isinstance(record[name], types):
+        elif not _typed(record[name], types):
             errors.append(
                 f"{event}: field {name!r} has type "
                 f"{type(record[name]).__name__}, expected {'/'.join(t.__name__ for t in types)}"
@@ -160,7 +166,7 @@ def validate_records(records: Sequence[dict]) -> List[str]:
         for error in validate_record(record):
             errors.append(f"record {position}: {error}")
         seq = record.get("seq") if isinstance(record, dict) else None
-        if isinstance(seq, int):
+        if _typed(seq, (int,)):
             if seq <= last_seq:
                 errors.append(
                     f"record {position}: seq {seq} not strictly greater than {last_seq}"

@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import hashlib
+import os
 import pathlib
+import signal
 from contextlib import contextmanager
 from dataclasses import replace
 from typing import Optional, Tuple, Type
@@ -463,3 +465,58 @@ class PlainHeapQueue(EventQueue):
 
     def channel(self, name: str = "channel"):
         return _PlainHeapChannel(self, name)
+
+
+def kill_pooled_worker_once(
+    payload: dict, every_events: Optional[int], *, seed: int, after_events: int, marker: str
+):
+    """A stand-in for ``repro.experiments.executor.execute_pooled``:
+    bind the keywords with ``functools.partial`` and monkeypatch it in;
+    spawned workers unpickle it by reference. The first worker to run
+    ``seed`` SIGKILLs its own process, at once when ``after_events`` is
+    0, else at its first heartbeat at or past ``after_events`` simulated
+    events. It creates ``marker`` first and writes the event count it
+    died at into it, so the resubmission on the rebuilt pool, and every
+    other run, is plain ``execute_pooled``."""
+    from repro.experiments import executor
+    from repro.experiments.runner import set_worker_heartbeat
+
+    if payload["seed"] != seed:
+        return executor.execute_pooled(payload, every_events)
+    try:
+        os.close(os.open(marker, os.O_CREAT | os.O_EXCL | os.O_WRONLY))
+    except FileExistsError:
+        return executor.execute_pooled(payload, every_events)
+
+    def die(events: int) -> None:
+        pathlib.Path(marker).write_text(str(events))
+        os.kill(os.getpid(), signal.SIGKILL)
+
+    if after_events <= 0:
+        die(0)
+    beats = []
+
+    def beat(*fields) -> None:
+        beats.append(fields)
+        if fields[1] >= after_events:
+            die(fields[1])
+
+    set_worker_heartbeat(beat, min(every_events or after_events, after_events))
+    try:
+        return executor.execute_config_dict(payload), beats
+    finally:
+        set_worker_heartbeat(None)
+
+
+def truncate_journal_tail(path) -> bool:
+    """Tear a closed campaign journal's final record in half: what a
+    SIGKILL in the middle of its ``write`` leaves. False when there is
+    no record to tear. (Truncating under an open append handle would
+    leave null-byte holes instead.)"""
+    path = pathlib.Path(path)
+    lines = path.read_text().splitlines(keepends=True)
+    last = lines[-1].rstrip("\n") if lines else ""
+    if len(last) < 2:
+        return False
+    path.write_text("".join(lines[:-1]) + last[: len(last) // 2])
+    return True

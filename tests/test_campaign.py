@@ -99,6 +99,18 @@ class TestValidation:
         assert any("pending_events" in e and "missing" in e for e in errors)
         assert any("sim_now" in e and "type" in e for e in errors)
 
+    def test_booleans_are_not_numbers(self):
+        # JSON true/false decode to bool, and bool subclasses int.
+        queued = {"event": "queued", "seq": True, "index": True, "total": False,
+                  "wall_ms": False, "run": "a"}
+        errors = validate_record(queued)
+        for name in ("seq", "wall_ms", "'index'", "'total'"):
+            assert any(name in e for e in errors), (name, errors)
+        start = {"event": "campaign_start", "seq": 0, "wall_ms": 0.0,
+                 "schema": True, "total": 1, "jobs": 1}
+        assert any("'schema'" in e and "bool" in e for e in validate_record(start))
+        assert validate_record(dict(start, schema=2)) == []
+
     def test_cross_record_invariants(self):
         good = {"event": "started", "seq": 5, "wall_ms": 1.0, "run": "a", "attempt": 1}
         errors = validate_records([good, dict(good, seq=5)])

@@ -290,3 +290,32 @@ def test_one_notifier_and_no_new_knob_for_the_rack_announcement():
     serializer = (inspect.getsource(opera.OperaToR._serve)
                   + inspect.getsource(opera.OperaToR._tx_done))
     assert source.count("sim.schedule") == serializer.count("sim.schedule") == 2
+
+
+def _ledger_wrap_targets():
+    """``WRAP_TARGETS`` of the benchmark ledger's tracer, read from its
+    file (the ledger is not a package on the test path)."""
+    import importlib.util
+
+    path = pathlib.Path(__file__).resolve().parent.parent / "benchmarks" / "ledger" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("_ledger_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    return tracing.WRAP_TARGETS
+
+
+@pytest.mark.parametrize(
+    "module_name, class_name, attr",
+    [target[:3] for target in _ledger_wrap_targets()],
+    ids=lambda value: value or "-",
+)
+def test_every_ledger_wrap_target_resolves(module_name, class_name, attr):
+    # The ledger's traced pass wraps each product name the way
+    # ``Tracer.install`` reads it: ``owner.__dict__[attr]``. A name
+    # moved to a base class, renamed or deleted breaks the benchmark
+    # run, not just its smoke job.
+    module = importlib.import_module(module_name)
+    owner = getattr(module, class_name) if class_name else module
+    assert attr in owner.__dict__, f"{module_name}.{class_name or ''}.{attr} is gone"
+    original = owner.__dict__[attr]
+    assert callable(original) or isinstance(original, (classmethod, staticmethod))

@@ -1,4 +1,4 @@
-"""Crash-safe campaign layer: checkpoint/resume, quarantine, chaos.
+"""Crash-safe campaign layer: checkpoint/resume, quarantine, executor faults.
 
 The contract under test (ISSUE: crash-safe campaigns): a campaign that
 dies mid-flight — SIGKILL included — resumes from its journal alone
@@ -7,12 +7,20 @@ byte-identical to an uninterrupted run; executor faults (dead workers,
 broken pools, full disks, torn journals) degrade the batch, never
 corrupt it. The ``.ckpt.json`` sidecar is a derived status file: after
 every real batch here it must equal the fold of the journal next to it.
+
+Each executor fault is injected where it really happens: a pool worker
+that SIGKILLs itself (at once, or mid-run), ``BrokenProcessPool`` from
+``_submit``, a real ``OSError`` inside ``ResultCache.put``, cache entries
+truncated between batches, and a closed journal torn at its tail. Their
+tests are the fault legs CI runs by node id.
 """
 
 import json
 import os
 import pathlib
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import asdict
+from functools import partial
 import signal
 import subprocess
 import sys
@@ -37,14 +45,9 @@ from repro.experiments.executor import (
     ResultCache,
 )
 from repro.experiments.runner import ExperimentResult, RunFailure
-from repro.faults.executor_chaos import (
-    ExecutorChaos,
-    ExecutorFaultPlan,
-    ExecutorFaultSpec,
-    truncate_journal_tail,
-)
 from repro.experiments.report import _campaign_timeline
 from repro.obs.campaign import (
+    CAMPAIGN_SCHEMA_VERSION,
     TERMINAL_STATES,
     CampaignLog,
     campaign_summary,
@@ -53,6 +56,7 @@ from repro.obs.campaign import (
     read_campaign_with_tail,
     validate_records,
 )
+from tests.helpers import kill_pooled_worker_once, truncate_journal_tail
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
 
@@ -72,6 +76,26 @@ def failing_payload(payload: dict) -> dict:
 
 def summary_bytes(path) -> str:
     return json.dumps(campaign_summary(read_campaign(path)), sort_keys=True)
+
+
+def assert_one_ending_per_run(path, labels) -> list:
+    """What every executor fault must leave intact: schema-clean records
+    opening with this schema's ``campaign_start``, and exactly one
+    run-ending record per run. Returns the records."""
+    records = read_campaign(path)
+    assert validate_records(records) == []
+    assert records[0]["schema"] == CAMPAIGN_SCHEMA_VERSION
+    runs = fold_campaign(records).runs
+    assert {label: runs[label].endings for label in labels} == dict.fromkeys(labels, 1)
+    return records
+
+
+def run_logged(path, configs, **executor_kwargs):
+    """One batch journaled to ``path``; returns (executor, results)."""
+    with CampaignLog(str(path)) as log:
+        executor = ExperimentExecutor(campaign=log, **executor_kwargs)
+        results = executor.run_batch(configs)
+    return executor, results
 
 
 def assert_sidecar_is_journal_fold(log_path) -> CampaignCheckpoint:
@@ -267,6 +291,28 @@ class TestTruncatedJournal:
         assert plan.checkpoint.total == 1
         assert plan.checkpoint.runs["cubic/seed1"].state == "finished"
 
+    def test_torn_journal_resume_matches_uninterrupted(self, tmp_path):
+        """Fault leg: a closed journal torn mid-record (its
+        ``campaign_end``) is detected, resumes with every run replayed,
+        and digests like the uninterrupted campaign."""
+        configs = [small_config(seed=s) for s in (1, 2)]
+        labels = [f"cubic/seed{s}" for s in (1, 2)]
+        torn = tmp_path / "torn.jsonl"
+        run_logged(torn, configs, cache_dir=str(tmp_path / "cache"))
+        assert truncate_journal_tail(torn)
+        plan = load_resume_plan(str(torn))
+        assert plan.partial_tail is not None
+        resumed_path = tmp_path / "resumed.jsonl"
+        resumed, results = run_logged(
+            resumed_path, configs, cache_dir=str(tmp_path / "cache"), resume=plan
+        )
+        assert all(r.ok for r in results)
+        assert resumed.last_replayed == 2
+        assert_one_ending_per_run(resumed_path, labels)
+        ref = tmp_path / "ref.jsonl"
+        run_logged(ref, configs, cache_dir=str(tmp_path / "cache_ref"))
+        assert summary_bytes(resumed_path) == summary_bytes(ref)
+
 
 # ----------------------------------------------------------------------
 # Cache write failures (ENOSPC et al.)
@@ -282,41 +328,53 @@ class TestCacheWriteErrors:
         assert cache.write_errors == 1
         assert cache.last_write_error
 
-    def test_enospc_does_not_crash_batch(self, tmp_path):
-        plan = ExecutorFaultPlan(
-            specs=(ExecutorFaultSpec(kind="cache_write_error", count=0),)
-        )
+    def test_write_error_does_not_crash_batch(self, tmp_path):
+        """Fault leg: every shard directory the batch would write into
+        is a regular file, so ``ResultCache.put`` meets a real OSError.
+        The runs finish uncached, and each failed write is counted and
+        traced."""
+        configs = [small_config(seed=s) for s in (31, 32)]
+        cache_dir = tmp_path / "cache"
+        for config in configs:
+            shard = ResultCache(cache_dir).path_for(config.cache_key()).parent
+            shard.parent.mkdir(parents=True, exist_ok=True)
+            shard.write_text("a file where the shard directory should be")
         emitted = []
         CACHE_WRITE_ERROR_TP.subscribe(lambda t, name, fields: emitted.append(fields))
         try:
-            executor = ExperimentExecutor(
-                cache_dir=str(tmp_path / "cache"), chaos=ExecutorChaos(plan)
+            executor, results = run_logged(
+                tmp_path / "camp.jsonl", configs, cache_dir=str(cache_dir)
             )
-            results = executor.run_batch([small_config(seed=31)])
         finally:
             CACHE_WRITE_ERROR_TP._subscribers.clear()
             CACHE_WRITE_ERROR_TP.enabled = False
-        assert results[0].ok
-        assert executor.cache.write_errors == 1
-        assert emitted and "No space left" in emitted[0]["error"]
+        assert all(r.ok for r in results)
+        assert executor.cache.write_errors == 2
+        assert [fields["key"] for fields in emitted] == [c.cache_key() for c in configs]
+        assert all(fields["error"].startswith("FileExistsError") for fields in emitted)
+        assert_one_ending_per_run(tmp_path / "camp.jsonl", ["cubic/seed31", "cubic/seed32"])
         # nothing was cached: a re-run executes again
-        rerun = ExperimentExecutor(cache_dir=str(tmp_path / "cache"))
-        rerun.run_batch([small_config(seed=31)])
+        rerun = ExperimentExecutor(cache_dir=str(cache_dir))
+        rerun.run_batch(configs)
         assert rerun.last_batch.cache_hits == 0
 
     def test_corrupt_entry_reads_as_miss(self, tmp_path):
-        plan = ExecutorFaultPlan(
-            specs=(ExecutorFaultSpec(kind="cache_corrupt", count=0),)
-        )
-        first = ExperimentExecutor(
-            cache_dir=str(tmp_path / "cache"), chaos=ExecutorChaos(plan)
-        )
-        first.run_batch([small_config(seed=32)])
-        warm = ExperimentExecutor(cache_dir=str(tmp_path / "cache"))
-        results = warm.run_batch([small_config(seed=32)])
-        assert results[0].ok
-        assert warm.last_batch.cache_hits == 0
-        assert warm.last_batch.executed == 1
+        """Fault leg: every cache entry a cold batch wrote is truncated
+        before the warm batch, which reads each as a miss and runs it
+        again instead of failing."""
+        configs = [small_config(seed=s) for s in (33, 34)]
+        labels = ["cubic/seed33", "cubic/seed34"]
+        cache_dir = tmp_path / "cache"
+        run_logged(tmp_path / "cold.jsonl", configs, cache_dir=str(cache_dir))
+        entries = sorted(cache_dir.glob("*/*.json"))
+        assert len(entries) == 2
+        for entry in entries:
+            data = entry.read_bytes()
+            entry.write_bytes(data[: len(data) // 2])
+        warm, results = run_logged(tmp_path / "warm.jsonl", configs, cache_dir=str(cache_dir))
+        assert all(r.ok for r in results)
+        assert (warm.last_batch.cache_hits, warm.last_batch.executed) == (0, 2)
+        assert_one_ending_per_run(tmp_path / "warm.jsonl", labels)
 
 
 # ----------------------------------------------------------------------
@@ -643,45 +701,85 @@ class TestResumeIdentity:
 
 
 # ----------------------------------------------------------------------
-# Chaos harness (in-process pool faults)
+# Pool faults, injected at the pool's own seams
 # ----------------------------------------------------------------------
 class TestExecutorChaos:
-    def test_worker_kill_rebuilds_pool_and_completes(self, tmp_path, monkeypatch):
-        configs = [small_config(seed=s) for s in (1, 2)]
+    LABELS = ["cubic/seed1", "cubic/seed2"]
+
+    def _killed_campaign(self, tmp_path, monkeypatch, after_events: int):
+        """A two-run pooled campaign whose worker for seed 1 SIGKILLs
+        itself once; returns (executor, results, records, events at the
+        kill)."""
+        marker = tmp_path / "killed"
+        monkeypatch.setattr(executor_mod, "execute_pooled", partial(
+            kill_pooled_worker_once, seed=1, after_events=after_events, marker=str(marker),
+        ))
         saves = count_sidecar_saves(monkeypatch)
-        plan = ExecutorFaultPlan(
-            specs=(ExecutorFaultSpec(kind="worker_kill", target="cubic/seed1"),)
+        path = tmp_path / "camp.jsonl"
+        executor, results = run_logged(
+            path, [small_config(seed=s) for s in (1, 2)], jobs=2,
+            heartbeat_events=2_000, checkpoint_to=checkpoint_path(str(path)),
         )
-        chaos = ExecutorChaos(plan)
-        path = tmp_path / "chaos.jsonl"
-        with CampaignLog(str(path)) as log:
-            executor = ExperimentExecutor(
-                jobs=2, campaign=log, chaos=chaos,
-                checkpoint_to=checkpoint_path(str(path)),
-            )
-            results = executor.run_batch(configs)
-        assert all(r.ok for r in results)
-        assert executor.last_batch.broken_pools >= 1
+        assert marker.exists(), "the worker never killed itself"
         assert saves == [checkpoint_path(str(path))]  # one per batch, pooled too
         assert_sidecar_is_journal_fold(path)
-        assert chaos.log[0][0] == "worker_kill"
-        records = read_campaign(path)
-        for label in ("cubic/seed1", "cubic/seed2"):
-            terminal = [
-                r for r in records
-                if r.get("run") == label and r["event"] in ("finished", "failed")
-            ]
-            assert len(terminal) == 1, (label, terminal)
+        records = assert_one_ending_per_run(path, self.LABELS)
+        return executor, results, records, int(marker.read_text())
+
+    def test_worker_kill_rebuilds_pool_and_completes(self, tmp_path, monkeypatch):
+        """Fault leg: a worker dies before running; the pool is rebuilt
+        and its casualties resubmitted (``retry``)."""
+        executor, results, records, events = self._killed_campaign(
+            tmp_path, monkeypatch, after_events=0)
+        assert events == 0
+        assert all(r.ok for r in results)
+        assert executor.last_batch.broken_pools >= 1
+        assert {"run": "cubic/seed1", "attempt": 2} in [
+            {"run": r["run"], "attempt": r["attempt"]} for r in records if r["event"] == "retry"
+        ]
+
+    def test_worker_killed_mid_run_rebuilds_pool_and_completes(self, tmp_path, monkeypatch):
+        """Fault leg: a worker dies mid-simulation, after 5,000 events;
+        the broken pool is reported by the run's future, not at submit."""
+        executor, results, records, events = self._killed_campaign(
+            tmp_path, monkeypatch, after_events=5_000)
+        assert events >= 5_000
+        assert all(r.ok for r in results)
+        assert executor.last_batch.broken_pools >= 1
+        assert any(r["event"] == "retry" and r["run"] == "cubic/seed1" for r in records)
+
+    def test_broken_pool_at_submit_rebuilds_and_completes(self, tmp_path, monkeypatch):
+        """Fault leg: the pool is already broken when the first run is
+        submitted. It is rebuilt; nothing had started, so nothing retries."""
+        submit = ExperimentExecutor._submit
+        broke = []
+
+        def break_once(self, pool, config):
+            if not broke:
+                broke.append(config.seed)
+                raise BrokenProcessPool("the pool died between completions")
+            return submit(self, pool, config)
+
+        monkeypatch.setattr(ExperimentExecutor, "_submit", break_once)
+        path = tmp_path / "camp.jsonl"
+        executor, results = run_logged(path, [small_config(seed=s) for s in (1, 2)], jobs=2)
+        assert broke == [1]
+        assert all(r.ok for r in results)
+        assert executor.last_batch.broken_pools == 1
+        records = assert_one_ending_per_run(path, self.LABELS)
+        assert not [r for r in records if r["event"] == "retry"]
 
     def test_broken_pool_budget_exhausted_fails_cleanly(self, tmp_path, monkeypatch):
+        def always_broken(self, pool, config):
+            raise BrokenProcessPool("the pool died between completions")
+
         monkeypatch.setattr(executor_mod, "POOL_REBUILDS", 1)
-        plan = ExecutorFaultPlan(
-            specs=(ExecutorFaultSpec(kind="broken_pool", attempt=0, count=0),)
-        )
-        executor = ExperimentExecutor(jobs=2, chaos=ExecutorChaos(plan))
+        monkeypatch.setattr(ExperimentExecutor, "_submit", always_broken)
+        executor = ExperimentExecutor(jobs=2)
         results = executor.run_batch([small_config(seed=s) for s in (1, 2)])
         assert all(not r.ok for r in results)
         assert all(r.failure.infrastructure for r in results)
+        assert executor.last_batch.broken_pools == 2
         # infrastructure casualties are failed, never quarantined
         assert executor.last_batch.quarantined == 0
 
