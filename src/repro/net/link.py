@@ -4,19 +4,6 @@ A :class:`Link` is unidirectional: it serializes packets one at a time at
 ``rate_bps``, then delivers them ``prop_delay_ns`` later to a handler.
 An optional bounded FIFO absorbs bursts; when it overflows, packets are
 dropped (and flagged, so loss accounting sees ground truth).
-
-Scheduling uses the event core's pooled primitives instead of fresh
-allocations into the global heap (see :mod:`repro.sim.events`):
-
-* serialization (``_tx_done``) events go through the event free-list
-  pool (``EventQueue.push_pooled``) — the link serializes one packet
-  at a time, so there is never more than one pending and a channel
-  deque would always be empty;
-* arrivals ride the ``prop`` :class:`~repro.sim.events.Channel` — the
-  propagation pipe. Departures happen at monotonically increasing
-  times and the propagation delay is a per-link constant, so arrivals
-  are FIFO: every packet in flight on the wire waits in the channel's
-  local deque, and only the next arrival occupies a global heap slot.
 """
 
 from __future__ import annotations
@@ -71,7 +58,6 @@ class Link:
         # from a handful of fixed values (MSS + header combinations), so
         # the float division/round is paid once per distinct size.
         self._tx_delay_cache: dict = {}
-        self._prop_channel = sim.channel(f"{name}:prop")
 
     def __len__(self) -> int:
         return len(self._fifo)
@@ -104,7 +90,7 @@ class Link:
         self.tx_packets += 1
         self.tx_bytes += size
         sim = self.sim
-        sim._queue.push_pooled(sim.now + tx_delay, self._tx_done, (packet,))
+        sim._queue.push(sim.now + tx_delay, self._tx_done, (packet,))
         return True
 
     def backlog_ns(self) -> int:
@@ -127,10 +113,9 @@ class Link:
         self.tx_packets += 1
         self.tx_bytes += size
         # Links schedule two events per forwarded packet — the busiest
-        # schedule sites in the whole simulator. Serialization timers
-        # are pooled one-shots (never more than one pending per link).
+        # schedule sites in the whole simulator.
         sim = self.sim
-        sim._queue.push_pooled(sim.now + tx_delay, self._tx_done, (packet,))
+        sim._queue.push(sim.now + tx_delay, self._tx_done, (packet,))
 
     def _tx_done(self, packet: Packet) -> None:
         if self.down:
@@ -143,9 +128,8 @@ class Link:
             else:
                 self._busy = False
             return
-        self._prop_channel.push(
-            self.sim.now + self.prop_delay_ns, self.deliver, (packet,)
-        )
+        sim = self.sim
+        sim._queue.push(sim.now + self.prop_delay_ns, self.deliver, (packet,))
         # _start_next's empty-FIFO early-out inlined: most _tx_done
         # calls find nothing else queued.
         if self._fifo:

@@ -196,9 +196,6 @@ class DropTailQueue:
             self.pool.release(self)
         return packet
 
-    def peek(self) -> Optional[Packet]:
-        return self._fifo[0] if self._fifo else None
-
 
 class SharedBufferPool:
     """One ToR's shared packet memory, drawn from by pool-backed VOQs.

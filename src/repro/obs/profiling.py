@@ -27,7 +27,7 @@ class SimulatorProfiler:
         self.events = 0
         self._run_started_at: Optional[float] = None
         # Latest event-core counter snapshot (heap pushes, peak heap
-        # size, pool hit rate — see EventQueue.stats); the simulator
+        # size — see EventQueue.stats); the simulator
         # refreshes it after every profiled run.
         self.event_core: Optional[dict] = None
 
@@ -89,8 +89,7 @@ class SimulatorProfiler:
         if core is not None:
             lines.append(
                 f"  event core: {core.get('heap_pushes', 0):,} heap pushes"
-                f" (peak heap {core.get('max_heap_len', 0):,}),"
-                f" pool hit rate {(core.get('pool_hit_rate') or 0.0):.1%}"
+                f" (peak heap {core.get('max_heap_len', 0):,})"
             )
         rows = self.callback_stats()
         if top is not None:

@@ -21,7 +21,6 @@ from repro.net.link import Link
 from repro.net.node import Host
 from repro.net.packet import Packet, TCPSegment
 from repro.net.queues import DropTailQueue, SharedBufferPool
-from repro.sim.events import Channel
 from repro.sim.simulator import Simulator
 from repro.units import serialization_delay_ns
 
@@ -77,15 +76,6 @@ class RackUplink:
         self._tx_delay_caches: Dict[int, Dict[int, int]] = {tdn: {} for tdn in paths}
         self._active_path: Optional[NetworkPath] = None
         self._active_delay_cache: Dict[int, int] = {}
-        # Arrival channels (repro.sim.events.Channel): deliveries are
-        # FIFO only *per path* — each TDN's one-way delay differs, so a
-        # path switch at a day boundary could land a later departure
-        # earlier — hence one deliver channel per network path. The
-        # serializer needs no channel: the _busy gate means at most one
-        # _tx_done is ever pending, so those are pooled one-shots.
-        self._deliver_channels: Dict[int, Channel] = {
-            tdn: sim.channel(f"{name}:deliver:tdn{tdn}") for tdn in paths
-        }
 
     # ------------------------------------------------------------------
     # Schedule hooks
@@ -144,10 +134,9 @@ class RackUplink:
         if tx_delay is None:
             tx_delay = serialization_delay_ns(size, path.rate_bps)
             cache[size] = tx_delay
-        # One of the two busiest schedule sites in the simulator;
-        # serialization timers are pooled one-shots (≤1 pending).
+        # One of the two busiest schedule sites in the simulator.
         sim = self.sim
-        sim._queue.push_pooled(sim.now + tx_delay, self._tx_done, (packet, path))
+        sim._queue.push(sim.now + tx_delay, self._tx_done, (packet, path))
 
     # ------------------------------------------------------------------
     # Tiered-fidelity queries (repro.sim.fastpath)
@@ -163,11 +152,10 @@ class RackUplink:
 
     def _tx_done(self, packet: Packet, path: NetworkPath) -> None:
         # The packet is on the wire: it arrives even if a night started
-        # mid-serialization. Delivery rides the channel of the path
-        # that carried it, not whatever path is active by arrival time.
-        self._deliver_channels[path.tdn_id].push(
-            self.sim.now + path.one_way_delay_ns, self.deliver, (packet,)
-        )
+        # mid-serialization. Delivery takes the delay of the path that
+        # carried it, not of whatever path is active by arrival time.
+        sim = self.sim
+        sim._queue.push(sim.now + path.one_way_delay_ns, self.deliver, (packet,))
         self._busy = False
         # Skip the _serve frame when the VOQ is empty or a night is on.
         if self.active_tdn is not None and self.queue._fifo:

@@ -30,7 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
-from repro.net.addressing import rack_of
+from repro.net.addressing import _rack_of_cache, rack_of
 from repro.net.link import Link
 from repro.net.node import Host
 from repro.net.packet import MAX_TDN_ID, Packet
@@ -169,18 +169,27 @@ class OperaToR:
     # ------------------------------------------------------------------
     def forward(self, packet: Packet) -> None:
         """Entry from local hosts or from the fabric."""
-        dst_rack = rack_of(packet.dst)
+        dst = packet.dst
+        # The rack_of memo hit inlined, as in ToRSwitch.forward.
+        dst_rack = _rack_of_cache.get(dst)
+        if dst_rack is None:
+            dst_rack = rack_of(dst)
         if dst_rack == self.rack:
-            link = self._downlinks.get(packet.dst)
+            link = self._downlinks.get(dst)
             if link is None:
-                raise KeyError(f"{self.name}: unknown local host {packet.dst}")
+                raise KeyError(f"{self.name}: unknown local host {dst}")
             link.send(packet)
             return
         self.voqs[dst_rack].push(packet, self.sim.now)
-        self._serve()
+        # _serve's busy/dark early-out inlined.
+        if not self._busy and self.partner is not None:
+            self._serve()
 
     def receive_from_fabric(self, packet: Packet) -> None:
-        dst_rack = rack_of(packet.dst)
+        dst = packet.dst
+        dst_rack = _rack_of_cache.get(dst)
+        if dst_rack is None:
+            dst_rack = rack_of(dst)
         if dst_rack == self.rack:
             self.forward(packet)
             return
@@ -188,7 +197,8 @@ class OperaToR:
         self.relayed_rx += 1
         packet.relayed = True
         self.voqs[dst_rack].push(packet, self.sim.now)
-        self._serve()
+        if not self._busy and self.partner is not None:
+            self._serve()
 
     def _next_packet(self) -> Optional[Packet]:
         """Priority: direct + previously-accepted transit for the
@@ -202,15 +212,20 @@ class OperaToR:
         if not self.config.two_hop:
             return None
         # Offer indirection: pick the longest other queue whose head
-        # has not been relayed yet (one indirection hop max).
-        candidates = [
-            queue for dst, queue in self.voqs.items()
-            if dst != self.partner and len(queue) > 0 and not queue.peek().relayed
-        ]
-        if not candidates:
+        # has not been relayed yet (one indirection hop max), the first
+        # in dict order on ties.
+        partner = self.partner
+        best = None
+        best_len = 0
+        for dst, queue in self.voqs.items():
+            fifo = queue._fifo
+            length = len(fifo)
+            if length > best_len and dst != partner and not fifo[0].relayed:
+                best = queue
+                best_len = length
+        if best is None:
             return None
-        queue = max(candidates, key=len)
-        packet = queue.pop()
+        packet = best.pop()
         self.transit_tx += 1
         return packet
 

@@ -5,13 +5,12 @@ queue with deterministic FIFO tie-breaking, so two runs with the same seed
 produce byte-identical traces.
 """
 
-from repro.sim.events import Channel, Event, EventQueue
+from repro.sim.events import Event, EventQueue
 from repro.sim.simulator import Simulator
 from repro.sim.timers import Timer
 from repro.sim.rng import SeededRandom
 
 __all__ = [
-    "Channel",
     "Event",
     "EventQueue",
     "Simulator",

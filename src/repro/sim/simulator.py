@@ -2,14 +2,11 @@
 
 from __future__ import annotations
 
-from heapq import (
-    heappop as _heappop,
-    heapreplace as _heapreplace,
-)
+from heapq import heappop as _heappop
 from time import perf_counter
 from typing import Any, Callable, Optional
 
-from repro.sim.events import Channel, Event, EventQueue
+from repro.sim.events import Event, EventQueue
 
 
 class Simulator:
@@ -72,10 +69,8 @@ class Simulator:
     def schedule(self, delay: int, fn: Callable[..., Any], *args: Any) -> Event:
         """Run ``fn(*args)`` ``delay`` ns from now. ``delay`` must be >= 0.
 
-        Delegates to :meth:`EventQueue.push` — the single one-shot
-        schedule body every former inline copy now shares. The returned
-        event is pinned (never pooled), so ``event.cancel()`` stays
-        safe to call at any later point.
+        Delegates to :meth:`EventQueue.push`; ``event.cancel()`` on the
+        returned event is safe at any later point.
         """
         if delay < 0:
             raise ValueError(f"cannot schedule in the past (delay={delay})")
@@ -102,12 +97,6 @@ class Simulator:
         if delay < 0:
             raise ValueError(f"cannot schedule in the past (delay={delay})")
         self._queue.push_fanout(self.now + delay, fn, arg)
-
-    def channel(self, name: str = "channel") -> Channel:
-        """Create a FIFO :class:`~repro.sim.events.Channel` on this
-        simulator's queue — for sources whose scheduled times never
-        decrease (serializers, propagation pipes, circuit paths)."""
-        return self._queue.channel(name)
 
     def cancel(self, event: Event) -> None:
         """Cancel a pending event (no-op if already fired or cancelled).
@@ -170,18 +159,7 @@ class Simulator:
 
         The loop works on the event queue's heap directly: lazy discard
         of cancelled entries, the ``until`` horizon check, and the pop
-        are fused into one pass. Two channel/pool duties are fused in
-        as well (``Channel._promote`` and
-        ``EventQueue.recycle`` stay as the reference implementations):
-
-        * every popped or discarded channel head immediately promotes
-          its successor into the heap (before the callback runs, so the
-          callback sees its channel registered and appends in O(1)) —
-          and because the successor always orders strictly after the
-          popped head, pop+promote fuse into a single ``heapreplace``
-          (one sift instead of two);
-        * fired, uncancelled pool-eligible events (``gen >= 0``) go back
-          to the free list with a bumped generation stamp.
+        are fused into one pass.
         """
         processed = 0
         self._running = True
@@ -193,8 +171,6 @@ class Simulator:
         queue = self._queue
         heap = queue._heap
         heappop = _heappop
-        heapreplace = _heapreplace
-        pool = queue._pool
         limit = max_events if max_events is not None else (1 << 62)
         horizon = until if until is not None else (1 << 62)
         drained = False
@@ -205,45 +181,14 @@ class Simulator:
                 if not heap:
                     drained = True
                     break
-                entry = heap[0]
-                event = entry[2]
+                time, _seq, event = heap[0]
                 if event.cancelled:
                     heappop(heap)
-                    channel = event._channel
-                    if channel is not None:
-                        event._channel = None
-                        channel._promote()
                     continue
-                time = entry[0]
                 if time > horizon:
                     drained = True
                     break
-                channel = event._channel
-                if channel is None:
-                    heappop(heap)
-                else:
-                    # Promote before firing: the callback may push more
-                    # entries onto this channel and must find it in its
-                    # steady state (head registered, deque for the rest).
-                    # The successor orders strictly after the popped
-                    # head, so pop+promote is one heapreplace. The slow
-                    # path (cancelled successor runs) stays in _promote.
-                    event._channel = None
-                    dq = channel._deque
-                    if dq:
-                        nxt_entry = dq[0]
-                        nxt = nxt_entry[2]
-                        if not nxt.cancelled:
-                            dq.popleft()
-                            channel._head = nxt
-                            heapreplace(heap, nxt_entry)
-                            queue.heap_pushes += 1
-                        else:
-                            heappop(heap)
-                            channel._promote()
-                    else:
-                        channel._head = None
-                        heappop(heap)
+                heappop(heap)
                 queue._live -= 1
                 event._queue = None
                 self.now = time
@@ -254,13 +199,6 @@ class Simulator:
                     event.fn(*event.args)
                     profiler.record(event.fn, perf_counter() - started)
                 processed += 1
-                if event.gen >= 0 and not event.cancelled:
-                    # EventQueue.recycle inlined: bump the generation so
-                    # stale (event, gen) holders mismatch, drop refs.
-                    event.gen += 1
-                    event.fn = None
-                    event.args = None
-                    pool.append(event)
                 # Heartbeat: a cheap pointer test when no hook is
                 # installed (the default); a due beat fires only between
                 # timestamps, never inside one instant's events.

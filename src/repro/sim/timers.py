@@ -12,13 +12,6 @@ authoritative deadline; if the event fires before the deadline it
 re-arms itself for the remainder (a cheap no-op event) — the callback
 only ever runs at the true deadline. A restart therefore costs two
 attribute writes in the common extend-the-deadline case.
-
-Timer events come from the event pool (``EventQueue.push_pooled``), so
-steady-state re-arms allocate nothing. The timer is a disciplined
-holder: it captures ``event.gen`` at schedule time and re-checks it
-before every later access, so once a fired event is recycled into some
-unrelated role, the stale reference is treated exactly like "no event"
-— a recycled event can never be cancelled or misread through a timer.
 """
 
 from __future__ import annotations
@@ -36,13 +29,12 @@ class Timer:
     its deadline. The timer never fires after :meth:`cancel`.
     """
 
-    __slots__ = ("_sim", "_fn", "_event", "_gen", "_deadline", "_args", "name")
+    __slots__ = ("_sim", "_fn", "_event", "_deadline", "_args", "name")
 
     def __init__(self, sim: Simulator, fn: Callable[..., Any], name: str = "timer"):
         self._sim = sim
         self._fn = fn
         self._event: Optional[Event] = None
-        self._gen = -1
         self._deadline: Optional[int] = None
         self._args: tuple = ()
         self.name = name
@@ -71,28 +63,27 @@ class Timer:
         before the new deadline, recording the deadline is enough —
         ``_fire`` re-arms for the remainder. Only a deadline moved
         *earlier* than the scheduled event forces a cancel+reschedule.
+        A deadline in the past is rejected before anything changes, so
+        the timer keeps its previous arming.
         """
-        self._deadline = time
-        self._args = args
-        event = self._event
-        if event is not None and event.gen == self._gen and not event.cancelled:
-            if event.time <= time:
-                return  # fires first; _fire re-arms for the remainder
-            event.cancel()  # deadline moved earlier: must reschedule
         sim = self._sim
         if time < sim.now:
             raise ValueError(f"cannot schedule at {time} < now {sim.now}")
-        event = sim._queue.push_pooled(time, self._fire)
-        self._event = event
-        self._gen = event.gen
+        self._deadline = time
+        self._args = args
+        event = self._event
+        if event is not None and not event.cancelled:
+            if event.time <= time:
+                return  # fires first; _fire re-arms for the remainder
+            event.cancel()  # deadline moved earlier: must reschedule
+        self._event = sim._queue.push(time, self._fire)
 
     def cancel(self) -> None:
         self._deadline = None
         self._args = ()
         event = self._event
         if event is not None:
-            if event.gen == self._gen and not event.cancelled:
-                event.cancel()
+            event.cancel()
             self._event = None
 
     def _fire(self) -> None:
@@ -102,9 +93,7 @@ class Timer:
             return  # disarmed since this event was scheduled
         if deadline > self._sim.now:
             # Deadline was pushed out since: re-arm for the remainder.
-            event = self._sim._queue.push_pooled(deadline, self._fire)
-            self._event = event
-            self._gen = event.gen
+            self._event = self._sim._queue.push(deadline, self._fire)
             return
         self._deadline = None
         args = self._args

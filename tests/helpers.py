@@ -16,7 +16,6 @@ from repro.net.packet import TCPSegment
 from repro.obs.outcome import outcome_digest
 from repro.rdcn.config import NotifierConfig, RDCNConfig
 from repro.rdcn.topology import build_two_rack_testbed
-from repro.sim.events import Channel, EventQueue
 from repro.sim.simulator import Simulator
 from repro.tcp.config import TCPConfig
 from repro.tcp.connection import TCPConnection
@@ -440,31 +439,6 @@ def grid_pacing():
         yield
     finally:
         TDTCPConnection._maybe_send = paced
-
-
-class _PlainHeapChannel(Channel):
-    """What a channel is on a plain heap: another name for ``queue.push``
-    (its deque stays empty)."""
-
-    def push(self, time, fn, args=()):
-        return self._queue.push(time, fn, args)
-
-
-class PlainHeapQueue(EventQueue):
-    """The oracle for the channel/pool event core: every push goes
-    straight to the heap as a fresh pinned event — no channel deque, no
-    free list. ``seq`` comes from the same counter at the same moments,
-    so a simulation run on it must produce the product's exact bytes.
-
-    Install with ``monkeypatch.setattr("repro.sim.simulator.EventQueue",
-    PlainHeapQueue)``; simulators built afterwards run on it.
-    """
-
-    def push_pooled(self, time, fn, args=()):
-        return self.push(time, fn, args)
-
-    def channel(self, name: str = "channel"):
-        return _PlainHeapChannel(self, name)
 
 
 def kill_pooled_worker_once(

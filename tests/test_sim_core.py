@@ -181,7 +181,7 @@ def _fanout_op(depth):
     """One scheduling op: (kind, delay, which-of-two, ops issued when it fires)."""
     children = st.just(()) if depth == 0 else st.lists(_fanout_op(depth - 1), max_size=4).map(tuple)
     return st.tuples(
-        st.sampled_from(["schedule", "fanout", "fanout", "channel", "timer"]),
+        st.sampled_from(["schedule", "fanout", "fanout", "timer"]),
         st.sampled_from([0, 0, 1, 1, 2, 5]),  # few distinct delays: many same-time ties
         st.integers(0, 1),
         children,
@@ -204,8 +204,6 @@ def _run_fanout_program(program, coalesce):
         return fire
 
     callbacks = [callback("a"), callback("b")]
-    channels = [sim.channel("a"), sim.channel("b")]
-    tails = [0, 0]
     timers = [Timer(sim, callbacks[0]), Timer(sim, callbacks[1])]
 
     def issue(ops):
@@ -215,9 +213,6 @@ def _run_fanout_program(program, coalesce):
                 sim.schedule_fanout(delay, callbacks[which], node)
             elif kind in ("schedule", "fanout"):
                 sim.schedule(delay, callbacks[which], node)
-            elif kind == "channel":
-                tails[which] = max(tails[which], sim.now + delay)  # channels are monotone
-                channels[which].push(tails[which], callbacks[which], (node,))
             else:
                 timers[which].start(delay, node)
 
@@ -248,17 +243,14 @@ class TestScheduleFanout:
         assert sim.run() == 1
         assert seen == list(range(16))
 
-    @pytest.mark.parametrize("intervening", ["schedule", "channel", "timer", "fanout_other_time"])
+    @pytest.mark.parametrize("intervening", ["schedule", "timer", "fanout_other_time"])
     def test_any_intervening_push_splits_the_batch(self, intervening):
         sim = Simulator()
         seen = []
-        channel = sim.channel()
         timer = Timer(sim, seen.append)
         sim.schedule_fanout(10, seen.append, "first")
         if intervening == "schedule":
             sim.schedule(10, seen.append, "between")
-        elif intervening == "channel":
-            channel.push(10, seen.append, ("between",))
         elif intervening == "timer":
             timer.start(10, "between")
         else:
@@ -445,34 +437,19 @@ class TestTimerArmParity:
         with pytest.raises(ValueError):
             self._arm(timer, sim, 500, mode)
 
-    def test_rearm_after_fire_uses_pool(self, mode):
-        # Steady-state re-arms go through the event pool: after the
-        # first fire, arming again must reuse a recycled event.
+    def test_rejected_deadline_keeps_the_previous_arming(self, mode):
+        # A past deadline is refused before the timer changes: the
+        # valid arming it already had still fires, with its args.
         sim = Simulator()
         fired = []
-        timer = Timer(sim, lambda: fired.append(sim.now))
-        self._arm(timer, sim, 100, mode)
+        timer = Timer(sim, lambda *args: fired.append((sim.now, args)))
+        self._arm(timer, sim, 500, mode, "kept")
+        sim.run(until=100)
+        with pytest.raises(ValueError):
+            self._arm(timer, sim, 50, mode, "refused")
+        assert timer.armed and timer.deadline == 500
         sim.run()
-        hits_before = sim._queue.stats()["pool_hits"]
-        self._arm(timer, sim, sim.now + 100, mode)
-        assert sim._queue.stats()["pool_hits"] == hits_before + 1
-        sim.run()
-        assert fired == [100, 200]
-
-    def test_stale_generation_guard(self, mode):
-        # If the timer's event has been recycled into an unrelated role
-        # (gen bumped), the timer must treat its reference as dead:
-        # cancel() must not kill the recycled event, and re-arming must
-        # schedule a fresh one instead of extending the stale one.
-        sim = Simulator()
-        timer = Timer(sim, lambda: None)
-        self._arm(timer, sim, 100, mode)
-        event = timer._event
-        event.gen += 1  # simulate the run loop recycling this event
-        timer.cancel()
-        assert not event.cancelled
-        self._arm(timer, sim, 50, mode)
-        assert timer._event is not event
+        assert fired == [(500, ("kept",))]
 
 
 class TestSeededRandom:

@@ -1,5 +1,6 @@
 """The determinism contract: the JSONL telemetry trace of three seeded
-workloads is pinned byte for byte.
+workloads, and of one seeded run under a canned fault plan, is pinned
+byte for byte.
 
 A change that is not meant to alter simulation behaviour — a perf
 optimisation, a refactor, a deletion — must leave every one of these
@@ -10,8 +11,14 @@ happens at a different time or in a different order. docs/performance.md
 
 from __future__ import annotations
 
+import hashlib
+import pathlib
+
 import pytest
 
+from repro.experiments.config import ExperimentConfig
+from repro.experiments.runner import run_experiment
+from repro.obs.telemetry import ObsConfig
 from tests.helpers import (
     FULL_SCALE,
     grid_pacing,
@@ -76,3 +83,24 @@ def test_grid_pacing_gives_the_previous_goldens(setup, sha256, trace_lines, even
     with grid_pacing():
         row = traced_run(setup, FULL_SCALE, tmp_path)
     assert (row["trace_sha256"], row["trace_lines"], row["events"]) == (sha256, trace_lines, events)
+
+
+# Faults cancel timers, drop packets mid-flight and squeeze queues: the
+# event-core paths a seeded packet run alone does not reach.
+FAULT_PLAN = pathlib.Path(__file__).resolve().parents[1] / "examples/fault_plans/lossy_fabric.json"
+FAULT_GOLDEN = ("4322c1a3157ef68968ff9704b4b73e7420b22ab935dee03097e7c98fe6adec67", 7_057)
+
+
+def test_fault_plan_trace_matches_golden(tmp_path):
+    config = ExperimentConfig(
+        variant="tdtcp", n_flows=2, weeks=4, warmup_weeks=1, seed=7,
+        fault_plan_path=str(FAULT_PLAN),
+        obs=ObsConfig(trace_dir=str(tmp_path), label="fault_golden",
+                      jsonl=True, chrome_trace=False, csv=False),
+    )
+    result = run_experiment(config)
+    assert result.failure is None, result.failure
+    assert result.fault_report is not None
+    (jsonl_path,) = [p for p in result.artifacts if p.endswith(".jsonl")]
+    data = pathlib.Path(jsonl_path).read_bytes()
+    assert (hashlib.sha256(data).hexdigest(), data.count(b"\n")) == FAULT_GOLDEN
