@@ -11,6 +11,7 @@ Paper-reported component improvements:
 from repro.experiments import ExperimentConfig, run_experiment
 from repro.obs.sketch import quantile
 from repro.rdcn.config import NotifierConfig, RDCNConfig
+from repro.rdcn import notifier as costs
 from repro.rdcn.notifier import sample_generation_delay_ns
 from repro.sim.rng import SeededRandom
 
@@ -18,16 +19,19 @@ from benchmarks.conftest import emit
 
 
 def test_icmp_packet_caching(benchmark, results_dir):
-    cfg = NotifierConfig()
     rng = SeededRandom(17)
 
     def sample_both():
         cached = [
-            sample_generation_delay_ns(rng, cfg.generation_cached_p50_ns, cfg.generation_cached_tail_ns)
+            sample_generation_delay_ns(
+                rng, costs.GENERATION_CACHED_P50_NS, costs.GENERATION_CACHED_TAIL_NS
+            )
             for _ in range(50_000)
         ]
         uncached = [
-            sample_generation_delay_ns(rng, cfg.generation_uncached_p50_ns, cfg.generation_uncached_tail_ns)
+            sample_generation_delay_ns(
+                rng, costs.GENERATION_UNCACHED_P50_NS, costs.GENERATION_UNCACHED_TAIL_NS
+            )
             for _ in range(50_000)
         ]
         return cached, uncached
@@ -49,13 +53,11 @@ def test_icmp_packet_caching(benchmark, results_dir):
 def test_push_vs_pull_update(benchmark, results_dir):
     """Total time to update N flows: push walks them one by one, pull is
     a single shared variable read per flow."""
-    push = NotifierConfig(pull_model=False)
-    pull = NotifierConfig(pull_model=True)
     n_flows = 64
 
     def totals():
-        push_total = sum(push.push_per_flow_cost_ns * (i + 1) for i in range(n_flows))
-        pull_total = sum(pull.pull_read_cost_ns for _ in range(n_flows))
+        push_total = sum(costs.PUSH_PER_FLOW_COST_NS * (i + 1) for i in range(n_flows))
+        pull_total = sum(costs.PULL_READ_COST_NS for _ in range(n_flows))
         return push_total, pull_total
 
     push_total, pull_total = benchmark.pedantic(totals, rounds=1, iterations=1)

@@ -18,6 +18,7 @@ from __future__ import annotations
 from typing import List, Optional
 
 from repro.tcp.connection import PathState
+from repro.tcp.rtt import INITIAL_RTO_NS, MAX_RTO_NS
 
 
 def classify_rtt_sample(data_tdn: int, ack_tdn: Optional[int]) -> str:
@@ -32,13 +33,7 @@ def classify_rtt_sample(data_tdn: int, ack_tdn: Optional[int]) -> str:
     return "crossed"
 
 
-def pessimistic_rto_ns(
-    paths: List[PathState],
-    current_index: int,
-    min_rto_ns: int,
-    max_rto_ns: int,
-    initial_rto_ns: int,
-) -> int:
+def pessimistic_rto_ns(paths: List[PathState], current_index: int, min_rto_ns: int) -> int:
     """RTO based on the synthesized worst-case return path (§4.4)."""
     current = paths[current_index]
     srtt_n = current.rtt.srtt_ns
@@ -55,9 +50,9 @@ def pessimistic_rto_ns(
         if var is not None and var > rttvar:
             rttvar = var
     if srtt_n is None and slowest == 0:
-        return max(initial_rto_ns, min_rto_ns)
+        return max(INITIAL_RTO_NS, min_rto_ns)
     if srtt_n is None:
         srtt_n = slowest
     synth = srtt_n // 2 + slowest // 2
     rto = synth + max(4 * rttvar, 1)
-    return min(max(rto, min_rto_ns), max_rto_ns)
+    return min(max(rto, min_rto_ns), MAX_RTO_NS)

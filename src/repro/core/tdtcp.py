@@ -25,7 +25,7 @@ from repro.obs.telemetry import Telemetry
 from repro.sim.simulator import Simulator
 from repro.sim.timers import Timer
 from repro.tcp.config import TCPConfig
-from repro.tcp.connection import CLOSE_WAIT, ESTABLISHED
+from repro.tcp.connection import CLOSE_WAIT, DUPTHRESH, ESTABLISHED
 from repro.tcp.connection import LossTrigger, PathState, SegmentState, TCPConnection
 from repro.tcp.options import negotiate_td_capable
 from repro.tcp.rack import default_reo_wnd_ns
@@ -261,7 +261,7 @@ class TDTCPConnection(TCPConnection):
             return super()._dup_rule_satisfied(seg, sacked_above_total, sacked_above_by_tdn)
         if seg.seq < self.tdn_change_seq:
             return False
-        return sacked_above_by_tdn.get(seg.tdn_id, 0) >= self.config.dupthresh
+        return sacked_above_by_tdn.get(seg.tdn_id, 0) >= DUPTHRESH
 
     def _should_mark_lost(self, seg: SegmentState, trigger: LossTrigger) -> bool:
         if self.downgraded:
@@ -281,9 +281,7 @@ class TDTCPConnection(TCPConnection):
         worst-case ACK return path before the timer declares them lost:
         the §4.4 synthesized delay — half the segment's own TDN RTT
         plus half the slowest TDN's RTT."""
-        base = default_reo_wnd_ns(
-            self.path_of(seg).rtt.min_rtt_ns, self.config.rack_reo_wnd_frac
-        )
+        base = default_reo_wnd_ns(self.path_of(seg).rtt.min_rtt_ns)
         if self.downgraded:
             return base
         if seg.tdn_id != self.tdn_state.current_index:
@@ -317,11 +315,7 @@ class TDTCPConnection(TCPConnection):
         if self.downgraded:
             return super()._rto_ns()
         return pessimistic_rto_ns(
-            self.paths,
-            self.tdn_state.current_index,
-            self.config.min_rto_ns,
-            self.config.max_rto_ns,
-            self.config.initial_rto_ns,
+            self.paths, self.tdn_state.current_index, self.config.min_rto_ns
         )
 
     # ------------------------------------------------------------------

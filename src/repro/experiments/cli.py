@@ -177,10 +177,6 @@ def build_parser() -> argparse.ArgumentParser:
              "CDF curves decoded from the runs' DDSketch states",
     )
     parser.add_argument(
-        "--record-cap", type=int, default=0,
-        help="per-flow record reservoir size (default: 0 = streaming only)",
-    )
-    parser.add_argument(
         "--max-flows", type=int, default=None,
         help="stop launching workload-engine flows after this many",
     )
@@ -380,7 +376,6 @@ def run_sweep_load(args) -> int:
         cdf=args.workload_cdf,
         matrix=args.matrix,
         hotspot_fraction=args.hotspot_fraction,
-        record_cap=args.record_cap,
         max_flows=args.max_flows,
         executor=executor,
         **run_fields(args),
@@ -409,7 +404,6 @@ def run_replay_trace(args) -> int:
             kind="trace",
             trace_path=args.trace,
             strict_trace=not args.lenient_trace,
-            record_cap=args.record_cap,
             max_flows=args.max_flows,
         )
     except (OSError, ValueError) as error:

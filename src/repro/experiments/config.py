@@ -21,7 +21,12 @@ from typing import Optional
 #: v5: a result carries the folded week curves instead of the raw
 #: sequence/VOQ series, and ``collect_sequence`` decides whether it
 #: carries the sequence curve.
-CONFIG_SCHEMA_VERSION = 5
+#: v6: nineteen fields no caller set became constants (the TCP
+#: datapath's fixed RACK-TLP/RTO parameters, the notifier's calibrated
+#: costs, reTCP-dyn's circuit VOQ and lead, ``audit_interval_ns``,
+#: ``obs.jsonl``), ``workload.record_cap`` went (its records never
+#: reached a result), and ``rdcn.seed`` echoes the run seed.
+CONFIG_SCHEMA_VERSION = 6
 
 #: Run fidelity modes: "packet" is the exact event-per-segment core;
 #: "tiered" opts into the slot-level fluid fast path (repro.sim.fastpath)
@@ -62,9 +67,6 @@ class WorkloadConfig:
     trace_path: Optional[str] = None
     trace_sha256: Optional[str] = None
     strict_trace: bool = True
-    #: Per-flow record storage: 0 = none (pure streaming), N > 0 keeps a
-    #: reservoir sample of at most N records.
-    record_cap: int = 0
     #: Stop launching after this many flows (None = run to the horizon).
     max_flows: Optional[int] = None
 
@@ -81,8 +83,6 @@ class WorkloadConfig:
             raise ValueError(f"unknown traffic matrix {self.matrix!r}")
         if not (0.0 <= self.hotspot_fraction <= 1.0):
             raise ValueError("hotspot_fraction must be in [0, 1]")
-        if self.record_cap < 0:
-            raise ValueError("record_cap must be >= 0")
         if self.max_flows is not None and self.max_flows < 1:
             raise ValueError("max_flows must be >= 1")
         if self.kind == "trace":
@@ -176,7 +176,6 @@ class ExperimentConfig:
     # Runtime invariant auditing: None disables, "warn" records
     # violations, "fail" raises at the first dirty audit.
     audit: Optional[str] = None
-    audit_interval_ns: int = 200_000
     # Watchdog budgets for the run loop; None = unbounded.
     watchdog_max_events: Optional[int] = None
     watchdog_max_wall_s: Optional[float] = None
@@ -184,6 +183,8 @@ class ExperimentConfig:
     bundle_dir: str = "out/bundles"
 
     def __post_init__(self) -> None:
+        if self.warmup_weeks < 0:
+            raise ValueError("warmup_weeks must be >= 0")
         if self.weeks <= self.warmup_weeks:
             raise ValueError("weeks must exceed warmup_weeks")
         if self.fidelity not in FIDELITY_MODES:
@@ -206,6 +207,9 @@ class ExperimentConfig:
             self.tcp = TCPConfig(mss=self.rdcn.mss)
         if self.n_flows > self.rdcn.n_hosts_per_rack:
             self.rdcn = replace(self.rdcn, n_hosts_per_rack=self.n_flows)
+        if self.rdcn.seed != self.seed:
+            # One seed per run: the testbed's RNG is seeded from it.
+            self.rdcn = replace(self.rdcn, seed=self.seed)
 
     @property
     def duration_ns(self) -> int:

@@ -25,7 +25,6 @@ from repro.net.queues import DropTailQueue
 from repro.obs.outcome import outcome_digest, strip_wall
 from repro.obs.sketch import sketch_from_samples
 from repro.obs.telemetry import Telemetry
-from repro.rdcn.config import NotifierConfig
 from repro.rdcn.topology import TwoRackTestbed, build_two_rack_testbed
 from repro.sim.fastpath import FLUID_VARIANTS, FluidFastPath, forced_packet_report
 from repro.sim.simulator import Simulator
@@ -430,8 +429,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     variant = get_variant(config.variant)
     rdcn = config.rdcn
     if variant.unoptimized_notifier:
-        rdcn = replace(rdcn, notifier=NotifierConfig.unoptimized())
-    rdcn = replace(rdcn, seed=config.seed)
+        rdcn = replace(rdcn, notifier=rdcn.notifier.unoptimized())
 
     # Tiered fidelity: scenarios the fluid model cannot represent run at
     # packet fidelity instead, with the reasons logged and reported.
@@ -513,7 +511,6 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
             connection_cls=connection_cls,
             cc_name=cc_name,
             tcp_config=config.tcp,
-            record_cap=wl.record_cap,
             max_flows=wl.max_flows,
             **conn_kwargs,
         )
@@ -568,9 +565,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
 
     auditor: Optional[InvariantAuditor] = None
     if config.audit is not None:
-        auditor = InvariantAuditor(
-            testbed.sim, mode=config.audit, interval_ns=config.audit_interval_ns
-        )
+        auditor = InvariantAuditor(testbed.sim, mode=config.audit)
         if workload is not None:
             auditor.watch_workload(workload)
         for uplink in testbed.uplinks.values():

@@ -252,7 +252,6 @@ def load_sweep(
     custom_cdf: Optional[tuple] = None,
     matrix: str = "permutation",
     hotspot_fraction: float = 0.5,
-    record_cap: int = 0,
     max_flows: Optional[int] = None,
     executor: Optional[ExperimentExecutor] = None,
     **run,
@@ -264,9 +263,9 @@ def load_sweep(
     streaming sketches and the engine releases each connection pair
     (``TCPConnection.release``: demux slot, timers, TDN listener) 1 ms
     after delivery, so memory and host time per flow stay flat however
-    many flows a cell launches. Per-flow records stay off unless
-    ``record_cap`` asks for a reservoir. Telemetry (``obs``) is recorded
-    per cell under the label ``load_{load}_{variant}``.
+    many flows a cell launches; no per-flow record is kept. Telemetry
+    (``obs``) is recorded per cell under the label
+    ``load_{load}_{variant}``.
     """
     run = {"weeks": 24, "warmup_weeks": 8, **run}
     obs = run.pop("obs", None)
@@ -284,7 +283,6 @@ def load_sweep(
                 load=load,
                 matrix=matrix,
                 hotspot_fraction=hotspot_fraction,
-                record_cap=record_cap,
                 max_flows=max_flows,
             ),
             **run,

@@ -118,9 +118,6 @@ class ReTCPVariant(VariantSpec):
             testbed.driver,
             list(testbed.uplinks.values()),
             normal_capacity=testbed.config.voq_capacity,
-            circuit_capacity=testbed.config.retcpdyn_voq_capacity,
-            lead_ns=testbed.config.retcpdyn_lead_ns,
-            optical_tdn=1,
         )
         return {"controller": controller}
 

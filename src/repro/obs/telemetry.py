@@ -54,7 +54,6 @@ class ObsConfig:
     profile: bool = False                 # simulator wall-time attribution
     tracepoints: str = "*"
     label: str = "run"
-    jsonl: bool = True
     chrome_trace: bool = True
     csv: bool = True
 
@@ -211,10 +210,9 @@ class Telemetry:
         if cfg.trace_dir:
             directory = pathlib.Path(cfg.trace_dir)
             directory.mkdir(parents=True, exist_ok=True)
-            if cfg.jsonl:
-                path = directory / f"{cfg.label}.jsonl"
-                path.write_text(render_jsonl(self.recorder.events))
-                self._artifacts.append(str(path))
+            path = directory / f"{cfg.label}.jsonl"
+            path.write_text(render_jsonl(self.recorder.events))
+            self._artifacts.append(str(path))
             if cfg.chrome_trace:
                 path = directory / f"{cfg.label}.trace.json"
                 path.write_text(

@@ -23,23 +23,19 @@ class NotifierConfig:
     """TDN-change notification cost model (§5.4).
 
     The three optimizations the paper evaluates are knobs here; the
-    component costs are calibrated so the optimized/unoptimized ratios
-    match the paper's reported 8x (p50) / 2.7x (p99) for packet caching,
-    ~1000x for push->pull, and 5x for the dedicated control network.
+    component costs behind them are constants of
+    :mod:`repro.rdcn.notifier`, calibrated so the optimized/unoptimized
+    ratios match the paper's reported 8x (p50) / 2.7x (p99) for packet
+    caching, ~1000x for push->pull, and 5x for the dedicated control
+    network.
     """
 
     # Optimization 1: pre-constructed (cached) ICMP packet at the ToR.
     packet_caching: bool = True
-    generation_cached_p50_ns: int = 250
-    generation_uncached_p50_ns: int = 2_000   # 8x the cached median
-    generation_cached_tail_ns: int = 2_750    # cached p99 ~ 3 us
-    generation_uncached_tail_ns: int = 6_100  # uncached p99 ~ 8.1 us (2.7x)
 
     # Optimization 2: pull model (hosts read a global TDN variable) vs
     # push model (kernel walks every flow and updates it in turn).
     pull_model: bool = True
-    push_per_flow_cost_ns: int = 2_000
-    pull_read_cost_ns: int = 2
 
     # Optimization 3: dedicated control network for ICMPs instead of
     # sharing the (busy) data-plane interface. On the shared path the
@@ -48,7 +44,6 @@ class NotifierConfig:
     # host's own transmit backlog on the common NIC.
     dedicated_network: bool = True
     control_delay_ns: int = usec(1)
-    switch_per_packet_cost_ns: int = 50
 
     # Night policy. ToRs know the schedule (the same knowledge that
     # lets retcpdyn's ToR act 150 us ahead), so they can announce the
@@ -69,10 +64,10 @@ class NotifierConfig:
         if self.night_policy not in ("slowdown", "always", "none"):
             raise ValueError(f"unknown night policy {self.night_policy!r}")
 
-    @classmethod
-    def unoptimized(cls) -> "NotifierConfig":
-        """The configuration the 'unoptimized' TDTCP branch runs with."""
-        return cls(packet_caching=False, pull_model=False, dedicated_network=False)
+    def unoptimized(self) -> "NotifierConfig":
+        """This setting with the three optimizations off: what the
+        'unoptimized' TDTCP branch runs with."""
+        return replace(self, packet_caching=False, pull_model=False, dedicated_network=False)
 
     def to_dict(self) -> dict:
         """Canonical JSON-ready view (every field, declaration order)."""
@@ -140,12 +135,6 @@ class RDCNConfig:
     schedule_pattern: Tuple[int, ...] = (0, 0, 0, 0, 0, 0, 1)
     day_ns: int = usec(180)
     night_ns: int = usec(20)
-
-    # reTCP-dyn: VOQ is enlarged to `retcpdyn_voq_capacity` starting
-    # `retcpdyn_lead_ns` before each optical day (§5.2). 300 segments
-    # of 1500 B = the paper's 50 jumbo frames.
-    retcpdyn_voq_capacity: int = 300
-    retcpdyn_lead_ns: int = usec(150)
 
     notifier: NotifierConfig = field(default_factory=NotifierConfig)
 

@@ -19,6 +19,15 @@ from repro.rdcn.fabric import RackUplink
 from repro.rdcn.schedule import ScheduleDriver
 from repro.retcp.retcp import ReTCPConnection
 from repro.sim.simulator import Simulator
+from repro.units import usec
+
+#: The circuit day's VOQ capacity: 300 segments of 1500 B, the paper's
+#: 50 jumbo frames.
+CIRCUIT_VOQ_CAPACITY = 300
+#: How far ahead of each optical day the VOQ grows and senders ramp.
+LEAD_NS = usec(150)
+#: The schedule's optical (circuit) TDN.
+OPTICAL_TDN = 1
 
 
 class DynamicBufferController:
@@ -29,16 +38,11 @@ class DynamicBufferController:
         sim: Simulator,
         driver: ScheduleDriver,
         uplinks: List[RackUplink],
-        normal_capacity: int = 16,
-        circuit_capacity: int = 50,
-        lead_ns: int = 150_000,
-        optical_tdn: int = 1,
+        normal_capacity: int,
     ):
         self.sim = sim
         self.uplinks = list(uplinks)
         self.normal_capacity = normal_capacity
-        self.circuit_capacity = circuit_capacity
-        self.optical_tdn = optical_tdn
         self.connections: List[ReTCPConnection] = []
         self._last_tdn: int = 0
         self.resizes = 0
@@ -55,7 +59,7 @@ class DynamicBufferController:
                 entry = pools.setdefault(id(queue.pool), [queue.pool, 0])
                 entry[1] += 1
         self._pools = [tuple(entry) for entry in pools.values()]
-        driver.on_day_lead(lead_ns, self._before_circuit, tdn_id=optical_tdn)
+        driver.on_day_lead(LEAD_NS, self._before_circuit, tdn_id=OPTICAL_TDN)
         driver.on_day_start(self._day_started)
         driver.on_night_start(self._night_started)
 
@@ -69,12 +73,12 @@ class DynamicBufferController:
     # Schedule hooks
     # ------------------------------------------------------------------
     def _before_circuit(self, tdn_id: int, day_index: int) -> None:
-        delta = self.circuit_capacity - self.normal_capacity
+        delta = CIRCUIT_VOQ_CAPACITY - self.normal_capacity
         for pool, n_queues in self._pools:
             pool.resize_total(pool.total + delta * n_queues)
         for uplink in self.uplinks:
             if uplink.queue.pool is None:
-                uplink.queue.resize(self.circuit_capacity)
+                uplink.queue.resize(CIRCUIT_VOQ_CAPACITY)
         self.resizes += 1
         for connection in self.connections:
             connection.ramp_up()
@@ -83,10 +87,10 @@ class DynamicBufferController:
         self._last_tdn = tdn_id
 
     def _night_started(self, day_index: int) -> None:
-        if self._last_tdn != self.optical_tdn:
+        if self._last_tdn != OPTICAL_TDN:
             return
         # The circuit day just ended: shrink the VOQ and ramp down.
-        delta = self.circuit_capacity - self.normal_capacity
+        delta = CIRCUIT_VOQ_CAPACITY - self.normal_capacity
         for pool, n_queues in self._pools:
             pool.resize_total(pool.total - delta * n_queues)
         for uplink in self.uplinks:

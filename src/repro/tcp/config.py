@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, fields
 
+from repro.tcp.rtt import MAX_RTO_NS
 from repro.units import msec
 
 
@@ -12,8 +13,11 @@ class TCPConfig:
     """Knobs for one TCP endpoint.
 
     Defaults target a microsecond-RTT data center: a 1 ms minimum RTO
-    (kernel-default 200 ms would dwarf the simulated timescales), SACK
-    and RACK-TLP on, and an initial window of 10 segments.
+    (kernel-default 200 ms would dwarf the simulated timescales) and an
+    initial window of 10 segments. SACK and RACK-TLP are always on, with
+    the fixed parameters of the datapath the paper measures
+    (:data:`repro.tcp.connection.DUPTHRESH`, :mod:`repro.tcp.rtt`'s RTO
+    bounds, :mod:`repro.tcp.rack`'s reorder window and probe timeout).
     """
 
     mss: int = 1_500
@@ -21,21 +25,10 @@ class TCPConfig:
     rwnd_packets: int = 128             # advertised window, in MSS (192 KB)
     send_buffer_packets: int = 128      # sender buffering limit, in MSS
     min_rto_ns: int = msec(1)
-    max_rto_ns: int = msec(500)
-    initial_rto_ns: int = msec(2)
-    dupthresh: int = 3
-    sack_enabled: bool = True
-    rack_enabled: bool = True
-    tlp_enabled: bool = True
     # RFC 3168 ECN for a CCA that does not ask for it: segments are
     # ECT and a CE echo halves the window once per RTT. A CCA that
     # wants ECN (dctcp) sends ECT whatever this says.
     ecn_enabled: bool = False
-    # RACK reorder window as a fraction of min RTT (RFC 8985 uses 1/4).
-    rack_reo_wnd_frac: float = 0.25
-    # Delay before a delivered-but-unACKed probe; kept simple: TLP fires
-    # at 2 * srtt after the last transmission when armed.
-    tlp_srtt_multiplier: float = 2.0
     # Nagle's algorithm (RFC 896): hold sub-MSS segments while data is
     # outstanding. Off by default (DCN RPCs want TCP_NODELAY).
     nagle_enabled: bool = False
@@ -51,10 +44,14 @@ class TCPConfig:
             raise ValueError("MSS must be positive")
         if self.initial_cwnd <= 0:
             raise ValueError("initial cwnd must be positive")
-        if self.min_rto_ns <= 0 or self.max_rto_ns < self.min_rto_ns:
-            raise ValueError("invalid RTO bounds")
-        if self.dupthresh < 1:
-            raise ValueError("dupthresh must be >= 1")
+        if self.rwnd_packets <= 0:
+            raise ValueError("rwnd_packets must be positive")
+        if self.send_buffer_packets <= 0:
+            raise ValueError("send_buffer_packets must be positive")
+        if not 0 < self.min_rto_ns <= MAX_RTO_NS:
+            raise ValueError(f"min_rto_ns must be in (0, {MAX_RTO_NS}]")
+        if self.delayed_ack_ns < 0:
+            raise ValueError("delayed_ack_ns must be >= 0 (0 disables)")
 
     def to_dict(self) -> dict:
         """Canonical JSON-ready view (every field, declaration order)."""

@@ -33,8 +33,8 @@ from repro.tcp.buffers import ReceiveBuffer, SendBuffer
 from repro.tcp.cc import make_congestion_control
 from repro.tcp.config import TCPConfig
 from repro.tcp.options import clip_sack_blocks
-from repro.tcp.rack import RackState, default_reo_wnd_ns
-from repro.tcp.rtt import RTTEstimator
+from repro.tcp.rack import TLP_SRTT_MULTIPLIER, RackState, default_reo_wnd_ns
+from repro.tcp.rtt import INITIAL_RTO_NS, MAX_RTO_NS, RTTEstimator
 from repro.tcp.state import CaState
 
 # Connection states (simplified teardown).
@@ -45,6 +45,10 @@ SYN_RCVD = "syn-rcvd"
 ESTABLISHED = "established"
 FIN_SENT = "fin-sent"
 CLOSE_WAIT = "close-wait"
+
+# SACK dup-threshold: a hole is a loss candidate once this many SACKed
+# segments sit above it (TDTCP counts only its own TDN's).
+DUPTHRESH = 3
 
 
 class SegmentState:
@@ -124,7 +128,7 @@ class PathState:
     def __init__(self, clock, cc_name: str, config: TCPConfig, tdn_id: int = 0):
         self.tdn_id = tdn_id
         self.cc = make_congestion_control(cc_name, clock, initial_cwnd=config.initial_cwnd)
-        self.rtt = RTTEstimator(config.min_rto_ns, config.max_rto_ns, config.initial_rto_ns)
+        self.rtt = RTTEstimator(config.min_rto_ns)
         self.ca_state = CaState.OPEN
         self.high_seq = 0            # recovery exit marker
         self.cwr_seq = 0             # ECN once-per-window marker
@@ -499,7 +503,7 @@ class TCPConnection:
         # sack_blocks() returns () whenever the OOO set is empty — the
         # common case for a pure in-order ACK — so the call hides behind
         # a direct look at the RangeSet.
-        if self.config.sack_enabled and self.recv_buffer._ooo._starts:
+        if self.recv_buffer._ooo._starts:
             blocks = self.recv_buffer.sack_blocks()
             if blocks:
                 ack.sack_blocks = clip_sack_blocks(blocks)
@@ -646,8 +650,7 @@ class TCPConnection:
         elif newly_acked:
             # _restart_rto inlined: this runs on nearly every ACK.
             backed_off = self._rto_ns() << min(self._rto_backoff, 8)
-            max_rto = self.config.max_rto_ns
-            self.rto_timer.start(backed_off if backed_off < max_rto else max_rto)
+            self.rto_timer.start(backed_off if backed_off < MAX_RTO_NS else MAX_RTO_NS)
         if self.fin_sent and self.snd_una == self.snd_nxt:
             self.state = CLOSED
             self._quiesce()
@@ -774,7 +777,7 @@ class TCPConnection:
             if p.sacked_out:
                 sacked_any = True
                 break
-        if self.config.sack_enabled and sacked_any:
+        if sacked_any:
             sacked_above_total = 0
             sacked_above_by_tdn: Dict[int, int] = {}
             hole_candidates: List[SegmentState] = []
@@ -800,7 +803,7 @@ class TCPConnection:
         # candidate lost cannot change the retransmission watch set
         # (candidates exclude retrans_outstanding segments), so the
         # pre-collected lists match what two sequential scans would see.
-        if self.config.rack_enabled and self.rack.xmit_ns is not None:
+        if self.rack.xmit_ns is not None:
             xmit_ns = self.rack.xmit_ns
             candidates: List[SegmentState] = []
             retx_candidates: List[SegmentState] = []
@@ -864,7 +867,7 @@ class TCPConnection:
     def _rack_reo_wnd(self, seg: SegmentState) -> int:
         """Reorder window for RACK; TDTCP widens it for cross-TDN segs."""
         path = self.path_of(seg)
-        return default_reo_wnd_ns(path.rtt.min_rtt_ns, self.config.rack_reo_wnd_frac)
+        return default_reo_wnd_ns(path.rtt.min_rtt_ns)
 
     def _should_mark_lost(self, seg: SegmentState, trigger: LossTrigger) -> bool:
         """Hook: base TCP trusts the heuristics unconditionally."""
@@ -875,7 +878,7 @@ class TCPConnection:
     ) -> bool:
         """Hook: is the SACK evidence above ``seg`` enough to call it a
         loss candidate? Base TCP counts every SACKed segment."""
-        return sacked_above_total >= self.config.dupthresh
+        return sacked_above_total >= DUPTHRESH
 
     def _note_reordering_event(self, hole_candidates: List[SegmentState]) -> None:
         fresh = [seg for seg in hole_candidates if not seg.hole_counted]
@@ -945,7 +948,7 @@ class TCPConnection:
     # ------------------------------------------------------------------
     def _restart_rto(self) -> None:
         backed_off = self._rto_ns() << min(self._rto_backoff, 8)
-        self.rto_timer.start(min(backed_off, self.config.max_rto_ns))
+        self.rto_timer.start(min(backed_off, MAX_RTO_NS))
 
     def _rto_ns(self) -> int:
         """Hook: base TCP uses the current path's estimator."""
@@ -1006,7 +1009,7 @@ class TCPConnection:
         self._maybe_send()
 
     def _on_reorder_timer(self) -> None:
-        if not self.config.rack_enabled or self.total_packets_out() == 0:
+        if self.total_packets_out() == 0:
             return
         trigger = LossTrigger("rack-timer", None)
         candidates = [
@@ -1155,12 +1158,9 @@ class TCPConnection:
         # data segment.
         if self.rto_timer._deadline is None:
             self._restart_rto()
-        if not probe and self.config.tlp_enabled:
+        if not probe:
             srtt = self.paths[self.current_path_index].rtt.srtt_ns
-            if srtt is None:
-                pto = self.config.initial_rto_ns
-            else:
-                pto = int(self.config.tlp_srtt_multiplier * srtt)
+            pto = INITIAL_RTO_NS if srtt is None else TLP_SRTT_MULTIPLIER * srtt
             self.tlp_timer.start(pto if pto > 1 else 1)
 
     def _retransmit(self, seg: SegmentState, probe: bool = False) -> None:

@@ -17,6 +17,13 @@ from __future__ import annotations
 
 from typing import Callable, Iterable, List, Optional, Tuple
 
+#: RACK reorder window as a fraction of min RTT (RFC 8985), and its floor.
+REO_WND_FRAC = 0.25
+REO_WND_FLOOR_NS = 1_000
+#: The tail loss probe fires this many srtts after the last transmission
+#: (the initial RTO before the first sample).
+TLP_SRTT_MULTIPLIER = 2
+
 
 class RackState:
     """Most-recently-delivered transmission state."""
@@ -76,8 +83,8 @@ class RackState:
         return lost, next_deadline
 
 
-def default_reo_wnd_ns(min_rtt_ns: Optional[int], frac: float = 0.25, floor_ns: int = 1_000) -> int:
+def default_reo_wnd_ns(min_rtt_ns: Optional[int]) -> int:
     """RFC 8985's reorder window: min_rtt / 4 (with a small floor)."""
     if min_rtt_ns is None:
-        return floor_ns
-    return max(int(min_rtt_ns * frac), floor_ns)
+        return REO_WND_FLOOR_NS
+    return max(int(min_rtt_ns * REO_WND_FRAC), REO_WND_FLOOR_NS)

@@ -171,10 +171,14 @@ def run_keeping_testbed(config, monkeypatch, per_host: bool = False):
 RPC_CDF = ((0.0, 2_000), (0.5, 4_000), (0.9, 16_000), (1.0, 64_000))
 
 
-def tdtcp_engine(fabric: str, seed: int = 1, max_flows: Optional[int] = None, load: float = 0.4):
+def tdtcp_engine(
+    fabric: str, seed: int = 1, max_flows: Optional[int] = None, load: float = 0.4,
+    record_cap: int = 0,
+):
     """A started testbed carrying a TDTCP :class:`WorkloadEngine` on the
     RPC mix (no engine when ``max_flows == 0``): ``fabric`` is
     ``"two-rack"`` or ``"opera"`` (8 racks, 7 TDNs, all-to-all).
+    ``record_cap`` keeps a reservoir of that many per-flow records.
 
     Returns ``(testbed, engine, period_ns)``; the period is one week,
     resp. one rotor cycle.
@@ -197,23 +201,30 @@ def tdtcp_engine(fabric: str, seed: int = 1, max_flows: Optional[int] = None, lo
         engine = WorkloadEngine(
             testbed, SeededRandom(seed), load=load, cdf=RPC_CDF, matrix=matrix,
             connection_cls=TDTCPConnection, cc_name="cubic", tdn_count=tdn_count,
-            max_flows=max_flows,
+            max_flows=max_flows, record_cap=record_cap,
         )
         engine.start()
     testbed.start()
     return testbed, engine, period_ns
 
 
-def opera_notifier_cost(monkeypatch, **fields) -> None:
-    """Rotor testbeds built from here on announce with
-    ``NotifierConfig(**fields)`` over what ``build_opera_testbed`` asks
-    for. The fabric has no option for its cost model (one value in use),
-    so a test that needs another swaps the name the builder reads."""
+def opera_notifier_cost(monkeypatch, control_delay_ns: Optional[int] = None, **costs) -> None:
+    """Notifiers built from here on use the calibrated cost constants
+    named in ``costs`` (lower case: ``pull_read_cost_ns=0`` sets
+    ``repro.rdcn.notifier.PULL_READ_COST_NS``), and rotor testbeds
+    announce with ``control_delay_ns`` over what ``build_opera_testbed``
+    asks for. Neither is an option (one value in use), so a test that
+    needs another swaps the names the notifier and the builder read."""
+    import repro.rdcn.notifier as notifier
     import repro.rdcn.opera as opera
 
-    monkeypatch.setattr(
-        opera, "NotifierConfig", lambda **asked: NotifierConfig(**{**asked, **fields})
-    )
+    for name, value in costs.items():
+        monkeypatch.setattr(notifier, name.upper(), value)
+    if control_delay_ns is not None:
+        monkeypatch.setattr(
+            opera, "NotifierConfig",
+            lambda **asked: NotifierConfig(**{**asked, "control_delay_ns": control_delay_ns}),
+        )
 
 
 def engine_fingerprint(
@@ -397,7 +408,7 @@ def traced_run(setup, scale: dict, trace_dir: pathlib.Path) -> dict:
     sim = Simulator()
     telemetry = Telemetry(
         ObsConfig(trace_dir=str(trace_dir), label=setup.__name__,
-                  jsonl=True, chrome_trace=False, csv=False)
+                  chrome_trace=False, csv=False)
     ).attach(sim)
     setup(sim, scale)
     (jsonl_path,) = [p for p in telemetry.finish() if p.endswith(".jsonl")]

@@ -72,10 +72,8 @@ def _rtt_state(estimator):
     return (
         estimator.srtt_ns,
         estimator.rttvar_ns,
-        estimator.mdev_ns,
         estimator.min_rtt_ns,
         estimator.latest_rtt_ns,
-        estimator.samples,
     )
 
 
@@ -146,7 +144,7 @@ def _attach_shadow(conn):
             f"fused={fused_rack} reference={reference_rack}"
         )
         counters["compared"] += 1
-        if any(state[5] for state in fused_rtts):
+        if any(state[3] is not None for state in fused_rtts):
             counters["rtt_updates"] += 1
 
     conn._handle_ack = wrapped_handle_ack

@@ -123,19 +123,19 @@ class TestRTTRules:
             paths[1].rtt.update(usec(40))
         # Sending on the fast TDN still assumes the slow return path:
         # synth = 40/2 + 100/2 = 70 us (plus variance, clamped to floor).
-        rto_fast = pessimistic_rto_ns(paths, 1, usec(10), msec(500), msec(2))
-        rto_slow = pessimistic_rto_ns(paths, 0, usec(10), msec(500), msec(2))
+        rto_fast = pessimistic_rto_ns(paths, 1, usec(10))
+        rto_slow = pessimistic_rto_ns(paths, 0, usec(10))
         assert rto_fast >= usec(70)
         assert rto_slow >= rto_fast  # 100/2 + 100/2 = 100 us synth
 
     def test_pessimistic_rto_without_samples(self):
         paths = self._paths()
-        assert pessimistic_rto_ns(paths, 0, msec(1), msec(500), msec(2)) == msec(2)
+        assert pessimistic_rto_ns(paths, 0, msec(1)) == msec(2)
 
     def test_pessimistic_rto_partial_samples(self):
         paths = self._paths()
         paths[0].rtt.update(usec(100))
-        rto = pessimistic_rto_ns(paths, 1, usec(10), msec(500), msec(2))
+        rto = pessimistic_rto_ns(paths, 1, usec(10))
         assert rto >= usec(100)  # falls back to the slowest TDN
 
 

@@ -35,6 +35,8 @@ from repro.rdcn.opera import OperaConfig
 from repro.rdcn.topology import build_two_rack_testbed
 from repro.sim.rng import SeededRandom
 
+from tests.helpers import tdtcp_engine
+
 # A degenerate single-size CDF keeps engine tests fast (10 KB flows
 # drain in ~100 us) and makes the offered-load arithmetic exact.
 FIXED_10KB = ((0.0, 10_000), (1.0, 10_000))
@@ -279,9 +281,17 @@ class TestEngineRuns:
     def test_reservoir_never_perturbs_traffic(self):
         # Enabling per-flow records must not change a single packet:
         # the reservoir draws from its own RNG substream.
-        bare = self.run_once(workload=dict(max_flows=100))
-        recorded = self.run_once(workload=dict(max_flows=100, record_cap=32))
-        assert strip_wall(bare.workload_summary) == strip_wall(recorded.workload_summary)
+        def run(record_cap):
+            testbed, engine, period_ns = tdtcp_engine(
+                "two-rack", max_flows=100, record_cap=record_cap
+            )
+            testbed.sim.run(until=4 * period_ns)
+            stats = engine.finish()
+            return stats, strip_wall(stats.summary(4 * period_ns, engine.n_racks, engine.load))
+
+        (_, bare), (recorded_stats, recorded) = run(0), run(32)
+        assert bare == recorded
+        assert len(recorded_stats.records) == 32
 
     def test_matrices_and_variants_run(self):
         for matrix in ("permutation", "all-to-all", "hotspot"):
@@ -417,7 +427,7 @@ class TestWorkloadConfig:
         assert CONFIG_SCHEMA_VERSION >= 3
 
     def test_round_trip(self):
-        config = engine_config(workload=dict(matrix="hotspot", record_cap=16))
+        config = engine_config(workload=dict(matrix="hotspot", max_flows=16))
         restored = ExperimentConfig.from_dict(json.loads(json.dumps(config.to_dict())))
         assert restored == config
         assert restored.cache_key() == config.cache_key()
@@ -452,8 +462,6 @@ class TestWorkloadConfig:
             WorkloadConfig(kind="trace")  # no trace_path
         with pytest.raises(ValueError):
             WorkloadConfig(cdf="custom")  # no points
-        with pytest.raises(ValueError):
-            WorkloadConfig(record_cap=-1)
         WorkloadConfig(load=1.0)  # the boundary is legal now
 
     def test_mptcp_rejected_with_workload(self):

@@ -150,9 +150,11 @@ class TestDeterminism:
         announcement is the notifier's alone. Recorded at the commit
         before announcements went to the rack; the digest covers every
         notification latency in order and the notify-latency sketches.
-        Re-pinned once, when the record traded its (here empty) raw
-        sequence/VOQ series for the folded-week keys; every other key
-        was equal."""
+        Re-pinned when the record traded its (here empty) raw
+        sequence/VOQ series for the folded-week keys, and when twenty
+        config fields left (nineteen became constants, the dead
+        ``workload.record_cap`` went): the parent's outcome with those
+        keys dropped from its config echo hashes to the new value."""
         config = ExperimentConfig(
             variant="cubic", weeks=8, warmup_weeks=2, seed=1, collect_voq=False,
             collect_sequence=False, fidelity="tiered",
@@ -162,7 +164,7 @@ class TestDeterminism:
         assert result.fidelity_report["fluid_spans"] == 2
         assert len(result.notification_latencies) == 8 * 8 * 2 * 8
         assert result.outcome_digest() == (
-            "c6079ea53f49501260832fecc1f1ddce6dda823f9a7ec2fe8962492d88801a0c"
+            "43b18ff3824e7b19fd2c0e0d552567bc2a437e624e797fd3b94cf170200414f4"
         )
 
     def test_packet_mode_untouched_by_fidelity_field(self):

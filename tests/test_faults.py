@@ -30,6 +30,7 @@ from repro.tcp.sockets import create_connection_pair
 from repro.units import msec, usec
 
 from repro.rdcn.config import NotifierConfig
+from repro.rdcn.notifier import PULL_READ_COST_NS
 
 from tests.helpers import bulk_pair, notification_fingerprint, small_rdcn, two_hosts
 
@@ -327,7 +328,7 @@ class TestNotificationFanoutUnderFaults:
         fingerprint, calls = notification_fingerprint(NotifierConfig(), plan=pause)
         paused = [call for call in calls if call[1] == "r0h1"]
         released = [call for call in paused if at_ns <= call[0] <= until_ns + usec(1)]
-        pull_read_ns = NotifierConfig().pull_read_cost_ns
+        pull_read_ns = PULL_READ_COST_NS
         assert [(t, seq, generated) for t, _h, _tdn, seq, generated in released] == [
             (until_ns + pull_read_ns, 9, 200_000),
             (until_ns + pull_read_ns, 21, 400_000),
@@ -358,7 +359,7 @@ class TestPlainHostNotificationGoldens:
         "default": NotifierConfig(),
         # Control network + push: one processing delay per host.
         "push": NotifierConfig(pull_model=False),
-        "unoptimized": NotifierConfig.unoptimized(),
+        "unoptimized": NotifierConfig().unoptimized(),
     }
     PLANS = {
         "none": lambda: None,

@@ -4,7 +4,9 @@ import pytest
 
 from repro.core.tdtcp import TDTCPConnection
 from repro.net.packet import TDNNotification
+from repro.experiments.config import ExperimentConfig
 from repro.tcp.config import TCPConfig
+from repro.tcp.rtt import MAX_RTO_NS
 from repro.tcp.sockets import create_connection_pair
 from repro.units import msec, usec
 
@@ -102,6 +104,24 @@ class TestConfigSurface:
         with pytest.raises(ValueError):
             TCPConfig(min_rto_ns=0)
         with pytest.raises(ValueError):
-            TCPConfig(min_rto_ns=10, max_rto_ns=5)
-        with pytest.raises(ValueError):
-            TCPConfig(dupthresh=0)
+            TCPConfig(min_rto_ns=MAX_RTO_NS + 1)
+        for name in ("rwnd_packets", "send_buffer_packets"):
+            for value in (0, -1):
+                with pytest.raises(ValueError, match=name):
+                    TCPConfig(**{name: value})
+        with pytest.raises(ValueError, match="delayed_ack_ns"):
+            TCPConfig(delayed_ack_ns=-1)
+        TCPConfig(delayed_ack_ns=0)  # 0 is "off", not an error
+
+    def test_negative_warmup_is_rejected(self):
+        """A negative warmup would count pre-start weeks in the
+        throughput denominator (a 2-week run dividing by 5 weeks)."""
+        with pytest.raises(ValueError, match="warmup_weeks"):
+            ExperimentConfig(weeks=2, warmup_weeks=-3)
+        assert ExperimentConfig(weeks=2, warmup_weeks=0).warmup_weeks == 0
+
+    def test_negative_warmup_is_refused_by_the_cli(self):
+        from repro.experiments.cli import main
+
+        with pytest.raises(ValueError, match="warmup_weeks"):
+            main(["fig2", "--weeks", "2", "--warmup", "-3", "--flows", "1"])

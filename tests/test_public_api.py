@@ -254,17 +254,15 @@ def test_one_notifier_and_no_new_knob_for_the_rack_announcement():
     source = inspect.getsource(notifier)
     assert re.findall(r"^class (\w+)", source, re.M) == ["TDNNotifier"]
     assert [f.name for f in fields(NotifierConfig)] == [
-        "packet_caching", "generation_cached_p50_ns", "generation_uncached_p50_ns",
-        "generation_cached_tail_ns", "generation_uncached_tail_ns", "pull_model",
-        "push_per_flow_cost_ns", "pull_read_cost_ns", "dedicated_network",
-        "control_delay_ns", "switch_per_packet_cost_ns", "night_policy",
+        "packet_caching", "pull_model", "dedicated_network", "control_delay_ns",
+        "night_policy",
     ]
     assert [f.name for f in fields(RDCNConfig)] == [
         "n_hosts_per_rack", "mss", "packet_rate_bps", "optical_rate_bps",
         "packet_one_way_ns", "optical_one_way_ns", "host_link_rate_bps",
         "host_link_delay_ns", "voq_capacity", "ecn_threshold", "buffer_policy",
         "buffer_alpha", "buffer_total_capacity", "schedule_pattern", "day_ns",
-        "night_ns", "retcpdyn_voq_capacity", "retcpdyn_lead_ns", "notifier", "seed",
+        "night_ns", "notifier", "seed",
     ]
     # The freshness filter is written once; the packet path and the
     # rack walk both call it.

@@ -6,6 +6,7 @@ from repro.experiments import ExperimentConfig, VARIANTS
 from repro.experiments.config import WorkloadConfig
 from repro.obs.sketch import quantile
 from repro.rdcn.config import NotifierConfig, RDCNConfig
+from repro.rdcn import notifier as costs
 from repro.rdcn.notifier import TDNNotifier, sample_generation_delay_ns
 from repro.rdcn.schedule import ScheduleDriver, TDNSchedule
 from repro.rdcn.topology import build_two_rack_testbed
@@ -29,17 +30,16 @@ class TestGenerationDelaySampling:
 
     def test_caching_ratio_near_paper(self):
         """Cached vs uncached generation: ~8x at p50, ~2.7x at p99."""
-        cfg = NotifierConfig()
         rng = SeededRandom(11)
         cached = [
             sample_generation_delay_ns(
-                rng, cfg.generation_cached_p50_ns, cfg.generation_cached_tail_ns
+                rng, costs.GENERATION_CACHED_P50_NS, costs.GENERATION_CACHED_TAIL_NS
             )
             for _ in range(20_000)
         ]
         uncached = [
             sample_generation_delay_ns(
-                rng, cfg.generation_uncached_p50_ns, cfg.generation_uncached_tail_ns
+                rng, costs.GENERATION_UNCACHED_P50_NS, costs.GENERATION_UNCACHED_TAIL_NS
             )
             for _ in range(20_000)
         ]
@@ -49,7 +49,7 @@ class TestGenerationDelaySampling:
         assert 1.8 < p99_ratio < 3.8      # paper: 2.7x
 
 
-    @pytest.mark.parametrize("cfg", [NotifierConfig(), NotifierConfig.unoptimized()])
+    @pytest.mark.parametrize("cfg", [NotifierConfig(), NotifierConfig().unoptimized()])
     def test_notifier_draws_the_module_function_sequence(self, cfg):
         # The notifier works its (shift, rate) pair out once; every
         # sample must still be the integer the module function returns.
@@ -58,9 +58,9 @@ class TestGenerationDelaySampling:
         notifier = TDNNotifier(sim, driver, cfg, SeededRandom(9))
         reference_rng = SeededRandom(9).fork("notifier").fork("generation")
         if cfg.packet_caching:
-            p50, tail = cfg.generation_cached_p50_ns, cfg.generation_cached_tail_ns
+            p50, tail = costs.GENERATION_CACHED_P50_NS, costs.GENERATION_CACHED_TAIL_NS
         else:
-            p50, tail = cfg.generation_uncached_p50_ns, cfg.generation_uncached_tail_ns
+            p50, tail = costs.GENERATION_UNCACHED_P50_NS, costs.GENERATION_UNCACHED_TAIL_NS
         assert [notifier.generation_delay_ns() for _ in range(500)] == [
             sample_generation_delay_ns(reference_rng, p50, tail) for _ in range(500)
         ]
@@ -208,7 +208,7 @@ class TestNotificationFanout:
     def test_unoptimized_config_matches_per_host_event_golden(self):
         # Push model (a different processing delay per host), shared
         # data network (through the downlinks), uncached generation.
-        fingerprint, _calls = notification_fingerprint(NotifierConfig.unoptimized())
+        fingerprint, _calls = notification_fingerprint(NotifierConfig().unoptimized())
         assert fingerprint == {
             "calls": 188,
             "calls_sha": "6cdc468b1e2211d0",
@@ -252,7 +252,7 @@ class TestRackAnnouncement:
         h2.subscribe_tdn_changes(leaving)
         testbed.start()
         sim.run(until=cfg.week_ns)
-        cost = notifier.push_per_flow_cost_ns
+        cost = costs.PUSH_PER_FLOW_COST_NS
         (t0, seq0, tdn, generated) = first[0]
         # Host 3 had nobody but the recorder at arrival; its listener
         # still sees this very notification, three costs after host 0.

@@ -134,8 +134,7 @@ class TestDynamicBufferController:
         uplink = RackUplink(sim, paths, DropTailQueue(96), lambda p: None)
         controller = DynamicBufferController(
             sim, driver, [uplink],
-            normal_capacity=96, circuit_capacity=300,
-            lead_ns=usec(150), optical_tdn=1,
+            normal_capacity=96,
         )
         return sim, schedule, driver, uplink, controller
 

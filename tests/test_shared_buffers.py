@@ -301,8 +301,7 @@ class TestPooledFabric:
         uplink = RackUplink(sim, paths, pooled(pool), lambda p: None)
         DynamicBufferController(
             sim, driver, [uplink],
-            normal_capacity=96, circuit_capacity=300,
-            lead_ns=usec(150), optical_tdn=1,
+            normal_capacity=96,
         )
         driver.start()
         optical_start = usec(400)

@@ -115,14 +115,6 @@ class TestTLP:
         sim.run(until=msec(5))
         assert server.stats.bytes_delivered == 31_500
 
-    def test_tlp_not_armed_when_disabled(self):
-        sim, a, b, _ab, _ba = two_hosts()
-        cfg = TCPConfig(tlp_enabled=False)
-        client, _server = bulk_pair(sim, a, b, config=cfg)
-        sim.run(until=msec(5))
-        assert client.stats.tlp_probes == 0
-        assert not client.tlp_timer.armed or client.total_packets_out() > 0
-
 
 class TestReorderTimerRecovery:
     def test_true_tail_loss_recovered_by_reorder_timer(self):

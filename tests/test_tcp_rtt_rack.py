@@ -5,12 +5,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.tcp.rack import RackState, default_reo_wnd_ns
-from repro.tcp.rtt import RTTEstimator
+from repro.tcp.rtt import MAX_RTO_NS, RTTEstimator
 from repro.units import msec, usec
 
 
 def estimator():
-    return RTTEstimator(min_rto_ns=msec(1), max_rto_ns=msec(500), initial_rto_ns=msec(2))
+    return RTTEstimator(min_rto_ns=msec(1))
 
 
 class TestRTTEstimator:
@@ -47,14 +47,14 @@ class TestRTTEstimator:
         est = estimator()
         est.update(0)
         est.update(-5)
-        assert est.samples == 0
+        assert est.latest_rtt_ns is None
         assert est.srtt_ns is None
 
     def test_invalid_bounds(self):
         with pytest.raises(ValueError):
-            RTTEstimator(0, 10, 5)
+            RTTEstimator(0)
         with pytest.raises(ValueError):
-            RTTEstimator(10, 5, 5)
+            RTTEstimator(MAX_RTO_NS + 1)
 
     @given(st.lists(st.integers(1, 10_000_000), min_size=1, max_size=100))
     @settings(max_examples=100)

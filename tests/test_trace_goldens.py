@@ -96,7 +96,7 @@ def test_fault_plan_trace_matches_golden(tmp_path):
         variant="tdtcp", n_flows=2, weeks=4, warmup_weeks=1, seed=7,
         fault_plan_path=str(FAULT_PLAN),
         obs=ObsConfig(trace_dir=str(tmp_path), label="fault_golden",
-                      jsonl=True, chrome_trace=False, csv=False),
+                      chrome_trace=False, csv=False),
     )
     result = run_experiment(config)
     assert result.failure is None, result.failure
