@@ -96,6 +96,10 @@ def pair_weights(
     * ``all-to-all``: every ordered pair equally.
     * ``hotspot``: all-to-all background, with ``hotspot_fraction`` of
       all arrivals redirected onto one seeded victim pair (skew).
+
+    With two racks (the two-rack testbed, the only fabric
+    ``ExperimentConfig`` builds) ``all-to-all`` and ``permutation``
+    return the same weights: one pair each way, half the arrivals each.
     """
     if n_racks < 2:
         raise ValueError("need at least two racks for cross-rack traffic")

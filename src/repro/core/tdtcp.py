@@ -14,6 +14,7 @@ on ICMP notifications, and overrides four hooks:
 
 from __future__ import annotations
 
+from functools import partial
 from typing import List, Optional, Tuple
 
 from repro.core.reordering import suspect_cross_tdn_reordering
@@ -29,6 +30,14 @@ from repro.tcp.connection import CLOSE_WAIT, DUPTHRESH, ESTABLISHED
 from repro.tcp.connection import LossTrigger, PathState, SegmentState, TCPConnection
 from repro.tcp.options import negotiate_td_capable
 from repro.tcp.rack import default_reo_wnd_ns
+
+
+def _new_path(clock: Simulator, config: TCPConfig, cc_name: str,
+              cc_names: Optional[List[str]], tdn_id: int) -> PathState:
+    """One TDN's state set: ``cc_names[tdn_id]`` when named, else ``cc_name``."""
+    if cc_names is not None and tdn_id < len(cc_names):
+        cc_name = cc_names[tdn_id]
+    return PathState(clock, cc_name, config, tdn_id=tdn_id)
 
 
 class TDTCPConnection(TCPConnection):
@@ -95,15 +104,14 @@ class TDTCPConnection(TCPConnection):
     def _make_paths(self) -> List[PathState]:
         # One state set per TDN. The base class holds the same list
         # object, so its path queries see every set; the current index
-        # is mirrored on every switch.
-        self.tdn_state = PerTDNState(self._new_path, self.tdn_count)
+        # is mirrored on every switch. The factory holds the clock, the
+        # config and the CCA names, never the connection, so the state
+        # sets form no reference cycle with it.
+        self.tdn_state = PerTDNState(
+            partial(_new_path, self.sim, self.config, self.cc_name, self.cc_names),
+            self.tdn_count,
+        )
         return self.tdn_state.paths
-
-    def _new_path(self, tdn_id: int) -> PathState:
-        cc_name = self.cc_name
-        if self.cc_names is not None and tdn_id < len(self.cc_names):
-            cc_name = self.cc_names[tdn_id]
-        return PathState(self.sim, cc_name, self.config, tdn_id=tdn_id)
 
     # ------------------------------------------------------------------
     # Negotiation / downgrade (§4.2, A.2)

@@ -165,7 +165,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--matrix", choices=("permutation", "all-to-all", "hotspot"),
         default="permutation",
-        help="traffic matrix for sweep-load (default: permutation)",
+        help="traffic matrix for sweep-load (default: permutation); on the "
+             "two-rack fabric all-to-all has the same pair weights as permutation",
     )
     parser.add_argument(
         "--hotspot-fraction", type=float, default=0.5,

@@ -89,7 +89,7 @@ class WorkloadConfig:
             if self.trace_path is None:
                 raise ValueError("kind='trace' needs trace_path")
             if self.trace_sha256 is None:
-                self.trace_sha256 = _file_sha256(self.trace_path)
+                self.trace_sha256 = file_sha256(self.trace_path)
         if self.custom_cdf is not None:
             # Canonical form: tuples of tuples (JSON round-trips as
             # lists, so normalize both directions).
@@ -117,7 +117,8 @@ class WorkloadConfig:
         return cls(**data)
 
 
-def _file_sha256(path: str) -> str:
+def file_sha256(path: str) -> str:
+    """Hex sha256 of a file's bytes: a trace's identity in cache keys."""
     digest = hashlib.sha256()
     with open(path, "rb") as handle:
         for chunk in iter(lambda: handle.read(1 << 20), b""):

@@ -12,7 +12,7 @@ from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.apps.engine import WorkloadEngine, load_trace
 from repro.apps.workload import build_workload
-from repro.experiments.config import ExperimentConfig
+from repro.experiments.config import ExperimentConfig, file_sha256
 from repro.experiments.variants import engine_flow_opener, get_variant
 from repro.faults.audit import (
     InvariantAuditor,
@@ -495,6 +495,15 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
         trace = None
         if wl.kind == "trace":
             try:
+                # The stated hash names the run in cache keys: replaying
+                # other bytes under it would hand the cache a result for
+                # a trace that never ran.
+                actual = file_sha256(wl.trace_path)
+                if actual != wl.trace_sha256:
+                    raise ValueError(
+                        f"trace {wl.trace_path} has sha256 {actual}, "
+                        f"the config states {wl.trace_sha256}"
+                    )
                 trace, skipped = load_trace(wl.trace_path, strict=wl.strict_trace)
             except (OSError, ValueError) as error:
                 # A bad trace is this run's failure, not a crash that

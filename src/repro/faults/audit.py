@@ -160,8 +160,10 @@ class InvariantAuditor:
         self._last_now = now
         heap = self.sim._queue._heap
         if heap:
-            head_time, _seq, head_event = heap[0]
-            if head_time < now and not head_event.cancelled:
+            head_time, _seq, head_fn, head_args = heap[0]
+            # A handle entry (args None) carries its Event in ``fn``.
+            live = head_args is not None or not head_fn.cancelled
+            if head_time < now and live:
                 found.append(self._violation(
                     "event_queue_monotonic", "sim",
                     f"live event pending at {head_time} < now {now}",

@@ -237,12 +237,15 @@ class OperaToR:
             return
         self._busy = True
         tx_delay = serialization_delay_ns(packet.size, self.config.link_rate_bps)
-        self.sim.schedule(tx_delay, self._tx_done, packet, self.partner)
+        # Packet hops are never cancelled: push handle-free entries.
+        sim = self.sim
+        sim._queue.push(sim.now + tx_delay, self._tx_done, (packet, self.partner))
 
     def _tx_done(self, packet: Packet, partner: int) -> None:
         peer = self.peers[partner]
-        self.sim.schedule(
-            self.config.one_way_delay_ns, peer.receive_from_fabric, packet
+        sim = self.sim
+        sim._queue.push(
+            sim.now + self.config.one_way_delay_ns, peer.receive_from_fabric, (packet,)
         )
         self._busy = False
         self._serve()

@@ -5,12 +5,20 @@ guarantees that events scheduled for the same instant fire in the order
 they were scheduled, which keeps simulations deterministic without
 relying on heap implementation details.
 
-The queue is one binary heap of ``(time, seq, event)`` tuples: tuple
-comparison runs entirely in C and never reaches the event element
-because ``(time, seq)`` is unique, so the hot loop pays no Python-level
-comparison per sift step. Every event comes from :meth:`EventQueue.push`
-and is fired at most once, so a holder may keep it and call
-:meth:`Event.cancel` at any later point.
+The queue is one binary heap of ``(time, seq, fn, args)`` tuples: tuple
+comparison runs entirely in C and never reaches ``fn`` because
+``(time, seq)`` is unique, so the hot loop pays no Python-level
+comparison per sift step. :meth:`EventQueue.push` is the one schedule
+body and allocates nothing but the tuple: a packet hop (link, uplink,
+rotor port) or a fan-out batch that nobody will cancel pushes its
+callback directly.
+
+A caller that may cancel gets an :class:`Event` handle from
+:meth:`EventQueue.push_event`, the one wrapper over ``push``: the heap
+entry is then ``(time, seq, event, None)`` — ``args`` of None marks a
+handle entry, whose callback lives on the event so that
+:meth:`Event.cancel` can drop it. A cancelled entry parked in the heap
+therefore pins nothing but the empty handle.
 
 A fan-out batch (:meth:`EventQueue.push_fanout`) is the one exception to
 "one heap entry per callback": a source that schedules one uncancellable
@@ -30,7 +38,8 @@ _new_event = object.__new__
 
 
 class Event:
-    """A scheduled callback, built by :meth:`EventQueue.push`.
+    """A cancellable handle on one scheduled callback, built by
+    :meth:`EventQueue.push_event`.
 
     User code normally only keeps a reference in order to :meth:`cancel`
     it. The event keeps a back-reference to its queue while pending, so
@@ -43,11 +52,15 @@ class Event:
         """Mark the event so it is skipped when popped.
 
         Cancellation is O(1) and idempotent; the heap entry is lazily
-        discarded by the queue, the live count is adjusted here.
+        discarded by the queue, the live count is adjusted here. The
+        callback and its arguments are dropped at once, so a cancelled
+        entry waiting in the heap keeps nothing of its owner alive.
         """
         if self.cancelled:
             return
         self.cancelled = True
+        self.fn = None
+        self.args = None
         queue = self._queue
         if queue is not None:
             queue._live -= 1
@@ -60,7 +73,8 @@ class Event:
 
 
 class EventQueue:
-    """Min-heap of ``(time, seq, Event)`` entries with lazy deletion."""
+    """Min-heap of ``(time, seq, fn, args)`` entries with lazy deletion
+    of cancelled handle entries."""
 
     __slots__ = (
         "_heap", "_seq", "_live", "_fanout_seq", "_fanout_time", "_fanout_legs",
@@ -83,28 +97,35 @@ class EventQueue:
     def __len__(self) -> int:
         return self._live
 
-    def push(self, time: int, fn: Callable[..., Any], args: tuple = ()) -> Event:
-        """Schedule ``fn(*args)`` at absolute ``time``; returns the event.
+    def push(self, time: int, fn: Callable[..., Any], args: Optional[tuple] = ()) -> None:
+        """Schedule ``fn(*args)`` at absolute ``time``; no handle.
 
         The one schedule body: ``Simulator.schedule`` / ``at``, timers,
-        links and the fabric all come through here.
+        links, the fabric and fan-out batches all come through here.
+        ``args`` of None is reserved for :meth:`push_event`'s handle
+        entries.
         """
         seq = self._seq
         self._seq = seq + 1
-        event = _new_event(Event)
-        event.time = time
-        event.seq = seq
-        event.fn = fn
-        event.args = args
-        event.cancelled = False
-        event._queue = self
         heap = self._heap
-        _heappush(heap, (time, seq, event))
+        _heappush(heap, (time, seq, fn, args))
         self.heap_pushes += 1
         length = len(heap)
         if length > self.max_heap_len:
             self.max_heap_len = length
         self._live += 1
+
+    def push_event(self, time: int, fn: Callable[..., Any], args: tuple = ()) -> Event:
+        """Schedule ``fn(*args)`` at absolute ``time`` through
+        :meth:`push` and return the :class:`Event` that can cancel it."""
+        event = _new_event(Event)
+        event.time = time
+        event.seq = self._seq
+        event.fn = fn
+        event.args = args
+        event.cancelled = False
+        event._queue = self
+        self.push(time, event, None)
         return event
 
     def push_fanout(self, time: int, fn: Callable[[Any], Any], arg: Any) -> None:
@@ -140,32 +161,37 @@ class EventQueue:
         for fn, arg in legs:
             fn(arg)
 
-    def pop(self) -> Optional[Event]:
-        """Pop the earliest non-cancelled event, or None if empty.
+    def pop(self) -> Optional[tuple]:
+        """Pop the earliest live entry as ``(time, seq, fn, args)``, or
+        None if empty; a handle entry comes back with its event's
+        callback and arguments.
 
         Cancelled entries are lazily discarded here (their live-count
         decrement already happened in :meth:`Event.cancel`)."""
         heap = self._heap
         while heap:
-            event = _heappop(heap)[2]
-            if event.cancelled:
-                continue
-            event._queue = None
+            time, seq, fn, args = _heappop(heap)
+            if args is None:
+                if fn.cancelled:
+                    continue
+                fn._queue = None
+                fn, args = fn.fn, fn.args
             self._live -= 1
-            return event
+            return time, seq, fn, args
         return None
 
     def clear(self) -> None:
         """Drop every pending event.
 
-        Cleared events are marked cancelled, not merely orphaned: a
+        Cleared handles are marked cancelled, not merely orphaned: a
         caller that kept a reference and later calls ``cancel()`` must
         see an idempotent no-op, not a live-count decrement against
         whatever generation of the queue exists by then.
         """
-        for _time, _seq, event in self._heap:
-            event.cancelled = True
-            event._queue = None
+        for _time, _seq, fn, args in self._heap:
+            if args is None:
+                fn._queue = None
+                fn.cancel()
         self._heap.clear()
         self._live = 0
         self._fanout_seq = -1

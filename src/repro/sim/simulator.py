@@ -69,18 +69,20 @@ class Simulator:
     def schedule(self, delay: int, fn: Callable[..., Any], *args: Any) -> Event:
         """Run ``fn(*args)`` ``delay`` ns from now. ``delay`` must be >= 0.
 
-        Delegates to :meth:`EventQueue.push`; ``event.cancel()`` on the
-        returned event is safe at any later point.
+        Delegates to :meth:`EventQueue.push_event`; ``event.cancel()`` on
+        the returned event is safe at any later point. A hot path that
+        never cancels pushes through ``self._queue.push`` instead and
+        allocates no event.
         """
         if delay < 0:
             raise ValueError(f"cannot schedule in the past (delay={delay})")
-        return self._queue.push(self.now + delay, fn, args)
+        return self._queue.push_event(self.now + delay, fn, args)
 
     def at(self, time: int, fn: Callable[..., Any], *args: Any) -> Event:
         """Run ``fn(*args)`` at absolute simulation time ``time``."""
         if time < self.now:
             raise ValueError(f"cannot schedule at {time} < now {self.now}")
-        return self._queue.push(time, fn, args)
+        return self._queue.push_event(time, fn, args)
 
     def schedule_fanout(self, delay: int, fn: Callable[[Any], Any], arg: Any) -> None:
         """Run ``fn(arg)`` ``delay`` ns from now as one leg of a fan-out.
@@ -158,8 +160,8 @@ class Simulator:
         fire in the past (the chunked watchdog relies on this).
 
         The loop works on the event queue's heap directly: lazy discard
-        of cancelled entries, the ``until`` horizon check, and the pop
-        are fused into one pass.
+        of cancelled handle entries (never counted as processed), the
+        ``until`` horizon check, and the pop are fused into one pass.
         """
         processed = 0
         self._running = True
@@ -181,23 +183,29 @@ class Simulator:
                 if not heap:
                     drained = True
                     break
-                time, _seq, event = heap[0]
-                if event.cancelled:
-                    heappop(heap)
-                    continue
-                if time > horizon:
+                time, _seq, fn, args = heap[0]
+                if args is None:
+                    # A handle entry: ``fn`` is the Event.
+                    if fn.cancelled:
+                        heappop(heap)
+                        continue
+                    if time > horizon:
+                        drained = True
+                        break
+                    fn._queue = None
+                    fn, args = fn.fn, fn.args
+                elif time > horizon:
                     drained = True
                     break
                 heappop(heap)
                 queue._live -= 1
-                event._queue = None
                 self.now = time
                 if profiler is None:
-                    event.fn(*event.args)
+                    fn(*args)
                 else:
                     started = perf_counter()
-                    event.fn(*event.args)
-                    profiler.record(event.fn, perf_counter() - started)
+                    fn(*args)
+                    profiler.record(fn, perf_counter() - started)
                 processed += 1
                 # Heartbeat: a cheap pointer test when no hook is
                 # installed (the default); a due beat fires only between

@@ -22,6 +22,10 @@ from repro.sim.events import Event
 from repro.sim.simulator import Simulator
 
 
+def _closed_timer(*_args: Any) -> None:
+    raise RuntimeError("a closed timer fired: it was armed after close()")
+
+
 class Timer:
     """A single-shot timer that can be restarted or cancelled.
 
@@ -76,7 +80,7 @@ class Timer:
             if event.time <= time:
                 return  # fires first; _fire re-arms for the remainder
             event.cancel()  # deadline moved earlier: must reschedule
-        self._event = sim._queue.push(time, self._fire)
+        self._event = sim._queue.push_event(time, self._fire)
 
     def cancel(self) -> None:
         self._deadline = None
@@ -86,6 +90,14 @@ class Timer:
             event.cancel()
             self._event = None
 
+    def close(self) -> None:
+        """Cancel for good and drop the callback, so the timer holds
+        nothing of its owner (whose bound method the callback usually
+        is). A closed timer must not be armed again; if it is, its
+        expiry raises."""
+        self.cancel()
+        self._fn = _closed_timer
+
     def _fire(self) -> None:
         self._event = None
         deadline = self._deadline
@@ -93,7 +105,7 @@ class Timer:
             return  # disarmed since this event was scheduled
         if deadline > self._sim.now:
             # Deadline was pushed out since: re-arm for the remainder.
-            self._event = self._sim._queue.push(deadline, self._fire)
+            self._event = self._sim._queue.push_event(deadline, self._fire)
             return
         self._deadline = None
         args = self._args

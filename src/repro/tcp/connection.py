@@ -349,9 +349,18 @@ class TCPConnection:
         """Tear the endpoint down, whatever its state: free the demux
         slot and stop everything that could still wake it. Idempotent.
         The application calls this once it has no further use for the
-        connection; nothing reaches it afterwards."""
+        connection; nothing reaches it afterwards.
+
+        It also drops every reference that points back at the
+        connection (each timer's bound callback, the application's
+        hooks), so a released connection sits in no reference cycle and
+        reference counting alone frees it
+        (``tests/test_engine.py::TestTeardown``)."""
         self.host.unregister_connection(self.flow_key)
         self._quiesce()
+        for timer in self._timers():
+            timer.close()
+        self.on_established = self.on_delivered = self.on_peer_fin = None
 
     def _quiesce(self) -> None:
         """Hook: the end of :meth:`release` and of the FIN-ACKed →

@@ -2,7 +2,9 @@
 streaming completion accounting, seeded determinism (including under
 the process pool), load calibration, and the WorkloadConfig wiring."""
 
+import gc
 import json
+import weakref
 
 import pytest
 
@@ -34,6 +36,7 @@ from repro.rdcn.config import RDCNConfig
 from repro.rdcn.opera import OperaConfig
 from repro.rdcn.topology import build_two_rack_testbed
 from repro.sim.rng import SeededRandom
+from repro.tcp.connection import TCPConnection
 
 from tests.helpers import tdtcp_engine
 
@@ -328,6 +331,19 @@ class TestEngineRuns:
         assert result.failure.error_type == "ValueError"
         assert "line 2" in result.failure.error_message
 
+    def test_trace_changed_since_the_config_fails_the_run(self, tmp_path):
+        # The config names its trace by content hash (the cache key);
+        # bytes written after the config was made must not replay
+        # under the old name.
+        path = tmp_path / "trace.csv"
+        write_trace(path, [TraceFlow(0, "r0h0", "r1h0", 9_000)])
+        config = engine_config(workload=dict(kind="trace", trace_path=str(path)))
+        write_trace(path, [TraceFlow(0, "r0h0", "r1h0", 12_000)])
+        result = run_experiment(config)
+        assert result.failure is not None
+        assert result.failure.error_type == "ValueError"
+        assert config.workload.trace_sha256 in result.failure.error_message
+
     def test_lenient_trace_surfaces_skipped_rows(self, tmp_path):
         path = tmp_path / "trace.csv"
         path.write_text("0,r0h0,r1h0,9000\njunk line\n100000,r1h1,r0h1,9000\n")
@@ -353,6 +369,36 @@ class TestEngineRuns:
         )
         assert restored.workload_summary == result.workload_summary
         assert restored.truncated_flows == result.truncated_flows
+
+
+class TestTeardown:
+    """A released flow frees itself: with the cyclic collector off, every
+    connection the engine released is gone by the end of the run, so no
+    finished flow waits in a reference cycle for the collector."""
+
+    @pytest.mark.parametrize("variant", engine_variants())
+    def test_released_connections_need_no_collector(self, variant, monkeypatch):
+        released = []
+        release = TCPConnection.release
+
+        def tracked(conn):
+            release(conn)
+            released.append(weakref.ref(conn))
+
+        monkeypatch.setattr(TCPConnection, "release", tracked)
+        collecting = gc.isenabled()
+        gc.disable()
+        try:
+            result = run_experiment(
+                engine_config(variant=variant, weeks=2, workload=dict(max_flows=30))
+            )
+            alive = [ref() for ref in released if ref() is not None]
+        finally:
+            if collecting:
+                gc.enable()
+        assert result.failure is None
+        assert len(released) >= 20  # both ends of at least ten flows
+        assert [conn.name for conn in alive] == []
 
 
 class TestTraceReplay:

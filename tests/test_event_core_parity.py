@@ -2,7 +2,9 @@
 
 ``EventQueue.push`` is the one schedule body: ``Simulator.schedule`` /
 ``at``, ``Timer``, ``schedule_fanout`` and the link and fabric hot paths
-all come through it. These tests pin the contract every path must
+all come through it. ``Simulator.schedule`` / ``at`` and ``Timer`` do so
+via ``EventQueue.push_event``, the one wrapper that hands back a
+cancellable ``Event``. These tests pin the contract every path must
 honour — identical ``_seq`` / ``_live`` / ``_queue`` bookkeeping — and
 verify the link and fabric hot paths actually go through the shared
 body, so the sites can never drift apart again.
@@ -34,7 +36,7 @@ def _schedule_paths(sim):
         return armed._event
 
     return [
-        ("queue.push", lambda t: queue.push(t, _noop)),
+        ("queue.push_event", lambda t: queue.push_event(t, _noop)),
         ("sim.schedule", lambda t: sim.schedule(t - sim.now, _noop)),
         ("sim.at", lambda t: sim.at(t, _noop)),
         ("timer.start_at", timer),

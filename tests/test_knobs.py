@@ -155,11 +155,8 @@ KNOBS: Dict[str, Any] = {
     "workload.trace_path": Gated(
         Tmp("b.csv"), off={"workload": {"trace_path": Tmp("a.csv")}}, on=TRACE_A
     ),
-    "workload.trace_sha256": Witness(
-        "0" * 64, on=TRACE_A,
-        defect="a stated trace_sha256 is never checked against the file: the run "
-               "replays what the file holds while the cache key names the stated hash",
-    ),
+    # A stated hash the file does not match fails the run.
+    "workload.trace_sha256": Witness("0" * 64, on=TRACE_A),
     "workload.strict_trace": Gated(
         False, off=ENGINE, on={"workload": {"kind": "trace", "trace_path": Tmp("bad.csv")}}
     ),

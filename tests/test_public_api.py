@@ -287,7 +287,9 @@ def test_one_notifier_and_no_new_knob_for_the_rack_announcement():
     assert "TDNNotification" not in source
     serializer = (inspect.getsource(opera.OperaToR._serve)
                   + inspect.getsource(opera.OperaToR._tx_done))
-    assert source.count("sim.schedule") == serializer.count("sim.schedule") == 2
+    # The serializer's two packet hops push handle-free entries.
+    assert "sim.schedule" not in source and "sim.at(" not in source
+    assert source.count("_queue.push") == serializer.count("_queue.push") == 2
 
 
 def _ledger_wrap_targets():

@@ -1,6 +1,7 @@
 """Simulator core: event queue, clock, timers, RNG, traces."""
 
 import itertools
+import weakref
 
 import pytest
 from hypothesis import given, settings
@@ -18,41 +19,42 @@ class TestEventQueue:
         q.push(10, order.append, ("b",))
         q.push(10, order.append, ("c",))
         while True:
-            event = q.pop()
-            if event is None:
+            entry = q.pop()
+            if entry is None:
                 break
-            event.fn(*event.args)
+            _time, _seq, fn, args = entry
+            fn(*args)
         assert order == ["a", "b", "c"]
 
     def test_time_order(self):
         q = EventQueue()
         q.push(30, lambda: None)
-        q.push(10, lambda: None)
+        q.push_event(10, lambda: None)
         q.push(20, lambda: None)
         times = []
         while True:
-            e = q.pop()
-            if e is None:
+            entry = q.pop()
+            if entry is None:
                 break
-            times.append(e.time)
+            times.append(entry[0])
         assert times == [10, 20, 30]
 
     def test_cancelled_events_skipped(self):
         q = EventQueue()
-        e1 = q.push(10, lambda: None)
+        e1 = q.push_event(10, lambda: None)
         q.push(20, lambda: None)
         e1.cancel()
         assert len(q) == 1
         popped = q.pop()
-        assert popped is not None and popped.time == 20
+        assert popped is not None and popped[0] == 20
 
     def test_direct_cancel_keeps_live_count_exact(self):
         # Regression: Event.cancel() used to need a separate
         # note_cancelled() bookkeeping call on the queue; forgetting it
         # desynced len(q) / Simulator.pending_events.
         q = EventQueue()
-        e1 = q.push(10, lambda: None)
-        e2 = q.push(20, lambda: None)
+        e1 = q.push_event(10, lambda: None)
+        e2 = q.push_event(20, lambda: None)
         e1.cancel()
         e1.cancel()  # idempotent: must not double-decrement
         assert len(q) == 1
@@ -72,7 +74,7 @@ class TestEventQueue:
     def test_len_counts_live(self):
         q = EventQueue()
         q.push(1, lambda: None)
-        q.push(2, lambda: None)
+        q.push_event(2, lambda: None)
         assert len(q) == 2
         q.pop()
         assert len(q) == 1
@@ -83,15 +85,48 @@ class TestEventQueue:
         # cleared-then-refilled queue decremented _live of the wrong
         # queue generation.
         q = EventQueue()
-        stale = q.push(10, lambda: None)
+        stale = q.push_event(10, lambda: None)
         q.clear()
         assert len(q) == 0
-        fresh = q.push(20, lambda: None)
+        fresh = q.push_event(20, lambda: None)
         stale.cancel()  # must be a no-op against the new generation
         assert stale.cancelled
         assert len(q) == 1
-        assert q.pop() is fresh
+        assert q.pop()[1] == fresh.seq
         assert len(q) == 0
+
+    def test_push_allocates_no_handle(self):
+        # A packet hop nobody cancels: the heap entry is the callback
+        # itself, and the loop still fires it in (time, seq) order.
+        sim = Simulator()
+        fired = []
+        assert sim._queue.push(20, fired.append, ("hop",)) is None
+        handle = sim.schedule(10, fired.append, "handle")
+        assert sorted(sim._queue._heap) == [
+            (10, 1, handle, None), (20, 0, fired.append, ("hop",)),
+        ]
+        assert sim.run() == 2
+        assert fired == ["handle", "hop"]
+
+    def test_cancel_releases_the_callback(self):
+        # A cancelled entry stays in the heap until the loop reaches
+        # it; it must not keep the callback's owner alive meanwhile.
+        class Owner:
+            def fire(self):
+                raise AssertionError("a cancelled event fired")
+
+        sim = Simulator()
+        owner, timed = Owner(), Owner()
+        refs = [weakref.ref(owner), weakref.ref(timed)]
+        event = sim.schedule(1_000, owner.fire)
+        timer = Timer(sim, timed.fire)
+        timer.start(500)
+        event.cancel()
+        timer.cancel()
+        del owner, timed, timer
+        assert [ref() for ref in refs] == [None, None]
+        assert len(sim._queue._heap) == 2  # both entries still parked
+        assert sim.run() == 0
 
 
 class TestSimulator:
