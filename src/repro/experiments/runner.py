@@ -4,9 +4,11 @@ the figures need."""
 from __future__ import annotations
 
 import logging
+import math
 
 from bisect import bisect_right
 from collections import Counter
+from itertools import chain
 from dataclasses import dataclass, field, replace
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
@@ -80,42 +82,64 @@ def _pairwise_sum(values: Sequence[float]) -> float:
     return total
 
 
-def fold_series_by_week(
-    samples: Sequence[Tuple[int, float]],
-    week_ns: int,
-    total_weeks: int,
-    warmup_weeks: int = 2,
-    cumulative: bool = True,
-) -> Tuple[List[float], float]:
-    """Average a step series over the post-warm-up weeks.
+class WeekFolder:
+    """Average a step series over the post-warm-up weeks while its
+    samples arrive in time order (:meth:`add`): each sample answers the
+    :func:`week_grid` points it passes with the latest value at or
+    before them (0.0 before any), so only 400 sums, one progress per
+    week and ``max`` are kept. :meth:`result` is ``(mean_curve,
+    mean_week_progress)``: a ``cumulative`` series (sequence numbers) is
+    re-based to zero at each week start, so ``mean_curve[j]`` is the
+    mean progress ``week_grid(week_ns)[j]`` into a week; a level series
+    (queue occupancy) is averaged as-is, with progress 0."""
 
-    Returns ``(mean_curve, mean_week_progress)`` on :func:`week_grid`:
+    def __init__(
+        self, week_ns: int, total_weeks: int, warmup_weeks: int, cumulative: bool = True
+    ) -> None:
+        grid = week_grid(week_ns)
+        # (time, grid index) of every point to answer, in time order; a
+        # cumulative series also reads the last week's end.
+        self._points = chain(
+            ((week * week_ns + offset, j)
+             for week in range(warmup_weeks, total_weeks) for j, offset in enumerate(grid)),
+            [(total_weeks * week_ns, 0)] if cumulative else [],
+        )
+        self._next, self._j = next(self._points, (math.inf, 0))
+        self._n_weeks, self._cumulative = total_weeks - warmup_weeks, cumulative
+        self._sums = [0.0] * len(grid)
+        self._progresses: List[float] = []
+        self._time, self._value, self._base = 0, 0.0, None
+        self.max = 0
 
-    * for ``cumulative`` series (sequence numbers), each week's curve is
-      re-based to zero at the week start, so ``mean_curve[j]`` is the
-      average progress ``week_grid(week_ns)[j]`` into a week and
-      ``mean_week_progress`` is the average total progress per week;
-    * for level series (queue occupancy), values are averaged as-is and
-      ``mean_week_progress`` is 0.
-    """
-    if total_weeks <= warmup_weeks:
-        raise ValueError("need at least one week after warm-up")
-    times = [t for t, _v in samples]
-    values = [float(v) for _t, v in samples]
-    grid = week_grid(week_ns)
-    n_weeks = total_weeks - warmup_weeks
-    sums = [0.0] * len(grid)
-    progresses = []
-    for week in range(warmup_weeks, total_weeks):
-        start = week * week_ns
-        curve = step_interpolate(times, values, [point + start for point in grid])
-        if cumulative:
-            base, end = step_interpolate(times, values, (start, start + week_ns))
-            curve = [value - base for value in curve]
-            progresses.append(end - base)
-        sums = [total + value for total, value in zip(sums, curve)]
-    mean_progress = _pairwise_sum(progresses) / n_weeks if cumulative else 0.0
-    return [total / n_weeks for total in sums], mean_progress
+    def add(self, time_ns: int, value: float) -> None:
+        if time_ns > self._next:
+            self._answer_until(time_ns)
+        elif time_ns < self._time:
+            raise ValueError(f"sample at {time_ns} ns after one at {self._time} ns")
+        self._time, self._value = time_ns, value
+        if value > self.max:
+            self.max = value
+
+    def _answer_until(self, time_ns: float) -> None:
+        value = float(self._value)
+        point, j = self._next, self._j
+        while point < time_ns:
+            if j == 0:
+                # A week boundary: the last week's end, this week's base.
+                if self._base is not None:
+                    self._progresses.append(value - self._base)
+                self._base = value
+            self._sums[j] += value - self._base if self._cumulative else value
+            point, j = next(self._points, (math.inf, 0))
+        self._next, self._j = point, j
+
+    def result(self) -> Tuple[List[float], float]:
+        n_weeks = self._n_weeks
+        if n_weeks <= 0:
+            raise ValueError("need at least one week after warm-up")
+        self._answer_until(math.inf)
+        mean_progress = _pairwise_sum(self._progresses) / n_weeks if self._cumulative else 0.0
+        return [total / n_weeks for total in self._sums], mean_progress
 
 
 def count_per_week(
@@ -132,14 +156,12 @@ def count_per_week(
     return [per_week[week] for week in range(warmup_weeks, total_weeks)]
 
 
-def record_queue_length(sim: Simulator, queue: DropTailQueue) -> List[Tuple[int, int]]:
-    """Subscribe to ``queue``'s length changes and return the (time,
-    length) step series the subscription grows. It starts at
-    ``sim.now``: a recorder attached mid-run must not claim the queue
-    held its current length since time 0."""
-    samples = [(sim.now, len(queue))]
-    queue.subscribe_length(lambda length: samples.append((sim.now, length)))
-    return samples
+def watch_queue_length(sim: Simulator, queue: DropTailQueue, folder: WeekFolder) -> None:
+    """Feed ``queue``'s length changes to ``folder`` from ``sim.now``
+    on: a folder attached mid-run must not claim the queue held its
+    current length since time 0."""
+    folder.add(sim.now, len(queue))
+    queue.subscribe_length(lambda length: folder.add(sim.now, length))
 
 
 # Process-wide heartbeat hook installed by the executor (directly for
@@ -375,13 +397,13 @@ class ExperimentResult:
 
 
 class _AggregateSeqCollector:
-    """Merges per-flow rcv_nxt advances into one total-bytes series and
-    the total at the last delivery inside the warm-up."""
+    """Merges per-flow rcv_nxt advances into one total-bytes series (fed
+    to ``folder``, if any) and the total at the last warm-up delivery."""
 
-    def __init__(self, warmup_ns: int) -> None:
+    def __init__(self, warmup_ns: int, folder: Optional[WeekFolder]) -> None:
         self.total = 0
         self.warmup_delivered = 0
-        self.samples: List[Tuple[int, int]] = []
+        self.folder = folder
         # -1 once a delivery has landed past the warm-up: the snapshot
         # is final even if a later callback carries an earlier time.
         self._warmup_ns = warmup_ns
@@ -396,7 +418,8 @@ class _AggregateSeqCollector:
                 return
             self._per_flow_last[flow_index] = rcv_nxt
             self.total += delta
-            self.samples.append((time_ns, self.total))
+            if self.folder is not None:
+                self.folder.add(time_ns, self.total)
             if time_ns <= self._warmup_ns:
                 self.warmup_delivered = self.total
             else:
@@ -482,7 +505,9 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
 
     context = variant.prepare(testbed, config)
 
-    seq_collector = _AggregateSeqCollector(config.warmup_weeks * rdcn.week_ns)
+    week = (rdcn.week_ns, config.weeks, config.warmup_weeks)
+    seq_folder = WeekFolder(*week) if config.collect_sequence else None
+    seq_collector = _AggregateSeqCollector(config.warmup_weeks * rdcn.week_ns, seq_folder)
     workload = None
     engine: Optional[WorkloadEngine] = None
     if config.workload is not None:
@@ -537,19 +562,17 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
             testbed, flow_factory, n_flows=config.n_flows, trace_sequence=False
         )
 
-    voq_samples: Optional[List[Tuple[int, int]]] = None
+    voq: Optional[WeekFolder] = None
     if config.collect_voq:
-        voq_samples = record_queue_length(testbed.sim, testbed.uplinks[0].queue)
+        # An engine run folds no week: a folder of none keeps only the maximum.
+        voq = WeekFolder(*(week if engine is None else (rdcn.week_ns, 0, 0)), cumulative=False)
+        watch_queue_length(testbed.sim, testbed.uplinks[0].queue, voq)
 
     if config.fidelity == "tiered" and not forced_reasons:
-        occupancy_hook = None
-        if voq_samples is not None:
-            # Fluid spans bypass the real VOQ; feed the series the
-            # model's per-round occupancy at historical timestamps.
-            def occupancy_hook(time_ns: int, depth: int) -> None:
-                voq_samples.append((time_ns, depth))
+        # Fluid spans bypass the real VOQ; feed the folder the model's
+        # per-round occupancy at historical timestamps.
         fastpath = FluidFastPath(
-            testbed, config.duration_ns, occupancy_hook=occupancy_hook
+            testbed, config.duration_ns, occupancy_hook=voq.add if voq is not None else None
         )
         if engine is not None:
             engine.fastpath = fastpath
@@ -641,8 +664,8 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
         ))
 
     result = ExperimentResult(config=config, duration_ns=config.duration_ns)
-    if voq_samples is not None:
-        result.voq_max = max(length for _t, length in voq_samples)
+    if voq is not None:
+        result.voq_max = voq.max
     if engine is not None:
         stats = engine.finish()
         result.workload_summary = stats.summary(
@@ -651,16 +674,13 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
         result.truncated_flows = stats.truncated_flows
         result.aggregate_delivered = stats.bytes_completed
     else:
-        week = (rdcn.week_ns, config.weeks, config.warmup_weeks)
         result.flow_delivered = [flow.delivered_bytes for flow in workload.flows]
         result.aggregate_delivered = seq_collector.total
         result.warmup_delivered = seq_collector.warmup_delivered
-        if config.collect_sequence and seq_collector.samples:
-            result.seq_week_curve, result.seq_week_progress = fold_series_by_week(
-                seq_collector.samples, *week
-            )
-        if voq_samples is not None:
-            result.voq_week_curve, _ = fold_series_by_week(voq_samples, *week, cumulative=False)
+        if seq_folder is not None and seq_collector.total:
+            result.seq_week_curve, result.seq_week_progress = seq_folder.result()
+        if voq is not None:
+            result.voq_week_curve, _ = voq.result()
         senders = [
             stats for flow in workload.flows for stats in _iter_sender_stats(flow.sender)
         ]

@@ -23,11 +23,13 @@ from repro.experiments.report import render_series_table
 from repro.experiments.runner import (
     ExperimentResult,
     RunFailure,
-    record_queue_length,
+    WeekFolder,
     run_experiment,
+    watch_queue_length,
 )
 from repro.experiments.sweeps import day_length_sweep
 from repro.faults.plan import FaultPlan, FaultSpec
+from repro.net.packet import Packet
 from repro.net.queues import DropTailQueue
 from repro.obs.campaign import CampaignLog, campaign_summary, fold_campaign, read_campaign
 from repro.obs.telemetry import ObsConfig
@@ -425,10 +427,19 @@ class TestRunnerCrashTelemetry:
 
 class TestCollectorMidRunAttach:
     def test_initial_sample_uses_sim_now(self):
+        """A folder attached at 777 ns must not claim the queue held its
+        length since time 0: the grid points before 777 read 0.0."""
         sim = Simulator()
-        sim.now = 777
         queue = DropTailQueue(4)
-        assert record_queue_length(sim, queue)[0] == (777, 0)
+        queue.push(Packet("a", "b", 1), sim.now)
+        queue.push(Packet("a", "b", 1), sim.now)
+        sim.now = 777
+        week = 400 * 10  # a grid point every 10 ns
+        folder = WeekFolder(week, 1, 0, cumulative=False)
+        watch_queue_length(sim, queue, folder)
+        curve, _ = folder.result()
+        assert curve == [0.0] * 78 + [2.0] * 322
+        assert folder.max == 2
 
 
 class TestSeriesTableResampling:

@@ -11,10 +11,10 @@ from hypothesis import strategies as st
 
 from repro.experiments.figures import constant_rate_curve, optimal_curve, tile_weeks
 from repro.experiments.runner import (
+    WeekFolder,
     count_per_week,
-    fold_series_by_week,
-    record_queue_length,
     step_interpolate,
+    watch_queue_length,
     week_grid,
 )
 from repro.net.packet import Packet
@@ -68,6 +68,37 @@ def np_fold_series_by_week(samples, week_ns, total_weeks, warmup_weeks, cumulati
         curves.append(curve)
     mean_progress = float(np.mean(progresses)) if progresses else 0.0
     return np.mean(np.asarray(curves), axis=0).tolist(), mean_progress
+
+
+def fold(samples, week_ns, total_weeks, warmup_weeks, cumulative=True):
+    """Feed a WeekFolder sample by sample and take its result."""
+    folder = WeekFolder(week_ns, total_weeks, warmup_weeks, cumulative)
+    for time_ns, value in samples:
+        folder.add(time_ns, value)
+    return folder.result()
+
+
+@st.composite
+def step_series(draw):
+    """A time-sorted step series with the awkward cases drawn often:
+    samples on grid points (ties, several at one instant), repeated
+    values and samples past the horizon."""
+    week_ns = draw(st.integers(400, 10**6))
+    warmup = draw(st.integers(0, 3))
+    total = warmup + draw(st.integers(1, 12))
+    horizon = total * week_ns
+    grid = week_grid(week_ns)
+    on_grid = st.builds(
+        lambda week, j: week * week_ns + grid[j], st.integers(0, total), st.integers(0, 399)
+    )
+    times = draw(st.lists(
+        st.one_of(on_grid, st.integers(0, horizon + week_ns)), min_size=1, max_size=4 * total
+    ))
+    values = draw(st.lists(
+        st.sampled_from([0.0, 1.0, 2.5]) | st.floats(0, 1e9, allow_nan=False),
+        min_size=len(times), max_size=len(times),
+    ))
+    return sorted(times), values, week_ns, total, warmup
 
 
 def np_optimal_curve(schedule, rates_bps, n_weeks, grid_points_per_week):
@@ -124,8 +155,20 @@ class TestNumpyOracle:
             level = level + rng.random() * 1e6 if cumulative else rng.random() * 1e3
             samples.append((t, level))
         args = (samples, week_ns, total, warmup)
-        ours = fold_series_by_week(*args, cumulative=cumulative)
-        assert ours == np_fold_series_by_week(*args, cumulative)
+        assert fold(*args, cumulative=cumulative) == np_fold_series_by_week(*args, cumulative)
+
+    @given(series=step_series(), cumulative=st.booleans())
+    @settings(max_examples=60, deadline=None)
+    def test_folder_fed_sample_by_sample(self, series, cumulative):
+        """Ties at grid points, samples past the horizon, repeated
+        values and no warm-up: the online fold still equals the oracle
+        over the whole series."""
+        times, values, week_ns, total, warmup = series
+        if cumulative:
+            values = [sum(values[: i + 1]) for i in range(len(values))]
+        samples = list(zip(times, values))
+        args = (samples, week_ns, total, warmup)
+        assert fold(*args, cumulative=cumulative) == np_fold_series_by_week(*args, cumulative)
 
     @given(
         pattern=st.lists(st.integers(0, 2), min_size=1, max_size=6),
@@ -164,7 +207,7 @@ class TestFoldByWeek:
     def test_constant_rate_folds_to_line(self):
         week = 1000
         samples = [(t, t * 2.0) for t in range(0, 10 * week, 50)]
-        curve, progress = fold_series_by_week(samples, week, 10, warmup_weeks=2)
+        curve, progress = fold(samples, week, 10, warmup_weeks=2)
         assert progress == pytest.approx(2.0 * week, rel=0.05)
         # Within-week curve is linear from 0.
         assert curve[0] == pytest.approx(0.0, abs=110)
@@ -177,16 +220,14 @@ class TestFoldByWeek:
         for w in range(6):
             samples.append((w * week, 5))
             samples.append((w * week + 500, 10))
-        curve, progress = fold_series_by_week(
-            samples, week, 6, warmup_weeks=1, cumulative=False
-        )
+        curve, progress = fold(samples, week, 6, warmup_weeks=1, cumulative=False)
         assert progress == 0.0
         assert curve[0] == pytest.approx(5.0)
         assert curve[-1] == pytest.approx(10.0)
 
     def test_needs_post_warmup_weeks(self):
         with pytest.raises(ValueError):
-            fold_series_by_week([(0, 0)], 1000, 2, warmup_weeks=2)
+            fold([(0, 0)], 1000, 2, warmup_weeks=2)
 
     @given(st.integers(1, 5), st.integers(3, 8))
     @settings(max_examples=30)
@@ -195,9 +236,28 @@ class TestFoldByWeek:
         shape regardless of how many weeks are averaged."""
         week = 700
         samples = [(t, (t // 7) * rate) for t in range(0, weeks * week, 7)]
-        curve, progress = fold_series_by_week(samples, week, weeks, warmup_weeks=1)
+        curve, progress = fold(samples, week, weeks, warmup_weeks=1)
         assert len(curve) == len(week_grid(week)) == 400
         assert progress == pytest.approx(week / 7 * rate, rel=0.05)
+
+    def test_backwards_timestamp_raises(self):
+        folder = WeekFolder(1000, 3, warmup_weeks=1)
+        folder.add(500, 1.0)
+        folder.add(500, 2.0)  # a tie is in order
+        with pytest.raises(ValueError, match="after one at 500 ns"):
+            folder.add(499, 3.0)
+        # Also once the sample has passed a grid point.
+        folder.add(1_600, 4.0)
+        with pytest.raises(ValueError):
+            folder.add(1_599, 5.0)
+
+    def test_no_weeks_keeps_only_the_maximum(self):
+        folder = WeekFolder(1000, 0, 0, cumulative=False)
+        for time_ns, value in [(0, 3), (10, 9), (2_000_000, 4)]:
+            folder.add(time_ns, value)
+        assert folder.max == 9
+        with pytest.raises(ValueError):
+            folder.result()
 
 
 class TestTileWeeks:
@@ -288,13 +348,17 @@ class TestCollectors:
     def test_queue_collector_records_changes(self):
         sim = Simulator()
         q = DropTailQueue(4)
-        samples = record_queue_length(sim, q)
+        week = 400  # one grid point per ns
+        folder = WeekFolder(week, 1, 0, cumulative=False)
+        watch_queue_length(sim, q, folder)
         q.push(Packet("a", "b", 1), sim.now)
         sim.now = 100
         q.push(Packet("a", "b", 1), sim.now)
         sim.now = 200
         q.pop()
-        assert samples == [(0, 0), (0, 1), (100, 2), (200, 1)]
+        curve, _ = folder.result()
+        assert curve == [1.0] * 100 + [2.0] * 100 + [1.0] * 200
+        assert folder.max == 2
 
     def test_event_counter_buckets_by_week(self):
         times = [usec(50), usec(250), usec(250), usec(260)]  # weeks 0, 1, 1, 1
