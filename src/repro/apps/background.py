@@ -3,7 +3,7 @@ bandwidth, latency, and loss rate on a path oscillate within a
 comparatively small range").
 
 An on/off source injects opaque packets between a host pair at a
-configurable average load. Bursst lengths and gaps are exponentially
+configurable average load. Burst lengths and gaps are exponentially
 distributed (seeded), giving the within-TDN oscillation the paper
 describes without changing any transport behaviour.
 """
@@ -16,6 +16,12 @@ from repro.sim.rng import SeededRandom
 from repro.sim.simulator import Simulator
 from repro.units import serialization_delay_ns
 
+#: Size of every background packet (bytes).
+PACKET_SIZE = 1500
+#: Means of the exponential on (burst) and off (gap) periods.
+MEAN_BURST_NS = 100_000
+MEAN_GAP_NS = 100_000
+
 
 class BackgroundTraffic:
     """On/off constant-rate packet source between two hosts."""
@@ -27,9 +33,6 @@ class BackgroundTraffic:
         dst: Host,
         rate_bps: float,
         rng: SeededRandom,
-        packet_size: int = 1500,
-        mean_burst_ns: int = 100_000,
-        mean_gap_ns: int = 100_000,
         name: str = "background",
     ):
         if rate_bps <= 0:
@@ -38,9 +41,6 @@ class BackgroundTraffic:
         self.src = src
         self.dst = dst
         self.rate_bps = rate_bps
-        self.packet_size = packet_size
-        self.mean_burst_ns = mean_burst_ns
-        self.mean_gap_ns = mean_gap_ns
         self.rng = rng.fork(f"bg-{src.address}-{dst.address}")
         self.name = name
         self.packets_sent = 0
@@ -51,7 +51,7 @@ class BackgroundTraffic:
         # Send interval while "on": packet time at twice the average
         # rate, so on/off duty of ~50% hits the average.
         self._interval_ns = max(
-            serialization_delay_ns(packet_size, rate_bps * 2), 1
+            serialization_delay_ns(PACKET_SIZE, rate_bps * 2), 1
         )
 
     def start(self) -> None:
@@ -68,7 +68,7 @@ class BackgroundTraffic:
         if not self._running:
             return
         self._on = True
-        burst = max(int(self.rng.expovariate(1.0 / self.mean_burst_ns)), 1_000)
+        burst = max(int(self.rng.expovariate(1.0 / MEAN_BURST_NS)), 1_000)
         self._burst_end_ns = self.sim.now + burst
         self._tick()
 
@@ -76,7 +76,7 @@ class BackgroundTraffic:
         if not self._running:
             return
         self._on = False
-        gap = max(int(self.rng.expovariate(1.0 / self.mean_gap_ns)), 1_000)
+        gap = max(int(self.rng.expovariate(1.0 / MEAN_GAP_NS)), 1_000)
         self.sim.schedule(gap, self._begin_burst)
 
     def _tick(self) -> None:
@@ -85,8 +85,8 @@ class BackgroundTraffic:
         if self.sim.now >= self._burst_end_ns:
             self._begin_gap()
             return
-        packet = Packet(self.src.address, self.dst.address, self.packet_size, self.sim.now)
+        packet = Packet(self.src.address, self.dst.address, PACKET_SIZE, self.sim.now)
         self.src.send(packet)
         self.packets_sent += 1
-        self.bytes_sent += self.packet_size
+        self.bytes_sent += PACKET_SIZE
         self.sim.schedule(self._interval_ns, self._tick)

@@ -1,22 +1,20 @@
 """Bulk-transfer applications (the paper's flowgrind workload).
 
-A :class:`BulkSender` pours bytes into a connection as soon as it is
-established — either a fixed transfer size or an endless stream for
-long-lived flows. A :class:`BulkReceiver` counts delivered bytes and
-exposes the receiver-side sequence trace the figures plot.
+A :class:`BulkSender` pours an endless stream into a connection as soon
+as it is established (the long-lived flows of §5.1). A
+:class:`BulkReceiver` counts delivered bytes.
 """
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional, Tuple
+from typing import Callable, Optional
 
 
 class BulkSender:
     """Drives a sending endpoint (TCPConnection or MPTCPConnection)."""
 
-    def __init__(self, connection, total_bytes: Optional[int] = None):
+    def __init__(self, connection):
         self.connection = connection
-        self.total_bytes = total_bytes
         self.started = False
         # TCPConnection exposes on_established; MPTCPConnection
         # establishes subflows independently, so we start eagerly and
@@ -30,10 +28,7 @@ class BulkSender:
         if self.started:
             return
         self.started = True
-        if self.total_bytes is None:
-            self.connection.start_bulk()
-        else:
-            self.connection.write(self.total_bytes)
+        self.connection.start_bulk()
 
     def finish(self) -> None:
         """Stop an endless stream and close cleanly."""
@@ -43,19 +38,16 @@ class BulkSender:
 
 
 class BulkReceiver:
-    """Counts delivered bytes; optionally records the sequence trace."""
+    """Counts delivered bytes, then passes each delivery on to the
+    connection's previous ``on_delivered`` callback."""
 
-    def __init__(self, connection, trace: bool = False):
+    def __init__(self, connection):
         self.connection = connection
-        self.trace_enabled = trace
-        self.samples: List[Tuple[int, int]] = []  # (time_ns, rcv_nxt)
         self.delivered_bytes = 0
         self._chain: Optional[Callable[[int, int], None]] = connection.on_delivered
         connection.on_delivered = self._on_delivered
 
     def _on_delivered(self, time_ns: int, rcv_nxt: int) -> None:
         self.delivered_bytes = rcv_nxt
-        if self.trace_enabled:
-            self.samples.append((time_ns, rcv_nxt))
         if self._chain is not None:
             self._chain(time_ns, rcv_nxt)

@@ -220,13 +220,12 @@ def poisson_trace(
         flows.append(TraceFlow(start_ns, src, dst, size_bytes))
 
 
-def write_trace(path, flows: Sequence[TraceFlow], header: bool = True) -> None:
+def write_trace(path, flows: Sequence[TraceFlow]) -> None:
     """Write flows in the documented CSV schema (``load_trace``'s exact
     inverse)."""
     with open(path, "w", newline="") as handle:
         writer = csv.writer(handle)
-        if header:
-            writer.writerow(TRACE_COLUMNS)
+        writer.writerow(TRACE_COLUMNS)
         for flow in flows:
             writer.writerow([flow.start_ns, flow.src, flow.dst, flow.size_bytes])
 
@@ -404,7 +403,6 @@ class WorkloadEngine:
         self,
         testbed,
         rng: SeededRandom,
-        capacity_bps: Optional[float] = None,
         load: float = 0.4,
         cdf=None,
         matrix: str = "permutation",
@@ -422,11 +420,7 @@ class WorkloadEngine:
         self.testbed = testbed
         self.sim = testbed.sim
         self.rng = rng.fork("engine")
-        self.capacity_bps = (
-            capacity_bps
-            if capacity_bps is not None
-            else average_fabric_rate_bps(testbed.config)
-        )
+        self.capacity_bps = average_fabric_rate_bps(testbed.config)
         self.load = load
         self.matrix = matrix
         self.connection_cls = connection_cls

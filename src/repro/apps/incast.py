@@ -23,6 +23,9 @@ from repro.tcp.config import TCPConfig
 from repro.tcp.connection import TCPConnection
 from repro.tcp.sockets import create_connection_pair
 
+#: Pause between the last block of one round and the next request.
+THINK_TIME_NS = 10_000
+
 
 @dataclass
 class IncastRound:
@@ -58,14 +61,12 @@ class IncastCoordinator:
         worker_hosts,
         aggregator_host,
         block_bytes: int = 30_000,
-        think_time_ns: int = 10_000,
         connection_cls: Type[TCPConnection] = TCPConnection,
         tcp_config: Optional[TCPConfig] = None,
         **conn_kwargs,
     ):
         self.sim = sim
         self.block_bytes = block_bytes
-        self.think_time_ns = think_time_ns
         self.stats = IncastStats()
         self._expected: int = 0
         self._received_this_round = 0
@@ -123,7 +124,7 @@ class IncastCoordinator:
         round_ = self.stats.rounds[-1]
         round_.completed_ns = self.sim.now
         if self._running:
-            self.sim.schedule(self.think_time_ns, self._begin_round)
+            self.sim.schedule(THINK_TIME_NS, self._begin_round)
 
     # ------------------------------------------------------------------
 

@@ -44,7 +44,6 @@ def build_workload(
     testbed: TwoRackTestbed,
     flow_factory: FlowFactory,
     n_flows: Optional[int] = None,
-    trace_sequence: bool = True,
 ) -> Workload:
     """Create ``n_flows`` flows, host i (rack 0) -> host i (rack 1).
 
@@ -62,7 +61,7 @@ def build_workload(
         src = testbed.host(0, index)
         dst = testbed.host(1, index)
         sender, receiver = flow_factory(testbed, src, dst, index)
-        app_receiver = BulkReceiver(receiver, trace=trace_sequence)
+        app_receiver = BulkReceiver(receiver)
         app_sender = BulkSender(sender)
         workload.flows.append(Flow(index, sender, receiver, app_sender, app_receiver))
     return workload

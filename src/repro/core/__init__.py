@@ -11,12 +11,11 @@ pessimistic retransmission timer.
 from repro.core.tdtcp import TDTCPConnection
 from repro.core.tdn_state import PerTDNState
 from repro.core.reordering import suspect_cross_tdn_reordering
-from repro.core.rtt import pessimistic_rto_ns, classify_rtt_sample
+from repro.core.rtt import pessimistic_rto_ns
 
 __all__ = [
     "TDTCPConnection",
     "PerTDNState",
     "suspect_cross_tdn_reordering",
     "pessimistic_rto_ns",
-    "classify_rtt_sample",
 ]

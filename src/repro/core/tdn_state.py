@@ -2,12 +2,11 @@
 
 :class:`PerTDNState` owns the array of :class:`PathState` duplicates —
 one per TDN — and implements the switch ("swap in the set tracking the
-new TDN") plus the four semantic classes of §4.3 as queries:
-
-* *current TDN* — :attr:`current`;
-* *all TDNs* — :meth:`total_packets_out`;
-* *any TDN* — :meth:`any_loss_pending`;
-* *specific TDN* — :meth:`path_for_tdn`.
+new TDN"). The connection answers the four semantic classes of §4.3
+over these sets: *current TDN* is :attr:`current`; *all TDNs*, *any
+TDN* and *specific TDN* are
+:meth:`repro.tcp.connection.TCPConnection.total_packets_out`,
+``any_path_has_losses`` and ``path_of``.
 
 The state itself lives in :class:`repro.tcp.connection.PathState`; this
 class adds TDN bookkeeping: growth on newly observed TDNs (runtime
@@ -58,23 +57,6 @@ class PerTDNState:
         self.current_index = tdn_id
         self.switches += 1
         return True
-
-    def path_for_tdn(self, tdn_id: int) -> PathState:
-        """'Specific TDN' accessor (clamped like the kernel does for
-        segments tagged before a downgrade)."""
-        if 0 <= tdn_id < len(self.paths):
-            return self.paths[tdn_id]
-        return self.paths[0]
-
-    def total_packets_out(self) -> int:
-        """'All TDNs': outstanding data across every TDN."""
-        return sum(path.packets_out for path in self.paths)
-
-    def any_loss_pending(self) -> bool:
-        """'Any TDN': should a retransmission be scheduled?"""
-        return any(
-            path.lost_out > 0 or path.ca_state.in_recovery for path in self.paths
-        )
 
     def slowest_srtt_ns(self) -> int:
         """Largest smoothed RTT across TDNs with samples (0 if none)."""

@@ -56,7 +56,6 @@ class TDTCPConnection(TCPConnection):
         config: Optional[TCPConfig] = None,
         name: Optional[str] = None,
         tdn_count: int = 2,
-        subscribe_notifications: bool = True,
         switch_pacing: bool = True,
         cc_names: Optional[List[str]] = None,
     ):
@@ -95,8 +94,7 @@ class TDTCPConnection(TCPConnection):
         self._pace_until_ns = 0
         self._pace_timer = Timer(sim, self._on_pace_tick, name=f"{self.name}-pace")
         self._tp_tdn_switch = Telemetry.of(sim).tracepoint("tdtcp:tdn_switch")
-        if subscribe_notifications:
-            host.subscribe_tdn_changes(self._on_tdn_notification)
+        host.subscribe_tdn_changes(self._on_tdn_notification)
 
     # ------------------------------------------------------------------
     # Path construction

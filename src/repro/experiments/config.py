@@ -33,6 +33,7 @@ CONFIG_SCHEMA_VERSION = 6
 #: with packet-level fallback at fidelity triggers.
 FIDELITY_MODES = ("packet", "tiered")
 
+from repro.experiments.variants import VARIANTS
 from repro.faults.audit import AUDIT_MODES
 from repro.faults.plan import FaultPlan
 from repro.obs.telemetry import ObsConfig
@@ -184,6 +185,8 @@ class ExperimentConfig:
     bundle_dir: str = "out/bundles"
 
     def __post_init__(self) -> None:
+        if self.variant not in VARIANTS:
+            raise ValueError(f"unknown variant {self.variant!r}; known: {sorted(VARIANTS)}")
         if self.warmup_weeks < 0:
             raise ValueError("warmup_weeks must be >= 0")
         if self.weeks <= self.warmup_weeks:

@@ -89,11 +89,11 @@ from repro.obs.tracepoints import Tracepoint
 #: count: monotonic across one batch.
 ProgressFn = Callable[[int, int, str, str], None]
 
-#: Default heartbeat cadence when a campaign log is attached: every
+#: Heartbeat cadence when a campaign log is attached: every
 #: ~100k processed events a worker reports (sim_now, events, events/s,
 #: heap size) — frequent enough to spot a wedged run within seconds,
 #: rare enough to be invisible in the profile.
-DEFAULT_HEARTBEAT_EVENTS = 100_000
+HEARTBEAT_EVENTS = 100_000
 
 #: How many times one batch replaces a broken process pool; the runs a
 #: last break leaves unsettled fail as infrastructure casualties.
@@ -296,19 +296,15 @@ class ExperimentExecutor:
         use_cache: bool = True,
         progress: Optional[ProgressFn] = None,
         campaign: Optional[CampaignLog] = None,
-        heartbeat_events: int = DEFAULT_HEARTBEAT_EVENTS,
         resume: Optional[ResumePlan] = None,
         checkpoint_to: Optional[str] = None,
     ) -> None:
         if jobs < 1:
             raise ValueError("jobs must be >= 1")
-        if heartbeat_events < 1:
-            raise ValueError("heartbeat_events must be >= 1")
         self.jobs = jobs
         self.cache = ResultCache(cache_dir) if (cache_dir and use_cache) else None
         self.progress = progress
         self.campaign = campaign
-        self.heartbeat_events = heartbeat_events
         self.resume = resume
         self.checkpoint_to = str(checkpoint_to) if checkpoint_to else None
         if self.checkpoint_to is not None and campaign is None:
@@ -593,7 +589,7 @@ class ExperimentExecutor:
         if campaign is not None:
             # Inline runs heartbeat straight into the log — same hook,
             # no process boundary.
-            set_worker_heartbeat(partial(self._heartbeat, label), self.heartbeat_events)
+            set_worker_heartbeat(partial(self._heartbeat, label), HEARTBEAT_EVENTS)
         try:
             self._emit("started", run=label, attempt=1)
             return ExperimentResult.from_dict(execute_config_dict(config.to_dict()))
@@ -604,7 +600,7 @@ class ExperimentExecutor:
                 set_worker_heartbeat(None)
 
     def _submit(self, pool, config: ExperimentConfig):
-        every = self.heartbeat_events if self.campaign is not None else None
+        every = HEARTBEAT_EVENTS if self.campaign is not None else None
         return pool.submit(execute_pooled, config.to_dict(), every)
 
     def _run_pool(

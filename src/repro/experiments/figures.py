@@ -23,7 +23,6 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.executor import ExperimentExecutor
 from repro.experiments.runner import ExperimentResult, RunFailure, week_grid
-from repro.experiments.sweeps import POLICY_TAGS
 from repro.rdcn.config import RDCNConfig
 from repro.rdcn.schedule import TDNSchedule
 from repro.units import gbps, usec
@@ -32,9 +31,10 @@ from repro.units import gbps, usec
 FULL_VARIANTS = ("retcpdyn", "tdtcp", "retcp", "dctcp", "cubic", "mptcp")
 MOTIVATION_VARIANTS = ("cubic", "mptcp")
 REORDERING_VARIANTS = ("cubic", "mptcp", "tdtcp")
-# Buffer-economics panels: the variants whose buffer appetite differs
-# most — deep-buffer loss-based, shallow-buffer ECN, and TDN-aware.
-BUFFER_VARIANTS = ("cubic", "dctcp", "tdtcp")
+
+#: Sample points of the analytic reference lines.
+OPTIMAL_POINTS_PER_WEEK = 400
+PACKET_ONLY_POINTS = 1200
 
 
 @dataclass
@@ -80,22 +80,20 @@ def optimal_curve(
     schedule: TDNSchedule,
     rates_bps: Sequence[float],
     n_weeks: int = 3,
-    grid_points_per_week: int = 400,
-    night_rate_bps: float = 0.0,
 ) -> Tuple[List[int], List[float]]:
     """The paper's 'optimal' line: an idealized TCP that fully uses the
-    active TDN's bottleneck bandwidth, and nothing during nights."""
+    active TDN's bottleneck bandwidth, and nothing during nights
+    (:data:`OPTIMAL_POINTS_PER_WEEK` points a week)."""
     pieces = schedule.rate_profile(list(rates_bps))
-    n_points = n_weeks * grid_points_per_week
+    n_points = n_weeks * OPTIMAL_POINTS_PER_WEEK
     step = n_weeks * schedule.week_ns / n_points
     times = [int(i * step) for i in range(n_points)]
     # Cumulative bytes at each phase boundary of one week.
     week_bytes = 0.0
     boundaries = []  # (phase_start, cumulative_bytes_at_start, rate)
     for start, end, rate in pieces:
-        effective = rate if rate > 0 else night_rate_bps
-        boundaries.append((start, week_bytes, effective))
-        week_bytes += effective / 8.0 * (end - start) / 1e9
+        boundaries.append((start, week_bytes, rate))
+        week_bytes += rate / 8.0 * (end - start) / 1e9
     starts = [b[0] for b in boundaries]
     out = []
     for t in times:
@@ -105,12 +103,11 @@ def optimal_curve(
     return times, out
 
 
-def constant_rate_curve(
-    rate_bps: float, duration_ns: int, grid_points: int = 1200
-) -> Tuple[List[int], List[float]]:
+def constant_rate_curve(rate_bps: float, duration_ns: int) -> Tuple[List[int], List[float]]:
     """The 'packet only' line: a constant-slope reference that never
-    experiences reconfiguration blackouts."""
-    grid = [i * (duration_ns / grid_points) for i in range(grid_points)]
+    experiences reconfiguration blackouts (:data:`PACKET_ONLY_POINTS`
+    points)."""
+    grid = [i * (duration_ns / PACKET_ONLY_POINTS) for i in range(PACKET_ONLY_POINTS)]
     return [int(t) for t in grid], [rate_bps / 8.0 * t / 1e9 for t in grid]
 
 
@@ -287,43 +284,3 @@ fig9 = FIGURES["fig9"]
 fig10 = FIGURES["fig10"]
 fig11 = FIGURES["fig11"]
 fig13 = FIGURES["fig13"]
-
-
-def fig_buffer(
-    total: int,
-    policy: str,
-    alpha: float = 1.0,
-    variants: Sequence[str] = BUFFER_VARIANTS,
-    **run,
-) -> FigureData:
-    """One buffer-economics panel: sequence/VOQ curves of the buffer
-    variants with ``total`` packets of ToR memory under ``policy``.
-
-    The full figure family is one panel per (total, policy) point —
-    see :func:`buffer_figure_family` and
-    ``experiments.sweeps.buffer_economics_sweep`` for the aggregate
-    throughput surface.
-    """
-    return run_figure(
-        f"fig-buffer-{total}x{POLICY_TAGS[policy]}",
-        bw_latency_rdcn().with_buffer(total, policy, alpha),
-        variants,
-        **run,
-    )
-
-
-def buffer_figure_family(
-    totals: Sequence[int] = (32, 64, 96),
-    policies: Sequence[str] = ("static", "complete-sharing", "dynamic-threshold"),
-    alpha: float = 1.0,
-    variants: Sequence[str] = BUFFER_VARIANTS,
-    **run,
-) -> Dict[str, FigureData]:
-    """The buffer-economics figure family: a panel per (total buffer x
-    sharing policy) point, keyed by the panel name."""
-    panels = [
-        fig_buffer(total, policy, alpha, variants, **run)
-        for total in totals
-        for policy in policies
-    ]
-    return {data.name: data for data in panels}

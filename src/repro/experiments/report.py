@@ -7,13 +7,16 @@ regenerates every figure as text; EXPERIMENTS.md records them.
 from __future__ import annotations
 
 from collections import defaultdict
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.experiments.figures import FigureData
 from repro.experiments.runner import step_interpolate
 from repro.obs.campaign import CampaignFold, RunState, fold_campaign
 from repro.obs.sketch import PERCENTILE_LABELS, QuantileSketch, quantile
 from repro.units import to_usec
+
+#: The per-day quantiles of a Figure-10-style summary.
+CDF_QUANTILES = (0.5, 0.9, 0.99, 1.0)
 
 
 def render_series_table(
@@ -71,12 +74,11 @@ def render_seq_graph(data: FigureData, points: int = 12) -> str:
     )
 
 
-def render_voq_graph(data: FigureData, points: int = 12, jumbo_equivalent: bool = True) -> str:
-    """VOQ occupancy over time. With ``jumbo_equivalent`` the counts are
-    divided by 6 so the axis matches the paper's jumbo-frame units."""
-    scale = 1.0 / 6.0 if jumbo_equivalent else 1.0
-    label = "VOQ length (jumbo-frame equivalents)" if jumbo_equivalent else "VOQ length (packets)"
-    return render_series_table(data, data.voq_curves, label, scale=scale, points=points)
+def render_voq_graph(data: FigureData, points: int = 12) -> str:
+    """VOQ occupancy over time. The counts are divided by 6 so the axis
+    matches the paper's jumbo-frame units."""
+    label = "VOQ length (jumbo-frame equivalents)"
+    return render_series_table(data, data.voq_curves, label, scale=1.0 / 6.0, points=points)
 
 
 def render_throughput_summary(data: FigureData, baseline: str = "cubic") -> str:
@@ -95,13 +97,9 @@ def render_throughput_summary(data: FigureData, baseline: str = "cubic") -> str:
     return "\n".join(lines)
 
 
-def render_cdf_summary(
-    name: str,
-    per_day: Dict[str, Sequence[int]],
-    quantiles: Iterable[float] = (0.5, 0.9, 0.99, 1.0),
-) -> str:
+def render_cdf_summary(name: str, per_day: Dict[str, Sequence[int]]) -> str:
     """Figure-10-style distribution summary of per-day counts."""
-    qs = list(quantiles)
+    qs = CDF_QUANTILES
     header = f"{'variant':<10} " + " ".join(f"{'p' + str(int(q * 100)):>5}" for q in qs) + "  zero-days"
     lines = [f"[{name}] per-optical-day distribution", header]
     for variant, samples in sorted(per_day.items()):
@@ -333,10 +331,10 @@ def _campaign_timeline(fold: CampaignFold) -> List[RunState]:
     )
 
 
-def _fmt(value, scale: float = 1.0, digits: int = 4) -> str:
+def _fmt(value, scale: float = 1.0) -> str:
     if value is None:
         return "-"
-    return f"{value * scale:.{digits}g}"
+    return f"{value * scale:.4g}"
 
 
 #: Meta record -> (headline word, the rest of the sentence). Resume and

@@ -28,7 +28,7 @@ from repro.obs.outcome import outcome_digest, strip_wall
 from repro.obs.sketch import sketch_from_samples
 from repro.obs.telemetry import Telemetry
 from repro.rdcn.topology import TwoRackTestbed, build_two_rack_testbed
-from repro.sim.fastpath import FLUID_VARIANTS, FluidFastPath, forced_packet_report
+from repro.sim.fastpath import FLUID_VARIANTS, FluidFastPath, fidelity_report
 from repro.sim.simulator import Simulator
 from repro.units import throughput_gbps
 
@@ -478,130 +478,20 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
 
     # Telemetry attaches to the simulator before anything instrumented
     # is constructed (tracepoints are fetched at construction time).
+    sim = Simulator()
     telemetry: Optional[Telemetry] = None
-    sim: Optional[Simulator] = None
     if config.obs is not None and config.obs.active:
-        sim = Simulator()
         telemetry = Telemetry(config.obs).attach(sim)
-
-    testbed = build_two_rack_testbed(rdcn, sim=sim)
-    if not variant.listens_to_tdn_changes():
-        # Nothing but the notifier's latency recorder will listen.
-        testbed.notifier.announce_without_events(config.duration_ns)
 
     # Campaign liveness: wire the process-wide heartbeat hook (if any)
     # onto this run's simulator. Heartbeats never alter simulation
     # behavior — the hook only reads clock/counters.
     heartbeat = _WORKER_HEARTBEAT
     if heartbeat is not None:
-        testbed.sim.set_heartbeat(heartbeat[0], heartbeat[1])
+        sim.set_heartbeat(heartbeat[0], heartbeat[1])
 
-    # Fault arming happens before variant/workload construction so the
-    # injector's deliver-wrappers sit underneath everything.
     injector: Optional[FaultInjector] = None
-    if config.fault_plan is not None and len(config.fault_plan) > 0:
-        injector = FaultInjector(testbed.sim, config.fault_plan, testbed.rng)
-        injector.arm_testbed(testbed)
-
-    context = variant.prepare(testbed, config)
-
-    week = (rdcn.week_ns, config.weeks, config.warmup_weeks)
-    seq_folder = WeekFolder(*week) if config.collect_sequence else None
-    seq_collector = _AggregateSeqCollector(config.warmup_weeks * rdcn.week_ns, seq_folder)
-    workload = None
-    engine: Optional[WorkloadEngine] = None
-    if config.workload is not None:
-        # Workload-engine path: fabric-wide empirical traffic or trace
-        # replay instead of the bulk long-lived flows.
-        wl = config.workload
-        connection_cls, cc_name, conn_kwargs = engine_flow_opener(
-            config.variant, testbed, config
-        )
-        trace = None
-        if wl.kind == "trace":
-            try:
-                # The stated hash names the run in cache keys: replaying
-                # other bytes under it would hand the cache a result for
-                # a trace that never ran.
-                actual = file_sha256(wl.trace_path)
-                if actual != wl.trace_sha256:
-                    raise ValueError(
-                        f"trace {wl.trace_path} has sha256 {actual}, "
-                        f"the config states {wl.trace_sha256}"
-                    )
-                trace, skipped = load_trace(wl.trace_path, strict=wl.strict_trace)
-            except (OSError, ValueError) as error:
-                # A bad trace is this run's failure, not a crash that
-                # takes down the whole batch.
-                return ExperimentResult.failed(config, type(error).__name__, str(error))
-        engine = WorkloadEngine(
-            testbed,
-            testbed.rng,
-            load=wl.load,
-            cdf=wl.size_cdf() if wl.kind == "empirical" else None,
-            matrix=wl.matrix,
-            hotspot_fraction=wl.hotspot_fraction,
-            trace=trace,
-            connection_cls=connection_cls,
-            cc_name=cc_name,
-            tcp_config=config.tcp,
-            max_flows=wl.max_flows,
-            **conn_kwargs,
-        )
-        if wl.kind == "trace":
-            engine.stats.trace_rows_skipped = skipped
-        engine.start()
-    else:
-
-        def flow_factory(tb: TwoRackTestbed, src, dst, index: int):
-            sender, receiver = variant.make_flow(tb, src, dst, index, config, context)
-            receiver.on_delivered = seq_collector.make_callback(index)
-            return sender, receiver
-
-        workload = build_workload(
-            testbed, flow_factory, n_flows=config.n_flows, trace_sequence=False
-        )
-
-    voq: Optional[WeekFolder] = None
-    if config.collect_voq:
-        # An engine run folds no week: a folder of none keeps only the maximum.
-        voq = WeekFolder(*(week if engine is None else (rdcn.week_ns, 0, 0)), cumulative=False)
-        watch_queue_length(testbed.sim, testbed.uplinks[0].queue, voq)
-
-    if config.fidelity == "tiered" and not forced_reasons:
-        # Fluid spans bypass the real VOQ; feed the folder the model's
-        # per-round occupancy at historical timestamps.
-        fastpath = FluidFastPath(
-            testbed, config.duration_ns, occupancy_hook=voq.add if voq is not None else None
-        )
-        if engine is not None:
-            engine.fastpath = fastpath
-        elif workload is not None:
-            for flow in workload.flows:
-                fastpath.register_flow(flow.sender, flow.receiver)
-
-    if config.background_load > 0.0:
-        # Cross traffic between the last host pair, sharing the fabric
-        # with the measured flows (§2.1's within-TDN oscillation).
-        from repro.apps.background import BackgroundTraffic
-
-        bg_index = rdcn.n_hosts_per_rack - 1
-        background = BackgroundTraffic(
-            testbed.sim,
-            testbed.host(0, bg_index),
-            testbed.host(1, bg_index),
-            rate_bps=config.background_load * rdcn.packet_rate_bps,
-            rng=testbed.rng,
-        )
-        background.start()
-
     auditor: Optional[InvariantAuditor] = None
-    if config.audit is not None:
-        auditor = InvariantAuditor(testbed.sim, mode=config.audit)
-        if workload is not None:
-            auditor.watch_workload(workload)
-        for uplink in testbed.uplinks.values():
-            auditor.watch_uplink(uplink)
 
     def finish(result: ExperimentResult) -> ExperimentResult:
         """The run's one epilogue, crashed or not: what the injector,
@@ -612,12 +502,9 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
             result.fault_report = injector.report()
         if auditor is not None:
             result.audit_report = auditor.report()
-        if config.fidelity == "tiered":
-            result.fidelity_report = (
-                fastpath.finish_report(False, forced_reasons)
-                if fastpath is not None
-                else forced_packet_report(forced_reasons)
-            )
+        if config.fidelity == "tiered" and (fastpath is not None or forced_reasons):
+            # Neither: the set-up crashed before the fast path was built.
+            result.fidelity_report = fidelity_report(forced_reasons, fastpath)
         if telemetry is not None:
             result.artifacts = telemetry.finish()
             result.profile_report = telemetry.profile_report()
@@ -626,6 +513,116 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
         return result
 
     try:
+        # Set-up runs under the same capture as the run: a config the
+        # set-up rejects is this run's failure, with its bundle.
+        testbed = build_two_rack_testbed(rdcn, sim=sim)
+        if not variant.listens_to_tdn_changes():
+            # Nothing but the notifier's latency recorder will listen.
+            testbed.notifier.announce_without_events(config.duration_ns)
+
+        # Fault arming happens before variant/workload construction so the
+        # injector's deliver-wrappers sit underneath everything.
+        if config.fault_plan is not None and len(config.fault_plan) > 0:
+            injector = FaultInjector(testbed.sim, config.fault_plan, testbed.rng)
+            injector.arm_testbed(testbed)
+
+        context = variant.prepare(testbed, config)
+
+        week = (rdcn.week_ns, config.weeks, config.warmup_weeks)
+        seq_folder = WeekFolder(*week) if config.collect_sequence else None
+        seq_collector = _AggregateSeqCollector(config.warmup_weeks * rdcn.week_ns, seq_folder)
+        workload = None
+        engine: Optional[WorkloadEngine] = None
+        if config.workload is not None:
+            # Workload-engine path: fabric-wide empirical traffic or trace
+            # replay instead of the bulk long-lived flows.
+            wl = config.workload
+            connection_cls, cc_name, conn_kwargs = engine_flow_opener(
+                config.variant, testbed, config
+            )
+            trace = None
+            if wl.kind == "trace":
+                try:
+                    # The stated hash names the run in cache keys: replaying
+                    # other bytes under it would hand the cache a result for
+                    # a trace that never ran.
+                    actual = file_sha256(wl.trace_path)
+                    if actual != wl.trace_sha256:
+                        raise ValueError(
+                            f"trace {wl.trace_path} has sha256 {actual}, "
+                            f"the config states {wl.trace_sha256}"
+                        )
+                    trace, skipped = load_trace(wl.trace_path, strict=wl.strict_trace)
+                except (OSError, ValueError) as error:
+                    # A bad trace is this run's failure, not a crash that
+                    # takes down the whole batch.
+                    return ExperimentResult.failed(config, type(error).__name__, str(error))
+            engine = WorkloadEngine(
+                testbed,
+                testbed.rng,
+                load=wl.load,
+                cdf=wl.size_cdf() if wl.kind == "empirical" else None,
+                matrix=wl.matrix,
+                hotspot_fraction=wl.hotspot_fraction,
+                trace=trace,
+                connection_cls=connection_cls,
+                cc_name=cc_name,
+                tcp_config=config.tcp,
+                max_flows=wl.max_flows,
+                **conn_kwargs,
+            )
+            if wl.kind == "trace":
+                engine.stats.trace_rows_skipped = skipped
+            engine.start()
+        else:
+
+            def flow_factory(tb: TwoRackTestbed, src, dst, index: int):
+                sender, receiver = variant.make_flow(tb, src, dst, index, config, context)
+                receiver.on_delivered = seq_collector.make_callback(index)
+                return sender, receiver
+
+            workload = build_workload(testbed, flow_factory, n_flows=config.n_flows)
+
+        voq: Optional[WeekFolder] = None
+        if config.collect_voq:
+            # An engine run folds no week: a folder of none keeps only the maximum.
+            voq = WeekFolder(*(week if engine is None else (rdcn.week_ns, 0, 0)), cumulative=False)
+            watch_queue_length(testbed.sim, testbed.uplinks[0].queue, voq)
+
+        if config.fidelity == "tiered" and not forced_reasons:
+            # Fluid spans bypass the real VOQ; feed the folder the model's
+            # per-round occupancy at historical timestamps.
+            fastpath = FluidFastPath(
+                testbed, config.duration_ns, occupancy_hook=voq.add if voq is not None else None
+            )
+            if engine is not None:
+                engine.fastpath = fastpath
+            elif workload is not None:
+                for flow in workload.flows:
+                    fastpath.register_flow(flow.sender, flow.receiver)
+
+        if config.background_load > 0.0:
+            # Cross traffic between the last host pair, sharing the fabric
+            # with the measured flows (§2.1's within-TDN oscillation).
+            from repro.apps.background import BackgroundTraffic
+
+            bg_index = rdcn.n_hosts_per_rack - 1
+            background = BackgroundTraffic(
+                testbed.sim,
+                testbed.host(0, bg_index),
+                testbed.host(1, bg_index),
+                rate_bps=config.background_load * rdcn.packet_rate_bps,
+                rng=testbed.rng,
+            )
+            background.start()
+
+        if config.audit is not None:
+            auditor = InvariantAuditor(testbed.sim, mode=config.audit)
+            if workload is not None:
+                auditor.watch_workload(workload)
+            for uplink in testbed.uplinks.values():
+                auditor.watch_uplink(uplink)
+
         testbed.start()
         if fastpath is not None:
             fastpath.start()
@@ -642,7 +639,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
         # Guarantee >= 1 heartbeat per executed run, however short.
         testbed.sim.flush_heartbeat()
     except Exception as error:
-        testbed.sim.flush_heartbeat()
+        sim.flush_heartbeat()
         bundle_path: Optional[str] = None
         try:
             bundle_path = write_repro_bundle(

@@ -34,6 +34,12 @@ from repro.sim.simulator import Simulator
 
 AUDIT_MODES = ("warn", "fail")
 
+#: Simulated time between two audit sweeps of a started auditor.
+AUDIT_INTERVAL_NS = 200_000
+
+#: Events per watchdog slice: a wedged run is caught within one slice.
+WATCHDOG_CHUNK_EVENTS = 100_000
+
 
 class InvariantViolation(AssertionError):
     """A runtime invariant audit found corrupted state (fail mode)."""
@@ -70,19 +76,12 @@ class InvariantAuditor:
     one event pending forever, so drive the simulator with ``until=``.
     """
 
-    def __init__(
-        self,
-        sim: Simulator,
-        mode: str = "warn",
-        interval_ns: int = 200_000,
-    ):
+    def __init__(self, sim: Simulator, mode: str = "warn"):
         if mode not in AUDIT_MODES:
             raise ValueError(f"audit mode must be one of {AUDIT_MODES}, got {mode!r}")
-        if interval_ns <= 0:
-            raise ValueError("audit interval must be positive")
         self.sim = sim
         self.mode = mode
-        self.interval_ns = interval_ns
+        self.interval_ns = AUDIT_INTERVAL_NS
         self.connections: List[Any] = []
         self.uplinks: List[Any] = []
         self.queues: List[Any] = []
@@ -169,9 +168,7 @@ class InvariantAuditor:
                     f"live event pending at {head_time} < now {now}",
                 ))
         for conn in self.connections:
-            # The connection owns its scoreboard recount (the one
-            # ``check_invariants`` raises from); this is its non-raising
-            # runtime reading.
+            # The connection owns its scoreboard recount.
             found.extend(
                 self._violation(*finding) for finding in conn.invariant_findings()
             )
@@ -277,20 +274,20 @@ def run_with_watchdog(
     until: Optional[int] = None,
     max_events: Optional[int] = None,
     max_wall_s: Optional[float] = None,
-    chunk_events: int = 100_000,
 ) -> int:
     """Drive ``sim.run(until=...)`` under event/wall budgets.
 
-    Runs the simulator in ``chunk_events`` slices so a wedged run is
-    detected within one chunk. With no budgets this degrades to a
-    single plain ``sim.run`` call (zero overhead for the common case).
+    Runs the simulator in :data:`WATCHDOG_CHUNK_EVENTS` slices so a
+    wedged run is detected within one slice. With no budgets this
+    degrades to a single plain ``sim.run`` call (zero overhead for the
+    common case).
     """
     if max_events is None and max_wall_s is None:
         return sim.run(until=until)
     processed = 0
     started = perf_counter()
     while True:
-        chunk = chunk_events
+        chunk = WATCHDOG_CHUNK_EVENTS
         if max_events is not None:
             # Never run further than one event past the budget, so a
             # blown budget is detected even when it is smaller than one

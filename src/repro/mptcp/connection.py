@@ -22,6 +22,9 @@ from repro.sim.simulator import Simulator
 from repro.tcp.buffers import ReceiveBuffer, SendBuffer
 from repro.tcp.config import TCPConfig
 
+#: The server's first subflow port (subflow ``i`` listens on ``BASE_PORT + i``).
+BASE_PORT = 5001
+
 
 class ChunkState:
     """One DSS range assigned to a subflow."""
@@ -65,10 +68,8 @@ class MPTCPConnection:
         cc_name: str = "cubic",
         config: Optional[TCPConfig] = None,
         n_subflows: int = 2,
-        base_port: int = 5001,
         local_ports: Optional[List[int]] = None,
         remote_ports: Optional[List[int]] = None,
-        subscribe_notifications: bool = True,
         name: Optional[str] = None,
     ):
         from repro.mptcp.subflow import MPTCPSubflow  # local import: cycle
@@ -100,8 +101,8 @@ class MPTCPConnection:
 
         self.subflows: List[MPTCPSubflow] = []
         for index in range(n_subflows):
-            local_port = local_ports[index] if local_ports else base_port + index
-            remote_port = remote_ports[index] if remote_ports else base_port + index
+            local_port = local_ports[index] if local_ports else BASE_PORT + index
+            remote_port = remote_ports[index] if remote_ports else BASE_PORT + index
             self.subflows.append(
                 MPTCPSubflow(
                     sim,
@@ -115,8 +116,7 @@ class MPTCPConnection:
                     config=self.config,
                 )
             )
-        if subscribe_notifications:
-            host.subscribe_tdn_changes(self._on_tdn_notification)
+        host.subscribe_tdn_changes(self._on_tdn_notification)
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -275,17 +275,14 @@ def create_mptcp_pair(
     cc_name: str = "cubic",
     config: Optional[TCPConfig] = None,
     n_subflows: int = 2,
-    base_port: int = 5001,
-    connect: bool = True,
-    subscribe_notifications: bool = True,
 ) -> Tuple[MPTCPConnection, MPTCPConnection]:
     """(client, server) MPTCP connections with matched subflow ports.
 
-    Subflow ``i`` runs client_ports[i] <-> base_port + i. The server
-    listens; when ``connect`` is True the client opens all subflows.
+    Subflow ``i`` runs client_ports[i] <-> BASE_PORT + i. The server
+    listens and the client opens all subflows.
     """
     client_ports = [client_host.allocate_port() for _ in range(n_subflows)]
-    server_ports = [base_port + i for i in range(n_subflows)]
+    server_ports = [BASE_PORT + i for i in range(n_subflows)]
     client = MPTCPConnection(
         sim,
         client_host,
@@ -295,7 +292,6 @@ def create_mptcp_pair(
         n_subflows=n_subflows,
         local_ports=client_ports,
         remote_ports=server_ports,
-        subscribe_notifications=subscribe_notifications,
     )
     server = MPTCPConnection(
         sim,
@@ -306,9 +302,7 @@ def create_mptcp_pair(
         n_subflows=n_subflows,
         local_ports=server_ports,
         remote_ports=client_ports,
-        subscribe_notifications=subscribe_notifications,
     )
     server.listen()
-    if connect:
-        client.connect()
+    client.connect()
     return client, server

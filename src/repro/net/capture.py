@@ -41,11 +41,9 @@ class PacketCapture:
         self,
         sim: Simulator,
         max_records: Optional[int] = None,
-        predicate: Optional[Callable[[Packet], bool]] = None,
     ):
         self.sim = sim
         self.max_records = max_records
-        self.predicate = predicate
         self.records: List[CaptureRecord] = []
         self.dropped_records = 0
 
@@ -60,8 +58,6 @@ class PacketCapture:
 
     def observe(self, packet: Packet) -> None:
         """Record a packet without forwarding it anywhere."""
-        if self.predicate is not None and not self.predicate(packet):
-            return
         if self.max_records is not None and len(self.records) >= self.max_records:
             self.dropped_records += 1
             return

@@ -2,14 +2,15 @@
 
 A :class:`Link` is unidirectional: it serializes packets one at a time at
 ``rate_bps``, then delivers them ``prop_delay_ns`` later to a handler.
-An optional bounded FIFO absorbs bursts; when it overflows, packets are
-dropped (and flagged, so loss accounting sees ground truth).
+An unbounded FIFO absorbs bursts: every link is a host access link whose
+sender is already window-limited, and bounded queues with drops live in
+the fabric (:mod:`repro.net.queues`).
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Callable, Optional
+from typing import Callable
 
 from repro.net.packet import Packet
 from repro.sim.simulator import Simulator
@@ -20,8 +21,7 @@ class Link:
     """Unidirectional serializing link with an internal FIFO.
 
     ``deliver`` is called with each packet after serialization plus
-    propagation. ``queue_capacity`` of None means unbounded (used for
-    host access links where the sender is already window-limited).
+    propagation.
     """
 
     def __init__(
@@ -30,7 +30,6 @@ class Link:
         rate_bps: float,
         prop_delay_ns: int,
         deliver: Callable[[Packet], None],
-        queue_capacity: Optional[int] = None,
         name: str = "link",
     ):
         if rate_bps <= 0:
@@ -41,13 +40,11 @@ class Link:
         self.rate_bps = rate_bps
         self.prop_delay_ns = prop_delay_ns
         self.deliver = deliver
-        self.queue_capacity = queue_capacity
         self.name = name
         self._fifo: deque[Packet] = deque()
         self._busy = False
         self.tx_packets = 0
         self.tx_bytes = 0
-        self.drops = 0
         self.queued_bytes = 0
         # Fault-injection gate (repro.faults link_flap): while down, new
         # sends are refused and packets finishing serialization die on
@@ -63,18 +60,14 @@ class Link:
         return len(self._fifo)
 
     def send(self, packet: Packet) -> bool:
-        """Enqueue a packet for transmission. Returns False on drop."""
+        """Enqueue a packet for transmission. Returns False when the link
+        is down (the packet is lost)."""
         if self.down:
             packet.dropped = True
             self.fault_drops += 1
             return False
-        fifo = self._fifo
-        if self.queue_capacity is not None and len(fifo) >= self.queue_capacity:
-            packet.dropped = True
-            self.drops += 1
-            return False
         if self._busy:
-            fifo.append(packet)
+            self._fifo.append(packet)
             self.queued_bytes += packet.size
             return True
         # Idle link: start serializing immediately, skipping the FIFO

@@ -303,21 +303,21 @@ class SharedBufferPool:
         for queue in self.queues:
             queue.resize(total)
 
-    def stable_limit(self, n_hot: int = 1) -> float:
-        """Closed-form maximum stable occupancy one of ``n_hot`` equally
-        hot member queues can sustain (the tiered fluid model's analytic
-        admission check). Complete sharing admits until the pool is
-        full; dynamic thresholds settle where ``q = alpha * free``, i.e.
-        ``q = alpha * total / (1 + n_hot * alpha)`` per hot queue."""
+    def stable_limit(self) -> float:
+        """Closed-form maximum stable occupancy of the one hot member
+        queue (the tiered fluid model's analytic admission check).
+        Complete sharing admits until the pool is full; dynamic
+        thresholds settle where ``q = alpha * free``, i.e.
+        ``q = alpha * total / (1 + alpha)``."""
         if self.policy == "complete-sharing":
-            return self.total / max(n_hot, 1)
-        return self.alpha * self.total / (1.0 + max(n_hot, 1) * self.alpha)
+            return float(self.total)
+        return self.alpha * self.total / (1.0 + self.alpha)
 
 
-def fluid_queue_capacity(queue: DropTailQueue, n_hot: int = 1) -> float:
+def fluid_queue_capacity(queue: DropTailQueue) -> float:
     """Effective steady-state packet capacity of ``queue`` for the fluid
     fast path: the per-queue cap, further bounded by the shared pool's
     closed-form stable limit when the queue is pool-backed."""
     if queue.pool is not None:
-        return min(queue.capacity, queue.pool.stable_limit(n_hot))
+        return min(queue.capacity, queue.pool.stable_limit())
     return float(queue.capacity)

@@ -208,16 +208,10 @@ def read_campaign_with_tail(path) -> tuple:
     return records, None
 
 
-def read_campaign(path, strict: bool = False) -> List[dict]:
-    """Parse a campaign JSONL file into record dicts.
-
-    By default a truncated final line (the artifact of a mid-write
-    crash) is dropped; pass ``strict=True`` to raise on it instead.
-    """
-    records, tail = read_campaign_with_tail(path)
-    if tail is not None and strict:
-        raise ValueError(f"{path}: truncated final record: {tail[:80]!r}")
-    return records
+def read_campaign(path) -> List[dict]:
+    """Parse a campaign JSONL file into record dicts. A truncated final
+    line (the artifact of a mid-write crash) is dropped."""
+    return read_campaign_with_tail(path)[0]
 
 
 class CampaignLog:

@@ -41,9 +41,6 @@ class MemoryExporter:
     def __len__(self) -> int:
         return len(self.events)
 
-    def families(self) -> List[str]:
-        return sorted({name for _t, name, _f in self.events})
-
 
 def _clean(value: Any) -> Any:
     """JSON-safe scalar: non-finite floats become None (strict JSON has

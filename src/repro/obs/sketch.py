@@ -106,11 +106,6 @@ class StreamStats:
         self.maximum = max(self.maximum, other.maximum)
         return self
 
-    @property
-    def variance(self) -> float:
-        """Population variance (0.0 for fewer than two samples)."""
-        return self.m2 / self.count if self.count > 1 else 0.0
-
     def to_dict(self) -> dict:
         return {
             "count": self.count,

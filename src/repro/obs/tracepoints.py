@@ -16,7 +16,7 @@ kernel probes the paper's evaluation used — see
 from __future__ import annotations
 
 import fnmatch
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Tuple
 
 # Subscriber signature: fn(time_ns, tracepoint_name, fields_dict).
 Subscriber = Callable[[int, str, Dict[str, Any]], None]
@@ -174,9 +174,9 @@ class TracepointRegistry:
     later ``subscribe`` calls take effect at the same object.
     """
 
-    def __init__(self, catalog: Optional[Dict[str, Tuple[Tuple[str, ...], str]]] = None):
+    def __init__(self) -> None:
         self._tracepoints: Dict[str, Tracepoint] = {}
-        for name, (fields, description) in (catalog or TRACEPOINT_CATALOG).items():
+        for name, (fields, description) in TRACEPOINT_CATALOG.items():
             self._tracepoints[name] = Tracepoint(name, fields, description)
 
     def get(self, name: str) -> Tracepoint:
@@ -187,9 +187,6 @@ class TracepointRegistry:
             tp = Tracepoint(name)
             self._tracepoints[name] = tp
         return tp
-
-    def names(self) -> List[str]:
-        return sorted(self._tracepoints)
 
     def match(self, pattern: str) -> List[Tracepoint]:
         """Tracepoints whose name matches a glob (``tcp:*``, ``*``)."""

@@ -7,11 +7,11 @@ change notifications with the §5.4 latency component model.
 """
 
 from repro.rdcn.config import RDCNConfig, NotifierConfig
-from repro.rdcn.schedule import Day, TDNSchedule, ScheduleDriver, pair_schedule
+from repro.rdcn.schedule import Day, TDNSchedule, ScheduleDriver
 from repro.rdcn.fabric import NetworkPath, RackUplink
 from repro.rdcn.notifier import TDNNotifier
 from repro.rdcn.topology import TwoRackTestbed, build_two_rack_testbed
-from repro.rdcn.rotor import round_robin_matchings, schedule_for_pair
+from repro.rdcn.rotor import round_robin_matchings
 from repro.rdcn.opera import OperaConfig, OperaTestbed, build_opera_testbed
 
 __all__ = [
@@ -20,14 +20,12 @@ __all__ = [
     "Day",
     "TDNSchedule",
     "ScheduleDriver",
-    "pair_schedule",
     "NetworkPath",
     "RackUplink",
     "TDNNotifier",
     "TwoRackTestbed",
     "build_two_rack_testbed",
     "round_robin_matchings",
-    "schedule_for_pair",
     "OperaConfig",
     "OperaTestbed",
     "build_opera_testbed",

@@ -3,17 +3,14 @@
 A rotor fabric cycles through a fixed set of *matchings* — perfect
 pairings of racks — such that over one week every rack pair is directly
 connected exactly once. :func:`round_robin_matchings` produces the
-classic circle-method tournament schedule; :func:`schedule_for_pair`
-projects the global schedule onto a single rack pair, yielding the
-day pattern a :class:`TDNSchedule` needs (the paper's 6:1 setting is
-exactly the 8-rack projection).
+classic circle-method tournament schedule. One rack pair sees its
+matching's slot as the optical TDN and every other slot as the packet
+network, so the paper's 6:1 day pattern is the 8-rack projection.
 """
 
 from __future__ import annotations
 
 from typing import List, Tuple
-
-from repro.rdcn.schedule import TDNSchedule
 
 Matching = List[Tuple[int, int]]
 
@@ -35,31 +32,3 @@ def round_robin_matchings(n_racks: int) -> List[Matching]:
         matchings.append(sorted(pairs))
         rotating = [rotating[-1]] + rotating[:-1]
     return matchings
-
-
-def matching_index_for_pair(n_racks: int, rack_a: int, rack_b: int) -> int:
-    """Which configuration of the week directly connects the pair."""
-    if rack_a == rack_b:
-        raise ValueError("a rack is always connected to itself")
-    key = (min(rack_a, rack_b), max(rack_a, rack_b))
-    for index, matching in enumerate(round_robin_matchings(n_racks)):
-        if key in matching:
-            return index
-    raise LookupError(f"pair {key} not covered — impossible for a valid rotor")
-
-
-def schedule_for_pair(
-    n_racks: int,
-    rack_a: int,
-    rack_b: int,
-    day_ns: int,
-    night_ns: int,
-    optical_tdn: int = 1,
-) -> TDNSchedule:
-    """The TDN day pattern one rack pair observes over a rotor week:
-    the optical TDN in its matching's slot, the packet network (TDN 0)
-    in every other slot."""
-    slot = matching_index_for_pair(n_racks, rack_a, rack_b)
-    pattern = [0] * (n_racks - 1)
-    pattern[slot] = optical_tdn
-    return TDNSchedule.uniform(pattern, day_ns, night_ns)

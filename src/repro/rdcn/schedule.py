@@ -4,11 +4,6 @@ A schedule is a cyclic sequence of *days* — each assigning one TDN to
 the rack pair — separated by *nights* (reconfiguration blackouts during
 which the fabric forwards nothing). The full cycle is a *week*.
 
-:func:`pair_schedule` builds the demand-oblivious rotor view for one
-rack pair in an ``n_racks`` fabric: the pair is directly connected by
-the OCS in 1 of every ``n_racks - 1`` configurations and uses the packet
-network otherwise, which for 8 racks gives the paper's 6:1 ratio.
-
 :class:`ScheduleDriver` replays the schedule on a simulator and invokes
 subscriber callbacks at day starts, day ends, and configurable lead
 times before day starts (used by the reTCP-dyn buffer controller).
@@ -110,19 +105,6 @@ class TDNSchedule:
             if day.night_ns > 0:
                 pieces.append((end, end + day.night_ns, 0.0))
         return pieces
-
-
-def pair_schedule(n_racks: int, day_ns: int, night_ns: int, optical_tdn: int = 1) -> TDNSchedule:
-    """Demand-oblivious rotor schedule as seen by one rack pair.
-
-    An ``n_racks`` rotor fabric cycles through ``n_racks - 1`` matchings;
-    a given pair is directly connected in exactly one of them and falls
-    back to the packet network (TDN 0) in the others.
-    """
-    if n_racks < 2:
-        raise ValueError("need at least two racks")
-    pattern = [0] * (n_racks - 2) + [optical_tdn]
-    return TDNSchedule.uniform(pattern, day_ns, night_ns)
 
 
 class ScheduleDriver:

@@ -38,7 +38,6 @@ class ReTCPConnection(TCPConnection):
         config: Optional[TCPConfig] = None,
         name: Optional[str] = None,
         alpha: float = 8.0,
-        react_to_marks: bool = True,
     ):
         if alpha <= 1.0:
             raise ValueError("alpha must exceed 1")
@@ -55,7 +54,7 @@ class ReTCPConnection(TCPConnection):
         self.alpha = alpha
         # In-band reaction to circuit-mark echoes. The dynamic-buffer
         # controller disables this and drives ramping out of band.
-        self.react_to_marks = react_to_marks
+        self.react_to_marks = True
         self.circuit_active = False
         self._saved_cwnd: Optional[float] = None
         self.ramp_ups = 0

@@ -18,11 +18,11 @@ Lifecycle of a group (one ``(src_rack, dst_rack)`` direction):
    Loss appearing mid-drain aborts back to packet mode.
 3. **fluid** — once sender scoreboards and the forward VOQ are empty the
    span begins. No per-segment events run; the model integrates lazily:
-   every advance (at an interrupt, a fidelity trigger, or the run
+   every advance (at an admission, an unregistered flow, or the run
    horizon) walks RTT-sized rounds from the last integrated virtual
    time to the simulator's *current* time, so connection state only
-   ever reflects times at or before ``sim.now`` and interrupts never
-   need to rewind anything.
+   ever reflects times at or before ``sim.now`` and nothing ever needs
+   rewinding.
 4. **exit** — re-materializes exact packet state: ``snd_nxt``/
    ``snd_una`` advanced by the delivered bytes (empty scoreboard, so
    the per-path counters stay invariant-consistent), receiver
@@ -30,14 +30,12 @@ Lifecycle of a group (one ``(src_rack, dst_rack)`` direction):
    historical timestamps (figure series and FCT hooks fire with
    correct times), holds cleared, sends resumed staggered over ~1 RTT.
 
-Fidelity triggers that end a span:
-
-* explicit interrupts (fault windows, audits) via :meth:`interrupt`;
-* the run horizon.
-
-The fluid model cannot produce per-packet CE marks, so a run whose
-senders can be ECN-capable never gets here: the runner forces it to
-packet fidelity up front (see ``run_experiment``).
+A span ends at the run horizon, or when an admitted flow is
+unregistered before the fast path evicted it. The fluid model cannot
+produce per-packet CE marks, so a run whose senders can be ECN-capable
+never gets here; nor does a run with a fault plan or a ``fail``-mode
+audit: the runner forces these to packet fidelity up front (see
+``run_experiment``).
 
 App flow open/close get *per-flow* packet-fidelity transitions instead
 of collapsing the whole group's span. A flow opening against a live
@@ -88,19 +86,25 @@ FLUID = "fluid"
 FLUID_VARIANTS = ("tdtcp", "tdtcp-unopt", "cubic", "reno")
 
 
-def forced_packet_report(reasons: List[str]) -> dict:
-    """fidelity_report payload for a tiered-requested run that had to
-    run at packet fidelity (shape-identical to
-    :meth:`FluidFastPath.finish_report`)."""
+#: The uplink direction whose modelled VOQ occupancy feeds the run's
+#: occupancy hook (the rack-0 VOQ the figures plot).
+OCCUPANCY_PAIR = (0, 1)
+
+
+def fidelity_report(forced_reasons: List[str], fastpath: Optional["FluidFastPath"]) -> dict:
+    """The run-level fidelity_report payload of a tiered-requested run:
+    ``fastpath`` is its fast path, or ``None`` when ``forced_reasons``
+    sent it to packet fidelity."""
+    forced = fastpath is None
     return {
-        "mode": "packet",
-        "forced_packet": True,
-        "forced_reasons": list(reasons),
-        "fluid_spans": 0,
-        "fluid_time_ns": 0,
-        "virtual_losses": 0,
-        "exit_reasons": {},
-        "groups": 0,
+        "mode": "packet" if forced else "tiered",
+        "forced_packet": forced,
+        "forced_reasons": list(forced_reasons),
+        "fluid_spans": 0 if forced else fastpath.spans,
+        "fluid_time_ns": 0 if forced else fastpath.fluid_time_ns,
+        "virtual_losses": 0 if forced else fastpath.virtual_losses,
+        "exit_reasons": {} if forced else dict(sorted(fastpath.exit_reasons.items())),
+        "groups": 0 if forced else len(fastpath.groups),
     }
 
 
@@ -165,7 +169,6 @@ class FluidFastPath:
         testbed,
         run_until_ns: int,
         occupancy_hook: Optional[Callable[[int, int], None]] = None,
-        occupancy_pair: Tuple[int, int] = (0, 1),
     ):
         self.testbed = testbed
         self.sim = testbed.sim
@@ -173,7 +176,6 @@ class FluidFastPath:
         self.schedule = testbed.schedule
         self.run_until_ns = run_until_ns
         self.occupancy_hook = occupancy_hook
-        self.occupancy_pair = occupancy_pair
         self.groups: Dict[Tuple[int, int], _Group] = {}
         # Accounting surfaced through the run's fidelity_report.
         self.spans = 0
@@ -439,26 +441,6 @@ class FluidFastPath:
         if group.state == FLUID:
             self._exit_span(group, "horizon", resume=False)
 
-    def interrupt(self, src_rack: int, dst_rack: int, reason: str = "interrupt") -> None:
-        """End the fluid span (if any) on one direction — packet-level
-        fidelity is needed there *now*."""
-        group = self.groups.get((src_rack, dst_rack))
-        if group is not None and group.state == FLUID:
-            self._exit_span(group, reason)
-
-    def finish_report(self, forced: bool, reasons: List[str]) -> dict:
-        """The run-level fidelity_report payload."""
-        return {
-            "mode": "packet" if forced else "tiered",
-            "forced_packet": forced,
-            "forced_reasons": list(reasons),
-            "fluid_spans": self.spans,
-            "fluid_time_ns": self.fluid_time_ns,
-            "virtual_losses": self.virtual_losses,
-            "exit_reasons": dict(sorted(self.exit_reasons.items())),
-            "groups": len(self.groups),
-        }
-
     # ------------------------------------------------------------------
     # Integration
     # ------------------------------------------------------------------
@@ -486,9 +468,7 @@ class FluidFastPath:
         segment_at = self.schedule.segment_at
         base = self._base_ns
         cap_pkts = fluid_queue_capacity(group.uplink.queue)
-        hook = (
-            self.occupancy_hook if group.pair == self.occupancy_pair else None
-        )
+        hook = self.occupancy_hook if group.pair == OCCUPANCY_PAIR else None
         tp_vloss = self._tp_vloss
         # Admission flags only change outside this loop; completions
         # inside it are the one reason to rebuild the list.

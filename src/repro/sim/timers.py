@@ -56,12 +56,8 @@ class Timer:
         """(Re)arm the timer ``delay`` ns from now."""
         self._arm(self._sim.now + delay, args)
 
-    def start_at(self, time: int, *args: Any) -> None:
-        """(Re)arm the timer at an absolute time."""
-        self._arm(time, args)
-
     def _arm(self, time: int, args: tuple) -> None:
-        """The one (re)arm body ``start``/``start_at`` share.
+        """(Re)arm the timer at the absolute ``time``.
 
         Fast path first: with a live event already scheduled at or
         before the new deadline, recording the deadline is enough —

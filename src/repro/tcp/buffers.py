@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from typing import List, Optional, Tuple
 
+from repro.tcp.options import MAX_SACK_BLOCKS
 from repro.tcp.ranges import RangeSet
 
 
@@ -18,15 +19,15 @@ class SendBuffer:
     """Application bytes queued for transmission.
 
     ``written`` is the absolute stream offset up to which the app has
-    produced data. With ``unlimited=True`` there is always more data
-    (long-lived flows of §5.1); a byte cap still applies through
-    ``capacity_bytes`` relative to the unacknowledged base, modelling a
-    finite socket send buffer.
+    produced data. Once ``unlimited`` is set (``start_bulk``) there is
+    always more data (long-lived flows of §5.1); a byte cap still applies
+    through ``capacity_bytes`` relative to the unacknowledged base,
+    modelling a finite socket send buffer.
     """
 
-    def __init__(self, capacity_bytes: Optional[int] = None, unlimited: bool = False):
+    def __init__(self, capacity_bytes: Optional[int] = None):
         self.capacity_bytes = capacity_bytes
-        self.unlimited = unlimited
+        self.unlimited = False
         self.written = 0
 
     def write(self, nbytes: int) -> None:
@@ -50,9 +51,8 @@ class ReceiveBuffer:
     recently arrived segment.
     """
 
-    def __init__(self, initial_rcv_nxt: int = 0, max_sack_blocks: int = 3):
+    def __init__(self, initial_rcv_nxt: int = 0):
         self.rcv_nxt = initial_rcv_nxt
-        self.max_sack_blocks = max_sack_blocks
         self._ooo = RangeSet()
         # Most-recent-first list of representative points into OOO
         # ranges, used to order SACK blocks.
@@ -114,7 +114,7 @@ class ReceiveBuffer:
         del self._recent[8:]
 
     def sack_blocks(self) -> Tuple[Tuple[int, int], ...]:
-        """Up to ``max_sack_blocks`` SACK blocks, most recent first."""
+        """Up to :data:`MAX_SACK_BLOCKS` SACK blocks, most recent first."""
         if not self._ooo:
             return ()
         live = self._ooo.ranges()
@@ -127,14 +127,14 @@ class ReceiveBuffer:
                     blocks.append((r_start, r_end))
                     seen.add((r_start, r_end))
                     break
-            if len(blocks) >= self.max_sack_blocks:
+            if len(blocks) >= MAX_SACK_BLOCKS:
                 break
         # Fill with any remaining ranges (oldest) if short.
-        if len(blocks) < self.max_sack_blocks:
+        if len(blocks) < MAX_SACK_BLOCKS:
             for r in live:
                 if r not in seen:
                     blocks.append(r)
                     seen.add(r)
-                    if len(blocks) >= self.max_sack_blocks:
+                    if len(blocks) >= MAX_SACK_BLOCKS:
                         break
         return tuple(blocks)

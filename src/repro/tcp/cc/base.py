@@ -108,10 +108,10 @@ def register_cc(name: str):
     return deco
 
 
-def make_congestion_control(name: str, clock: CCClock, initial_cwnd: float = 10.0, **kwargs) -> CongestionControl:
+def make_congestion_control(name: str, clock: CCClock, initial_cwnd: float = 10.0) -> CongestionControl:
     """Instantiate a registered CCA by name."""
     try:
         factory = _REGISTRY[name]
     except KeyError:
         raise KeyError(f"unknown congestion control {name!r}; known: {sorted(_REGISTRY)}") from None
-    return factory(clock, initial_cwnd=initial_cwnd, **kwargs)
+    return factory(clock, initial_cwnd=initial_cwnd)

@@ -30,9 +30,8 @@ class CubicCC(CongestionControl):
     # RTT's worth of ACKs (precomputed: it is paid on every ACK).
     _RENO_GAIN = 3.0 * (1.0 - BETA) / (1.0 + BETA)
 
-    def __init__(self, clock: CCClock, initial_cwnd: float = 10.0, fast_convergence: bool = True):
+    def __init__(self, clock: CCClock, initial_cwnd: float = 10.0):
         super().__init__(clock, initial_cwnd)
-        self.fast_convergence = fast_convergence
         self.w_max: float = 0.0
         self.w_last_max: float = 0.0
         self.epoch_start_ns: Optional[int] = None
@@ -105,7 +104,7 @@ class CubicCC(CongestionControl):
 
     def on_congestion_event(self) -> None:
         now = self.clock.now_ns()
-        if self.fast_convergence and self.cwnd < self.w_last_max:
+        if self.cwnd < self.w_last_max:  # fast convergence (RFC 8312 §4.6)
             self.w_last_max = self.cwnd
             self.w_max = self.cwnd * (1.0 + self.BETA) / 2.0
         else:

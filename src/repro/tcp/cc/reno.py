@@ -16,11 +16,10 @@ class RenoCC(CongestionControl):
     """Classic AIMD with SACK-aware fast recovery handled by the
     connection; this class only does the window arithmetic."""
 
-    def __init__(self, clock: CCClock, initial_cwnd: float = 10.0, beta: float = 0.5):
+    BETA = 0.5  # multiplicative decrease factor
+
+    def __init__(self, clock: CCClock, initial_cwnd: float = 10.0):
         super().__init__(clock, initial_cwnd)
-        if not (0.0 < beta < 1.0):
-            raise ValueError("beta must be in (0, 1)")
-        self.beta = beta
         self._avoidance_credit = 0.0
 
     def on_ack(self, acked_packets: int, rtt_ns: Optional[int], in_flight: int, ece: bool = False) -> None:
@@ -43,6 +42,6 @@ class RenoCC(CongestionControl):
             self._avoidance_credit -= whole
 
     def on_congestion_event(self) -> None:
-        self.ssthresh = max(self.cwnd * self.beta, self.min_cwnd)
+        self.ssthresh = max(self.cwnd * self.BETA, self.min_cwnd)
         self.cwnd = self.ssthresh
         self._avoidance_credit = 0.0

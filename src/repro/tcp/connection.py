@@ -1235,8 +1235,7 @@ class TCPConnection:
         """Recount the scoreboard and yield ``(check, subject, detail)``
         for every accounting invariant the fast-path counters break (a
         violation means a counter leak like the ones documented in
-        DESIGN.md §6b). The one recount: :meth:`check_invariants` raises
-        on the first finding, the runtime auditor
+        DESIGN.md §6b). The one recount: the runtime auditor
         (:class:`repro.faults.audit.InvariantAuditor`) records each."""
         fields = ("packets_out", "sacked_out", "lost_out", "retrans_out")
         n_paths = len(self.paths)
@@ -1275,12 +1274,6 @@ class TCPConnection:
             for timer in self._timers():
                 if timer.armed:
                     yield "finished_timer", self.name, f"{timer.name} armed on a finished connection"
-
-    def check_invariants(self) -> None:
-        """Assert the accounting invariants (tests call this after
-        chaos runs): raises on the first finding."""
-        for check, subject, detail in self.invariant_findings():
-            raise AssertionError(f"{check} @ {subject}: {detail}")
 
     def snapshot(self) -> dict:
         """Loggable view for debugging and tests."""

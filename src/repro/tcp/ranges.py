@@ -15,7 +15,7 @@ queries valid.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from typing import Iterable, Iterator, List, Tuple
+from typing import Iterator, List, Tuple
 
 Range = Tuple[int, int]
 
@@ -25,12 +25,10 @@ class RangeSet:
 
     __slots__ = ("_starts", "_ends", "_cov")
 
-    def __init__(self, ranges: Iterable[Range] = ()):
+    def __init__(self):
         self._starts: List[int] = []
         self._ends: List[int] = []
         self._cov = 0  # total covered integers, maintained incrementally
-        for start, end in ranges:
-            self.add(start, end)
 
     def __len__(self) -> int:
         return len(self._starts)

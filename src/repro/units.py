@@ -25,11 +25,6 @@ def msec(value: float) -> int:
     return int(round(value * MSEC))
 
 
-def sec(value: float) -> int:
-    """Seconds as integer simulation time."""
-    return int(round(value * SEC))
-
-
 def gbps(value: float) -> float:
     """Gigabits per second as bits per second."""
     return value * GBPS

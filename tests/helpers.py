@@ -9,18 +9,54 @@ import signal
 from contextlib import contextmanager
 from dataclasses import replace
 from typing import Optional, Tuple, Type
+from unittest import mock
 
 from repro.net.link import Link
 from repro.net.node import Host
 from repro.net.packet import TCPSegment
 from repro.obs.outcome import outcome_digest
 from repro.rdcn.config import NotifierConfig, RDCNConfig
+from repro.rdcn.rotor import round_robin_matchings
 from repro.rdcn.topology import build_two_rack_testbed
 from repro.sim.simulator import Simulator
 from repro.tcp.config import TCPConfig
 from repro.tcp.connection import TCPConnection
 from repro.tcp.sockets import create_connection_pair
 from repro.units import gbps, msec, usec
+
+
+class BoundedLink(Link):
+    """A :class:`Link` whose FIFO holds at most ``capacity`` packets: a
+    later arrival is dropped and flagged. The loss tests' bottleneck;
+    the fabric's own bounded queues are :mod:`repro.net.queues`."""
+
+    def __init__(self, *args, capacity: int, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.capacity = capacity
+        self.drops = 0
+
+    def send(self, packet) -> bool:
+        if not self.down and len(self) >= self.capacity:
+            packet.dropped = True
+            self.drops += 1
+            return False
+        return super().send(packet)
+
+
+def _access_link(sim, rate_bps, one_way_ns, deliver, capacity, name) -> Link:
+    if capacity is None:
+        return Link(sim, rate_bps, one_way_ns, deliver, name=name)
+    return BoundedLink(sim, rate_bps, one_way_ns, deliver, name=name, capacity=capacity)
+
+
+@contextmanager
+def heartbeat_every(events: int):
+    """Executors in this block heartbeat every ``events`` simulated events
+    (``HEARTBEAT_EVENTS`` is sized for full-length runs)."""
+    from repro.experiments import executor
+
+    with mock.patch.object(executor, "HEARTBEAT_EVENTS", events):
+        yield
 
 
 def two_hosts(
@@ -30,15 +66,33 @@ def two_hosts(
     forward_queue: Optional[int] = None,
     reverse_queue: Optional[int] = None,
 ) -> Tuple[Simulator, Host, Host, Link, Link]:
-    """Two hosts joined by one link in each direction."""
+    """Two hosts joined by one link in each direction; a ``*_queue``
+    bound makes that direction a :class:`BoundedLink`."""
     sim = sim or Simulator()
     a = Host(sim, "r0h0")
     b = Host(sim, "r1h0")
-    ab = Link(sim, rate_bps, one_way_ns, b.deliver, queue_capacity=forward_queue, name="ab")
-    ba = Link(sim, rate_bps, one_way_ns, a.deliver, queue_capacity=reverse_queue, name="ba")
+    ab = _access_link(sim, rate_bps, one_way_ns, b.deliver, forward_queue, "ab")
+    ba = _access_link(sim, rate_bps, one_way_ns, a.deliver, reverse_queue, "ba")
     a.attach_egress(ab)
     b.attach_egress(ba)
     return sim, a, b, ab, ba
+
+
+def rotor_day_pattern(n_racks: int, rack_a: int, rack_b: int) -> list:
+    """The TDN day pattern one rack pair sees over a rotor week of
+    ``round_robin_matchings(n_racks)``: the optical TDN (1) in the slot
+    of its matching, the packet network (0) in every other slot."""
+    if rack_a == rack_b:
+        raise ValueError("a rack is always connected to itself")
+    key = (min(rack_a, rack_b), max(rack_a, rack_b))
+    return [int(key in matching) for matching in round_robin_matchings(n_racks)]
+
+
+def assert_invariants(connection: TCPConnection) -> None:
+    """Raise on the first accounting invariant ``connection`` breaks
+    (the raising form of ``invariant_findings``)."""
+    for check, subject, detail in connection.invariant_findings():
+        raise AssertionError(f"{check} @ {subject}: {detail}")
 
 
 def bulk_pair(
@@ -311,7 +365,6 @@ def bulk_workload(cfg, sim: Optional[Simulator] = None):
         testbed,
         lambda tb, src, dst, i: variant.make_flow(tb, src, dst, i, cfg, context),
         n_flows=cfg.n_flows,
-        trace_sequence=False,
     )
     return testbed, workload
 

@@ -29,19 +29,23 @@ class TestBulkApps:
     def test_fixed_size_sender(self):
         sim, a, b, _ab, _ba = two_hosts()
         client, server = create_connection_pair(sim, a, b)
-        BulkSender(client, total_bytes=30_000)
+        client.write(30_000)
         sim.run(until=msec(5))
         assert server.stats.bytes_delivered == 30_000
 
     def test_receiver_traces(self):
         sim, a, b, _ab, _ba = two_hosts()
         client, server = create_connection_pair(sim, a, b)
-        receiver = BulkReceiver(server, trace=True)
-        BulkSender(client, total_bytes=15_000)
+        receiver = BulkReceiver(server)
+        seen = []
+        client.write(5_000)
+        sim.run(until=msec(2))
+        seen.append(receiver.delivered_bytes)
+        client.write(10_000)
         sim.run(until=msec(5))
-        assert receiver.delivered_bytes == 15_000
-        assert receiver.samples
-        assert receiver.samples[-1][1] == 15_000
+        seen.append(receiver.delivered_bytes)
+        assert seen == [5_000, 15_000]
+        assert server.stats.bytes_delivered == 15_000
 
     def test_receiver_chains_existing_callback(self):
         sim, a, b, _ab, _ba = two_hosts()
@@ -49,7 +53,7 @@ class TestBulkApps:
         seen = []
         server.on_delivered = lambda t, n: seen.append(n)
         BulkReceiver(server)
-        BulkSender(client, total_bytes=3000)
+        client.write(3000)
         sim.run(until=msec(5))
         assert seen[-1] == 3000
 

@@ -25,6 +25,8 @@ from repro.obs.campaign import (
 )
 from repro.obs.sketch import QuantileSketch
 
+from tests.helpers import heartbeat_every
+
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 
@@ -41,15 +43,11 @@ def failing_payload(payload: dict) -> dict:
     return result.to_dict()
 
 
-def run_campaign(configs, path=None, jobs=1, heartbeat_events=5_000, **executor_kwargs):
+def run_campaign(configs, path=None, jobs=1, **executor_kwargs):
     campaign = CampaignLog(path)
-    executor = ExperimentExecutor(
-        jobs=jobs,
-        campaign=campaign,
-        heartbeat_events=heartbeat_events,
-        **executor_kwargs,
-    )
-    results = executor.run_batch(configs)
+    executor = ExperimentExecutor(jobs=jobs, campaign=campaign, **executor_kwargs)
+    with heartbeat_every(5_000):
+        results = executor.run_batch(configs)
     campaign.close()
     return campaign, results
 

@@ -71,11 +71,13 @@ class TestPacketCapture:
         assert capture.records[0].packet is pkt
 
     def test_predicate_filters(self):
+        """A capture records everything; ``segments()`` filters it."""
         sim = Simulator()
-        capture = PacketCapture(sim, predicate=lambda p: isinstance(p, TCPSegment))
+        capture = PacketCapture(sim)
         capture.observe(Packet("a", "b", 100))
         capture.observe(TCPSegment("a", "b", 1, 2))
-        assert len(capture) == 1
+        assert len(capture) == 2
+        assert [type(r.packet) for r in capture.segments()] == [TCPSegment]
 
     def test_max_records(self):
         sim = Simulator()

@@ -4,12 +4,13 @@ the stack's accounting or wedge a connection."""
 import hashlib
 import pathlib
 import tempfile
+from functools import partial
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.apps.bulk import BulkReceiver, BulkSender
+from repro.apps.bulk import BulkReceiver
 from repro.core.tdtcp import TDTCPConnection
 from repro.faults import FaultInjector, FaultPlan, FaultSpec, InvariantAuditor
 from repro.net.packet import TDNNotification
@@ -21,7 +22,7 @@ from repro.tcp.connection import TCPConnection
 from repro.tcp.sockets import create_connection_pair
 from repro.units import msec, usec
 
-from tests.helpers import small_rdcn, two_hosts
+from tests.helpers import assert_invariants, small_rdcn, two_hosts
 
 
 def chaos_run(
@@ -80,8 +81,8 @@ class TestChaosTCP:
     @settings(max_examples=25, deadline=None)
     def test_plain_tcp_invariants_and_progress(self, loss, delay, seed):
         sim, client, server = chaos_run(TCPConnection, loss, delay, [], seed)
-        client.check_invariants()
-        server.check_invariants()
+        assert_invariants(client)
+        assert_invariants(server)
         assert server.stats.bytes_delivered > 0
         assert client.snd_una > 1  # made forward progress
 
@@ -96,8 +97,8 @@ class TestChaosTCP:
         sim, client, server = chaos_run(
             TDTCPConnection, loss, delay, switches, seed, tdn_count=2
         )
-        client.check_invariants()
-        server.check_invariants()
+        assert_invariants(client)
+        assert_invariants(server)
         assert server.stats.bytes_delivered > 0
 
     @given(seed=st.integers(0, 10_000))
@@ -105,7 +106,7 @@ class TestChaosTCP:
     def test_heavy_loss_no_wedge(self, seed):
         """10% loss: brutal, but the connection must keep crawling."""
         sim, client, server = chaos_run(TCPConnection, 0.10, 0.0, [], seed, duration_ms=30)
-        client.check_invariants()
+        assert_invariants(client)
         assert server.stats.bytes_delivered > 50_000
 
     def test_delivered_never_exceeds_sent(self):
@@ -124,7 +125,8 @@ def faulted_testbed_run(plan: FaultPlan, seed: int, total_bytes: int = 100_000, 
     testbed = build_two_rack_testbed(rdcn)
     injector = FaultInjector(testbed.sim, plan, testbed.rng)
     injector.arm_testbed(testbed)
-    auditor = InvariantAuditor(testbed.sim, mode="warn", interval_ns=usec(100))
+    auditor = InvariantAuditor(testbed.sim, mode="warn")
+    auditor.interval_ns = usec(100)
     receivers = []
     for index in range(2):
         client, server = create_connection_pair(
@@ -137,7 +139,7 @@ def faulted_testbed_run(plan: FaultPlan, seed: int, total_bytes: int = 100_000, 
             tdn_count=rdcn.n_tdns,
         )
         receivers.append(BulkReceiver(server))
-        BulkSender(client, total_bytes=total_bytes)
+        client.on_established = partial(client.write, total_bytes)
         auditor.watch_endpoint(client)
         auditor.watch_endpoint(server)
     for uplink in testbed.uplinks.values():

@@ -1,11 +1,14 @@
 """TDTCP building blocks: per-TDN state, reordering filter, RTT rules,
 options/negotiation."""
 
+from types import SimpleNamespace
+
 import pytest
 
 from repro.core.reordering import suspect_cross_tdn_reordering
-from repro.core.rtt import classify_rtt_sample, pessimistic_rto_ns
+from repro.core.rtt import pessimistic_rto_ns
 from repro.core.tdn_state import PerTDNState
+from repro.core.tdtcp import TDTCPConnection
 from repro.tcp.config import TCPConfig
 from repro.tcp.connection import PathState
 from repro.tcp.options import (
@@ -14,7 +17,10 @@ from repro.tcp.options import (
     clip_sack_blocks,
     negotiate_td_capable,
 )
+from repro.tcp.sockets import create_connection_pair
 from repro.units import msec, usec
+
+from tests.helpers import two_hosts
 
 
 class FakeClock:
@@ -25,6 +31,15 @@ class FakeClock:
 def make_state(n=2):
     cfg = TCPConfig()
     return PerTDNState(lambda i: PathState(FakeClock(), "cubic", cfg, tdn_id=i), n)
+
+
+def tdtcp_client(tdn_count=2):
+    """A TDTCP sender over ``tdn_count`` state sets, not yet connected."""
+    sim, a, b, _ab, _ba = two_hosts()
+    client, _server = create_connection_pair(
+        sim, a, b, connection_cls=TDTCPConnection, tdn_count=tdn_count
+    )
+    return client
 
 
 class TestPerTDNState:
@@ -63,21 +78,21 @@ class TestPerTDNState:
         assert state.current.tdn_id == 4
 
     def test_all_tdns_semantic(self):
-        state = make_state(3)
-        state.paths[0].packets_out = 2
-        state.paths[2].packets_out = 5
-        assert state.total_packets_out() == 7
+        client = tdtcp_client(3)
+        client.paths[0].packets_out = 2
+        client.paths[2].packets_out = 5
+        assert client.total_packets_out() == 7
 
     def test_any_tdn_semantic(self):
-        state = make_state(2)
-        assert not state.any_loss_pending()
-        state.paths[1].lost_out = 1
-        assert state.any_loss_pending()
+        client = tdtcp_client(2)
+        assert not client.any_path_has_losses()
+        client.paths[1].lost_out = 1
+        assert client.any_path_has_losses()
 
     def test_specific_tdn_clamped(self):
-        state = make_state(2)
-        assert state.path_for_tdn(1).tdn_id == 1
-        assert state.path_for_tdn(9).tdn_id == 0  # out of range -> 0
+        client = tdtcp_client(2)
+        assert client.path_of(SimpleNamespace(tdn_id=1)).tdn_id == 1
+        assert client.path_of(SimpleNamespace(tdn_id=9)).tdn_id == 0  # out of range -> 0
 
     def test_slowest_srtt(self):
         state = make_state(2)
@@ -106,10 +121,18 @@ class TestRelaxedReordering:
 
 class TestRTTRules:
     def test_classification(self):
-        assert classify_rtt_sample(0, 0) == "matched"
-        assert classify_rtt_sample(1, 1) == "matched"
-        assert classify_rtt_sample(0, 1) == "crossed"
-        assert classify_rtt_sample(1, None) == "matched"
+        """Type-1/2 samples (data and ACK on one TDN) and untagged ACKs
+        are kept; type-3 (crossed) samples are discarded."""
+        client = tdtcp_client(2)
+
+        def allowed(data_tdn, ack_tdn):
+            seg, pkt = SimpleNamespace(tdn_id=data_tdn), SimpleNamespace(ack_tdn=ack_tdn)
+            return client._rtt_sample_allowed(seg, pkt)
+
+        assert allowed(0, 0)
+        assert allowed(1, 1)
+        assert not allowed(0, 1)
+        assert allowed(1, None)
 
     def _paths(self):
         cfg = TCPConfig()

@@ -140,7 +140,8 @@ class TestTraceIO:
 
     def test_headerless_round_trip(self, tmp_path):
         path = tmp_path / "trace.csv"
-        write_trace(path, self.flows(), header=False)
+        write_trace(path, self.flows())
+        path.write_text("".join(path.read_text().splitlines(keepends=True)[1:]))
         assert path.read_text().splitlines()[0] != ",".join(TRACE_COLUMNS)
         loaded, _skipped = load_trace(path)
         assert len(loaded) == 3
@@ -236,13 +237,12 @@ class TestArrivalArithmetic:
 
     def test_interarrival_rounds_to_nearest(self):
         # Truncation would bias every gap short, inflating achieved
-        # load. A fixed 1000-byte CDF at load 1.0 on two racks of
-        # 1.5 Gb/s (3 Gb/s fabric-wide): 375_000 flows/s, so the exact
-        # gap is 2666.67 ns -> 2667, not 2666.
-        engine = self.engine(
-            cdf=((0.0, 1_000), (1.0, 1_000)), load=1.0, capacity_bps=1.5e9
-        )
-        assert engine.mean_interarrival_ns == 2667
+        # load. A fixed 1500-byte CDF at load 1.0 on two racks of
+        # 20.57 Gb/s time-averaged fabric capacity each: the exact gap
+        # is 291.67 ns -> 292, not 291.
+        engine = self.engine(cdf=((0.0, 1_500), (1.0, 1_500)), load=1.0)
+        assert engine.capacity_bps == pytest.approx(20.571e9, rel=1e-4)
+        assert engine.mean_interarrival_ns == 292
 
 
 class TestEngineRuns:

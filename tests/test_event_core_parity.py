@@ -32,14 +32,14 @@ def _schedule_paths(sim):
 
     def timer(t):
         armed = Timer(sim, _noop)
-        armed.start_at(t)
+        armed.start(t - sim.now)
         return armed._event
 
     return [
         ("queue.push_event", lambda t: queue.push_event(t, _noop)),
         ("sim.schedule", lambda t: sim.schedule(t - sim.now, _noop)),
         ("sim.at", lambda t: sim.at(t, _noop)),
-        ("timer.start_at", timer),
+        ("timer.start", timer),
     ]
 
 
@@ -67,7 +67,7 @@ class TestScheduleParity:
         queue = sim._queue
         timer = Timer(sim, fired.append)
         queue.push(50, fired.append, ("push",))
-        timer.start_at(50, "timer")
+        timer.start(50, "timer")
         sim.schedule_fanout(50, fired.append, "fanout")
         sim.schedule(50, fired.append, "schedule")
         sim.at(50, fired.append, "at")

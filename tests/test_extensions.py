@@ -12,16 +12,12 @@ from repro.experiments.cli import main as cli_main
 from repro.experiments.executor import ExperimentExecutor
 from repro.experiments.runner import ExperimentResult
 from repro.experiments.sweeps import day_length_sweep, duty_ratio_sweep
-from repro.rdcn.rotor import (
-    matching_index_for_pair,
-    round_robin_matchings,
-    schedule_for_pair,
-)
+from repro.rdcn.rotor import round_robin_matchings
 from repro.sim import SeededRandom, Simulator
 from repro.tcp.sockets import create_connection_pair
 from repro.units import gbps, msec, usec
 
-from tests.helpers import two_hosts
+from tests.helpers import rotor_day_pattern, two_hosts
 
 
 class TestPerTDNCCAs:
@@ -135,20 +131,21 @@ class TestRotorSchedule:
             round_robin_matchings(7)
 
     def test_matching_index_lookup(self):
-        index = matching_index_for_pair(8, 0, 3)
+        pattern = rotor_day_pattern(8, 0, 3)
         matchings = round_robin_matchings(8)
-        assert (0, 3) in matchings[index]
+        assert (0, 3) in matchings[pattern.index(1)]
 
     def test_pair_schedule_is_papers_ratio(self):
-        schedule = schedule_for_pair(8, 0, 1, usec(180), usec(20))
-        tdns = [day.tdn_id for day in schedule.days]
+        tdns = rotor_day_pattern(8, 0, 1)
         assert len(tdns) == 7
         assert tdns.count(1) == 1
         assert tdns.count(0) == 6
 
     def test_self_pair_rejected(self):
+        """No matching pairs a rack with itself."""
+        assert all(a != b for matching in round_robin_matchings(8) for a, b in matching)
         with pytest.raises(ValueError):
-            matching_index_for_pair(8, 3, 3)
+            rotor_day_pattern(8, 3, 3)
 
 
 class TestSweeps:

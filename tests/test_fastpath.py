@@ -13,7 +13,7 @@ from repro.experiments.config import ExperimentConfig, WorkloadConfig
 from repro.experiments.runner import run_experiment
 from repro.faults.plan import FaultPlan, FaultSpec
 from repro.rdcn.schedule import TDNSchedule
-from repro.sim.fastpath import FLUID_VARIANTS, forced_packet_report
+from repro.sim.fastpath import FLUID_VARIANTS, fidelity_report
 from repro.tcp.cc.base import INFINITE_SSTHRESH, make_congestion_control
 from repro.units import usec
 
@@ -130,7 +130,7 @@ class TestForcedPacket:
 
     def test_forced_report_shape_matches_live_report(self):
         live = run_experiment(bulk_config("tdtcp", "tiered")).fidelity_report
-        forced = forced_packet_report(["fault_plan"])
+        forced = fidelity_report(["fault_plan"], None)
         assert set(forced) == set(live)
 
 

@@ -32,7 +32,7 @@ from repro.units import msec, usec
 from repro.rdcn.config import NotifierConfig
 from repro.rdcn.notifier import PULL_READ_COST_NS
 
-from tests.helpers import bulk_pair, notification_fingerprint, small_rdcn, two_hosts
+from tests.helpers import assert_invariants, bulk_pair, notification_fingerprint, small_rdcn, two_hosts
 
 
 def plan_of(*specs) -> FaultPlan:
@@ -117,7 +117,7 @@ class TestNetInjectors:
         assert injector.effects["link_flap"] >= 2  # down + up markers
         # The connection survives the outage and keeps delivering after.
         assert server.stats.bytes_delivered > 500_000
-        client.check_invariants()
+        assert_invariants(client)
 
     def test_total_loss_window_then_progress(self):
         plan = plan_of({"kind": "packet_loss", "target": "ab", "at_ns": 0,
@@ -125,7 +125,7 @@ class TestNetInjectors:
         sim, client, server, injector, _ab = self.run_with_plan(plan)
         assert injector.effects["packet_loss"] > 0
         assert server.stats.bytes_delivered > 0  # recovered after the window
-        client.check_invariants()
+        assert_invariants(client)
 
     def test_burst_loss_and_jitter_survivable(self):
         plan = plan_of(
@@ -137,8 +137,8 @@ class TestNetInjectors:
         sim, client, server, injector, _ab = self.run_with_plan(plan)
         assert injector.effects.get("burst_loss", 0) + injector.effects.get("delay_jitter", 0) > 0
         assert server.stats.bytes_delivered > 0
-        client.check_invariants()
-        server.check_invariants()
+        assert_invariants(client)
+        assert_invariants(server)
 
     def test_queue_squeeze_restores_capacity(self):
         sim = Simulator()
@@ -291,8 +291,9 @@ class TestStaleNotificationHandling:
         sim2, a, _b, _ab, _ba = two_hosts(sim=sim)
         a.deliver(self.notify(1, seq=5))
         a.deliver(self.notify(0, seq=3))
-        counter = telemetry.metrics.get("tdn_notification_stale")
-        assert counter.value(where="host", reason="stale_seq") == 1
+        family = telemetry.metrics.snapshot()["tdn_notification_stale"]
+        assert family["labelnames"] == ["where", "reason"]
+        assert family["series"] == [{"labels": ["host", "stale_seq"], "value": 1}]
 
 
 class TestNotificationFanoutUnderFaults:
@@ -465,7 +466,8 @@ class TestInvariantAuditor:
     def watched_pair(self, mode="warn"):
         sim, a, b, _ab, _ba = two_hosts()
         client, server = bulk_pair(sim, a, b)
-        auditor = InvariantAuditor(sim, mode=mode, interval_ns=usec(100))
+        auditor = InvariantAuditor(sim, mode=mode)
+        auditor.interval_ns = usec(100)
         auditor.watch_endpoint(client)
         auditor.watch_endpoint(server)
         return sim, client, auditor
@@ -494,7 +496,7 @@ class TestInvariantAuditor:
             auditor.audit()
         # One recount: the asserting reading finds what the auditor finds.
         with pytest.raises(AssertionError, match="cwnd_floor"):
-            client.check_invariants()
+            assert_invariants(client)
 
     def test_sequence_order_checked(self):
         sim, client, auditor = self.watched_pair()
@@ -523,7 +525,7 @@ class TestInvariantAuditor:
         getattr(client, timer).start(usec(10))  # nothing may wake it now
         assert [v["check"] for v in auditor.audit()] == ["finished_timer"]
         with pytest.raises(AssertionError, match="finished_timer"):
-            client.check_invariants()
+            assert_invariants(client)
 
     def test_bad_mode_rejected(self):
         with pytest.raises(ValueError):
@@ -543,12 +545,12 @@ class TestWatchdog:
     def test_event_budget_aborts(self):
         sim = self.spinning_sim()
         with pytest.raises(WatchdogExceeded, match="event budget"):
-            run_with_watchdog(sim, max_events=500, chunk_events=100)
+            run_with_watchdog(sim, max_events=500)
 
     def test_wall_budget_aborts(self):
         sim = self.spinning_sim()
         with pytest.raises(WatchdogExceeded, match="wall-clock"):
-            run_with_watchdog(sim, max_wall_s=0.0, chunk_events=100)
+            run_with_watchdog(sim, max_wall_s=0.0)
 
     def test_completes_under_budget(self):
         sim = Simulator()

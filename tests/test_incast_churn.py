@@ -11,7 +11,7 @@ from repro.tcp.connection import TCPConnection
 from repro.tcp.sockets import create_connection_pair
 from repro.units import msec, usec
 
-from tests.helpers import small_rdcn
+from tests.helpers import assert_invariants, small_rdcn
 
 
 class TestIncast:
@@ -51,7 +51,7 @@ class TestIncast:
         )
         assert len(coordinator.stats.completed) >= 3
         for sender in coordinator.senders:
-            sender.check_invariants()
+            assert_invariants(sender)
 
     def test_wider_fanin_slows_rounds(self):
         """More workers per round -> longer rounds (the incast squeeze

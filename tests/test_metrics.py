@@ -3,12 +3,14 @@ curves, exact quantiles and CDFs, the per-day counter and the VOQ
 recorder."""
 
 import random
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from repro.experiments import figures
 from repro.experiments.figures import constant_rate_curve, optimal_curve, tile_weeks
 from repro.experiments.runner import (
     WeekFolder,
@@ -181,13 +183,16 @@ class TestNumpyOracle:
     @settings(max_examples=20, deadline=None)
     def test_analytic_curves(self, pattern, day_ns, night_ns, rates, n_weeks, points):
         schedule = TDNSchedule.uniform(pattern, day_ns, night_ns)
-        assert optimal_curve(
-            schedule, rates, n_weeks=n_weeks, grid_points_per_week=points
-        ) == np_optimal_curve(schedule, rates, n_weeks, points)
         duration_ns = n_weeks * schedule.week_ns
-        assert constant_rate_curve(rates[0], duration_ns, points) == np_constant_rate_curve(
-            rates[0], duration_ns, points
-        )
+        with mock.patch.multiple(
+            figures, OPTIMAL_POINTS_PER_WEEK=points, PACKET_ONLY_POINTS=points
+        ):
+            assert optimal_curve(schedule, rates, n_weeks=n_weeks) == np_optimal_curve(
+                schedule, rates, n_weeks, points
+            )
+            assert constant_rate_curve(rates[0], duration_ns) == np_constant_rate_curve(
+                rates[0], duration_ns, points
+            )
 
 
 class TestStepInterpolate:
@@ -275,21 +280,21 @@ class TestAnalyticCurves:
 
     def test_optimal_curve_total(self):
         s = self.schedule()
-        times, values = optimal_curve(s, [gbps(10), gbps(100)], n_weeks=1, grid_points_per_week=330)
+        times, values = optimal_curve(s, [gbps(10), gbps(100)], n_weeks=1)
         # Total bytes over a week: 2 * 100us at 10G + 100us at 100G.
         expected = (2 * 100e-6 * 10e9 + 100e-6 * 100e9) / 8
         assert values[-1] == pytest.approx(expected, rel=0.02)
 
     def test_optimal_flat_during_nights(self):
         s = self.schedule()
-        times, values = optimal_curve(s, [gbps(10), gbps(100)], n_weeks=1, grid_points_per_week=660)
+        times, values = optimal_curve(s, [gbps(10), gbps(100)], n_weeks=1)
         # Sample inside the first night (100..110 us).
         inside = [v for t, v in zip(times, values) if usec(101) <= t < usec(109)]
         assert max(inside) - min(inside) < 1500  # essentially flat
 
     def test_optimal_steeper_on_optical(self):
         s = self.schedule()
-        times, values = optimal_curve(s, [gbps(10), gbps(100)], n_weeks=1, grid_points_per_week=660)
+        times, values = optimal_curve(s, [gbps(10), gbps(100)], n_weeks=1)
         def slope(t0, t1):
             i0 = np.searchsorted(times, t0)
             i1 = np.searchsorted(times, t1)
@@ -299,14 +304,14 @@ class TestAnalyticCurves:
         assert optical_slope == pytest.approx(10 * packet_slope, rel=0.05)
 
     def test_constant_rate_curve(self):
-        times, values = constant_rate_curve(gbps(10), usec(1000), grid_points=100)
+        times, values = constant_rate_curve(gbps(10), usec(1000))
         assert values[0] == 0.0
         # slope = 10G/8 bytes per second.
         assert values[-1] == pytest.approx(10e9 / 8 * times[-1] / 1e9, rel=0.01)
 
     def test_multi_week_continuity(self):
         s = self.schedule()
-        times, values = optimal_curve(s, [gbps(10), gbps(100)], n_weeks=3, grid_points_per_week=330)
+        times, values = optimal_curve(s, [gbps(10), gbps(100)], n_weeks=3)
         assert all(np.diff(values) >= -1e-9)  # monotone non-decreasing
 
 

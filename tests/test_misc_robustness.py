@@ -10,7 +10,7 @@ from repro.tcp.rtt import MAX_RTO_NS
 from repro.tcp.sockets import create_connection_pair
 from repro.units import msec, usec
 
-from tests.helpers import bulk_pair, two_hosts
+from tests.helpers import assert_invariants, bulk_pair, two_hosts
 
 
 class TestAccountingLeakRegressions:
@@ -27,7 +27,7 @@ class TestAccountingLeakRegressions:
         sim.run(until=msec(8))
         ab.deliver = original
         sim.run(until=msec(40))
-        client.check_invariants()
+        assert_invariants(client)
         # The connection recovered instead of deadlocking at cwnd=1.
         assert server.recv_buffer.ooo_bytes == 0
         assert client.snd_una > 1_000_000
@@ -38,7 +38,7 @@ class TestAccountingLeakRegressions:
         sim, a, b, ab, _ba = two_hosts(forward_queue=16)
         client, server = bulk_pair(sim, a, b)
         sim.run(until=msec(40))
-        client.check_invariants()
+        assert_invariants(client)
         for seg in client.segments.values():
             if seg.sacked:
                 assert not seg.retrans_outstanding
@@ -91,7 +91,7 @@ class TestNotificationEdgeCases:
             sim.at(usec(100 + 7 * k), a.deliver, TDNNotification("tor", a.address, k % 2))
             sim.at(usec(100 + 7 * k), b.deliver, TDNNotification("tor", b.address, k % 2))
         sim.run(until=msec(5))
-        client.check_invariants()
+        assert_invariants(client)
         assert server.stats.bytes_delivered > 100_000
 
 

@@ -12,11 +12,6 @@ from repro.units import msec, usec
 from tests.helpers import two_hosts
 
 
-def mptcp_pair(sim, a, b, **kwargs):
-    kwargs.setdefault("subscribe_notifications", False)
-    return create_mptcp_pair(sim, a, b, **kwargs)
-
-
 class TestTdmScheduler:
     def test_steers_by_active_tdn(self):
         sched = TdmScheduler(2)
@@ -39,14 +34,14 @@ class TestTdmScheduler:
 class TestEstablishment:
     def test_subflows_establish(self):
         sim, a, b, _ab, _ba = two_hosts()
-        client, server = mptcp_pair(sim, a, b)
+        client, server = create_mptcp_pair(sim, a, b)
         sim.run(until=msec(5))
         assert client.established
         assert server.established
 
     def test_distinct_ports(self):
         sim, a, b, _ab, _ba = two_hosts()
-        client, server = mptcp_pair(sim, a, b)
+        client, server = create_mptcp_pair(sim, a, b)
         ports = {(sf.local_port, sf.remote_port) for sf in client.subflows}
         assert len(ports) == 2
 
@@ -54,7 +49,7 @@ class TestEstablishment:
 class TestDataTransfer:
     def test_bulk_on_subflow0(self):
         sim, a, b, _ab, _ba = two_hosts()
-        client, server = mptcp_pair(sim, a, b)
+        client, server = create_mptcp_pair(sim, a, b)
         client.start_bulk()
         sim.run(until=msec(10))
         assert server.stats.bytes_delivered > 1_000_000
@@ -63,7 +58,7 @@ class TestDataTransfer:
 
     def test_fixed_write(self):
         sim, a, b, _ab, _ba = two_hosts()
-        client, server = mptcp_pair(sim, a, b)
+        client, server = create_mptcp_pair(sim, a, b)
         client.write(90_000)
         sim.run(until=msec(10))
         assert server.stats.bytes_delivered == 90_000
@@ -71,7 +66,7 @@ class TestDataTransfer:
 
     def test_dss_ack_frees_window(self):
         sim, a, b, _ab, _ba = two_hosts()
-        client, server = mptcp_pair(sim, a, b)
+        client, server = create_mptcp_pair(sim, a, b)
         client.start_bulk()
         sim.run(until=msec(10))
         assert client.dss_una > 0
@@ -79,7 +74,7 @@ class TestDataTransfer:
 
     def test_delivery_callback(self):
         sim, a, b, _ab, _ba = two_hosts()
-        client, server = mptcp_pair(sim, a, b)
+        client, server = create_mptcp_pair(sim, a, b)
         seen = []
         server.on_delivered = lambda t, rcv: seen.append(rcv)
         client.write(30_000)
@@ -89,7 +84,7 @@ class TestDataTransfer:
 
     def test_switching_uses_both_subflows(self):
         sim, a, b, _ab, _ba = two_hosts()
-        client, server = mptcp_pair(sim, a, b)
+        client, server = create_mptcp_pair(sim, a, b)
         client.start_bulk()
         sim.run(until=msec(3))
         client.set_active_tdn(1)
@@ -108,7 +103,7 @@ class TestGating:
             subflow_ids.append(p.subflow_id) if p.payload_len else None,
             original(p),
         )
-        client, server = mptcp_pair(sim, a, b)
+        client, server = create_mptcp_pair(sim, a, b)
         client.start_bulk()
         sim.run(until=msec(5))
         assert set(subflow_ids) <= {0}
@@ -123,7 +118,7 @@ class TestGating:
             acks.append((sim.now, p.subflow_id)) if p.is_ack and not p.payload_len else None,
             original(p),
         )
-        client, server = mptcp_pair(sim, a, b)
+        client, server = create_mptcp_pair(sim, a, b)
         client.start_bulk()
         sim.run(until=msec(2))
         # Sender switches to subflow 1 but the receiver does NOT (its
@@ -145,7 +140,7 @@ class TestGating:
         TCP: window collapse plus connection-level reinjection of the
         data that never made it (§2.2)."""
         sim, a, b, ab, _ba = two_hosts()
-        client, server = mptcp_pair(sim, a, b)
+        client, server = create_mptcp_pair(sim, a, b)
         client.start_bulk()
         sim.run(until=msec(2))
         client.set_active_tdn(1)
@@ -176,7 +171,7 @@ class TestGating:
         """Data stuck on the gated subflow is reinjected on the active
         one and the data-level stream keeps advancing."""
         sim, a, b, _ab, _ba = two_hosts()
-        client, server = mptcp_pair(sim, a, b)
+        client, server = create_mptcp_pair(sim, a, b)
         client.start_bulk()
         sim.run(until=msec(2))
         client.set_active_tdn(1)
@@ -193,7 +188,7 @@ class TestGating:
 class TestNotificationIntegration:
     def test_parent_follows_notifications(self):
         sim, a, b, _ab, _ba = two_hosts()
-        client, _server = create_mptcp_pair(sim, a, b, subscribe_notifications=True)
+        client, _server = create_mptcp_pair(sim, a, b)
         sim.run(until=msec(1))
         a.deliver(TDNNotification("tor", a.address, tdn_id=1))
         sim.run(until=msec(1) + usec(10))
@@ -201,7 +196,7 @@ class TestNotificationIntegration:
 
     def test_snapshot(self):
         sim, a, b, _ab, _ba = two_hosts()
-        client, _server = mptcp_pair(sim, a, b)
+        client, _server = create_mptcp_pair(sim, a, b)
         sim.run(until=msec(1))
         snap = client.snapshot()
         assert snap["active_tdn"] == 0

@@ -17,6 +17,8 @@ from repro.net.switch import ToRSwitch
 from repro.sim import Simulator
 from repro.units import gbps, usec
 
+from tests.helpers import BoundedLink
+
 
 class TestAddressing:
     def test_host_address_roundtrip(self):
@@ -82,7 +84,7 @@ class TestLink:
 
     def test_bounded_queue_drops_and_flags(self):
         sim = Simulator()
-        link = Link(sim, gbps(1), 0, lambda p: None, queue_capacity=1)
+        link = BoundedLink(sim, gbps(1), 0, lambda p: None, capacity=1)
         p1, p2, p3 = (Packet("a", "b", 1500) for _ in range(3))
         assert link.send(p1) is True   # starts serializing
         assert link.send(p2) is True   # queued

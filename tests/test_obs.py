@@ -105,21 +105,12 @@ class TestMetrics:
         counter.inc(conn="a")
         counter.inc(2, conn="a")
         counter.inc(conn="b")
-        assert counter.value(conn="a") == 3
-        assert counter.total() == 4
+        series = registry.snapshot()["retx_total"]["series"]
+        assert series == [{"labels": ["a"], "value": 3}, {"labels": ["b"], "value": 1}]
         with pytest.raises(ValueError):
             counter.inc(conn="a", extra=1)
         with pytest.raises(ValueError):
             counter.inc(-1, conn="a")
-
-    def test_registry_shape_check(self):
-        registry = MetricsRegistry()
-        registry.counter("x", labelnames=("a",))
-        assert registry.counter("x", labelnames=("a",)) is registry.get("x")
-        with pytest.raises(ValueError):
-            registry.counter("x", labelnames=("b",))
-        with pytest.raises(ValueError):
-            registry.gauge("x", labelnames=("a",))
 
     def test_snapshot_is_json_ready(self):
         registry = MetricsRegistry()
@@ -178,7 +169,7 @@ class TestExporters:
         buffer = MemoryExporter()
         for time_ns, name, fields in events:
             buffer(time_ns, name, fields)
-        assert buffer.families() == sorted(
+        assert sorted({event[1] for event in buffer.events}) == sorted(
             {"rdcn:day_night", "tcp:cwnd_update", "queue:occupancy", "tcp:retransmit"}
         )
         assert [event[1] for event in buffer.events].count("rdcn:day_night") == 2

@@ -2,9 +2,13 @@
 
 import pytest
 
-from repro.rdcn.schedule import Day, ScheduleDriver, TDNSchedule, pair_schedule
+from repro.rdcn.config import RDCNConfig
+from repro.rdcn.rotor import round_robin_matchings
+from repro.rdcn.schedule import Day, ScheduleDriver, TDNSchedule
 from repro.sim import Simulator
 from repro.units import usec
+
+from tests.helpers import rotor_day_pattern
 
 
 def paper_schedule():
@@ -67,18 +71,20 @@ class TestTDNSchedule:
 
 
 class TestPairSchedule:
+    """The default schedule is one rack pair's view of an 8-rack rotor."""
+
     def test_eight_racks_gives_paper_ratio(self):
-        s = pair_schedule(8, usec(180), usec(20))
-        assert len(s.days) == 7
-        assert [d.tdn_id for d in s.days] == [0] * 6 + [1]
+        pattern = RDCNConfig().schedule_pattern
+        assert sorted(rotor_day_pattern(8, 0, 1)) == sorted(pattern) == [0] * 6 + [1]
+        for a, b in [(0, 7), (2, 5), (3, 6)]:
+            assert sorted(rotor_day_pattern(8, a, b)) == [0] * 6 + [1]
 
     def test_two_racks_always_direct(self):
-        s = pair_schedule(2, usec(180), usec(20))
-        assert [d.tdn_id for d in s.days] == [1]
+        assert rotor_day_pattern(2, 0, 1) == [1]
 
     def test_invalid_rack_count(self):
         with pytest.raises(ValueError):
-            pair_schedule(1, usec(180), usec(20))
+            round_robin_matchings(1)
 
 
 class TestScheduleDriver:

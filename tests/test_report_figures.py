@@ -76,8 +76,6 @@ class TestReports:
     def test_voq_graph_renders(self, fig2_small):
         text = render_voq_graph(fig2_small)
         assert "jumbo" in text
-        text_pkts = render_voq_graph(fig2_small, jumbo_equivalent=False)
-        assert "packets" in text_pkts
 
     def test_throughput_summary(self, fig2_small):
         text = render_throughput_summary(fig2_small)

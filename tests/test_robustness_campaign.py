@@ -19,7 +19,7 @@ import json
 import os
 import pathlib
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import asdict
+from dataclasses import asdict, replace
 from functools import partial
 import signal
 import subprocess
@@ -36,7 +36,7 @@ from repro.experiments.checkpoint import (
     checkpoint_path,
     load_resume_plan,
 )
-from repro.experiments.config import ExperimentConfig
+from repro.experiments.config import ExperimentConfig, WorkloadConfig
 from repro.experiments.executor import (
     CACHE_WRITE_ERROR_TP,
     BatchStats,
@@ -44,7 +44,7 @@ from repro.experiments.executor import (
     ExperimentExecutor,
     ResultCache,
 )
-from repro.experiments.runner import ExperimentResult, RunFailure
+from repro.experiments.runner import ExperimentResult, RunFailure, run_experiment
 from repro.experiments.report import _campaign_timeline
 from repro.obs.campaign import (
     CAMPAIGN_SCHEMA_VERSION,
@@ -56,7 +56,7 @@ from repro.obs.campaign import (
     read_campaign_with_tail,
     validate_records,
 )
-from tests.helpers import kill_pooled_worker_once, truncate_journal_tail
+from tests.helpers import heartbeat_every, kill_pooled_worker_once, truncate_journal_tail
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
 
@@ -270,9 +270,7 @@ class TestTruncatedJournal:
         records, tail = read_campaign_with_tail(path)
         assert tail is not None
         assert len(records) == len(whole) - 1
-        assert read_campaign(path) == records  # default: tolerant
-        with pytest.raises(ValueError):
-            read_campaign(path, strict=True)
+        assert read_campaign(path) == records  # the torn tail is dropped
 
     def test_corrupt_middle_line_still_raises(self, tmp_path):
         path = self._journal(tmp_path)
@@ -412,6 +410,46 @@ class TestQuarantine:
         assert not results[0].ok
         assert results[0].failure.error_type == "Boom"
 
+    def bad_cdf_config(self, tmp_path) -> ExperimentConfig:
+        """A config whose workload CDF the engine's set-up rejects."""
+        workload = WorkloadConfig(cdf="custom", custom_cdf=((0.5, 1000), (0.2, 2000)))
+        return ExperimentConfig(
+            variant="cubic", weeks=4, warmup_weeks=1, n_flows=2, seed=1,
+            workload=workload, bundle_dir=str(tmp_path / "bundles"),
+        )
+
+    def test_setup_crash_is_the_runs_own_failure(self, tmp_path):
+        """A set-up step that raises is captured like a crash mid-run:
+        not an infrastructure casualty, and it leaves a repro bundle."""
+        (result,) = ExperimentExecutor().run_batch([self.bad_cdf_config(tmp_path)])
+        failure = result.failure
+        assert (failure.error_type, failure.infrastructure) == ("ValueError", False)
+        assert "CDF must span probabilities" in failure.error_message
+        assert failure.bundle_path is not None
+        assert pathlib.Path(failure.bundle_path).is_dir()
+        # Crashed before the fast path was built: no fidelity story to tell.
+        tiered = run_experiment(replace(self.bad_cdf_config(tmp_path), fidelity="tiered"))
+        assert tiered.failure is not None and tiered.fidelity_report is None
+
+    def test_unknown_variant_is_rejected_by_the_config(self):
+        with pytest.raises(ValueError, match="unknown variant 'bogus'"):
+            small_config(variant="bogus")
+
+    def test_setup_crash_is_quarantined_on_resume(self, tmp_path, monkeypatch):
+        config = self.bad_cdf_config(tmp_path)
+        path = tmp_path / "camp.jsonl"
+        with CampaignLog(str(path)) as log:
+            ExperimentExecutor(campaign=log, checkpoint_to=checkpoint_path(str(path))).run_batch(
+                [config]
+            )
+        plan = load_resume_plan(str(path))
+        assert plan.checkpoint.runs["cubic/seed1"].state == "quarantined"
+        calls = []
+        monkeypatch.setattr(executor_mod, "execute_config_dict", calls.append)
+        (result,) = ExperimentExecutor(resume=plan).run_batch([config])
+        assert calls == []
+        assert result.failure.error_type == "ValueError"
+
     def test_infrastructure_failure_not_quarantined(self, tmp_path, monkeypatch):
         def transport_crash(payload):
             raise OSError("worker transport down")
@@ -485,6 +523,7 @@ class TestGracefulShutdown:
 
         monkeypatch.setattr(executor_mod, "execute_config_dict", interrupt_second)
         saves = count_sidecar_saves(monkeypatch)
+        monkeypatch.setattr(executor_mod, "HEARTBEAT_EVENTS", 2_000)
         path = tmp_path / "camp.jsonl"
         with pytest.raises(CampaignAborted) as abort:
             with CampaignLog(str(path)) as log:
@@ -492,7 +531,6 @@ class TestGracefulShutdown:
                     campaign=log,
                     cache_dir=str(tmp_path / "cache"),
                     checkpoint_to=checkpoint_path(str(path)),
-                    heartbeat_events=2_000,
                 )
                 executor.run_batch([small_config(seed=41), small_config(seed=42)])
         assert abort.value.done == 1
@@ -715,10 +753,11 @@ class TestExecutorChaos:
             kill_pooled_worker_once, seed=1, after_events=after_events, marker=str(marker),
         ))
         saves = count_sidecar_saves(monkeypatch)
+        monkeypatch.setattr(executor_mod, "HEARTBEAT_EVENTS", 2_000)
         path = tmp_path / "camp.jsonl"
         executor, results = run_logged(
             path, [small_config(seed=s) for s in (1, 2)], jobs=2,
-            heartbeat_events=2_000, checkpoint_to=checkpoint_path(str(path)),
+            checkpoint_to=checkpoint_path(str(path)),
         )
         assert marker.exists(), "the worker never killed itself"
         assert saves == [checkpoint_path(str(path))]  # one per batch, pooled too
@@ -812,6 +851,7 @@ def stall_the_third(payload):
 
 
 executor_mod.execute_config_dict = stall_the_third
+executor_mod.HEARTBEAT_EVENTS = 2000
 
 
 def main():
@@ -823,7 +863,6 @@ def main():
         executor = ExperimentExecutor(
             jobs=2, cache_dir={cache!r}, campaign=log,
             checkpoint_to=checkpoint_path({log!r}),
-            heartbeat_events=2000,
         )
         executor.run_batch(configs)
 
@@ -893,17 +932,18 @@ class TestSigkillResume:
         with CampaignLog(str(resumed_path)) as log:
             resumed = ExperimentExecutor(
                 jobs=2, cache_dir=str(tmp_path / "cache"), campaign=log,
-                checkpoint_to=checkpoint_path(str(resumed_path)),
-                heartbeat_events=2000, resume=plan,
+                checkpoint_to=checkpoint_path(str(resumed_path)), resume=plan,
             )
-            results = resumed.run_batch(configs)
+            with heartbeat_every(2000):
+                results = resumed.run_batch(configs)
         assert all(r.ok for r in results)
         assert resumed.last_replayed == 2  # zero re-execution of done sims
 
         ref_path = tmp_path / "ref.jsonl"
         with CampaignLog(str(ref_path)) as log:
-            ExperimentExecutor(
+            reference = ExperimentExecutor(
                 jobs=2, cache_dir=str(tmp_path / "cache_ref"), campaign=log,
-                heartbeat_events=2000,
-            ).run_batch(configs)
+            )
+            with heartbeat_every(2000):
+                reference.run_batch(configs)
         assert summary_bytes(resumed_path) == summary_bytes(ref_path)

@@ -382,7 +382,8 @@ class TestTimer:
         sim = Simulator()
         fired = []
         timer = Timer(sim, lambda: fired.append(sim.now))
-        timer.start_at(77)
+        sim.run(until=7)
+        timer._arm(77, ())
         sim.run()
         assert fired == [77]
 
@@ -397,17 +398,16 @@ class TestTimer:
 
 @pytest.mark.parametrize("mode", ["start", "start_at"])
 class TestTimerArmParity:
-    """``Timer.start`` and ``Timer.start_at`` share one ``_arm`` body;
-    this parameterized suite pins that the relative and absolute
-    spellings behave identically — fast path, reschedule, cancel, and
-    validation — so the two entry points can never drift apart."""
+    """``Timer.start`` (relative) arms through ``Timer._arm`` (absolute);
+    this parameterized suite pins that both spellings behave
+    identically — fast path, reschedule, cancel, and validation."""
 
     @staticmethod
     def _arm(timer, sim, at, mode, *args):
         if mode == "start":
             timer.start(at - sim.now, *args)
         else:
-            timer.start_at(at, *args)
+            timer._arm(at, args)
 
     def test_fires_at_deadline(self, mode):
         sim = Simulator()

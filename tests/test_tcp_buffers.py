@@ -17,7 +17,8 @@ class TestSendBuffer:
         assert sb.available_beyond(2000) == 0
 
     def test_unlimited(self):
-        sb = SendBuffer(unlimited=True)
+        sb = SendBuffer()
+        sb.unlimited = True
         assert sb.available_beyond(10 ** 12) > 0
 
     def test_negative_write_rejected(self):
@@ -66,7 +67,7 @@ class TestReceiveBufferOutOfOrder:
         assert (100, 200) in blocks
 
     def test_sack_block_limit(self):
-        rb = ReceiveBuffer(max_sack_blocks=3)
+        rb = ReceiveBuffer()
         for i in range(5):
             rb.receive(100 + i * 200, 200 + i * 200)
         assert len(rb.sack_blocks()) == 3

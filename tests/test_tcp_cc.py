@@ -75,10 +75,6 @@ class TestReno:
         cc.on_congestion_event()
         assert cc.cwnd >= cc.min_cwnd
 
-    def test_invalid_beta(self):
-        with pytest.raises(ValueError):
-            RenoCC(FakeClock(), beta=1.5)
-
 
 class TestCubic:
     def test_slow_start(self):

@@ -7,6 +7,13 @@ from hypothesis import strategies as st
 from repro.tcp.ranges import RangeSet
 
 
+def range_set(*ranges):
+    rs = RangeSet()
+    for start, end in ranges:
+        rs.add(start, end)
+    return rs
+
+
 class TestRangeSetBasics:
     def test_empty(self):
         rs = RangeSet()
@@ -30,32 +37,32 @@ class TestRangeSetBasics:
             RangeSet().add(10, 5)
 
     def test_merge_overlapping(self):
-        rs = RangeSet([(0, 10), (5, 15)])
+        rs = range_set((0, 10), (5, 15))
         assert rs.ranges() == [(0, 15)]
 
     def test_merge_adjacent(self):
-        rs = RangeSet([(0, 10), (10, 20)])
+        rs = range_set((0, 10), (10, 20))
         assert rs.ranges() == [(0, 20)]
 
     def test_disjoint_stay_separate(self):
-        rs = RangeSet([(0, 10), (20, 30)])
+        rs = range_set((0, 10), (20, 30))
         assert rs.ranges() == [(0, 10), (20, 30)]
 
     def test_bridge_merge(self):
-        rs = RangeSet([(0, 10), (20, 30)])
+        rs = range_set((0, 10), (20, 30))
         merged = rs.add(8, 22)
         assert merged == (0, 30)
         assert rs.ranges() == [(0, 30)]
 
     def test_covers(self):
-        rs = RangeSet([(0, 10), (20, 30)])
+        rs = range_set((0, 10), (20, 30))
         assert rs.covers(2, 8)
         assert rs.covers(0, 10)
         assert not rs.covers(5, 25)
         assert rs.covers(7, 7)  # empty range trivially covered
 
     def test_remove_below(self):
-        rs = RangeSet([(0, 10), (20, 30)])
+        rs = range_set((0, 10), (20, 30))
         rs.remove_below(5)
         assert rs.ranges() == [(5, 10), (20, 30)]
         rs.remove_below(15)
@@ -64,7 +71,7 @@ class TestRangeSetBasics:
         assert rs.ranges() == []
 
     def test_equality(self):
-        assert RangeSet([(0, 5)]) == RangeSet([(0, 3), (3, 5)])
+        assert range_set((0, 5)) == range_set((0, 3), (3, 5))
 
 
 ranges_strategy = st.lists(
@@ -78,7 +85,7 @@ class TestRangeSetProperties:
     @given(ranges_strategy)
     @settings(max_examples=200)
     def test_invariants_sorted_disjoint_nonempty(self, ranges):
-        rs = RangeSet(ranges)
+        rs = range_set(*ranges)
         out = rs.ranges()
         for start, end in out:
             assert start < end
@@ -88,7 +95,7 @@ class TestRangeSetProperties:
     @given(ranges_strategy)
     @settings(max_examples=200)
     def test_coverage_matches_set_semantics(self, ranges):
-        rs = RangeSet(ranges)
+        rs = range_set(*ranges)
         expected = set()
         for start, end in ranges:
             expected.update(range(start, end))
@@ -99,7 +106,7 @@ class TestRangeSetProperties:
     @given(ranges_strategy, st.integers(0, 340))
     @settings(max_examples=200)
     def test_remove_below_drops_exactly(self, ranges, threshold):
-        rs = RangeSet(ranges)
+        rs = range_set(*ranges)
         expected = set()
         for start, end in ranges:
             expected.update(range(start, end))
@@ -110,8 +117,8 @@ class TestRangeSetProperties:
     @given(ranges_strategy)
     @settings(max_examples=100)
     def test_insertion_order_irrelevant(self, ranges):
-        forward = RangeSet(ranges)
-        backward = RangeSet(reversed(ranges))
+        forward = range_set(*ranges)
+        backward = range_set(*reversed(ranges))
         assert forward == backward
 
 

@@ -8,7 +8,7 @@ from repro import units
 def test_time_constants_scale():
     assert units.usec(1) == 1_000
     assert units.msec(1) == 1_000_000
-    assert units.sec(1) == 1_000_000_000
+    assert units.SEC == 1_000_000_000
 
 
 def test_time_helpers_round_fractions():
