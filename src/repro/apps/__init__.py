@@ -1,6 +1,5 @@
 """Workload applications: bulk flows (flowgrind-like), empirical
-flow-size mixes, incast rounds, background cross traffic, and the
-fabric-wide workload engine (which also replays short-RPC traces)."""
+flow-size mixes, incast rounds, and the fabric-wide workload engine (which also replays short-RPC traces)."""
 
 from repro.apps.bulk import BulkReceiver, BulkSender
 from repro.apps.engine import (
@@ -11,7 +10,6 @@ from repro.apps.engine import (
     write_trace,
 )
 from repro.apps.workload import Flow, Workload
-from repro.apps.background import BackgroundTraffic
 from repro.apps.incast import IncastCoordinator, IncastStats, run_incast
 from repro.apps.tracegen import (
     DATA_MINING_CDF,
@@ -24,7 +22,6 @@ __all__ = [
     "BulkReceiver",
     "Flow",
     "Workload",
-    "BackgroundTraffic",
     "IncastCoordinator",
     "IncastStats",
     "run_incast",

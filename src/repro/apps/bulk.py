@@ -30,13 +30,6 @@ class BulkSender:
         self.started = True
         self.connection.start_bulk()
 
-    def finish(self) -> None:
-        """Stop an endless stream and close cleanly."""
-        self.connection.send_buffer.unlimited = False
-        if hasattr(self.connection, "close"):
-            self.connection.close()
-
-
 class BulkReceiver:
     """Counts delivered bytes, then passes each delivery on to the
     connection's previous ``on_delivered`` callback."""

@@ -31,10 +31,6 @@ class PerTDNState:
         self.current_index = 0
         self.switches = 0
 
-    @property
-    def current(self) -> PathState:
-        return self.paths[self.current_index]
-
     def __len__(self) -> int:
         return len(self.paths)
 

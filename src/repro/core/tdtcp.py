@@ -130,10 +130,6 @@ class TDTCPConnection(TCPConnection):
         self.tdn_state.switch_to(0)
         self.current_path_index = 0
 
-    @property
-    def is_tdtcp(self) -> bool:
-        return not self.downgraded
-
     # ------------------------------------------------------------------
     # TDN change notification (§3.2)
     # ------------------------------------------------------------------
@@ -233,10 +229,6 @@ class TDTCPConnection(TCPConnection):
     def _timers(self) -> Tuple[Timer, ...]:
         return super()._timers() + (self._pace_timer,)
 
-    @property
-    def current_tdn(self) -> int:
-        return self.tdn_state.current_index
-
     # ------------------------------------------------------------------
     # Wire tagging (TD_DATA_ACK, §4.1)
     # ------------------------------------------------------------------
@@ -323,18 +315,3 @@ class TDTCPConnection(TCPConnection):
         return pessimistic_rto_ns(
             self.paths, self.tdn_state.current_index, self.config.min_rto_ns
         )
-
-    # ------------------------------------------------------------------
-    # Introspection
-    # ------------------------------------------------------------------
-    def snapshot(self) -> dict:
-        data = super().snapshot()
-        data.update(
-            {
-                "tdtcp": self.is_tdtcp,
-                "current_tdn": self.tdn_state.current_index,
-                "tdn_switches": self.tdn_state.switches,
-                "tdn_change_seq": self.tdn_change_seq,
-            }
-        )
-        return data

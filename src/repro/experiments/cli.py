@@ -49,6 +49,9 @@ from repro.experiments.sweeps import (
 )
 from repro.net.queues import BUFFER_POLICIES
 
+#: The flags that build a ToR buffer (:meth:`RDCNConfig.with_buffer`).
+BUFFER_FLAGS = ("--buffer-policy", "--buffer-total", "--buffer-alpha")
+
 #: Exit code for a SIGINT/SIGTERM campaign abort (EX_TEMPFAIL): the
 #: campaign checkpointed cleanly and ``--resume`` will pick it up —
 #: distinct from 1 (a run actually failed).
@@ -136,15 +139,17 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--buffer-policy", choices=BUFFER_POLICIES, default=None,
-        help="ToR buffer sharing policy override for figure runs; restricts 'sweep-buffer' to one policy",
+        help="ToR buffer sharing policy for the figure targets; restricts 'sweep-buffer' to one policy",
     )
     parser.add_argument(
         "--buffer-total", type=int, default=None,
-        help="total ToR buffer (packets) shared by the pool; restricts 'sweep-buffer' to one total",
+        help="total ToR buffer (packets) shared by the pool, for the figure targets; "
+             "restricts 'sweep-buffer' to one total",
     )
     parser.add_argument(
         "--buffer-alpha", type=float, default=None,
-        help="dynamic-threshold alpha (admit while VOQ length < alpha x free pool)",
+        help="dynamic-threshold alpha (admit while VOQ length < alpha x free pool), "
+             "for the figure targets and 'sweep-buffer'",
     )
     parser.add_argument(
         "--check-determinism", action="store_true",
@@ -196,7 +201,10 @@ def run_fields(args) -> dict:
     """The run-level flags as :class:`ExperimentConfig` fields — the one
     place a flag becomes a field. Every target spreads this into the
     configs it builds, so a flag listed here applies to every target.
-    Unset flags are left out: the target's own default stands."""
+    Unset flags are left out: the target's own default stands. (The
+    ``--buffer-*`` flags are not run fields: only the figure targets and
+    ``sweep-buffer`` take them, and :func:`main` refuses them
+    elsewhere.)"""
     obs = None
     if args.trace_out or args.metrics_out or args.profile:
         obs = ObsConfig(
@@ -495,6 +503,17 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     if args.target not in TARGETS:
         print(f"unknown target {args.target!r}; try 'list'", file=sys.stderr)
+        return 2
+    if args.target not in FIGURES and args.target != "sweep-buffer":
+        for flag in BUFFER_FLAGS:
+            if getattr(args, flag.lstrip("-").replace("-", "_")) is not None:
+                print(f"{flag} applies to the figure targets and sweep-buffer, "
+                      f"not to {args.target}", file=sys.stderr)
+                return 2
+    try:
+        ExperimentConfig(variant=args.variant, **run_fields(args))
+    except (OSError, ValueError) as error:
+        print(f"{args.target}: {error}", file=sys.stderr)
         return 2
     try:
         return TARGETS[args.target][0](args)

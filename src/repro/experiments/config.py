@@ -26,7 +26,9 @@ from typing import Optional
 #: costs, reTCP-dyn's circuit VOQ and lead, ``audit_interval_ns``,
 #: ``obs.jsonl``), ``workload.record_cap`` went (its records never
 #: reached a result), and ``rdcn.seed`` echoes the run seed.
-CONFIG_SCHEMA_VERSION = 6
+#: v7: ``background_load`` and ``tcp.nagle_enabled`` went (no entry
+#: point set either).
+CONFIG_SCHEMA_VERSION = 7
 
 #: Run fidelity modes: "packet" is the exact event-per-segment core;
 #: "tiered" opts into the slot-level fluid fast path (repro.sim.fastpath)
@@ -147,10 +149,6 @@ class ExperimentConfig:
     # window roughly fills the enlarged VOQ plus circuit BDP without
     # overflowing it (swept in benchmarks/test_ablations.py).
     retcp_alpha: float = 2.0
-    # Cross traffic (§2.1's "subject to background traffic"): fraction
-    # of the packet network's rate injected as on/off background load
-    # between the last host pair (0 disables).
-    background_load: float = 0.0
     # What a bulk run records for the figures, each folded into a mean
     # week (ExperimentResult.voq_week_curve / seq_week_curve):
     # collect_voq watches the rack-0 -> rack-1 VOQ (and sets voq_max);
@@ -205,8 +203,6 @@ class ExperimentConfig:
             # The engine opens/closes one plain connection per flow;
             # MPTCP's subflow bundles don't fit that churn discipline.
             raise ValueError("the workload engine does not support the mptcp variant")
-        if not (0.0 <= self.background_load < 1.0):
-            raise ValueError("background_load must be in [0, 1)")
         if self.tcp is None:
             self.tcp = TCPConfig(mss=self.rdcn.mss)
         if self.n_flows > self.rdcn.n_hosts_per_rack:

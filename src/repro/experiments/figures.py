@@ -56,11 +56,6 @@ class FigureData:
     # figure; the surviving variants still render.
     failures: Dict[str, RunFailure] = field(default_factory=dict)
 
-    @property
-    def ok(self) -> bool:
-        return not self.failures
-
-
 def tile_weeks(
     grid_ns: Sequence[int],
     mean_curve: Sequence[float],

@@ -463,8 +463,6 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
             forced_reasons.append("fault_plan")
         if config.audit == "fail":
             forced_reasons.append("audit_fail")
-        if config.background_load > 0.0:
-            forced_reasons.append("background_load")
         if config.variant not in FLUID_VARIANTS:
             forced_reasons.append(f"variant:{config.variant}")
         if config.tcp.ecn_enabled:
@@ -600,21 +598,6 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
             elif workload is not None:
                 for flow in workload.flows:
                     fastpath.register_flow(flow.sender, flow.receiver)
-
-        if config.background_load > 0.0:
-            # Cross traffic between the last host pair, sharing the fabric
-            # with the measured flows (§2.1's within-TDN oscillation).
-            from repro.apps.background import BackgroundTraffic
-
-            bg_index = rdcn.n_hosts_per_rack - 1
-            background = BackgroundTraffic(
-                testbed.sim,
-                testbed.host(0, bg_index),
-                testbed.host(1, bg_index),
-                rate_bps=config.background_load * rdcn.packet_rate_bps,
-                rng=testbed.rng,
-            )
-            background.start()
 
         if config.audit is not None:
             auditor = InvariantAuditor(testbed.sim, mode=config.audit)

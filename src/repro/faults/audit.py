@@ -252,10 +252,6 @@ class InvariantAuditor:
     # Reporting
     # ------------------------------------------------------------------
 
-    @property
-    def clean(self) -> bool:
-        return not self.violations
-
     def report(self) -> dict:
         return {
             "mode": self.mode,
@@ -359,7 +355,7 @@ def write_repro_bundle(
         )
         manifest["files"]["config"] = "config.json"
     if fault_plan is not None:
-        text = fault_plan.to_json() if hasattr(fault_plan, "to_json") else json.dumps(fault_plan)
+        text = json.dumps(fault_plan.to_dict(), indent=2, sort_keys=True)
         (bundle / "fault_plan.json").write_text(text + "\n")
         manifest["files"]["fault_plan"] = "fault_plan.json"
         manifest["replay"] = (

@@ -3,9 +3,9 @@
 A :class:`FaultPlan` is a list of :class:`FaultSpec` entries — each one
 timed (``at_ns``/``until_ns``) and optionally periodic — that a
 :class:`repro.faults.injectors.FaultInjector` executes against a built
-testbed. Plans serialize to/from JSON so every chaos run is replayable
-from a file: the repro bundle written on a crash embeds the plan next
-to the seed and config.
+testbed. Plans load from JSON so every chaos run is replayable from a
+file: the repro bundle written on a crash embeds the plan next to the
+seed and config.
 
 Determinism contract: a plan carries **no randomness of its own**. All
 stochastic decisions (loss draws, jitter widths, Gilbert–Elliott state
@@ -145,10 +145,6 @@ class FaultSpec:
             if rate_name in self.params and not (0.0 <= self.params[rate_name] <= 1.0):
                 raise FaultPlanError(f"{self.kind}: {rate_name} must be in [0, 1]")
 
-    @property
-    def layer(self) -> str:
-        return FAULT_CATALOG[self.kind][0]
-
     def active_at(self, time_ns: int) -> bool:
         """Is this spec's window open at ``time_ns``? Rate faults with
         no ``until_ns`` stay active forever once ``at_ns`` passes."""
@@ -216,9 +212,6 @@ class FaultPlan:
             "specs": [spec.to_dict() for spec in self.specs],
         }
 
-    def to_json(self, indent: int = 2) -> str:
-        return json.dumps(self.to_dict(), indent=indent, sort_keys=True)
-
     @classmethod
     def from_dict(cls, data: dict) -> "FaultPlan":
         if not isinstance(data, dict):
@@ -244,8 +237,3 @@ class FaultPlan:
     def load(cls, path) -> "FaultPlan":
         return cls.from_json(pathlib.Path(path).read_text())
 
-    def save(self, path) -> str:
-        target = pathlib.Path(path)
-        target.parent.mkdir(parents=True, exist_ok=True)
-        target.write_text(self.to_json() + "\n")
-        return str(target)

@@ -65,12 +65,10 @@ class MPTCPConnection:
         sim: Simulator,
         host: Host,
         remote_addr: str,
+        local_ports: List[int],
+        remote_ports: List[int],
         cc_name: str = "cubic",
         config: Optional[TCPConfig] = None,
-        n_subflows: int = 2,
-        local_ports: Optional[List[int]] = None,
-        remote_ports: Optional[List[int]] = None,
-        name: Optional[str] = None,
     ):
         from repro.mptcp.subflow import MPTCPSubflow  # local import: cycle
 
@@ -78,8 +76,8 @@ class MPTCPConnection:
         self.host = host
         self.remote_addr = remote_addr
         self.config = config or TCPConfig()
-        self.name = name or f"mptcp-{host.address}"
-        self.scheduler = TdmScheduler(n_subflows)
+        self.name = f"mptcp-{host.address}"
+        self.scheduler = TdmScheduler(len(local_ports))
         self.stats = MPTCPStats()
 
         # Sender-side DSS state.
@@ -100,9 +98,7 @@ class MPTCPConnection:
         self.stale_notifications = 0
 
         self.subflows: List[MPTCPSubflow] = []
-        for index in range(n_subflows):
-            local_port = local_ports[index] if local_ports else BASE_PORT + index
-            remote_port = remote_ports[index] if remote_ports else BASE_PORT + index
+        for index, (local_port, remote_port) in enumerate(zip(local_ports, remote_ports)):
             self.subflows.append(
                 MPTCPSubflow(
                     sim,
@@ -134,11 +130,6 @@ class MPTCPConnection:
     def start_bulk(self) -> None:
         """Endless application stream (the paper's long-lived flow)."""
         self.send_buffer.unlimited = True
-        self.pump()
-
-    def write(self, nbytes: int) -> None:
-        """Queue application bytes at the data (DSS) level."""
-        self.send_buffer.write(nbytes)
         self.pump()
 
     # ------------------------------------------------------------------
@@ -247,26 +238,6 @@ class MPTCPConnection:
         window = self.config.rwnd_packets * self.config.mss - self.data_rcv.ooo_bytes
         return max(window, self.config.mss)
 
-    # ------------------------------------------------------------------
-    # Introspection
-    # ------------------------------------------------------------------
-    @property
-    def established(self) -> bool:
-        return all(sf.state == "established" for sf in self.subflows)
-
-    def snapshot(self) -> dict:
-        """Loggable view of the connection and its subflows."""
-        return {
-            "name": self.name,
-            "dss_una": self.dss_una,
-            "dss_nxt": self.dss_nxt,
-            "data_rcv_nxt": self.data_rcv.rcv_nxt,
-            "active_tdn": self.scheduler.active_tdn,
-            "outstanding_chunks": len(self.chunks),
-            "reinjections": self.stats.reinjections,
-            "subflows": [sf.snapshot() for sf in self.subflows],
-        }
-
 
 def create_mptcp_pair(
     sim: Simulator,
@@ -287,21 +258,19 @@ def create_mptcp_pair(
         sim,
         client_host,
         server_host.address,
-        cc_name=cc_name,
-        config=config,
-        n_subflows=n_subflows,
         local_ports=client_ports,
         remote_ports=server_ports,
+        cc_name=cc_name,
+        config=config,
     )
     server = MPTCPConnection(
         sim,
         server_host,
         client_host.address,
-        cc_name=cc_name,
-        config=config,
-        n_subflows=n_subflows,
         local_ports=server_ports,
         remote_ports=client_ports,
+        cc_name=cc_name,
+        config=config,
     )
     server.listen()
     client.connect()

@@ -141,7 +141,7 @@ class Host:
             else:
                 self._dispatch_notification(packet)
             return
-        # Opaque packets (background traffic) are sinks.
+        # Any other packet is a sink.
         self.rx_packets += 1
 
     def notification_arrived(self, notify_seq: Optional[int], tdn_id: int) -> bool:

@@ -9,8 +9,7 @@ Three packet types mirror §4.1 of the paper:
   contribute nothing to the wire size.
 * :class:`TDNNotification` — the ICMP path-change notification carrying
   the active TDN ID (Figure 5a).
-* :class:`Packet` — base class used directly for opaque background
-  traffic.
+* :class:`Packet` — the base class: addresses and wire size only.
 
 Wire sizes are computed from header constants so that serialization
 delays are realistic (jumbo data segments vs. 66-byte pure ACKs).
@@ -161,11 +160,6 @@ class TCPSegment(Packet):
         self.rwnd: int = 2 ** 40  # advertised receive window (bytes)
         self.sent_ns = 0
         self.retransmission = False
-
-    @property
-    def end_seq(self) -> int:
-        """Sequence number just past this segment's payload."""
-        return self.seq + self.payload_len
 
     def add_option_sizes(self) -> None:
         """Grow the wire size to account for options actually carried.

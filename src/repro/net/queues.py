@@ -245,10 +245,6 @@ class SharedBufferPool:
         self._occupancy_listeners: List[Callable[[int], None]] = []
         self._reject_listeners: List[Callable[[str, int], None]] = []
 
-    @property
-    def free(self) -> int:
-        return self.total - self.used
-
     def subscribe_occupancy(self, fn: Callable[[int], None]) -> None:
         """Add a listener called as ``fn(used)`` after every change."""
         self._occupancy_listeners.append(fn)

@@ -21,8 +21,8 @@ Both are:
   counts are integers), so per-worker partial sketches combine into the
   same quantile answers regardless of merge order or sharding;
 * **JSON-round-trippable** — ``from_dict(to_dict(s))`` restores the
-  exact state, and :meth:`to_json` emits key-sorted, separator-stable
-  bytes so identical seeded runs serialize byte-identically.
+  exact state; dumped key-sorted, identical seeded runs serialize
+  byte-identically.
 
 Only non-negative values are accepted (every stream we sketch — FCTs,
 latencies, byte counts, per-day event counts — is non-negative);
@@ -35,7 +35,6 @@ whole (a figure's per-day counts, a test's few hundred latencies).
 
 from __future__ import annotations
 
-import json
 import math
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
@@ -363,15 +362,6 @@ class QuantileSketch:
         sketch.buckets = {int(index): int(count) for index, count in data["buckets"]}
         sketch.stats = StreamStats.from_dict(data["stats"])
         return sketch
-
-    def to_json(self) -> str:
-        """Canonical byte-stable encoding (key-sorted, fixed separators):
-        identical states serialize to identical bytes."""
-        return json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
-
-    @classmethod
-    def from_json(cls, text: str) -> "QuantileSketch":
-        return cls.from_dict(json.loads(text))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, QuantileSketch):

@@ -237,12 +237,6 @@ class Telemetry:
             self._artifacts.append(str(path))
         return list(self._artifacts)
 
-    @property
-    def artifacts(self) -> List[str]:
-        """Paths written by the last :meth:`finish` call."""
-        return list(self._artifacts)
-
-
 class _MetricsBridge:
     """Maps the standard tracepoint families onto metric families."""
 

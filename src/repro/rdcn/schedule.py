@@ -73,14 +73,6 @@ class TDNSchedule:
         """All days equal length — the paper's configuration."""
         return cls([Day(tdn, day_ns, night_ns) for tdn in pattern])
 
-    @property
-    def n_tdns(self) -> int:
-        return max(day.tdn_id for day in self.days) + 1
-
-    def active_at(self, time_ns: int) -> Optional[int]:
-        """TDN active at absolute time, or None during a night."""
-        return self.segment_at(time_ns)[2]
-
     def segment_at(self, time_ns: int) -> Tuple[int, int, Optional[int]]:
         """The schedule segment containing absolute time ``time_ns``:
         ``(abs_start_ns, abs_end_ns, tdn_id)`` with ``tdn_id`` None

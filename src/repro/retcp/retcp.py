@@ -118,13 +118,3 @@ class ReTCPConnection(TCPConnection):
                     self.ramp_down()
         super()._handle_ack(pkt)
 
-    def snapshot(self) -> dict:
-        data = super().snapshot()
-        data.update(
-            {
-                "retcp_alpha": self.alpha,
-                "circuit_active": self.circuit_active,
-                "ramp_ups": self.ramp_ups,
-            }
-        )
-        return data

@@ -31,7 +31,7 @@ differs.
 
 from __future__ import annotations
 
-from heapq import heappop as _heappop, heappush as _heappush
+from heapq import heappush as _heappush
 from typing import Any, Callable, Optional
 
 _new_event = object.__new__
@@ -160,41 +160,6 @@ class EventQueue:
         self._fanout_seq = -1
         for fn, arg in legs:
             fn(arg)
-
-    def pop(self) -> Optional[tuple]:
-        """Pop the earliest live entry as ``(time, seq, fn, args)``, or
-        None if empty; a handle entry comes back with its event's
-        callback and arguments.
-
-        Cancelled entries are lazily discarded here (their live-count
-        decrement already happened in :meth:`Event.cancel`)."""
-        heap = self._heap
-        while heap:
-            time, seq, fn, args = _heappop(heap)
-            if args is None:
-                if fn.cancelled:
-                    continue
-                fn._queue = None
-                fn, args = fn.fn, fn.args
-            self._live -= 1
-            return time, seq, fn, args
-        return None
-
-    def clear(self) -> None:
-        """Drop every pending event.
-
-        Cleared handles are marked cancelled, not merely orphaned: a
-        caller that kept a reference and later calls ``cancel()`` must
-        see an idempotent no-op, not a live-count decrement against
-        whatever generation of the queue exists by then.
-        """
-        for _time, _seq, fn, args in self._heap:
-            if args is None:
-                fn._queue = None
-                fn.cancel()
-        self._heap.clear()
-        self._live = 0
-        self._fanout_seq = -1
 
     def stats(self) -> dict:
         """Event-core counters (see docs/performance.md)."""

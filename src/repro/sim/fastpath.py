@@ -56,8 +56,8 @@ model applies analytically (``cc.on_congestion_event()`` directly — the
 CUBIC implementation reads no clock there) and counts as a *virtual
 loss*. No retransmission happens and ``ConnStats.retransmissions`` is
 untouched: loss-episode *accounting* (Figure 10 style) needs packet
-fidelity, which the runner forces for fault plans, background traffic,
-ECN senders, and fail-mode audits (see ``run_experiment``).
+fidelity, which the runner forces for fault plans, ECN senders and
+fail-mode audits (see ``run_experiment``).
 
 Determinism: everything here is seed-free arithmetic over simulator
 state, so a tiered run is byte-identical across repeats of the same

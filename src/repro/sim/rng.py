@@ -33,9 +33,6 @@ class SeededRandom:
         child_seed = (self.seed * 2654435761 + digest) & 0x7FFFFFFFFFFFFFFF
         return SeededRandom(child_seed)
 
-    def uniform(self, lo: float, hi: float) -> float:
-        return self._rng.uniform(lo, hi)
-
     def randint(self, lo: int, hi: int) -> int:
         return self._rng.randint(lo, hi)
 

@@ -35,7 +35,7 @@ class Simulator:
     # ``sim.now`` is the single most-read attribute in the simulator;
     # slots keep that lookup off the instance-dict path.
     __slots__ = (
-        "now", "_queue", "_running", "_event_count", "profiler", "telemetry",
+        "now", "_queue", "_event_count", "profiler", "telemetry",
         "_hb_fn", "_hb_every", "_hb_next", "_hb_last_events", "_hb_last_wall",
         "fluid_spans", "fluid_time_ns",
     )
@@ -43,7 +43,6 @@ class Simulator:
     def __init__(self) -> None:
         self.now: int = 0
         self._queue = EventQueue()
-        self._running = False
         self._event_count = 0
         self.profiler: Optional[Any] = None
         self.telemetry: Optional[Any] = None
@@ -92,20 +91,13 @@ class Simulator:
         one fire time share one heap event
         (:meth:`EventQueue.push_fanout` states the rule). Callbacks run
         in exactly the order :meth:`schedule` would have run them; what
-        differs is what counts heap events: ``processed_events`` /
-        ``pending_events`` see the batch once, and :meth:`stop` /
-        ``max_events`` act between events, so never inside a batch.
+        differs is what counts heap events: ``processed_events`` and
+        the heartbeat's pending count see the batch once, and
+        ``max_events`` acts between events, so never inside a batch.
         """
         if delay < 0:
             raise ValueError(f"cannot schedule in the past (delay={delay})")
         self._queue.push_fanout(self.now + delay, fn, arg)
-
-    def cancel(self, event: Event) -> None:
-        """Cancel a pending event (no-op if already fired or cancelled).
-
-        Equivalent to ``event.cancel()`` — the event itself keeps the
-        queue's live count exact, so either spelling is safe."""
-        event.cancel()
 
     # ------------------------------------------------------------------
     # Heartbeats
@@ -155,7 +147,7 @@ class Simulator:
         When the run reaches ``until`` (queue drained up to the horizon),
         the clock is advanced to ``until`` so that subsequent relative
         scheduling behaves intuitively. A run cut short by ``max_events``
-        or :meth:`stop` does **not** advance the clock — events are still
+        does **not** advance the clock — events are still
         pending before the horizon, and jumping past them would make them
         fire in the past (the chunked watchdog relies on this).
 
@@ -164,7 +156,6 @@ class Simulator:
         ``until`` horizon check, and the pop are fused into one pass.
         """
         processed = 0
-        self._running = True
         profiler = self.profiler
         if profiler is not None:
             profiler.run_started()
@@ -177,7 +168,7 @@ class Simulator:
         horizon = until if until is not None else (1 << 62)
         drained = False
         try:
-            while self._running:
+            while True:
                 if processed >= limit:
                     break
                 if not heap:
@@ -214,7 +205,6 @@ class Simulator:
                     if not (heap and heap[0][0] == time):
                         self._fire_heartbeat(base_events + processed)
         finally:
-            self._running = False
             self._event_count += processed
             if profiler is not None:
                 profiler.run_finished(processed)
@@ -224,14 +214,6 @@ class Simulator:
         if drained and until is not None and self.now < until:
             self.now = until
         return processed
-
-    def stop(self) -> None:
-        """Stop :meth:`run` after the current event completes."""
-        self._running = False
-
-    @property
-    def pending_events(self) -> int:
-        return len(self._queue)
 
     @property
     def processed_events(self) -> int:

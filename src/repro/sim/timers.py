@@ -47,11 +47,6 @@ class Timer:
     def armed(self) -> bool:
         return self._deadline is not None
 
-    @property
-    def deadline(self) -> Optional[int]:
-        """Absolute expiry time, or None when not armed."""
-        return self._deadline
-
     def start(self, delay: int, *args: Any) -> None:
         """(Re)arm the timer ``delay`` ns from now."""
         self._arm(self._sim.now + delay, args)
@@ -110,5 +105,5 @@ class Timer:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         if self.armed:
-            return f"<Timer {self.name} armed deadline={self.deadline}>"
+            return f"<Timer {self.name} armed deadline={self._deadline}>"
         return f"<Timer {self.name} idle>"

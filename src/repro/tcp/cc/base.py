@@ -87,11 +87,6 @@ class CongestionControl:
         # Congestion avoidance: +1 MSS per RTT.
         self.cwnd += rounds
 
-    def snapshot(self) -> dict:
-        """Loggable view of the internal state."""
-        return {"name": self.name, "cwnd": self.cwnd, "ssthresh": self.ssthresh}
-
-
 _REGISTRY: Dict[str, Callable[..., CongestionControl]] = {}
 
 

@@ -162,7 +162,3 @@ class CubicCC(CongestionControl):
         if target > cwnd:
             self.cwnd = target
 
-    def snapshot(self) -> dict:
-        data = super().snapshot()
-        data.update({"w_max": self.w_max, "k_seconds": self.k_seconds})
-        return data

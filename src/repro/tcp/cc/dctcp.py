@@ -69,7 +69,3 @@ class DCTCPCC(CongestionControl):
         self.cwnd = self.ssthresh
         self._avoidance_credit = 0.0
 
-    def snapshot(self) -> dict:
-        data = super().snapshot()
-        data["alpha"] = self.alpha
-        return data

@@ -29,9 +29,6 @@ class TCPConfig:
     # ECT and a CE echo halves the window once per RTT. A CCA that
     # wants ECN (dctcp) sends ECT whatever this says.
     ecn_enabled: bool = False
-    # Nagle's algorithm (RFC 896): hold sub-MSS segments while data is
-    # outstanding. Off by default (DCN RPCs want TCP_NODELAY).
-    nagle_enabled: bool = False
     # Delayed ACKs (RFC 1122): 0 disables (the default for
     # microsecond-RTT DCN studies — and what the evaluation runs with);
     # a positive value coalesces ACKs, acknowledging every second

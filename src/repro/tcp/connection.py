@@ -120,9 +120,6 @@ class PathState:
         "sacked_out",
         "lost_out",
         "retrans_out",
-        "delivery_rate_bps",
-        "last_cwnd_update_ns",
-        "last_retransmit_ns",
     )
 
     def __init__(self, clock, cc_name: str, config: TCPConfig, tdn_id: int = 0):
@@ -137,12 +134,6 @@ class PathState:
         self.sacked_out = 0
         self.lost_out = 0
         self.retrans_out = 0
-        # Telemetry: EWMA delivery rate (bits/s, gain 1/8) and the
-        # timestamps of the last tracepoint-worthy events on this path
-        # (mirrors what ``ss -ti`` reports per connection).
-        self.delivery_rate_bps = 0.0
-        self.last_cwnd_update_ns: Optional[int] = None
-        self.last_retransmit_ns: Optional[int] = None
 
     @property
     def in_flight(self) -> int:
@@ -607,25 +598,11 @@ class TCPConnection:
         self._detect_losses(pkt)
 
         # Credit congestion controllers per path ('specific TDN').
-        now = self.sim.now
         for index, count in acked_by_path.items():
             if not self._cc_credit_allowed(index, pkt):
                 continue
             path = paths[index]
             path.cc.on_ack(count, path.rtt.latest_rtt_ns, path.in_flight, ece=pkt.ece)
-            # Kernel-style delivery rate: delivered over the ACK
-            # inter-arrival interval, not over an RTT (many ACKs land
-            # per RTT). First sample falls back to the RTT.
-            previous_ns = path.last_cwnd_update_ns
-            path.last_cwnd_update_ns = now
-            interval_ns = (
-                now - previous_ns
-                if previous_ns is not None
-                else path.rtt.latest_rtt_ns
-            )
-            if interval_ns:
-                rate_bps = count * self.config.mss * 8_000_000_000 / interval_ns
-                path.delivery_rate_bps += (rate_bps - path.delivery_rate_bps) / 8.0
             if self._tp_cwnd.enabled:
                 self._emit_cwnd(path, reason="ack")
         if pkt.ece:
@@ -921,7 +898,6 @@ class TCPConnection:
             if not path.ca_state.in_recovery:
                 path.enter_recovery(self.snd_nxt)
                 self.stats.fast_recoveries += 1
-                path.last_cwnd_update_ns = self.sim.now
                 if self._tp_ca.enabled:
                     self._tp_ca.emit(
                         self.sim.now,
@@ -948,7 +924,6 @@ class TCPConnection:
         path.cwr_seq = self.snd_nxt
         path.cc.on_congestion_event()
         self.stats.ecn_reductions += 1
-        path.last_cwnd_update_ns = self.sim.now
         if self._tp_cwnd.enabled:
             self._emit_cwnd(path, reason="ecn")
 
@@ -996,7 +971,6 @@ class TCPConnection:
             affected[id(path)] = path
         for path in affected.values():
             path.enter_loss(self.snd_nxt)
-            path.last_cwnd_update_ns = self.sim.now
             if self._tp_ca.enabled:
                 self._tp_ca.emit(
                     self.sim.now,
@@ -1109,14 +1083,6 @@ class TCPConnection:
         if self.snd_nxt - self.snd_una + self.config.mss > self.peer_rwnd:
             return False
         payload = min(self.config.mss, available)
-        if (
-            self.config.nagle_enabled
-            and payload < self.config.mss
-            and self.snd_nxt > self.snd_una
-        ):
-            # Nagle: a partial segment waits while data is outstanding
-            # (an ACK will re-trigger the send path).
-            return False
         seg = SegmentState(seq=self.snd_nxt, payload_len=payload)
         seg.tdn_id = self.current_path_index
         self.segments[seg.seq] = seg
@@ -1196,7 +1162,6 @@ class TCPConnection:
         spurious = seg.delivered_ground_truth
         if spurious:
             self.stats.spurious_retransmissions += 1
-        path.last_retransmit_ns = self.sim.now
         if self._tp_retransmit.enabled:
             self._tp_retransmit.emit(
                 self.sim.now,
@@ -1274,27 +1239,3 @@ class TCPConnection:
             for timer in self._timers():
                 if timer.armed:
                     yield "finished_timer", self.name, f"{timer.name} armed on a finished connection"
-
-    def snapshot(self) -> dict:
-        """Loggable view for debugging and tests."""
-        return {
-            "name": self.name,
-            "state": self.state,
-            "snd_una": self.snd_una,
-            "snd_nxt": self.snd_nxt,
-            "rcv_nxt": self.recv_buffer.rcv_nxt,
-            "paths": [
-                {
-                    "tdn": p.tdn_id,
-                    "cwnd": p.cc.cwnd,
-                    "ssthresh": p.cc.ssthresh,
-                    "ca_state": p.ca_state.value,
-                    "packets_out": p.packets_out,
-                    "sacked_out": p.sacked_out,
-                    "lost_out": p.lost_out,
-                    "retrans_out": p.retrans_out,
-                    "srtt_ns": p.rtt.srtt_ns,
-                }
-                for p in self.paths
-            ],
-        }

@@ -57,16 +57,6 @@ class TestBulkApps:
         sim.run(until=msec(5))
         assert seen[-1] == 3000
 
-    def test_sender_finish_closes(self):
-        sim, a, b, _ab, _ba = two_hosts()
-        client, server = create_connection_pair(sim, a, b)
-        sender = BulkSender(client)
-        sim.run(until=msec(2))
-        sender.finish()
-        sim.run(until=msec(30))
-        assert client.state == "closed"
-
-
 class TestWorkload:
     def test_flow_count_and_wiring(self):
         testbed = build_two_rack_testbed(small_rdcn(n_hosts=3))
@@ -170,30 +160,3 @@ class TestRunner:
         result = run_experiment(cfg)
         assert result.notification_latencies
 
-    def test_background_load_reduces_throughput(self):
-        quiet = run_experiment(
-            ExperimentConfig(variant="cubic", n_flows=2, weeks=10, warmup_weeks=2)
-        )
-        loaded = run_experiment(
-            ExperimentConfig(
-                variant="cubic", n_flows=2, weeks=10, warmup_weeks=2,
-                background_load=0.5,
-            )
-        )
-        assert loaded.aggregate_delivered < quiet.aggregate_delivered
-
-    def test_background_load_validation(self):
-        with pytest.raises(ValueError):
-            ExperimentConfig(variant="cubic", background_load=1.5)
-
-    def test_tdtcp_advantage_survives_background_load(self):
-        """§2.1's within-TDN oscillation must not break the headline
-        ordering."""
-        results = {}
-        for variant in ("cubic", "tdtcp"):
-            cfg = ExperimentConfig(
-                variant=variant, n_flows=4, weeks=16, warmup_weeks=4,
-                background_load=0.3,
-            )
-            results[variant] = run_experiment(cfg).steady_state_throughput_gbps()
-        assert results["tdtcp"] > results["cubic"]

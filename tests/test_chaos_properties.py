@@ -169,7 +169,7 @@ class TestFaultPlanChaos:
             params={"down_ns": usec(down_us)},
         )])
         receivers, auditor, _injector = faulted_testbed_run(plan, seed)
-        assert auditor.clean, auditor.violations
+        assert not auditor.violations, auditor.violations
         for receiver in receivers:
             assert receiver.delivered_bytes >= 100_000
 
@@ -183,7 +183,7 @@ class TestFaultPlanChaos:
             kind="notifier_drop", params={"rate": rate},
         )])
         receivers, auditor, injector = faulted_testbed_run(plan, seed)
-        assert auditor.clean, auditor.violations
+        assert not auditor.violations, auditor.violations
         for receiver in receivers:
             assert receiver.delivered_bytes >= 100_000
 
@@ -198,7 +198,7 @@ class TestFaultPlanChaos:
         )])
         receivers, auditor, injector = faulted_testbed_run(plan, seed)
         assert injector.effects.get("schedule_skew", 0) > 0
-        assert auditor.clean, auditor.violations
+        assert not auditor.violations, auditor.violations
         for receiver in receivers:
             assert receiver.delivered_bytes >= 100_000
 

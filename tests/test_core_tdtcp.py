@@ -63,7 +63,7 @@ class TestNegotiation:
         assert client.state == ESTABLISHED
         assert client.negotiated_tdns == 2
         assert server.negotiated_tdns == 2
-        assert client.is_tdtcp and server.is_tdtcp
+        assert not client.downgraded and not server.downgraded
 
     def test_mismatched_tdn_count_downgrades(self):
         sim, a, b, _ab, _ba = two_hosts()
@@ -111,7 +111,7 @@ class TestSwitching:
         sim.run(until=usec(200))
         a.deliver(TDNNotification("tor", a.address, tdn_id=1))
         sim.run(until=usec(201))
-        assert client.current_tdn == 1
+        assert client.tdn_state.current_index == 1
         assert client.tdn_state.switches == 1
 
     def test_change_pointer_set_on_switch(self):
@@ -131,7 +131,7 @@ class TestSwitching:
         a.deliver(TDNNotification("tor", a.address, tdn_id=5))
         sim.run(until=usec(210))
         assert len(client.paths) == 6
-        assert client.current_tdn == 5
+        assert client.tdn_state.current_index == 5
 
     def test_data_tagged_with_current_tdn(self):
         sim, a, b, ab, _ba = two_hosts()
@@ -183,23 +183,13 @@ class TestDowngradeAPI:
         client.start_bulk()
         sim.run(until=msec(1))
         client.downgrade()
-        assert client.current_tdn == 0
+        assert client.tdn_state.current_index == 0
         a.deliver(TDNNotification("tor", a.address, tdn_id=1))
         sim.run(until=msec(2))
-        assert client.current_tdn == 0  # notifications ignored
+        assert client.tdn_state.current_index == 0  # notifications ignored
         assert client.wire_tdn is None  # no more tagging
         # The peer keeps talking TDTCP; transfer continues.
         assert server.stats.bytes_delivered > 0
-
-    def test_snapshot_fields(self):
-        sim, a, b, _ab, _ba = two_hosts()
-        client, _server = tdtcp_pair(sim, a, b)
-        sim.run(until=usec(200))
-        snap = client.snapshot()
-        assert snap["tdtcp"] is True
-        assert snap["current_tdn"] == 0
-        assert len(snap["paths"]) == 2
-
 
 class TestRelaxedLossDetection:
     def test_cross_tdn_hole_not_marked_lost(self):

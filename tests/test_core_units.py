@@ -52,7 +52,7 @@ class TestPerTDNState:
     def test_switch(self):
         state = make_state(2)
         assert state.switch_to(1) is True
-        assert state.current.tdn_id == 1
+        assert state.paths[state.current_index].tdn_id == 1
         assert state.switches == 1
 
     def test_switch_noop(self):
@@ -63,19 +63,19 @@ class TestPerTDNState:
     def test_switch_preserves_checkpoint(self):
         """§3.1: the inactive set is a snapshot, resumed unchanged."""
         state = make_state(2)
-        state.current.cc.cwnd = 55.0
+        state.paths[state.current_index].cc.cwnd = 55.0
         state.switch_to(1)
-        state.current.cc.cwnd = 7.0
+        state.paths[state.current_index].cc.cwnd = 7.0
         state.switch_to(0)
-        assert state.current.cc.cwnd == 55.0
+        assert state.paths[state.current_index].cc.cwnd == 55.0
         state.switch_to(1)
-        assert state.current.cc.cwnd == 7.0
+        assert state.paths[state.current_index].cc.cwnd == 7.0
 
     def test_grows_on_new_tdn(self):
         state = make_state(2)
         state.switch_to(4)
         assert len(state) == 5
-        assert state.current.tdn_id == 4
+        assert state.paths[state.current_index].tdn_id == 4
 
     def test_all_tdns_semantic(self):
         client = tdtcp_client(3)

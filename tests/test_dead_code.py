@@ -41,7 +41,6 @@ ALLOWLIST = {
     "CubicCC": "registered by @register_cc; make_congestion_control reaches it by name",
     "DCTCPCC": "registered by @register_cc; make_congestion_control reaches it by name",
     "write_trace": "docs/workloads.md and CI's workload-smoke job write traces with it",
-    "describe_connection": "docs/usage.md shows it as the ss -ti view of a live connection",
 }
 
 #: ``qualified name(parameter)`` -> why its default stays overridable

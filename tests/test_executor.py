@@ -68,7 +68,7 @@ def failed_result_dict(config: ExperimentConfig) -> dict:
 class TestConfigSerialization:
     def test_round_trip_with_fault_plan(self):
         config = small_config(variant="tdtcp", fault_plan=flap_plan(),
-                              background_load=0.1, audit="warn")
+                              audit="warn")
         blob = json.dumps(config.to_dict(), sort_keys=True)
         restored = ExperimentConfig.from_dict(json.loads(blob))
         assert restored == config
@@ -376,7 +376,7 @@ class TestFigureDegradation:
 
         monkeypatch.setattr(executor_mod, "run_experiment", selective)
         data = fig2(**SMALL, executor=ExperimentExecutor())
-        assert not data.ok
+        assert data.failures
         assert set(data.failures) == {"mptcp"}
         assert data.failures["mptcp"].error_type == "Boom"
         assert "cubic" in data.throughputs_gbps

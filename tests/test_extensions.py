@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.apps.background import BackgroundTraffic
 from repro.core.tdtcp import TDTCPConnection
 from repro.experiments import cli, figures, runner
 from repro.experiments.cli import main as cli_main
@@ -61,53 +60,6 @@ class TestPerTDNCCAs:
         client.start_bulk()
         sim.run(until=msec(5))
         assert server.stats.bytes_delivered > 1_000_000
-
-
-class TestBackgroundTraffic:
-    def test_injects_packets(self):
-        sim, a, b, _ab, _ba = two_hosts()
-        bg = BackgroundTraffic(sim, a, b, rate_bps=gbps(1), rng=SeededRandom(3))
-        bg.start()
-        sim.run(until=msec(5))
-        assert bg.packets_sent > 100
-
-    def test_average_rate_near_target(self):
-        sim, a, b, _ab, _ba = two_hosts(rate_bps=gbps(10))
-        bg = BackgroundTraffic(sim, a, b, rate_bps=gbps(2), rng=SeededRandom(3))
-        bg.start()
-        sim.run(until=msec(20))
-        assert bg.bytes_sent * 8 / 0.020 == pytest.approx(2e9, rel=0.5)
-
-    def test_stop_halts_emission(self):
-        sim, a, b, _ab, _ba = two_hosts()
-        bg = BackgroundTraffic(sim, a, b, rate_bps=gbps(1), rng=SeededRandom(3))
-        bg.start()
-        sim.run(until=msec(2))
-        bg.stop()
-        sent = bg.packets_sent
-        sim.run(until=msec(4))
-        assert bg.packets_sent == sent
-
-    def test_competes_with_tcp(self):
-        # TCP alone vs TCP + heavy background on a 10G link.
-        def run(with_bg):
-            sim, a, b, ab, _ba = two_hosts(forward_queue=64)
-            client, server = create_connection_pair(sim, a, b)
-            client.start_bulk()
-            if with_bg:
-                bg = BackgroundTraffic(sim, a, b, rate_bps=gbps(5), rng=SeededRandom(3))
-                bg.start()
-            sim.run(until=msec(20))
-            return server.stats.bytes_delivered
-
-        alone = run(False)
-        contended = run(True)
-        assert contended < alone * 0.95
-
-    def test_invalid_rate(self):
-        sim, a, b, _ab, _ba = two_hosts()
-        with pytest.raises(ValueError):
-            BackgroundTraffic(sim, a, b, rate_bps=0, rng=SeededRandom(1))
 
 
 class TestRotorSchedule:
@@ -216,6 +168,41 @@ class TestCLI:
         for variant in ("cubic", "mptcp"):
             assert f"[fig2/{variant}] fault plan: lossy-fabric (4 specs, " in out
             assert f"[fig2/{variant}] auditor [fail]: " in out
+
+
+@pytest.fixture
+def no_run(monkeypatch):
+    """Fail the test if the CLI starts any run."""
+    def refuse(*_args, **_kwargs):
+        raise AssertionError("a run started")
+
+    monkeypatch.setattr(ExperimentExecutor, "run_batch", refuse)
+    monkeypatch.setattr(runner, "run_experiment", refuse)
+    monkeypatch.setattr(cli, "run_experiment", refuse)
+
+
+class TestCLIRefusesBeforeAnyRun:
+    @pytest.mark.parametrize("target", ["chaos", "replay-trace", "sweep-load", "sweep-ratio", "sweep-day"])
+    def test_a_buffer_flag_the_target_ignores_is_refused(self, no_run, capsys, tmp_path, target):
+        trace = tmp_path / "flows.csv"
+        trace.write_text("start_ns,src,dst,size_bytes\n0,r0h0,r1h0,3000\n")
+        code = cli_main([target, "--weeks", "3", "--warmup", "1", "--trace", str(trace),
+                         "--buffer-policy", "complete-sharing", "--buffer-total", "40"])
+        assert code == 2
+        assert "--buffer-policy" in capsys.readouterr().err
+
+    def test_a_config_the_flags_cannot_build_exits_2_with_its_message(self, no_run, capsys):
+        assert cli_main(["chaos", "--weeks", "4"]) == 2
+        assert "weeks must exceed warmup_weeks" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("target", ["chaos", "replay-trace"])
+    def test_an_unknown_variant_exits_2_with_its_message(self, no_run, capsys, tmp_path, target):
+        trace = tmp_path / "flows.csv"
+        trace.write_text("start_ns,src,dst,size_bytes\n0,r0h0,r1h0,3000\n")
+        code = cli_main([target, "--weeks", "3", "--warmup", "1", "--trace", str(trace),
+                         "--variant", "nope"])
+        assert code == 2
+        assert "nope" in capsys.readouterr().err
 
 
 # ----------------------------------------------------------------------

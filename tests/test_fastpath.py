@@ -1,8 +1,8 @@
 """Tiered-fidelity fluid fast path (repro.sim.fastpath).
 
 Cross-fidelity agreement on the figure-7 bulk workload, loss-episode
-behavior, forced-packet fallbacks (fault plans, unsupported variants,
-background load), per-mode determinism, and the closed-form unit
+behavior, forced-packet fallbacks (fault plans, unsupported variants),
+per-mode determinism, and the closed-form unit
 pieces the integrator builds on (schedule segmentation, fluid cwnd
 growth).
 """
@@ -13,7 +13,7 @@ from repro.experiments.config import ExperimentConfig, WorkloadConfig
 from repro.experiments.runner import run_experiment
 from repro.faults.plan import FaultPlan, FaultSpec
 from repro.rdcn.schedule import TDNSchedule
-from repro.sim.fastpath import FLUID_VARIANTS, fidelity_report
+from repro.sim.fastpath import FLUID_VARIANTS, FluidFastPath, fidelity_report
 from repro.tcp.cc.base import INFINITE_SSTHRESH, make_congestion_control
 from repro.units import usec
 
@@ -84,6 +84,15 @@ class TestCrossFidelityAgreement:
         assert report["exit_reasons"]  # every span records why it ended
         assert sum(report["exit_reasons"].values()) == report["fluid_spans"]
 
+    def test_a_drain_that_never_quiesces_goes_back_to_packet(self, monkeypatch):
+        """A group whose flows do not drain within the poll budget
+        aborts the drain and keeps running at packet fidelity."""
+        monkeypatch.setattr(FluidFastPath, "MAX_DRAIN_POLLS", -1)
+        tiered = run_experiment(bulk_config("tdtcp", "tiered"))
+        assert tiered.failure is None
+        assert tiered.fidelity_report["fluid_spans"] == 0
+        assert tiered.aggregate_delivered > 0
+
 
 class TestForcedPacket:
     def test_fault_plan_forces_packet(self):
@@ -109,13 +118,6 @@ class TestForcedPacket:
         assert report["mode"] == "packet"
         assert f"variant:{variant}" in report["forced_reasons"]
         assert variant not in FLUID_VARIANTS
-
-    def test_background_load_forces_packet(self):
-        result = run_experiment(
-            bulk_config("tdtcp", "tiered", background_load=0.1)
-        )
-        assert result.failure is None
-        assert "background_load" in result.fidelity_report["forced_reasons"]
 
     def test_forced_run_byte_identical_to_packet_run(self):
         """A tiered run that falls back must produce exactly the packet
@@ -153,8 +155,10 @@ class TestDeterminism:
         Re-pinned when the record traded its (here empty) raw
         sequence/VOQ series for the folded-week keys, and when twenty
         config fields left (nineteen became constants, the dead
-        ``workload.record_cap`` went): the parent's outcome with those
-        keys dropped from its config echo hashes to the new value."""
+        ``workload.record_cap`` went), and again when ``background_load``
+        and ``tcp.nagle_enabled`` went: each time, the parent's outcome
+        with those keys dropped from its config echo hashes to the new
+        value."""
         config = ExperimentConfig(
             variant="cubic", weeks=8, warmup_weeks=2, seed=1, collect_voq=False,
             collect_sequence=False, fidelity="tiered",
@@ -164,7 +168,7 @@ class TestDeterminism:
         assert result.fidelity_report["fluid_spans"] == 2
         assert len(result.notification_latencies) == 8 * 8 * 2 * 8
         assert result.outcome_digest() == (
-            "43b18ff3824e7b19fd2c0e0d552567bc2a437e624e797fd3b94cf170200414f4"
+            "4bbb65321e616af93036d8e42bd255a3587837a81aec5a0481e341d8ee58514e"
         )
 
     def test_packet_mode_untouched_by_fidelity_field(self):

@@ -84,7 +84,9 @@ class TestFlowChurn:
         tb.sim.run(until=week * 12)
         # Flow 1 departs; give the survivor a few weeks to grow into
         # the freed share (CUBIC converges slowly at microsecond RTTs).
-        flows[1][2].finish()
+        departing = flows[1][0]
+        departing.send_buffer.unlimited = False
+        departing.close()
         survivor_before = flows[0][3].delivered_bytes
         tb.sim.run(until=week * 18)
         mid = flows[0][3].delivered_bytes

@@ -223,7 +223,7 @@ class TestFaultInjection:
         client.host.deliver(TDNNotification("tor0", "r0h0", tdn_id=2))
         tb.sim.run(until=cfg.week_ns * 2 + 1000)
         assert len(client.paths) == 3
-        assert client.current_tdn == 2
+        assert client.tdn_state.current_index == 2
         # Return to the scheduled pattern and keep transferring.
         tb.sim.run(until=cfg.week_ns * 4)
         assert server.stats.bytes_delivered > 100_000

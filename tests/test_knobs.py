@@ -92,7 +92,6 @@ KNOBS: Dict[str, Any] = {
     "weeks": Witness(3),
     "warmup_weeks": Witness(0),
     "retcp_alpha": Gated(4.0, off={}, on={"variant": "retcp"}),
-    "background_load": Witness(0.3),
     "collect_voq": Witness(False),
     "collect_sequence": Witness(False),
     "seed": Witness(2),
@@ -142,7 +141,6 @@ KNOBS: Dict[str, Any] = {
     "tcp.send_buffer_packets": Witness(8),
     "tcp.min_rto_ns": Witness(usec(100)),
     "tcp.ecn_enabled": Witness(True),
-    "tcp.nagle_enabled": Gated(True, off={}, on=ENGINE),
     "tcp.delayed_ack_ns": Witness(usec(20)),
     # WorkloadConfig
     "workload.kind": Witness("trace", on={"workload": {"trace_path": Tmp("a.csv")}}),

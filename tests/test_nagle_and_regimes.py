@@ -1,10 +1,10 @@
-"""Nagle's algorithm, and the documented jumbo-frame incast regime."""
+"""Sub-MSS writes go out at once (no Nagle), and the documented
+jumbo-frame incast regime."""
 
 import pytest
 
 from repro.experiments import ExperimentConfig, run_experiment
 from repro.rdcn.config import RDCNConfig
-from repro.tcp.config import TCPConfig
 from repro.tcp.sockets import create_connection_pair
 from repro.units import gbps, msec, usec
 
@@ -25,9 +25,7 @@ class TestNagle:
     def test_nodelay_sends_partials_immediately(self):
         sim, a, b, ab, _ba = two_hosts()
         partials = count_partials(sim, ab)
-        client, server = create_connection_pair(
-            sim, a, b, config=TCPConfig(nagle_enabled=False)
-        )
+        client, server = create_connection_pair(sim, a, b)
         sim.run(until=usec(200))
         # Three quick sub-MSS writes: all go out as separate segments.
         client.write(100)
@@ -37,32 +35,6 @@ class TestNagle:
         sim.run(until=msec(3))
         assert len(partials) >= 3
         assert server.stats.bytes_delivered == 300
-
-    def test_nagle_coalesces_partials(self):
-        sim, a, b, ab, _ba = two_hosts()
-        partials = count_partials(sim, ab)
-        client, server = create_connection_pair(
-            sim, a, b, config=TCPConfig(nagle_enabled=True)
-        )
-        sim.run(until=usec(200))
-        client.write(100)
-        sim.run(until=usec(210))  # first partial in flight, un-ACKed
-        client.write(100)
-        client.write(100)
-        sim.run(until=msec(3))
-        # The second and third writes were coalesced into one segment.
-        assert len(partials) == 2
-        assert sorted(partials) == [100, 200]
-        assert server.stats.bytes_delivered == 300
-
-    def test_nagle_never_blocks_full_segments(self):
-        sim, a, b, _ab, _ba = two_hosts()
-        client, server = create_connection_pair(
-            sim, a, b, config=TCPConfig(nagle_enabled=True)
-        )
-        client.write(15_000)  # ten full segments
-        sim.run(until=msec(5))
-        assert server.stats.bytes_delivered == 15_000
 
 
 class TestJumboIncastRegime:

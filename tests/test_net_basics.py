@@ -36,7 +36,6 @@ class TestPackets:
     def test_data_segment_size_includes_headers(self):
         seg = TCPSegment("a", "b", 1, 2, seq=0, payload_len=1500)
         assert seg.size == ETH_IP_TCP_HEADER + 1500
-        assert seg.end_seq == 1500
 
     def test_pure_ack_is_small(self):
         ack = TCPSegment("a", "b", 1, 2, ack=100, is_ack=True)

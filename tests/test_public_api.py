@@ -48,7 +48,6 @@ MODULES = [
     "repro.tcp.rack",
     "repro.tcp.connection",
     "repro.tcp.sockets",
-    "repro.tcp.introspect",
     "repro.tcp.cc",
     "repro.tcp.cc.base",
     "repro.tcp.cc.reno",
@@ -69,7 +68,6 @@ MODULES = [
     "repro.apps",
     "repro.apps.bulk",
     "repro.apps.workload",
-    "repro.apps.background",
     "repro.apps.tracegen",
     "repro.apps.incast",
     "repro.obs",

@@ -115,7 +115,7 @@ class TestRelease:
         run_for(sim, msec(2))  # more than a week of the default schedule
         assert sent == []
         assert client._retx_pending == pending
-        assert client.current_tdn == 0 and client.notifications_seen == 0
+        assert client.tdn_state.current_index == 0 and client.notifications_seen == 0
 
     def test_closed_by_fin_ack_is_quiet_before_release(self):
         sim, a, b, _ab, _ba = two_hosts()

@@ -563,6 +563,17 @@ class TestGracefulShutdown:
         assert executed() == [42]  # only the interrupted run re-executes
         assert all(r.ok for r in results)
 
+    def test_sigterm_aborts_with_the_signal_name(self, monkeypatch):
+        def terminate(_payload):
+            os.kill(os.getpid(), signal.SIGTERM)
+            raise AssertionError("the SIGTERM handler did not interrupt the run")
+
+        monkeypatch.setattr(executor_mod, "execute_config_dict", terminate)
+        with pytest.raises(CampaignAborted) as abort:
+            ExperimentExecutor().run_batch([small_config(seed=41)])
+        assert abort.value.reason == "SIGTERM"
+        assert (abort.value.done, abort.value.total) == (0, 1)
+
 
 # ----------------------------------------------------------------------
 # Resume identity (in-process)

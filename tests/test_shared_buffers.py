@@ -66,7 +66,7 @@ class TestPoolPolicies:
         queue = pooled(pool, name="q0")
         assert fill(queue, 12) == 10
         assert pool.used == 10
-        assert pool.free == 0
+        assert pool.total - pool.used == 0
         assert pool.rejections == 2
         assert queue.drops == 2
 
@@ -120,7 +120,7 @@ class TestPoolPolicies:
         fill(queue, 8)
         pool.resize_total(4)
         assert len(queue) == 8          # no eviction
-        assert pool.free < 0            # oversubscribed until it drains
+        assert pool.total - pool.used < 0            # oversubscribed until it drains
         assert not queue.push(pkt(), 0)
         for _ in range(5):
             queue.pop()

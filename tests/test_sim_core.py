@@ -8,51 +8,48 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.sim import SeededRandom, Simulator, Timer
-from repro.sim.events import EventQueue
 
 
 class TestEventQueue:
+    """The queue is drained by :meth:`Simulator.run`, which fuses the pop."""
+
     def test_fifo_order_same_time(self):
-        q = EventQueue()
+        sim = Simulator()
         order = []
+        q = sim._queue
         q.push(10, order.append, ("a",))
         q.push(10, order.append, ("b",))
         q.push(10, order.append, ("c",))
-        while True:
-            entry = q.pop()
-            if entry is None:
-                break
-            _time, _seq, fn, args = entry
-            fn(*args)
+        assert sim.run() == 3
         assert order == ["a", "b", "c"]
 
     def test_time_order(self):
-        q = EventQueue()
-        q.push(30, lambda: None)
-        q.push_event(10, lambda: None)
-        q.push(20, lambda: None)
+        sim = Simulator()
         times = []
-        while True:
-            entry = q.pop()
-            if entry is None:
-                break
-            times.append(entry[0])
+        q = sim._queue
+        q.push(30, lambda: times.append(sim.now))
+        q.push_event(10, lambda: times.append(sim.now))
+        q.push(20, lambda: times.append(sim.now))
+        sim.run()
         assert times == [10, 20, 30]
 
     def test_cancelled_events_skipped(self):
-        q = EventQueue()
-        e1 = q.push_event(10, lambda: None)
-        q.push(20, lambda: None)
+        sim = Simulator()
+        fired = []
+        q = sim._queue
+        e1 = q.push_event(10, fired.append, (10,))
+        q.push(20, fired.append, (20,))
         e1.cancel()
         assert len(q) == 1
-        popped = q.pop()
-        assert popped is not None and popped[0] == 20
+        assert sim.run() == 1
+        assert fired == [20]
 
     def test_direct_cancel_keeps_live_count_exact(self):
         # Regression: Event.cancel() used to need a separate
         # note_cancelled() bookkeeping call on the queue; forgetting it
-        # desynced len(q) / Simulator.pending_events.
-        q = EventQueue()
+        # desynced len(q).
+        sim = Simulator()
+        q = sim._queue
         e1 = q.push_event(10, lambda: None)
         e2 = q.push_event(20, lambda: None)
         e1.cancel()
@@ -60,40 +57,25 @@ class TestEventQueue:
         assert len(q) == 1
         e2.cancel()
         assert len(q) == 0
-        assert q.pop() is None
+        assert sim.run() == 0
 
     def test_simulator_pending_events_after_direct_cancel(self):
         sim = Simulator()
         event = sim.schedule(100, lambda: None)
         sim.schedule(200, lambda: None)
-        event.cancel()  # bypassing sim.cancel() must stay exact
-        assert sim.pending_events == 1
+        event.cancel()
+        assert len(sim._queue) == 1
         sim.run()
         assert sim.processed_events == 1
 
     def test_len_counts_live(self):
-        q = EventQueue()
+        sim = Simulator()
+        q = sim._queue
         q.push(1, lambda: None)
         q.push_event(2, lambda: None)
         assert len(q) == 2
-        q.pop()
+        sim.run(max_events=1)
         assert len(q) == 1
-
-    def test_clear_cancels_held_events(self):
-        # Regression: clear() used to leave held events with
-        # cancelled=False, so a later event.cancel() on a
-        # cleared-then-refilled queue decremented _live of the wrong
-        # queue generation.
-        q = EventQueue()
-        stale = q.push_event(10, lambda: None)
-        q.clear()
-        assert len(q) == 0
-        fresh = q.push_event(20, lambda: None)
-        stale.cancel()  # must be a no-op against the new generation
-        assert stale.cancelled
-        assert len(q) == 1
-        assert q.pop()[1] == fresh.seq
-        assert len(q) == 0
 
     def test_push_allocates_no_handle(self):
         # A packet hop nobody cancels: the heap entry is the callback
@@ -149,7 +131,7 @@ class TestSimulator:
         sim.schedule(2_000, lambda: fired.append(True))
         sim.run(until=1_000)
         assert not fired
-        assert sim.pending_events == 1
+        assert len(sim._queue) == 1
         sim.run(until=3_000)
         assert fired
 
@@ -168,17 +150,9 @@ class TestSimulator:
         sim = Simulator()
         fired = []
         event = sim.schedule(10, lambda: fired.append(True))
-        sim.cancel(event)
+        event.cancel()
         sim.run()
         assert not fired
-
-    def test_stop_inside_event(self):
-        sim = Simulator()
-        fired = []
-        sim.schedule(10, lambda: (fired.append(1), sim.stop()))
-        sim.schedule(20, lambda: fired.append(2))
-        sim.run()
-        assert fired == [1]
 
     def test_max_events(self):
         sim = Simulator()
@@ -253,7 +227,7 @@ def _run_fanout_program(program, coalesce):
 
     issue(program)
     sim.run()
-    assert sim.pending_events == 0
+    assert len(sim._queue) == 0
     return fired, sim.processed_events
 
 
@@ -274,7 +248,7 @@ class TestScheduleFanout:
         seen = []
         for leg in range(16):
             sim.schedule_fanout(10, seen.append, leg)
-        assert sim.pending_events == 1
+        assert len(sim._queue) == 1
         assert sim.run() == 1
         assert seen == list(range(16))
 
@@ -291,7 +265,7 @@ class TestScheduleFanout:
         else:
             sim.schedule_fanout(11, seen.append, "between")
         sim.schedule_fanout(10, seen.append, "second")
-        assert sim.pending_events == 3
+        assert len(sim._queue) == 3
         sim.run()
         if intervening == "fanout_other_time":
             assert seen == ["first", "second", "between"]
@@ -304,7 +278,7 @@ class TestScheduleFanout:
         sim.schedule_fanout(10, seen.append, "a")
         sim.schedule_fanout(20, seen.append, "b")
         sim.schedule_fanout(20, seen.append, "c")
-        assert sim.pending_events == 2
+        assert len(sim._queue) == 2
         sim.run(until=15)
         assert seen == ["a"]
         sim.run()
@@ -327,23 +301,22 @@ class TestScheduleFanout:
         assert seen == ["a", "b", "c", "a'", "b'"]
         assert sim.now == 5
 
-    def test_clear_closes_the_open_batch(self):
-        sim = Simulator()
-        seen = []
-        sim.schedule_fanout(10, seen.append, "dropped")
-        sim._queue.clear()
-        sim.schedule_fanout(10, seen.append, "kept")
-        sim.run()
-        assert seen == ["kept"]
-
     def test_negative_delay_rejected(self):
         sim = Simulator()
         with pytest.raises(ValueError):
             sim.schedule_fanout(-1, print, None)
-        assert sim.pending_events == 0
+        assert len(sim._queue) == 0
 
 
 class TestTimer:
+    def test_a_timer_armed_after_close_raises_when_it_fires(self):
+        sim = Simulator()
+        timer = Timer(sim, lambda: None)
+        timer.close()
+        timer.start(10)
+        with pytest.raises(RuntimeError, match="armed after close"):
+            sim.run()
+
     def test_fires_once(self):
         sim = Simulator()
         fired = []
@@ -370,13 +343,6 @@ class TestTimer:
         timer.cancel()
         sim.run()
         assert not fired
-
-    def test_deadline_property(self):
-        sim = Simulator()
-        timer = Timer(sim, lambda: None)
-        assert timer.deadline is None
-        timer.start(42)
-        assert timer.deadline == 42
 
     def test_start_at_absolute(self):
         sim = Simulator()
@@ -430,7 +396,7 @@ class TestTimerArmParity:
         self._arm(timer, sim, 250, mode)
         assert timer._event is event  # same scheduled event
         assert sim._queue._seq == seq_after_arm  # no new event consumed
-        assert timer.deadline == 250
+        assert timer._deadline == 250
         sim.run()
         assert fired == [250]
 
@@ -482,7 +448,7 @@ class TestTimerArmParity:
         sim.run(until=100)
         with pytest.raises(ValueError):
             self._arm(timer, sim, 50, mode, "refused")
-        assert timer.armed and timer.deadline == 500
+        assert timer.armed and timer._deadline == 500
         sim.run()
         assert fired == [(500, ("kept",))]
 
