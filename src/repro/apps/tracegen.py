@@ -48,15 +48,30 @@ DATA_MINING_CDF: Tuple[Tuple[float, int], ...] = (
 )
 
 
+def check_cdf(cdf: Sequence[Tuple[float, int]]) -> None:
+    """Raise :class:`ValueError` unless ``cdf`` is a flow-size CDF the
+    sampler can draw from: ``(cumulative probability, size in bytes)``
+    points spanning probabilities 0.0 .. 1.0, both columns
+    non-decreasing, every size positive (sizes are interpolated in log
+    space)."""
+    if len(cdf) < 2 or cdf[0][0] != 0.0 or cdf[-1][0] != 1.0:
+        raise ValueError("CDF must span probabilities 0.0 .. 1.0")
+    probs = [p for p, _s in cdf]
+    if probs != sorted(probs):
+        raise ValueError("CDF probabilities must be non-decreasing")
+    sizes = [s for _p, s in cdf]
+    if sizes != sorted(sizes):
+        raise ValueError("CDF sizes must be non-decreasing")
+    if sizes[0] < 1:
+        raise ValueError("CDF sizes must be positive")
+
+
 class EmpiricalFlowSizes:
     """Inverse-CDF sampler over a piecewise-linear size distribution."""
 
     def __init__(self, cdf: Sequence[Tuple[float, int]], rng: SeededRandom):
-        if len(cdf) < 2 or cdf[0][0] != 0.0 or cdf[-1][0] != 1.0:
-            raise ValueError("CDF must span probabilities 0.0 .. 1.0")
+        check_cdf(cdf)
         probs = [p for p, _s in cdf]
-        if probs != sorted(probs):
-            raise ValueError("CDF probabilities must be non-decreasing")
         self._probs = probs
         self._sizes = [s for _p, s in cdf]
         self.rng = rng

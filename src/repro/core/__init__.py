@@ -8,14 +8,11 @@ per-TDN RTT models with cross-TDN (type-3) sample filtering and a
 pessimistic retransmission timer.
 """
 
-from repro.core.tdtcp import TDTCPConnection
-from repro.core.tdn_state import PerTDNState
-from repro.core.reordering import suspect_cross_tdn_reordering
-from repro.core.rtt import pessimistic_rto_ns
+from repro import lazy_exports
 
-__all__ = [
-    "TDTCPConnection",
-    "PerTDNState",
-    "suspect_cross_tdn_reordering",
-    "pessimistic_rto_ns",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "tdtcp": ("TDTCPConnection",),
+    "tdn_state": ("PerTDNState",),
+    "reordering": ("suspect_cross_tdn_reordering",),
+    "rtt": ("pessimistic_rto_ns",),
+})

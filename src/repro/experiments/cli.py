@@ -11,6 +11,8 @@ Usage::
     python -m repro.experiments.cli replay-trace --trace flows.csv --variant tdtcp
     python -m repro.experiments.cli chaos --fault-plan examples/fault_plans/day_one_storm.json --audit fail
     python -m repro.experiments.cli list
+
+The renderers and the sweeps are imported by the targets that use them.
 """
 
 from __future__ import annotations
@@ -29,24 +31,8 @@ from repro.experiments.executor import CampaignAborted, ExperimentExecutor
 from repro.experiments.figures import FIGURES
 from repro.obs.campaign import CampaignLog
 from repro.obs.telemetry import ObsConfig
-from repro.experiments.report import (
-    fct_cdf_to_csv,
-    figure_to_csv,
-    load_sweep_to_csv,
-    render_fig10,
-    render_headline_claims,
-    render_seq_graph,
-    render_throughput_summary,
-    render_voq_graph,
-    sweep_to_csv,
-)
 from repro.experiments.runner import run_experiment
-from repro.experiments.sweeps import (
-    buffer_economics_sweep,
-    day_length_sweep,
-    duty_ratio_sweep,
-    load_sweep,
-)
+from repro.experiments.variants import engine_variants
 from repro.net.queues import BUFFER_POLICIES
 
 #: The flags that build a ToR buffer (:meth:`RDCNConfig.with_buffer`).
@@ -286,6 +272,15 @@ def finish_campaign(executor: ExperimentExecutor) -> List[str]:
 def run_figure(name: str, args) -> int:
     """Run one figure; failed variants degrade the figure (reported
     per-variant on stderr, exit 1) instead of aborting it."""
+    from repro.experiments.report import (
+        figure_to_csv,
+        render_fig10,
+        render_headline_claims,
+        render_seq_graph,
+        render_throughput_summary,
+        render_voq_graph,
+    )
+
     executor = executor_from_args(args)
     data = FIGURES[name](
         executor=executor,
@@ -367,6 +362,9 @@ def run_sweep_load(args) -> int:
     """The sweep-load target: offered load x variant grid through the
     workload engine, one executor batch (parallel / cached /
     checkpointable like every other campaign)."""
+    from repro.experiments.report import fct_cdf_to_csv, load_sweep_to_csv
+    from repro.experiments.sweeps import load_sweep
+
     try:
         loads = tuple(float(v) for v in args.loads.split(",") if v.strip())
     except ValueError:
@@ -377,6 +375,11 @@ def run_sweep_load(args) -> int:
     if not loads or not variants:
         print("--loads and --variants must each name at least one value",
               file=sys.stderr)
+        return 2
+    unsupported = [v for v in variants if v not in engine_variants()]
+    if unsupported:
+        print(f"--variants: {', '.join(unsupported)} not supported by the workload "
+              f"engine; supported: {', '.join(engine_variants())}", file=sys.stderr)
         return 2
     executor = executor_from_args(args)
     result = load_sweep(
@@ -452,6 +455,13 @@ def run_replay_trace(args) -> int:
 
 def run_sweep(args) -> int:
     """The sweep-ratio / sweep-day / sweep-buffer targets."""
+    from repro.experiments.report import sweep_to_csv
+    from repro.experiments.sweeps import (
+        buffer_economics_sweep,
+        day_length_sweep,
+        duty_ratio_sweep,
+    )
+
     executor = executor_from_args(args)
     common = dict(executor=executor, **run_fields(args))
     if args.target == "sweep-buffer":

@@ -35,6 +35,7 @@ CONFIG_SCHEMA_VERSION = 7
 #: with packet-level fallback at fidelity triggers.
 FIDELITY_MODES = ("packet", "tiered")
 
+from repro.apps.tracegen import DATA_MINING_CDF, WEB_SEARCH_CDF, check_cdf
 from repro.experiments.variants import VARIANTS
 from repro.faults.audit import AUDIT_MODES
 from repro.faults.plan import FaultPlan
@@ -97,11 +98,10 @@ class WorkloadConfig:
             # Canonical form: tuples of tuples (JSON round-trips as
             # lists, so normalize both directions).
             self.custom_cdf = tuple((float(p), int(s)) for p, s in self.custom_cdf)
+            check_cdf(self.custom_cdf)
 
     def size_cdf(self):
         """The (prob, size) points this config names."""
-        from repro.apps.tracegen import DATA_MINING_CDF, WEB_SEARCH_CDF
-
         if self.cdf == "web-search":
             return WEB_SEARCH_CDF
         if self.cdf == "data-mining":
@@ -199,6 +199,8 @@ class ExperimentConfig:
             self.fault_plan = FaultPlan.load(self.fault_plan_path)
         if self.n_flows < 1:
             raise ValueError("need at least one flow")
+        if self.retcp_alpha <= 1.0:
+            raise ValueError("retcp_alpha must exceed 1")
         if self.workload is not None and self.variant == "mptcp":
             # The engine opens/closes one plain connection per flow;
             # MPTCP's subflow bundles don't fit that churn discipline.

@@ -64,24 +64,25 @@ cache writes have one count, ``ResultCache.write_errors``.
 from __future__ import annotations
 
 import json
-import multiprocessing
 import os
 import pathlib
 import signal
 import threading
 from collections import Counter
-from concurrent.futures import BrokenExecutor, ProcessPoolExecutor, as_completed
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass
 from functools import partial
 from time import perf_counter
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.experiments.checkpoint import CampaignCheckpoint, ResumePlan
 from repro.experiments.config import CONFIG_SCHEMA_VERSION, ExperimentConfig
 from repro.experiments.runner import ExperimentResult, run_experiment, set_worker_heartbeat
 from repro.obs.campaign import CAMPAIGN_SCHEMA_VERSION, CampaignFold, CampaignLog
 from repro.obs.tracepoints import Tracepoint
+
+if TYPE_CHECKING:
+    from concurrent.futures import ProcessPoolExecutor
 
 #: (done, total, label, outcome) — outcome is "cached", "ok", "failed",
 #: or "retry" (a broken pool's casualty resubmitted; retry reports do
@@ -614,7 +615,13 @@ class ExperimentExecutor:
         whole pool: every run it left unsettled goes to a fresh pool
         (a ``retry`` record for each one that had started), at most
         :data:`POOL_REBUILDS` times; after the last break they fail as
-        infrastructure casualties."""
+        infrastructure casualties. :mod:`multiprocessing` and
+        :mod:`concurrent.futures` are imported here, by a batch that
+        pools, and not with this module: a ``jobs=1`` run and every
+        spawn worker do without them."""
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
         ctx = multiprocessing.get_context("spawn")
         workers = min(self.jobs, len(pending))
         attempts = dict.fromkeys(pending, 0)
@@ -648,6 +655,8 @@ class ExperimentExecutor:
         """Submit ``todo`` to ``pool`` and settle each run as it
         completes, its heartbeats journaled just ahead of its ending.
         Returns None, or the error that broke the pool."""
+        from concurrent.futures import BrokenExecutor, as_completed
+
         futures = {}
         try:
             for i in todo:

@@ -3,14 +3,13 @@ the figures need."""
 
 from __future__ import annotations
 
-import logging
 import math
 
 from bisect import bisect_right
 from collections import Counter
 from itertools import chain
 from dataclasses import dataclass, field, replace
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.apps.engine import WorkloadEngine, load_trace
 from repro.apps.workload import build_workload
@@ -22,17 +21,17 @@ from repro.faults.audit import (
     run_with_watchdog,
     write_repro_bundle,
 )
-from repro.faults.injectors import FaultInjector
 from repro.net.queues import DropTailQueue
 from repro.obs.outcome import outcome_digest, strip_wall
 from repro.obs.sketch import sketch_from_samples
 from repro.obs.telemetry import Telemetry
 from repro.rdcn.topology import TwoRackTestbed, build_two_rack_testbed
-from repro.sim.fastpath import FLUID_VARIANTS, FluidFastPath, fidelity_report
 from repro.sim.simulator import Simulator
 from repro.units import throughput_gbps
 
-logger = logging.getLogger(__name__)
+if TYPE_CHECKING:
+    from repro.faults.injectors import FaultInjector
+    from repro.sim.fastpath import FluidFastPath
 
 
 # ----------------------------------------------------------------------
@@ -448,6 +447,9 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     (including ``fail``-mode audit violations and watchdog aborts) is
     captured into a repro bundle and returned as a structured
     ``result.failure`` instead of propagating.
+
+    The fluid fast path, the fault injector and :mod:`logging` are
+    imported only by a run that uses them.
     """
     variant = get_variant(config.variant)
     rdcn = config.rdcn
@@ -459,6 +461,8 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     fastpath: Optional[FluidFastPath] = None
     forced_reasons: List[str] = []
     if config.fidelity == "tiered":
+        from repro.sim.fastpath import FLUID_VARIANTS, FluidFastPath, fidelity_report
+
         if config.fault_plan is not None and len(config.fault_plan) > 0:
             forced_reasons.append("fault_plan")
         if config.audit == "fail":
@@ -469,7 +473,9 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
             # ECT senders: the fluid model cannot CE-mark.
             forced_reasons.append("ecn")
         if forced_reasons:
-            logger.info(
+            import logging
+
+            logging.getLogger(__name__).info(
                 "tiered fidelity unsupported for this run; forcing packet (%s)",
                 ", ".join(forced_reasons),
             )
@@ -521,6 +527,8 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
         # Fault arming happens before variant/workload construction so the
         # injector's deliver-wrappers sit underneath everything.
         if config.fault_plan is not None and len(config.fault_plan) > 0:
+            from repro.faults.injectors import FaultInjector
+
             injector = FaultInjector(testbed.sim, config.fault_plan, testbed.rng)
             injector.arm_testbed(testbed)
 

@@ -2,7 +2,9 @@
 
 Each :class:`VariantSpec` knows how to prepare the testbed (the
 dynamic-buffer controller for retcpdyn, the unoptimized notifier for
-tdtcp-unopt) and how to wire one cross-rack flow.
+tdtcp-unopt) and how to wire one cross-rack flow. The MPTCP and reTCP
+stacks are imported when their variant is first used, not with this
+module.
 """
 
 from __future__ import annotations
@@ -11,10 +13,7 @@ from dataclasses import dataclass
 from typing import Dict, Optional, Tuple, Type
 
 from repro.core.tdtcp import TDTCPConnection
-from repro.mptcp.connection import MPTCPConnection, create_mptcp_pair
 from repro.rdcn.topology import TwoRackTestbed
-from repro.retcp.dynbuf import DynamicBufferController
-from repro.retcp.retcp import ReTCPConnection
 from repro.tcp.connection import TCPConnection
 from repro.tcp.sockets import create_connection_pair
 
@@ -26,15 +25,19 @@ class VariantSpec:
     ``connection_cls`` / ``cc_name`` / :meth:`conn_kwargs` are the one
     description of how the variant opens a connection: ``make_flow``
     (bulk flows) and ``engine_flow_opener`` (the workload engine) both
-    read them. ``connection_cls=None`` marks a variant that does not
-    open one plain connection per flow (MPTCP's subflow bundles).
+    read them. A ``connection_cls`` of None marks a variant that does
+    not open one plain connection per flow (MPTCP's subflow bundles).
     """
 
     name: str
     description: str
     unoptimized_notifier: bool = False
-    connection_cls: Optional[Type[TCPConnection]] = TCPConnection
     cc_name: str = "cubic"
+
+    @property
+    def connection_cls(self) -> Optional[Type[TCPConnection]]:
+        """The class of the variant's one connection per flow."""
+        return TCPConnection
 
     def listens_to_tdn_changes(self) -> bool:
         """Whether this variant's connections subscribe to TDN-change
@@ -60,7 +63,7 @@ class VariantSpec:
             connection_cls=self.connection_cls,
             **self.conn_kwargs(testbed, exp_config),
         )
-        controller: Optional[DynamicBufferController] = context.get("controller")
+        controller = context.get("controller")
         if controller is not None:
             controller.register(client)
             controller.register(server)
@@ -77,17 +80,22 @@ class SinglePathVariant(VariantSpec):
 class MPTCPVariant(VariantSpec):
     """mptcp2f: two subflows pinned to packet/optical with tdm_schd."""
 
+    connection_cls = None
+
     def __init__(self):
         super().__init__(
             name="mptcp",
             description="MPTCP, 2 subflows pinned per network, tdm_schd scheduler",
-            connection_cls=None,
         )
 
     def listens_to_tdn_changes(self) -> bool:
+        from repro.mptcp.connection import MPTCPConnection
+
         return MPTCPConnection.listens_to_tdn_changes
 
     def make_flow(self, testbed, src, dst, index, exp_config, context):
+        from repro.mptcp.connection import create_mptcp_pair
+
         return create_mptcp_pair(
             testbed.sim,
             src,
@@ -108,11 +116,19 @@ class ReTCPVariant(VariantSpec):
             if dynamic_buffers
             else "reTCP reacting to in-band circuit marks only"
         )
-        super().__init__(name=name, description=description, connection_cls=ReTCPConnection)
+        super().__init__(name=name, description=description)
+
+    @property
+    def connection_cls(self) -> Type[TCPConnection]:
+        from repro.retcp.retcp import ReTCPConnection
+
+        return ReTCPConnection
 
     def prepare(self, testbed, exp_config) -> dict:
         if not self.dynamic_buffers:
             return {}
+        from repro.retcp.dynbuf import DynamicBufferController
+
         controller = DynamicBufferController(
             testbed.sim,
             testbed.driver,
@@ -136,8 +152,11 @@ class TDTCPVariant(VariantSpec):
             name=name,
             description=description,
             unoptimized_notifier=unoptimized_notifier,
-            connection_cls=TDTCPConnection,
         )
+
+    @property
+    def connection_cls(self) -> Type[TCPConnection]:
+        return TDTCPConnection
 
     def conn_kwargs(self, testbed, exp_config) -> dict:
         return {"tdn_count": testbed.config.n_tdns}
@@ -167,10 +186,11 @@ def get_variant(name: str) -> VariantSpec:
 
 def engine_variants() -> Tuple[str, ...]:
     """Variants the workload engine can drive: every registered spec
-    that opens one plain connection per flow. MPTCP's subflow bundles
-    don't fit the engine's open/write/close churn discipline."""
+    but MPTCP's, the one that opens no plain connection per flow. Its
+    subflow bundles don't fit the engine's open/write/close churn
+    discipline. (Read off the spec's class, so no stack is imported.)"""
     return tuple(
-        name for name, spec in VARIANTS.items() if spec.connection_cls is not None
+        name for name, spec in VARIANTS.items() if not isinstance(spec, MPTCPVariant)
     )
 
 

@@ -4,27 +4,17 @@ See ``docs/robustness.md`` for the fault-plan JSON schema, the injector
 catalog, auditor modes, and the repro-bundle workflow.
 """
 
-from repro.faults.audit import (
-    AUDIT_MODES,
-    InvariantAuditor,
-    InvariantViolation,
-    WatchdogExceeded,
-    run_with_watchdog,
-    write_repro_bundle,
-)
-from repro.faults.injectors import FaultInjector
-from repro.faults.plan import FAULT_CATALOG, FaultPlan, FaultPlanError, FaultSpec
+from repro import lazy_exports
 
-__all__ = [
-    "AUDIT_MODES",
-    "FAULT_CATALOG",
-    "FaultInjector",
-    "FaultPlan",
-    "FaultPlanError",
-    "FaultSpec",
-    "InvariantAuditor",
-    "InvariantViolation",
-    "WatchdogExceeded",
-    "run_with_watchdog",
-    "write_repro_bundle",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "audit": (
+        "AUDIT_MODES",
+        "InvariantAuditor",
+        "InvariantViolation",
+        "WatchdogExceeded",
+        "run_with_watchdog",
+        "write_repro_bundle",
+    ),
+    "injectors": ("FaultInjector",),
+    "plan": ("FAULT_CATALOG", "FaultPlan", "FaultPlanError", "FaultSpec"),
+})

@@ -10,13 +10,10 @@ measures; connection-level reinjection (RTO-triggered) remaps stalled
 data onto the active subflow at the cost of duplicate transmission.
 """
 
-from repro.mptcp.scheduler import TdmScheduler
-from repro.mptcp.subflow import MPTCPSubflow
-from repro.mptcp.connection import MPTCPConnection, create_mptcp_pair
+from repro import lazy_exports
 
-__all__ = [
-    "TdmScheduler",
-    "MPTCPSubflow",
-    "MPTCPConnection",
-    "create_mptcp_pair",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "scheduler": ("TdmScheduler",),
+    "subflow": ("MPTCPSubflow",),
+    "connection": ("MPTCPConnection", "create_mptcp_pair"),
+})

@@ -1,25 +1,14 @@
 """Network substrate: packets, links, queues, hosts, and switches."""
 
-from repro.net.addressing import FlowKey
-from repro.net.packet import Packet, TCPSegment, TDNNotification
-from repro.net.link import Link
-from repro.net.queues import DropTailQueue
-from repro.net.node import Host, PacketHandler
-from repro.net.switch import ToRSwitch
-from repro.net.capture import PacketCapture, dissect
-from repro.net.pcap import write_pcap
+from repro import lazy_exports
 
-__all__ = [
-    "PacketCapture",
-    "dissect",
-    "write_pcap",
-    "FlowKey",
-    "Packet",
-    "TCPSegment",
-    "TDNNotification",
-    "Link",
-    "DropTailQueue",
-    "Host",
-    "PacketHandler",
-    "ToRSwitch",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "addressing": ("FlowKey",),
+    "packet": ("Packet", "TCPSegment", "TDNNotification"),
+    "link": ("Link",),
+    "queues": ("DropTailQueue",),
+    "node": ("Host", "PacketHandler"),
+    "switch": ("ToRSwitch",),
+    "capture": ("PacketCapture", "dissect"),
+    "pcap": ("write_pcap",),
+})

@@ -23,63 +23,37 @@ See ``docs/observability.md`` for the tracepoint catalog and the
 mapping to the paper's kernel probes.
 """
 
-from repro.obs.campaign import (
-    CAMPAIGN_SCHEMA_VERSION,
-    CampaignLog,
-    campaign_summary,
-    read_campaign,
-    validate_record,
-    validate_records,
-)
-from repro.obs.exporters import (
-    MemoryExporter,
-    render_chrome_trace,
-    render_jsonl,
-    write_csv_series,
-)
-from repro.obs.metrics import Counter, Gauge, MetricsRegistry, Sketch
-from repro.obs.profiling import SimulatorProfiler
-from repro.obs.sketch import (
-    DEFAULT_ALPHA,
-    PERCENTILE_LABELS,
-    QuantileSketch,
-    StreamStats,
-    sketch_from_samples,
-)
-from repro.obs.telemetry import DISABLED, ObsConfig, Telemetry
-from repro.obs.tracepoints import (
-    NULL_TRACEPOINT,
-    TRACEPOINT_CATALOG,
-    Tracepoint,
-    TracepointRegistry,
-)
+from repro import lazy_exports
 
-__all__ = [
-    "CAMPAIGN_SCHEMA_VERSION",
-    "CampaignLog",
-    "Counter",
-    "DEFAULT_ALPHA",
-    "DISABLED",
-    "Gauge",
-    "MemoryExporter",
-    "MetricsRegistry",
-    "NULL_TRACEPOINT",
-    "ObsConfig",
-    "PERCENTILE_LABELS",
-    "QuantileSketch",
-    "SimulatorProfiler",
-    "Sketch",
-    "StreamStats",
-    "TRACEPOINT_CATALOG",
-    "Telemetry",
-    "Tracepoint",
-    "TracepointRegistry",
-    "campaign_summary",
-    "read_campaign",
-    "render_chrome_trace",
-    "render_jsonl",
-    "sketch_from_samples",
-    "validate_record",
-    "validate_records",
-    "write_csv_series",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "campaign": (
+        "CAMPAIGN_SCHEMA_VERSION",
+        "CampaignLog",
+        "campaign_summary",
+        "read_campaign",
+        "validate_record",
+        "validate_records",
+    ),
+    "exporters": (
+        "MemoryExporter",
+        "render_chrome_trace",
+        "render_jsonl",
+        "write_csv_series",
+    ),
+    "metrics": ("Counter", "Gauge", "MetricsRegistry", "Sketch"),
+    "profiling": ("SimulatorProfiler",),
+    "sketch": (
+        "DEFAULT_ALPHA",
+        "PERCENTILE_LABELS",
+        "QuantileSketch",
+        "StreamStats",
+        "sketch_from_samples",
+    ),
+    "telemetry": ("DISABLED", "ObsConfig", "Telemetry"),
+    "tracepoints": (
+        "NULL_TRACEPOINT",
+        "TRACEPOINT_CATALOG",
+        "Tracepoint",
+        "TracepointRegistry",
+    ),
+})

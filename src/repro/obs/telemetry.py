@@ -16,6 +16,10 @@ Instrumented code never imports this module's state directly; it calls
 ``Telemetry.of(sim)``, which returns the attached instance or a shared
 disabled stand-in whose tracepoints never enable. A probe site in a run
 without telemetry therefore costs one attribute check.
+
+The exporters and the profiler are imported by the first
+:class:`Telemetry` that needs them, so a run without ``obs`` never
+loads them.
 """
 
 from __future__ import annotations
@@ -23,22 +27,18 @@ from __future__ import annotations
 import json
 import pathlib
 from dataclasses import dataclass, fields, replace
-from typing import Any, List, Optional
+from typing import TYPE_CHECKING, Any, List, Optional
 
-from repro.obs.exporters import (
-    MemoryExporter,
-    render_chrome_trace,
-    render_jsonl,
-    write_csv_series,
-)
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.profiling import SimulatorProfiler
 from repro.obs.tracepoints import (
     NULL_TRACEPOINT,
     Subscriber,
     Tracepoint,
     TracepointRegistry,
 )
+
+if TYPE_CHECKING:
+    from repro.obs.profiling import SimulatorProfiler
 
 
 @dataclass(frozen=True)
@@ -86,6 +86,8 @@ class Telemetry:
     enabled = True
 
     def __init__(self, config: Optional[ObsConfig] = None):
+        from repro.obs.exporters import MemoryExporter
+
         self.config = config or ObsConfig()
         self.tracepoints = TracepointRegistry()
         self.metrics = MetricsRegistry()
@@ -140,6 +142,8 @@ class Telemetry:
         if self.sim is None:
             raise RuntimeError("attach() a simulator before enabling profiling")
         if self.profiler is None:
+            from repro.obs.profiling import SimulatorProfiler
+
             self.profiler = SimulatorProfiler()
             self.sim.profiler = self.profiler
         return self.profiler
@@ -205,6 +209,8 @@ class Telemetry:
     def finish(self) -> List[str]:
         """Write every configured artifact; returns the paths written.
         Idempotent: a second call rewrites the same files."""
+        from repro.obs.exporters import render_chrome_trace, render_jsonl, write_csv_series
+
         self._artifacts = []
         cfg = self.config
         if cfg.trace_dir:

@@ -6,27 +6,14 @@ rack-to-rack fabric with per-direction VOQs, and ToR-generated TDN
 change notifications with the §5.4 latency component model.
 """
 
-from repro.rdcn.config import RDCNConfig, NotifierConfig
-from repro.rdcn.schedule import Day, TDNSchedule, ScheduleDriver
-from repro.rdcn.fabric import NetworkPath, RackUplink
-from repro.rdcn.notifier import TDNNotifier
-from repro.rdcn.topology import TwoRackTestbed, build_two_rack_testbed
-from repro.rdcn.rotor import round_robin_matchings
-from repro.rdcn.opera import OperaConfig, OperaTestbed, build_opera_testbed
+from repro import lazy_exports
 
-__all__ = [
-    "RDCNConfig",
-    "NotifierConfig",
-    "Day",
-    "TDNSchedule",
-    "ScheduleDriver",
-    "NetworkPath",
-    "RackUplink",
-    "TDNNotifier",
-    "TwoRackTestbed",
-    "build_two_rack_testbed",
-    "round_robin_matchings",
-    "OperaConfig",
-    "OperaTestbed",
-    "build_opera_testbed",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "config": ("RDCNConfig", "NotifierConfig"),
+    "schedule": ("Day", "TDNSchedule", "ScheduleDriver"),
+    "fabric": ("NetworkPath", "RackUplink"),
+    "notifier": ("TDNNotifier",),
+    "topology": ("TwoRackTestbed", "build_two_rack_testbed"),
+    "rotor": ("round_robin_matchings",),
+    "opera": ("OperaConfig", "OperaTestbed", "build_opera_testbed"),
+})

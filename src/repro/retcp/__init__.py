@@ -9,7 +9,9 @@ notify senders to ramp up early, pre-filling the queue so transmission
 starts at circuit rate immediately.
 """
 
-from repro.retcp.retcp import ReTCPConnection
-from repro.retcp.dynbuf import DynamicBufferController
+from repro import lazy_exports
 
-__all__ = ["ReTCPConnection", "DynamicBufferController"]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "retcp": ("ReTCPConnection",),
+    "dynbuf": ("DynamicBufferController",),
+})

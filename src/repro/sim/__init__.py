@@ -5,15 +5,11 @@ queue with deterministic FIFO tie-breaking, so two runs with the same seed
 produce byte-identical traces.
 """
 
-from repro.sim.events import Event, EventQueue
-from repro.sim.simulator import Simulator
-from repro.sim.timers import Timer
-from repro.sim.rng import SeededRandom
+from repro import lazy_exports
 
-__all__ = [
-    "Event",
-    "EventQueue",
-    "Simulator",
-    "Timer",
-    "SeededRandom",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "events": ("Event", "EventQueue"),
+    "simulator": ("Simulator",),
+    "timers": ("Timer",),
+    "rng": ("SeededRandom",),
+})

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import gc
 from heapq import heappop as _heappop
 from time import perf_counter
 from typing import Any, Callable, Optional
@@ -154,7 +155,16 @@ class Simulator:
         The loop works on the event queue's heap directly: lazy discard
         of cancelled handle entries (never counted as processed), the
         ``until`` horizon check, and the pop are fused into one pass.
+
+        The cyclic collector is paused for the loop and the caller's
+        setting restored after it: a run allocates no reference cycles
+        (a released flow is freed by reference counting), so a
+        collection inside the loop would only walk the heap and free
+        nothing. ``tests/test_engine.py::TestTeardown`` holds every
+        variant to that.
         """
+        collecting = gc.isenabled()
+        gc.disable()
         processed = 0
         profiler = self.profiler
         if profiler is not None:
@@ -205,6 +215,8 @@ class Simulator:
                     if not (heap and heap[0][0] == time):
                         self._fire_heartbeat(base_events + processed)
         finally:
+            if collecting:
+                gc.enable()
             self._event_count += processed
             if profiler is not None:
                 profiler.run_finished(processed)

@@ -8,23 +8,14 @@ congestion state machine, RFC 6298 RTO with Karn's rule, and RACK-TLP
 loss detection.
 """
 
-from repro.tcp.config import TCPConfig
-from repro.tcp.connection import TCPConnection, SegmentState
-from repro.tcp.ranges import RangeSet
-from repro.tcp.buffers import SendBuffer, ReceiveBuffer
-from repro.tcp.rtt import RTTEstimator
-from repro.tcp.state import CaState
-from repro.tcp.cc import CongestionControl, make_congestion_control
+from repro import lazy_exports
 
-__all__ = [
-    "TCPConfig",
-    "TCPConnection",
-    "SegmentState",
-    "RangeSet",
-    "SendBuffer",
-    "ReceiveBuffer",
-    "RTTEstimator",
-    "CaState",
-    "CongestionControl",
-    "make_congestion_control",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "config": ("TCPConfig",),
+    "connection": ("TCPConnection", "SegmentState"),
+    "ranges": ("RangeSet",),
+    "buffers": ("SendBuffer", "ReceiveBuffer"),
+    "rtt": ("RTTEstimator",),
+    "state": ("CaState",),
+    "cc": ("CongestionControl", "make_congestion_control"),
+})

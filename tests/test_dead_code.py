@@ -7,8 +7,9 @@ A reference is an identifier in code or inside a string literal (a
 ``getattr`` target, a registry key), taken by name: ``x.close`` keeps
 every ``close`` method alive. A docstring (the first string statement
 of a module, class or function) is documentation, not a caller. The
-import and ``__all__`` lines of an ``__init__.py`` only re-export a
-name and are not references. Dunder methods are called by the language
+import and ``__all__`` lines of an ``__init__.py``, and the name table
+it hands :func:`repro.lazy_exports`, only re-export a name and are not
+references. Dunder methods are called by the language
 and are not checked.
 
 Every defaulted parameter of such a function or method must be set
@@ -59,9 +60,20 @@ _FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
 def _is_reexport(node: ast.stmt) -> bool:
     if isinstance(node, (ast.Import, ast.ImportFrom)):
         return True
-    return isinstance(node, ast.Assign) and any(
-        isinstance(target, ast.Name) and target.id == "__all__" for target in node.targets
+    return isinstance(node, ast.Assign) and (
+        any(isinstance(target, ast.Name) and target.id == "__all__" for target in node.targets)
+        or _lazy_exports_call(node) is not None
     )
+
+
+def _lazy_exports_call(node: ast.stmt):
+    """The ``lazy_exports(...)`` call an ``__init__.py`` assigns, if
+    ``node`` is that assignment."""
+    value = getattr(node, "value", None)
+    if isinstance(value, ast.Call) and isinstance(value.func, ast.Name) \
+            and value.func.id == "lazy_exports":
+        return value
+    return None
 
 
 def _docstrings(tree: ast.AST) -> Set[int]:
@@ -118,6 +130,9 @@ def _scan(root: pathlib.Path) -> Tuple[List[Tuple[str, str]], Dict[str, Dict[str
 
         for stmt in tree.body:
             if in_init and _is_reexport(stmt):
+                call = _lazy_exports_call(stmt)
+                if call is not None:
+                    note(call.func, ())  # the resolver is called; its name table is not
                 continue
             if isinstance(stmt, _FUNCTIONS):
                 definitions.append((rel, stmt.name))

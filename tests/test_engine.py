@@ -21,6 +21,7 @@ from repro.apps.engine import (
     size_bin,
     write_trace,
 )
+from repro.apps.tracegen import DATA_MINING_CDF, WEB_SEARCH_CDF, EmpiricalFlowSizes, check_cdf
 from repro.experiments.config import (
     CONFIG_SCHEMA_VERSION,
     ExperimentConfig,
@@ -32,10 +33,12 @@ from repro.experiments.sweeps import load_sweep
 from repro.experiments.variants import VARIANTS, SinglePathVariant, engine_variants
 from repro.obs.campaign import CampaignLog, campaign_summary
 from repro.obs.outcome import strip_wall
+from repro.obs.telemetry import ObsConfig
 from repro.rdcn.config import RDCNConfig
 from repro.rdcn.opera import OperaConfig
 from repro.rdcn.topology import build_two_rack_testbed
 from repro.sim.rng import SeededRandom
+from repro.sim.simulator import Simulator
 from repro.tcp.connection import TCPConnection
 
 from tests.helpers import tdtcp_engine
@@ -371,10 +374,30 @@ class TestEngineRuns:
         assert restored.truncated_flows == result.truncated_flows
 
 
+def _uncollected_after_each_run(monkeypatch) -> list:
+    """Wrap ``Simulator.run``: collect before it starts, then record
+    how many unreachable objects a collection finds when it returns
+    (the garbage the run loop left for the collector it pauses)."""
+    found = []
+    run = Simulator.run
+
+    def counted(sim, *args, **kwargs):
+        gc.collect()
+        processed = run(sim, *args, **kwargs)
+        found.append(gc.collect())
+        return processed
+
+    monkeypatch.setattr(Simulator, "run", counted)
+    return found
+
+
 class TestTeardown:
     """A released flow frees itself: with the cyclic collector off, every
     connection the engine released is gone by the end of the run, so no
-    finished flow waits in a reference cycle for the collector."""
+    finished flow waits in a reference cycle for the collector. More
+    broadly, a run allocates no reference cycles, which is what lets
+    ``Simulator.run`` pause the collector: a collection when a run loop
+    returns finds nothing."""
 
     @pytest.mark.parametrize("variant", engine_variants())
     def test_released_connections_need_no_collector(self, variant, monkeypatch):
@@ -386,6 +409,7 @@ class TestTeardown:
             released.append(weakref.ref(conn))
 
         monkeypatch.setattr(TCPConnection, "release", tracked)
+        found = _uncollected_after_each_run(monkeypatch)
         collecting = gc.isenabled()
         gc.disable()
         try:
@@ -399,6 +423,37 @@ class TestTeardown:
         assert result.failure is None
         assert len(released) >= 20  # both ends of at least ten flows
         assert [conn.name for conn in alive] == []
+        assert found and set(found) == {0}
+
+    @pytest.mark.parametrize("case", ["mptcp bulk", "fault plan", "obs", "audit fail"])
+    def test_a_run_leaves_no_cycle_for_the_collector(self, case, monkeypatch, tmp_path):
+        if case == "mptcp bulk":
+            config = ExperimentConfig(variant="mptcp", weeks=3, warmup_weeks=1, n_flows=2)
+        elif case == "fault plan":
+            config = engine_config(
+                variant="tdtcp", weeks=4, workload=dict(max_flows=30),
+                fault_plan_path="examples/fault_plans/lossy_fabric.json",
+            )
+        elif case == "obs":
+            config = engine_config(
+                variant="tdtcp", weeks=2, workload=dict(max_flows=30),
+                obs=ObsConfig(trace_dir=str(tmp_path), metrics_dir=str(tmp_path), profile=True),
+            )
+        else:
+            config = engine_config(
+                variant="tdtcp", weeks=2, workload=dict(max_flows=30), audit="fail",
+                bundle_dir=str(tmp_path),
+            )
+        found = _uncollected_after_each_run(monkeypatch)
+        collecting = gc.isenabled()
+        gc.disable()
+        try:
+            result = run_experiment(config)
+        finally:
+            if collecting:
+                gc.enable()
+        assert result.failure is None
+        assert found and set(found) == {0}
 
 
 class TestTraceReplay:
@@ -513,6 +568,29 @@ class TestWorkloadConfig:
     def test_mptcp_rejected_with_workload(self):
         with pytest.raises(ValueError, match="mptcp"):
             engine_config(variant="mptcp")
+
+    @pytest.mark.parametrize("cdf, message", [
+        (((0.5, 1000), (0.2, 2000)), "span probabilities"),
+        (((0.0, 1000), (0.7, 3000), (0.5, 2000), (1.0, 4000)), "probabilities must be non-decreasing"),
+        (((0.0, 5000), (0.5, 1000), (1.0, 2000)), "sizes must be non-decreasing"),
+        (((0.0, 0), (1.0, 2000)), "sizes must be positive"),
+    ])
+    def test_a_custom_cdf_is_checked_when_the_config_is_built(self, cdf, message):
+        # Before: only the engine's set-up noticed (or, for decreasing
+        # sizes, nothing did and the run went ahead).
+        with pytest.raises(ValueError, match=message):
+            WorkloadConfig(cdf="custom", custom_cdf=cdf)
+        with pytest.raises(ValueError, match=message):
+            EmpiricalFlowSizes(cdf, SeededRandom(1))
+
+    def test_every_shipped_cdf_passes_the_check(self):
+        for cdf in (WEB_SEARCH_CDF, DATA_MINING_CDF, FIXED_10KB):
+            check_cdf(cdf)
+
+    @pytest.mark.parametrize("alpha", [-1.0, 0.5, 1.0])
+    def test_a_retcp_alpha_of_at_most_one_is_refused_when_the_config_is_built(self, alpha):
+        with pytest.raises(ValueError, match="retcp_alpha must exceed 1"):
+            ExperimentConfig(variant="retcp", retcp_alpha=alpha)
 
 
 class TestLoadSweep:

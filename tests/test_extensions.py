@@ -204,6 +204,14 @@ class TestCLIRefusesBeforeAnyRun:
         assert code == 2
         assert "nope" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("names", ["nope", "cubic,nope", "mptcp"])
+    def test_an_unsupported_sweep_load_variant_exits_2_naming_the_flag(self, no_run, capsys, names):
+        code = cli_main(["sweep-load", "--weeks", "3", "--warmup", "1", "--variants", names])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.count("\n") == 1 and err.startswith("--variants: ")
+        assert "supported: cubic, dctcp, reno" in err
+
 
 # ----------------------------------------------------------------------
 # A run option has one road to a run: flag x target matrix

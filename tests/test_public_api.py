@@ -122,11 +122,22 @@ def test_no_environment_knobs():
     assert offenders == []
 
 
+#: What a packet-fidelity cubic engine run does not use, so neither
+#: the CLI import nor the run may load it (a name ending in "." stands
+#: for the whole package).
+NOT_LOADED_BY_A_PLAIN_RUN = (
+    "repro.mptcp.", "repro.retcp.", "repro.sim.fastpath", "repro.faults.injectors",
+    "repro.net.pcap", "repro.net.capture", "repro.apps.incast",
+    "multiprocessing.", "concurrent.futures.", "logging.",
+)
+
+
 def test_the_package_runs_on_the_standard_library(tmp_path):
     # NumPy is the test suite's oracle, never the product's dependency:
-    # a fresh interpreter that imports the CLI, draws a figure row,
-    # renders and exports it, and runs the workload engine must not
-    # have imported it.
+    # a fresh interpreter that imports the CLI, runs the workload
+    # engine, draws a figure row, renders and exports it must not have
+    # imported it. Start-up loads only what a run uses: after the CLI
+    # import and a cubic engine run, no optional subsystem is loaded.
     script = textwrap.dedent(
         """
         import sys
@@ -134,13 +145,8 @@ def test_the_package_runs_on_the_standard_library(tmp_path):
         import repro
         import repro.experiments.cli
         from repro.experiments.config import ExperimentConfig, WorkloadConfig
-        from repro.experiments.figures import fig2
-        from repro.experiments.report import figure_to_csv, render_fig10, render_seq_graph
         from repro.experiments.runner import run_experiment
 
-        data = fig2(weeks=2, warmup_weeks=1, n_flows=1)
-        assert "optimal" in render_seq_graph(data) and render_fig10(data)
-        assert figure_to_csv(data, sys.argv[1])
         workload = WorkloadConfig(
             cdf="custom", custom_cdf=((0.0, 10_000), (1.0, 10_000)), max_flows=4
         )
@@ -149,16 +155,26 @@ def test_the_package_runs_on_the_standard_library(tmp_path):
             collect_voq=False, collect_sequence=False,
         ))
         assert engine.workload_summary["completed"] == 4
+        forbidden = tuple(sys.argv[2].split(","))
+        print(sorted(name for name in sys.modules
+                     if name.startswith(forbidden) or name + "." in forbidden))
+
+        from repro.experiments.figures import fig2
+        from repro.experiments.report import figure_to_csv, render_fig10, render_seq_graph
+
+        data = fig2(weeks=2, warmup_weeks=1, n_flows=1)
+        assert "optimal" in render_seq_graph(data) and render_fig10(data)
+        assert figure_to_csv(data, sys.argv[1])
         print(sorted(name for name in sys.modules if name.split(".")[0] == "numpy"))
         """
     )
     src = str(pathlib.Path(repro.__file__).resolve().parent.parent)
     child = subprocess.run(
-        [sys.executable, "-c", script, str(tmp_path)],
+        [sys.executable, "-c", script, str(tmp_path), ",".join(NOT_LOADED_BY_A_PLAIN_RUN)],
         env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True,
     )
     assert child.returncode == 0, child.stderr
-    assert child.stdout.strip() == "[]"
+    assert child.stdout.splitlines() == ["[]", "[]"]
 
 
 def test_public_classes_have_docstrings():

@@ -31,6 +31,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import repro.experiments.executor as executor_mod
+import repro.experiments.runner as runner_mod
 from repro.experiments.checkpoint import (
     CampaignCheckpoint,
     checkpoint_path,
@@ -410,25 +411,31 @@ class TestQuarantine:
         assert not results[0].ok
         assert results[0].failure.error_type == "Boom"
 
-    def bad_cdf_config(self, tmp_path) -> ExperimentConfig:
-        """A config whose workload CDF the engine's set-up rejects."""
-        workload = WorkloadConfig(cdf="custom", custom_cdf=((0.5, 1000), (0.2, 2000)))
+    def setup_crash_config(self, tmp_path, monkeypatch) -> ExperimentConfig:
+        """An engine config whose testbed set-up raises. (A bad value
+        never gets this far: the config rejects it when it is built.)"""
+        def reject(*_args, **_kwargs):
+            raise ValueError("set-up rejects this testbed")
+
+        monkeypatch.setattr(runner_mod, "build_two_rack_testbed", reject)
+        workload = WorkloadConfig(cdf="custom", custom_cdf=((0.0, 1000), (1.0, 2000)))
         return ExperimentConfig(
             variant="cubic", weeks=4, warmup_weeks=1, n_flows=2, seed=1,
             workload=workload, bundle_dir=str(tmp_path / "bundles"),
         )
 
-    def test_setup_crash_is_the_runs_own_failure(self, tmp_path):
+    def test_setup_crash_is_the_runs_own_failure(self, tmp_path, monkeypatch):
         """A set-up step that raises is captured like a crash mid-run:
         not an infrastructure casualty, and it leaves a repro bundle."""
-        (result,) = ExperimentExecutor().run_batch([self.bad_cdf_config(tmp_path)])
+        config = self.setup_crash_config(tmp_path, monkeypatch)
+        (result,) = ExperimentExecutor().run_batch([config])
         failure = result.failure
         assert (failure.error_type, failure.infrastructure) == ("ValueError", False)
-        assert "CDF must span probabilities" in failure.error_message
+        assert "set-up rejects this testbed" in failure.error_message
         assert failure.bundle_path is not None
         assert pathlib.Path(failure.bundle_path).is_dir()
         # Crashed before the fast path was built: no fidelity story to tell.
-        tiered = run_experiment(replace(self.bad_cdf_config(tmp_path), fidelity="tiered"))
+        tiered = run_experiment(replace(config, fidelity="tiered"))
         assert tiered.failure is not None and tiered.fidelity_report is None
 
     def test_unknown_variant_is_rejected_by_the_config(self):
@@ -436,7 +443,7 @@ class TestQuarantine:
             small_config(variant="bogus")
 
     def test_setup_crash_is_quarantined_on_resume(self, tmp_path, monkeypatch):
-        config = self.bad_cdf_config(tmp_path)
+        config = self.setup_crash_config(tmp_path, monkeypatch)
         path = tmp_path / "camp.jsonl"
         with CampaignLog(str(path)) as log:
             ExperimentExecutor(campaign=log, checkpoint_to=checkpoint_path(str(path))).run_batch(

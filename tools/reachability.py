@@ -398,8 +398,6 @@ KEEP: Dict[str, object] = {
         "tests/test_faults.py::TestChaosCLI::test_failed_run_exits_nonzero_with_bundle_path"),
     "experiments/runner.py::ExperimentResult.failed": Error(
         "tests/test_faults.py::TestRunnerIntegration::test_watchdog_failure_becomes_structured_result"),
-    "experiments/variants.py::engine_variants": Error(
-        "tests/test_engine.py::TestLoadSweep::test_a_registered_single_path_variant_is_an_engine_variant"),
     "sim/timers.py::_closed_timer": Error(
         "tests/test_sim_core.py::TestTimer::test_a_timer_armed_after_close_raises_when_it_fires"),
     "obs/tracepoints.py::_NullTracepoint.subscribe": Error(
