@@ -13,8 +13,12 @@ low latency) and TDN 1 as the satellite pass (high bandwidth, high
 latency), alternating every 2 ms with a 100 us handover blackout, and
 compare TDTCP against plain CUBIC.
 
-Run:  python examples/satellite_handover.py
+Run:  python examples/satellite_handover.py [--cycles N]
+
+``--cycles`` is the horizon in handover cycles (default 24).
 """
+
+import argparse
 
 from repro.apps.bulk import BulkReceiver, BulkSender
 from repro.core import TDTCPConnection
@@ -51,7 +55,7 @@ def satellite_config() -> RDCNConfig:
     )
 
 
-def run_variant(connection_cls, **kwargs) -> float:
+def run_variant(cycles: int, connection_cls, **kwargs) -> float:
     config = satellite_config()
     testbed = build_two_rack_testbed(config)
     tcp = TCPConfig(
@@ -72,13 +76,16 @@ def run_variant(connection_cls, **kwargs) -> float:
     receiver = BulkReceiver(server)
     BulkSender(client)
     testbed.start()
-    cycles = 24
     testbed.sim.run(until=cycles * config.week_ns)
     return throughput_gbps(receiver.delivered_bytes, testbed.sim.now)
 
 
 def main() -> None:
     from repro.tcp.connection import TCPConnection
+
+    parser = argparse.ArgumentParser(description="TDTCP vs CUBIC across satellite handovers")
+    parser.add_argument("--cycles", type=int, default=24, help="handover cycles to simulate")
+    cycles = parser.parse_args().cycles
 
     config = satellite_config()
     average_capacity = (
@@ -90,8 +97,8 @@ def main() -> None:
     print("  handover every 20 ms with a 500 us blackout")
     print(f"  average link capacity: {average_capacity:.2f} Gbps")
     print()
-    cubic = run_variant(TCPConnection)
-    tdtcp = run_variant(TDTCPConnection, tdn_count=2)
+    cubic = run_variant(cycles, TCPConnection)
+    tdtcp = run_variant(cycles, TDTCPConnection, tdn_count=2)
     print(f"  single-path CUBIC: {cubic:.3f} Gbps")
     print(f"  TDTCP:             {tdtcp:.3f} Gbps  "
           f"({(tdtcp / cubic - 1) * 100:+.0f}%)")

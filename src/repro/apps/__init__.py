@@ -12,7 +12,6 @@ __all__, __getattr__, __dir__ = lazy_exports(__name__, {
         "load_trace",
         "write_trace",
     ),
-    "workload": ("Flow", "Workload"),
     "incast": ("IncastCoordinator", "IncastStats", "run_incast"),
     "tracegen": ("DATA_MINING_CDF", "EmpiricalFlowSizes", "WEB_SEARCH_CDF"),
 })

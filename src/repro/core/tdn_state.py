@@ -31,9 +31,6 @@ class PerTDNState:
         self.current_index = 0
         self.switches = 0
 
-    def __len__(self) -> int:
-        return len(self.paths)
-
     def ensure_tdn(self, tdn_id: int) -> None:
         """Initialize state sets for TDNs observed for the first time
         (runtime schedule change support, §4.2)."""

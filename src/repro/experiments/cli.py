@@ -31,7 +31,6 @@ from repro.experiments.executor import CampaignAborted, ExperimentExecutor
 from repro.experiments.figures import FIGURES
 from repro.obs.campaign import CampaignLog
 from repro.obs.telemetry import ObsConfig
-from repro.experiments.runner import run_experiment
 from repro.experiments.variants import engine_variants
 from repro.net.queues import BUFFER_POLICIES
 
@@ -326,36 +325,53 @@ def run_figure(name: str, args) -> int:
 
 def run_chaos(args) -> int:
     """The chaos target: one bulk run under a fault plan with the
-    invariant auditor on (fail mode unless overridden). Exits non-zero
-    with the repro-bundle path printed when the run fails."""
+    invariant auditor on (fail mode unless overridden), as an executor
+    batch. Exits non-zero with the repro-bundle path printed when the
+    run fails."""
     run = run_fields(args)
-    result = run_experiment(ExperimentConfig(variant=args.variant, **run))
-    for line in result.render_reports():
-        print(line)
-    if result.failure is not None:
-        print(result.failure.render(), file=sys.stderr)
+    executor = executor_from_args(args)
+    [result] = executor.run_batch([ExperimentConfig(variant=args.variant, **run)])
+    lines = result.render_reports()
+    error = result.failure.render() if result.failure is not None else None
+    if error is None:
+        lines.append(f"delivered: {result.aggregate_delivered:,} bytes "
+                     f"({result.throughput_gbps:.2f} Gbps aggregate)")
+        if args.check_determinism:
+            passed, message = check_determinism(executor, args.variant, run)
+            if passed:
+                lines.append(message)
+            else:
+                error = message
+    print("\n".join(lines + finish_campaign(executor)))
+    if error is not None:
+        print(error, file=sys.stderr)
         return 1
-    print(f"delivered: {result.aggregate_delivered:,} bytes "
-          f"({result.throughput_gbps:.2f} Gbps aggregate)")
-    if args.check_determinism:
-        digests = []
-        with tempfile.TemporaryDirectory() as tmp:
-            for replica in ("a", "b"):
-                run["obs"] = ObsConfig(trace_dir=tmp, label=f"chaos_{replica}",
-                                       chrome_trace=False, csv=False)
-                replica_result = run_experiment(
-                    ExperimentConfig(variant=args.variant, **run))
-                if replica_result.failure is not None:
-                    print(replica_result.failure.render(), file=sys.stderr)
-                    return 1
-                trace = pathlib.Path(tmp) / f"chaos_{replica}.jsonl"
-                digests.append(hashlib.sha256(trace.read_bytes()).hexdigest())
-        if digests[0] != digests[1]:
-            print(f"determinism check FAILED: {digests[0]} != {digests[1]}",
-                  file=sys.stderr)
-            return 1
-        print(f"determinism check passed: trace sha256 {digests[0][:16]}…")
     return 0
+
+
+def check_determinism(executor: ExperimentExecutor, variant: str, run: dict) -> Tuple[bool, str]:
+    """Run the chaos config twice more, as one batch, each replica
+    writing a JSONL trace: ``(passed, the line to print)``. A replica
+    that fails, or two traces that differ, fail the check."""
+    replicas = ("a", "b")
+    with tempfile.TemporaryDirectory() as tmp:
+        configs = [
+            ExperimentConfig(variant=variant, **dict(run, obs=ObsConfig(
+                trace_dir=tmp, label=f"chaos_{replica}", chrome_trace=False, csv=False)))
+            for replica in replicas
+        ]
+        labels = [f"{variant}/seed{config.seed}/replica-{replica}"
+                  for config, replica in zip(configs, replicas)]
+        for result in executor.run_batch(configs, labels=labels):
+            if result.failure is not None:
+                return False, result.failure.render()
+        first, second = (
+            hashlib.sha256((pathlib.Path(tmp) / f"chaos_{replica}.jsonl").read_bytes()).hexdigest()
+            for replica in replicas
+        )
+    if first != second:
+        return False, f"determinism check FAILED: {first} != {second}"
+    return True, f"determinism check passed: trace sha256 {first[:16]}…"
 
 
 def run_sweep_load(args) -> int:
@@ -421,35 +437,38 @@ def run_replay_trace(args) -> int:
     except (OSError, ValueError) as error:
         print(f"replay-trace: {error}", file=sys.stderr)
         return 2
-    result = run_experiment(ExperimentConfig(
+    executor = executor_from_args(args)
+    [result] = executor.run_batch([ExperimentConfig(
         variant=args.variant,
         workload=workload,
         collect_voq=False,
         collect_sequence=False,
         **run_fields(args),
-    ))
-    for line in result.render_reports():
-        print(line)
+    )])
+    lines = result.render_reports()
+    if result.failure is None:
+        summary = result.workload_summary or {}
+        lines += [
+            f"trace: {args.trace}",
+            f"flows: {summary.get('started', 0)} offered, "
+            f"{summary.get('completed', 0)} completed, "
+            f"{result.truncated_flows} truncated, "
+            f"{summary.get('trace_rows_skipped', 0)} rows skipped "
+            f"(completion rate {summary.get('completion_rate', 0.0):.3f})",
+            f"bytes: {summary.get('bytes_completed', 0):,} delivered of "
+            f"{summary.get('bytes_offered', 0):,} offered",
+        ]
+        for family in ("fct_us", "slowdown"):
+            cells = "  ".join(
+                f"{label}={value:.2f}"
+                for label, value in (summary.get(family) or {}).items()
+                if value is not None
+            )
+            lines.append(f"{family}: {cells or '(no completions)'}")
+    print("\n".join(lines + finish_campaign(executor)))
     if result.failure is not None:
         print(result.failure.render(), file=sys.stderr)
         return 1
-    summary = result.workload_summary or {}
-    print(f"trace: {args.trace}")
-    print(f"flows: {summary.get('started', 0)} offered, "
-          f"{summary.get('completed', 0)} completed, "
-          f"{result.truncated_flows} truncated, "
-          f"{summary.get('trace_rows_skipped', 0)} rows skipped "
-          f"(completion rate {summary.get('completion_rate', 0.0):.3f})")
-    print(f"bytes: {summary.get('bytes_completed', 0):,} delivered of "
-          f"{summary.get('bytes_offered', 0):,} offered")
-    for family in ("fct_us", "slowdown"):
-        percentiles = summary.get(family) or {}
-        cells = "  ".join(
-            f"{label}={value:.2f}"
-            for label, value in percentiles.items()
-            if value is not None
-        )
-        print(f"{family}: {cells or '(no completions)'}")
     return 0
 
 

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
 #: Bumped whenever the canonical config encoding (or the semantics of
@@ -41,6 +41,7 @@ from repro.faults.audit import AUDIT_MODES
 from repro.faults.plan import FaultPlan
 from repro.obs.telemetry import ObsConfig
 from repro.rdcn.config import RDCNConfig
+from repro.records import decode, encode
 from repro.tcp.config import TCPConfig
 
 #: Named empirical CDFs the workload engine knows out of the box.
@@ -109,15 +110,11 @@ class WorkloadConfig:
         return self.custom_cdf
 
     def to_dict(self) -> dict:
-        return {f.name: getattr(self, f.name) for f in fields(self)}
+        return encode(self)
 
     @classmethod
     def from_dict(cls, data: dict) -> "WorkloadConfig":
-        known = {f.name for f in fields(cls)}
-        unknown = set(data) - known
-        if unknown:
-            raise ValueError(f"unknown WorkloadConfig fields {sorted(unknown)}")
-        return cls(**data)
+        return decode(cls, data)
 
 
 def file_sha256(path: str) -> str:
@@ -226,37 +223,13 @@ class ExperimentConfig:
     NON_SEMANTIC_FIELDS = ("obs", "bundle_dir", "fault_plan_path")
 
     def to_dict(self) -> dict:
-        """Canonical JSON-ready view of the post-init state. Nested
-        configs serialize through their own ``to_dict``; the round trip
-        ``from_dict(to_dict(c)) == c`` is exact."""
-        out: dict = {}
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if value is not None and f.name in (
-                "rdcn", "tcp", "obs", "fault_plan", "workload"
-            ):
-                value = value.to_dict()
-            out[f.name] = value
-        return out
+        """Canonical JSON-ready view of the post-init state
+        (:mod:`repro.records`); ``from_dict(to_dict(c)) == c``."""
+        return encode(self)
 
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentConfig":
-        known = {f.name for f in fields(cls)}
-        unknown = set(data) - known
-        if unknown:
-            raise ValueError(f"unknown ExperimentConfig fields {sorted(unknown)}")
-        kwargs = dict(data)
-        if kwargs.get("rdcn") is not None:
-            kwargs["rdcn"] = RDCNConfig.from_dict(kwargs["rdcn"])
-        if kwargs.get("tcp") is not None:
-            kwargs["tcp"] = TCPConfig.from_dict(kwargs["tcp"])
-        if kwargs.get("obs") is not None:
-            kwargs["obs"] = ObsConfig.from_dict(kwargs["obs"])
-        if kwargs.get("fault_plan") is not None:
-            kwargs["fault_plan"] = FaultPlan.from_dict(kwargs["fault_plan"])
-        if kwargs.get("workload") is not None:
-            kwargs["workload"] = WorkloadConfig.from_dict(kwargs["workload"])
-        return cls(**kwargs)
+        return decode(cls, data)
 
     def canonical_json(self) -> str:
         """Deterministic encoding of the semantic fields only — the

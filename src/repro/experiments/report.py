@@ -7,7 +7,7 @@ regenerates every figure as text; EXPERIMENTS.md records them.
 from __future__ import annotations
 
 from collections import defaultdict
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.experiments.figures import FigureData
 from repro.experiments.runner import step_interpolate
@@ -125,58 +125,52 @@ def render_fig10(data: FigureData) -> str:
     ])
 
 
-def figure_to_csv(data: FigureData, directory) -> List[str]:
-    """Write a figure's series as CSV files (one per series family);
-    returns the paths written. For plotting outside this package."""
+def _write_csv(directory, name: str, header: Sequence[str], rows: Iterable[Sequence]) -> str:
+    """Write ``header`` and ``rows`` to ``directory/name`` (the directory
+    made if need be); returns the path written. Every CSV export goes
+    through here."""
     import csv
     import pathlib
 
-    directory = pathlib.Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
+    path = pathlib.Path(directory) / name
+    path.parent.mkdir(parents=True, exist_ok=True)
+    with open(path, "w", newline="") as handle:
+        writer = csv.writer(handle)
+        writer.writerow(header)
+        writer.writerows(rows)
+    return str(path)
+
+
+def figure_to_csv(data: FigureData, directory) -> List[str]:
+    """Write a figure's series as CSV files (one per series family);
+    returns the paths written. For plotting outside this package."""
     written: List[str] = []
 
-    def dump(name: str, curves: Dict[str, Tuple[Sequence[int], Sequence[float]]], extra=None):
-        if not curves and not extra:
+    def dump(name: str, columns: Dict[str, Tuple[Sequence[int], Sequence[float]]]) -> None:
+        if not columns:
             return
-        path = directory / f"{data.name}_{name}.csv"
-        columns = dict(curves)
-        if extra:
-            columns.update(extra)
         names = sorted(columns)
-        grids = {n: columns[n] for n in names}
-        length = max(len(g[0]) for g in grids.values())
-        with open(path, "w", newline="") as handle:
-            writer = csv.writer(handle)
-            header = []
+        length = max(len(columns[n][0]) for n in names)
+        rows = []
+        for i in range(length):
+            row: list = []
             for n in names:
-                header.extend([f"{n}_time_ns", f"{n}_value"])
-            writer.writerow(header)
-            for i in range(length):
-                row = []
-                for n in names:
-                    times, values = grids[n]
-                    if i < len(times):
-                        row.extend([int(times[i]), float(values[i])])
-                    else:
-                        row.extend(["", ""])
-                writer.writerow(row)
-        written.append(str(path))
+                times, values = columns[n]
+                row.extend([int(times[i]), float(values[i])] if i < len(times) else ["", ""])
+            rows.append(row)
+        header = [cell for n in names for cell in (f"{n}_time_ns", f"{n}_value")]
+        written.append(_write_csv(directory, f"{data.name}_{name}.csv", header, rows))
 
     refs = {}
     if data.optimal is not None:
         refs["optimal"] = data.optimal
     if data.packet_only is not None:
         refs["packet_only"] = data.packet_only
-    dump("seq", data.seq_curves, extra=refs)
+    dump("seq", {**data.seq_curves, **refs})
     dump("voq", data.voq_curves)
     if data.throughputs_gbps:
-        path = directory / f"{data.name}_throughput.csv"
-        with open(path, "w", newline="") as handle:
-            writer = csv.writer(handle)
-            writer.writerow(["variant", "gbps"])
-            for variant, thr in sorted(data.throughputs_gbps.items()):
-                writer.writerow([variant, thr])
-        written.append(str(path))
+        written.append(_write_csv(directory, f"{data.name}_throughput.csv", ["variant", "gbps"],
+                                  sorted(data.throughputs_gbps.items())))
     return written
 
 
@@ -185,27 +179,14 @@ def sweep_to_csv(result, directory) -> List[str]:
     variant, throughput, retransmissions, rtos, status); returns the
     paths written. Failed points carry an empty throughput cell and
     status ``failed`` — never a fake zero."""
-    import csv
-    import pathlib
-
-    directory = pathlib.Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
-    path = directory / f"{result.name}_points.csv"
-    with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(
-            ["setting", "variant", "throughput_gbps", "retransmissions", "rtos", "status"]
-        )
-        for point in result.points:
-            writer.writerow([
-                point.label,
-                point.variant,
-                f"{point.throughput_gbps:.6f}" if point.ok else "",
-                point.retransmissions,
-                point.rtos,
-                "ok" if point.ok else "failed",
-            ])
-    return [str(path)]
+    return [_write_csv(
+        directory, f"{result.name}_points.csv",
+        ["setting", "variant", "throughput_gbps", "retransmissions", "rtos", "status"],
+        ([point.label, point.variant,
+          f"{point.throughput_gbps:.6f}" if point.ok else "",
+          point.retransmissions, point.rtos, "ok" if point.ok else "failed"]
+         for point in result.points),
+    )]
 
 
 def load_sweep_to_csv(result, directory) -> List[str]:
@@ -213,12 +194,6 @@ def load_sweep_to_csv(result, directory) -> List[str]:
     per (load, variant) with counts, loads, and the slowdown/FCT
     percentiles. Failed cells carry empty measurement columns and
     status ``failed`` — never fake zeros."""
-    import csv
-    import pathlib
-
-    directory = pathlib.Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
-    path = directory / f"{result.name}_points.csv"
     labels = [label for label, _q in PERCENTILE_LABELS]
     header = (
         ["load", "variant", "offered_load", "achieved_load", "started",
@@ -231,26 +206,21 @@ def load_sweep_to_csv(result, directory) -> List[str]:
     def fmt(value) -> str:
         return "" if value is None else f"{value:.6g}"
 
-    with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(header)
-        for point in result.points:
-            if not point.ok:
-                writer.writerow(
-                    [f"{point.load:.4f}", point.variant] + [""] * (len(header) - 3)
-                    + ["failed"]
-                )
-                continue
-            writer.writerow(
-                [f"{point.load:.4f}", point.variant,
-                 f"{point.load:.6g}", fmt(point.achieved_load),
-                 point.started, point.completed, point.truncated,
-                 f"{point.completion_rate:.6g}"]
-                + [fmt(point.percentile("slowdown", label)) for label in labels]
-                + [fmt(point.percentile("fct_us", label)) for label in labels]
-                + ["ok"]
-            )
-    return [str(path)]
+    def row(point) -> list:
+        if not point.ok:
+            return [f"{point.load:.4f}", point.variant] + [""] * (len(header) - 3) + ["failed"]
+        return (
+            [f"{point.load:.4f}", point.variant,
+             f"{point.load:.6g}", fmt(point.achieved_load),
+             point.started, point.completed, point.truncated,
+             f"{point.completion_rate:.6g}"]
+            + [fmt(point.percentile("slowdown", label)) for label in labels]
+            + [fmt(point.percentile("fct_us", label)) for label in labels]
+            + ["ok"]
+        )
+
+    return [_write_csv(directory, f"{result.name}_points.csv", header,
+                       (row(point) for point in result.points))]
 
 
 def fct_cdf_to_csv(result, directory, sketch: str = "fct_us") -> List[str]:
@@ -261,27 +231,14 @@ def fct_cdf_to_csv(result, directory, sketch: str = "fct_us") -> List[str]:
     within relative error ``alpha`` of the exact empirical CDF at
     constant memory. Failed cells and cells without the family are
     skipped (their absence marks them); returns the paths written."""
-    import csv
-    import pathlib
-
-    directory = pathlib.Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
-    path = directory / f"{result.name}_{sketch}_cdf.csv"
-    with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["load", "variant", "value", "cum_probability"])
-        for point in result.points:
-            if not point.ok:
-                continue
-            state = point.sketches.get(sketch)
-            if not state:
-                continue
-            for value, prob in QuantileSketch.from_dict(state).cdf_points():
-                writer.writerow(
-                    [f"{point.load:.4f}", point.variant,
-                     f"{value:.6g}", f"{prob:.6g}"]
-                )
-    return [str(path)]
+    return [_write_csv(
+        directory, f"{result.name}_{sketch}_cdf.csv",
+        ["load", "variant", "value", "cum_probability"],
+        ([f"{point.load:.4f}", point.variant, f"{value:.6g}", f"{prob:.6g}"]
+         for point in result.points
+         if point.ok and point.sketches.get(sketch)
+         for value, prob in QuantileSketch.from_dict(point.sketches[sketch]).cdf_points()),
+    )]
 
 
 def headline_claims(data: FigureData) -> Dict[str, float]:

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.apps.engine import WorkloadEngine, load_trace
-from repro.apps.workload import build_workload
+from repro.apps.bulk import BulkSender
 from repro.experiments.config import ExperimentConfig, file_sha256
 from repro.experiments.variants import engine_flow_opener, get_variant
 from repro.faults.audit import (
@@ -25,7 +25,8 @@ from repro.net.queues import DropTailQueue
 from repro.obs.outcome import outcome_digest, strip_wall
 from repro.obs.sketch import sketch_from_samples
 from repro.obs.telemetry import Telemetry
-from repro.rdcn.topology import TwoRackTestbed, build_two_rack_testbed
+from repro.rdcn.topology import build_two_rack_testbed
+from repro.records import decode, encode
 from repro.sim.simulator import Simulator
 from repro.units import throughput_gbps
 
@@ -215,18 +216,11 @@ class RunFailure:
         return "\n".join(lines)
 
     def to_dict(self) -> dict:
-        return {
-            "error_type": self.error_type,
-            "error_message": self.error_message,
-            "seed": self.seed,
-            "fault_plan_path": self.fault_plan_path,
-            "bundle_path": self.bundle_path,
-            "infrastructure": self.infrastructure,
-        }
+        return encode(self)
 
     @classmethod
     def from_dict(cls, data: dict) -> "RunFailure":
-        return cls(**data)
+        return decode(cls, data)
 
 
 @dataclass
@@ -340,37 +334,9 @@ class ExperimentResult:
     # Canonical serialization (executor result cache, worker transport)
     # ------------------------------------------------------------------
     def to_dict(self) -> dict:
-        """JSON-ready summary carrying everything the figures and sweeps
-        consume. ``from_dict(to_dict(r))`` is value-identical."""
-        return {
-            "config": self.config.to_dict(),
-            "duration_ns": self.duration_ns,
-            "flow_delivered": list(self.flow_delivered),
-            "aggregate_delivered": self.aggregate_delivered,
-            "warmup_delivered": self.warmup_delivered,
-            "seq_week_curve": self.seq_week_curve,
-            "seq_week_progress": self.seq_week_progress,
-            "voq_week_curve": self.voq_week_curve,
-            "voq_max": self.voq_max,
-            "reordering_per_day": list(self.reordering_per_day),
-            "retx_marks_per_day": list(self.retx_marks_per_day),
-            "retransmissions": self.retransmissions,
-            "spurious_retransmissions": self.spurious_retransmissions,
-            "rtos": self.rtos,
-            "fast_recoveries": self.fast_recoveries,
-            "reinjections": self.reinjections,
-            "notification_latencies": list(self.notification_latencies),
-            "workload_summary": self.workload_summary,
-            "truncated_flows": self.truncated_flows,
-            "sketches": dict(self.sketches),
-            "artifacts": list(self.artifacts),
-            "profile_report": self.profile_report,
-            "events_per_second": self.events_per_second,
-            "failure": self.failure.to_dict() if self.failure is not None else None,
-            "fault_report": self.fault_report,
-            "audit_report": self.audit_report,
-            "fidelity_report": self.fidelity_report,
-        }
+        """JSON-ready record of every field (:mod:`repro.records`);
+        ``from_dict(to_dict(r))`` is value-identical."""
+        return encode(self)
 
     def outcome(self) -> dict:
         """:meth:`to_dict` without the host fields
@@ -388,16 +354,13 @@ class ExperimentResult:
 
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentResult":
-        kwargs = dict(data)
-        kwargs["config"] = ExperimentConfig.from_dict(kwargs["config"])
-        if kwargs.get("failure") is not None:
-            kwargs["failure"] = RunFailure.from_dict(kwargs["failure"])
-        return cls(**kwargs)
+        return decode(cls, data)
 
 
 class _AggregateSeqCollector:
     """Merges per-flow rcv_nxt advances into one total-bytes series (fed
-    to ``folder``, if any) and the total at the last warm-up delivery."""
+    to ``folder``, if any), the total at the last warm-up delivery, and
+    each flow's delivered bytes."""
 
     def __init__(self, warmup_ns: int, folder: Optional[WeekFolder]) -> None:
         self.total = 0
@@ -406,16 +369,17 @@ class _AggregateSeqCollector:
         # -1 once a delivery has landed past the warm-up: the snapshot
         # is final even if a later callback carries an earlier time.
         self._warmup_ns = warmup_ns
-        self._per_flow_last: Dict[int, int] = {}
+        # Each flow's last rcv_nxt: its delivered bytes.
+        self.flow_delivered: Dict[int, int] = {}
 
     def make_callback(self, flow_index: int):
-        self._per_flow_last[flow_index] = 0
+        self.flow_delivered[flow_index] = 0
 
         def on_delivered(time_ns: int, rcv_nxt: int) -> None:
-            delta = rcv_nxt - self._per_flow_last[flow_index]
+            delta = rcv_nxt - self.flow_delivered[flow_index]
             if delta <= 0:
                 return
-            self._per_flow_last[flow_index] = rcv_nxt
+            self.flow_delivered[flow_index] = rcv_nxt
             self.total += delta
             if self.folder is not None:
                 self.folder.add(time_ns, self.total)
@@ -537,7 +501,8 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
         week = (rdcn.week_ns, config.weeks, config.warmup_weeks)
         seq_folder = WeekFolder(*week) if config.collect_sequence else None
         seq_collector = _AggregateSeqCollector(config.warmup_weeks * rdcn.week_ns, seq_folder)
-        workload = None
+        # (sender, receiver) of each bulk flow; none on an engine run.
+        flows: List[Tuple[object, object]] = []
         engine: Optional[WorkloadEngine] = None
         if config.workload is not None:
             # Workload-engine path: fabric-wide empirical traffic or trace
@@ -581,13 +546,16 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
                 engine.stats.trace_rows_skipped = skipped
             engine.start()
         else:
-
-            def flow_factory(tb: TwoRackTestbed, src, dst, index: int):
-                sender, receiver = variant.make_flow(tb, src, dst, index, config, context)
+            # §5.1: host i of rack 0 sends to host i of rack 1, every
+            # flow starting together and running to the horizon.
+            for index in range(config.n_flows):
+                sender, receiver = variant.make_flow(
+                    testbed, testbed.host(0, index), testbed.host(1, index), index,
+                    config, context,
+                )
                 receiver.on_delivered = seq_collector.make_callback(index)
-                return sender, receiver
-
-            workload = build_workload(testbed, flow_factory, n_flows=config.n_flows)
+                BulkSender(sender)
+                flows.append((sender, receiver))
 
         voq: Optional[WeekFolder] = None
         if config.collect_voq:
@@ -603,14 +571,14 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
             )
             if engine is not None:
                 engine.fastpath = fastpath
-            elif workload is not None:
-                for flow in workload.flows:
-                    fastpath.register_flow(flow.sender, flow.receiver)
+            for sender, receiver in flows:
+                fastpath.register_flow(sender, receiver)
 
         if config.audit is not None:
             auditor = InvariantAuditor(testbed.sim, mode=config.audit)
-            if workload is not None:
-                auditor.watch_workload(workload)
+            for endpoints in flows:
+                for endpoint in endpoints:
+                    auditor.watch_endpoint(endpoint)
             for uplink in testbed.uplinks.values():
                 auditor.watch_uplink(uplink)
 
@@ -662,24 +630,22 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
         result.truncated_flows = stats.truncated_flows
         result.aggregate_delivered = stats.bytes_completed
     else:
-        result.flow_delivered = [flow.delivered_bytes for flow in workload.flows]
+        result.flow_delivered = list(seq_collector.flow_delivered.values())
         result.aggregate_delivered = seq_collector.total
         result.warmup_delivered = seq_collector.warmup_delivered
         if seq_folder is not None and seq_collector.total:
             result.seq_week_curve, result.seq_week_progress = seq_folder.result()
         if voq is not None:
             result.voq_week_curve, _ = voq.result()
-        senders = [
-            stats for flow in workload.flows for stats in _iter_sender_stats(flow.sender)
-        ]
+        senders = [stats for sender, _ in flows for stats in _iter_sender_stats(sender)]
         for stats in senders:
             result.retransmissions += stats.retransmissions
             result.spurious_retransmissions += stats.spurious_retransmissions
             result.rtos += stats.rtos
             result.fast_recoveries += stats.fast_recoveries
-        for flow in workload.flows:
-            if hasattr(flow.sender, "stats") and hasattr(flow.sender.stats, "reinjections"):
-                result.reinjections += flow.sender.stats.reinjections
+        for sender, _ in flows:
+            if hasattr(sender, "stats") and hasattr(sender.stats, "reinjections"):
+                result.reinjections += sender.stats.reinjections
         result.reordering_per_day = count_per_week(
             (t for stats in senders for t, _n in stats.reordering_events), *week
         )

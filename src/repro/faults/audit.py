@@ -22,7 +22,6 @@ Three robustness services for experiment runs:
 
 from __future__ import annotations
 
-import dataclasses
 import json
 import pathlib
 import traceback as traceback_module
@@ -123,11 +122,6 @@ class InvariantAuditor:
     def watch_pool(self, pool: Any) -> None:
         if pool not in self.pools:
             self.pools.append(pool)
-
-    def watch_workload(self, workload: Any) -> None:
-        for flow in workload.flows:
-            self.watch_endpoint(flow.sender)
-            self.watch_endpoint(flow.receiver)
 
     # ------------------------------------------------------------------
     # Periodic driving
@@ -306,19 +300,6 @@ def run_with_watchdog(
 # ----------------------------------------------------------------------
 # Crash capture
 # ----------------------------------------------------------------------
-def _jsonable(value: Any) -> Any:
-    """Best-effort JSON view of configs (dataclasses, tuples, paths)."""
-    if dataclasses.is_dataclass(value) and not isinstance(value, type):
-        return {f.name: _jsonable(getattr(value, f.name)) for f in dataclasses.fields(value)}
-    if isinstance(value, dict):
-        return {str(k): _jsonable(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_jsonable(v) for v in value]
-    if isinstance(value, (str, int, float, bool)) or value is None:
-        return value
-    return repr(value)
-
-
 def write_repro_bundle(
     directory,
     config: Any = None,
@@ -332,7 +313,8 @@ def write_repro_bundle(
 
     Deterministic naming (label + seed + collision counter, no
     timestamps): re-running the same failing configuration overwrites
-    nothing and produces a predictable path.
+    nothing and produces a predictable path. ``config.json`` is
+    ``config.to_dict()``; ``ExperimentConfig.from_dict`` loads it back.
     """
     base = pathlib.Path(directory)
     stem = f"bundle_{label}_seed{seed if seed is not None else 'x'}"
@@ -351,7 +333,7 @@ def write_repro_bundle(
     }
     if config is not None:
         (bundle / "config.json").write_text(
-            json.dumps(_jsonable(config), indent=2, sort_keys=True) + "\n"
+            json.dumps(config.to_dict(), indent=2, sort_keys=True) + "\n"
         )
         manifest["files"]["config"] = "config.json"
     if fault_plan is not None:

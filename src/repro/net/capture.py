@@ -66,9 +66,6 @@ class PacketCapture:
     # ------------------------------------------------------------------
     # Analysis helpers
     # ------------------------------------------------------------------
-    def __len__(self) -> int:
-        return len(self.records)
-
     def segments(self) -> List[CaptureRecord]:
         return [r for r in self.records if isinstance(r.packet, TCPSegment)]
 

@@ -56,9 +56,6 @@ class Link:
         # the float division/round is paid once per distinct size.
         self._tx_delay_cache: dict = {}
 
-    def __len__(self) -> int:
-        return len(self._fifo)
-
     def send(self, packet: Packet) -> bool:
         """Enqueue a packet for transmission. Returns False when the link
         is down (the packet is lost)."""

@@ -38,9 +38,6 @@ class MemoryExporter:
         # subscriber mutates it, so the buffer can keep it as-is.
         self.events.append((time_ns, name, fields))
 
-    def __len__(self) -> int:
-        return len(self.events)
-
 
 def _clean(value: Any) -> Any:
     """JSON-safe scalar: non-finite floats become None (strict JSON has

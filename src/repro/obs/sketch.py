@@ -126,11 +126,6 @@ class StreamStats:
         stats.m2 = float(data["m2"])
         return stats
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, StreamStats):
-            return NotImplemented
-        return self.to_dict() == other.to_dict()
-
     def __repr__(self) -> str:
         return (
             f"StreamStats(count={self.count}, mean={self.mean:.6g}, "
@@ -362,14 +357,6 @@ class QuantileSketch:
         sketch.buckets = {int(index): int(count) for index, count in data["buckets"]}
         sketch.stats = StreamStats.from_dict(data["stats"])
         return sketch
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, QuantileSketch):
-            return NotImplemented
-        return self.to_dict() == other.to_dict()
-
-    def __len__(self) -> int:
-        return len(self.buckets) + (1 if self.zero_count else 0)
 
     def __repr__(self) -> str:
         return (

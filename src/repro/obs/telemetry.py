@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import json
 import pathlib
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, Any, List, Optional
 
 from repro.obs.metrics import MetricsRegistry
@@ -36,6 +36,7 @@ from repro.obs.tracepoints import (
     Tracepoint,
     TracepointRegistry,
 )
+from repro.records import decode, encode
 
 if TYPE_CHECKING:
     from repro.obs.profiling import SimulatorProfiler
@@ -67,16 +68,11 @@ class ObsConfig:
         return replace(self, label=label)
 
     def to_dict(self) -> dict:
-        """Canonical JSON-ready view (every field, declaration order)."""
-        return {f.name: getattr(self, f.name) for f in fields(self)}
+        return encode(self)
 
     @classmethod
     def from_dict(cls, data: dict) -> "ObsConfig":
-        known = {f.name for f in fields(cls)}
-        unknown = set(data) - known
-        if unknown:
-            raise ValueError(f"unknown ObsConfig fields {sorted(unknown)}")
-        return cls(**data)
+        return decode(cls, data)
 
 
 class Telemetry:

@@ -132,9 +132,6 @@ class Tracepoint:
         self.enabled = False
         self._subscribers: List[Subscriber] = []
 
-    def __bool__(self) -> bool:
-        return self.enabled
-
     def subscribe(self, fn: Subscriber) -> None:
         """Attach a subscriber; enables the tracepoint."""
         self._subscribers.append(fn)

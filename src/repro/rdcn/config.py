@@ -8,10 +8,11 @@ schedule, 16-packet VOQs, and jumbo frames.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, replace
 from typing import Optional, Tuple
 
 from repro.net.queues import BUFFER_POLICIES
+from repro.records import decode, encode
 from repro.units import SEC, gbps, usec
 
 # CE-mark threshold K of every ToR VOQ on either fabric (5 jumbo frames).
@@ -70,16 +71,11 @@ class NotifierConfig:
         return replace(self, packet_caching=False, pull_model=False, dedicated_network=False)
 
     def to_dict(self) -> dict:
-        """Canonical JSON-ready view (every field, declaration order)."""
-        return {f.name: getattr(self, f.name) for f in fields(self)}
+        return encode(self)
 
     @classmethod
     def from_dict(cls, data: dict) -> "NotifierConfig":
-        known = {f.name for f in fields(cls)}
-        unknown = set(data) - known
-        if unknown:
-            raise ValueError(f"unknown NotifierConfig fields {sorted(unknown)}")
-        return cls(**data)
+        return decode(cls, data)
 
 
 @dataclass
@@ -209,27 +205,8 @@ class RDCNConfig:
         return int(prop + host_ser + fabric_ser)
 
     def to_dict(self) -> dict:
-        """Canonical JSON-ready view; tuples become lists, the nested
-        notifier its own dict."""
-        out = {}
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if f.name == "notifier":
-                value = value.to_dict()
-            elif isinstance(value, tuple):
-                value = list(value)
-            out[f.name] = value
-        return out
+        return encode(self)
 
     @classmethod
     def from_dict(cls, data: dict) -> "RDCNConfig":
-        known = {f.name for f in fields(cls)}
-        unknown = set(data) - known
-        if unknown:
-            raise ValueError(f"unknown RDCNConfig fields {sorted(unknown)}")
-        kwargs = dict(data)
-        if "schedule_pattern" in kwargs:
-            kwargs["schedule_pattern"] = tuple(kwargs["schedule_pattern"])
-        if "notifier" in kwargs:
-            kwargs["notifier"] = NotifierConfig.from_dict(kwargs["notifier"])
-        return cls(**kwargs)
+        return decode(cls, data)

@@ -2,8 +2,9 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
+from repro.records import decode, encode
 from repro.tcp.rtt import MAX_RTO_NS
 from repro.units import msec
 
@@ -51,13 +52,8 @@ class TCPConfig:
             raise ValueError("delayed_ack_ns must be >= 0 (0 disables)")
 
     def to_dict(self) -> dict:
-        """Canonical JSON-ready view (every field, declaration order)."""
-        return {f.name: getattr(self, f.name) for f in fields(self)}
+        return encode(self)
 
     @classmethod
     def from_dict(cls, data: dict) -> "TCPConfig":
-        known = {f.name for f in fields(cls)}
-        unknown = set(data) - known
-        if unknown:
-            raise ValueError(f"unknown TCPConfig fields {sorted(unknown)}")
-        return cls(**data)
+        return decode(cls, data)

@@ -15,7 +15,7 @@ queries valid.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from typing import Iterator, List, Tuple
+from typing import List, Tuple
 
 Range = Tuple[int, int]
 
@@ -30,19 +30,8 @@ class RangeSet:
         self._ends: List[int] = []
         self._cov = 0  # total covered integers, maintained incrementally
 
-    def __len__(self) -> int:
-        return len(self._starts)
-
-    def __iter__(self) -> Iterator[Range]:
-        return iter(zip(self._starts, self._ends))
-
     def __bool__(self) -> bool:
         return bool(self._starts)
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, RangeSet):
-            return self._starts == other._starts and self._ends == other._ends
-        return NotImplemented
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"RangeSet({list(zip(self._starts, self._ends))})"

@@ -36,7 +36,7 @@ class BoundedLink(Link):
         self.drops = 0
 
     def send(self, packet) -> bool:
-        if not self.down and len(self) >= self.capacity:
+        if not self.down and len(self._fifo) >= self.capacity:
             packet.dropped = True
             self.drops += 1
             return False
@@ -354,19 +354,20 @@ FULL_SCALE = {
 def bulk_workload(cfg, sim: Optional[Simulator] = None):
     """``cfg.n_flows`` bulk flows of ``cfg.variant`` on a two-rack
     testbed, as the runner builds them but with nothing collected and
-    nothing started. Returns ``(testbed, workload)``."""
-    from repro.apps.workload import build_workload
+    nothing started. Returns ``(testbed, [(sender, receiver), ...])``."""
+    from repro.apps.bulk import BulkSender
     from repro.experiments.variants import get_variant
 
     variant = get_variant(cfg.variant)
     testbed = build_two_rack_testbed(replace(cfg.rdcn, seed=cfg.seed), sim=sim)
     context = variant.prepare(testbed, cfg)
-    workload = build_workload(
-        testbed,
-        lambda tb, src, dst, i: variant.make_flow(tb, src, dst, i, cfg, context),
-        n_flows=cfg.n_flows,
-    )
-    return testbed, workload
+    flows = []
+    for i in range(cfg.n_flows):
+        sender, receiver = variant.make_flow(
+            testbed, testbed.host(0, i), testbed.host(1, i), i, cfg, context)
+        BulkSender(sender)
+        flows.append((sender, receiver))
+    return testbed, flows
 
 
 def run_bulk(sim: Simulator, scale: dict) -> None:
@@ -381,7 +382,7 @@ def run_bulk(sim: Simulator, scale: dict) -> None:
         warmup_weeks=2,
         seed=scale["seed"],
     )
-    testbed, _workload = bulk_workload(cfg, sim)
+    testbed, _flows = bulk_workload(cfg, sim)
     testbed.start()
     sim.run(until=cfg.duration_ns)
 

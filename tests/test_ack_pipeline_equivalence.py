@@ -156,8 +156,8 @@ class TestAckPipelineEquivalence:
         cfg = ExperimentConfig(
             variant="tdtcp", n_flows=2, weeks=8, warmup_weeks=2, seed=11
         )
-        testbed, workload = bulk_workload(cfg)
-        shadows = [_attach_shadow(flow.sender) for flow in workload.flows]
+        testbed, flows = bulk_workload(cfg)
+        shadows = [_attach_shadow(sender) for sender, _ in flows]
         testbed.start()
         testbed.sim.run(until=cfg.duration_ns)
 
@@ -169,4 +169,4 @@ class TestAckPipelineEquivalence:
         assert total_acks > 500, f"only {total_acks} ACKs observed"
         assert total_compared > 500, f"only {total_compared} ACKs compared"
         assert total_sampled > 0, "no RTT samples were ever elected"
-        assert sum(flow.delivered_bytes for flow in workload.flows) > 0
+        assert sum(receiver.stats.bytes_delivered for _, receiver in flows) > 0

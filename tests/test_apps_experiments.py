@@ -3,7 +3,6 @@
 import pytest
 
 from repro.apps.bulk import BulkReceiver, BulkSender
-from repro.apps.workload import build_workload
 from repro.experiments import ExperimentConfig, VARIANTS, get_variant, run_experiment
 from repro.experiments.variants import VariantSpec
 from repro.rdcn.config import RDCNConfig
@@ -59,21 +58,16 @@ class TestBulkApps:
 
 class TestWorkload:
     def test_flow_count_and_wiring(self):
-        testbed = build_two_rack_testbed(small_rdcn(n_hosts=3))
-
-        def factory(tb, src, dst, index):
-            return create_connection_pair(tb.sim, src, dst)
-
-        workload = build_workload(testbed, factory, n_flows=3)
-        testbed.start()
-        testbed.sim.run(until=testbed.config.week_ns)
-        assert len(workload.flows) == 3
-        assert sum(flow.delivered_bytes for flow in workload.flows) > 0
-
-    def test_too_many_flows_rejected(self):
-        testbed = build_two_rack_testbed(small_rdcn(n_hosts=2))
-        with pytest.raises(ValueError):
-            build_workload(testbed, lambda *a: None, n_flows=5)
+        """The runner opens one flow per ``n_flows``, host i of rack 0
+        to host i of rack 1, and books each flow's delivered bytes; more
+        flows than hosts grow the racks."""
+        config = ExperimentConfig(variant="cubic", rdcn=small_rdcn(n_hosts=2),
+                                  n_flows=3, weeks=3, warmup_weeks=1)
+        result = run_experiment(config)
+        assert result.config.rdcn.n_hosts_per_rack == 3
+        assert len(result.flow_delivered) == 3
+        assert all(delivered > 0 for delivered in result.flow_delivered)
+        assert sum(result.flow_delivered) == result.aggregate_delivered
 
 
 class TestVariantRegistry:

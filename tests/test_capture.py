@@ -67,7 +67,7 @@ class TestPacketCapture:
         pkt = Packet("a", "b", 100)
         deliver(pkt)
         assert delivered == [pkt]
-        assert len(capture) == 1
+        assert len(capture.records) == 1
         assert capture.records[0].packet is pkt
 
     def test_predicate_filters(self):
@@ -76,7 +76,7 @@ class TestPacketCapture:
         capture = PacketCapture(sim)
         capture.observe(Packet("a", "b", 100))
         capture.observe(TCPSegment("a", "b", 1, 2))
-        assert len(capture) == 2
+        assert len(capture.records) == 2
         assert [type(r.packet) for r in capture.segments()] == [TCPSegment]
 
     def test_max_records(self):
@@ -84,7 +84,7 @@ class TestPacketCapture:
         capture = PacketCapture(sim, max_records=2)
         for _ in range(5):
             capture.observe(Packet("a", "b", 1))
-        assert len(capture) == 2
+        assert len(capture.records) == 2
         assert capture.dropped_records == 3
 
     def test_live_tdtcp_capture(self):

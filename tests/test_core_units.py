@@ -45,7 +45,7 @@ def tdtcp_client(tdn_count=2):
 class TestPerTDNState:
     def test_initial_count(self):
         state = make_state(3)
-        assert len(state) == 3
+        assert len(state.paths) == 3
         assert state.current_index == 0
         assert [p.tdn_id for p in state.paths] == [0, 1, 2]
 
@@ -74,7 +74,7 @@ class TestPerTDNState:
     def test_grows_on_new_tdn(self):
         state = make_state(2)
         state.switch_to(4)
-        assert len(state) == 5
+        assert len(state.paths) == 5
         assert state.paths[state.current_index].tdn_id == 4
 
     def test_all_tdns_semantic(self):

@@ -43,13 +43,13 @@ def bulk_leg(cfg: ExperimentConfig):
     """``(wants_ecn, rack-0 VOQ, data segments)`` of a bulk run of
     ``cfg``; ``wants_ecn`` is read off the senders' own CCAs."""
     with data_segments_sent() as sent:
-        testbed, workload = bulk_workload(cfg)
+        testbed, flows = bulk_workload(cfg)
         testbed.start()
         testbed.sim.run(until=cfg.duration_ns)
     wants_ecn = any(
         path.cc.wants_ecn
-        for flow in workload.flows
-        for conn in getattr(flow.sender, "subflows", [flow.sender])
+        for sender, _ in flows
+        for conn in getattr(sender, "subflows", [sender])
         for path in conn.paths
     )
     return wants_ecn, testbed.uplinks[0].queue, sent
@@ -148,12 +148,12 @@ def test_ecn_enabled_gives_any_cca_rfc3168():
         n_flows=2, weeks=4, warmup_weeks=1, seed=1,
     )
     with data_segments_sent() as sent:
-        testbed, workload = bulk_workload(cfg)
+        testbed, flows = bulk_workload(cfg)
         testbed.start()
         testbed.sim.run(until=cfg.duration_ns)
     assert all(seg.ecn_capable for seg in sent)
     assert testbed.uplinks[0].queue.marks > 0
-    assert sum(flow.sender.stats.ecn_reductions for flow in workload.flows) > 0
+    assert sum(sender.stats.ecn_reductions for sender, _ in flows) > 0
 
     result = run_experiment(replace(cfg, fidelity="tiered"))
     assert result.fidelity_report["forced_reasons"] == ["ecn"]

@@ -178,7 +178,6 @@ def no_run(monkeypatch):
 
     monkeypatch.setattr(ExperimentExecutor, "run_batch", refuse)
     monkeypatch.setattr(runner, "run_experiment", refuse)
-    monkeypatch.setattr(cli, "run_experiment", refuse)
 
 
 class TestCLIRefusesBeforeAnyRun:
@@ -267,7 +266,6 @@ def configs_reaching_a_run(tmp_path_factory):
                 lambda self, batch, labels=None: [empty_result(c) for c in batch],
             )
             patch.setattr(runner, "run_experiment", empty_result)
-            patch.setattr(cli, "run_experiment", empty_result, raising=False)
             cli.main(argv)
         return configs
 

@@ -33,7 +33,6 @@ class TestTracepoints:
         registry = TracepointRegistry()
         tp = registry.get("tcp:cwnd_update")
         assert not tp.enabled
-        assert not tp  # __bool__
         seen = []
         tp.subscribe(lambda t, n, f: seen.append((t, n, f)))
         assert tp.enabled

@@ -113,7 +113,7 @@ class TestPcapFormat:
         sim.run(until=msec(1))
         path = tmp_path / "flow.pcap"
         written = write_pcap(capture, path)
-        assert written == len(capture)
+        assert written == len(capture.records)
         _h, frames = parse_pcap(path)
         assert len(frames) == written
         # Timestamps are non-decreasing.

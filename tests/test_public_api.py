@@ -16,6 +16,7 @@ import repro
 MODULES = [
     "repro",
     "repro.units",
+    "repro.records",
     "repro.sim",
     "repro.sim.events",
     "repro.sim.simulator",
@@ -67,7 +68,6 @@ MODULES = [
     "repro.retcp.dynbuf",
     "repro.apps",
     "repro.apps.bulk",
-    "repro.apps.workload",
     "repro.apps.tracegen",
     "repro.apps.incast",
     "repro.obs",

@@ -104,6 +104,12 @@ class K:
     def method(self):
         return self.x
 
+    def __eq__(self, other):
+        return isinstance(other, K)
+
+    def __len__(self):
+        return 0
+
     def __repr__(self):
         return "K()"
 
@@ -119,7 +125,7 @@ from pkg import mod
 if __name__ == "__main__":
     mod.used()
     mod.ran_but_kept()
-    mod.K()
+    assert mod.K() == mod.K()
     assert mod.run_in_a_spawned_worker() == [2]
 '''
 
@@ -147,16 +153,18 @@ def synthetic(tmp_path_factory):
 class TestRecorder:
     def test_the_never_run_functions_are_found(self, synthetic):
         _package, missing = synthetic
-        # nested() counts with used(); __repr__ is exempt; in_worker ran
-        # only in the spawned worker.
-        assert sorted(missing) == ["mod.py::K.method", "mod.py::kept", "mod.py::never"]
+        # nested() counts with used(); __repr__ is exempt, other dunders
+        # are checked like any method; in_worker ran only in the spawned
+        # worker.
+        assert sorted(missing) == [
+            "mod.py::K.__len__", "mod.py::K.method", "mod.py::kept", "mod.py::never"]
 
     def test_an_unjustified_function_and_a_stale_entry_both_fail(self, synthetic, capsys):
         package, missing = synthetic
         why = reachability.Declaration("synthetic")
         keep = {"mod.py::kept": why, "mod.py::ran_but_kept": why, "mod.py::gone": why}
         unjustified, stale = reachability.check(missing, keep, reachability.units(package))
-        assert unjustified == ["mod.py::K.method", "mod.py::never"]
+        assert unjustified == ["mod.py::K.__len__", "mod.py::K.method", "mod.py::never"]
         assert stale == ["mod.py::gone", "mod.py::ran_but_kept"]
         assert reachability.report(missing, keep, package) == 1
 

@@ -78,7 +78,7 @@ class TestStreamStats:
         stats = StreamStats()
         for v in samples:
             stats.add(v)
-        assert StreamStats.from_dict(json.loads(json.dumps(stats.to_dict()))) == stats
+        assert StreamStats.from_dict(json.loads(json.dumps(stats.to_dict()))).to_dict() == stats.to_dict()
 
 
 class TestQuantileSketch:
@@ -168,7 +168,7 @@ class TestQuantileSketch:
     def test_json_round_trip(self, samples):
         sketch = sketch_from_samples(samples)
         restored = QuantileSketch.from_dict(json.loads(as_json(sketch)))
-        assert restored == sketch
+        assert restored.to_dict() == sketch.to_dict()
         assert restored.quantile(0.9) == sketch.quantile(0.9)
 
     def test_byte_identical_serialization_across_seeded_runs(self):
@@ -220,7 +220,7 @@ class TestQuantileSketch:
         sketch = QuantileSketch()
         with pytest.raises(ValueError):
             sketch.extend([3.0, 0.0, 7.0, -1.0, 9.0])
-        assert sketch == sketch_from_samples([3.0, 0.0, 7.0])
+        assert sketch.to_dict() == sketch_from_samples([3.0, 0.0, 7.0]).to_dict()
 
     def test_from_dict_rejects_foreign_payload(self):
         with pytest.raises(ValueError):

@@ -71,7 +71,7 @@ class TestRangeSetBasics:
         assert rs.ranges() == []
 
     def test_equality(self):
-        assert range_set((0, 5)) == range_set((0, 3), (3, 5))
+        assert range_set((0, 5)).ranges() == range_set((0, 3), (3, 5)).ranges()
 
 
 ranges_strategy = st.lists(
@@ -119,7 +119,7 @@ class TestRangeSetProperties:
     def test_insertion_order_irrelevant(self, ranges):
         forward = range_set(*ranges)
         backward = range_set(*reversed(ranges))
-        assert forward == backward
+        assert forward.ranges() == backward.ranges()
 
 
 class _LinearRangeSet:

@@ -25,6 +25,12 @@ is held to, the bounds taken from ``BENCHMARK.json``:
   bound, unless every run of the change beats every run of the parent;
 * ``inside bound`` — everything else.
 
+Under the table, one line per workload and side gives its distinct
+``sim_digest`` values and the median wall time of its first rep
+(``rep_wall_s[0]`` of ``ledger-detail``): ``wall_s`` is a per-slice
+minimum over the reps, so work moved from set-up into the first rep
+shows only there.
+
 Exit status is non-zero if any run is not ``correct``.
 """
 
@@ -128,9 +134,11 @@ def main(argv=None) -> int:
                 attempted = sum(row["attempted"] for row in side_rows)
                 bad = [row["detail"]["problems"] for row in side_rows if not row["correct"]]
                 ok = ok and not bad
+                first_rep = statistics.median(row["detail"]["rep_wall_s"][0] for row in side_rows)
                 footnotes.append(
-                    f"- `{workload}` {side}: sim_digest {', '.join(digests)}; failed "
-                    f"{failed}/{attempted}{'; NOT CORRECT: ' + json.dumps(bad) if bad else ''}")
+                    f"- `{workload}` {side}: sim_digest {', '.join(digests)}; first-rep wall "
+                    f"median {first_rep:.4g} s; failed {failed}/{attempted}"
+                    f"{'; NOT CORRECT: ' + json.dumps(bad) if bad else ''}")
     print("\n" + "\n".join(footnotes))
     return 0 if ok else 1
 
