@@ -8,7 +8,7 @@ mismatched here, because with fixed bandwidth the circuit BDP is
 
 import pytest
 
-from repro.experiments.figures import fig14
+from repro.experiments.figures import FIGURES
 from repro.experiments.report import render_throughput_summary, render_voq_graph
 
 from benchmarks.conftest import emit
@@ -21,8 +21,9 @@ def test_fig14_latency_only_voq(benchmark, results_dir, scale, rate_gbps):
     fig_scale = dict(scale)
     fig_scale["weeks"] = max(scale["weeks"] // 2, scale["warmup_weeks"] + 4)
     fig_scale["warmup_weeks"] = max(scale["warmup_weeks"] // 2, 2)
+    figure = FIGURES[f"fig14-{int(rate_gbps)}g"]
     data = benchmark.pedantic(
-        lambda: fig14(rate_gbps, **fig_scale), rounds=1, iterations=1, warmup_rounds=0
+        lambda: figure(**fig_scale), rounds=1, iterations=1, warmup_rounds=0
     )
     text = "\n\n".join(
         [render_voq_graph(data, points=14), render_throughput_summary(data)]

@@ -43,6 +43,7 @@ from repro.obs.telemetry import ObsConfig
 from repro.rdcn.config import RDCNConfig
 from repro.records import decode, encode
 from repro.tcp.config import TCPConfig
+from repro.units import check_above
 
 #: Named empirical CDFs the workload engine knows out of the box.
 WORKLOAD_CDFS = ("web-search", "data-mining", "custom")
@@ -196,8 +197,11 @@ class ExperimentConfig:
             self.fault_plan = FaultPlan.load(self.fault_plan_path)
         if self.n_flows < 1:
             raise ValueError("need at least one flow")
-        if self.retcp_alpha <= 1.0:
-            raise ValueError("retcp_alpha must exceed 1")
+        check_above("retcp_alpha", self.retcp_alpha, 1.0)
+        if self.watchdog_max_events is not None and self.watchdog_max_events < 1:
+            raise ValueError("watchdog_max_events must be >= 1")
+        if self.watchdog_max_wall_s is not None:
+            check_above("watchdog_max_wall_s", self.watchdog_max_wall_s)
         if self.workload is not None and self.variant == "mptcp":
             # The engine opens/closes one plain connection per flow;
             # MPTCP's subflow bundles don't fit that churn discipline.

@@ -73,7 +73,9 @@ from contextlib import contextmanager
 from dataclasses import asdict, dataclass
 from functools import partial
 from time import perf_counter
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import (
+    TYPE_CHECKING, Any, Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple,
+)
 
 from repro.experiments.checkpoint import CampaignCheckpoint, ResumePlan
 from repro.experiments.config import CONFIG_SCHEMA_VERSION, ExperimentConfig
@@ -178,6 +180,26 @@ def _default_labels(configs: Sequence[ExperimentConfig]) -> List[str]:
         seen[label] = seen.get(label, 0) + 1
         labels.append(label if seen[label] == 1 else f"{label}#{seen[label]}")
     return labels
+
+
+class Plan(NamedTuple):
+    """One batch, built before anything runs: every figure, sweep and
+    CLI target is one. ``labels`` key the journal (unique within the
+    batch); ``tags`` head each run's lines in the CLI trailer ("" for a
+    lone run); ``assemble`` makes the caller's value of the results,
+    which come in batch order."""
+
+    configs: List[ExperimentConfig]
+    labels: List[str]
+    tags: List[str]
+    assemble: Callable[[List[ExperimentResult]], Any] = list
+
+    def run(self, executor: Optional["ExperimentExecutor"] = None) -> Any:
+        """Run the batch on ``executor`` (inline by default) and
+        assemble it."""
+        if executor is None:
+            executor = ExperimentExecutor()
+        return self.assemble(executor.run_batch(self.configs, labels=self.labels))
 
 
 class ResultCache:

@@ -1,12 +1,13 @@
 """Per-figure experiment definitions (§2.2 and §5).
 
 Every paper figure is the same experiment — a variant line-up on one
-RDCN setting — so the figures are rows of :data:`FIGURES` and
-:func:`run_figure` is the one driver: it runs the row's variants and
+RDCN setting — so the figures are :class:`Figure` rows of
+:data:`FIGURES`. A row's :meth:`Figure.plan` builds the variants'
+labelled configs before anything runs; calling the row runs them and
 returns a :class:`FigureData` with each run's folded week (sequence
 progress, VOQ occupancy) tiled over the plotted weeks, plus the
-analytic reference lines. Run options are :class:`ExperimentConfig`
-fields, passed by keyword (see :func:`run_figure`).
+analytic reference lines. Run options are :class:`ExperimentConfig` fields,
+passed by keyword (see :class:`Figure`).
 
 Scale note: the paper averages thousands of optical weeks of hardware
 time; these definitions default to tens of simulated weeks (``weeks``
@@ -18,10 +19,10 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass, field, replace
 from functools import partial
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from repro.experiments.config import ExperimentConfig
-from repro.experiments.executor import ExperimentExecutor
+from repro.experiments.executor import ExperimentExecutor, Plan
 from repro.experiments.runner import ExperimentResult, RunFailure, week_grid
 from repro.rdcn.config import RDCNConfig
 from repro.rdcn.schedule import TDNSchedule
@@ -106,35 +107,6 @@ def constant_rate_curve(rate_bps: float, duration_ns: int) -> Tuple[List[int], L
     return [int(t) for t in grid], [rate_bps / 8.0 * t / 1e9 for t in grid]
 
 
-def _process_run(
-    data: FigureData,
-    variant: str,
-    result: ExperimentResult,
-    weeks_plotted: int,
-) -> None:
-    week_ns = result.config.rdcn.week_ns
-    grid = week_grid(week_ns)
-    data.results[variant] = result
-    data.throughputs_gbps[variant] = result.steady_state_throughput_gbps()
-    if result.seq_week_curve is not None:
-        data.seq_curves[variant] = tile_weeks(
-            grid, result.seq_week_curve, result.seq_week_progress, week_ns, weeks_plotted
-        )
-    if result.voq_week_curve is not None:
-        data.voq_curves[variant] = tile_weeks(
-            grid, result.voq_week_curve, 0.0, week_ns, weeks_plotted
-        )
-
-
-def _reference_curves(data: FigureData, rdcn: RDCNConfig, weeks_plotted: int) -> None:
-    schedule = TDNSchedule.uniform(rdcn.schedule_pattern, rdcn.day_ns, rdcn.night_ns)
-    rates = [rdcn.tdn_rate_bps(t) for t in range(rdcn.n_tdns)]
-    data.optimal = optimal_curve(schedule, rates, n_weeks=weeks_plotted)
-    data.packet_only = constant_rate_curve(
-        rdcn.packet_rate_bps, weeks_plotted * schedule.week_ns
-    )
-
-
 # ----------------------------------------------------------------------
 # The paper's RDCN settings
 # ----------------------------------------------------------------------
@@ -174,22 +146,15 @@ def latency_only_rdcn(rate_gbps: float = 100.0) -> RDCNConfig:
 
 
 # ----------------------------------------------------------------------
-# The one driver
+# Figures: name -> (RDCN setting, variants, run defaults)
 # ----------------------------------------------------------------------
-def run_figure(
-    name: str,
-    rdcn: RDCNConfig,
-    variants: Sequence[str],
-    weeks_plotted: int = 3,
-    executor: Optional[ExperimentExecutor] = None,
-    rdcn_override: Optional[Callable[[RDCNConfig], RDCNConfig]] = None,
-    **run,
-) -> FigureData:
-    """Run every variant on one RDCN configuration.
+class Figure(NamedTuple):
+    """One figure: a variant line-up on one RDCN setting, and the
+    :class:`ExperimentConfig` fields it sets over the figure-scale
+    defaults of 40 weeks, 12 of them warm-up, and 8 flows.
 
-    ``run`` is any :class:`ExperimentConfig` field (``weeks``, ``seed``,
-    ``fidelity``, ``audit``, ``fault_plan``, ...) over the figure-scale
-    defaults of 40 weeks, 12 of them warm-up, and 8 flows; a name that
+    Calling it runs the figure. ``run`` is any config field (``weeks``,
+    ``seed``, ``fidelity``, ``audit``, ``fault_plan``, ...); a name that
     is not a field raises ``TypeError``. There is no second list of run
     options: what a figure run can be told is what the config can hold.
 
@@ -206,70 +171,96 @@ def run_figure(
     variant :class:`ExperimentResult`).
 
     ``rdcn_override`` (an ``RDCNConfig -> RDCNConfig`` transform) is
-    applied to the figure's canned setting before running — the CLI's
+    applied to the figure's setting before running — the CLI's
     ``--buffer-policy``/``--buffer-total``/``--buffer-alpha`` flags ride
     in this way without each figure knowing about them."""
-    if rdcn_override is not None:
-        rdcn = rdcn_override(rdcn)
-    run = {"weeks": 40, "warmup_weeks": 12, "n_flows": 8, **run}
-    obs = run.pop("obs", None)
-    configs = [
-        ExperimentConfig(
-            variant=variant,
-            rdcn=rdcn,
-            obs=obs.for_run(f"{name}_{variant}") if obs is not None else None,
-            **run,
+
+    name: str
+    rdcn: RDCNConfig
+    variants: Tuple[str, ...]
+    defaults: Dict[str, Any] = {}
+
+    def plan(
+        self,
+        weeks_plotted: int = 3,
+        rdcn_override: Optional[Callable[[RDCNConfig], RDCNConfig]] = None,
+        **run,
+    ) -> Plan:
+        """The figure's labelled configs, built before anything runs."""
+        rdcn = self.rdcn if rdcn_override is None else rdcn_override(self.rdcn)
+        run = {"weeks": 40, "warmup_weeks": 12, "n_flows": 8, **self.defaults, **run}
+        obs = run.pop("obs", None)
+        configs = [
+            ExperimentConfig(
+                variant=variant,
+                rdcn=rdcn,
+                obs=obs.for_run(f"{self.name}_{variant}") if obs is not None else None,
+                **run,
+            )
+            for variant in self.variants
+        ]
+        labels = [f"{self.name}/{variant}" for variant in self.variants]
+        return Plan(configs, labels, labels, partial(self._assemble, rdcn, weeks_plotted))
+
+    def _assemble(
+        self, rdcn: RDCNConfig, weeks_plotted: int, results: List[ExperimentResult]
+    ) -> FigureData:
+        data = FigureData(name=self.name, rdcn=rdcn, weeks_plotted=weeks_plotted)
+        for variant, result in zip(self.variants, results):
+            if result.failure is not None:
+                data.failures[variant] = result.failure
+                continue
+            week_ns = result.config.rdcn.week_ns
+            grid = week_grid(week_ns)
+            data.results[variant] = result
+            data.throughputs_gbps[variant] = result.steady_state_throughput_gbps()
+            if result.seq_week_curve is not None:
+                data.seq_curves[variant] = tile_weeks(
+                    grid, result.seq_week_curve, result.seq_week_progress, week_ns, weeks_plotted
+                )
+            if result.voq_week_curve is not None:
+                data.voq_curves[variant] = tile_weeks(
+                    grid, result.voq_week_curve, 0.0, week_ns, weeks_plotted
+                )
+        # The analytic reference lines.
+        schedule = TDNSchedule.uniform(rdcn.schedule_pattern, rdcn.day_ns, rdcn.night_ns)
+        rates = [rdcn.tdn_rate_bps(t) for t in range(rdcn.n_tdns)]
+        data.optimal = optimal_curve(schedule, rates, n_weeks=weeks_plotted)
+        data.packet_only = constant_rate_curve(
+            rdcn.packet_rate_bps, weeks_plotted * schedule.week_ns
         )
-        for variant in variants
-    ]
-    if executor is None:
-        executor = ExperimentExecutor()
-    results = executor.run_batch(configs, labels=[f"{name}/{v}" for v in variants])
-    data = FigureData(name=name, rdcn=rdcn, weeks_plotted=weeks_plotted)
-    for variant, result in zip(variants, results):
-        if result.failure is not None:
-            data.failures[variant] = result.failure
-            continue
-        _process_run(data, variant, result, weeks_plotted)
-    _reference_curves(data, rdcn, weeks_plotted)
-    return data
+        return data
+
+    def __call__(self, executor: Optional[ExperimentExecutor] = None, **kwargs) -> FigureData:
+        return self.plan(**kwargs).run(executor)
 
 
-# ----------------------------------------------------------------------
-# Figures: name -> the driver bound to (RDCN setting, variants)
-# ----------------------------------------------------------------------
-def fig14(rate_gbps: float, **run) -> FigureData:
-    """Figure 14 (Appendix A.4): VOQ occupancy, latency-only RDCN at a
-    fixed rate (the paper shows 10 and 100 Gbps panels)."""
-    name = f"fig14-{int(rate_gbps)}g"
-    run = {"collect_sequence": False, **run}
-    return run_figure(name, latency_only_rdcn(rate_gbps), FULL_VARIANTS, **run)
-
-
-FIGURES: Dict[str, Callable[..., FigureData]] = {
+FIGURES: Dict[str, Figure] = {
     # Motivation sequence graph (CUBIC, MPTCP vs optimal and
     # packet-only) over three optical weeks.
-    "fig2": partial(run_figure, "fig2", bw_latency_rdcn(), MOTIVATION_VARIANTS),
+    "fig2": Figure("fig2", bw_latency_rdcn(), MOTIVATION_VARIANTS),
     # All variants under bandwidth AND latency differences:
     # (a) is ``seq_curves``; (b) is ``voq_curves``.
-    "fig7": partial(run_figure, "fig7", bw_latency_rdcn(), FULL_VARIANTS),
+    "fig7": Figure("fig7", bw_latency_rdcn(), FULL_VARIANTS),
     # Bandwidth difference only.
-    "fig8": partial(run_figure, "fig8", bw_only_rdcn(), FULL_VARIANTS),
+    "fig8": Figure("fig8", bw_only_rdcn(), FULL_VARIANTS),
     # Latency difference only at 100 Gbps.
-    "fig9": partial(run_figure, "fig9", latency_only_rdcn(100.0), FULL_VARIANTS),
+    "fig9": Figure("fig9", latency_only_rdcn(100.0), FULL_VARIANTS),
     # Reordering events and retransmitted packets per optical day
     # (``reordering_per_day`` / ``retx_marks_per_day`` on each result);
     # per-day distributions want more days than a throughput average.
-    "fig10": partial(run_figure, "fig10", bw_latency_rdcn(), REORDERING_VARIANTS, weeks=60),
+    "fig10": Figure("fig10", bw_latency_rdcn(), REORDERING_VARIANTS, {"weeks": 60}),
     # TDTCP with and without the §5.4 notification optimizations.
-    "fig11": partial(run_figure, "fig11", bw_latency_rdcn(), ("tdtcp", "tdtcp-unopt")),
+    "fig11": Figure("fig11", bw_latency_rdcn(), ("tdtcp", "tdtcp-unopt")),
     # Appendix A.3: VOQ occupancy of CUBIC and MPTCP in the Figure-2
     # configuration. Figures 13 and 14 plot no sequence graph.
-    "fig13": partial(
-        run_figure, "fig13", bw_latency_rdcn(), MOTIVATION_VARIANTS, collect_sequence=False
-    ),
-    "fig14-10g": partial(fig14, 10.0),
-    "fig14-100g": partial(fig14, 100.0),
+    "fig13": Figure("fig13", bw_latency_rdcn(), MOTIVATION_VARIANTS, {"collect_sequence": False}),
+    # Appendix A.4: VOQ occupancy, latency-only RDCN at a fixed rate
+    # (the paper shows 10 and 100 Gbps panels).
+    "fig14-10g": Figure("fig14-10g", latency_only_rdcn(10.0), FULL_VARIANTS,
+                        {"collect_sequence": False}),
+    "fig14-100g": Figure("fig14-100g", latency_only_rdcn(100.0), FULL_VARIANTS,
+                         {"collect_sequence": False}),
 }
 
 fig2 = FIGURES["fig2"]

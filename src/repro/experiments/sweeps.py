@@ -11,7 +11,9 @@ Two studies the paper explicitly defers:
   :func:`day_length_sweep` varies the day duration across that band.
 
 Every (setting, variant) point is an independent seeded run, so each
-sweep executes as one :class:`ExperimentExecutor` batch — pass
+sweep is one :class:`~repro.experiments.executor.Plan`: ``*_plan``
+builds its labelled configs before anything runs, and the sweep of the
+same name runs them as one :class:`ExperimentExecutor` batch — pass
 ``executor`` to parallelize/cache them. A crashed run is recorded as a
 failed :class:`SweepPoint` (structured failure attached, **no**
 throughput number), never as a silent ~0 Gbps measurement.
@@ -25,10 +27,11 @@ a field raises ``TypeError``.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Dict, List, Optional, Sequence, Tuple
+from functools import partial, wraps
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.experiments.config import ExperimentConfig, WorkloadConfig
-from repro.experiments.executor import ExperimentExecutor
+from repro.experiments.executor import ExperimentExecutor, Plan
 from repro.experiments.runner import ExperimentResult, RunFailure
 from repro.net.queues import BUFFER_POLICIES
 from repro.rdcn.config import RDCNConfig
@@ -44,20 +47,17 @@ POLICY_TAGS = {
 
 @dataclass
 class _GridResult:
-    """What every sweep returns: its points in grid order, and the
-    fault-plan / auditor lines of the runs that carried a report."""
+    """What every sweep returns: its points in grid order, and every
+    run's :class:`ExperimentResult` (fault-plan / auditor reports,
+    telemetry artifacts), in grid order too."""
 
     name: str
     points: list = field(default_factory=list)
-    reports: List[str] = field(default_factory=list)
+    runs: List[ExperimentResult] = field(default_factory=list)
 
     @property
     def failures(self) -> list:
         return [p for p in self.points if not p.ok]
-
-    @property
-    def ok(self) -> bool:
-        return not self.failures
 
 
 @dataclass
@@ -110,39 +110,13 @@ class SweepResult(_GridResult):
         return "\n".join(lines)
 
 
-def _run_cells(
-    name: str,
-    cells: Sequence[Tuple[str, str]],
-    configs: List[ExperimentConfig],
-    executor: Optional[ExperimentExecutor],
-) -> Tuple[List[ExperimentResult], List[str]]:
-    """Run one config per (label, variant) cell as one executor batch:
-    the runs in cell order, and the report lines they carried."""
-    if executor is None:
-        executor = ExperimentExecutor()
-    runs = executor.run_batch(
-        configs, labels=[f"{name}/{label}/{variant}" for label, variant in cells]
-    )
-    reports = [
-        line
-        for (label, variant), run in zip(cells, runs)
-        for line in run.render_reports(f"[{label}/{variant}] ")
-    ]
-    return runs, reports
-
-
-def _run_sweep(
-    name: str,
-    grid: List[Tuple[str, str, RDCNConfig]],
-    executor: Optional[ExperimentExecutor],
-    run: dict,
-) -> SweepResult:
-    """Run every (label, variant, rdcn) point as one executor batch and
-    assemble the result in grid order. ``run`` holds the
-    :class:`ExperimentConfig` fields every point gets."""
+def _grid_plan(name: str, grid: List[Tuple[str, str, RDCNConfig]], run: dict) -> Plan:
+    """Every (label, variant, rdcn) point as one batch, assembled in
+    grid order. ``run`` holds the :class:`ExperimentConfig` fields every
+    point gets."""
     run = {"weeks": 24, "warmup_weeks": 8, "n_flows": 8, **run}
     obs = run.pop("obs", None)
-    cells = [(label, variant) for label, variant, _rdcn in grid]
+    tags = [f"{label}/{variant}" for label, variant, _rdcn in grid]
     configs = [
         ExperimentConfig(
             variant=variant,
@@ -154,9 +128,15 @@ def _run_sweep(
         )
         for label, variant, rdcn in grid
     ]
-    runs, reports = _run_cells(name, cells, configs, executor)
-    result = SweepResult(name=name, reports=reports)
-    for (label, variant), outcome in zip(cells, runs):
+    return Plan(configs, [f"{name}/{tag}" for tag in tags], tags,
+                partial(_assemble_sweep, name, grid))
+
+
+def _assemble_sweep(
+    name: str, grid: List[Tuple[str, str, RDCNConfig]], runs: List[ExperimentResult]
+) -> SweepResult:
+    result = SweepResult(name=name, runs=runs)
+    for (label, variant, _rdcn), outcome in zip(grid, runs):
         if not outcome.ok:
             # A crashed run must surface as a failure, never as a
             # zero-throughput measurement.
@@ -245,7 +225,7 @@ class LoadSweepResult(_GridResult):
         return "\n".join(lines)
 
 
-def load_sweep(
+def load_plan(
     loads: Sequence[float] = (0.2, 0.4, 0.6),
     variants: Sequence[str] = ("cubic", "tdtcp"),
     cdf: str = "web-search",
@@ -253,9 +233,8 @@ def load_sweep(
     matrix: str = "permutation",
     hotspot_fraction: float = 0.5,
     max_flows: Optional[int] = None,
-    executor: Optional[ExperimentExecutor] = None,
     **run,
-) -> LoadSweepResult:
+) -> Plan:
     """Offered load x variant grid through the workload engine.
 
     Every cell is one seeded engine run (Poisson empirical arrivals on
@@ -289,11 +268,15 @@ def load_sweep(
         )
         for load, variant in grid
     ]
-    runs, reports = _run_cells(
-        "load-sweep", [(f"{load:.2f}", variant) for load, variant in grid],
-        configs, executor,
-    )
-    result = LoadSweepResult(name="load-sweep", reports=reports)
+    tags = [f"{load:.2f}/{variant}" for load, variant in grid]
+    return Plan(configs, [f"load-sweep/{tag}" for tag in tags], tags,
+                partial(_assemble_loads, grid))
+
+
+def _assemble_loads(
+    grid: List[Tuple[float, str]], runs: List[ExperimentResult]
+) -> LoadSweepResult:
+    result = LoadSweepResult(name="load-sweep", runs=runs)
     for (load, variant), outcome in zip(grid, runs):
         if not outcome.ok:
             result.points.append(
@@ -321,12 +304,11 @@ def load_sweep(
     return result
 
 
-def duty_ratio_sweep(
+def duty_ratio_plan(
     packet_days: Sequence[int] = (2, 6, 13),
     variants: Sequence[str] = ("cubic", "tdtcp"),
-    executor: Optional[ExperimentExecutor] = None,
     **run,
-) -> SweepResult:
+) -> Plan:
     """Vary the packet:optical ratio (the paper's future work).
 
     ``packet_days=n`` gives an ``n:1`` schedule — the projection of an
@@ -339,15 +321,14 @@ def duty_ratio_sweep(
         rdcn = replace(base, schedule_pattern=pattern)
         for variant in variants:
             grid.append((f"{n_packet}:1", variant, rdcn))
-    return _run_sweep("duty-ratio-sweep", grid, executor, run)
+    return _grid_plan("duty-ratio-sweep", grid, run)
 
 
-def day_length_sweep(
+def day_length_plan(
     day_us_values: Sequence[int] = (60, 180, 1000),
     variants: Sequence[str] = ("cubic", "tdtcp"),
-    executor: Optional[ExperimentExecutor] = None,
     **run,
-) -> SweepResult:
+) -> Plan:
     """Vary the day duration across the §3.5 operating band.
 
     The packet RTT is ~100 us, so 60/180/1000 us days correspond to
@@ -359,17 +340,16 @@ def day_length_sweep(
         rdcn = replace(base, day_ns=usec(day_us))
         for variant in variants:
             grid.append((f"{day_us}us", variant, rdcn))
-    return _run_sweep("day-length-sweep", grid, executor, run)
+    return _grid_plan("day-length-sweep", grid, run)
 
 
-def buffer_economics_sweep(
+def buffer_economics_plan(
     totals: Sequence[int] = (32, 64, 96),
     policies: Sequence[str] = BUFFER_POLICIES,
     variants: Sequence[str] = ("cubic", "dctcp", "tdtcp"),
     alpha: float = 1.0,
-    executor: Optional[ExperimentExecutor] = None,
     **run,
-) -> SweepResult:
+) -> Plan:
     """Buffer economics: total ToR buffer x sharing policy x variant.
 
     Each setting gives every ToR the same total memory (``totals``
@@ -398,4 +378,22 @@ def buffer_economics_sweep(
             label = f"{total}x{POLICY_TAGS[policy]}"
             for variant in variants:
                 grid.append((label, variant, rdcn))
-    return _run_sweep("buffer-economics-sweep", grid, executor, {"audit": "fail", **run})
+    return _grid_plan("buffer-economics-sweep", grid, {"audit": "fail", **run})
+
+
+def _runs(plan_of: Callable[..., Plan]) -> Callable:
+    """The sweep that runs ``plan_of``'s plan: the same arguments, plus
+    ``executor`` (inline by default). It carries the plan's docstring,
+    and ``inspect.signature`` / ``help()`` show the plan's parameters."""
+
+    @wraps(plan_of, assigned=("__doc__",))
+    def sweep(*args, executor: Optional[ExperimentExecutor] = None, **kwargs):
+        return plan_of(*args, **kwargs).run(executor)
+
+    return sweep
+
+
+load_sweep = _runs(load_plan)
+duty_ratio_sweep = _runs(duty_ratio_plan)
+day_length_sweep = _runs(day_length_plan)
+buffer_economics_sweep = _runs(buffer_economics_plan)

@@ -314,7 +314,8 @@ def write_repro_bundle(
     Deterministic naming (label + seed + collision counter, no
     timestamps): re-running the same failing configuration overwrites
     nothing and produces a predictable path. ``config.json`` is
-    ``config.to_dict()``; ``ExperimentConfig.from_dict`` loads it back.
+    ``config.to_dict()``; ``ExperimentConfig.from_dict`` loads it back,
+    and the manifest's ``replay`` line (``cli rerun BUNDLE_DIR``) runs it.
     """
     base = pathlib.Path(directory)
     stem = f"bundle_{label}_seed{seed if seed is not None else 'x'}"
@@ -336,14 +337,11 @@ def write_repro_bundle(
             json.dumps(config.to_dict(), indent=2, sort_keys=True) + "\n"
         )
         manifest["files"]["config"] = "config.json"
+        manifest["replay"] = f"PYTHONPATH=src python -m repro.experiments.cli rerun {bundle}"
     if fault_plan is not None:
         text = json.dumps(fault_plan.to_dict(), indent=2, sort_keys=True)
         (bundle / "fault_plan.json").write_text(text + "\n")
         manifest["files"]["fault_plan"] = "fault_plan.json"
-        manifest["replay"] = (
-            "PYTHONPATH=src python -m repro.experiments.cli chaos "
-            f"--fault-plan {bundle / 'fault_plan.json'} --seed {seed} --audit fail"
-        )
     if error is not None:
         manifest["error_type"] = type(error).__name__
         manifest["error_message"] = str(error)

@@ -13,7 +13,7 @@ from typing import Optional, Tuple
 
 from repro.net.queues import BUFFER_POLICIES
 from repro.records import decode, encode
-from repro.units import SEC, gbps, usec
+from repro.units import SEC, check_above, gbps, usec
 
 # CE-mark threshold K of every ToR VOQ on either fabric (5 jumbo frames).
 ECN_THRESHOLD = 30
@@ -147,8 +147,8 @@ class RDCNConfig:
             raise ValueError(
                 f"unknown buffer policy {self.buffer_policy!r}; known: {BUFFER_POLICIES}"
             )
-        if self.buffer_alpha <= 0:
-            raise ValueError("buffer_alpha must be positive")
+        for name in ("packet_rate_bps", "optical_rate_bps", "host_link_rate_bps", "buffer_alpha"):
+            check_above(name, getattr(self, name))
         if self.buffer_total_capacity is not None and self.buffer_total_capacity <= 0:
             raise ValueError("buffer_total_capacity must be positive")
 

@@ -42,7 +42,7 @@ from repro.rdcn.rotor import round_robin_matchings
 from repro.rdcn.schedule import ScheduleDriver, TDNSchedule
 from repro.sim.rng import SeededRandom
 from repro.sim.simulator import Simulator
-from repro.units import gbps, serialization_delay_ns, usec
+from repro.units import check_above, gbps, serialization_delay_ns, usec
 
 
 @dataclass
@@ -101,8 +101,7 @@ class OperaConfig:
             raise ValueError(
                 f"unknown buffer policy {self.buffer_policy!r}; known: {BUFFER_POLICIES}"
             )
-        if self.buffer_alpha <= 0:
-            raise ValueError("buffer_alpha must be positive")
+        check_above("buffer_alpha", self.buffer_alpha)
         if self.buffer_total_capacity is not None and self.buffer_total_capacity <= 0:
             raise ValueError("buffer_total_capacity must be positive")
 

@@ -22,6 +22,7 @@ from repro.net.packet import TCPSegment
 from repro.sim.simulator import Simulator
 from repro.tcp.config import TCPConfig
 from repro.tcp.connection import TCPConnection
+from repro.units import check_above
 
 
 class ReTCPConnection(TCPConnection):
@@ -39,8 +40,7 @@ class ReTCPConnection(TCPConnection):
         name: Optional[str] = None,
         alpha: float = 8.0,
     ):
-        if alpha <= 1.0:
-            raise ValueError("alpha must exceed 1")
+        check_above("alpha", alpha, 1.0)
         super().__init__(
             sim,
             host,

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 from repro.records import decode, encode
 from repro.tcp.rtt import MAX_RTO_NS
-from repro.units import msec
+from repro.units import check_above, msec
 
 
 @dataclass
@@ -40,8 +40,7 @@ class TCPConfig:
     def __post_init__(self) -> None:
         if self.mss <= 0:
             raise ValueError("MSS must be positive")
-        if self.initial_cwnd <= 0:
-            raise ValueError("initial cwnd must be positive")
+        check_above("initial_cwnd", self.initial_cwnd)
         if self.rwnd_packets <= 0:
             raise ValueError("rwnd_packets must be positive")
         if self.send_buffer_packets <= 0:

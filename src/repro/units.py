@@ -8,11 +8,20 @@ conversions so no module invents its own scale.
 
 from __future__ import annotations
 
+import math
+
 USEC = 1_000
 MSEC = 1_000_000
 SEC = 1_000_000_000
 
 GBPS = 1e9
+
+
+def check_above(name: str, value: float, bound: float = 0.0) -> None:
+    """Refuse a config value unless it is finite and exceeds ``bound``
+    (a ``value <= bound`` test alone lets NaN through)."""
+    if not (math.isfinite(value) and value > bound):
+        raise ValueError(f"{name} must exceed {bound:g} and be finite, got {value!r}")
 
 
 def usec(value: float) -> int:

@@ -600,7 +600,7 @@ class TestLoadSweep:
             cdf="custom", custom_cdf=FIXED_10KB,
             weeks=8, warmup_weeks=0, seed=5, max_flows=60,
         )
-        assert result.ok
+        assert not result.failures
         assert len(result.points) == 2
         for point in result.points:
             assert point.started == 60
@@ -619,7 +619,7 @@ class TestLoadSweep:
             weeks=8, warmup_weeks=0, seed=5, max_flows=10,
             watchdog_max_events=1,
         )
-        assert not result.ok
+        assert result.failures
         point = result.points[0]
         assert point.failure is not None
         assert point.summary is None
@@ -637,5 +637,5 @@ class TestLoadSweep:
             cdf="custom", custom_cdf=FIXED_10KB,
             weeks=4, warmup_weeks=0, seed=5, max_flows=3,
         )
-        assert result.ok
+        assert not result.failures
         assert result.points[0].started == 3

@@ -392,7 +392,7 @@ class TestSweepFailureSurfacing:
             watchdog_max_events=500,
             executor=ExperimentExecutor(),
         )
-        assert not result.ok
+        assert result.failures
         [point] = result.points
         assert point.failure is not None
         assert math.isnan(point.throughput_gbps)
@@ -406,7 +406,7 @@ class TestSweepFailureSurfacing:
             day_us_values=(180,), variants=("cubic",),
             weeks=4, warmup_weeks=1, n_flows=2,
         )
-        assert result.ok
+        assert not result.failures
         assert result.points[0].throughput_gbps > 0
         assert "FAILED" not in result.render()
 

@@ -125,9 +125,10 @@ class TestSweeps:
             day_us_values=(180,), variants=("tdtcp",),
             weeks=4, warmup_weeks=1, n_flows=2, audit="warn",
         )
-        assert result.ok
-        assert len(result.reports) == 1
-        assert result.reports[0].startswith("[180us/tdtcp] auditor [warn]: ")
+        assert not result.failures
+        [run] = result.runs
+        [report] = run.render_reports()
+        assert report.startswith("auditor [warn]: ")
 
 
 class TestCLI:
@@ -180,25 +181,79 @@ def no_run(monkeypatch):
     monkeypatch.setattr(runner, "run_experiment", refuse)
 
 
+def trace_flag(target, tmp_path):
+    """``--trace CSV`` for the one target that reads it, else nothing."""
+    if target != "replay-trace":
+        return []
+    trace = tmp_path / "flows.csv"
+    trace.write_text("start_ns,src,dst,size_bytes\n0,r0h0,r1h0,3000\n")
+    return ["--trace", str(trace)]
+
+
+def declared(target):
+    """Every ``--flag`` ``target``'s sub-command reads."""
+    groups = (cli.EXECUTOR,) + cli.TARGETS[target].flags
+    return {flag: keywords for group in groups for flag, keywords in group.items()
+            if flag.startswith("--")}
+
+
+#: Every flag some target declares, with its add_argument keywords.
+ALL_FLAGS = {flag: keywords for target in cli.TARGETS for flag, keywords in declared(target).items()}
+
+
+def a_value(keywords):
+    """A value the declaring target would accept for the flag."""
+    if keywords.get("action") == "store_true":
+        return []
+    return [str(keywords["choices"][0])] if "choices" in keywords else ["1"]
+
+
 class TestCLIRefusesBeforeAnyRun:
     @pytest.mark.parametrize("target", ["chaos", "replay-trace", "sweep-load", "sweep-ratio", "sweep-day"])
     def test_a_buffer_flag_the_target_ignores_is_refused(self, no_run, capsys, tmp_path, target):
-        trace = tmp_path / "flows.csv"
-        trace.write_text("start_ns,src,dst,size_bytes\n0,r0h0,r1h0,3000\n")
-        code = cli_main([target, "--weeks", "3", "--warmup", "1", "--trace", str(trace),
+        code = cli_main([target, "--weeks", "3", "--warmup", "1", *trace_flag(target, tmp_path),
                          "--buffer-policy", "complete-sharing", "--buffer-total", "40"])
         assert code == 2
         assert "--buffer-policy" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("target,flag", [
+        (target, flag) for target in cli.TARGETS for flag in sorted(ALL_FLAGS)
+        if flag not in declared(target)
+    ])
+    def test_a_flag_another_target_declares_is_refused(self, no_run, capsys, tmp_path, target, flag):
+        bundle = [str(tmp_path)] if target == "rerun" else []
+        code = cli_main([target, *bundle, *trace_flag(target, tmp_path),
+                         flag, *a_value(ALL_FLAGS[flag])])
+        assert code == 2
+        assert flag in capsys.readouterr().err
 
     def test_a_config_the_flags_cannot_build_exits_2_with_its_message(self, no_run, capsys):
         assert cli_main(["chaos", "--weeks", "4"]) == 2
         assert "weeks must exceed warmup_weeks" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", [
+        ["sweep-load", "--loads", "1.5"],
+        ["sweep-buffer", "--buffer-total", "0"],
+        ["fig2", "--buffer-total", "0"],
+        ["fig2", "--buffer-policy", "dynamic-threshold", "--buffer-alpha", "nan"],
+        ["chaos", "--watchdog-wall", "nan"],
+        ["sweep-ratio", "--watchdog-events", "-5"],
+        ["fig2", "--resume", "no-such-journal.jsonl"],
+        ["fig2", "--jobs", "0"],
+    ])
+    def test_a_value_no_config_takes_exits_2_and_leaves_the_journal(self, no_run, capsys,
+                                                                     tmp_path, argv):
+        log = tmp_path / "c.jsonl"
+        log.write_text('{"event": "campaign_start"}\n')
+        before = log.read_bytes()
+        assert cli_main(argv + ["--campaign-log", str(log)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"{argv[0]}: ") and err.count("\n") == 1
+        assert log.read_bytes() == before
+
     @pytest.mark.parametrize("target", ["chaos", "replay-trace"])
     def test_an_unknown_variant_exits_2_with_its_message(self, no_run, capsys, tmp_path, target):
-        trace = tmp_path / "flows.csv"
-        trace.write_text("start_ns,src,dst,size_bytes\n0,r0h0,r1h0,3000\n")
-        code = cli_main([target, "--weeks", "3", "--warmup", "1", "--trace", str(trace),
+        code = cli_main([target, "--weeks", "3", "--warmup", "1", *trace_flag(target, tmp_path),
                          "--variant", "nope"])
         assert code == 2
         assert "nope" in capsys.readouterr().err
@@ -212,11 +267,50 @@ class TestCLIRefusesBeforeAnyRun:
         assert "supported: cubic, dctcp, reno" in err
 
 
+class TestOneTrailer:
+    """Every target prints each run's artifacts and profile, failed runs included."""
+
+    SMALL = ["--weeks", "3", "--warmup", "1", "--flows", "2"]
+
+    def artifacts_and_profiles(self, out, directory, labels):
+        written = sorted(str(path) for path in directory.iterdir())
+        assert written and all(path in out for path in written)
+        for label in labels:
+            assert f"profile [{label}]\nsimulator profile: " in out
+
+    def test_chaos_prints_its_profile(self, capsys):
+        assert cli_main(["chaos", *self.SMALL, "--profile"]) == 0
+        assert "profile [tdtcp/seed1]\nsimulator profile: " in capsys.readouterr().out
+
+    def test_a_sweep_prints_every_runs_artifacts_and_profile(self, capsys, tmp_path):
+        code = cli_main(["sweep-ratio", *self.SMALL, "--profile", "--trace-out", str(tmp_path)])
+        assert code == 0
+        self.artifacts_and_profiles(capsys.readouterr().out, tmp_path, [
+            f"duty-ratio-sweep/{ratio}/{variant}"
+            for ratio in ("2:1", "6:1", "13:1") for variant in ("cubic", "tdtcp")])
+
+    def test_replay_trace_prints_its_artifacts(self, capsys, tmp_path):
+        out_dir = tmp_path / "obs"
+        code = cli_main(["replay-trace", *self.SMALL, *trace_flag("replay-trace", tmp_path),
+                         "--trace-out", str(out_dir), "--profile"])
+        assert code == 0
+        self.artifacts_and_profiles(capsys.readouterr().out, out_dir, ["tdtcp/seed1"])
+
+    def test_a_failed_variant_keeps_its_artifacts(self, capsys, tmp_path):
+        code = cli_main(["fig2", *self.SMALL, "--watchdog-events", "300", "--profile",
+                         "--trace-out", str(tmp_path / "obs"), "--bundle-dir", str(tmp_path)])
+        captured = capsys.readouterr()
+        assert code == 1
+        self.artifacts_and_profiles(captured.out, tmp_path / "obs", ["fig2/cubic", "fig2/mptcp"])
+        for variant in ("cubic", "mptcp"):
+            assert f"[fig2/{variant}] run FAILED: WatchdogExceeded" in captured.err
+
+
 # ----------------------------------------------------------------------
 # A run option has one road to a run: flag x target matrix
 # ----------------------------------------------------------------------
-#: Every target that builds runs (``list`` builds none).
-RUN_TARGETS = [name for name in cli.TARGETS if name != "list"]
+#: Every target that reads the run flags (``rerun`` runs a bundle's config).
+RUN_TARGETS = [name for name, target in cli.TARGETS.items() if cli.RUN in target.flags]
 
 #: One non-default value per run-level flag, and where it must land on
 #: every config the target builds.
@@ -257,7 +351,7 @@ def configs_reaching_a_run(tmp_path_factory):
             configs.append(config)
             return ExperimentResult(config=config, duration_ns=config.duration_ns)
 
-        argv = [target, "--trace", str(trace)]
+        argv = [target] + (["--trace", str(trace)] if target == "replay-trace" else [])
         for flag, (value, _check) in RUN_FLAGS.items():
             argv += [flag, *value]
         with pytest.MonkeyPatch.context() as patch:

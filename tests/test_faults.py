@@ -3,12 +3,15 @@ invariant auditing, watchdog, and crash capture."""
 
 import json
 import pathlib
+import re
 
 import pytest
 
 from repro.core.tdtcp import TDTCPConnection
 from repro.experiments import ExperimentConfig, run_experiment
 from repro.experiments.cli import main as cli_main
+from repro.experiments.executor import ExperimentExecutor
+from repro.experiments.runner import ExperimentResult
 from repro.faults import (
     FaultInjector,
     FaultPlan,
@@ -583,7 +586,7 @@ class TestCrashCapture:
         assert bundle.name == "bundle_tdtcp_seed3"
         manifest = json.loads((bundle / "MANIFEST.json").read_text())
         assert manifest["error_type"] == "RuntimeError"
-        assert "--seed 3" in manifest["replay"]
+        assert manifest["replay"].endswith(f"cli rerun {bundle}")
         assert FaultPlan.load(bundle / "fault_plan.json") == plan
         assert json.loads((bundle / "config.json").read_text())["seed"] == 3
         assert "boom" in (bundle / "error.txt").read_text()
@@ -664,3 +667,39 @@ class TestChaosCLI:
         assert "run FAILED: WatchdogExceeded" in captured.err
         assert "repro bundle:" in captured.err
         assert any(tmp_path.iterdir())
+
+    def test_a_bundle_reruns_its_own_failure(self, tmp_path, capsys):
+        def failed_line(argv):
+            assert cli_main(argv) == 1
+            [line] = [line for line in capsys.readouterr().err.splitlines()
+                      if line.startswith("run FAILED:")]
+            return re.sub(r"[\d.]+s wall", "Xs wall", line)
+
+        first = failed_line([
+            "chaos", "--variant", "cubic", "--weeks", "6", "--warmup", "2", "--flows", "2",
+            "--watchdog-events", "300", "--bundle-dir", str(tmp_path),
+        ])
+        assert "event budget exceeded after 301 events" in first
+        [bundle] = tmp_path.iterdir()
+        replay = json.loads((bundle / "MANIFEST.json").read_text())["replay"]
+        assert replay.endswith(f"cli rerun {bundle}")
+        assert failed_line(["rerun", str(bundle)]) == first
+
+    def test_a_fault_plan_bundle_reruns_the_bundled_config(self, tmp_path, monkeypatch):
+        config = mini_config(fault_plan=plan_of({"kind": "notifier_drop", "params": {"rate": 0.5}}))
+        bundle = write_repro_bundle(tmp_path, config=config, fault_plan=config.fault_plan,
+                                    seed=config.seed, label="tdtcp")
+        ran = []
+
+        def record(self, configs, labels=None):
+            ran.extend(configs)
+            return [ExperimentResult(config=c, duration_ns=c.duration_ns) for c in configs]
+
+        monkeypatch.setattr(ExperimentExecutor, "run_batch", record)
+        assert cli_main(["rerun", bundle]) == 0
+        assert [c.cache_key() for c in ran] == [config.cache_key()]
+        assert ran[0].fault_plan == config.fault_plan
+
+    def test_rerun_takes_no_run_flags(self, tmp_path, capsys):
+        assert cli_main(["rerun", str(tmp_path), "--weeks", "3"]) == 2
+        assert "--weeks" in capsys.readouterr().err

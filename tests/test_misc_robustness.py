@@ -1,12 +1,19 @@
 """Assorted robustness cases discovered during calibration, pinned."""
 
+import dataclasses
+import math
+import typing
+
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.core.tdtcp import TDTCPConnection
 from repro.net.packet import TDNNotification
 from repro.experiments.config import ExperimentConfig
 from repro.tcp.config import TCPConfig
 from repro.tcp.rtt import MAX_RTO_NS
+from repro.retcp import ReTCPConnection
 from repro.tcp.sockets import create_connection_pair
 from repro.units import msec, usec
 
@@ -93,6 +100,53 @@ class TestNotificationEdgeCases:
         sim.run(until=msec(5))
         assert_invariants(client)
         assert server.stats.bytes_delivered > 100_000
+
+
+def float_fields(cls):
+    """``(owner class, field name)`` of every float-annotated field of
+    ``cls`` and of the config records its fields hold, read from the
+    annotations (``Optional[X]`` counts as ``X``)."""
+    hints = typing.get_type_hints(cls)
+    for field in dataclasses.fields(cls):
+        hint = hints[field.name]
+        inner = [arg for arg in typing.get_args(hint) if arg is not type(None)]
+        if typing.get_origin(hint) is typing.Union and len(inner) == 1:
+            hint = inner[0]
+        if hint is float:
+            yield cls, field.name
+        elif dataclasses.is_dataclass(hint):
+            yield from float_fields(hint)
+
+
+FLOAT_FIELDS = sorted(set(float_fields(ExperimentConfig)), key=lambda f: (f[0].__name__, f[1]))
+
+
+class TestNonFiniteFloats:
+    def test_the_annotations_reach_the_known_floats(self):
+        names = {f"{owner.__name__}.{name}" for owner, name in FLOAT_FIELDS}
+        assert {"ExperimentConfig.retcp_alpha", "ExperimentConfig.watchdog_max_wall_s",
+                "RDCNConfig.packet_rate_bps", "RDCNConfig.optical_rate_bps",
+                "RDCNConfig.host_link_rate_bps", "RDCNConfig.buffer_alpha",
+                "TCPConfig.initial_cwnd", "WorkloadConfig.load"} <= names
+
+    @given(field=st.sampled_from(FLOAT_FIELDS),
+           value=st.sampled_from([math.nan, math.inf, -math.inf]))
+    def test_every_float_field_refuses_nan_and_inf_naming_itself(self, field, value):
+        owner, name = field
+        with pytest.raises(ValueError, match=name):
+            owner(**{name: value})
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, 1.0])
+    def test_retcp_refuses_an_alpha_that_is_not_finite_above_1(self, value):
+        sim, a, b, _ab, _ba = two_hosts()
+        with pytest.raises(ValueError, match="alpha must exceed 1"):
+            ReTCPConnection(sim, a, b.address, 1, 1, alpha=value)
+
+    def test_watchdog_budgets_must_be_positive(self):
+        with pytest.raises(ValueError, match="watchdog_max_events"):
+            ExperimentConfig(watchdog_max_events=0)
+        with pytest.raises(ValueError, match="watchdog_max_wall_s"):
+            ExperimentConfig(watchdog_max_wall_s=0.0)
 
 
 class TestConfigSurface:

@@ -6,11 +6,11 @@ import pathlib
 import pytest
 
 from repro.experiments.figures import (
+    Figure,
     bw_only_rdcn,
     fig2,
     fig11,
     latency_only_rdcn,
-    run_figure,
 )
 from repro.experiments.report import (
     figure_to_csv,
@@ -58,8 +58,7 @@ class TestFigureDefinitions:
         assert set(data.throughputs_gbps) == {"tdtcp", "tdtcp-unopt"}
 
     def test_run_figure_custom(self):
-        data = run_figure("custom", bw_only_rdcn(), ("cubic",), weeks=6,
-                          warmup_weeks=2, n_flows=2)
+        data = Figure("custom", bw_only_rdcn(), ("cubic",))(weeks=6, warmup_weeks=2, n_flows=2)
         assert data.name == "custom"
         assert list(data.seq_curves) == ["cubic"]
 
